@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	decent "repro"
+	"repro/internal/experiments"
+	"repro/internal/report"
 )
 
 // TestArgumentAudit is the table-driven contract for argument handling:
@@ -120,11 +124,15 @@ func TestReportDiffAgainstFiles(t *testing.T) {
 // path end to end: the manifest of a fresh generation diffed against an
 // identical baseline passes.
 func TestReportDiffGeneratesAndCompares(t *testing.T) {
-	tree, err := decent.GenerateReport(decent.ReportOptions{
+	reg, err := experiments.Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	tree, err := report.Generate(reg, report.Options{
 		IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25,
 	})
 	if err != nil {
-		t.Fatalf("GenerateReport: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	baseline := filepath.Join(t.TempDir(), "baseline.json")
 	if err := os.WriteFile(baseline, tree.Lookup("manifest.json"), 0o644); err != nil {
@@ -136,5 +144,28 @@ func TestReportDiffGeneratesAndCompares(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "PASS: no changes") {
 		t.Errorf("self-diff output = %q", out.String())
+	}
+}
+
+// TestServeHTTPServerTimeouts pins the hardening of the server serveCmd
+// listens with: slow-header and idle connections are bounded, responses
+// are not (a cold full-scale /report legitimately runs for minutes), and
+// the handler is the one passed in.
+func TestServeHTTPServerTimeouts(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusTeapot) })
+	srv := newHTTPServer(h)
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %s, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %s, want 2m", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %s, want none", srv.WriteTimeout)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	if rec.Code != http.StatusTeapot {
+		t.Errorf("server does not route to the given handler (status %d)", rec.Code)
 	}
 }

@@ -55,7 +55,12 @@ import (
 	"syscall"
 	"time"
 
-	decent "repro"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/harness"
+	"repro/internal/obs"
+	"repro/internal/report"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -102,11 +107,11 @@ type knobFlags struct {
 func (k *knobFlags) String() string { return "" }
 
 func (k *knobFlags) Set(spec string) error {
-	name, vals, err := decent.ParseParam(spec)
+	name, vals, err := harness.ParseParam(spec)
 	if err != nil {
 		return err
 	}
-	known := decent.Knobs()
+	known := experiments.KnobSpecs()
 	if _, ok := known[name]; !ok {
 		return fmt.Errorf("unknown knob %q (known: %s)", name,
 			strings.Join(slices.Sorted(maps.Keys(known)), ", "))
@@ -121,28 +126,109 @@ func (k *knobFlags) Set(spec string) error {
 	return nil
 }
 
+// flagRule says where one flag applies: the commands that take it, and
+// what a user who passes it to any other command is told. run's
+// applicability check and register's usage strings both read flagRules,
+// so a flag's reach is written down once.
+type flagRule struct {
+	cmds   string            // space-separated commands the flag applies to
+	reason string            // why it does not apply to any other command ...
+	except map[string]string // ... unless that command has a reason of its own
+}
+
+// everyCommand lists the commands that take flags at all (list takes none).
+const everyCommand = "run sweep rep report serve trace"
+
+// Reasons more than one rule gives.
+const (
+	useSeeds      = "use -seeds to choose the replication seeds"
+	onlyManifests = "only the report subcommand compares manifests"
+)
+
+// notTables is why -csv and -json do not apply to the commands whose
+// output is not a result or aggregate table.
+var notTables = map[string]string{
+	"report": "the report is a markdown/SVG/JSON directory tree",
+	"serve":  "serve renders the HTML/markdown report tree",
+	"trace":  "trace writes Chrome trace-event JSON",
+}
+
+var flagRules = map[string]flagRule{
+	"seed": {cmds: "run trace", except: map[string]string{
+		"sweep":  "use -seeds to choose sweep seeds",
+		"rep":    "use -seeds or -n to choose replication seeds",
+		"report": useSeeds,
+		"serve":  "serve scenarios replicate over -seeds",
+	}},
+	"scale":    {cmds: everyCommand},
+	"csv":      {cmds: "run sweep rep", except: notTables},
+	"json":     {cmds: "run sweep rep", except: notTables},
+	"parallel": {cmds: "run sweep rep report serve", reason: "trace records one run in-process"},
+	"seeds": {cmds: "sweep rep report serve", except: map[string]string{
+		"run":   "use the sweep or rep subcommand for multi-seed runs",
+		"trace": "trace records one run; use -seed",
+	}},
+	"scales": {cmds: "sweep", except: map[string]string{
+		"run":    "use the sweep subcommand to cross scales",
+		"rep":    "rep replicates one scenario; use sweep to cross scales",
+		"report": "the report runs one scale; use -scale",
+		"serve":  "the served default scenario runs one scale; use -scale",
+		"trace":  "trace records one run; use -scale",
+	}},
+	"n": {cmds: "rep", except: map[string]string{
+		"run":    "use the rep subcommand for replications",
+		"sweep":  "use -seeds, or the rep subcommand",
+		"report": useSeeds,
+		"serve":  useSeeds,
+		"trace":  "trace records one run",
+	}},
+	"out": {cmds: "report trace", reason: "only the report and trace subcommands write output files", except: map[string]string{
+		"serve": "serve streams artifacts from memory; use the report subcommand to write a tree",
+	}},
+	"set":         {cmds: "run sweep rep serve trace", reason: "the report documents baseline runs; use -sensitivity for knob grids, or sweep"},
+	"sensitivity": {cmds: "report serve", reason: "only the report subcommand renders sensitivity pages"},
+	"grid-points": {cmds: "report serve", reason: "only the report subcommand sweeps knob grids"},
+	"drift":       {cmds: "rep", reason: "only the rep subcommand writes drift bounds"},
+	"resources":   {cmds: "report serve", reason: "only the report subcommand renders the resources appendix"},
+	"profile":     {cmds: "sweep rep report", reason: "only the sweep, rep, and report subcommands run on the profiled harness"},
+	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
+	"shards":      {cmds: "run sweep rep report serve", reason: "sharded runs do not register the transport instruments a trace records"},
+	"html":        {cmds: "report serve", reason: "only the report and serve subcommands render HTML pages"},
+	"diff":        {cmds: "report", reason: onlyManifests},
+	"against":     {cmds: "report", reason: onlyManifests},
+	"addr":        {cmds: "serve", reason: "only the serve subcommand listens on an address"},
+}
+
 func (o *options) register(fs *flag.FlagSet) {
-	fs.Int64Var(&o.seed, "seed", o.seed, "master random seed for single runs (>= 1)")
-	fs.Float64Var(&o.scale, "scale", o.scale, "workload scale factor (smaller = faster)")
-	fs.BoolVar(&o.csv, "csv", o.csv, "emit CSV instead of aligned text")
-	fs.BoolVar(&o.json, "json", o.json, "emit JSON instead of text")
-	fs.IntVar(&o.parallel, "parallel", o.parallel, "worker goroutines (0 = GOMAXPROCS)")
-	fs.StringVar(&o.seeds, "seeds", o.seeds, "sweep/rep seed list, e.g. 1..10 or 1,3,9 (default: sweep 1..5, rep 1..n)")
-	fs.StringVar(&o.scales, "scales", o.scales, "sweep scale list, e.g. 0.25,0.5,1 (default: -scale)")
-	fs.IntVar(&o.reps, "n", o.reps, "rep: replication count, seeds 1..n (conflicts with -seeds)")
-	fs.StringVar(&o.out, "out", o.out, "report: output directory for the generated report tree")
-	fs.Var(&o.set, "set", "sweep knob values, e.g. -set e03.lookups=100,200 (repeatable; every experiment has knobs — see DESIGN.md)")
-	fs.BoolVar(&o.sensitivity, "sensitivity", o.sensitivity, "report: sweep every registered knob over its default grid and render per-knob sensitivity pages")
-	fs.IntVar(&o.gridPoints, "grid-points", o.gridPoints, "report: swept values per knob grid (default 5; needs -sensitivity)")
-	fs.StringVar(&o.drift, "drift", o.drift, "rep: also write per-scenario headline-metric drift bounds (mean/stddev/95% CI) as JSON to this file")
-	fs.BoolVar(&o.resources, "resources", o.resources, "report: attach run telemetry and render a per-experiment Resources appendix plus resources/host.json")
-	fs.StringVar(&o.profile, "profile", o.profile, "sweep/rep/report: write per-run CPU and heap pprof profiles into this directory")
-	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, "trace: event buffer limit (default 100000; overflow is counted, not stored)")
-	fs.IntVar(&o.shards, "shards", o.shards, "intra-run worker goroutines for experiments on the sharded kernel (results are byte-identical at any value)")
-	fs.BoolVar(&o.html, "html", o.html, "report: also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html)")
-	fs.StringVar(&o.diff, "diff", o.diff, "report: compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips")
-	fs.StringVar(&o.against, "against", o.against, "report -diff: compare the -diff file against this file instead of generating a report")
-	fs.StringVar(&o.addr, "addr", o.addr, "serve: HTTP listen address (default :8080)")
+	// help leads a usage line with the commands the flag applies to,
+	// unless that is every command.
+	help := func(name, usage string) string {
+		if cmds := flagRules[name].cmds; cmds != everyCommand {
+			return strings.ReplaceAll(cmds, " ", "/") + ": " + usage
+		}
+		return usage
+	}
+	fs.Int64Var(&o.seed, "seed", o.seed, help("seed", "master random seed for single runs (>= 1)"))
+	fs.Float64Var(&o.scale, "scale", o.scale, help("scale", "workload scale factor (smaller = faster)"))
+	fs.BoolVar(&o.csv, "csv", o.csv, help("csv", "emit CSV instead of aligned text"))
+	fs.BoolVar(&o.json, "json", o.json, help("json", "emit JSON instead of text"))
+	fs.IntVar(&o.parallel, "parallel", o.parallel, help("parallel", "worker goroutines (0 = GOMAXPROCS)"))
+	fs.StringVar(&o.seeds, "seeds", o.seeds, help("seeds", "seed list, e.g. 1..10 or 1,3,9 (default: sweep 1..5, rep 1..n, report and serve 1..3)"))
+	fs.StringVar(&o.scales, "scales", o.scales, help("scales", "scale list to cross, e.g. 0.25,0.5,1 (default: -scale)"))
+	fs.IntVar(&o.reps, "n", o.reps, help("n", "replication count, seeds 1..n (conflicts with -seeds)"))
+	fs.StringVar(&o.out, "out", o.out, help("out", "output directory for the report tree; for trace, the output file (default trace.json)"))
+	fs.Var(&o.set, "set", help("set", "knob values, e.g. -set e03.lookups=100,200 (repeatable; every experiment has knobs — see DESIGN.md)"))
+	fs.BoolVar(&o.sensitivity, "sensitivity", o.sensitivity, help("sensitivity", "sweep every registered knob over its default grid and render per-knob sensitivity pages"))
+	fs.IntVar(&o.gridPoints, "grid-points", o.gridPoints, help("grid-points", "swept values per knob grid (default 5; needs -sensitivity)"))
+	fs.StringVar(&o.drift, "drift", o.drift, help("drift", "also write per-scenario headline-metric drift bounds (mean/stddev/95% CI) as JSON to this file"))
+	fs.BoolVar(&o.resources, "resources", o.resources, help("resources", "attach run telemetry and render a per-experiment Resources appendix plus resources/host.json"))
+	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory"))
+	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
+	fs.IntVar(&o.shards, "shards", o.shards, help("shards", "intra-run worker goroutines for experiments on the sharded kernel (results are byte-identical at any value)"))
+	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
+	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips"))
+	fs.StringVar(&o.against, "against", o.against, help("against", "with -diff: compare the -diff file against this file instead of generating a report"))
+	fs.StringVar(&o.addr, "addr", o.addr, help("addr", "HTTP listen address"))
 }
 
 // usage is the command summary printed when the subcommand line itself is
@@ -162,7 +248,7 @@ commands:
 run 'decentsim <command> -h' for that command's flags`
 
 func run(args []string, out io.Writer) error {
-	opts := options{seed: 1, scale: 1, reps: 10, out: "report", shards: 1}
+	opts := options{seed: 1, scale: 1, reps: 10, out: "report", shards: 1, addr: ":8080"}
 	global := flag.NewFlagSet("decentsim", flag.ContinueOnError)
 	opts.register(global)
 	if err := global.Parse(args); err != nil {
@@ -173,6 +259,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("expected a command\n%s", usage)
 	}
 	cmd, rest := rest[0], rest[1:]
+	command, ok := commands[cmd]
+	if !ok {
+		return fmt.Errorf("unknown command %q\n%s", cmd, usage)
+	}
 	// Subcommand flags: re-register over the already-parsed values so
 	// "decentsim sweep -parallel 8 E03" works like "-parallel 8 sweep E03".
 	sub := flag.NewFlagSet("decentsim "+cmd, flag.ContinueOnError)
@@ -187,99 +277,16 @@ func run(args []string, out io.Writer) error {
 	provided := make(map[string]bool)
 	global.Visit(func(f *flag.Flag) { provided[f.Name] = true })
 	sub.Visit(func(f *flag.Flag) { provided[f.Name] = true })
-	inapplicable := map[string]map[string]string{
-		"run": {
-			"seeds":       "use the sweep or rep subcommand for multi-seed runs",
-			"scales":      "use the sweep subcommand to cross scales",
-			"n":           "use the rep subcommand for replications",
-			"out":         "only the report and trace subcommands write output files",
-			"sensitivity": "only the report subcommand renders sensitivity pages",
-			"grid-points": "only the report subcommand sweeps knob grids",
-			"drift":       "only the rep subcommand writes drift bounds",
-			"resources":   "only the report subcommand renders the resources appendix",
-			"profile":     "only the sweep, rep, and report subcommands run on the profiled harness",
-			"trace-limit": "only the trace subcommand buffers an event trace",
-			"html":        "only the report and serve subcommands render HTML pages",
-			"diff":        "only the report subcommand compares manifests",
-			"against":     "only the report subcommand compares manifests",
-			"addr":        "only the serve subcommand listens on an address",
-		},
-		"sweep": {
-			"seed":        "use -seeds to choose sweep seeds",
-			"n":           "use -seeds, or the rep subcommand",
-			"out":         "only the report and trace subcommands write output files",
-			"sensitivity": "only the report subcommand renders sensitivity pages",
-			"grid-points": "only the report subcommand sweeps knob grids",
-			"drift":       "only the rep subcommand writes drift bounds",
-			"resources":   "only the report subcommand renders the resources appendix",
-			"trace-limit": "only the trace subcommand buffers an event trace",
-			"html":        "only the report and serve subcommands render HTML pages",
-			"diff":        "only the report subcommand compares manifests",
-			"against":     "only the report subcommand compares manifests",
-			"addr":        "only the serve subcommand listens on an address",
-		},
-		"rep": {
-			"seed":        "use -seeds or -n to choose replication seeds",
-			"scales":      "rep replicates one scenario; use sweep to cross scales",
-			"out":         "only the report and trace subcommands write output files",
-			"sensitivity": "only the report subcommand renders sensitivity pages",
-			"grid-points": "only the report subcommand sweeps knob grids",
-			"resources":   "only the report subcommand renders the resources appendix",
-			"trace-limit": "only the trace subcommand buffers an event trace",
-			"html":        "only the report and serve subcommands render HTML pages",
-			"diff":        "only the report subcommand compares manifests",
-			"against":     "only the report subcommand compares manifests",
-			"addr":        "only the serve subcommand listens on an address",
-		},
-		"report": {
-			"seed":        "use -seeds to choose the replication seeds",
-			"n":           "use -seeds to choose the replication seeds",
-			"scales":      "the report runs one scale; use -scale",
-			"csv":         "the report is a markdown/SVG/JSON directory tree",
-			"json":        "the report is a markdown/SVG/JSON directory tree",
-			"set":         "the report documents baseline runs; use -sensitivity for knob grids, or sweep",
-			"drift":       "only the rep subcommand writes drift bounds",
-			"trace-limit": "only the trace subcommand buffers an event trace",
-			"addr":        "only the serve subcommand listens on an address",
-		},
-		"serve": {
-			"seed":        "serve scenarios replicate over -seeds",
-			"scales":      "the served default scenario runs one scale; use -scale",
-			"n":           "use -seeds to choose the replication seeds",
-			"csv":         "serve renders the HTML/markdown report tree",
-			"json":        "serve renders the HTML/markdown report tree",
-			"out":         "serve streams artifacts from memory; use the report subcommand to write a tree",
-			"drift":       "only the rep subcommand writes drift bounds",
-			"profile":     "only the sweep, rep, and report subcommands run on the profiled harness",
-			"trace-limit": "only the trace subcommand buffers an event trace",
-			"diff":        "only the report subcommand compares manifests",
-			"against":     "only the report subcommand compares manifests",
-		},
-		"trace": {
-			"seeds":       "trace records one run; use -seed",
-			"scales":      "trace records one run; use -scale",
-			"n":           "trace records one run",
-			"parallel":    "trace records one run in-process",
-			"csv":         "trace writes Chrome trace-event JSON",
-			"json":        "trace writes Chrome trace-event JSON",
-			"sensitivity": "only the report subcommand renders sensitivity pages",
-			"grid-points": "only the report subcommand sweeps knob grids",
-			"drift":       "only the rep subcommand writes drift bounds",
-			"resources":   "only the report subcommand renders the resources appendix",
-			"profile":     "only the sweep, rep, and report subcommands run on the profiled harness",
-			"shards":      "sharded runs do not register the transport instruments a trace records",
-			"html":        "only the report and serve subcommands render HTML pages",
-			"diff":        "only the report subcommand compares manifests",
-			"against":     "only the report subcommand compares manifests",
-			"addr":        "only the serve subcommand listens on an address",
-		},
-	}
 	if cmd == "list" && len(provided) > 0 {
 		return errors.New("list: takes no flags")
 	}
-	for _, name := range slices.Sorted(maps.Keys(inapplicable[cmd])) {
-		if provided[name] {
-			return fmt.Errorf("%s: -%s does not apply; %s", cmd, name, inapplicable[cmd][name])
+	for _, name := range slices.Sorted(maps.Keys(provided)) {
+		if rule := flagRules[name]; !slices.Contains(strings.Fields(rule.cmds), cmd) {
+			reason, ok := rule.except[cmd]
+			if !ok {
+				reason = rule.reason
+			}
+			return fmt.Errorf("%s: -%s does not apply; %s", cmd, name, reason)
 		}
 	}
 	if opts.json && opts.csv {
@@ -299,9 +306,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if provided["diff"] && (provided["out"] || opts.html || opts.sensitivity || opts.resources) {
 		return errors.New("report: -diff only compares verdicts; it writes no tree (drop -out/-html/-sensitivity/-resources)")
-	}
-	if cmd == "serve" && !provided["addr"] {
-		opts.addr = ":8080"
 	}
 	if provided["grid-points"] && opts.gridPoints < 1 {
 		return fmt.Errorf("report: -grid-points must be >= 1 (got %d)", opts.gridPoints)
@@ -327,93 +331,67 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%s: -scale must be a finite number > 0 (got %g)", cmd, opts.scale)
 	}
 
-	reg, err := decent.Experiments()
+	if opts.profile != "" {
+		if err := os.MkdirAll(opts.profile, 0o755); err != nil {
+			return fmt.Errorf("%s: %w", cmd, err)
+		}
+	}
+	reg, err := experiments.Registry()
 	if err != nil {
 		return err
 	}
-	switch cmd {
-	case "list":
-		if len(ids) > 0 {
-			return fmt.Errorf("list: takes no arguments (got %s)", strings.Join(ids, " "))
-		}
-		for _, e := range reg.All() {
-			fmt.Fprintf(out, "%-5s %s\n      %s\n", e.ID(), e.Title(), e.Claim())
-		}
-		return nil
-	case "run":
-		return runCmd(out, reg, &opts, ids)
-	case "sweep":
-		return sweepCmd(out, reg, &opts, ids, false)
-	case "rep":
-		return sweepCmd(out, reg, &opts, ids, true)
-	case "report":
-		return reportCmd(out, reg, &opts, ids)
-	case "serve":
-		return serveCmd(out, reg, &opts, ids)
-	case "trace":
-		return traceCmd(out, reg, &opts, ids)
-	default:
-		return fmt.Errorf("unknown command %q\n%s", cmd, usage)
-	}
+	return command(out, reg, &opts, ids)
 }
 
-// expandIDs resolves "all" and validates every id against the registry,
-// rejecting duplicates (a repeated id would be aggregated as extra
-// replications of the same scenario).
-func expandIDs(reg *decent.Registry, ids []string) ([]string, error) {
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(out io.Writer, reg *core.Registry, opts *options, ids []string) error{
+	"list":   listCmd,
+	"run":    runCmd,
+	"sweep":  sweepCmd,
+	"rep":    repCmd,
+	"report": reportCmd,
+	"serve":  serveCmd,
+	"trace":  traceCmd,
+}
+
+func listCmd(out io.Writer, reg *core.Registry, _ *options, ids []string) error {
+	if len(ids) > 0 {
+		return fmt.Errorf("list: takes no arguments (got %s)", strings.Join(ids, " "))
+	}
+	for _, e := range reg.All() {
+		fmt.Fprintf(out, "%-5s %s\n      %s\n", e.ID(), e.Title(), e.Claim())
+	}
+	return nil
+}
+
+// expandIDs resolves "all" and canonicalises the ids against the registry
+// by the rule report generation and the report service use (unknown and
+// duplicate ids are errors; ids come back in registry case).
+func expandIDs(reg *core.Registry, ids []string) ([]string, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("requires experiment ids or 'all'")
 	}
 	if len(ids) == 1 && strings.EqualFold(ids[0], "all") {
-		ids = ids[:0]
-		for _, e := range reg.All() {
-			ids = append(ids, e.ID())
-		}
-		return ids, nil
+		ids = nil
 	}
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if _, err := reg.Get(id); err != nil {
-			return nil, err
-		}
-		up := strings.ToUpper(id)
-		if seen[up] {
-			return nil, fmt.Errorf("duplicate experiment id %s", up)
-		}
-		seen[up] = true
-	}
-	return ids, nil
+	sc, err := report.Canonical(reg, report.Options{IDs: ids})
+	return sc.IDs, err
 }
 
 // runCmd executes each experiment once. Errors do not abort the batch:
 // every experiment runs, then all errors are reported together.
-func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
-	ids, err := expandIDs(reg, ids)
+func runCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
+	grid, err := opts.grid(reg, "run", ids)
 	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	if err := rejectMultiValueKnobs("run", opts.set.params); err != nil {
 		return err
 	}
-	// Expanding through Sweep reuses its knob-ownership rule: a knob
-	// prefixed for one selected experiment is not attached to the others.
-	grid := decent.Sweep{
-		Experiments: ids,
-		Seeds:       []int64{opts.seed},
-		Scales:      []float64{opts.scale},
-		Params:      opts.set.params,
-		Shards:      opts.shards,
-	}
-	// Knob ownership is validated by the same rule sweeps use.
-	if err := grid.Validate(); err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
+	grid.Seeds, grid.Scales = []int64{opts.seed}, []float64{opts.scale}
 	jobs := grid.Jobs()
 	// Text and CSV modes stream each result as soon as every earlier job
 	// has finished, so long batches show progress; output order stays the
 	// job order regardless of which worker finishes first. JSON must be a
 	// single document and is emitted at the end.
-	printResult := func(jr decent.JobResult) {
+	printResult := func(jr harness.JobResult) {
 		if jr.Err != nil {
 			return
 		}
@@ -426,10 +404,10 @@ func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) er
 		}
 	}
 	next := 0
-	pending := make(map[int]decent.JobResult, len(jobs))
-	runner := decent.Runner{Registry: reg, Workers: opts.parallel}
+	pending := make(map[int]harness.JobResult, len(jobs))
+	runner := harness.Runner{Registry: reg, Workers: opts.parallel}
 	if !opts.json {
-		runner.OnResult = func(i int, jr decent.JobResult) {
+		runner.OnResult = func(i int, jr harness.JobResult) {
 			pending[i] = jr
 			for {
 				jr, ok := pending[next]
@@ -442,7 +420,7 @@ func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) er
 			}
 		}
 	}
-	results := runner.Run(jobs)
+	results := runner.Run(context.Background(), jobs)
 	var runErrs []string
 	failures := 0
 	// runDoc mirrors the sweep JSON contract: errored runs stay in-band
@@ -453,9 +431,9 @@ func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) er
 		Error      string `json:"error"`
 	}
 	runDoc := struct {
-		Results []*decent.Result `json:"results"`
-		Errors  []runError       `json:"errors"`
-	}{Results: []*decent.Result{}, Errors: []runError{}}
+		Results []*core.Result `json:"results"`
+		Errors  []runError     `json:"errors"`
+	}{Results: []*core.Result{}, Errors: []runError{}}
 	for _, jr := range results {
 		if jr.Err != nil {
 			// Canonical upper-case ids, as Aggregate and the registry emit.
@@ -490,9 +468,30 @@ func runCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) er
 	return nil
 }
 
-// rejectMultiValueKnobs enforces that single-scenario commands (run, rep)
-// take one value per knob: a multi-value knob is a sweep request, and
-// silently taking the first value would drop grid points.
+// grid builds the harness.Sweep that run, sweep, rep and trace expand into
+// jobs, leaving seeds and scales to the command: ids are canonicalised,
+// and knob ownership is validated by the one rule every command shares
+// (a knob prefixed for one selected experiment is not attached to the
+// others; one owned by an unselected experiment is an error). Only sweep
+// crosses knob values — anywhere else a multi-value knob is a sweep
+// request, and silently taking the first value would drop grid points.
+func (o *options) grid(reg *core.Registry, cmd string, ids []string) (harness.Sweep, error) {
+	g := harness.Sweep{Params: o.set.params, Shards: o.shards}
+	var err error
+	if g.Experiments, err = expandIDs(reg, ids); err != nil {
+		return g, fmt.Errorf("%s: %w", cmd, err)
+	}
+	if cmd != "sweep" {
+		if err := rejectMultiValueKnobs(cmd, o.set.params); err != nil {
+			return g, err
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return g, fmt.Errorf("%s: %w", cmd, err)
+	}
+	return g, nil
+}
+
 func rejectMultiValueKnobs(cmd string, params map[string][]float64) error {
 	for _, name := range slices.Sorted(maps.Keys(params)) {
 		if vals := params[name]; len(vals) > 1 {
@@ -502,41 +501,53 @@ func rejectMultiValueKnobs(cmd string, params map[string][]float64) error {
 	return nil
 }
 
+// scenario builds the report.Options that report, report -diff and serve
+// share from the flags. A flag the command does not take is still at its
+// zero value, so one literal serves all three.
+func (o *options) scenario(reg *core.Registry, cmd string, ids []string) (report.Options, error) {
+	ids, err := expandIDs(reg, ids)
+	if err != nil {
+		return report.Options{}, fmt.Errorf("%s: %w", cmd, err)
+	}
+	sc := report.Options{
+		IDs:         ids,
+		Scale:       o.scale,
+		HTML:        o.html,
+		Workers:     o.parallel,
+		Shards:      o.shards,
+		Sensitivity: o.sensitivity,
+		GridPoints:  o.gridPoints,
+		Resources:   o.resources,
+		ProfileDir:  o.profile,
+	}
+	if o.seeds != "" {
+		if sc.Seeds, err = harness.ParseSeeds(o.seeds); err != nil {
+			return sc, err
+		}
+	}
+	if len(o.set.params) > 0 {
+		sc.Params = make(map[string]float64, len(o.set.params))
+		for name, vals := range o.set.params {
+			sc.Params[name] = vals[0]
+		}
+	}
+	return sc, nil
+}
+
 // reportCmd generates the reproduction report: every selected experiment
 // replicated across the seed set on the worker pool, rendered as a
 // deterministic document tree (REPORT.md traceability matrix, one page
 // per experiment, SVG figures, hash manifest) under -out. Shape-check
 // outcomes live in the report; only run errors fail the command.
-func reportCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
+func reportCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
 	if opts.diff != "" {
 		return diffCmd(out, reg, opts, ids)
 	}
-	ids, err := expandIDs(reg, ids)
+	sc, err := opts.scenario(reg, "report", ids)
 	if err != nil {
-		return fmt.Errorf("report: %w", err)
+		return err
 	}
-	ropts := decent.ReportOptions{
-		IDs:         ids,
-		Scale:       opts.scale,
-		Workers:     opts.parallel,
-		Shards:      opts.shards,
-		Sensitivity: opts.sensitivity,
-		GridPoints:  opts.gridPoints,
-		Resources:   opts.resources,
-		ProfileDir:  opts.profile,
-		HTML:        opts.html,
-	}
-	if opts.profile != "" {
-		if err := os.MkdirAll(opts.profile, 0o755); err != nil {
-			return fmt.Errorf("report: %w", err)
-		}
-	}
-	if opts.seeds != "" {
-		if ropts.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {
-			return err
-		}
-	}
-	tree, err := decent.GenerateReport(ropts)
+	tree, err := report.Generate(reg, sc)
 	if err != nil {
 		return err
 	}
@@ -557,7 +568,7 @@ func reportCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string)
 // flip / metric drift / scenario change, and fails exactly when a verdict
 // flipped (manifests) or a drift bound was breached (drift documents) —
 // the exit code is the trend gate.
-func diffCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
+func diffCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
 	if opts.against != "" && len(ids) > 0 {
 		return fmt.Errorf("report: -diff with -against compares two files; it takes no experiment ids (got %s)", strings.Join(ids, " "))
 	}
@@ -571,28 +582,17 @@ func diffCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) e
 			return fmt.Errorf("report: -against: %w", err)
 		}
 	} else {
-		ids, err := expandIDs(reg, ids)
+		sc, err := opts.scenario(reg, "report", ids)
 		if err != nil {
-			return fmt.Errorf("report: %w", err)
+			return err
 		}
-		ropts := decent.ReportOptions{
-			IDs:     ids,
-			Scale:   opts.scale,
-			Workers: opts.parallel,
-			Shards:  opts.shards,
-		}
-		if opts.seeds != "" {
-			if ropts.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {
-				return err
-			}
-		}
-		tree, err := decent.GenerateReport(ropts)
+		tree, err := report.Generate(reg, sc)
 		if err != nil {
 			return err
 		}
 		newData = tree.Lookup("manifest.json")
 	}
-	d, err := decent.DiffDocs(oldData, newData)
+	d, err := report.DiffDocs(oldData, newData)
 	if err != nil {
 		return err
 	}
@@ -606,52 +606,43 @@ func diffCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) e
 	return nil
 }
 
+// The served process faces clients it does not control: bound how long one
+// may take to send its request headers and how long an idle keep-alive
+// connection is held. There is deliberately no WriteTimeout — a cold
+// full-scale /report legitimately runs for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server serveCmd listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveCmd runs the living-report service: the report tree for the
 // selected scenario (default: every experiment, seeds 1..3, scale 1)
 // behind an HTTP API with scenario-hash caching. It blocks until
 // interrupted; SIGINT/SIGTERM drain in-flight requests before exit.
-func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
-	if len(ids) > 0 {
-		var err error
-		if ids, err = expandIDs(reg, ids); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
+func serveCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
+	if len(ids) == 0 {
+		ids = []string{"all"}
 	}
 	if err := rejectMultiValueKnobs("serve", opts.set.params); err != nil {
 		return err
 	}
-	base := decent.ReportOptions{
-		IDs:         ids,
-		Scale:       opts.scale,
-		Workers:     opts.parallel,
-		Shards:      opts.shards,
-		Sensitivity: opts.sensitivity,
-		GridPoints:  opts.gridPoints,
-		Resources:   opts.resources,
-	}
-	var err error
-	if opts.seeds != "" {
-		if base.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {
-			return err
-		}
-	}
-	for name, vals := range opts.set.params {
-		if base.Params == nil {
-			base.Params = make(map[string]float64, len(opts.set.params))
-		}
-		base.Params[name] = vals[0]
-	}
-	srv, err := decent.NewServer(base, decent.NewCollector())
+	base, err := opts.scenario(reg, "serve", ids)
 	if err != nil {
-		return fmt.Errorf("serve: %w", err)
+		return err
 	}
+	srv := serve.New(reg, base, obs.NewCollector())
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	// Announce the resolved address (not the flag) so -addr :0 is usable.
 	fmt.Fprintf(out, "serve: listening on http://%s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	done := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -676,7 +667,7 @@ func serveCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) 
 // drift). This is the compact artifact the nightly soak workflow
 // publishes, so drift across large seed sets accumulates as a trajectory
 // instead of a full report tree.
-func writeDrift(path string, report *decent.Report, seeds []int64, results []decent.JobResult) error {
+func writeDrift(path string, report *harness.Report, seeds []int64, results []harness.JobResult) error {
 	type driftMetric struct {
 		Experiment   string  `json:"experiment"`
 		Scale        float64 `json:"scale"`
@@ -744,38 +735,34 @@ func writeDrift(path string, report *decent.Report, seeds []int64, results []dec
 	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
-// sweepCmd runs a multi-seed sweep (or, for rep, a pure replication) and
+func sweepCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
+	return sweepOrRep(out, reg, opts, ids, "sweep")
+}
+
+func repCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
+	return sweepOrRep(out, reg, opts, ids, "rep")
+}
+
+// sweepOrRep runs a multi-seed sweep (or, for rep, a pure replication) and
 // emits the aggregate report. Shape-check outcomes live in the report;
 // only run errors fail the command.
-func sweepCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string, rep bool) error {
-	var err error
-	name := "sweep"
-	if rep {
-		name = "rep"
-	}
-	ids, err = expandIDs(reg, ids)
+func sweepOrRep(out io.Writer, reg *core.Registry, opts *options, ids []string, cmd string) error {
+	rep := cmd == "rep"
+	sweep, err := opts.grid(reg, cmd, ids)
 	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
+		return err
 	}
-	// Knob-ownership validation happens in decent.RunSweep (Sweep.Validate).
-	// rep replicates one scenario: a multi-value knob is a sweep request.
-	if rep {
-		if err := rejectMultiValueKnobs("rep", opts.set.params); err != nil {
-			return err
-		}
-	}
-	sweep := decent.Sweep{Experiments: ids, Params: opts.set.params, Shards: opts.shards}
 	switch {
 	case opts.seeds != "":
-		if sweep.Seeds, err = decent.ParseSeeds(opts.seeds); err != nil {
+		if sweep.Seeds, err = harness.ParseSeeds(opts.seeds); err != nil {
 			return err
 		}
 	case rep:
 		if opts.reps < 1 {
 			return fmt.Errorf("rep: -n must be >= 1 (got %d)", opts.reps)
 		}
-		if opts.reps > decent.MaxSeeds {
-			return fmt.Errorf("rep: -n %d exceeds the %d-seed cap", opts.reps, decent.MaxSeeds)
+		if opts.reps > harness.MaxSeeds {
+			return fmt.Errorf("rep: -n %d exceeds the %d-seed cap", opts.reps, harness.MaxSeeds)
 		}
 		for s := int64(1); s <= int64(opts.reps); s++ {
 			sweep.Seeds = append(sweep.Seeds, s)
@@ -784,31 +771,20 @@ func sweepCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string, 
 		sweep.Seeds = []int64{1, 2, 3, 4, 5}
 	}
 	if opts.scales != "" {
-		if sweep.Scales, err = decent.ParseScales(opts.scales); err != nil {
+		if sweep.Scales, err = harness.ParseScales(opts.scales); err != nil {
 			return err
 		}
 	} else {
 		sweep.Scales = []float64{opts.scale}
 	}
-	if err := sweep.Validate(); err != nil {
-		return err
-	}
-	if opts.profile != "" {
-		if err := os.MkdirAll(opts.profile, 0o755); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	// Built directly (rather than through RunSweep) so the runner can
-	// carry the profiling and host-sampling hooks; aggregation is the
-	// same, so the report bytes are unchanged.
-	runner := decent.Runner{
+	runner := harness.Runner{
 		Registry:   reg,
 		Workers:    opts.parallel,
 		ProfileDir: opts.profile,
 		SampleHost: rep && opts.drift != "",
 	}
-	results := runner.Run(sweep.Jobs())
-	report := decent.Aggregate(results)
+	results := runner.Run(context.Background(), sweep.Jobs())
+	report := harness.Aggregate(results)
 	if rep && opts.drift != "" {
 		if err := writeDrift(opts.drift, report, sweep.Seeds, results); err != nil {
 			return fmt.Errorf("rep: %w", err)
@@ -831,7 +807,7 @@ func sweepCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string, 
 		errs += len(g.Errors)
 	}
 	if errs > 0 {
-		return fmt.Errorf("%s: %d run(s) errored (see report)", name, errs)
+		return fmt.Errorf("%s: %d run(s) errored (see report)", cmd, errs)
 	}
 	return nil
 }
@@ -841,34 +817,17 @@ func sweepCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string, 
 // (load it in chrome://tracing or Perfetto), and prints a telemetry
 // summary. Single-run by construction: a trace interleaving several runs
 // would be unreadable and the collector is per-run state.
-func traceCmd(out io.Writer, reg *decent.Registry, opts *options, ids []string) error {
-	ids, err := expandIDs(reg, ids)
+func traceCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
+	grid, err := opts.grid(reg, "trace", ids)
 	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if len(ids) != 1 {
-		return fmt.Errorf("trace: takes exactly one experiment id (got %d)", len(ids))
-	}
-	if err := rejectMultiValueKnobs("trace", opts.set.params); err != nil {
 		return err
 	}
-	// Reuse the sweep grid so knob ownership and bounds are validated by
-	// the same rule every other command uses.
-	grid := decent.Sweep{
-		Experiments: ids,
-		Seeds:       []int64{opts.seed},
-		Scales:      []float64{opts.scale},
-		Params:      opts.set.params,
+	if len(grid.Experiments) != 1 {
+		return fmt.Errorf("trace: takes exactly one experiment id (got %d)", len(grid.Experiments))
 	}
-	if err := grid.Validate(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
+	grid.Seeds, grid.Scales = []int64{opts.seed}, []float64{opts.scale}
 	jobs := grid.Jobs()
-	limit := opts.traceLimit
-	if limit <= 0 {
-		limit = decent.DefaultTraceLimit
-	}
-	col := decent.NewCollector(decent.WithTrace(limit))
+	col := obs.NewCollector(obs.WithTrace(opts.traceLimit))
 	cfg := jobs[0].Config
 	cfg.Obs = col
 	res, err := reg.Run(jobs[0].ExperimentID, cfg)

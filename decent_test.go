@@ -45,75 +45,10 @@ func TestForeignKnobRejectedAtLibraryLevel(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not apply") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = RunSweep(Sweep{
-		Experiments: []string{"E11"},
-		Params:      map[string][]float64{"e03.lookups": {100, 200}},
-	}, 1)
-	if err == nil || !strings.Contains(err.Error(), "not among the selected") {
-		t.Fatalf("RunSweep err = %v", err)
-	}
 }
 
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("E99", Config{}); !errors.Is(err, core.ErrUnknownExperiment) {
 		t.Fatalf("unknown id error = %v", err)
-	}
-}
-
-func TestTransportReExports(t *testing.T) {
-	s := NewSim(7)
-	nm := NewTransport(s, WithJitter(0), WithLoss(0))
-	mix, err := MixPreset(1)
-	if err != nil {
-		t.Fatalf("MixPreset: %v", err)
-	}
-	ids, err := nm.BuildTopology(TransportTopology{
-		Nodes: 6,
-		Mix:   mix,
-		Classes: []BandwidthClass{
-			{Name: "fiber", UplinkBps: 100e6, DownlinkBps: 100e6, Weight: 1},
-		},
-	})
-	if err != nil {
-		t.Fatalf("BuildTopology: %v", err)
-	}
-	delivered := 0
-	nm.Broadcast(ids[0], 1000, func(TransportNode) { delivered++ })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if delivered != 5 {
-		t.Fatalf("delivered = %d, want 5", delivered)
-	}
-	if TransportRetryDelay <= 0 || TransportPacing <= 0 || NumMixPresets < 1 {
-		t.Fatal("transport defaults not exported")
-	}
-}
-
-func TestGenerateReportPublicAPI(t *testing.T) {
-	tree, err := GenerateReport(ReportOptions{
-		IDs:   []string{"E11"},
-		Seeds: []int64{1, 2},
-		Scale: 0.25,
-	})
-	if err != nil {
-		t.Fatalf("GenerateReport: %v", err)
-	}
-	if tree.Lookup("REPORT.md") == nil || tree.Lookup("manifest.json") == nil {
-		t.Fatal("report tree lacks REPORT.md or manifest.json")
-	}
-	if tree.Groups != 1 {
-		t.Fatalf("Groups = %d, want 1", tree.Groups)
-	}
-	reg, err := Experiments()
-	if err != nil {
-		t.Fatalf("Experiments: %v", err)
-	}
-	e, err := reg.Get("E11")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if got := SectionOf(e); got != "§III-B" {
-		t.Fatalf("SectionOf(E11) = %q, want §III-B", got)
 	}
 }

@@ -232,7 +232,8 @@ func SensitivityGrids(points int, scale float64) map[string][]float64 {
 // only names registered here. Every experiment E01–E19 registers its
 // load-bearing parameters; defaults equal the documented baseline
 // literals, so knob-free runs are byte-identical to the baseline. New
-// knobs must be added here and in DESIGN.md.
+// knobs are added here; DESIGN.md's table is rendered from this registry
+// (TestDesignTablesCurrent, -update rewrites it).
 func KnobSpecs() map[string]KnobSpec {
 	out := make(map[string]KnobSpec, len(knobSpecs))
 	for name, s := range knobSpecs {
@@ -358,15 +359,6 @@ var knobSpecs = map[string]KnobSpec{
 	"e19.loss":      {Default: 0, Min: 0, Max: 0.5, Desc: "E19: per-message loss probability on the WAN relay"},
 	"e19.partstart": {Default: 0.3, Min: 0.05, Max: 0.7, Desc: "E19: partition window start as a fraction of the run"},
 	"e19.partdur":   {Default: 0.3, Min: 0.05, Max: 0.5, Desc: "E19: partition window length as a fraction of the run"},
-}
-
-// Knobs lists the sweepable knobs as name -> rendered description.
-func Knobs() map[string]string {
-	out := make(map[string]string)
-	for name, s := range knobSpecs {
-		out[name] = fmt.Sprintf("%s (default %g, min %g, max %g)", s.Desc, s.Default, s.Min, s.Max)
-	}
-	return out
 }
 
 // knobInt reads a registered knob with its spec default.

@@ -21,7 +21,7 @@ func TestRunContextCancelled(t *testing.T) {
 		{ExperimentID: "E01", Config: core.Config{Seed: 2, Scale: 1}},
 	}
 	r := Runner{Registry: reg, Workers: 2}
-	out := r.RunContext(ctx, jobs)
+	out := r.Run(ctx, jobs)
 	if len(out) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(out), len(jobs))
 	}
@@ -41,17 +41,5 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if errs != len(jobs) {
 		t.Errorf("aggregate holds %d errors, want %d", errs, len(jobs))
-	}
-}
-
-// TestRunParallelContextBackground checks the wrapper equivalence: Run
-// and RunContext(background) produce identical outcomes.
-func TestRunParallelContextBackground(t *testing.T) {
-	reg, _ := core.NewRegistry()
-	jobs := []Job{{ExperimentID: "E01", Config: core.Config{Seed: 0, Scale: 1}}}
-	a := RunParallel(reg, jobs, 1)
-	b := RunParallelContext(context.Background(), reg, jobs, 1)
-	if (a[0].Err == nil) != (b[0].Err == nil) {
-		t.Errorf("Run and RunContext disagree: %v vs %v", a[0].Err, b[0].Err)
 	}
 }

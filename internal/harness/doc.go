@@ -7,7 +7,8 @@
 //
 //   - Runner: a worker pool that fans a job list out across GOMAXPROCS
 //     goroutines and returns results in job order, independent of
-//     scheduling;
+//     scheduling. Runner.Run(ctx, jobs) is the one function that executes
+//     jobs; callers with nothing to cancel pass context.Background();
 //   - Sweep: a grid type crossing experiment ids × seeds × scales × named
 //     per-experiment knobs into a deterministic job list;
 //   - Aggregate: collapses multi-seed replications of a scenario into

@@ -83,21 +83,14 @@ func (r *Runner) workers(jobs int) int {
 	return w
 }
 
-// Run executes all jobs and returns their results in job order, regardless
-// of worker count or completion order. It is RunContext with a background
-// context: nothing cancels the batch.
-func (r *Runner) Run(jobs []Job) []JobResult {
-	return r.RunContext(context.Background(), jobs)
-}
-
-// RunContext executes all jobs and returns their results in job order,
+// Run executes all jobs and returns their results in job order,
 // regardless of worker count or completion order. Cancellation is checked
 // between jobs: once ctx is done, jobs that have not started yet complete
 // immediately with ctx's error as their JobResult.Err, while jobs already
 // running finish normally (experiments are deterministic simulations with
 // no cancellation points of their own). The returned slice always has one
 // entry per job, so aggregation over a cancelled batch stays well formed.
-func (r *Runner) RunContext(ctx context.Context, jobs []Job) []JobResult {
+func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -187,18 +180,4 @@ func (r *Runner) runProfiled(j Job) (*core.Result, error) {
 		return nil, fmt.Errorf("harness: write heap profile: %w", err)
 	}
 	return res, runErr
-}
-
-// RunParallel runs jobs against reg with the given worker count (<=0 means
-// GOMAXPROCS) and returns results in job order.
-func RunParallel(reg *core.Registry, jobs []Job, workers int) []JobResult {
-	return RunParallelContext(context.Background(), reg, jobs, workers)
-}
-
-// RunParallelContext is RunParallel with cancellation: jobs not yet
-// started when ctx is done complete immediately with ctx's error (see
-// Runner.RunContext).
-func RunParallelContext(ctx context.Context, reg *core.Registry, jobs []Job, workers int) []JobResult {
-	r := Runner{Registry: reg, Workers: workers}
-	return r.RunContext(ctx, jobs)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -46,6 +47,12 @@ func fakeRegistry(t *testing.T, exps ...core.Experiment) *core.Registry {
 	return reg
 }
 
+// runAll runs jobs on a fresh worker pool that nothing cancels.
+func runAll(reg *core.Registry, jobs []Job, workers int) []JobResult {
+	r := Runner{Registry: reg, Workers: workers}
+	return r.Run(context.Background(), jobs)
+}
+
 func TestSweepJobsOrder(t *testing.T) {
 	s := Sweep{
 		Experiments: []string{"X1", "X2"},
@@ -88,6 +95,25 @@ func TestSweepKnobAppliesOnlyToItsExperiment(t *testing.T) {
 		if j.ExperimentID == "E03" && !hasKnob {
 			t.Fatalf("E03 job should carry the knob: %+v", j)
 		}
+	}
+}
+
+// TestSweepValidateForeignKnob pins the knob-ownership rule every entry
+// point (run, sweep, rep, trace, report generation) validates through: a
+// knob owned by an experiment the sweep does not include is an error, not
+// a silently dropped or duplicated grid axis.
+func TestSweepValidateForeignKnob(t *testing.T) {
+	s := Sweep{Experiments: []string{"E11"}, Params: map[string][]float64{"e03.lookups": {100, 200}}}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "not among the selected") {
+		t.Fatalf("foreign knob: err = %v", err)
+	}
+	s.Experiments = []string{"E11", "e03"}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("owned knob (case-insensitive owner): err = %v", err)
+	}
+	s = Sweep{Experiments: []string{"E11"}, Params: map[string][]float64{"k": {1}}}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("global (unowned) knob: err = %v", err)
 	}
 }
 
@@ -160,7 +186,7 @@ func TestParamLabelCanonical(t *testing.T) {
 func TestRunnerPreservesJobOrder(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"}, &fakeExp{id: "X2"})
 	jobs := Sweep{Experiments: []string{"X1", "X2"}, Seeds: []int64{1, 2, 3, 4, 5}}.Jobs()
-	results := RunParallel(reg, jobs, 4)
+	results := runAll(reg, jobs, 4)
 	if len(results) != len(jobs) {
 		t.Fatalf("len(results) = %d, want %d", len(results), len(jobs))
 	}
@@ -186,7 +212,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 	var want []byte
 	for _, workers := range []int{1, 2, 8, 32} {
-		rep := Aggregate(RunParallel(reg, sweep.Jobs(), workers))
+		rep := Aggregate(runAll(reg, sweep.Jobs(), workers))
 		got, err := rep.JSON()
 		if err != nil {
 			t.Fatalf("JSON: %v", err)
@@ -216,11 +242,11 @@ func TestRealRegistryDeterminism(t *testing.T) {
 		Seeds:       []int64{1, 2, 3},
 		Scales:      []float64{0.2},
 	}
-	seq, err := Aggregate(RunParallel(reg, sweep.Jobs(), 1)).JSON()
+	seq, err := Aggregate(runAll(reg, sweep.Jobs(), 1)).JSON()
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
-	par, err := Aggregate(RunParallel(reg, sweep.Jobs(), 8)).JSON()
+	par, err := Aggregate(runAll(reg, sweep.Jobs(), 8)).JSON()
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
@@ -232,7 +258,7 @@ func TestRealRegistryDeterminism(t *testing.T) {
 func TestAggregateMath(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"})
 	jobs := Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3, 4}}.Jobs()
-	rep := Aggregate(RunParallel(reg, jobs, 2))
+	rep := Aggregate(runAll(reg, jobs, 2))
 	if len(rep.Groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(rep.Groups))
 	}
@@ -261,13 +287,13 @@ func TestAggregateMath(t *testing.T) {
 func TestAggregateMajorityVote(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"})
 	// Seeds 1,2,3: odd-seed passes 2/3 -> majority verdict true.
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 2))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 2))
 	c := rep.Groups[0].Checks[0]
 	if c.Passes != 2 || c.N != 3 || !c.Verdict || !rep.Groups[0].Reproduced {
 		t.Fatalf("majority vote wrong: %+v", c)
 	}
 	// Seeds 1..4: passes 2/4 is not a strict majority -> verdict false.
-	rep = Aggregate(RunParallel(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3, 4}}.Jobs(), 2))
+	rep = Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3, 4}}.Jobs(), 2))
 	c = rep.Groups[0].Checks[0]
 	if c.Passes != 2 || c.N != 4 || c.Verdict || rep.Groups[0].Reproduced {
 		t.Fatalf("tie should fail the vote: %+v", c)
@@ -295,7 +321,7 @@ func (metricExp) Run(cfg core.Config) (*core.Result, error) {
 
 func TestExplicitMetricsKeepFullPrecision(t *testing.T) {
 	reg := fakeRegistry(t, metricExp{})
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"XM"}, Seeds: []int64{1, 2, 3}}.Jobs(), 2))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"XM"}, Seeds: []int64{1, 2, 3}}.Jobs(), 2))
 	g := rep.Groups[0]
 	// Explicit metric first, then the table-derived one.
 	if len(g.Metrics) != 2 || g.Metrics[0].Name != "exact" {
@@ -335,7 +361,7 @@ func (dupRowExp) Run(cfg core.Config) (*core.Result, error) {
 
 func TestAggregateKeepsDuplicateRowKeysApart(t *testing.T) {
 	reg := fakeRegistry(t, dupRowExp{})
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"XD"}, Seeds: []int64{1, 2}}.Jobs(), 2))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"XD"}, Seeds: []int64{1, 2}}.Jobs(), 2))
 	g := rep.Groups[0]
 	if len(g.Metrics) != 2 {
 		t.Fatalf("metrics = %d, want 2 (rows merged?): %+v", len(g.Metrics), g.Metrics)
@@ -351,7 +377,7 @@ func TestAggregateKeepsDuplicateRowKeysApart(t *testing.T) {
 
 func TestRunnerRejectsSeedZero(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"})
-	results := RunParallel(reg, []Job{{ExperimentID: "X1", Config: core.Config{Seed: 0, Scale: 1}}}, 1)
+	results := runAll(reg, []Job{{ExperimentID: "X1", Config: core.Config{Seed: 0, Scale: 1}}}, 1)
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "seed 0") {
 		t.Fatalf("seed 0 job should error, got %+v", results[0])
 	}
@@ -363,7 +389,7 @@ func TestRunnerRejectsSeedZero(t *testing.T) {
 func TestRunnerRejectsBadScale(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"})
 	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		results := RunParallel(reg, []Job{{ExperimentID: "X1", Config: core.Config{Seed: 1, Scale: scale}}}, 1)
+		results := runAll(reg, []Job{{ExperimentID: "X1", Config: core.Config{Seed: 1, Scale: scale}}}, 1)
 		if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "finite positive") {
 			t.Fatalf("scale %g job should error, got %+v", scale, results[0])
 		}
@@ -372,7 +398,7 @@ func TestRunnerRejectsBadScale(t *testing.T) {
 
 func TestAggregateCollectsErrors(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1", errSeed: 2})
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 3))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 3))
 	g := rep.Groups[0]
 	if g.Replications != 3 || len(g.Errors) != 1 {
 		t.Fatalf("error collection wrong: %+v", g)
@@ -391,7 +417,7 @@ func TestAggregateCollectsErrors(t *testing.T) {
 
 func TestReportCSV(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"})
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 1))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}.Jobs(), 1))
 	csv := rep.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	// Header + 1 metric row + 1 check row.
@@ -408,7 +434,7 @@ func TestReportCSV(t *testing.T) {
 
 func TestReportCSVIncludesErrors(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1", errSeed: 2})
-	rep := Aggregate(RunParallel(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2}}.Jobs(), 1))
+	rep := Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2}}.Jobs(), 1))
 	csv := rep.CSV()
 	if !strings.Contains(csv, "error") || !strings.Contains(csv, "boom") {
 		t.Fatalf("csv must carry errored runs:\n%s", csv)

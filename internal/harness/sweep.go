@@ -83,8 +83,8 @@ func KnobAppliesTo(name, id string) bool {
 
 // paramsFor filters the sweep's knobs down to those applicable to one
 // experiment: its own knobs plus global (unowned) knobs. Knobs owned by
-// other experiments are excluded; RunSweep-level validation rejects
-// sweeps whose knobs' owners are not swept at all.
+// other experiments are excluded; Validate rejects sweeps whose knobs'
+// owners are not swept at all.
 func (s Sweep) paramsFor(id string) map[string][]float64 {
 	if len(s.Params) == 0 {
 		return nil

@@ -9,7 +9,7 @@ func TestAggregateViewRepresentativeIsLowestSeed(t *testing.T) {
 		Seeds:       []int64{3, 1, 2},
 		Params:      map[string][]float64{"k": {10, 20}},
 	}
-	views := AggregateView(RunParallel(reg, s.Jobs(), 4))
+	views := AggregateView(runAll(reg, s.Jobs(), 4))
 	if len(views) != 2 {
 		t.Fatalf("len(views) = %d, want one view per knob value", len(views))
 	}
@@ -37,7 +37,7 @@ func TestAggregateViewRepresentativeIsLowestSeed(t *testing.T) {
 func TestAggregateViewAllErrored(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1", errSeed: 5})
 	s := Sweep{Experiments: []string{"X1"}, Seeds: []int64{5}}
-	views := AggregateView(RunParallel(reg, s.Jobs(), 1))
+	views := AggregateView(runAll(reg, s.Jobs(), 1))
 	if len(views) != 1 {
 		t.Fatalf("len(views) = %d, want 1", len(views))
 	}
@@ -52,7 +52,7 @@ func TestAggregateViewAllErrored(t *testing.T) {
 func TestAggregateViewSkipsErroredSeedForRepresentative(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1", errSeed: 1})
 	s := Sweep{Experiments: []string{"X1"}, Seeds: []int64{1, 2, 3}}
-	views := AggregateView(RunParallel(reg, s.Jobs(), 2))
+	views := AggregateView(runAll(reg, s.Jobs(), 2))
 	if views[0].Representative == nil || views[0].RepresentativeSeed != 2 {
 		t.Fatalf("representative seed = %d, want 2 (lowest successful)",
 			views[0].RepresentativeSeed)
@@ -64,9 +64,9 @@ func TestAggregateViewSkipsErroredSeedForRepresentative(t *testing.T) {
 func TestAggregateViewDeterministic(t *testing.T) {
 	reg := fakeRegistry(t, &fakeExp{id: "X1"}, &fakeExp{id: "X2"})
 	s := Sweep{Experiments: []string{"X1", "X2"}, Seeds: []int64{1, 2, 3, 4, 5}}
-	base := AggregateView(RunParallel(reg, s.Jobs(), 1))
+	base := AggregateView(runAll(reg, s.Jobs(), 1))
 	for _, workers := range []int{2, 8} {
-		got := AggregateView(RunParallel(reg, s.Jobs(), workers))
+		got := AggregateView(runAll(reg, s.Jobs(), workers))
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: %d views, want %d", workers, len(got), len(base))
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -224,6 +225,41 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
+// Canonical resolves a scenario's defaults against the registry, so every
+// consumer (generation, the report service's cache key, the CLI) agrees on
+// what an Options value means: empty IDs become every registered
+// experiment in paper order, ids are upper-cased into a fresh slice (the
+// caller's is never written), empty Seeds become 1..3 and a zero Scale 1.
+// Unknown and duplicate ids are errors — a repeated id would aggregate as
+// extra replications of the same scenario. Canonical options resolve to
+// themselves.
+func Canonical(reg *core.Registry, opts Options) (Options, error) {
+	given := opts.IDs
+	opts.IDs = make([]string, 0, len(given))
+	if len(given) == 0 {
+		for _, e := range reg.All() {
+			opts.IDs = append(opts.IDs, e.ID())
+		}
+	}
+	for _, id := range given {
+		e, err := reg.Get(id)
+		if err != nil {
+			return opts, err
+		}
+		if slices.Contains(opts.IDs, e.ID()) {
+			return opts, fmt.Errorf("duplicate experiment id %s", e.ID())
+		}
+		opts.IDs = append(opts.IDs, e.ID())
+	}
+	if len(opts.Seeds) == 0 {
+		opts.Seeds = []int64{1, 2, 3}
+	}
+	if opts.Scale == 0 {
+		opts.Scale = 1
+	}
+	return opts, nil
+}
+
 // Generate runs the selected experiments across the seed set on the
 // harness worker pool and renders the reproduction report as an in-memory
 // document tree. Equal registries and options produce byte-identical
@@ -238,42 +274,21 @@ func Generate(reg *core.Registry, opts Options) (*Tree, error) {
 // returns ctx's error instead of a partial tree. The report service uses
 // this to abandon sweeps whose requesters have gone away.
 func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tree, error) {
-	ids := opts.IDs
-	if len(ids) == 0 {
-		for _, e := range reg.All() {
-			ids = append(ids, e.ID())
-		}
+	opts, err := Canonical(reg, opts)
+	if err != nil {
+		return nil, fmt.Errorf("report: %w", err)
 	}
-	exps := make([]core.Experiment, 0, len(ids))
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		e, err := reg.Get(id)
-		if err != nil {
-			return nil, fmt.Errorf("report: %w", err)
-		}
-		if seen[e.ID()] {
-			return nil, fmt.Errorf("report: duplicate experiment id %s", e.ID())
-		}
-		seen[e.ID()] = true
-		exps = append(exps, e)
+	exps := make([]core.Experiment, len(opts.IDs))
+	for i, id := range opts.IDs {
+		exps[i], _ = reg.Get(id) // Canonical resolved every id against reg
 	}
-	seeds := opts.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	scale := opts.Scale
-	if scale == 0 {
-		scale = 1
-	}
+	seeds, scale := opts.Seeds, opts.Scale
 
 	sweep := harness.Sweep{
-		Experiments: make([]string, len(exps)),
+		Experiments: opts.IDs,
 		Seeds:       seeds,
 		Scales:      []float64{scale},
 		Shards:      opts.Shards,
-	}
-	for i, e := range exps {
-		sweep.Experiments[i] = e.ID()
 	}
 	if len(opts.Params) > 0 {
 		sweep.Params = make(map[string][]float64, len(opts.Params))
@@ -301,7 +316,7 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 		sens = buildSensitivity(exps, scale, opts)
 		jobs = append(jobs[:len(baseJobs):len(baseJobs)], sens.jobs(exps, seeds, scale)...)
 	}
-	results := runner.RunContext(ctx, jobs)
+	results := runner.Run(ctx, jobs)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("report: generation cancelled: %w", err)
 	}

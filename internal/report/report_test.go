@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +44,35 @@ func TestGenerateDuplicateID(t *testing.T) {
 	_, err := Generate(registry(t), Options{IDs: []string{"E01", "e01"}})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("err = %v, want duplicate id", err)
+	}
+}
+
+// TestCanonical pins the one place scenario defaults are resolved: all
+// ids when none are given, registry-case ids in a slice of its own, seeds
+// 1..3, scale 1, and a canonical scenario resolving to itself.
+func TestCanonical(t *testing.T) {
+	reg := registry(t)
+	ids := []string{"e11", "E01"}
+	got, err := Canonical(reg, Options{IDs: ids, HTML: true})
+	if err != nil {
+		t.Fatalf("Canonical: %v", err)
+	}
+	if !reflect.DeepEqual(got.IDs, []string{"E11", "E01"}) || !reflect.DeepEqual(got.Seeds, []int64{1, 2, 3}) || got.Scale != 1 || !got.HTML {
+		t.Errorf("Canonical = %+v", got)
+	}
+	if ids[0] != "e11" {
+		t.Errorf("Canonical rewrote the caller's ids: %v", ids)
+	}
+	again, err := Canonical(reg, got)
+	if err != nil || !reflect.DeepEqual(again, got) {
+		t.Errorf("Canonical is not idempotent: %+v, %v", again, err)
+	}
+	all, err := Canonical(reg, Options{Seeds: []int64{7}, Scale: 0.5})
+	if err != nil {
+		t.Fatalf("Canonical: %v", err)
+	}
+	if len(all.IDs) != len(reg.All()) || all.IDs[0] != "E01" || !reflect.DeepEqual(all.Seeds, []int64{7}) || all.Scale != 0.5 {
+		t.Errorf("Canonical defaults = %+v", all)
 	}
 }
 

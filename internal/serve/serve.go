@@ -67,44 +67,31 @@ type entry struct {
 }
 
 // New builds a Server over the registry. base is the default scenario
-// for /report and /experiments/{id}; its HTML rendering is forced on
-// (the service's reason to exist) and its id/seed/scale defaults are
-// resolved so the default scenario hashes identically to an explicit
-// /run request naming the same values. col may be nil (no telemetry).
+// for /report and /experiments/{id}; its HTML rendering is forced on (the
+// service's reason to exist). Every request resolves its scenario through
+// report.Canonical, so the default scenario hashes identically to an
+// explicit /run request naming the same values. col may be nil (no
+// telemetry).
 func New(reg *core.Registry, base report.Options, col *obs.Collector) *Server {
 	base.HTML = true
 	return &Server{
 		reg:       reg,
-		base:      normalize(reg, base),
+		base:      base,
 		maxCached: DefaultMaxCached,
 		col:       col,
 		cache:     make(map[string]*entry),
 	}
 }
 
-// normalize resolves the option defaults that report.Generate would
-// apply, so equal scenarios spell identically in the cache key.
-func normalize(reg *core.Registry, opts report.Options) report.Options {
-	if len(opts.IDs) == 0 {
-		for _, e := range reg.All() {
-			opts.IDs = append(opts.IDs, e.ID())
-		}
-	}
-	for i, id := range opts.IDs {
-		opts.IDs[i] = strings.ToUpper(id)
-	}
-	if len(opts.Seeds) == 0 {
-		opts.Seeds = []int64{1, 2, 3}
-	}
-	if opts.Scale == 0 {
-		opts.Scale = 1
-	}
-	return opts
-}
+// maxRequestSeeds caps how many seeds one /run request may replicate
+// over: requests come from outside the process, and the harness's own
+// MaxSeeds bound (a typo guard) is far above what a request should cost.
+const maxRequestSeeds = 10000
 
-// Key returns the scenario's cache key: the SHA-256 of its canonical
-// descriptor (ordered experiment scenario keys — the same identities the
-// manifest's claims carry — plus seeds and layer toggles).
+// Key returns the cache key of a canonical (report.Canonical) scenario:
+// the SHA-256 of its descriptor (ordered experiment scenario keys — the
+// same identities the manifest's claims carry — plus seeds and layer
+// toggles).
 func Key(opts report.Options) string {
 	var b strings.Builder
 	for i, id := range opts.IDs {
@@ -157,9 +144,14 @@ func (s *Server) count(name string) {
 // (this request triggered generation), or "wait" (joined a generation
 // already in flight). Errors are never cached; a failed generation's
 // waiters all receive the error and the next request retries. When ctx
-// ends and a generation has no remaining waiters it is cancelled.
+// ends and a generation has no remaining waiters it is cancelled. A
+// scenario report.Canonical refuses (unknown or repeated id) is an error
+// before any lane is taken.
 func (s *Server) Tree(ctx context.Context, opts report.Options) (*report.Tree, string, string, error) {
-	opts = normalize(s.reg, opts)
+	opts, err := report.Canonical(s.reg, opts)
+	if err != nil {
+		return nil, "", "", err
+	}
 	key := Key(opts)
 
 	s.mu.Lock()
@@ -377,9 +369,12 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 				opts.IDs = strings.Split(v, ",")
 			}
 		case k == "seeds":
-			seeds, err := parseSeeds(v)
+			seeds, err := harness.ParseSeeds(v)
 			if err != nil {
 				return opts, "", err
+			}
+			if len(seeds) > maxRequestSeeds {
+				return opts, "", fmt.Errorf("seeds %q expand to %d seeds (max %d per request)", v, len(seeds), maxRequestSeeds)
 			}
 			opts.Seeds = seeds
 		case k == "scale":
@@ -417,42 +412,6 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 			return opts, "", fmt.Errorf("unknown query key %q", k)
 		}
 	}
-	for _, id := range opts.IDs {
-		if _, err := s.reg.Get(id); err != nil {
-			return opts, "", fmt.Errorf("unknown experiment id %q", id)
-		}
-	}
-	return opts, artifact, nil
-}
-
-// parseSeeds parses "1..5", "1,2,9", or a mix ("1..3,7"); every seed
-// must be >= 1 (the harness rejects seed 0 — it would silently rerun
-// seed 1).
-func parseSeeds(spec string) ([]int64, error) {
-	var seeds []int64
-	for _, part := range strings.Split(spec, ",") {
-		if lo, hi, ok := strings.Cut(part, ".."); ok {
-			a, errA := strconv.ParseInt(lo, 10, 64)
-			b, errB := strconv.ParseInt(hi, 10, 64)
-			if errA != nil || errB != nil || a < 1 || b < a {
-				return nil, fmt.Errorf("seed range %q must be lo..hi with 1 <= lo <= hi", part)
-			}
-			if b-a >= 10000 {
-				return nil, fmt.Errorf("seed range %q too large (max 10000 seeds)", part)
-			}
-			for v := a; v <= b; v++ {
-				seeds = append(seeds, v)
-			}
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("seed %q must be an integer >= 1", part)
-		}
-		seeds = append(seeds, v)
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("empty seed list")
-	}
-	return seeds, nil
+	opts, err := report.Canonical(s.reg, opts)
+	return opts, artifact, err
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -191,27 +193,49 @@ func TestRunScenarioIdentity(t *testing.T) {
 }
 
 // TestRunMalformedScenario pins the 400 contract for every malformed
-// scenario class.
+// scenario class. The seed specs are the ones harness.ParseSeeds' own
+// table rejects — /run parses seeds with that function, so the service
+// and the CLI refuse the same lists — plus the per-request seed cap.
 func TestRunMalformedScenario(t *testing.T) {
 	h := testServer(t).Handler()
-	cases := []struct{ name, query string }{
-		{"unknown key", "/run?frobnicate=1"},
-		{"unknown experiment", "/run?scenario=E99"},
-		{"zero seed", "/run?scenario=E01&seeds=0"},
-		{"bad seed", "/run?scenario=E01&seeds=x"},
-		{"inverted range", "/run?scenario=E01&seeds=5..2"},
-		{"huge range", "/run?scenario=E01&seeds=1..99999"},
-		{"bad scale", "/run?scenario=E01&scale=banana"},
-		{"negative scale", "/run?scenario=E01&scale=-1"},
-		{"unknown knob", "/run?scenario=E01&knob.nope=1"},
-		{"bad knob value", "/run?scenario=E01&knob.e01.exploration=x"},
-		{"bad bool", "/run?scenario=E01&sensitivity=maybe"},
+	cases := []struct{ name, query, want string }{
+		{"unknown key", "/run?frobnicate=1", "unknown query key"},
+		{"unknown experiment", "/run?scenario=E99", "unknown experiment"},
+		{"duplicate experiment", "/run?scenario=E01,e01", "duplicate experiment id E01"},
+		{"zero seed", "/run?scenario=E01&seeds=0", ""},
+		{"zero seed range", "/run?scenario=E01&seeds=0..2", ""},
+		{"negative seed", "/run?scenario=E01&seeds=-1", ""},
+		{"bad seed", "/run?scenario=E01&seeds=x", ""},
+		{"bad range bound", "/run?scenario=E01&seeds=1..x", ""},
+		{"empty seeds", "/run?scenario=E01&seeds=", ""},
+		{"empty seed entry", "/run?scenario=E01&seeds=1,,2", ""},
+		{"lone comma", "/run?scenario=E01&seeds=,", ""},
+		{"inverted range", "/run?scenario=E01&seeds=5..2", ""},
+		{"duplicate seed", "/run?scenario=E01&seeds=2,2", "duplicate seed"},
+		{"duplicate seed in range", "/run?scenario=E01&seeds=1,1..5", "duplicate seed"},
+		{"overflow", "/run?scenario=E01&seeds=1..9223372036854775807", ""},
+		{"overflowing literal", "/run?scenario=E01&seeds=9223372036854775808", ""},
+		{"huge range", "/run?scenario=E01&seeds=1..99999", "max 10000"},
+		{"one past the cap", "/run?scenario=E01&seeds=1..10001", "max 10000"},
+		{"bad scale", "/run?scenario=E01&scale=banana", ""},
+		{"negative scale", "/run?scenario=E01&scale=-1", ""},
+		{"unknown knob", "/run?scenario=E01&knob.nope=1", ""},
+		{"bad knob value", "/run?scenario=E01&knob.e01.exploration=x", ""},
+		{"bad bool", "/run?scenario=E01&sensitivity=maybe", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if _, spec, ok := strings.Cut(tc.query, "seeds="); ok && !strings.Contains(tc.want, "max") {
+				if _, err := harness.ParseSeeds(spec); err == nil {
+					t.Fatalf("harness.ParseSeeds(%q) accepts a spec this table expects /run to refuse", spec)
+				}
+			}
 			rec := get(t, h, tc.query)
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("%s = %d %q, want 400", tc.query, rec.Code, rec.Body.String())
+			}
+			if !strings.Contains(rec.Body.String(), tc.want) {
+				t.Errorf("%s body = %q, want substring %q", tc.query, rec.Body.String(), tc.want)
 			}
 		})
 	}
@@ -224,14 +248,31 @@ func TestKeyCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Registry: %v", err)
 	}
-	a := Key(normalize(reg, report.Options{IDs: []string{"e01"}, Seeds: []int64{1}, Scale: 0.25, HTML: true}))
-	b := Key(normalize(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25, HTML: true}))
+	key := func(id string, seed int64) string {
+		t.Helper()
+		opts, err := report.Canonical(reg, report.Options{IDs: []string{id}, Seeds: []int64{seed}, Scale: 0.25, HTML: true})
+		if err != nil {
+			t.Fatalf("Canonical: %v", err)
+		}
+		return Key(opts)
+	}
+	a, b, c := key("e01", 1), key("E01", 1), key("E01", 2)
 	if a != b {
 		t.Errorf("case-insensitive ids should share a key")
 	}
-	c := Key(normalize(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{2}, Scale: 0.25, HTML: true}))
 	if a == c {
 		t.Errorf("different seeds should change the key")
+	}
+	spelled, err := report.Canonical(reg, report.Options{IDs: []string{"E01"}, Seeds: []int64{1, 2, 3}, Scale: 1})
+	if err != nil {
+		t.Fatalf("Canonical: %v", err)
+	}
+	defaulted, err := report.Canonical(reg, report.Options{IDs: []string{"E01"}})
+	if err != nil {
+		t.Fatalf("Canonical: %v", err)
+	}
+	if Key(spelled) != Key(defaulted) {
+		t.Errorf("spelled-out defaults (seeds 1..3, scale 1) should share a key with omitted ones")
 	}
 }
 
@@ -257,5 +298,39 @@ func TestEviction(t *testing.T) {
 	s.mu.Unlock()
 	if hasA || !hasB || !hasC {
 		t.Errorf("eviction kept a=%t b=%t c=%t, want only b (newest done) and c (in flight)", hasA, hasB, hasC)
+	}
+}
+
+// TestConcurrentDefaultScenarioLowerCaseIDs is the -race regression for
+// the shared default scenario: a server whose base ids are spelled in
+// lower case serves concurrent /report and /experiments requests without
+// any request writing to the base options (canonicalisation must build a
+// fresh id slice), and New leaves the caller's slice untouched.
+func TestConcurrentDefaultScenarioLowerCaseIDs(t *testing.T) {
+	reg, err := experiments.Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	ids := []string{"e01"}
+	s := New(reg, report.Options{IDs: ids, Seeds: []int64{1}, Scale: 0.25}, obs.NewCollector())
+	if ids[0] != "e01" {
+		t.Errorf("New rewrote the caller's Options.IDs to %q", ids)
+	}
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for _, path := range []string{"/report", "/experiments/e01", "/report", "/experiments/e01"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s = %d %s", path, rec.Code, rec.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Sweeps != 1 {
+		t.Errorf("stats = %+v, want one sweep shared by all requests", st)
 	}
 }
