@@ -30,13 +30,15 @@ type Config struct {
 	// Collectors are per-run state, never part of the configuration
 	// identity, so the field is excluded from marshalled output.
 	Obs *obs.Collector `json:"-"`
-	// Shards is the worker count for experiments driven by a sharded
-	// kernel (internal/sim.ShardedSim): how many goroutines execute the
-	// experiment's fixed logical shards within each conservative window.
-	// Results are identical at every value — the shard-count invisibility
-	// contract (DESIGN.md, "Sharded kernel") — so like Obs it is execution
-	// state, never configuration identity, and is excluded from marshalled
-	// output. 0 and 1 both mean sequential execution.
+	// Shards is the worker count for experiments whose transport spans
+	// more than one logical shard (a sim.ShardedSim drives them): how many
+	// goroutines execute those fixed shards within each conservative
+	// window. An experiment on a plain kernel is a one-shard run of the same
+	// transport and has nothing to fan out. Results are identical at every
+	// value — the shard-count invisibility contract (DESIGN.md, "Sharded
+	// kernel") — so like Obs it is execution state, never configuration
+	// identity, and is excluded from marshalled output. 0 and 1 both run
+	// the shards inline on the caller's goroutine.
 	Shards int `json:"-"`
 }
 

@@ -36,19 +36,14 @@ func newSimSeed(cfg core.Config, seed int64) *sim.Sim {
 	return sim.New(sim.WithSeed(seed), sim.WithObserver(cfg.Obs))
 }
 
-// newShardedSim is newSim's counterpart for runners on the sharded kernel:
+// newShardedSim is newSim's counterpart for runners on the windowed driver:
 // the runner supplies its fixed logical shard structure (count and
 // conservative window, both structural constants derived from the model,
 // never from available parallelism), while the -shards execution knob in
 // the config only sets how many workers drive those shards. Results are
-// identical at every worker count. The transport's shared instruments stay
-// off in sharded mode, but kernel statistics still reach the collector.
+// identical at every worker count.
 func newShardedSim(cfg core.Config, shards int, window time.Duration) (*sim.ShardedSim, error) {
-	opts := []sim.ShardedOption{sim.WithShardSeed(cfg.Seed), sim.WithShardWorkers(cfg.Shards)}
-	if cfg.Obs != nil {
-		opts = append(opts, sim.WithShardObserver(cfg.Obs))
-	}
-	return sim.NewSharded(shards, window, opts...)
+	return sim.NewSharded(shards, window, cfg.Shards, sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Obs))
 }
 
 // exp is the shared experiment scaffold. section is the stable paper

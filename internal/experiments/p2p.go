@@ -237,7 +237,7 @@ func e03DHTLookup() core.Experiment {
 					return nil, 0, err
 				}
 				nm := netmodel.NewSharded(ss, netmodel.WithJitter(jitter))
-				nw := kademlia.NewShardedNetwork(ss, nm, kcfg)
+				nw := kademlia.NewNetwork(ss.Shard(0), nm, kcfg)
 				for i := 0; i < n; i++ {
 					nw.AddNode(netmodel.Europe)
 				}

@@ -143,7 +143,7 @@ func (r *Runner) runOne(j Job) JobResult {
 	if r.ProfileDir != "" {
 		res, err = r.runProfiled(j)
 	} else {
-		res, err = r.Registry.Run(j.ExperimentID, j.Config)
+		res, err = r.runContained(j)
 	}
 	out := JobResult{Job: j, Result: res, Err: err, Elapsed: time.Since(start)} //decentlint:allow nondeterm host-side wall timing rides on JobResult.Elapsed, never on deterministic output
 	if watch != nil {
@@ -151,6 +151,20 @@ func (r *Runner) runOne(j Job) JobResult {
 		out.Host = &s
 	}
 	return out
+}
+
+// runContained is Registry.Run with a panicking experiment turned into the
+// job's error, so one bad run costs a sweep (or the serve process) that
+// job's slot, not every other job's result. The error names the scenario
+// and seed, which is all that is needed to replay the run under a debugger.
+func (r *Runner) runContained(j Job) (res *core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("harness: %s seed %d panicked: %v",
+				ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params), j.Config.Seed, p)
+		}
+	}()
+	return r.Registry.Run(j.ExperimentID, j.Config)
 }
 
 // runProfiled wraps one run in CPU and heap profile capture. Profile
@@ -168,7 +182,7 @@ func (r *Runner) runProfiled(j Job) (*core.Result, error) {
 	if err := pprof.StartCPUProfile(cpuF); err != nil {
 		return nil, fmt.Errorf("harness: start cpu profile: %w", err)
 	}
-	res, runErr := r.Registry.Run(j.ExperimentID, j.Config)
+	res, runErr := r.runContained(j)
 	pprof.StopCPUProfile()
 	heapF, err := os.Create(stem + ".heap.pprof")
 	if err != nil {

@@ -16,10 +16,11 @@ import (
 
 // fakeExp is a deterministic experiment for harness-level tests: its one
 // metric is seed*k (k a knob), its one check passes on odd seeds, and it
-// can be told to error on a specific seed.
+// can be told to error or to panic on a specific seed.
 type fakeExp struct {
-	id      string
-	errSeed int64
+	id        string
+	errSeed   int64
+	panicSeed int64
 }
 
 func (f *fakeExp) ID() string    { return f.id }
@@ -29,6 +30,9 @@ func (f *fakeExp) Claim() string { return "claim for " + f.id }
 func (f *fakeExp) Run(cfg core.Config) (*core.Result, error) {
 	if f.errSeed != 0 && cfg.Seed == f.errSeed {
 		return nil, fmt.Errorf("boom at seed %d", cfg.Seed)
+	}
+	if f.panicSeed != 0 && cfg.Seed == f.panicSeed {
+		panic(fmt.Sprintf("kaboom at seed %d", cfg.Seed))
 	}
 	r := &core.Result{ID: f.id, Title: f.Title(), Claim: f.Claim()}
 	t := metrics.NewTable("tab", "row", "value", "note")
@@ -196,6 +200,38 @@ func TestRunnerPreservesJobOrder(t *testing.T) {
 		}
 		if jr.Job.Config.Seed != jobs[i].Config.Seed {
 			t.Fatalf("result %d has seed %d, want %d", i, jr.Job.Config.Seed, jobs[i].Config.Seed)
+		}
+	}
+}
+
+// TestRunnerContainsPanic pins panic containment: an experiment that panics
+// costs the sweep that one job — its slot carries an error naming the
+// scenario, the seed and the panic value — and every other job's result
+// comes back as if nothing had happened.
+func TestRunnerContainsPanic(t *testing.T) {
+	reg := fakeRegistry(t, &fakeExp{id: "X1"}, &fakeExp{id: "X2", panicSeed: 2}, &fakeExp{id: "X3"})
+	jobs := Sweep{Experiments: []string{"X1", "X2", "X3"}, Seeds: []int64{1, 2, 3}}.Jobs()
+	for _, profiled := range []bool{false, true} {
+		r := Runner{Registry: reg, Workers: 2}
+		if profiled {
+			r.ProfileDir = t.TempDir()
+		}
+		results := r.Run(context.Background(), jobs)
+		for i, jr := range results {
+			bad := jr.Job.ExperimentID == "X2" && jr.Job.Config.Seed == 2
+			switch {
+			case !bad && (jr.Err != nil || jr.Result == nil):
+				t.Errorf("profiled=%v job %d (%s seed %d) lost to a sibling's panic: %v",
+					profiled, i, jr.Job.ExperimentID, jr.Job.Config.Seed, jr.Err)
+			case bad && jr.Err == nil:
+				t.Errorf("profiled=%v: panicking job reported no error", profiled)
+			case bad:
+				for _, want := range []string{ScenarioKey("X2", 1, nil), "seed 2", "kaboom at seed 2"} {
+					if !strings.Contains(jr.Err.Error(), want) {
+						t.Errorf("profiled=%v: panic error %q does not carry %q", profiled, jr.Err, want)
+					}
+				}
+			}
 		}
 	}
 }

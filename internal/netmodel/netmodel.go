@@ -72,11 +72,16 @@ const (
 	DefaultPacing = time.Second
 )
 
-// Net is a simulated wide-area network. Construct with New; attach nodes
-// with AddNode; deliver messages with Send.
+// Net is a simulated wide-area network. Construct with New (or NewSharded);
+// attach nodes with AddNode; deliver messages with Send.
 type Net struct {
-	sim      *sim.Sim
-	rng      *sim.RNG
+	// shard routing (shard.go): the kernels deliveries are scheduled on,
+	// indexed by shard — one kernel, and an all-zero owner table, under New.
+	kerns []*sim.Sim
+	rngs  []*sim.RNG      // per-shard "netmodel" streams
+	owner []int32         // node -> owning shard, round-robin by attach order
+	ss    *sim.ShardedSim // carries cross-shard deliveries; nil and unreached with one kernel
+
 	nodes    []nodeState
 	jitter   float64
 	loss     float64 // effective rate (a window may be overriding base)
@@ -95,11 +100,8 @@ type Net struct {
 	partOwner  *window
 	outOwner   map[NodeID]*window
 
-	// sharded-execution binding (shard.go); nil on sequential nets.
-	sh *sharding
-
 	// traffic accounting. Entries are touched only by the owning node's
-	// shard, so the slices need no synchronization in sharded runs.
+	// shard, so the slices need no synchronization across shard workers.
 	bytesSent  []int64
 	bytesRecvd []int64
 	msgsSent   []int64
@@ -140,20 +142,9 @@ func WithLoss(p float64) Option {
 }
 
 // New creates an empty network bound to the simulator, drawing randomness
-// from the "netmodel" stream.
+// from its "netmodel" stream.
 func New(s *sim.Sim, opts ...Option) *Net {
-	n := &Net{
-		sim:    s,
-		rng:    s.Stream("netmodel"),
-		jitter: 0.1,
-	}
-	for _, opt := range opts {
-		opt(n)
-	}
-	if col := s.Observer(); col != nil {
-		n.observe(col)
-	}
-	return n
+	return bind(nil, []*sim.Sim{s}, opts)
 }
 
 // AddNode attaches a node in the given region with the given uplink
@@ -172,9 +163,7 @@ func (n *Net) AddNodeLink(region Region, uplinkBps, downlinkBps float64) NodeID 
 	n.bytesSent = append(n.bytesSent, 0)
 	n.bytesRecvd = append(n.bytesRecvd, 0)
 	n.msgsSent = append(n.msgsSent, 0)
-	if n.sh != nil {
-		n.sh.owner = append(n.sh.owner, int32((len(n.nodes)-1)%len(n.sh.kerns)))
-	}
+	n.owner = append(n.owner, int32((len(n.nodes)-1)%len(n.kerns)))
 	n.col.SetNodeSpace(len(n.nodes))
 	return NodeID(len(n.nodes) - 1)
 }
@@ -214,8 +203,7 @@ func (n *Net) valid(id NodeID) bool {
 }
 
 // Latency returns a jittered one-way propagation delay between two nodes.
-// The draw comes from the sending node's stream (the net-wide stream on
-// sequential nets; the owning shard's stream on sharded ones).
+// The draw comes from the stream of the shard owning the sending node.
 func (n *Net) Latency(from, to NodeID) time.Duration {
 	if !n.valid(from) || !n.valid(to) {
 		return 0
@@ -393,10 +381,7 @@ func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
 	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
 	n.noteSend(from, to, size, delay)
 	p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to), C: int64(size)}
-	if n.sh != nil {
-		return n.shSchedule(from, to, delay, deliverSend, p)
-	}
-	return n.sim.AfterFunc(delay, deliverSend, p)
+	return n.schedule(from, to, delay, deliverSend, p)
 }
 
 // Broadcast schedules one-pass delivery of size bytes from one node to
@@ -437,13 +422,7 @@ func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
 		delay := uplink + serialization(n.nodes[to].downBps, size) + n.Latency(from, to)
 		n.noteSend(from, to, size, delay)
 		p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to), C: int64(size)}
-		ok := false
-		if n.sh != nil {
-			ok = n.shSchedule(from, to, delay, deliverBroadcast, p)
-		} else {
-			ok = n.sim.AfterFunc(delay, deliverBroadcast, p)
-		}
-		if ok {
+		if n.schedule(from, to, delay, deliverBroadcast, p) {
 			scheduled++
 		}
 	}

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,51 @@ func newNet(t *testing.T, opts ...Option) (*sim.Sim, *Net) {
 	t.Helper()
 	s := sim.New(sim.WithSeed(7))
 	return s, New(s, opts...)
+}
+
+// testFloor windows every sharded test net: no test attaches a region
+// outside the table or sets more than 20 % jitter.
+var testFloor = DelayFloor(0.2, NorthAmerica, Europe, Asia, SouthAmerica, Oceania, Africa)
+
+// shardedNet builds a transport on S logical shards and returns it with
+// its driver.
+func shardedNet(t *testing.T, shards, workers int, opts ...Option) (*sim.ShardedSim, *Net) {
+	t.Helper()
+	ss, err := sim.NewSharded(shards, testFloor, workers, sim.WithSeed(7))
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	return ss, NewSharded(ss, opts...)
+}
+
+// env is what a forShards body gets: net builds the transport under test on
+// the subtest's shard count, after which run drives it to exhaustion.
+type env struct {
+	t      *testing.T
+	shards int
+	run    func() error
+}
+
+func (e *env) net(opts ...Option) *Net {
+	if e.shards == 1 {
+		s, n := newNet(e.t, opts...)
+		e.run = s.Run
+		return n
+	}
+	ss, n := shardedNet(e.t, e.shards, 1, opts...)
+	e.run = ss.Run
+	return n
+}
+
+// forShards runs body against the transport on a plain kernel (S = 1) and
+// on four logical shards of a windowed driver. Bodies read clocks and
+// schedule control events through n.Kernel(id), which is the plain kernel
+// at S = 1. The S = 4 driver runs its shards inline (one worker), so a body
+// may flip shared topology state mid-run just as it does on a plain kernel.
+func forShards(t *testing.T, body func(t *testing.T, e *env)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { body(t, &env{t: t, shards: shards}) })
+	}
 }
 
 func TestLatencyRegions(t *testing.T) {
@@ -72,119 +118,131 @@ func TestTransferTimeDownlink(t *testing.T) {
 }
 
 func TestSendDelivers(t *testing.T) {
-	s, n := newNet(t, WithJitter(0))
-	a := n.AddNode(NorthAmerica, 0)
-	b := n.AddNode(Europe, 0)
-	var deliveredAt time.Duration
-	ok := n.Send(a, b, 100, func() { deliveredAt = s.Now() })
-	if !ok {
-		t.Fatal("Send returned false")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if deliveredAt != 45*time.Millisecond {
-		t.Fatalf("delivered at %v, want 45ms", deliveredAt)
-	}
-	if n.BytesSent(a) != 100 || n.BytesReceived(b) != 100 {
-		t.Fatalf("traffic accounting wrong: sent=%d recv=%d", n.BytesSent(a), n.BytesReceived(b))
-	}
-	if n.MessagesSent(a) != 1 {
-		t.Fatalf("MessagesSent = %d, want 1", n.MessagesSent(a))
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithJitter(0))
+		a := n.AddNode(NorthAmerica, 0)
+		b := n.AddNode(Europe, 0)
+		var deliveredAt time.Duration
+		ok := n.Send(a, b, 100, func() { deliveredAt = n.Kernel(b).Now() })
+		if !ok {
+			t.Fatal("Send returned false")
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if deliveredAt != 45*time.Millisecond {
+			t.Fatalf("delivered at %v, want 45ms", deliveredAt)
+		}
+		if n.BytesSent(a) != 100 || n.BytesReceived(b) != 100 {
+			t.Fatalf("traffic accounting wrong: sent=%d recv=%d", n.BytesSent(a), n.BytesReceived(b))
+		}
+		if n.MessagesSent(a) != 1 {
+			t.Fatalf("MessagesSent = %d, want 1", n.MessagesSent(a))
+		}
+	})
 }
 
 func TestSendToOfflineNode(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Europe, 0)
-	n.SetUp(b, false)
-	if n.Send(a, b, 10, func() { t.Fatal("delivered to offline node") }) {
-		t.Fatal("Send to offline node should return false")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net()
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Europe, 0)
+		n.SetUp(b, false)
+		if n.Send(a, b, 10, func() { t.Fatal("delivered to offline node") }) {
+			t.Fatal("Send to offline node should return false")
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
 }
 
 func TestReceiverGoesDownMidFlight(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Asia, 0)
-	delivered := false
-	n.Send(a, b, 10, func() { delivered = true })
-	s.After(time.Millisecond, func() { n.SetUp(b, false) })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if delivered {
-		t.Fatal("message delivered to node that went offline mid-flight")
-	}
-	if n.BytesReceived(b) != 0 {
-		t.Fatal("offline node accrued received bytes")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net()
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Asia, 0)
+		delivered := false
+		n.Send(a, b, 10, func() { delivered = true })
+		n.Kernel(a).After(time.Millisecond, func() { n.SetUp(b, false) })
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if delivered {
+			t.Fatal("message delivered to node that went offline mid-flight")
+		}
+		if n.BytesReceived(b) != 0 {
+			t.Fatal("offline node accrued received bytes")
+		}
+	})
 }
 
 func TestLoss(t *testing.T) {
-	s, n := newNet(t, WithLoss(1.0))
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Europe, 0)
-	if n.Send(a, b, 10, func() { t.Fatal("lossy link delivered") }) {
-		t.Fatal("Send should report drop under 100% loss")
-	}
-	// The lost message was transmitted before vanishing: the sender is
-	// billed, the receiver is not — same rule as Broadcast and Transfer.
-	if n.BytesSent(a) != 10 || n.MessagesSent(a) != 1 {
-		t.Fatalf("lost message billing: sent=%d msgs=%d, want 10/1", n.BytesSent(a), n.MessagesSent(a))
-	}
-	if n.BytesReceived(b) != 0 {
-		t.Fatal("lost message credited to the receiver")
-	}
-	if _, ok := n.Transfer(a, b, 10); ok {
-		t.Fatal("Transfer should report drop under 100% loss")
-	}
-	if n.BytesSent(a) != 20 || n.BytesReceived(b) != 0 {
-		t.Fatalf("lost Transfer billing: sent=%d recvd=%d, want 20/0", n.BytesSent(a), n.BytesReceived(b))
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithLoss(1.0))
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Europe, 0)
+		if n.Send(a, b, 10, func() { t.Fatal("lossy link delivered") }) {
+			t.Fatal("Send should report drop under 100% loss")
+		}
+		// The lost message was transmitted before vanishing: the sender is
+		// billed, the receiver is not — same rule as Broadcast and Transfer.
+		if n.BytesSent(a) != 10 || n.MessagesSent(a) != 1 {
+			t.Fatalf("lost message billing: sent=%d msgs=%d, want 10/1", n.BytesSent(a), n.MessagesSent(a))
+		}
+		if n.BytesReceived(b) != 0 {
+			t.Fatal("lost message credited to the receiver")
+		}
+		if _, ok := n.Transfer(a, b, 10); ok {
+			t.Fatal("Transfer should report drop under 100% loss")
+		}
+		if n.BytesSent(a) != 20 || n.BytesReceived(b) != 0 {
+			t.Fatalf("lost Transfer billing: sent=%d recvd=%d, want 20/0", n.BytesSent(a), n.BytesReceived(b))
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
 }
 
 func TestPartitionAndHeal(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Europe, 0)
-	n.Partition(map[NodeID]int{a: 0, b: 1})
-	if n.Send(a, b, 10, func() {}) {
-		t.Fatal("Send across partition should fail")
-	}
-	n.Heal()
-	delivered := false
-	if !n.Send(a, b, 10, func() { delivered = true }) {
-		t.Fatal("Send after Heal should succeed")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !delivered {
-		t.Fatal("message not delivered after Heal")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net()
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Europe, 0)
+		n.Partition(map[NodeID]int{a: 0, b: 1})
+		if n.Send(a, b, 10, func() {}) {
+			t.Fatal("Send across partition should fail")
+		}
+		n.Heal()
+		delivered := false
+		if !n.Send(a, b, 10, func() { delivered = true }) {
+			t.Fatal("Send after Heal should succeed")
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !delivered {
+			t.Fatal("message not delivered after Heal")
+		}
+	})
 }
 
 func TestPartitionDropsInFlight(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Asia, 0)
-	delivered := false
-	n.Send(a, b, 10, func() { delivered = true })
-	s.After(time.Millisecond, func() { n.Partition(map[NodeID]int{a: 0, b: 1}) })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if delivered {
-		t.Fatal("in-flight message crossed a partition formed before delivery")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net()
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Asia, 0)
+		delivered := false
+		n.Send(a, b, 10, func() { delivered = true })
+		n.Kernel(a).After(time.Millisecond, func() { n.Partition(map[NodeID]int{a: 0, b: 1}) })
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if delivered {
+			t.Fatal("in-flight message crossed a partition formed before delivery")
+		}
+	})
 }
 
 // TestInFlightDroppedByLaterPartition pins the in-flight semantics: a
@@ -396,17 +454,22 @@ func TestOutageWindow(t *testing.T) {
 }
 
 func TestResetTraffic(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Europe, 0)
-	n.Send(a, b, 10, func() {})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	n.ResetTraffic()
-	if n.TotalBytesSent() != 0 || n.BytesReceived(b) != 0 {
-		t.Fatal("ResetTraffic did not zero counters")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net()
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Europe, 0)
+		n.Send(a, b, 10, func() {})
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if n.BytesReceived(b) != 10 {
+			t.Fatalf("BytesReceived = %d before the reset, want 10", n.BytesReceived(b))
+		}
+		n.ResetTraffic()
+		if n.TotalBytesSent() != 0 || n.BytesReceived(b) != 0 {
+			t.Fatal("ResetTraffic did not zero counters")
+		}
+	})
 }
 
 func TestInvalidIDs(t *testing.T) {
@@ -445,27 +508,29 @@ func TestRegionString(t *testing.T) {
 // TestNodeAddedDuringPartition pins that attaching a node while a
 // partition is active neither panics nor isolates it from group 0.
 func TestNodeAddedDuringPartition(t *testing.T) {
-	s, n := newNet(t, WithJitter(0))
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Asia, 0)
-	n.Partition(map[NodeID]int{a: 0, b: 1})
-	c := n.AddNode(Europe, 0)
-	delivered := false
-	if !n.Send(a, c, 10, func() { delivered = true }) {
-		t.Fatal("late-attached node should join group 0")
-	}
-	if n.Send(b, c, 10, func() {}) {
-		t.Fatal("group-1 node reached the group-0 newcomer")
-	}
-	if got := n.Broadcast(a, 10, func(NodeID) {}); got != 1 {
-		t.Fatalf("broadcast reached %d nodes, want 1 (the newcomer)", got)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !delivered {
-		t.Fatal("message to late-attached node not delivered")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithJitter(0))
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Asia, 0)
+		n.Partition(map[NodeID]int{a: 0, b: 1})
+		c := n.AddNode(Europe, 0)
+		delivered := false
+		if !n.Send(a, c, 10, func() { delivered = true }) {
+			t.Fatal("late-attached node should join group 0")
+		}
+		if n.Send(b, c, 10, func() {}) {
+			t.Fatal("group-1 node reached the group-0 newcomer")
+		}
+		if got := n.Broadcast(a, 10, func(NodeID) {}); got != 1 {
+			t.Fatalf("broadcast reached %d nodes, want 1 (the newcomer)", got)
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !delivered {
+			t.Fatal("message to late-attached node not delivered")
+		}
+	})
 }
 
 // TestWindowsRestoreAmbientState pins that window ends restore the

@@ -36,7 +36,7 @@ func (n *Net) noteSend(from, to NodeID, size int, delay time.Duration) {
 	n.cSent.Add(int(from), int(n.nodes[from].region), 1)
 	n.hDelay.Observe(int64(delay))
 	if n.trace != nil {
-		n.trace.Span("send", "net", int64(n.sim.Now()), int64(delay), int64(from),
+		n.trace.Span("send", "net", int64(n.kerns[0].Now()), int64(delay), int64(from),
 			"to", int64(to), "size", int64(size))
 	}
 }
@@ -55,7 +55,7 @@ func (n *Net) noteAdmissionDrop(from, to NodeID) {
 	} else {
 		n.cDropPartition.Add(int(to), reg, 1)
 	}
-	n.trace.Instant(name, "net", int64(n.sim.Now()), int64(from), "to", int64(to))
+	n.trace.Instant(name, "net", int64(n.kerns[0].Now()), int64(from), "to", int64(to))
 }
 
 // noteLossDrop records a message lost to the loss draw (transmitted, then
@@ -65,7 +65,7 @@ func (n *Net) noteLossDrop(from, to NodeID) {
 		return
 	}
 	n.cDropLoss.Add(int(to), int(n.nodes[to].region), 1)
-	n.trace.Instant("drop.loss", "net", int64(n.sim.Now()), int64(from), "to", int64(to))
+	n.trace.Instant("drop.loss", "net", int64(n.kerns[0].Now()), int64(from), "to", int64(to))
 }
 
 // noteInFlightDrop records a delivery-time drop: the receiver went down or
@@ -75,7 +75,7 @@ func (n *Net) noteInFlightDrop(from, to NodeID) {
 		return
 	}
 	n.cDropInFlight.Add(int(to), int(n.nodes[to].region), 1)
-	n.trace.Instant("drop.in_flight", "net", int64(n.sim.Now()), int64(from), "to", int64(to))
+	n.trace.Instant("drop.in_flight", "net", int64(n.kerns[0].Now()), int64(from), "to", int64(to))
 }
 
 // noteDelivered records a completed delivery.
@@ -90,5 +90,5 @@ func (n *Net) noteWindow(name string, tid int64, key string, val int64) {
 	if n.trace == nil {
 		return
 	}
-	n.trace.Instant(name, "net.window", int64(n.sim.Now()), tid, key, val)
+	n.trace.Instant(name, "net.window", int64(n.kerns[0].Now()), tid, key, val)
 }

@@ -51,12 +51,12 @@ func (n *Net) SchedulePartitionWindow(start, end time.Duration, groups map[NodeI
 	// and nodes attached before the window starts default to group 0 via
 	// partitioned()'s bounds rule anyway.
 	expanded := n.groupSlice(groups)
-	n.sim.At(start, func() {
+	n.kerns[0].At(start, func() {
 		n.partOwner = w
 		n.partOf = expanded
 		n.noteWindow("partition.start", 0, "groups", int64(len(groups)))
 	})
-	n.sim.At(end, func() {
+	n.kerns[0].At(end, func() {
 		if n.partOwner == w {
 			n.partOwner = nil
 			n.partOf = n.basePart
@@ -81,12 +81,12 @@ func (n *Net) ScheduleLossWindow(start, end time.Duration, p float64) error {
 		return fmt.Errorf("netmodel: loss window [%v, %v) overlaps an existing one", start, end)
 	}
 	n.lossWins = append(n.lossWins, *w)
-	n.sim.At(start, func() {
+	n.kerns[0].At(start, func() {
 		n.lossOwner = w
 		n.loss = p
 		n.noteWindow("loss.start", 0, "ppm", int64(p*1e6))
 	})
-	n.sim.At(end, func() {
+	n.kerns[0].At(end, func() {
 		if n.lossOwner == w {
 			n.lossOwner = nil
 			n.loss = n.baseLoss
@@ -117,12 +117,12 @@ func (n *Net) ScheduleOutageWindow(start, end time.Duration, id NodeID) error {
 		n.outOwner = make(map[NodeID]*window)
 	}
 	n.outageWins[id] = append(n.outageWins[id], *w)
-	n.sim.At(start, func() {
+	n.kerns[0].At(start, func() {
 		n.outOwner[id] = w
 		n.nodes[id].up = false
 		n.noteWindow("outage.start", int64(id), "node", int64(id))
 	})
-	n.sim.At(end, func() {
+	n.kerns[0].At(end, func() {
 		if n.outOwner[id] == w {
 			delete(n.outOwner, id)
 			n.nodes[id].up = n.nodes[id].baseUp
@@ -133,11 +133,11 @@ func (n *Net) ScheduleOutageWindow(start, end time.Duration, id NodeID) error {
 }
 
 func (n *Net) checkWindow(start, end time.Duration) error {
-	if n.sh != nil {
+	if len(n.kerns) > 1 {
 		return fmt.Errorf("netmodel: condition windows mutate state shared across shards and are not supported on sharded nets")
 	}
-	if start < n.sim.Now() {
-		return fmt.Errorf("netmodel: window start %v is in the past (now %v)", start, n.sim.Now())
+	if start < n.kerns[0].Now() {
+		return fmt.Errorf("netmodel: window start %v is in the past (now %v)", start, n.kerns[0].Now())
 	}
 	if end <= start {
 		return fmt.Errorf("netmodel: window end %v not after start %v", end, start)

@@ -1,22 +1,24 @@
 package netmodel
 
-// Sharded execution binding. A Net built with NewSharded partitions its
-// nodes across the logical shards of a sim.ShardedSim (round-robin by
-// attach order, so shard load balances for any topology) and routes every
-// scheduled delivery to the kernel owning the receiver: an intra-shard
-// delivery is a plain pooled AtFunc on the owner, a cross-shard one rides
-// the driver's mailbox and is merged deterministically at the next window
-// barrier. Randomness splits into per-shard "netmodel" streams — a send
-// draws loss and jitter from its *sender's* stream, on the sender's
-// worker — so draw sequences depend only on per-shard event order, which
-// the driver keeps worker-count invariant.
+// Shard routing. Every Net schedules deliveries on a set of S sim kernels:
+// the one kernel it was given (New, S = 1) or the logical shards of a
+// sim.ShardedSim (NewSharded). Nodes are assigned to shards round-robin by
+// attach order, so shard load balances for any topology, and a delivery runs
+// on the kernel owning the receiver: a same-shard delivery is a pooled
+// AtFunc on that kernel, a cross-shard one rides the driver's mailbox and
+// is merged deterministically at the next window barrier. A send draws loss
+// and jitter from its *sender's* shard's "netmodel" stream, on the sender's
+// worker, so draw sequences depend only on per-shard event order, which the
+// driver keeps worker-count invariant. With S = 1 every node is owned by
+// shard 0, no delivery crosses, and this is an ordinary sequential
+// transport.
 //
-// The sharded transport is deliberately narrower than the sequential one:
-// condition windows (partition/loss/outage) and the shared delay histogram
-// and trace instruments mutate or append to state no single shard owns, so
-// they are rejected or left unregistered. Topology mutations (SetUp,
-// Partition, SetLoss) are setup-time only in sharded mode; during a run
-// that shared state is read-only on the hot path.
+// What S > 1 takes away is decided when a net is built or a window is
+// scheduled, never per message: condition windows (partition/loss/outage)
+// mutate state no single shard owns and are rejected (schedule.go), and the
+// shared counters, delay histogram and trace are left unregistered. Topology
+// mutations (SetUp, Partition, SetLoss) are setup-time only there; during a
+// run that shared state is read-only on the hot path.
 
 import (
 	"time"
@@ -24,87 +26,70 @@ import (
 	"repro/internal/sim"
 )
 
-// sharding is the per-Net sharded binding; nil on sequential nets.
-type sharding struct {
-	ss    *sim.ShardedSim
-	kerns []*sim.Sim // cached shard kernels, indexed by shard
-	rngs  []*sim.RNG // per-shard "netmodel" streams
-	owner []int32    // node -> owning shard, assigned round-robin at attach
-}
-
 // NewSharded creates an empty network whose event scheduling is partitioned
 // across the shards of ss. The caller must size the driver's window with
 // DelayFloor over the regions (and jitter) the topology will use; the
-// driver verifies the resulting schedule at run time. Transport telemetry
-// instruments are not registered in sharded mode (kernel statistics still
-// reach a collector attached to the driver); condition windows are
-// rejected at scheduling time.
+// driver verifies the resulting schedule at run time. Kernel statistics
+// still reach a collector attached to the driver.
 func NewSharded(ss *sim.ShardedSim, opts ...Option) *Net {
-	n := &Net{
-		sim:    ss.Shard(0),
-		jitter: 0.1,
-		sh:     &sharding{ss: ss},
+	kerns := make([]*sim.Sim, ss.ShardCount())
+	for i := range kerns {
+		kerns[i] = ss.Shard(i)
 	}
-	for i := 0; i < ss.ShardCount(); i++ {
-		k := ss.Shard(i)
-		n.sh.kerns = append(n.sh.kerns, k)
-		n.sh.rngs = append(n.sh.rngs, k.Stream("netmodel"))
+	return bind(ss, kerns, opts)
+}
+
+// bind is the one constructor: a network on the kernels it schedules on.
+// The transport's instruments are single-writer, so they register only when
+// one kernel does all the writing.
+func bind(ss *sim.ShardedSim, kerns []*sim.Sim, opts []Option) *Net {
+	n := &Net{kerns: kerns, ss: ss, jitter: 0.1}
+	for _, k := range kerns {
+		n.rngs = append(n.rngs, k.Stream("netmodel"))
 	}
 	for _, opt := range opts {
 		opt(n)
 	}
+	if col := kerns[0].Observer(); col != nil && len(kerns) == 1 {
+		n.observe(col)
+	}
 	return n
 }
 
-// Sharded reports whether the net routes scheduling across shards.
-func (n *Net) Sharded() bool { return n.sh != nil }
+// ShardCount returns the number of kernels the net schedules on.
+func (n *Net) ShardCount() int { return len(n.kerns) }
 
-// ShardOf returns the shard owning a node; 0 for sequential nets and
-// invalid ids.
+// ShardOf returns the shard owning a node; 0 for invalid ids.
 func (n *Net) ShardOf(id NodeID) int {
-	if n.sh == nil || !n.valid(id) {
+	if !n.valid(id) {
 		return 0
 	}
-	return int(n.sh.owner[id])
+	return int(n.owner[id])
 }
 
-// Kernel returns the sim kernel a node's events execute on: the owning
-// shard's kernel in sharded mode, the single kernel otherwise. Substrates
-// riding the sharded transport schedule their per-node control events
-// (timeouts, retries) on it so those events run on the node's worker.
-func (n *Net) Kernel(id NodeID) *sim.Sim {
-	if n.sh == nil {
-		return n.sim
-	}
-	return n.sh.kerns[n.ShardOf(id)]
-}
+// Kernel returns the sim kernel a node's events execute on. Substrates
+// riding the transport schedule their per-node control events (timeouts,
+// retries) on it so those events run on the node's worker.
+func (n *Net) Kernel(id NodeID) *sim.Sim { return n.kerns[n.ShardOf(id)] }
 
-// rngFor returns the stream a node's sends draw loss and jitter from: the
-// owning shard's stream in sharded mode, the net-wide stream otherwise.
+// rngFor returns the stream a node's sends draw loss and jitter from.
 //
 //decentlint:hotpath
-func (n *Net) rngFor(id NodeID) *sim.RNG {
-	if n.sh == nil {
-		return n.rng
-	}
-	return n.sh.rngs[n.sh.owner[id]]
-}
+func (n *Net) rngFor(id NodeID) *sim.RNG { return n.rngs[n.owner[id]] }
 
-// shSchedule schedules a delivery in sharded mode: directly on the sender's
-// kernel when it also owns the receiver, through the cross-shard mailbox
-// otherwise. The fire time is anchored at the sender's clock, so the
-// driver's window rule applies to the full delay (which DelayFloor bounds
-// from below).
+// schedule books a delivery: directly on the sender's kernel when it also
+// owns the receiver, through the cross-shard mailbox otherwise. The fire
+// time is anchored at the sender's clock, so the driver's window rule
+// applies to the full delay (which DelayFloor bounds from below).
 //
 //decentlint:hotpath
-func (n *Net) shSchedule(from, to NodeID, delay time.Duration, h sim.Handler, p sim.Payload) bool {
-	sf := int(n.sh.owner[from])
-	st := int(n.sh.owner[to])
-	at := n.sh.kerns[sf].Now() + delay
+func (n *Net) schedule(from, to NodeID, delay time.Duration, h sim.Handler, p sim.Payload) bool {
+	sf, st := n.owner[from], n.owner[to]
+	k := n.kerns[sf]
 	if sf == st {
-		return n.sh.kerns[sf].AtFunc(at, h, p)
+		return k.AtFunc(k.Now()+delay, h, p)
 	}
-	return n.sh.ss.Post(sf, st, at, h, p)
+	return n.ss.Post(int(sf), int(st), k.Now()+delay, h, p)
 }
 
 // DelayFloor returns the conservative window bound for a topology spanning

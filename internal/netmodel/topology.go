@@ -82,7 +82,8 @@ func MixPreset(i int) ([]RegionWeight, error) {
 
 // BuildTopology attaches spec.Nodes nodes to the network and returns their
 // ids. Region counts follow the mix weights exactly; assignment order and
-// bandwidth classes are drawn from the "netmodel" stream.
+// bandwidth classes are drawn from the "netmodel" stream (shard 0's: building
+// a topology is setup, before any shard runs).
 func (n *Net) BuildTopology(spec TopologySpec) ([]NodeID, error) {
 	if spec.Nodes <= 0 {
 		return nil, errors.New("netmodel: topology needs at least one node")
@@ -96,7 +97,7 @@ func (n *Net) BuildTopology(spec TopologySpec) ([]NodeID, error) {
 		return nil, err
 	}
 	// Shuffle so region blocks interleave; proportions are unaffected.
-	n.rng.Shuffle(len(regions), func(i, j int) {
+	n.rngs[0].Shuffle(len(regions), func(i, j int) {
 		regions[i], regions[j] = regions[j], regions[i]
 	})
 	var classTotal float64
@@ -118,7 +119,7 @@ func (n *Net) BuildTopology(spec TopologySpec) ([]NodeID, error) {
 	for i, region := range regions {
 		var up, down float64
 		if len(spec.Classes) > 0 {
-			c := spec.Classes[pickWeighted(n.rng.Float64()*classTotal, spec.Classes)]
+			c := spec.Classes[pickWeighted(n.rngs[0].Float64()*classTotal, spec.Classes)]
 			up, down = c.UplinkBps, c.DownlinkBps
 		}
 		ids[i] = n.AddNodeLink(region, up, down)

@@ -146,91 +146,95 @@ func TestBuildTopologyValidation(t *testing.T) {
 }
 
 func TestBroadcastReachesEveryoneOnce(t *testing.T) {
-	s, n := newNet(t, WithJitter(0))
-	ids, err := n.BuildTopology(TopologySpec{Nodes: 10})
-	if err != nil {
-		t.Fatalf("BuildTopology: %v", err)
-	}
-	got := make(map[NodeID]int)
-	scheduled := n.Broadcast(ids[0], 100, func(to NodeID) { got[to]++ })
-	if scheduled != 9 {
-		t.Fatalf("scheduled %d deliveries, want 9", scheduled)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 9 {
-		t.Fatalf("delivered to %d nodes, want 9", len(got))
-	}
-	for id, c := range got {
-		if c != 1 {
-			t.Fatalf("node %d received %d copies, want 1", id, c)
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithJitter(0))
+		ids, err := n.BuildTopology(TopologySpec{Nodes: 10})
+		if err != nil {
+			t.Fatalf("BuildTopology: %v", err)
 		}
-	}
-	if got[ids[0]] != 0 {
-		t.Fatal("origin delivered to itself")
-	}
-	if n.MessagesSent(ids[0]) != 9 || n.BytesSent(ids[0]) != 900 {
-		t.Fatalf("traffic: msgs=%d bytes=%d, want 9/900", n.MessagesSent(ids[0]), n.BytesSent(ids[0]))
-	}
+		got := make(map[NodeID]int)
+		scheduled := n.Broadcast(ids[0], 100, func(to NodeID) { got[to]++ })
+		if scheduled != 9 {
+			t.Fatalf("scheduled %d deliveries, want 9", scheduled)
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(got) != 9 {
+			t.Fatalf("delivered to %d nodes, want 9", len(got))
+		}
+		for id, c := range got {
+			if c != 1 {
+				t.Fatalf("node %d received %d copies, want 1", id, c)
+			}
+		}
+		if got[ids[0]] != 0 {
+			t.Fatal("origin delivered to itself")
+		}
+		if n.MessagesSent(ids[0]) != 9 || n.BytesSent(ids[0]) != 900 {
+			t.Fatalf("traffic: msgs=%d bytes=%d, want 9/900", n.MessagesSent(ids[0]), n.BytesSent(ids[0]))
+		}
+	})
 }
 
 func TestBroadcastSerializesOnUplink(t *testing.T) {
-	s, n := newNet(t, WithJitter(0))
-	from := n.AddNode(Europe, 8e6) // 1 MB -> 1 s per copy
-	b := n.AddNode(Europe, 0)
-	c := n.AddNode(Europe, 0)
-	var times []time.Duration
-	n.Broadcast(from, 1_000_000, func(NodeID) { times = append(times, s.Now()) })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	_ = b
-	_ = c
-	if len(times) != 2 {
-		t.Fatalf("deliveries = %d, want 2", len(times))
-	}
-	// First copy: 1 s transfer + 15 ms EU latency; second queues behind it.
-	if times[0] != time.Second+15*time.Millisecond {
-		t.Fatalf("first delivery at %v, want 1.015s", times[0])
-	}
-	if times[1] != 2*time.Second+15*time.Millisecond {
-		t.Fatalf("second delivery at %v, want 2.015s (uplink serialization)", times[1])
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithJitter(0))
+		from := n.AddNode(Europe, 8e6) // 1 MB -> 1 s per copy
+		n.AddNode(Europe, 0)
+		n.AddNode(Europe, 0)
+		var times []time.Duration
+		n.Broadcast(from, 1_000_000, func(to NodeID) { times = append(times, n.Kernel(to).Now()) })
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(times) != 2 {
+			t.Fatalf("deliveries = %d, want 2", len(times))
+		}
+		// First copy: 1 s transfer + 15 ms EU latency; second queues behind it.
+		if times[0] != time.Second+15*time.Millisecond {
+			t.Fatalf("first delivery at %v, want 1.015s", times[0])
+		}
+		if times[1] != 2*time.Second+15*time.Millisecond {
+			t.Fatalf("second delivery at %v, want 2.015s (uplink serialization)", times[1])
+		}
+	})
 }
 
 func TestBroadcastRespectsPartitionAndLoss(t *testing.T) {
-	s, n := newNet(t, WithJitter(0))
-	a := n.AddNode(Europe, 0)
-	b := n.AddNode(Europe, 0)
-	c := n.AddNode(Asia, 0)
-	n.Partition(map[NodeID]int{a: 0, b: 0, c: 1})
-	reached := make(map[NodeID]bool)
-	if got := n.Broadcast(a, 10, func(to NodeID) { reached[to] = true }); got != 1 {
-		t.Fatalf("scheduled %d deliveries across a partition, want 1", got)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !reached[b] || reached[c] {
-		t.Fatalf("reached = %v, want only the same-partition peer", reached)
-	}
-	n.Heal()
-	n.SetLoss(1)
-	sentBefore := n.BytesSent(a)
-	if got := n.Broadcast(a, 10, func(NodeID) {}); got != 0 {
-		t.Fatalf("scheduled %d deliveries at 100%% loss, want 0", got)
-	}
-	// Lost copies were still transmitted: they consume uplink and traffic.
-	if n.BytesSent(a) != sentBefore+20 {
-		t.Fatalf("bytes sent %d, want %d — lost copies must charge the sender", n.BytesSent(a), sentBefore+20)
-	}
-	if n.Broadcast(NodeID(99), 10, func(NodeID) {}) != 0 {
-		t.Fatal("broadcast from unknown node scheduled deliveries")
-	}
-	if n.Broadcast(a, 10, nil) != 0 {
-		t.Fatal("broadcast with nil deliver scheduled deliveries")
-	}
+	forShards(t, func(t *testing.T, e *env) {
+		n := e.net(WithJitter(0))
+		a := n.AddNode(Europe, 0)
+		b := n.AddNode(Europe, 0)
+		c := n.AddNode(Asia, 0)
+		n.Partition(map[NodeID]int{a: 0, b: 0, c: 1})
+		reached := make(map[NodeID]bool)
+		if got := n.Broadcast(a, 10, func(to NodeID) { reached[to] = true }); got != 1 {
+			t.Fatalf("scheduled %d deliveries across a partition, want 1", got)
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !reached[b] || reached[c] {
+			t.Fatalf("reached = %v, want only the same-partition peer", reached)
+		}
+		n.Heal()
+		n.SetLoss(1)
+		sentBefore := n.BytesSent(a)
+		if got := n.Broadcast(a, 10, func(NodeID) {}); got != 0 {
+			t.Fatalf("scheduled %d deliveries at 100%% loss, want 0", got)
+		}
+		// Lost copies were still transmitted: they consume uplink and traffic.
+		if n.BytesSent(a) != sentBefore+20 {
+			t.Fatalf("bytes sent %d, want %d — lost copies must charge the sender", n.BytesSent(a), sentBefore+20)
+		}
+		if n.Broadcast(NodeID(99), 10, func(NodeID) {}) != 0 {
+			t.Fatal("broadcast from unknown node scheduled deliveries")
+		}
+		if n.Broadcast(a, 10, nil) != 0 {
+			t.Fatal("broadcast with nil deliver scheduled deliveries")
+		}
+	})
 }
 
 // TestBroadcastLossStillChargesUplink pins that a copy lost in flight

@@ -1,6 +1,7 @@
 package kademlia
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -113,36 +114,93 @@ func TestPropertyTableInvariants(t *testing.T) {
 	}
 }
 
-func TestLookupFindsGlobalClosest(t *testing.T) {
-	s, nw := newDeployment(t, 300, Config{K: 8, Alpha: 3, UnresponsiveFrac: 0}, 42)
-	misses := 0
-	const lookups = 30
-	for i := 0; i < lookups; i++ {
-		target := overlay.RandomID(s.Stream("targets"))
-		origin := nw.Nodes()[s.Stream("origins").Intn(300)]
-		nw.Lookup(origin, target, func(r Result) {
-			if !r.Converged {
-				misses++
-				return
-			}
-			truth := nw.ClosestOnline(target, 1)[0]
-			found := false
-			for _, c := range r.Closest {
-				if c.ID == truth.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				misses++
-			}
-		})
+// convergence is the lookup-convergence scenario: 300 nodes on a net
+// spanning `shards` kernels (a plain kernel at 1, else a windowed driver
+// with the given worker count), 30 lookups from stream-drawn origins toward
+// stream-drawn targets. With every node responsive, all but at most one
+// lookup must converge on the globally closest node; with an unresponsive
+// population, queries must time out. Either way the network-wide RPC count
+// equals the sum over the per-lookup results (and the timeout count is at
+// least their sum), which it returns in issue order.
+func convergence(t *testing.T, shards, workers int, unresponsive float64) []Result {
+	t.Helper()
+	const nodes, lookups, jitter = 300, 30, 0.1
+	cfg := Config{K: 8, Alpha: 3, RPCTimeout: time.Second, UnresponsiveFrac: unresponsive}
+	var s *sim.Sim
+	var nm *netmodel.Net
+	run := func() error { return s.Run() }
+	if shards == 1 {
+		s = sim.New(sim.WithSeed(42))
+		nm = netmodel.New(s, netmodel.WithJitter(jitter))
+	} else {
+		ss, err := sim.NewSharded(shards, netmodel.DelayFloor(jitter, netmodel.Europe), workers, sim.WithSeed(42))
+		if err != nil {
+			t.Fatalf("NewSharded: %v", err)
+		}
+		s, run = ss.Shard(0), ss.Run
+		nm = netmodel.NewSharded(ss, netmodel.WithJitter(jitter))
 	}
-	if err := s.Run(); err != nil {
+	nw := NewNetwork(s, nm, cfg)
+	for i := 0; i < nodes; i++ {
+		nw.AddNode(netmodel.Europe)
+	}
+	if err := nw.Bootstrap(); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	targets := make([]overlay.ID, lookups)
+	results := make([]Result, lookups)
+	for i := range targets {
+		targets[i] = overlay.RandomID(s.Stream("targets"))
+		origin := nw.Nodes()[s.Stream("origins").Intn(nodes)]
+		// Each callback runs on its origin's shard and owns one slot.
+		nw.Lookup(origin, targets[i], func(r Result) { results[i] = r })
+	}
+	if err := run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if misses > 1 {
+	var rpcs, timeouts int64
+	misses := 0
+	for i, r := range results {
+		rpcs += int64(r.RPCs)
+		timeouts += int64(r.Timeouts)
+		truth := nw.ClosestOnline(targets[i], 1)[0]
+		found := false
+		for _, c := range r.Closest {
+			found = found || c.ID == truth.ID
+		}
+		if !r.Converged || !found {
+			misses++
+		}
+	}
+	// A query still in flight when its lookup terminates is in the network's
+	// timeout count but in no Result's, so that counter is only bounded below.
+	if rpcs == 0 || nw.RPCs() != rpcs || nw.Timeouts() < timeouts {
+		t.Fatalf("network counted %d RPCs / %d timeouts, the lookups' results sum to %d / %d",
+			nw.RPCs(), nw.Timeouts(), rpcs, timeouts)
+	}
+	if unresponsive == 0 && misses > 1 {
 		t.Fatalf("%d/%d lookups missed the globally closest node", misses, lookups)
+	}
+	if unresponsive > 0 && timeouts == 0 {
+		t.Fatalf("no query timed out with %.0f%% unresponsive nodes", 100*unresponsive)
+	}
+	return results
+}
+
+func TestLookupFindsGlobalClosest(t *testing.T) {
+	convergence(t, 1, 1, 0)
+	convergence(t, 1, 1, 0.3)
+}
+
+// TestShardLookupFindsGlobalClosest runs the same scenario on eight logical
+// shards: lookups from origins on different shards proceed concurrently,
+// and every per-lookup Result is identical at any worker count.
+func TestShardLookupFindsGlobalClosest(t *testing.T) {
+	for _, unresponsive := range []float64{0, 0.3} {
+		inline := convergence(t, 8, 1, unresponsive)
+		if pooled := convergence(t, 8, 4, unresponsive); !reflect.DeepEqual(inline, pooled) {
+			t.Fatalf("unresponsive=%g: results differ between 1 and 4 workers", unresponsive)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type lookup struct {
 // invoking done exactly once on termination. The origin must be online;
 // otherwise done fires immediately with an empty result.
 func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
-	kern := nw.kern(origin.Addr)
+	kern := nw.net.Kernel(origin.Addr)
 	l := &lookup{
 		nw:     nw,
 		kern:   kern,

@@ -105,10 +105,16 @@ func (n *Node) Malicious() bool { return n.malicious }
 // measurements).
 func (n *Node) Table() *Table { return n.table }
 
-// Network is a simulated Kademlia deployment over a netmodel.Net.
+// Network is a simulated Kademlia deployment over a netmodel.Net. A node's
+// RPC timeouts and lookup state live on the kernel owning it (nm.Kernel),
+// request deliveries execute on the receiver's kernel and replies ride back
+// to the origin's — so on a net spanning several shards, lookups from
+// origins on different shards proceed concurrently inside conservative
+// windows with no shared mutable state, and on a plain kernel all of it is
+// the one kernel. Setup (AddNode, Bootstrap, issuing Lookups) is sequential;
+// churn helpers that mutate shared topology (SetOnline, Rejoin) are
+// setup-time only on a net with more than one shard.
 type Network struct {
-	sim *sim.Sim
-	ss  *sim.ShardedSim // nil when the deployment runs on one kernel
 	net *netmodel.Net
 	cfg Config
 	rng *sim.RNG
@@ -116,14 +122,11 @@ type Network struct {
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
 
-	// Sequential-mode RPC accounting.
-	rpcs     int64
-	timeouts int64
-	// Sharded-mode accounting: one slot per shard, each written only by
-	// its owning worker, padded apart so the counters never share a cache
-	// line. Summed by RPCs/Timeouts after the run.
-	shRPCs     []paddedCount
-	shTimeouts []paddedCount
+	// RPC accounting: one slot per shard of the net, each written only by
+	// the worker of the shard owning the RPC's origin, padded apart so the
+	// counters never share a cache line. Summed by RPCs/Timeouts.
+	rpcs     []paddedCount
+	timeouts []paddedCount
 }
 
 // paddedCount keeps per-shard counters on distinct cache lines.
@@ -132,65 +135,18 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-// NewNetwork creates an empty deployment.
+// NewNetwork creates an empty deployment over nm. s is the kernel nm was
+// built on (shard 0 of its driver when it spans several); identity and
+// bootstrap randomness draw from its "kademlia" stream.
 func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 	return &Network{
-		sim:    s,
-		net:    nm,
-		cfg:    cfg.withDefaults(),
-		rng:    s.Stream("kademlia"),
-		byAddr: make(map[netmodel.NodeID]*Node),
+		net:      nm,
+		cfg:      cfg.withDefaults(),
+		rng:      s.Stream("kademlia"),
+		byAddr:   make(map[netmodel.NodeID]*Node),
+		rpcs:     make([]paddedCount, nm.ShardCount()),
+		timeouts: make([]paddedCount, nm.ShardCount()),
 	}
-}
-
-// NewShardedNetwork creates an empty deployment driven by a sharded kernel
-// over a sharded net (netmodel.NewSharded on the same driver). A node's
-// RPC timeouts and lookup state live on the shard owning it, request
-// deliveries execute on the receiver's shard, and replies ride back to the
-// origin's — so lookups from origins on different shards proceed
-// concurrently inside conservative windows with no shared mutable state.
-// Setup (AddNode, Bootstrap, issuing Lookups) stays sequential; identity
-// and bootstrap randomness draw from shard 0's "kademlia" stream. Churn
-// helpers that mutate shared topology (SetOnline, Rejoin) are setup-time
-// only on sharded deployments.
-func NewShardedNetwork(ss *sim.ShardedSim, nm *netmodel.Net, cfg Config) *Network {
-	return &Network{
-		sim:        ss.Shard(0),
-		ss:         ss,
-		net:        nm,
-		cfg:        cfg.withDefaults(),
-		rng:        ss.Shard(0).Stream("kademlia"),
-		byAddr:     make(map[netmodel.NodeID]*Node),
-		shRPCs:     make([]paddedCount, ss.ShardCount()),
-		shTimeouts: make([]paddedCount, ss.ShardCount()),
-	}
-}
-
-// kern returns the kernel a node's control events (timeouts, latency
-// stamps) run on.
-func (nw *Network) kern(addr netmodel.NodeID) *sim.Sim {
-	if nw.ss == nil {
-		return nw.sim
-	}
-	return nw.net.Kernel(addr)
-}
-
-// addRPC and addTimeout bump the accounting slot owned by the origin's
-// shard; sequential deployments keep the plain counters.
-func (nw *Network) addRPC(origin netmodel.NodeID) {
-	if nw.ss == nil {
-		nw.rpcs++
-		return
-	}
-	nw.shRPCs[nw.net.ShardOf(origin)].n++
-}
-
-func (nw *Network) addTimeout(origin netmodel.NodeID) {
-	if nw.ss == nil {
-		nw.timeouts++
-		return
-	}
-	nw.shTimeouts[nw.net.ShardOf(origin)].n++
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -201,19 +157,15 @@ func (nw *Network) Config() Config { return nw.cfg }
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // RPCs returns the total FIND_NODE queries sent.
-func (nw *Network) RPCs() int64 {
-	total := nw.rpcs
-	for i := range nw.shRPCs {
-		total += nw.shRPCs[i].n
-	}
-	return total
-}
+func (nw *Network) RPCs() int64 { return sum(nw.rpcs) }
 
 // Timeouts returns the total queries that expired without an answer.
-func (nw *Network) Timeouts() int64 {
-	total := nw.timeouts
-	for i := range nw.shTimeouts {
-		total += nw.shTimeouts[i].n
+func (nw *Network) Timeouts() int64 { return sum(nw.timeouts) }
+
+func sum(slots []paddedCount) int64 {
+	var total int64
+	for i := range slots {
+		total += slots[i].n
 	}
 	return total
 }
@@ -379,12 +331,13 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // findNode issues one FIND_NODE RPC and invokes onDone exactly once with
 // either the contacts from the reply or ok=false on timeout/drop.
 func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
-	nw.addRPC(from.Addr)
+	shard := nw.net.ShardOf(from.Addr)
+	nw.rpcs[shard].n++
 	answered := false
 	var timeout sim.Handle
 	// finish runs on the origin's kernel either way: the timeout is
-	// scheduled there, and the reply delivery below executes on the
-	// origin's shard because the response Send targets from.Addr.
+	// scheduled there, and the reply delivery below executes there
+	// because the response Send targets from.Addr.
 	finish := func(contacts []Contact, ok bool) {
 		if answered {
 			return
@@ -392,11 +345,11 @@ func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone fu
 		answered = true
 		timeout.Cancel()
 		if !ok {
-			nw.addTimeout(from.Addr)
+			nw.timeouts[shard].n++
 		}
 		onDone(contacts, ok)
 	}
-	timeout = nw.kern(from.Addr).After(nw.cfg.RPCTimeout, func() { finish(nil, false) })
+	timeout = nw.net.Kernel(from.Addr).After(nw.cfg.RPCTimeout, func() { finish(nil, false) })
 
 	nw.net.Send(from.Addr, to.Addr, nw.cfg.ReqSize, func() {
 		recv, ok := nw.byAddr[to.Addr]

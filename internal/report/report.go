@@ -103,6 +103,18 @@ type Tree struct {
 	Reproduced int
 	// RunErrors counts individual replication runs that errored.
 	RunErrors int
+	// FirstRunError is the first errored run's scenario key and message
+	// (baseline scenarios before sensitivity ones), for callers that
+	// report the failure without rendering a page; "" when RunErrors is 0.
+	FirstRunError string
+}
+
+// noteRunErrors adds one scenario's errored runs to the tree's summary.
+func (t *Tree) noteRunErrors(v harness.GroupView) {
+	if t.RunErrors == 0 && len(v.Errors) > 0 {
+		t.FirstRunError = v.Key() + " " + v.Errors[0]
+	}
+	t.RunErrors += len(v.Errors)
 }
 
 // Lookup returns the file at path, or nil when absent.
@@ -324,12 +336,16 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 		res.record(results[:len(baseJobs)])
 	}
 	views := harness.AggregateView(results[:len(baseJobs)])
+	tree := &Tree{Groups: len(views)}
+	for _, v := range views {
+		tree.noteRunErrors(v)
+	}
 	if sens != nil {
 		sviews := harness.AggregateView(results[len(baseJobs):])
 		sens.views = make(map[string]harness.GroupView, len(sviews))
 		for _, v := range sviews {
 			sens.views[v.Key()] = v
-			sens.runErrors += len(v.Errors)
+			tree.noteRunErrors(v)
 		}
 	}
 
@@ -339,7 +355,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	}
 
 	gen := genContext{seeds: seeds, scale: scale}
-	tree := &Tree{Groups: len(views)}
 	reproduced := 0
 	for _, e := range exps {
 		evs := byID[e.ID()]
@@ -347,7 +362,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 			if v.Reproduced {
 				reproduced++
 			}
-			tree.RunErrors += len(v.Errors)
 		}
 		page, figures := renderExperimentPage(e, evs, gen, sens, res)
 		for _, f := range figures {
@@ -357,9 +371,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 			Path: "experiments/" + e.ID() + ".md",
 			Data: []byte(page),
 		})
-	}
-	if sens != nil {
-		tree.RunErrors += sens.runErrors
 	}
 	if res != nil {
 		tree.Files = append(tree.Files, File{Path: hostFile, Data: res.hostJSON()})

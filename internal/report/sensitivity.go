@@ -42,8 +42,6 @@ type sensitivity struct {
 	views map[string]harness.GroupView
 	// scenarios counts the distinct grid scenarios run.
 	scenarios int
-	// runErrors counts individual errored replications in the sweep.
-	runErrors int
 	// stability accumulates per-experiment verdict stability while pages
 	// render, then feeds the matrix column (pages render first).
 	stability map[string]*expStability

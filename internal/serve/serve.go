@@ -318,6 +318,14 @@ func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, opts repo
 		http.Error(w, fmt.Sprintf("scenario generation failed: %v", err), http.StatusInternalServerError)
 		return
 	}
+	if tree.RunErrors > 0 {
+		// A page rendered around a run that errored (or panicked) is not
+		// the requested artifact; fail the request like `decentsim report`
+		// fails its exit status.
+		http.Error(w, fmt.Sprintf("scenario generation failed: %d run(s) errored, first: %s",
+			tree.RunErrors, tree.FirstRunError), http.StatusInternalServerError)
+		return
+	}
 	rd, ok := tree.Open(artifact)
 	if !ok {
 		http.Error(w, fmt.Sprintf("no artifact %q in scenario tree", artifact), http.StatusNotFound)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -332,5 +333,53 @@ func TestConcurrentDefaultScenarioLowerCaseIDs(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Sweeps != 1 {
 		t.Errorf("stats = %+v, want one sweep shared by all requests", st)
+	}
+}
+
+// stubExp is a minimal experiment for failure-path tests; it panics when
+// told to.
+type stubExp struct {
+	id     string
+	panics bool
+}
+
+func (e stubExp) ID() string    { return e.id }
+func (e stubExp) Title() string { return "stub " + e.id }
+func (e stubExp) Claim() string { return "§I: stub claim" }
+
+func (e stubExp) Run(cfg core.Config) (*core.Result, error) {
+	if e.panics {
+		panic("stub exploded")
+	}
+	r := &core.Result{ID: e.id, Title: e.Title(), Claim: e.Claim()}
+	r.AddCheck(true, "ok", "seed %d", cfg.Seed)
+	return r, nil
+}
+
+// TestRunPanickingExperiment pins panic containment at the service: a
+// scenario holding an experiment that panics is a 500 naming the run, and
+// the process goes on serving — the health check and the healthy scenario
+// next to it.
+func TestRunPanickingExperiment(t *testing.T) {
+	reg, err := core.NewRegistry(stubExp{id: "S1"}, stubExp{id: "S2", panics: true}, stubExp{id: "S3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(reg, report.Options{Workers: 2}, obs.NewCollector()).Handler()
+
+	rec := get(t, h, "/run?scenario=S1,S2,S3&seeds=1..2")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("/run over a panicking experiment = %d, want 500", rec.Code)
+	}
+	for _, want := range []string{"2 run(s) errored", "S2", "seed 1", "stub exploded"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("500 body %q does not carry %q", rec.Body.String(), want)
+		}
+	}
+	if rec := get(t, h, "/healthz"); rec.Code != http.StatusOK {
+		t.Errorf("/healthz after the panic = %d", rec.Code)
+	}
+	if rec := get(t, h, "/run?scenario=S1,S3"); rec.Code != http.StatusOK {
+		t.Errorf("healthy scenario after the panic = %d %s", rec.Code, rec.Body.String())
 	}
 }

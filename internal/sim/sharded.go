@@ -26,8 +26,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 const maxDuration = time.Duration(math.MaxInt64)
@@ -81,7 +79,6 @@ type ShardedSim struct {
 	shards  []*Sim
 	window  time.Duration
 	workers int
-	seed    int64
 
 	outbox  [][]crossEvent // per-source-shard mailboxes, drained at barriers
 	outSeq  []uint64       // per-source-shard mailbox sequence counters
@@ -92,74 +89,51 @@ type ShardedSim struct {
 	// curEnd is the exclusive end of the window being executed, 0 at
 	// barriers. Workers read it after receiving a shard index on the work
 	// channel, which orders the coordinator's write before the read.
-	curEnd   time.Duration
-	stopped  atomic.Bool
-	observer *obs.Collector
+	curEnd  time.Duration
+	stopped atomic.Bool
 }
 
-// ShardedOption configures a ShardedSim created by NewSharded.
-type ShardedOption func(*ShardedSim)
-
-// WithShardSeed sets the master seed. Each shard kernel derives its own seed
-// (and therefore its own named RNG streams) from it, so shard i's randomness
-// is stable regardless of what the other shards consume.
-func WithShardSeed(seed int64) ShardedOption {
-	return func(ss *ShardedSim) { ss.seed = seed }
-}
-
-// WithShardWorkers sets how many goroutines execute logical shards within a
-// window. Values below 1 clamp to 1 (inline, no goroutines); values above
-// the shard count are capped at it. The results of a run are identical at
-// every setting — workers are pure execution parallelism.
-func WithShardWorkers(n int) ShardedOption {
-	return func(ss *ShardedSim) { ss.workers = n }
-}
-
-// WithShardObserver attaches a telemetry collector to every shard kernel;
-// kernel statistics (events fired, peak pending, virtual time) sum across
-// shards in the collector's snapshot.
-func WithShardObserver(c *obs.Collector) ShardedOption {
-	return func(ss *ShardedSim) { ss.observer = c }
-}
-
-// NewSharded constructs a driver with the given logical shard count and
-// conservative window. The shard count is a structural property of the
-// simulation (how state is partitioned) and must not depend on available
-// parallelism; the window must not exceed the minimum time a shard needs to
-// affect another. It errors on a non-positive shard count or window rather
-// than producing a driver that cannot uphold its determinism contract.
-func NewSharded(shards int, window time.Duration, opts ...ShardedOption) (*ShardedSim, error) {
+// NewSharded constructs a driver with the given logical shard count,
+// conservative window and worker count. The shard count is a structural
+// property of the simulation (how state is partitioned) and must not depend
+// on available parallelism; the window must not exceed the minimum time a
+// shard needs to affect another. It errors on a non-positive shard count or
+// window rather than producing a driver that cannot uphold its determinism
+// contract.
+//
+// workers is how many goroutines execute logical shards within a window:
+// values below 1 clamp to 1 (inline, no goroutines), values above the shard
+// count are capped at it, and the results of a run are identical at every
+// setting. opts are the ordinary kernel options, applied to every shard:
+// WithSeed is the master seed from which shard i derives its own (so its
+// named RNG streams are stable regardless of what other shards consume), and
+// a collector attached WithObserver sums kernel statistics across shards.
+func NewSharded(shards int, window time.Duration, workers int, opts ...Option) (*ShardedSim, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: sharded driver needs at least one shard, got %d", shards)
 	}
 	if window <= 0 {
 		return nil, fmt.Errorf("sim: sharded window %v is not positive", window)
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > shards {
+		workers = shards
+	}
 	ss := &ShardedSim{
+		shards:  make([]*Sim, shards),
 		window:  window,
-		workers: 1,
-		seed:    1,
+		workers: workers,
 		outbox:  make([][]crossEvent, shards),
 		outSeq:  make([]uint64, shards),
 		violate: make([]violation, shards),
 		errs:    make([]error, shards),
 	}
-	for _, opt := range opts {
-		opt(ss)
-	}
-	ss.shards = make([]*Sim, shards)
 	for i := range ss.shards {
-		ss.shards[i] = New(WithSeed(deriveSeed(ss.seed, "shard:"+strconv.Itoa(i))))
-		if ss.observer != nil {
-			ss.shards[i].observer = ss.observer
-			ss.observer.AttachSim(ss.shards[i])
-		}
-	}
-	if ss.workers < 1 {
-		ss.workers = 1
-	}
-	if ss.workers > shards {
-		ss.workers = shards
+		k := New(opts...)
+		k.seed = deriveSeed(k.seed, "shard:"+strconv.Itoa(i))
+		ss.shards[i] = k
 	}
 	return ss, nil
 }
@@ -169,12 +143,6 @@ func (ss *ShardedSim) ShardCount() int { return len(ss.shards) }
 
 // Workers returns the effective worker count.
 func (ss *ShardedSim) Workers() int { return ss.workers }
-
-// Window returns the conservative window length.
-func (ss *ShardedSim) Window() time.Duration { return ss.window }
-
-// Seed returns the master seed.
-func (ss *ShardedSim) Seed() int64 { return ss.seed }
 
 // Shard returns the i-th shard kernel. Scheduling directly on a shard is the
 // setup-time API (and the intra-shard hot path during a run); events that
@@ -297,48 +265,55 @@ func (ss *ShardedSim) checkViolations() error {
 	return nil
 }
 
+// runShard executes shard idx's share of the current window. A panicking
+// handler is recovered into the shard's window error: on a worker goroutine
+// an unrecovered panic would kill the process past every caller's recover,
+// and the inline path reports it the same way so a failure reads alike at
+// any worker count. The shard that panicked is left mid-event; the driver
+// is not usable afterwards.
+func (ss *ShardedSim) runShard(idx int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: shard %d panicked at %v: %v", idx, ss.shards[idx].now, r)
+		}
+	}()
+	return ss.shards[idx].runBefore(ss.curEnd)
+}
+
 // runWindow executes one window on every shard that has work before end.
 // With one worker shards run inline in index order; otherwise shard indexes
 // are dispatched to the worker pool and the call blocks until all acks
-// arrive — the barrier. Per-shard execution is identical either way.
+// arrive — the barrier. Per-shard execution is identical either way. It
+// returns the lowest-indexed shard's panic error if any shard panicked,
+// else ErrStopped if any shard's kernel was stopped.
 func (ss *ShardedSim) runWindow(end time.Duration, work chan int, ack chan struct{}) error {
 	ss.curEnd = end
-	stopped := false
-	if work == nil {
-		for _, sh := range ss.shards {
-			if t, ok := sh.PeekTime(); !ok || t >= end {
-				continue
-			}
-			if err := sh.runBefore(end); errors.Is(err, ErrStopped) {
-				stopped = true
-			}
+	dispatched := 0
+	for i, sh := range ss.shards {
+		ss.errs[i] = nil
+		if t, ok := sh.PeekTime(); !ok || t >= end {
+			continue
 		}
-	} else {
-		for i := range ss.errs {
-			ss.errs[i] = nil
+		if work == nil {
+			ss.errs[i] = ss.runShard(i)
+			continue
 		}
-		dispatched := 0
-		for i, sh := range ss.shards {
-			if t, ok := sh.PeekTime(); !ok || t >= end {
-				continue
-			}
-			work <- i
-			dispatched++
-		}
-		for k := 0; k < dispatched; k++ {
-			<-ack
-		}
-		for _, err := range ss.errs {
-			if errors.Is(err, ErrStopped) {
-				stopped = true
-			}
-		}
+		work <- i
+		dispatched++
+	}
+	for k := 0; k < dispatched; k++ {
+		<-ack
 	}
 	ss.curEnd = 0
-	if stopped {
-		return ErrStopped
+	var stopped error
+	for _, err := range ss.errs {
+		if errors.Is(err, ErrStopped) {
+			stopped = ErrStopped
+		} else if err != nil {
+			return err
+		}
 	}
-	return nil
+	return stopped
 }
 
 // Run executes windows until every shard schedule and mailbox is empty, or
@@ -364,7 +339,8 @@ func (ss *ShardedSim) RunFor(d time.Duration) error {
 // conservative window later, clipped to the horizon. Cross-shard mailboxes
 // drain at every barrier. It returns ErrStopped when Stop cut the run short
 // and a window-rule error when a shard posted inside its own window; both
-// leave the driver at a consistent barrier.
+// leave the driver at a consistent barrier. A handler that panics ends the
+// run with an error naming its shard (see runShard).
 func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 	if ss.stopped.CompareAndSwap(true, false) {
 		return ErrStopped
@@ -383,7 +359,7 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 		for w := 0; w < ss.workers; w++ {
 			go func() {
 				for idx := range work {
-					ss.errs[idx] = ss.shards[idx].runBefore(ss.curEnd)
+					ss.errs[idx] = ss.runShard(idx)
 					ack <- struct{}{}
 				}
 			}()

@@ -30,9 +30,9 @@ type chaosCtx struct {
 	remaining []int // per-shard respawn budget, bounds the run
 }
 
-func newChaos(t testing.TB, shards int, seed int64, window time.Duration, budget int) *chaosCtx {
+func newChaos(t testing.TB, shards, workers int, seed int64, window time.Duration, budget int) *chaosCtx {
 	t.Helper()
-	ss, err := NewSharded(shards, window, WithShardSeed(seed))
+	ss, err := NewSharded(shards, window, workers, WithSeed(seed))
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -91,11 +91,7 @@ func chaosFire(p Payload) {
 func runChaos(t testing.TB, shards, workers int, seed int64, budget int) [][]fireRec {
 	t.Helper()
 	window := 10 * time.Millisecond
-	c := newChaos(t, shards, seed, window, budget)
-	WithShardWorkers(workers)(c.ss)
-	if c.ss.workers > shards {
-		c.ss.workers = shards
-	}
+	c := newChaos(t, shards, workers, seed, window, budget)
 	if err := c.ss.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -180,7 +176,7 @@ func TestShardedSingleShardMatchesPlainSim(t *testing.T) {
 		return log
 	}
 	runSharded := func() []rec {
-		ss, err := NewSharded(1, 10*time.Millisecond, WithShardSeed(7))
+		ss, err := NewSharded(1, 10*time.Millisecond, 1, WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +204,7 @@ func TestShardedSingleShardMatchesPlainSim(t *testing.T) {
 // events landing on one destination at the same instant fire in (time, seq,
 // source shard) order regardless of posting order across shards.
 func TestShardedMailboxMergeOrder(t *testing.T) {
-	ss, err := NewSharded(4, 10*time.Millisecond, WithShardSeed(1))
+	ss, err := NewSharded(4, 10*time.Millisecond, 1, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +237,7 @@ func TestShardedMailboxMergeOrder(t *testing.T) {
 // cross-shard post due inside the posting shard's own window fails the run
 // with a diagnostic naming the shard.
 func TestShardedWindowViolation(t *testing.T) {
-	ss, err := NewSharded(2, 10*time.Millisecond, WithShardSeed(1))
+	ss, err := NewSharded(2, 10*time.Millisecond, 1, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func TestShardedWindowViolation(t *testing.T) {
 // TestShardedStopAtBarrier verifies Stop semantics: the driver stops at a
 // window barrier, the stop is consumed, and a pre-run Stop short-circuits.
 func TestShardedStopAtBarrier(t *testing.T) {
-	ss, err := NewSharded(2, 10*time.Millisecond, WithShardSeed(1))
+	ss, err := NewSharded(2, 10*time.Millisecond, 1, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +287,7 @@ func TestShardedStopAtBarrier(t *testing.T) {
 func TestShardedRunUntilChunks(t *testing.T) {
 	const horizon = 400 * time.Millisecond
 	run := func(workers int, chunks int) [][]fireRec {
-		c := newChaos(t, 3, 9, 10*time.Millisecond, 120)
-		WithShardWorkers(workers)(c.ss)
+		c := newChaos(t, 3, workers, 9, 10*time.Millisecond, 120)
 		if chunks <= 1 {
 			if err := c.ss.RunUntil(horizon); err != nil {
 				t.Fatalf("RunUntil: %v", err)
@@ -350,12 +345,12 @@ func TestShardedStress(t *testing.T) {
 // TestShardedAccounting checks the aggregate accessors sum across shards
 // and mailboxes.
 func TestShardedAccounting(t *testing.T) {
-	ss, err := NewSharded(3, 10*time.Millisecond, WithShardSeed(1), WithShardWorkers(2))
+	ss, err := NewSharded(3, 10*time.Millisecond, 2, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Workers() != 2 || ss.ShardCount() != 3 || ss.Window() != 10*time.Millisecond {
-		t.Fatalf("accessors: workers=%d shards=%d window=%v", ss.Workers(), ss.ShardCount(), ss.Window())
+	if ss.Workers() != 2 || ss.ShardCount() != 3 {
+		t.Fatalf("accessors: workers=%d shards=%d", ss.Workers(), ss.ShardCount())
 	}
 	h := func(Payload) {}
 	ss.Shard(0).AtFunc(time.Millisecond, func(p Payload) {}, Payload{})
@@ -379,13 +374,13 @@ func TestShardedAccounting(t *testing.T) {
 
 // TestNewShardedRejects pins constructor validation.
 func TestNewShardedRejects(t *testing.T) {
-	if _, err := NewSharded(0, time.Millisecond); err == nil {
+	if _, err := NewSharded(0, time.Millisecond, 1); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := NewSharded(2, 0); err == nil {
+	if _, err := NewSharded(2, 0, 1); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	ss, err := NewSharded(2, time.Millisecond, WithShardWorkers(99))
+	ss, err := NewSharded(2, time.Millisecond, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,5 +390,31 @@ func TestNewShardedRejects(t *testing.T) {
 	if ss.Post(-1, 0, 0, func(Payload) {}, Payload{}) || ss.Post(0, 5, 0, func(Payload) {}, Payload{}) ||
 		ss.Post(0, 1, -time.Second, func(Payload) {}, Payload{}) || ss.Post(0, 1, 0, nil, Payload{}) {
 		t.Fatal("invalid Post accepted")
+	}
+}
+
+// TestShardedPanicContained pins panic containment: a handler that panics
+// on a shard ends the run with an error naming that shard, returned on the
+// caller's goroutine at every worker count — on a worker goroutine the
+// panic would otherwise take the process down past any caller's recover.
+func TestShardedPanicContained(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ss, err := NewSharded(3, 10*time.Millisecond, workers, WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired := 0
+		ss.Shard(0).AtFunc(time.Millisecond, func(Payload) { fired++ }, Payload{})
+		ss.Shard(2).AtFunc(time.Millisecond, func(Payload) { panic("boom") }, Payload{})
+		err = ss.RunUntil(time.Second)
+		if err == nil || errors.Is(err, ErrStopped) {
+			t.Fatalf("workers=%d: RunUntil returned %v, want a panic error", workers, err)
+		}
+		if !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("workers=%d: error %q does not name shard 2 and the panic value", workers, err)
+		}
+		if fired != 1 {
+			t.Fatalf("workers=%d: the healthy shard fired %d events in the window, want 1", workers, fired)
+		}
 	}
 }
