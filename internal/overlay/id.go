@@ -94,10 +94,39 @@ func CommonPrefixLen(a, b ID) int {
 	return IDBits
 }
 
+// Distance is an XOR distance held as big-endian words, so ordering two
+// distances costs at most three integer compares. For a fixed target,
+// id ↦ XORDistance(id, target) is a bijection: equal distances mean equal
+// identifiers.
+type Distance struct {
+	hi, mid uint64
+	lo      uint32
+}
+
+// XORDistance returns the Kademlia distance between a and b.
+func XORDistance(a, b ID) Distance {
+	return Distance{
+		hi:  binary.BigEndian.Uint64(a[0:]) ^ binary.BigEndian.Uint64(b[0:]),
+		mid: binary.BigEndian.Uint64(a[8:]) ^ binary.BigEndian.Uint64(b[8:]),
+		lo:  binary.BigEndian.Uint32(a[16:]) ^ binary.BigEndian.Uint32(b[16:]),
+	}
+}
+
+// Less reports whether d is strictly smaller than e.
+func (d Distance) Less(e Distance) bool {
+	if d.hi != e.hi {
+		return d.hi < e.hi
+	}
+	if d.mid != e.mid {
+		return d.mid < e.mid
+	}
+	return d.lo < e.lo
+}
+
 // CloserXOR reports whether a is strictly closer to target than b under the
 // XOR metric.
 func CloserXOR(target, a, b ID) bool {
-	return a.XOR(target).Cmp(b.XOR(target)) < 0
+	return XORDistance(a, target).Less(XORDistance(b, target))
 }
 
 // Ring64 maps the identifier onto a 64-bit ring position (used by the Chord

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,65 @@ func TestPropertyXORTotalOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCloser is the byte-wise definition of the XOR order that the word
+// distance must reproduce.
+func refCloser(target, a, b ID) bool { return a.XOR(target).Cmp(b.XOR(target)) < 0 }
+
+func (d Distance) leadingZeros() int {
+	switch {
+	case d.hi != 0:
+		return bits.LeadingZeros64(d.hi)
+	case d.mid != 0:
+		return 64 + bits.LeadingZeros64(d.mid)
+	}
+	return 128 + bits.LeadingZeros32(d.lo)
+}
+
+// Property: the word distance orders exactly as the byte-wise XOR-then-Cmp
+// it replaces, and its leading zeros are the common prefix length.
+func TestPropertyDistanceWords(t *testing.T) {
+	f := func(tb, ab, bb [IDBytes]byte) bool {
+		target, a, b := ID(tb), ID(ab), ID(bb)
+		da, db := XORDistance(a, target), XORDistance(b, target)
+		return da.Less(db) == refCloser(target, a, b) && db.Less(da) == refCloser(target, b, a) &&
+			CloserXOR(target, a, b) == refCloser(target, a, b) &&
+			da.leadingZeros() == CommonPrefixLen(a, target) && (da == db) == (a == b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Near-equal ids: a and b each differ from one base in a single bit of a
+// byte beside a word seam (bytes 7|8 and 15|16) or of the last byte, so the
+// order is decided by one word alone — or by none, when the bits coincide.
+func TestDistanceWordSeams(t *testing.T) {
+	g := sim.NewRNG(3)
+	seams := []int{0, 7, 8, 15, 16, 19}
+	for round := 0; round < 50; round++ {
+		target, base := RandomID(g), RandomID(g)
+		for _, i := range seams {
+			for _, j := range seams {
+				for bi := uint(0); bi < 8; bi++ {
+					for bj := uint(0); bj < 8; bj++ {
+						a, b := base, base
+						a[i] ^= 1 << bi
+						b[j] ^= 1 << bj
+						da, db := XORDistance(a, target), XORDistance(b, target)
+						if da.Less(db) != refCloser(target, a, b) || db.Less(da) != refCloser(target, b, a) || (da == db) != (a == b) {
+							t.Fatalf("byte %d bit %d vs byte %d bit %d: words order (%v, %v), bytes order (%v, %v)",
+								i, bi, j, bj, da.Less(db), db.Less(da), refCloser(target, a, b), refCloser(target, b, a))
+						}
+						if lz, cpl := XORDistance(a, b).leadingZeros(), CommonPrefixLen(a, b); lz != cpl {
+							t.Fatalf("byte %d bit %d vs byte %d bit %d: %d leading zeros, common prefix %d", i, bi, j, bj, lz, cpl)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

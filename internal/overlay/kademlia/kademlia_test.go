@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newDeployment(t *testing.T, n int, cfg Config, seed int64) (*sim.Sim, *Network) {
+func newDeployment(t testing.TB, n int, cfg Config, seed int64) (*sim.Sim, *Network) {
 	t.Helper()
 	s := sim.New(sim.WithSeed(seed))
 	nm := netmodel.New(s, netmodel.WithJitter(0.1))

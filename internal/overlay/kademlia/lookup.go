@@ -34,6 +34,7 @@ const (
 
 type candidate struct {
 	contact Contact
+	dist    overlay.Distance // to the lookup's target
 	state   int
 }
 
@@ -43,8 +44,9 @@ type lookup struct {
 	origin *Node
 	target overlay.ID
 
+	// cands holds every contact learned so far in ascending distance to
+	// target; entries are never dropped, so it is also the set of ids seen.
 	cands    []*candidate
-	seen     map[overlay.ID]bool
 	inflight int
 	rpcs     int
 	timeouts int
@@ -63,7 +65,6 @@ func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 		kern:   kern,
 		origin: origin,
 		target: target,
-		seen:   make(map[overlay.ID]bool),
 		start:  kern.Now(),
 		done:   done,
 	}
@@ -78,14 +79,17 @@ func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 }
 
 func (l *lookup) add(c Contact) {
-	if c.ID == l.origin.ID || l.seen[c.ID] {
+	if c.ID == l.origin.ID {
 		return
 	}
-	l.seen[c.ID] = true
-	l.cands = append(l.cands, &candidate{contact: c, state: statePending})
-	sort.Slice(l.cands, func(i, j int) bool {
-		return overlay.CloserXOR(l.target, l.cands[i].contact.ID, l.cands[j].contact.ID)
-	})
+	d := overlay.XORDistance(c.ID, l.target)
+	i := sort.Search(len(l.cands), func(i int) bool { return !l.cands[i].dist.Less(d) })
+	if i < len(l.cands) && l.cands[i].dist == d {
+		return // equal distance to one target: the same id, already a candidate
+	}
+	l.cands = append(l.cands, nil)
+	copy(l.cands[i+1:], l.cands[i:])
+	l.cands[i] = &candidate{contact: c, dist: d, state: statePending}
 }
 
 // converged reports whether the K closest non-failed candidates have all

@@ -253,11 +253,8 @@ func (nw *Network) Bootstrap() error {
 			}
 			neigh = append(neigh, Contact{ID: order[j].ID, Addr: order[j].Addr})
 		}
-		sort.Slice(neigh, func(a, b int) bool {
-			return overlay.CloserXOR(node.ID, neigh[a].ID, neigh[b].ID)
-		})
-		for j := 0; j < len(neigh) && j < nw.cfg.K; j++ {
-			node.table.Add(neigh[j])
+		for _, c := range Nearest(node.ID, neigh, nw.cfg.K) {
+			node.table.Add(c)
 		}
 		// Distant contacts: random online nodes fill the short-prefix
 		// buckets that carry most routing progress.
@@ -313,19 +310,13 @@ func (nw *Network) Rejoin(n *Node, done func()) {
 // ClosestOnline returns the k online, responsive, honest nodes closest to
 // target — the ground truth a successful lookup should discover.
 func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
-	cands := make([]*Node, 0, len(nw.nodes))
+	sel := newNearest[*Node](target, k)
 	for _, n := range nw.nodes {
 		if n.online && n.responsive && !n.malicious {
-			cands = append(cands, n)
+			sel.offer(n.ID, n)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		return overlay.CloserXOR(target, cands[i].ID, cands[j].ID)
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+	return sel.items
 }
 
 // findNode issues one FIND_NODE RPC and invokes onDone exactly once with

@@ -11,8 +11,6 @@
 package kademlia
 
 import (
-	"sort"
-
 	"repro/internal/netmodel"
 	"repro/internal/overlay"
 )
@@ -106,22 +104,81 @@ func (t *Table) Size() int {
 	return n
 }
 
+// nearest keeps the n items closest to target among those offered, in
+// ascending XOR distance, each distance computed once and stored beside its
+// item. Every caller offers pairwise distinct ids, on which the distance
+// order is strict and total — so the outcome is the unique one a full sort
+// by overlay.CloserXOR would produce.
+type nearest[T any] struct {
+	target overlay.ID
+	n      int
+	items  []T
+	dists  []overlay.Distance
+}
+
+func newNearest[T any](target overlay.ID, n int) *nearest[T] {
+	return &nearest[T]{target: target, n: n, items: make([]T, 0, n), dists: make([]overlay.Distance, 0, n)}
+}
+
+func (s *nearest[T]) full() bool { return len(s.items) == s.n }
+
+func (s *nearest[T]) offer(id overlay.ID, item T) {
+	d := overlay.XORDistance(id, s.target)
+	i := len(s.items)
+	switch {
+	case !s.full():
+		s.items, s.dists = append(s.items, item), append(s.dists, d)
+	case i > 0 && d.Less(s.dists[i-1]):
+		i-- // takes the place of the farthest item held
+	default:
+		return
+	}
+	for ; i > 0 && d.Less(s.dists[i-1]); i-- {
+		s.items[i], s.dists[i] = s.items[i-1], s.dists[i-1]
+	}
+	s.items[i], s.dists[i] = item, d
+}
+
+// Nearest returns the up to n contacts closest to target, sorted by XOR
+// distance. The contacts' ids must be pairwise distinct.
+func Nearest(target overlay.ID, contacts []Contact, n int) []Contact {
+	sel := newNearest[Contact](target, n)
+	for _, c := range contacts {
+		sel.offer(c.ID, c)
+	}
+	return sel.items
+}
+
 // Closest returns up to n contacts sorted by XOR distance to target.
 func (t *Table) Closest(target overlay.ID, n int) []Contact {
 	if n <= 0 {
 		return nil
 	}
-	all := make([]Contact, 0, t.Size())
-	for _, b := range t.buckets {
-		all = append(all, b...)
+	sel := newNearest[Contact](target, n)
+	group := func(buckets [][]Contact) bool {
+		for _, b := range buckets {
+			for _, c := range b {
+				sel.offer(c.ID, c)
+			}
+		}
+		return sel.full()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return overlay.CloserXOR(target, all[i].ID, all[j].ID)
-	})
-	if len(all) > n {
-		all = all[:n]
+	// With p the prefix length self shares with target, bucket p holds the
+	// contacts sharing more than p bits with target; buckets above p all
+	// share exactly p bits with it (their mutual order follows self⊕target,
+	// not the bucket index, so they are one group); bucket j < p shares
+	// exactly j. Groups are taken in that order of ascending distance, and
+	// a selector full at a group boundary cannot change any more.
+	p := overlay.CommonPrefixLen(t.self, target)
+	if group(t.buckets[p:p+1]) || group(t.buckets[p+1:]) {
+		return sel.items
 	}
-	return all
+	for j := p - 1; j >= 0; j-- {
+		if group(t.buckets[j : j+1]) {
+			break
+		}
+	}
+	return sel.items
 }
 
 // Contacts returns a copy of every stored contact (bucket order).

@@ -11,7 +11,6 @@ package sybil
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/netmodel"
 	"repro/internal/overlay"
@@ -112,15 +111,7 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 // target, cross-referencing the identity cloud so honest lookups spiral
 // inward and never escape.
 func (a *Attack) poison(target overlay.ID) []kademlia.Contact {
-	out := make([]kademlia.Contact, len(a.contacts))
-	copy(out, a.contacts)
-	sort.Slice(out, func(i, j int) bool {
-		return overlay.CloserXOR(target, out[i].ID, out[j].ID)
-	})
-	if len(out) > 16 {
-		out = out[:16]
-	}
-	return out
+	return kademlia.Nearest(target, a.contacts, 16)
 }
 
 // Nodes returns the attacker's nodes.

@@ -1,6 +1,8 @@
 package sybil
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -98,6 +100,37 @@ func TestUniformSybilInterceptionGrowsWithIdentities(t *testing.T) {
 	}
 	if large < 0.3 {
 		t.Fatalf("50%% sybil population intercepts only %v of result entries", large)
+	}
+}
+
+// A poisoned reply is the 16 sybils closest to the queried target — what a
+// full sort of the identity cloud by overlay.CloserXOR, cut at 16, yields —
+// whether the cloud is smaller than, exactly, just over or far over 16, and
+// past the 255 identities at which the targeted ids' low byte wraps.
+func TestPoisonMatchesBruteForce(t *testing.T) {
+	for _, identities := range []int{1, 16, 17, 300} {
+		s, nw := honestNetwork(t, 50, 5)
+		victim := overlay.KeyID([]byte("victim-key"))
+		atk, err := Launch(s, nw, AttackConfig{Identities: identities, Targeted: true, Target: victim})
+		if err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		cloud := append([]kademlia.Contact(nil), atk.contacts...)
+		near := atk.contacts[identities/2].ID
+		near[overlay.IDBytes-1] ^= 0x40
+		for _, target := range []overlay.ID{victim, atk.contacts[0].ID, near, overlay.RandomID(s.Stream("t"))} {
+			want := append([]kademlia.Contact(nil), atk.contacts...)
+			sort.Slice(want, func(i, j int) bool { return overlay.CloserXOR(target, want[i].ID, want[j].ID) })
+			if len(want) > 16 {
+				want = want[:16]
+			}
+			if got := atk.poison(target); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d identities, target %v:\n got %v\nwant %v", identities, target, got, want)
+			}
+		}
+		if !reflect.DeepEqual(atk.contacts, cloud) {
+			t.Fatalf("%d identities: poison reordered the attack's own contact list", identities)
+		}
 	}
 }
 
