@@ -55,7 +55,7 @@ type Runner struct {
 	// indicative, never part of deterministic output.
 	SampleHost bool
 	// ProfileDir, when non-empty, writes per-job CPU and heap profiles
-	// (<experiment>-s<seed>.cpu.pprof / .heap.pprof) into the directory.
+	// (<experiment>-s<seed>.cpu.pprof / .heap.pprof; profileStems) into the directory.
 	// CPU profiling is process-global, so profiled jobs serialize on an
 	// internal lock: use a single worker or expect reduced parallelism
 	// when profiling.
@@ -92,6 +92,10 @@ func (r *Runner) workers(jobs int) int {
 // entry per job, so aggregation over a cancelled batch stays well formed.
 func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
+	stems := make([]string, len(jobs)) // profile file stems; "" = run unprofiled
+	if r.ProfileDir != "" {
+		stems = profileStems(jobs)
+	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := r.workers(len(jobs)); w > 0; w-- {
@@ -102,7 +106,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 				if err := ctx.Err(); err != nil {
 					out[i] = JobResult{Job: jobs[i], Err: fmt.Errorf("harness: run cancelled: %w", err)}
 				} else {
-					out[i] = r.runOne(jobs[i])
+					out[i] = r.runOne(jobs[i], stems[i])
 				}
 				if r.OnResult != nil {
 					r.mu.Lock()
@@ -120,7 +124,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 	return out
 }
 
-func (r *Runner) runOne(j Job) JobResult {
+func (r *Runner) runOne(j Job, profileStem string) JobResult {
 	// core.Config.WithDefaults remaps seed 0 to 1 and scale <= 0 to 1;
 	// letting either through would silently duplicate a replication or
 	// mislabel a group, corrupting aggregate statistics — reject here
@@ -140,8 +144,8 @@ func (r *Runner) runOne(j Job) JobResult {
 	start := time.Now() //decentlint:allow nondeterm host-side wall timing rides on JobResult.Elapsed, never on deterministic output
 	var res *core.Result
 	var err error
-	if r.ProfileDir != "" {
-		res, err = r.runProfiled(j)
+	if profileStem != "" {
+		res, err = r.runProfiled(j, profileStem)
 	} else {
 		res, err = r.runContained(j)
 	}
@@ -167,13 +171,36 @@ func (r *Runner) runContained(j Job) (res *core.Result, err error) {
 	return r.Registry.Run(j.ExperimentID, j.Config)
 }
 
+// profileStems names each job's profile pair: <ID>-s<seed>, except that an
+// experiment the batch runs under several scales or knob assignments gets its
+// ScenarioKey for <ID> (E06-0.1-s1, E03-1-e03.lookups=60-s1): no shared files.
+func profileStems(jobs []Job) []string {
+	keys := make(map[string]string, len(jobs)) // experiment id -> its one scenario key, "" once it has several
+	for _, j := range jobs {
+		id, key := strings.ToUpper(j.ExperimentID), groupKey(j)
+		if k, ok := keys[id]; ok && k != key {
+			key = ""
+		}
+		keys[id] = key
+	}
+	stems := make([]string, len(jobs))
+	for i, j := range jobs {
+		name := strings.ToUpper(j.ExperimentID)
+		if keys[name] == "" {
+			name = strings.ReplaceAll(strings.TrimRight(groupKey(j), "|"), "|", "-")
+		}
+		stems[i] = fmt.Sprintf("%s-s%d", name, j.Config.Seed)
+	}
+	return stems
+}
+
 // runProfiled wraps one run in CPU and heap profile capture. Profile
 // failures fail the job: a requested-but-missing profile is worse than a
 // loud error.
-func (r *Runner) runProfiled(j Job) (*core.Result, error) {
+func (r *Runner) runProfiled(j Job, stem string) (*core.Result, error) {
 	profileMu.Lock()
 	defer profileMu.Unlock()
-	stem := filepath.Join(r.ProfileDir, fmt.Sprintf("%s-s%d", strings.ToUpper(j.ExperimentID), j.Config.Seed))
+	stem = filepath.Join(r.ProfileDir, stem)
 	cpuF, err := os.Create(stem + ".cpu.pprof")
 	if err != nil {
 		return nil, fmt.Errorf("harness: create cpu profile: %w", err)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -233,6 +235,58 @@ func TestRunnerContainsPanic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProfileStems pins the profile file names: the documented <ID>-s<seed>
+// while each experiment runs as one scenario, and the scenario spelled into
+// the stem as soon as a batch holds the same experiment at several scales or
+// knob values — at the parent those jobs silently overwrote one file pair.
+func TestProfileStems(t *testing.T) {
+	reg := fakeRegistry(t, &fakeExp{id: "X1"}, &fakeExp{id: "X2"})
+	dir := t.TempDir()
+	r := Runner{Registry: reg, Workers: 2, ProfileDir: dir}
+	jobs := Sweep{Experiments: []string{"x1"}, Seeds: []int64{1}, Scales: []float64{0.1, 0.2}}.Jobs()
+	for _, jr := range r.Run(context.Background(), jobs) {
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", jr.Job.ExperimentID, jr.Err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{"X1-0.1-s1.cpu.pprof", "X1-0.1-s1.heap.pprof", "X1-0.2-s1.cpu.pprof", "X1-0.2-s1.heap.pprof"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("2 scales x 1 seed left %v, want %v", got, want)
+	}
+
+	// A grid over one experiment beside a plain replication of another:
+	// only the gridded experiment's stems change, and no two jobs collide.
+	jobs = append(Sweep{
+		Experiments: []string{"X1"},
+		Seeds:       []int64{1, 2},
+		Scales:      []float64{0.5, 1},
+		Params:      map[string][]float64{"k": {1, 3}},
+	}.Jobs(), Sweep{Experiments: []string{"X2"}, Seeds: []int64{1, 2}}.Jobs()...)
+	stems := profileStems(jobs)
+	seen := make(map[string]int)
+	for i, stem := range stems {
+		if j, dup := seen[stem]; dup {
+			t.Errorf("jobs %d and %d share profile stem %q", j, i, stem)
+		}
+		seen[stem] = i
+		if strings.ContainsAny(stem, `/\|: `) {
+			t.Errorf("stem %q is not filename-safe", stem)
+		}
+	}
+	sort.Strings(stems)
+	if stems[0] != "X1-0.5-k=1-s1" || stems[len(stems)-3] != "X1-1-k=3-s2" || stems[len(stems)-1] != "X2-s2" {
+		t.Errorf("stems = %v", stems)
 	}
 }
 

@@ -11,9 +11,9 @@
 package offchain
 
 import (
-	"container/heap"
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -81,6 +81,11 @@ type Network struct {
 	net     *netmodel.Net
 	addrs   []netmodel.NodeID
 	latency metrics.Sample
+
+	// route's scratch, reused across Pay calls.
+	dist, prevCh []int
+	queue        routeQueue
+	path         []int
 }
 
 // htlcMsgSize is the modelled wire size of one HTLC message (an
@@ -164,6 +169,8 @@ func NewNetwork(n int) (*Network, error) {
 		n:         n,
 		adj:       make([][]int, n),
 		routedVia: make([]int64, n),
+		dist:      make([]int, n),
+		prevCh:    make([]int, n),
 	}, nil
 }
 
@@ -266,41 +273,61 @@ func (nw *Network) Pay(src, dst int, amt float64) bool {
 	return true
 }
 
-// route finds a min-hop path with per-hop liquidity >= amt.
 type pqItem struct {
 	node int
 	dist int
 }
 
-type priorityQueue []pqItem
+// routeQueue is a binary min-heap on dist. Hop counts tie constantly and the
+// order tied items pop in decides which equal-hop path a payment takes, so
+// push and pop make exactly container/heap's moves (swap root with last, sift
+// down; strict <; right child only when strictly smaller): E18's bytes pin them.
+type routeQueue []pqItem
 
-func (p priorityQueue) Len() int           { return len(p) }
-func (p priorityQueue) Less(i, j int) bool { return p[i].dist < p[j].dist }
-func (p priorityQueue) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *priorityQueue) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *priorityQueue) Pop() any {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+func (q *routeQueue) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
+func (q *routeQueue) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i, j := 0, 1; j < n; j = 2*i + 1 {
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// route finds a min-hop path with per-hop liquidity >= amt: its channel indices
+// from src to dst, valid until the next route call, or nil when there is none.
 func (nw *Network) route(src, dst int, amt float64) []int {
 	const inf = math.MaxInt32
-	dist := make([]int, nw.n)
-	prevCh := make([]int, nw.n)
+	dist, prevCh := nw.dist, nw.prevCh
 	for i := range dist {
 		dist[i] = inf
 		prevCh[i] = -1
 	}
 	dist[src] = 0
-	pq := &priorityQueue{{node: src}}
-	for pq.Len() > 0 {
-		it, ok := heap.Pop(pq).(pqItem)
-		if !ok {
-			break
-		}
+	nw.queue = append(nw.queue[:0], pqItem{node: src})
+	for len(nw.queue) > 0 {
+		it := nw.queue.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -316,28 +343,26 @@ func (nw *Network) route(src, dst int, amt float64) []int {
 			if d := it.dist + 1; d < dist[next] {
 				dist[next] = d
 				prevCh[next] = chIdx
-				heap.Push(pq, pqItem{node: next, dist: d})
+				nw.queue.push(pqItem{node: next, dist: d})
 			}
 		}
 	}
 	if dist[dst] == inf {
 		return nil
 	}
-	// Rebuild the path channel list from dst back to src.
-	var rev []int
+	// Rebuild the path channel list from dst back to src, then reverse it.
+	path := nw.path[:0]
 	for cur := dst; cur != src; {
 		chIdx := prevCh[cur]
 		if chIdx < 0 {
 			return nil
 		}
-		rev = append(rev, chIdx)
+		path = append(path, chIdx)
 		cur = nw.channels[chIdx].other(cur)
 	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	slices.Reverse(path)
+	nw.path = path
+	return path
 }
 
 // Topology builders for the two deployment shapes the paper contrasts.

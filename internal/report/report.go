@@ -75,7 +75,7 @@ type Options struct {
 	// worker count.
 	Resources bool
 	// ProfileDir, when non-empty, writes per-run CPU and heap pprof
-	// profiles (<EXPERIMENT>-s<seed>.cpu.pprof / .heap.pprof) into the
+	// profiles (named as harness.Runner.ProfileDir documents) into the
 	// directory, which must exist. Profiles serialize runs (CPU
 	// profiling is process-global) and are host-side artifacts written
 	// outside the tree; they never affect the generated bytes.

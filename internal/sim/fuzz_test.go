@@ -12,7 +12,9 @@ import (
 // against an exact shadow model after every step:
 //
 //   - heap invariants: every queued event's index field matches its slot,
-//     and each node is (at, seq)-ordered no earlier than its parent;
+//     every slot's inline (at, seq) key is the one its event was scheduled
+//     with, each slot is (at, seq)-ordered strictly after its parent slot
+//     (i-1)/arity, and every recycled event reads index -1;
 //   - Pending() equals the shadow model's live-event count exactly
 //     (cancellation is eager, so canceled events never linger);
 //   - each RunFor fires precisely the predicted events, in (at, seq)
@@ -54,15 +56,21 @@ func FuzzScheduleCancel(f *testing.F) {
 		record := func(p Payload) { got = append(got, firing{s.Now(), p.B}) }
 
 		checkState := func(step int) {
-			for i, ev := range s.queue {
-				if ev.index != i {
-					t.Fatalf("step %d: queue[%d].index = %d", step, i, ev.index)
+			for i, e := range s.queue {
+				if e.ev.index != i {
+					t.Fatalf("step %d: queue[%d].ev.index = %d", step, i, e.ev.index)
+				}
+				// seq is the schedule's serial number, so it names the
+				// shadow record the inline key must agree with.
+				if e.seq >= uint64(len(evs)) || !evs[e.seq].live || evs[e.seq].at != e.at || e.ev.at != e.at {
+					t.Fatalf("step %d: queue[%d] carries key (%v, %d) for an event at %v, which no live model event matches",
+						step, i, e.at, e.seq, e.ev.at)
 				}
 				if i > 0 {
-					p := s.queue[(i-1)/2]
-					if p.at > ev.at || (p.at == ev.at && p.seq > ev.seq) {
-						t.Fatalf("step %d: heap order violated at slot %d: parent (%v, %d) > child (%v, %d)",
-							step, i, p.at, p.seq, ev.at, ev.seq)
+					p := s.queue[(i-1)/arity]
+					if p.at > e.at || (p.at == e.at && p.seq >= e.seq) {
+						t.Fatalf("step %d: heap order violated at slot %d: parent (%v, %d) !< child (%v, %d)",
+							step, i, p.at, p.seq, e.at, e.seq)
 					}
 				}
 			}
@@ -74,6 +82,13 @@ func FuzzScheduleCancel(f *testing.F) {
 				if evs[i].closure && evs[i].h.Scheduled() != evs[i].live {
 					t.Fatalf("step %d: handle %d Scheduled()=%v, model live=%v",
 						step, i, evs[i].h.Scheduled(), evs[i].live)
+				}
+			}
+			// A fired or canceled event sits on the free list reading -1
+			// until its slot is reused.
+			for ev := s.free; ev != nil; ev = ev.nextFree {
+				if ev.index != -1 {
+					t.Fatalf("step %d: recycled event has index %d, want -1", step, ev.index)
 				}
 			}
 			if s.Pending() != live {

@@ -199,3 +199,36 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 		ev.Cancel()
 	}
 }
+
+// deepHeapStep reschedules itself a random distance ahead and stops the
+// run, so each Run call is exactly one fire and one schedule.
+func deepHeapStep(p Payload) {
+	s := p.Aux.(*Sim)
+	s.AfterFunc(time.Duration(p.Ctx.(*RNG).Intn(int(p.A)))*time.Microsecond, deepHeapStep, p)
+	s.Stop()
+}
+
+// BenchmarkKernelDeepHeap is the schedule/fire cycle at the depth the
+// experiments reach (E02 peaks at 1.6 x 10^5 pending events): the three
+// benchmarks above run on a near-empty heap, where a sift is one step. Each
+// iteration fires the earliest of 10^5 pending events and schedules its
+// replacement a random distance ahead, so both sifts cross the whole tree.
+func BenchmarkKernelDeepHeap(b *testing.B) {
+	const depth = 100_000
+	s := New()
+	p := Payload{Ctx: NewRNG(1), Aux: s, A: depth}
+	for i := 0; i < depth; i++ {
+		s.AfterFunc(time.Duration(i)*time.Microsecond, deepHeapStep, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Run(); err != ErrStopped {
+			b.Fatalf("Run = %v, want ErrStopped after one event", err)
+		}
+	}
+	b.StopTimer()
+	if s.Pending() != depth || s.Fired() != uint64(b.N) {
+		b.Fatalf("Pending() = %d, Fired() = %d; want %d pending, %d fired", s.Pending(), s.Fired(), depth, b.N)
+	}
+}

@@ -3,7 +3,7 @@
 // All simulated systems in this repository (overlays, blockchains, consensus
 // protocols, edge topologies) are driven by a single Sim instance: events are
 // callbacks scheduled at virtual timestamps, executed strictly in (time,
-// sequence) order from a binary heap. There is no wall-clock dependence and no
+// sequence) order from a 4-ary heap. There is no wall-clock dependence and no
 // concurrency inside a run, so a (seed, configuration) pair always reproduces
 // the same trajectory bit-for-bit.
 //
@@ -24,7 +24,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -48,12 +47,11 @@ var ErrStopped = errors.New("sim: stopped")
 // fire-and-forget.
 type event struct {
 	at       time.Duration
-	seq      uint64
 	fn       func()
 	h        Handler
 	p        Payload
 	owner    *Sim
-	index    int    // position in the heap, -1 once popped or recycled
+	index    int    // position in the heap, -1 once recycled
 	gen      uint64 // bumped on every recycle; Handles snapshot it
 	nextFree *event // free-list link for recycled events
 }
@@ -83,7 +81,7 @@ func (h Handle) Cancel() {
 		return
 	}
 	s := ev.owner
-	heap.Remove(&s.queue, ev.index)
+	s.queue.removeAt(ev.index)
 	s.releaseEvent(ev)
 }
 
@@ -212,9 +210,10 @@ func (s *Sim) Observer() *obs.Collector { return s.observer }
 //
 //decentlint:hotpath
 func (s *Sim) push(ev *event) {
-	ev.seq = s.seq
+	e := entry{at: ev.at, seq: s.seq, ev: ev}
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.queue = append(s.queue, e) //decentlint:allow hotpath backing-array growth is amortized; slots recycle through the free list in steady state
+	s.queue.siftUp(len(s.queue)-1, e)
 	if len(s.queue) > s.maxPending {
 		s.maxPending = len(s.queue)
 	}
@@ -396,14 +395,14 @@ func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 		return ErrStopped
 	}
 	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at > bound || (!inclusive && next.at == bound) {
+		at, next := s.queue[0].at, s.queue[0].ev
+		if at > bound || (!inclusive && at == bound) {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.queue.removeAt(0)
 		// Cancel removes events from the heap eagerly, so a popped event
 		// is always live.
-		s.now = next.at
+		s.now = at
 		s.fired++
 		// Recycle before invoking so the callback's own scheduling can
 		// reuse the slot — the steady-state fast path for both flavours.
@@ -426,43 +425,81 @@ func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 	return nil
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq); seq breaks ties so
-// that same-instant events fire in scheduling order, keeping runs
-// deterministic.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// entry is one heap slot: the (at, seq) key beside the event it orders, so a
+// comparison never dereferences the event.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	ev  *event
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// before orders by time, then seq: same-instant events fire as scheduled.
+func (e entry) before(o entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
+// eventQueue is a min-heap of entries with fan-out arity (slot i's children
+// are arity*i+1 … arity*i+arity; 4 halves the levels a sift crosses against 2,
+// BenchmarkKernelDeepHeap measures the choice). Sifting moves a hole, not swaps:
+// each displaced entry and its event's index back-pointer is written once.
+type eventQueue []entry
+
+const arity = 4
+
+// siftUp places e at slot i or above.
+//
 //decentlint:hotpath
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
+func (q eventQueue) siftUp(i int, e entry) {
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
 	}
-	ev.index = len(*q)
-	*q = append(*q, ev) //decentlint:allow hotpath backing-array growth is amortized; slots recycle through the free list in steady state
+	q[i] = e
+	e.ev.index = i
 }
 
+// siftDown places e at slot i or below.
+//
 //decentlint:hotpath
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+func (q eventQueue) siftDown(i int, e entry) {
+	for c := arity*i + 1; c < len(q); c = arity*i + 1 {
+		m := c // the earliest-firing child
+		for j, end := c+1, min(c+arity, len(q)); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(e) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = e
+	e.ev.index = i
+}
+
+// removeAt takes slot i out of the heap — the root on fire, any slot on Cancel
+// — and refills it with the last entry, which may belong above i when i is off
+// that entry's root path. The caller releases the removed event (resetting its
+// index). The vacated slot is not cleared: a Sim never lets go of an event.
+//
+//decentlint:hotpath
+func (q *eventQueue) removeAt(i int) {
+	n := len(*q) - 1
+	h, last := (*q)[:n], (*q)[n]
+	*q = h
+	switch {
+	case i == n: // the last slot itself: nothing to refill
+	case i > 0 && last.before(h[(i-1)/arity]):
+		h.siftUp(i, last)
+	default:
+		h.siftDown(i, last)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -401,6 +402,153 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyDeepHeapOrder is TestPropertyEventOrder at the depth the
+// experiments run at, with cancellation: 120 000 events of both flavours
+// land on a few thousand shared instants, a random third are canceled while
+// tens of thousands are pending — the root and the last slot every batch, and
+// some two thousand interior slots whose refill has to sift up — and the fire
+// sequence must equal the shadow list sorted by (at, seq).
+func TestPropertyDeepHeapOrder(t *testing.T) {
+	const (
+		batches   = 12
+		perBatch  = 10_000
+		spanMs    = 5000 // instants a batch spreads over: many events per instant
+		advanceMs = 200  // virtual time fired between batches
+	)
+	type shadow struct {
+		at       time.Duration
+		h        Handle // real for closure events, forged from the slot for handler ones
+		closure  bool
+		live     bool
+		canceled bool
+	}
+	var (
+		s                   = New()
+		g                   = NewRNG(42)
+		evs                 []shadow // index = schedule serial = the kernel's seq
+		got, want           []int64
+		live                int
+		roots, lasts, upped int
+	)
+	cancel := func(id int) {
+		h := evs[id].h
+		switch i, n := h.ev.index, len(s.queue)-1; {
+		case i == 0:
+			roots++
+		case i == n:
+			lasts++
+		case s.queue[n].before(s.queue[(i-1)/arity]):
+			upped++
+		}
+		h.Cancel()
+		evs[id].live, evs[id].canceled = false, true
+		live--
+	}
+	// cancelSlot cancels whatever occupies heap slot i, handler events
+	// included: the handle At would have returned is rebuilt from the slot.
+	cancelSlot := func(i int) {
+		e := s.queue[i]
+		evs[e.seq].h = Handle{ev: e.ev, gen: e.ev.gen}
+		cancel(int(e.seq))
+	}
+	for b := 0; b < batches; b++ {
+		for i := 0; i < perBatch; i++ {
+			id := int64(len(evs))
+			at := s.Now() + time.Duration(g.Intn(spanMs))*time.Millisecond
+			ev := shadow{at: at, live: true, closure: g.Intn(3) > 0}
+			if ev.closure {
+				ev.h = s.At(at, func() { got = append(got, id) })
+			} else {
+				s.AtFunc(at, collectPayloads, Payload{Ctx: &got, A: id})
+			}
+			evs = append(evs, ev)
+			live++
+		}
+		// Handles canceled in earlier batches now point at slots this
+		// batch reused; canceling them again must not touch the new tenant.
+		for id := range evs {
+			if evs[id].canceled {
+				evs[id].h.Cancel()
+			}
+		}
+		for done := 0; done < perBatch/3; {
+			if id := g.Intn(len(evs)); evs[id].closure && evs[id].live {
+				cancel(id)
+				done++
+			}
+		}
+		cancelSlot(0)
+		cancelSlot(len(s.queue) - 1)
+		if s.Pending() != live {
+			t.Fatalf("batch %d: Pending() = %d after cancels, model has %d live", b, s.Pending(), live)
+		}
+
+		// Every batch fires advanceMs of virtual time; the last one drains.
+		final, horizon := b == batches-1, s.Now()+advanceMs*time.Millisecond
+		var due []int
+		for id := range evs {
+			if evs[id].live && (final || evs[id].at <= horizon) {
+				due = append(due, id)
+			}
+		}
+		sort.Slice(due, func(i, j int) bool {
+			a, b := due[i], due[j]
+			return evs[a].at < evs[b].at || (evs[a].at == evs[b].at && a < b)
+		})
+		for _, id := range due {
+			evs[id].live = false
+			want = append(want, int64(id))
+		}
+		live -= len(due)
+		var err error
+		if final {
+			err = s.Run()
+		} else {
+			err = s.RunFor(advanceMs * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatalf("batch %d: run: %v", b, err)
+		}
+		if s.Pending() != live || len(got) != len(want) {
+			t.Fatalf("batch %d: Pending() = %d, fired %d; model has %d live, %d fired",
+				b, s.Pending(), len(got), live, len(want))
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d is event %d at %v, want event %d at %v",
+				i, got[i], evs[got[i]].at, want[i], evs[want[i]].at)
+		}
+	}
+
+	perInstant := make(map[time.Duration]int)
+	for _, ev := range evs {
+		perInstant[ev.at]++
+	}
+	shared, canceled := 0, 0
+	for _, ev := range evs {
+		if perInstant[ev.at] > 1 {
+			shared++
+		}
+		if ev.canceled {
+			canceled++
+			if ev.h.Scheduled() || ev.h.At() != 0 {
+				t.Fatalf("canceled handle still reports scheduled at %v", ev.h.At())
+			}
+		}
+	}
+	if len(evs) < 100_000 || shared < len(evs)/2 || canceled < len(evs)/3 {
+		t.Fatalf("workload too easy: %d events, %d on a shared instant, %d canceled", len(evs), shared, canceled)
+	}
+	t.Logf("cancels: %d root, %d last-slot, %d sift-up, of %d", roots, lasts, upped, canceled)
+	if roots < batches || lasts < batches || upped < batches {
+		t.Fatalf("cancel shapes not all exercised: %d root, %d last-slot, %d sift-up", roots, lasts, upped)
+	}
+	if s.MaxPending() < 50_000 {
+		t.Fatalf("heap never got deep: max pending %d", s.MaxPending())
 	}
 }
 
