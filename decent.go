@@ -4,12 +4,12 @@
 //
 // The paper is a position paper: its evaluation is a set of quantitative
 // claims about open peer-to-peer systems, permissionless blockchains, and
-// their permissioned/edge alternatives. This module rebuilds every system
-// those claims rest on — Kademlia/Chord/one-hop/Gnutella overlays, gossip,
-// churn and sybil attack models, a proof-of-work blockchain with its mining
-// economy, PBFT/Raft and a Fabric-style permissioned stack, and an edge
-// placement model — and regenerates each claim as an experiment with a shape
-// verdict.
+// their permissioned/edge alternatives. This module rebuilds the systems
+// its experiments run — Kademlia/Chord/one-hop/Gnutella overlays, churn and
+// sybil attack models, a proof-of-work block tree with its mining economy,
+// PBFT/Raft, a Fabric-style permissioned stack and an edge placement model
+// (internal/gossip is a validation model tests cross-check E08 against) —
+// and regenerates each claim as an experiment with a shape verdict.
 //
 // Quick start:
 //

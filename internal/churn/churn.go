@@ -3,8 +3,8 @@
 // Every node alternates between online sessions and offline gaps whose
 // durations are drawn from configurable distributions. Measurement studies of
 // open overlays (KAD, BitTorrent MDHT) consistently report heavy-tailed
-// session times; the package therefore ships both exponential and Pareto
-// session models. This is the mechanism behind the paper's Problem 2
+// session times; E15 sweeps the mean of an exponential session model, the
+// one the package ships. This is the mechanism behind the paper's Problem 2
 // ("performance problems due to instability, heterogeneity and churn").
 package churn
 
@@ -12,7 +12,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/randdist"
 	"repro/internal/sim"
 )
 
@@ -23,19 +22,6 @@ type Dist func(*sim.RNG) time.Duration
 // given mean.
 func Exponential(mean time.Duration) Dist {
 	return func(g *sim.RNG) time.Duration { return g.ExpDuration(mean) }
-}
-
-// Pareto returns a heavy-tailed Dist with minimum xm, shape alpha, capped at
-// max (0 = uncapped).
-func Pareto(xm time.Duration, alpha float64, max time.Duration) Dist {
-	return func(g *sim.RNG) time.Duration {
-		return randdist.ParetoDuration(g, xm, alpha, max)
-	}
-}
-
-// Fixed returns a Dist that always yields d (useful in tests).
-func Fixed(d time.Duration) Dist {
-	return func(*sim.RNG) time.Duration { return d }
 }
 
 // Config describes the churn behaviour of a node population.
@@ -57,8 +43,6 @@ type Process struct {
 	onJoin  func(node int)
 	onLeave func(node int)
 	stopped bool
-
-	joins, leaves int
 }
 
 // New creates a churn process over nodes [0, n). onJoin/onLeave may be nil.
@@ -127,7 +111,6 @@ func (p *Process) scheduleJoin(node int) {
 
 func (p *Process) join(node int) {
 	p.online[node] = true
-	p.joins++
 	if p.onJoin != nil {
 		p.onJoin(node)
 	}
@@ -135,7 +118,6 @@ func (p *Process) join(node int) {
 
 func (p *Process) leave(node int) {
 	p.online[node] = false
-	p.leaves++
 	if p.onLeave != nil {
 		p.onLeave(node)
 	}
@@ -159,12 +141,6 @@ func (p *Process) OnlineCount() int {
 	}
 	return n
 }
-
-// Joins returns the cumulative number of join transitions.
-func (p *Process) Joins() int { return p.joins }
-
-// Leaves returns the cumulative number of leave transitions.
-func (p *Process) Leaves() int { return p.leaves }
 
 // ExpectedAvailability returns the steady-state fraction of time a node is
 // online for mean session s and mean gap g: s/(s+g).

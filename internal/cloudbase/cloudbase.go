@@ -58,14 +58,10 @@ func (c Config) CapacityTPS() float64 {
 
 // Stats reports a load run.
 type Stats struct {
-	// Offered and Completed count transactions submitted and finished.
-	Offered, Completed int
 	// TPS is completed transactions per second of simulated time.
 	TPS float64
-	// P50 and P99 are latency percentiles.
-	P50, P99 time.Duration
-	// MeanQueue is the average backlog observed at submission.
-	MeanQueue float64
+	// P99 is the 99th-percentile latency.
+	P99 time.Duration
 }
 
 // Cluster is a simulated sharded transaction processor.
@@ -77,12 +73,9 @@ type Cluster struct {
 	// nextFree is each shard's earliest idle time.
 	nextFree []time.Duration
 
-	offered   int
-	completed int
-	inWindow  int
-	horizon   time.Duration
-	latency   metrics.Sample
-	queueObs  metrics.Summary
+	inWindow int
+	horizon  time.Duration
+	latency  metrics.Sample
 }
 
 // NewCluster creates an idle cluster.
@@ -102,17 +95,9 @@ func NewCluster(s *sim.Sim, cfg Config) (*Cluster, error) {
 // Submit enqueues one transaction for the shard owning key. It returns the
 // predicted completion time.
 func (c *Cluster) Submit(key uint64) time.Duration {
-	c.offered++
 	now := c.sim.Now()
 	shard := int(key % uint64(c.cfg.Shards))
 	cross := c.rng.Bool(c.cfg.CrossShardFrac)
-
-	// Queue depth proxy: how far ahead of now the shard is booked.
-	backlog := float64(c.nextFree[shard]-now) / float64(c.cfg.ServiceTime)
-	if backlog < 0 {
-		backlog = 0
-	}
-	c.queueObs.Add(backlog)
 
 	// Each shard serves its sub-transaction independently; a cross-shard
 	// transaction completes when both halves have and the commit round
@@ -132,7 +117,6 @@ func (c *Cluster) Submit(key uint64) time.Duration {
 		done = maxDur(done, serve(other)) + c.cfg.CommitRTT
 	}
 	c.sim.At(done, func() {
-		c.completed++
 		if c.horizon <= 0 || done <= c.horizon {
 			c.inWindow++
 		}
@@ -161,13 +145,7 @@ func (c *Cluster) Run(offeredTPS float64, duration time.Duration) (Stats, error)
 	if err := c.sim.Run(); err != nil {
 		return Stats{}, err
 	}
-	st := Stats{
-		Offered:   c.offered,
-		Completed: c.completed,
-		P50:       time.Duration(c.latency.Percentile(50) * float64(time.Second)),
-		P99:       time.Duration(c.latency.Percentile(99) * float64(time.Second)),
-		MeanQueue: c.queueObs.Mean(),
-	}
+	st := Stats{P99: time.Duration(c.latency.Percentile(99) * float64(time.Second))}
 	if d := duration.Seconds(); d > 0 {
 		// Throughput counts only completions inside the measurement
 		// window, excluding the post-horizon queue drain.

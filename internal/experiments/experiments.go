@@ -421,6 +421,10 @@ func validateKnobs(id string, cfg core.Config) error {
 		if owner := core.KnobOwner(name); owner != "" && !strings.EqualFold(owner, id) {
 			return fmt.Errorf("experiments: knob %s does not apply to experiment %s", name, id)
 		}
+		// NaN compares false against both bounds below.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("experiments: knob %s=%g is not a finite number", name, v)
+		}
 		if v < spec.Min {
 			return fmt.Errorf("experiments: knob %s=%g is below the measurement floor %g", name, v, spec.Min)
 		}

@@ -98,7 +98,8 @@ func TestKnobFloorRejected(t *testing.T) {
 }
 
 // TestKnobMaxRejected runs each knob's owner with a value just above the
-// spec maximum and requires a run error.
+// spec maximum and requires a run error; a non-finite value (NaN compares
+// false against both bounds) must be refused as such.
 func TestKnobMaxRejected(t *testing.T) {
 	reg, err := Registry()
 	if err != nil {
@@ -112,6 +113,14 @@ func TestKnobMaxRejected(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "above the maximum") {
 			t.Errorf("%s=%g: error = %v, want above-maximum rejection", name, s.Max+1, err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			_, err := reg.Run(core.KnobOwner(name), core.Config{
+				Seed: 1, Scale: 1, Params: map[string]float64{name: bad},
+			})
+			if err == nil || !strings.Contains(err.Error(), "not a finite number") {
+				t.Errorf("%s=%g: error = %v, want non-finite rejection", name, bad, err)
+			}
 		}
 	}
 }

@@ -114,22 +114,12 @@ type SwarmResult struct {
 }
 
 // SlowdownFactor returns mean free-rider completion divided by mean
-// cooperator completion (1 = no penalty). Unfinished peers are excluded;
-// call UnfinishedFreeRiderFrac to see how many never finished.
+// cooperator completion (1 = no penalty). Unfinished peers are excluded.
 func (r *SwarmResult) SlowdownFactor() float64 {
 	if r.CooperatorRounds.Count() == 0 || r.FreeRiderRounds.Count() == 0 {
 		return 0
 	}
 	return r.FreeRiderRounds.Mean() / r.CooperatorRounds.Mean()
-}
-
-// UnfinishedFreeRiderFrac returns the fraction of free riders that never
-// completed within the horizon.
-func (r *SwarmResult) UnfinishedFreeRiderFrac() float64 {
-	if r.FreeRiders == 0 {
-		return 0
-	}
-	return 1 - float64(r.FreeRidersDone)/float64(r.FreeRiders)
 }
 
 type peer struct {

@@ -117,50 +117,11 @@ func NewChain(genesis *Block) *Chain {
 	return c
 }
 
-// Genesis returns the genesis hash.
-func (c *Chain) Genesis() Hash { return c.genesis }
-
 // BestHash returns the current best tip.
 func (c *Chain) BestHash() Hash { return c.best.block.Hash() }
 
 // BestHeight returns the height of the best tip (genesis = 0).
 func (c *Chain) BestHeight() uint64 { return c.best.height }
-
-// BestWork returns the cumulative difficulty of the best chain.
-func (c *Chain) BestWork() float64 { return c.best.work }
-
-// Len returns the number of blocks stored (all forks included).
-func (c *Chain) Len() int { return len(c.nodes) }
-
-// StaleCount returns how many stored blocks are not on the best chain.
-func (c *Chain) StaleCount() int {
-	onBest := make(map[Hash]bool)
-	for n := c.best; n != nil; n = n.parent {
-		onBest[n.block.Hash()] = true
-	}
-	stale := 0
-	for h := range c.nodes {
-		if !onBest[h] {
-			stale++
-		}
-	}
-	return stale
-}
-
-// Contains reports whether the block is stored.
-func (c *Chain) Contains(h Hash) bool {
-	_, ok := c.nodes[h]
-	return ok
-}
-
-// HeightOf returns a stored block's height.
-func (c *Chain) HeightOf(h Hash) (uint64, bool) {
-	n, ok := c.nodes[h]
-	if !ok {
-		return 0, false
-	}
-	return n.height, true
-}
 
 // Block returns a stored block.
 func (c *Chain) Block(h Hash) (*Block, bool) {

@@ -153,7 +153,7 @@ func TestUTXOClone(t *testing.T) {
 }
 
 func TestMerkleRootKnownShapes(t *testing.T) {
-	if !MerkleRoot(nil).IsZero() {
+	if MerkleRoot(nil) != (Hash{}) {
 		t.Fatal("empty merkle root should be zero")
 	}
 	one := []TxID{coinbase("a", 1, 1).ID()}
@@ -236,8 +236,8 @@ func TestChainLinearGrowth(t *testing.T) {
 	if got := len(c.BestPath()); got != 6 {
 		t.Fatalf("BestPath length = %d, want 6", got)
 	}
-	if c.StaleCount() != 0 {
-		t.Fatalf("StaleCount = %d, want 0", c.StaleCount())
+	if stale := len(c.nodes) - len(c.BestPath()); stale != 0 {
+		t.Fatalf("%d stored blocks off the best chain, want 0", stale)
 	}
 }
 
@@ -272,8 +272,8 @@ func TestChainForkAndReorg(t *testing.T) {
 	if c.BestHash() != b2.Hash() {
 		t.Fatal("best should be b2 after reorg")
 	}
-	if c.StaleCount() != 1 {
-		t.Fatalf("StaleCount = %d, want 1 (a1)", c.StaleCount())
+	if stale := len(c.nodes) - len(c.BestPath()); stale != 1 {
+		t.Fatalf("%d stored blocks off the best chain, want 1 (a1)", stale)
 	}
 	if got := c.Confirmations(b1.Hash()); got != 2 {
 		t.Fatalf("Confirmations(b1) = %d, want 2", got)

@@ -21,9 +21,6 @@ type Hash [32]byte
 // String returns a short hex prefix for logs.
 func (h Hash) String() string { return hex.EncodeToString(h[:6]) }
 
-// IsZero reports whether the hash is all zeros.
-func (h Hash) IsZero() bool { return h == Hash{} }
-
 // TxID identifies a transaction by its content hash.
 type TxID = Hash
 

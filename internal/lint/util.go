@@ -51,16 +51,6 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// isPkgFunc reports whether fn is the package-level function pkgPath.name
-// (methods never match).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || funcPkgPath(fn) != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // isBuiltin reports whether the call invokes the named universe builtin.
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

@@ -61,9 +61,6 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest observation, or 0 with none.
 func (s *Summary) Max() float64 { return s.max }
 
-// Sum returns mean*count, the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 // Sample retains every observation for exact quantile queries. The zero
 // value is ready to use.
 type Sample struct {
@@ -245,11 +242,4 @@ func TopShare(xs []float64, k int) float64 {
 		return 0
 	}
 	return top / total
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -28,9 +28,6 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
 	}
-	if got := s.Sum(); math.Abs(got-40) > 1e-9 {
-		t.Fatalf("Sum = %v, want 40", got)
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
@@ -250,10 +247,6 @@ func TestFigure(t *testing.T) {
 	f.Add("model", 1, 0.52)
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(f.Series))
-	}
-	tab := f.Table()
-	if len(tab.Rows) != 2 {
-		t.Fatalf("figure table rows = %d, want 2", len(tab.Rows))
 	}
 	plot := f.Render(40, 10)
 	if !strings.Contains(plot, "fork rate") || !strings.Contains(plot, "sim") {

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -195,43 +194,6 @@ func (f *Figure) AddBand(band string, x, lo, hi float64) {
 		}
 	}
 	f.Bands = append(f.Bands, Band{Name: band, Points: []BandPoint{{X: x, Lo: lo, Hi: hi}}})
-}
-
-// Table flattens the figure into a table with one row per x value and one
-// column per series (series are aligned by point index when x values match,
-// otherwise by x).
-func (f *Figure) Table() *Table {
-	cols := make([]string, 0, len(f.Series)+1)
-	cols = append(cols, f.XLabel)
-	xs := make(map[float64]bool)
-	for _, s := range f.Series {
-		cols = append(cols, s.Name)
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	t := NewTable(f.Title, cols...)
-	for _, x := range sorted {
-		row := make([]string, 0, len(cols))
-		row = append(row, fmt.Sprintf("%.4g", x))
-		for _, s := range f.Series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%.4g", p.Y)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		t.AddRow(row...)
-	}
-	return t
 }
 
 // Render draws a coarse ASCII plot of all series on a width×height grid.

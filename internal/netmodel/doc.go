@@ -1,15 +1,15 @@
 // Package netmodel models the wide-area network underneath every
 // simulated substrate: per-region propagation delays with jitter,
 // per-node asymmetric access bandwidth (uplink serialization, per-node
-// downlink), message loss, partitions, and traffic accounting. It
-// deliberately models the network at the message level — the granularity
-// at which overlay and blockchain behaviour (fork rates, lookup timeouts,
-// broadcast latency) is determined.
+// downlink), message loss and partitions. It deliberately models the
+// network at the message level — the granularity at which overlay and
+// blockchain behaviour (fork rates, lookup timeouts, broadcast latency) is
+// determined. The only traffic account is the run's telemetry (observe.go).
 //
 // netmodel is the single transport layer of the reproduction: overlays,
 // gossip, PBFT, Raft and the permissioned stack deliver via Send, the
 // proof-of-work miner network relays blocks via the one-pass Broadcast,
-// and synchronous substrates charge Transfer/TransferTime. Node
+// and synchronous substrates time Transfer/TransferTime. Node
 // populations are realized statistically from a TopologySpec (weighted
 // regional mixes with largest-remainder apportionment plus bandwidth
 // classes), and failure scenarios are declared as condition windows

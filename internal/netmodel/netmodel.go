@@ -100,12 +100,6 @@ type Net struct {
 	partOwner  *window
 	outOwner   map[NodeID]*window
 
-	// traffic accounting. Entries are touched only by the owning node's
-	// shard, so the slices need no synchronization across shard workers.
-	bytesSent  []int64
-	bytesRecvd []int64
-	msgsSent   []int64
-
 	// telemetry instruments (observe.go); all nil when the run has no
 	// collector, in which case every recording call is a nil-receiver
 	// no-op on the hot path.
@@ -160,9 +154,6 @@ func (n *Net) AddNode(region Region, uplinkBps float64) NodeID {
 // can receive far faster than it can serve.
 func (n *Net) AddNodeLink(region Region, uplinkBps, downlinkBps float64) NodeID {
 	n.nodes = append(n.nodes, nodeState{region: region, upBps: uplinkBps, downBps: downlinkBps, up: true, baseUp: true})
-	n.bytesSent = append(n.bytesSent, 0)
-	n.bytesRecvd = append(n.bytesRecvd, 0)
-	n.msgsSent = append(n.msgsSent, 0)
 	n.owner = append(n.owner, int32((len(n.nodes)-1)%len(n.kerns)))
 	n.col.SetNodeSpace(len(n.nodes))
 	return NodeID(len(n.nodes) - 1)
@@ -183,11 +174,6 @@ func (n *Net) SetUp(id NodeID, up bool) {
 	if n.outOwner[id] == nil {
 		n.nodes[id].up = up
 	}
-}
-
-// IsUp reports whether a node is online.
-func (n *Net) IsUp(id NodeID) bool {
-	return n.valid(id) && n.nodes[id].up
 }
 
 // Region returns a node's region (0 for invalid ids).
@@ -303,13 +289,10 @@ func (n *Net) SetLoss(p float64) {
 	}
 }
 
-// Loss returns the current per-message loss probability.
-func (n *Net) Loss() float64 { return n.loss }
-
 // reachable reports whether a message can be put on the wire at all: both
 // endpoints online and no partition between them. Loss is decided
-// separately — a lost message was still transmitted (and billed) before
-// vanishing in flight, identically on every transport primitive.
+// separately — a lost message was still transmitted before vanishing in
+// flight, identically on every transport primitive.
 func (n *Net) reachable(from, to NodeID) bool {
 	if !n.nodes[from].up || !n.nodes[to].up {
 		return false
@@ -318,9 +301,9 @@ func (n *Net) reachable(from, to NodeID) bool {
 }
 
 // deliverSend is the pooled delivery handler behind Send: Ctx is the *Net,
-// Aux the caller's deliver callback, A/B the endpoints and C the size. The
-// receiver must still be online and reachable at delivery time — a message
-// in flight when a partition forms (or the receiver goes down) is dropped.
+// Aux the caller's deliver callback and A/B the endpoints. The receiver
+// must still be online and reachable at delivery time — a message in flight
+// when a partition forms (or the receiver goes down) is dropped.
 //
 //decentlint:hotpath
 func deliverSend(p sim.Payload) {
@@ -330,7 +313,6 @@ func deliverSend(p sim.Payload) {
 		n.noteInFlightDrop(from, to)
 		return
 	}
-	n.bytesRecvd[to] += p.C
 	n.noteDelivered(to)
 	p.Aux.(func())()
 }
@@ -346,7 +328,6 @@ func deliverBroadcast(p sim.Payload) {
 		n.noteInFlightDrop(from, to)
 		return
 	}
-	n.bytesRecvd[to] += p.C
 	n.noteDelivered(to)
 	p.Aux.(func(NodeID))(to)
 }
@@ -355,13 +336,11 @@ func deliverBroadcast(p sim.Payload) {
 // another, invoking deliver at the receive time. It returns false if the
 // message was dropped (loss, partition, or an endpoint being offline at send
 // time; delivery additionally checks the receiver is still online and
-// unpartitioned). A message to an unreachable peer is never transmitted and
-// charges nothing; a message lost to the loss draw was transmitted and then
-// dropped in flight, so it still bills the sender's traffic — the same rule
-// Broadcast and Transfer apply. Send is the transport's hot path: delivery
-// rides the sim kernel's pooled handler events, so a steady-state Send
-// performs zero allocations (the deliver func itself should be reused by
-// callers that care).
+// unpartitioned). A message to an unreachable peer is never transmitted; a
+// message lost to the loss draw was transmitted and then dropped in flight.
+// Send is the transport's hot path: delivery rides the sim kernel's pooled
+// handler events, so a steady-state Send performs zero allocations (the
+// deliver func itself should be reused by callers that care).
 //
 //decentlint:hotpath
 func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
@@ -372,15 +351,13 @@ func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
 		n.noteAdmissionDrop(from, to)
 		return false
 	}
-	n.bytesSent[from] += int64(size)
-	n.msgsSent[from]++
 	if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
 		n.noteLossDrop(from, to)
 		return false
 	}
 	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
 	n.noteSend(from, to, size, delay)
-	p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to), C: int64(size)}
+	p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
 	return n.schedule(from, to, delay, deliverSend, p)
 }
 
@@ -391,9 +368,9 @@ func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
 // delay — which is what makes large blocks from low-bandwidth senders slow
 // to blanket the network. Copies to offline or partitioned peers are never
 // transmitted; a copy lost to the loss draw still consumed the sender's
-// uplink slot and traffic (it was transmitted, then dropped in flight), so
-// raising loss never speeds up the surviving copies. It returns the number
-// of deliveries scheduled.
+// uplink slot (it was transmitted, then dropped in flight), so raising loss
+// never speeds up the surviving copies. It returns the number of deliveries
+// scheduled.
 //
 //decentlint:hotpath
 func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
@@ -413,15 +390,13 @@ func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
 			continue
 		}
 		uplink += perCopy
-		n.bytesSent[from] += int64(size)
-		n.msgsSent[from]++
 		if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
 			n.noteLossDrop(from, to)
 			continue
 		}
 		delay := uplink + serialization(n.nodes[to].downBps, size) + n.Latency(from, to)
 		n.noteSend(from, to, size, delay)
-		p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to), C: int64(size)}
+		p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
 		if n.schedule(from, to, delay, deliverBroadcast, p) {
 			scheduled++
 		}
@@ -429,13 +404,11 @@ func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
 	return scheduled
 }
 
-// Transfer charges one message on the transport without scheduling
-// delivery: it applies Send's admission and billing rules and returns the
-// one-way delay the message would take. Synchronous substrates (e.g. the
-// off-chain payment router) use it to ride the same WAN model while
-// advancing their own notion of time. As with Send, a message to an
-// unreachable peer charges nothing, while one lost in flight bills the
-// sender but not the receiver.
+// Transfer puts one message on the transport without scheduling delivery:
+// it applies Send's admission and loss rules and returns the one-way delay
+// the message would take. Synchronous substrates (e.g. the off-chain
+// payment router) use it to ride the same WAN model while advancing their
+// own notion of time.
 //
 //decentlint:hotpath
 func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
@@ -446,58 +419,12 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 		n.noteAdmissionDrop(from, to)
 		return 0, false
 	}
-	n.bytesSent[from] += int64(size)
-	n.msgsSent[from]++
 	if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
 		n.noteLossDrop(from, to)
 		return 0, false
 	}
-	n.bytesRecvd[to] += int64(size)
 	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
 	n.noteSend(from, to, size, delay)
 	n.noteDelivered(to)
 	return delay, true
-}
-
-// BytesSent returns the cumulative bytes sent by a node.
-func (n *Net) BytesSent(id NodeID) int64 {
-	if !n.valid(id) {
-		return 0
-	}
-	return n.bytesSent[id]
-}
-
-// BytesReceived returns the cumulative bytes delivered to a node.
-func (n *Net) BytesReceived(id NodeID) int64 {
-	if !n.valid(id) {
-		return 0
-	}
-	return n.bytesRecvd[id]
-}
-
-// MessagesSent returns the cumulative message count sent by a node.
-func (n *Net) MessagesSent(id NodeID) int64 {
-	if !n.valid(id) {
-		return 0
-	}
-	return n.msgsSent[id]
-}
-
-// TotalBytesSent sums sent traffic over all nodes.
-func (n *Net) TotalBytesSent() int64 {
-	var total int64
-	for _, b := range n.bytesSent {
-		total += b
-	}
-	return total
-}
-
-// ResetTraffic zeroes all traffic counters (useful between warm-up and
-// measurement phases).
-func (n *Net) ResetTraffic() {
-	for i := range n.bytesSent {
-		n.bytesSent[i] = 0
-		n.bytesRecvd[i] = 0
-		n.msgsSent[i] = 0
-	}
 }

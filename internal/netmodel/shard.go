@@ -56,9 +56,6 @@ func bind(ss *sim.ShardedSim, kerns []*sim.Sim, opts []Option) *Net {
 	return n
 }
 
-// ShardCount returns the number of kernels the net schedules on.
-func (n *Net) ShardCount() int { return len(n.kerns) }
-
 // ShardOf returns the shard owning a node; 0 for invalid ids.
 func (n *Net) ShardOf(id NodeID) int {
 	if !n.valid(id) {

@@ -85,28 +85,12 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Min returns the smallest sample (0 when empty).
 func (h *Histogram) Min() int64 {
 	if h == nil || h.count == 0 {
 		return 0
 	}
 	return h.min
-}
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) by linear interpolation

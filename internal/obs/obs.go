@@ -62,21 +62,6 @@ func WithTrace(limit int) Option {
 	return func(c *Collector) { c.trace = newTrace(limit) }
 }
 
-// WithRegions sets the region-dimension labels. Recording sites pass a
-// region index into this slice; out-of-range indices clamp to 0.
-func WithRegions(names ...string) Option {
-	return func(c *Collector) { c.regions = append([]string(nil), names...) }
-}
-
-// WithNodeRanges pins explicit node-range upper bounds (exclusive,
-// ascending), overriding the automatic quartile split.
-func WithNodeRanges(bounds ...int) Option {
-	return func(c *Collector) {
-		c.bounds = append([]int(nil), bounds...)
-		sort.Ints(c.bounds)
-	}
-}
-
 // NewCollector builds an empty collector. With no options it has a single
 // region ("all") and a single node range, so lane machinery costs nothing
 // until a caller configures dimensions.
@@ -123,18 +108,16 @@ func (c *Collector) seal() {
 	if len(c.regions) == 0 {
 		c.regions = []string{"all"}
 	}
-	if len(c.bounds) == 0 {
-		n := c.nodeSpace
-		if n <= 0 {
-			n = 1
-		}
-		if n <= maxNodeRanges {
-			c.bounds = []int{n}
-		} else {
-			c.bounds = make([]int, maxNodeRanges)
-			for i := 1; i <= maxNodeRanges; i++ {
-				c.bounds[i-1] = (n*i + maxNodeRanges - 1) / maxNodeRanges
-			}
+	n := c.nodeSpace
+	if n <= 0 {
+		n = 1
+	}
+	if n <= maxNodeRanges {
+		c.bounds = []int{n}
+	} else {
+		c.bounds = make([]int, maxNodeRanges)
+		for i := 1; i <= maxNodeRanges; i++ {
+			c.bounds[i-1] = (n*i + maxNodeRanges - 1) / maxNodeRanges
 		}
 	}
 	lanes := len(c.bounds) * len(c.regions)

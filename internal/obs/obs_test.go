@@ -38,7 +38,8 @@ func TestNilCollectorIsInert(t *testing.T) {
 }
 
 func TestCounterLanes(t *testing.T) {
-	c := NewCollector(WithRegions("all", "NA", "EU"))
+	c := NewCollector()
+	c.SetRegions([]string{"all", "NA", "EU"})
 	c.SetNodeSpace(8)
 	sent := c.Counter("sent")
 	sent.Add(0, 1, 2)  // range n0-1, NA
@@ -77,7 +78,8 @@ func TestCounterSealLocksGeometry(t *testing.T) {
 }
 
 func TestCounterRecordingZeroAllocs(t *testing.T) {
-	c := NewCollector(WithRegions("a", "b"))
+	c := NewCollector()
+	c.SetRegions([]string{"a", "b"})
 	c.SetNodeSpace(64)
 	ctr := c.Counter("x")
 	h := c.Histogram("h")
@@ -141,8 +143,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(i * 1000) // 1µs .. 1ms in ns
 	}
-	if h.Count() != 1000 || h.Min() != 1000 || h.Max() != 1000000 {
-		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.Min() != 1000 || h.max != 1000000 {
+		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.max)
 	}
 	// Log-bucketed with 4 sub-buckets per octave: ±~15 % relative error.
 	checks := []struct {
@@ -156,14 +158,14 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Fatalf("q%.2f = %d, want within [%d, %d]", ck.q, got, lo, hi)
 		}
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.max {
 		t.Fatal("quantile endpoints must be min/max")
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	var h *Histogram
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Min() != 0 {
 		t.Fatal("nil histogram must read as zero")
 	}
 	h2 := NewCollector().Histogram("e")
@@ -178,8 +180,8 @@ func TestTraceLimitAndDrop(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Instant("e", "c", int64(i), 0, "", 0)
 	}
-	if tr.Len() != 3 || tr.Dropped() != 2 {
-		t.Fatalf("len/dropped = %d/%d, want 3/2", tr.Len(), tr.Dropped())
+	if len(tr.events) != 3 || tr.dropped != 2 {
+		t.Fatalf("len/dropped = %d/%d, want 3/2", len(tr.events), tr.dropped)
 	}
 	snap := c.Snapshot()
 	if snap.TraceEvents != 3 || snap.TraceDropped != 2 {

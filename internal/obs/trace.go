@@ -73,22 +73,6 @@ func (t *Trace) Instant(name, cat string, ts, tid int64, aKey string, aVal int64
 	t.Emit(TraceEvent{Name: name, Cat: cat, Ph: 'i', TS: ts, TID: tid, AKey: aKey, AVal: aVal})
 }
 
-// Len returns the number of buffered events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
-// Dropped returns the number of events dropped at the buffer limit.
-func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // writeMicros formats virtual nanoseconds as microseconds with a fixed
 // 3-digit fraction ("1234.500"), using only integer arithmetic so the
 // bytes are identical on every platform.

@@ -29,9 +29,6 @@ type Channel struct {
 	BalanceA, BalanceB float64
 }
 
-// Capacity returns the channel's total locked funds.
-func (c *Channel) Capacity() float64 { return c.BalanceA + c.BalanceB }
-
 // balance returns node's side of the channel (0 if node is not a member).
 func (c *Channel) balance(node int) float64 {
 	switch node {
@@ -72,12 +69,11 @@ type Network struct {
 	// on-chain accounting: opens and closes are layer-1 transactions.
 	chainTxs int
 	payments int
-	failed   int
 	// routedVia counts payments forwarded through each node (hub load).
 	routedVia []int64
 
-	// WAN transport (AttachTransport): HTLC messages are charged on the
-	// shared netmodel and end-to-end payment latency is sampled.
+	// WAN transport (AttachTransport): HTLC messages ride the shared
+	// netmodel and end-to-end payment latency is sampled.
 	net     *netmodel.Net
 	addrs   []netmodel.NodeID
 	latency metrics.Sample
@@ -93,10 +89,10 @@ type Network struct {
 const htlcMsgSize = 1400
 
 // AttachTransport routes payment traffic over the shared WAN transport:
-// node i maps to addrs[i]. Subsequent Pay calls charge each hop's forward
-// and settle HTLC messages on the Net (traffic accounting, loss and
-// partitions included) and record the resulting end-to-end latency,
-// retrievable via PaymentLatencies.
+// node i maps to addrs[i]. Subsequent Pay calls put each hop's forward and
+// settle HTLC messages on the Net (loss and partitions included) and
+// record the resulting end-to-end latency, retrievable via
+// PaymentLatencies.
 func (nw *Network) AttachTransport(nm *netmodel.Net, addrs []netmodel.NodeID) error {
 	if nm == nil {
 		return errors.New("offchain: nil transport")
@@ -174,9 +170,6 @@ func NewNetwork(n int) (*Network, error) {
 	}, nil
 }
 
-// N returns the node count.
-func (nw *Network) N() int { return nw.n }
-
 // OpenChannel locks capacity/2 on each side between a and b; it costs one
 // on-chain transaction.
 func (nw *Network) OpenChannel(a, b int, capacity float64) (*Channel, error) {
@@ -207,31 +200,8 @@ func (nw *Network) CloseAll() int {
 	return nw.chainTxs
 }
 
-// OnChainTxs returns layer-1 transactions consumed so far (opens + closes).
-func (nw *Network) OnChainTxs() int { return nw.chainTxs }
-
 // Payments returns successful off-chain payments routed.
 func (nw *Network) Payments() int { return nw.payments }
-
-// Failed returns payments that found no feasible route.
-func (nw *Network) Failed() int { return nw.failed }
-
-// HubShares returns each node's share of total forwarding events — the
-// re-centralization metric.
-func (nw *Network) HubShares() []float64 {
-	out := make([]float64, nw.n)
-	var total float64
-	for _, v := range nw.routedVia {
-		total += float64(v)
-	}
-	if total == 0 {
-		return out
-	}
-	for i, v := range nw.routedVia {
-		out[i] = float64(v) / total
-	}
-	return out
-}
 
 // HubConcentration summarizes routing centralization: the share of
 // forwarding handled by the top-k intermediaries and the Gini coefficient.
@@ -248,12 +218,10 @@ func (nw *Network) HubConcentration(k int) (topK, gini float64) {
 // On success it updates channel balances and forwarding counters.
 func (nw *Network) Pay(src, dst int, amt float64) bool {
 	if src == dst || src < 0 || dst < 0 || src >= nw.n || dst >= nw.n || amt <= 0 {
-		nw.failed++
 		return false
 	}
 	path := nw.route(src, dst, amt)
 	if path == nil {
-		nw.failed++
 		return false
 	}
 	cur := src

@@ -75,9 +75,6 @@ type Node struct {
 	online     bool
 }
 
-// Online reports whether the node is attached.
-func (n *Node) Online() bool { return n.online }
-
 // Successor returns the node's first live successor pointer.
 func (n *Node) Successor() Contact {
 	if len(n.successors) == 0 {
@@ -125,9 +122,6 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 		byAddr: make(map[netmodel.NodeID]*Node),
 	}
 }
-
-// Config returns the effective configuration.
-func (nw *Network) Config() Config { return nw.cfg }
 
 // Nodes returns all nodes in creation order (shared slice; do not modify).
 func (nw *Network) Nodes() []*Node { return nw.nodes }

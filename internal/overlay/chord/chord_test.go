@@ -35,8 +35,8 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildConvergedRing(t *testing.T) {
 	_, nw := newRing(t, 100, 1, Config{})
 	for _, n := range nw.Nodes() {
-		if len(n.successors) != nw.Config().SuccessorListLen {
-			t.Fatalf("successor list len = %d, want %d", len(n.successors), nw.Config().SuccessorListLen)
+		if len(n.successors) != nw.cfg.SuccessorListLen {
+			t.Fatalf("successor list len = %d, want %d", len(n.successors), nw.cfg.SuccessorListLen)
 		}
 		if n.fingers[0].Addr == n.Addr && nw.OwnerOf(n.ID+1).Addr != n.Addr {
 			t.Fatal("finger 0 not set")

@@ -61,8 +61,6 @@ type QueryResult struct {
 	Providers []int
 	// Messages is the total query + hit messages generated.
 	Messages int
-	// FirstHit is the latency to the first hit (0 if none).
-	FirstHit time.Duration
 	// Found reports whether any provider responded.
 	Found bool
 }
@@ -81,8 +79,6 @@ type Network struct {
 	shares  []map[int]bool
 	uploads []int64
 	built   bool
-
-	queryCount int
 }
 
 // NewNetwork creates an overlay with n nodes in the given region.
@@ -157,20 +153,8 @@ func (nw *Network) build() {
 	}
 }
 
-// Size returns the node count.
-func (nw *Network) Size() int { return len(nw.addrs) }
-
-// IsSuper reports whether node i is a superpeer (always false in flat mode).
-func (nw *Network) IsSuper(i int) bool { return nw.isSuper[i] }
-
 // Share marks node i as sharing the given item.
 func (nw *Network) Share(node, item int) { nw.shares[node][item] = true }
-
-// SharedCount returns how many items node i shares.
-func (nw *Network) SharedCount(node int) int { return len(nw.shares[node]) }
-
-// Uploads returns the number of uploads node i has served.
-func (nw *Network) Uploads(node int) int64 { return nw.uploads[node] }
 
 // UploadCounts returns a copy of all upload counters.
 func (nw *Network) UploadCounts() []float64 {
@@ -215,8 +199,6 @@ type query struct {
 	messages  int
 	providers []int
 	provSeen  map[int]bool
-	firstHit  time.Duration
-	start     time.Duration
 	done      func(QueryResult)
 	finished  bool
 	timeout   sim.Handle
@@ -225,14 +207,12 @@ type query struct {
 // Query floods a search for item from the origin node and calls done exactly
 // once when the flood dies out (or the safety timeout fires).
 func (nw *Network) Query(origin, item int, done func(QueryResult)) {
-	nw.queryCount++
 	q := &query{
 		nw:       nw,
 		item:     item,
 		origin:   origin,
 		seen:     make([]bool, len(nw.addrs)),
 		provSeen: make(map[int]bool),
-		start:    nw.sim.Now(),
 		done:     done,
 	}
 	q.timeout = nw.sim.After(nw.cfg.QueryTimeout, q.finish)
@@ -292,9 +272,6 @@ func (q *query) hit(at, provider int) {
 	q.pending++
 	ok := q.nw.net.Send(q.nw.addrs[at], q.nw.addrs[q.origin], q.nw.cfg.HitSize, func() {
 		q.pending--
-		if q.firstHit == 0 {
-			q.firstHit = q.nw.sim.Now() - q.start
-		}
 		q.providers = append(q.providers, provider)
 		q.settle()
 	})
@@ -320,7 +297,6 @@ func (q *query) finish() {
 		q.done(QueryResult{
 			Providers: q.providers,
 			Messages:  q.messages,
-			FirstHit:  q.firstHit,
 			Found:     len(q.providers) > 0,
 		})
 	}

@@ -49,9 +49,6 @@ func KeyID(data []byte) ID {
 // String returns a short hex prefix for logs and tables.
 func (id ID) String() string { return hex.EncodeToString(id[:4]) }
 
-// Hex returns the full hexadecimal form.
-func (id ID) Hex() string { return hex.EncodeToString(id[:]) }
-
 // Bit returns bit i (0 = most significant) of the identifier.
 func (id ID) Bit(i int) int {
 	if i < 0 || i >= IDBits {

@@ -238,7 +238,4 @@ func TestStringForms(t *testing.T) {
 	if len(id.String()) != 8 {
 		t.Fatalf("short form length = %d, want 8 hex chars", len(id.String()))
 	}
-	if len(id.Hex()) != 40 {
-		t.Fatalf("hex form length = %d, want 40", len(id.Hex()))
-	}
 }

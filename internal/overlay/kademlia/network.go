@@ -121,18 +121,6 @@ type Network struct {
 
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
-
-	// RPC accounting: one slot per shard of the net, each written only by
-	// the worker of the shard owning the RPC's origin, padded apart so the
-	// counters never share a cache line. Summed by RPCs/Timeouts.
-	rpcs     []paddedCount
-	timeouts []paddedCount
-}
-
-// paddedCount keeps per-shard counters on distinct cache lines.
-type paddedCount struct {
-	n int64
-	_ [56]byte
 }
 
 // NewNetwork creates an empty deployment over nm. s is the kernel nm was
@@ -140,35 +128,16 @@ type paddedCount struct {
 // bootstrap randomness draw from its "kademlia" stream.
 func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 	return &Network{
-		net:      nm,
-		cfg:      cfg.withDefaults(),
-		rng:      s.Stream("kademlia"),
-		byAddr:   make(map[netmodel.NodeID]*Node),
-		rpcs:     make([]paddedCount, nm.ShardCount()),
-		timeouts: make([]paddedCount, nm.ShardCount()),
+		net:    nm,
+		cfg:    cfg.withDefaults(),
+		rng:    s.Stream("kademlia"),
+		byAddr: make(map[netmodel.NodeID]*Node),
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (nw *Network) Config() Config { return nw.cfg }
 
 // Nodes returns the nodes in creation order. The returned slice is shared;
 // callers must not modify it.
 func (nw *Network) Nodes() []*Node { return nw.nodes }
-
-// RPCs returns the total FIND_NODE queries sent.
-func (nw *Network) RPCs() int64 { return sum(nw.rpcs) }
-
-// Timeouts returns the total queries that expired without an answer.
-func (nw *Network) Timeouts() int64 { return sum(nw.timeouts) }
-
-func sum(slots []paddedCount) int64 {
-	var total int64
-	for i := range slots {
-		total += slots[i].n
-	}
-	return total
-}
 
 // AddNode attaches a new honest node in the given region. Responsiveness is
 // drawn from Config.UnresponsiveFrac.
@@ -322,8 +291,6 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // findNode issues one FIND_NODE RPC and invokes onDone exactly once with
 // either the contacts from the reply or ok=false on timeout/drop.
 func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
-	shard := nw.net.ShardOf(from.Addr)
-	nw.rpcs[shard].n++
 	answered := false
 	var timeout sim.Handle
 	// finish runs on the origin's kernel either way: the timeout is
@@ -335,9 +302,6 @@ func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone fu
 		}
 		answered = true
 		timeout.Cancel()
-		if !ok {
-			nw.timeouts[shard].n++
-		}
 		onDone(contacts, ok)
 	}
 	timeout = nw.net.Kernel(from.Addr).After(nw.cfg.RPCTimeout, func() { finish(nil, false) })

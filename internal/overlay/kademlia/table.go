@@ -44,9 +44,6 @@ func NewTable(self overlay.ID, k int) *Table {
 	}
 }
 
-// K returns the bucket capacity.
-func (t *Table) K() int { return t.k }
-
 // Add inserts or refreshes a contact. Existing contacts move to the
 // most-recently-seen position; new contacts are appended if the bucket has
 // room and dropped otherwise. The owner's own id is never stored. It reports
@@ -82,17 +79,6 @@ func (t *Table) Remove(id overlay.ID) {
 			return
 		}
 	}
-}
-
-// Contains reports whether the table currently stores the contact.
-func (t *Table) Contains(id overlay.ID) bool {
-	idx := overlay.CommonPrefixLen(t.self, id)
-	for _, c := range t.buckets[idx] {
-		if c.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Size returns the total number of stored contacts.
@@ -188,13 +174,4 @@ func (t *Table) Contacts() []Contact {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// BucketLen returns the number of contacts in the bucket for the given
-// common prefix length.
-func (t *Table) BucketLen(cpl int) int {
-	if cpl < 0 || cpl > overlay.IDBits {
-		return 0
-	}
-	return len(t.buckets[cpl])
 }

@@ -70,9 +70,6 @@ type Node struct {
 	lastChange time.Duration
 }
 
-// Online reports the node's true current state.
-func (n *Node) Online() bool { return n.online }
-
 // Result summarizes one lookup.
 type Result struct {
 	// Owner is the node that finally answered.
@@ -107,9 +104,6 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 		byAddr: make(map[netmodel.NodeID]*Node),
 	}
 }
-
-// Config returns the effective configuration.
-func (nw *Network) Config() Config { return nw.cfg }
 
 // Nodes returns all nodes (sorted by ring id after Build; shared slice).
 func (nw *Network) Nodes() []*Node { return nw.nodes }

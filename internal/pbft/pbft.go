@@ -54,7 +54,6 @@ func (c Config) withDefaults() Config {
 // the pre-prepare (a "shell" instance); flags keep every transition
 // idempotent.
 type instance struct {
-	view        int
 	digest      uint64
 	batch       []Request
 	preprepared bool
@@ -89,15 +88,6 @@ type Replica struct {
 	byzantineMut bool // equivocating primary behaviour
 }
 
-// ID returns the replica id.
-func (r *Replica) ID() int { return r.id }
-
-// View returns the replica's current view number.
-func (r *Replica) View() int { return r.view }
-
-// LastExecuted returns the highest contiguously executed sequence number.
-func (r *Replica) LastExecuted() int { return r.lastExe }
-
 // Cluster is a PBFT replica group over a simulated network.
 type Cluster struct {
 	sim *sim.Sim
@@ -107,13 +97,12 @@ type Cluster struct {
 
 	replicas []*Replica
 
-	// execution observation
+	// execution observation, set by in-package tests
 	onExecute func(replica int, seq int, batch []Request)
 
 	committed     int
 	commitLatency []time.Duration
 	msgs          int64
-	bytes         int64
 	viewChanges   int
 }
 
@@ -141,33 +130,8 @@ func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region, cfg
 	return c, nil
 }
 
-// N returns the replica count.
-func (c *Cluster) N() int { return len(c.replicas) }
-
 // F returns the fault tolerance.
 func (c *Cluster) F() int { return c.f }
-
-// Replicas returns the replicas (shared slice; do not modify).
-func (c *Cluster) Replicas() []*Replica { return c.replicas }
-
-// Committed returns the number of requests executed by the primary's view
-// of the log (counted once per request at first execution anywhere).
-func (c *Cluster) Committed() int { return c.committed }
-
-// Messages returns total protocol messages sent.
-func (c *Cluster) Messages() int64 { return c.msgs }
-
-// Bytes returns total protocol bytes sent.
-func (c *Cluster) Bytes() int64 { return c.bytes }
-
-// ViewChanges returns how many view changes completed.
-func (c *Cluster) ViewChanges() int { return c.viewChanges }
-
-// CommitLatencies returns per-request submit-to-execute latencies.
-func (c *Cluster) CommitLatencies() []time.Duration { return c.commitLatency }
-
-// OnExecute registers an observer of batch executions.
-func (c *Cluster) OnExecute(fn func(replica, seq int, batch []Request)) { c.onExecute = fn }
 
 // Crash stops a replica (fail-silent).
 func (c *Cluster) Crash(id int) {
@@ -212,7 +176,7 @@ func (c *Cluster) Recover(id int) {
 			if !ok || !src.executed {
 				continue
 			}
-			inst := c.ensureInstance(r, seq, src.view, src.digest)
+			inst := c.ensureInstance(r, seq, src.digest)
 			inst.preprepared = true
 			inst.batch = src.batch
 			inst.committed = true
@@ -240,9 +204,8 @@ func (c *Cluster) primary(view int) *Replica {
 
 // Submit hands a client request to the current primary.
 func (c *Cluster) Submit(req Request) {
-	p := c.primary(c.replicas[0].view) // clients track the lowest view
-	// Use the view of a quorum instead: take the median view.
-	p = c.primary(c.medianView())
+	// Clients track the view of a quorum: take the median view.
+	p := c.primary(c.medianView())
 	if p.crashed {
 		// Client broadcasts to all on suspicion; replicas forward to the
 		// primary and start progress timers (simplified: start timers).
@@ -324,11 +287,10 @@ func batchDigest(view, seq int, batch []Request, variant int) uint64 {
 	return h
 }
 
-func (c *Cluster) ensureInstance(r *Replica, seq int, view int, digest uint64) *instance {
+func (c *Cluster) ensureInstance(r *Replica, seq int, digest uint64) *instance {
 	inst, ok := r.log[seq]
 	if !ok {
 		inst = &instance{
-			view:     view,
 			digest:   digest,
 			prepares: make(map[int]bool),
 			commits:  make(map[int]bool),
@@ -338,16 +300,13 @@ func (c *Cluster) ensureInstance(r *Replica, seq int, view int, digest uint64) *
 	return inst
 }
 
-// send transmits one protocol message with accounting.
+// send transmits one protocol message and counts it. It needs no crash
+// check of its own: Crash takes the replica's address down with it, so the
+// transport drops a delivery to a crashed replica before deliver runs, and
+// every handler re-checks crashed anyway.
 func (c *Cluster) send(from, to *Replica, size int, deliver func()) {
 	c.msgs++
-	c.bytes += int64(size)
-	c.net.Send(from.addr, to.addr, size, func() {
-		if to.crashed {
-			return
-		}
-		deliver()
-	})
+	c.net.Send(from.addr, to.addr, size, deliver)
 }
 
 // onPrePrepare handles the primary's proposal (including the primary's own
@@ -370,7 +329,7 @@ func (c *Cluster) onPrePrepare(r *Replica, view, seq int, digest uint64, batch [
 		inst.prepares = make(map[int]bool)
 		inst.commits = make(map[int]bool)
 	}
-	inst = c.ensureInstance(r, seq, view, digest)
+	inst = c.ensureInstance(r, seq, digest)
 	inst.preprepared = true
 	inst.batch = batch
 	c.advance(r, view, seq, inst)
@@ -415,7 +374,7 @@ func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, kind st
 	}
 	// Votes arriving before the pre-prepare create a shell instance bound
 	// to the digest; onPrePrepare upgrades it later.
-	inst := c.ensureInstance(r, seq, view, digest)
+	inst := c.ensureInstance(r, seq, digest)
 	if inst.digest != digest {
 		return
 	}
@@ -443,7 +402,7 @@ func (c *Cluster) tryExecute(r *Replica) {
 			c.onExecute(r.id, r.lastExe, inst.batch)
 		}
 		// Count each request once, at its first execution anywhere.
-		if r.id == c.firstExecutor(r.lastExe) {
+		if r.id == c.firstExecutor() {
 			now := c.sim.Now()
 			for _, req := range inst.batch {
 				c.committed++
@@ -453,9 +412,9 @@ func (c *Cluster) tryExecute(r *Replica) {
 	}
 }
 
-// firstExecutor returns the replica designated to account a sequence
-// number's requests (the lowest-id live replica).
-func (c *Cluster) firstExecutor(seq int) int {
+// firstExecutor returns the replica designated to account each executed
+// request (the lowest-id live replica).
+func (c *Cluster) firstExecutor() int {
 	for _, r := range c.replicas {
 		if !r.crashed {
 			return r.id
@@ -524,12 +483,10 @@ var errNotRun = errors.New("pbft: load run produced no commits")
 
 // LoadStats summarizes a load run.
 type LoadStats struct {
-	Committed   int
 	TPS         float64
 	MeanLatency time.Duration
 	P99Latency  time.Duration
 	MsgsPerReq  float64
-	ViewChanges int
 }
 
 // RunLoad drives the cluster with requests at the given rate for the given
@@ -565,11 +522,9 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	}
 	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
 	st := LoadStats{
-		Committed:   c.committed,
 		TPS:         float64(c.committed) / duration.Seconds(),
 		MeanLatency: sum / time.Duration(len(sample)),
 		P99Latency:  sample[(len(sample)-1)*99/100],
-		ViewChanges: c.viewChanges,
 	}
 	if id > 0 {
 		st.MsgsPerReq = float64(c.msgs) / float64(id)

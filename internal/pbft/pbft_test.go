@@ -39,13 +39,13 @@ func TestBasicCommit(t *testing.T) {
 	if err := s.RunUntil(5 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.Committed() != 1 {
-		t.Fatalf("Committed = %d, want 1", c.Committed())
+	if c.committed != 1 {
+		t.Fatalf("Committed = %d, want 1", c.committed)
 	}
 	// All live replicas execute the same sequence.
-	for _, r := range c.Replicas() {
-		if r.LastExecuted() != 0 {
-			t.Fatalf("replica %d LastExecuted = %d, want 0", r.ID(), r.LastExecuted())
+	for _, r := range c.replicas {
+		if r.lastExe != 0 {
+			t.Fatalf("replica %d LastExecuted = %d, want 0", r.id, r.lastExe)
 		}
 	}
 }
@@ -107,8 +107,8 @@ func TestSurvivesFBackupCrashes(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.Committed() != 10 {
-		t.Fatalf("Committed = %d with f crashes, want 10", c.Committed())
+	if c.committed != 10 {
+		t.Fatalf("Committed = %d with f crashes, want 10", c.committed)
 	}
 }
 
@@ -123,14 +123,14 @@ func TestPrimaryCrashTriggersViewChange(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.ViewChanges() == 0 {
+	if c.viewChanges == 0 {
 		t.Fatal("no view change despite crashed primary")
 	}
-	live := c.Replicas()[1]
-	if live.View() == 0 {
+	live := c.replicas[1]
+	if live.view == 0 {
 		t.Fatal("replicas did not move past view 0")
 	}
-	if c.Committed() == 0 {
+	if c.committed == 0 {
 		t.Fatal("no commits after failover")
 	}
 }
@@ -142,7 +142,7 @@ func TestEquivocatingPrimaryCannotSplitState(t *testing.T) {
 		replica, seq int
 		digest       int
 	}
-	c.OnExecute(func(replica, seq int, batch []Request) {
+	c.onExecute = func(replica, seq int, batch []Request) {
 		d := -1
 		if len(batch) > 0 {
 			d = batch[0].ID
@@ -151,7 +151,7 @@ func TestEquivocatingPrimaryCannotSplitState(t *testing.T) {
 			replica, seq int
 			digest       int
 		}{replica, seq, d})
-	})
+	}
 	c.Submit(Request{ID: 42, SubmittedAt: s.Now()})
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -175,10 +175,10 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 		if err := s.RunUntil(5 * time.Second); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if c.Committed() != 1 {
-			t.Fatalf("n=%d: Committed = %d", n, c.Committed())
+		if c.committed != 1 {
+			t.Fatalf("n=%d: Committed = %d", n, c.committed)
 		}
-		return float64(c.Messages())
+		return float64(c.msgs)
 	}
 	small := msgs(4)
 	big := msgs(16)
@@ -200,11 +200,11 @@ func TestRecoverRejoins(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.Committed() != 2 {
-		t.Fatalf("Committed = %d, want 2", c.Committed())
+	if c.committed != 2 {
+		t.Fatalf("Committed = %d, want 2", c.committed)
 	}
 	// The recovered replica participates in the second slot.
-	if c.Replicas()[2].LastExecuted() < 0 {
+	if c.replicas[2].lastExe < 0 {
 		t.Fatal("recovered replica executed nothing")
 	}
 }
@@ -213,5 +213,60 @@ func TestRunLoadValidation(t *testing.T) {
 	_, c := newCluster(t, 4, 10, Config{})
 	if _, err := c.RunLoad(0, time.Second); err == nil {
 		t.Fatal("zero rate should error")
+	}
+}
+
+// TestInFlightPrePrepareAcrossCrash pins what happens to a message already
+// in flight when its receiver's state changes: a crashed replica does not
+// handle it, one that crashed and recovered before it arrives does, and a
+// replica held down by an outage window (down, not crashed) handles
+// nothing. With one-request batches and no view change the pre-prepare is
+// sent exactly once, and a replica cannot execute without it.
+func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
+	cases := []struct {
+		name           string
+		crash, recover bool
+		outage         bool
+		wantLastExe    int
+	}{
+		{name: "crashed at arrival", crash: true, wantLastExe: -1},
+		{name: "recovered before arrival", crash: true, recover: true, wantLastExe: 0},
+		{name: "down, not crashed", outage: true, wantLastExe: -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newCluster(t, 4, 12, Config{BatchSize: 1, ViewChangeTimeout: time.Hour})
+			r := c.replicas[3]
+			if tc.outage {
+				if err := c.net.ScheduleOutageWindow(0, time.Second, r.addr); err != nil {
+					t.Fatalf("ScheduleOutageWindow: %v", err)
+				}
+			}
+			c.Submit(Request{ID: 7, SubmittedAt: s.Now()})
+			if tc.crash {
+				c.Crash(r.id)
+			}
+			if tc.recover {
+				// Europe's one-way delay is 15 ms ±10 %: the pre-prepare
+				// is still in flight a millisecond later.
+				s.After(time.Millisecond, func() { c.Recover(r.id) })
+			}
+			if err := s.RunUntil(2 * time.Second); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if r.lastExe != tc.wantLastExe {
+				t.Fatalf("replica 3 last executed = %d, want %d", r.lastExe, tc.wantLastExe)
+			}
+			if tc.wantLastExe < 0 && len(r.log) != 0 {
+				t.Fatalf("replica 3 built %d instances from messages it should never have handled", len(r.log))
+			}
+			if tc.outage && r.crashed {
+				t.Fatal("an outage window must not mark the replica crashed")
+			}
+			// The other three replicas are a quorum on their own.
+			if c.committed != 1 {
+				t.Fatalf("committed = %d, want 1", c.committed)
+			}
+		})
 	}
 }

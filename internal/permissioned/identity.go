@@ -94,12 +94,3 @@ func (m *MSP) Lookup(org string) (*Identity, bool) {
 	id, ok := m.idents[org]
 	return id, ok
 }
-
-// Orgs returns the enrolled organization names.
-func (m *MSP) Orgs() []string {
-	out := make([]string, 0, len(m.idents))
-	for org := range m.idents {
-		out = append(out, org)
-	}
-	return out
-}

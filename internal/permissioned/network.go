@@ -118,9 +118,6 @@ type Channel struct {
 	peerWork    map[string]int64
 }
 
-// Name returns the channel name.
-func (ch *Channel) Name() string { return ch.name }
-
 // Height returns the chain height.
 func (ch *Channel) Height() uint64 { return ch.chain.BestHeight() }
 
@@ -142,13 +139,6 @@ func (ch *Channel) PeerWork() map[string]int64 {
 // State exposes the channel's world state (for queries in examples/tests).
 func (ch *Channel) State() *State { return ch.state }
 
-// Members returns the channel's member organizations.
-func (ch *Channel) Members() []string {
-	out := make([]string, len(ch.orgs))
-	copy(out, ch.orgs)
-	return out
-}
-
 // Network is a permissioned blockchain deployment.
 type Network struct {
 	sim *sim.Sim
@@ -160,11 +150,10 @@ type Network struct {
 	orgs     map[string]*Org
 	channels map[string]*Channel
 
-	orderer    *raft.Cluster
-	pending    map[int]*pendingTx
-	nextEnvID  int
-	cutTickers []*sim.Ticker
-	started    bool
+	orderer   *raft.Cluster
+	pending   map[int]*pendingTx
+	nextEnvID int
+	started   bool
 }
 
 type pendingTx struct {
@@ -286,21 +275,11 @@ func (nw *Network) Start() error {
 	sort.Strings(names)
 	for _, name := range names {
 		ch := nw.channels[name]
-		t, err := nw.sim.Every(nw.cfg.BlockTimeout, func() { nw.cutBlock(ch) })
-		if err != nil {
+		if _, err := nw.sim.Every(nw.cfg.BlockTimeout, func() { nw.cutBlock(ch) }); err != nil {
 			return err
 		}
-		nw.cutTickers = append(nw.cutTickers, t)
 	}
 	return nil
-}
-
-// Stop halts block cutting.
-func (nw *Network) Stop() {
-	for _, t := range nw.cutTickers {
-		t.Stop()
-	}
-	nw.cutTickers = nil
 }
 
 // Submit runs the execute-order-validate pipeline for one transaction,

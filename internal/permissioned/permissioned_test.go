@@ -332,7 +332,7 @@ func TestStateZeroValueSemantics(t *testing.T) {
 	if string(v) != "2" || ver != 2 {
 		t.Fatalf("got %q v%d, want 2 v2", v, ver)
 	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len())
+	if len(st.entries) != 1 {
+		t.Fatalf("Len = %d, want 1", len(st.entries))
 	}
 }

@@ -45,9 +45,6 @@ func (s *State) apply(writes []Write) {
 	}
 }
 
-// Len returns the number of keys present.
-func (s *State) Len() int { return len(s.entries) }
-
 // Read records one read with the version observed at simulation
 // (endorsement) time.
 type Read struct {

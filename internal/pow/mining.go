@@ -108,7 +108,8 @@ type Network struct {
 	addrs  []netmodel.NodeID
 	byAddr map[netmodel.NodeID]*Miner
 
-	// onBlock, when set, observes every block found (before propagation).
+	// onBlock, when an in-package test sets it, observes every block found
+	// (before propagation).
 	onBlock func(b *ledger.Block, miner *Miner)
 }
 
@@ -188,14 +189,8 @@ func NewNetworkOverNet(s *sim.Sim, nm *netmodel.Net, addrs []netmodel.NodeID, pa
 // Chain returns the global block tree (all miners' blocks).
 func (nw *Network) Chain() *ledger.Chain { return nw.chain }
 
-// Miners returns the miner list (shared slice; do not modify).
-func (nw *Network) Miners() []*Miner { return nw.miners }
-
 // Difficulty returns the current difficulty.
 func (nw *Network) Difficulty() float64 { return nw.difficulty }
-
-// BlocksFound returns the total number of blocks found (including stale).
-func (nw *Network) BlocksFound() int { return nw.found }
 
 // SetHashrate updates a miner's hashrate (e.g. for growth schedules) and
 // reschedules the discovery process.
@@ -213,9 +208,6 @@ func (nw *Network) SetHashrate(id int, hashrate float64) {
 
 // TotalHashrate returns the current network hashrate.
 func (nw *Network) TotalHashrate() float64 { return nw.totalHash }
-
-// Observe registers a callback invoked for every block found.
-func (nw *Network) Observe(fn func(b *ledger.Block, miner *Miner)) { nw.onBlock = fn }
 
 // Start begins the mining process. Run the simulator to advance it.
 func (nw *Network) Start() { nw.scheduleNext() }

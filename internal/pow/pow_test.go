@@ -330,18 +330,18 @@ func TestObserveCallback(t *testing.T) {
 		t.Fatalf("NewNetwork: %v", err)
 	}
 	count := 0
-	nw.Observe(func(b *ledger.Block, m *Miner) {
+	nw.onBlock = func(b *ledger.Block, m *Miner) {
 		count++
 		if m.ID != 0 {
 			t.Errorf("unexpected miner id %d", m.ID)
 		}
-	})
+	}
 	nw.Start()
 	if err := s.RunUntil(100 * time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	nw.Stop()
-	if count == 0 || count != nw.BlocksFound() {
-		t.Fatalf("observer saw %d blocks, network found %d", count, nw.BlocksFound())
+	if count == 0 || count != nw.found {
+		t.Fatalf("observer saw %d blocks, network found %d", count, nw.found)
 	}
 }

@@ -102,18 +102,6 @@ func (n *Node) ID() int { return n.id }
 // Addr returns the node's network address.
 func (n *Node) Addr() netmodel.NodeID { return n.addr }
 
-// Role returns the node's current role.
-func (n *Node) Role() Role { return n.role }
-
-// Term returns the node's current term.
-func (n *Node) Term() int { return n.term }
-
-// CommitIndex returns the highest committed log index (-1 if none).
-func (n *Node) CommitIndex() int { return n.commit }
-
-// LogLen returns the node's log length.
-func (n *Node) LogLen() int { return len(n.log) }
-
 // Cluster is a Raft group over a simulated network.
 type Cluster struct {
 	sim *sim.Sim
@@ -123,11 +111,8 @@ type Cluster struct {
 
 	nodes []*Node
 
-	msgs      int64
-	bytes     int64
 	committed int
 	latency   []time.Duration
-	elections int
 
 	onApply func(node, index int, req Request)
 }
@@ -177,19 +162,6 @@ func (c *Cluster) Leader() *Node {
 	}
 	return best
 }
-
-// Committed returns the number of requests committed and applied at the
-// leader.
-func (c *Cluster) Committed() int { return c.committed }
-
-// Messages returns total protocol messages.
-func (c *Cluster) Messages() int64 { return c.msgs }
-
-// Elections returns how many elections were started.
-func (c *Cluster) Elections() int { return c.elections }
-
-// Latencies returns submit-to-commit latencies.
-func (c *Cluster) Latencies() []time.Duration { return c.latency }
 
 // OnApply registers an observer of applied entries.
 func (c *Cluster) OnApply(fn func(node, index int, req Request)) { c.onApply = fn }
@@ -250,7 +222,6 @@ func (c *Cluster) startElection(n *Node) {
 	if n.crashed || n.role == Leader {
 		return
 	}
-	c.elections++
 	n.term++
 	n.role = Candidate
 	n.votedFor = n.id
@@ -470,36 +441,23 @@ func (c *Cluster) apply(n *Node) {
 	}
 }
 
+// send needs no crash check of its own: Crash takes the node's address
+// down with it, so the transport drops a delivery to a crashed node before
+// deliver runs, and every handler re-checks crashed anyway.
 func (c *Cluster) send(from, to *Node, size int, deliver func()) {
-	c.msgs++
-	c.bytes += int64(size)
-	c.net.Send(from.addr, to.addr, size, func() {
-		if to.crashed {
-			return
-		}
-		deliver()
-	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	c.net.Send(from.addr, to.addr, size, deliver)
 }
 
 // LoadStats summarizes a load run.
 type LoadStats struct {
-	Committed   int
 	TPS         float64
 	MeanLatency time.Duration
 	P99Latency  time.Duration
-	Dropped     int
 }
 
 // RunLoad elects a leader, drives requests at the given rate for the given
 // duration, and reports throughput/latency. Requests offered while no
-// leader is known count as Dropped.
+// leader is known are dropped.
 func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, error) {
 	if rate <= 0 || duration <= 0 {
 		return LoadStats{}, errors.New("raft: rate and duration must be positive")
@@ -512,16 +470,13 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	rng := c.sim.Stream("raft.load")
 	mean := time.Duration(float64(time.Second) / rate)
 	start := c.sim.Now()
-	dropped := 0
 	id := 0
 	var submit func()
 	submit = func() {
 		if c.sim.Now()-start >= duration {
 			return
 		}
-		if !c.Submit(Request{ID: id, SubmittedAt: c.sim.Now()}) {
-			dropped++
-		}
+		c.Submit(Request{ID: id, SubmittedAt: c.sim.Now()})
 		id++
 		c.sim.After(rng.ExpDuration(mean), submit)
 	}
@@ -529,11 +484,7 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	if err := c.sim.RunUntil(start + duration + 5*time.Second); err != nil {
 		return LoadStats{}, err
 	}
-	st := LoadStats{
-		Committed: c.committed,
-		TPS:       float64(c.committed) / duration.Seconds(),
-		Dropped:   dropped,
-	}
+	st := LoadStats{TPS: float64(c.committed) / duration.Seconds()}
 	if len(c.latency) > 0 {
 		var sum time.Duration
 		sample := make([]time.Duration, len(c.latency))

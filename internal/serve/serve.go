@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -387,8 +388,8 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 			opts.Seeds = seeds
 		case k == "scale":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || !(f > 0) {
-				return opts, "", fmt.Errorf("scale %q must be a positive number", v)
+			if err != nil || !(f > 0) || math.IsInf(f, 0) {
+				return opts, "", fmt.Errorf("scale %q must be a finite positive number", v)
 			}
 			opts.Scale = f
 		case k == "sensitivity", k == "resources":
@@ -409,8 +410,8 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 				return opts, "", fmt.Errorf("unknown knob %q", name)
 			}
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return opts, "", fmt.Errorf("knob %s value %q must be a number", name, v)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return opts, "", fmt.Errorf("knob %s value %q must be a finite number", name, v)
 			}
 			if opts.Params == nil {
 				opts.Params = map[string]float64{}

@@ -220,8 +220,12 @@ func TestRunMalformedScenario(t *testing.T) {
 		{"one past the cap", "/run?scenario=E01&seeds=1..10001", "max 10000"},
 		{"bad scale", "/run?scenario=E01&scale=banana", ""},
 		{"negative scale", "/run?scenario=E01&scale=-1", ""},
+		{"infinite scale", "/run?scenario=E01&scale=Inf", "finite"},
+		{"NaN scale", "/run?scenario=E01&scale=NaN", "finite"},
 		{"unknown knob", "/run?scenario=E01&knob.nope=1", ""},
 		{"bad knob value", "/run?scenario=E01&knob.e01.exploration=x", ""},
+		{"NaN knob value", "/run?scenario=E01&knob.e01.exploration=NaN", "finite"},
+		{"infinite knob value", "/run?scenario=E01&knob.e01.exploration=-Inf", "finite"},
 		{"bad bool", "/run?scenario=E01&sensitivity=maybe", ""},
 	}
 	for _, tc := range cases {

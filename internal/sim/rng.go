@@ -55,9 +55,6 @@ func (g *RNG) Intn(n int) int {
 	return g.r.Intn(n)
 }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 

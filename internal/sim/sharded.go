@@ -141,9 +141,6 @@ func NewSharded(shards int, window time.Duration, workers int, opts ...Option) (
 // ShardCount returns the number of logical shards.
 func (ss *ShardedSim) ShardCount() int { return len(ss.shards) }
 
-// Workers returns the effective worker count.
-func (ss *ShardedSim) Workers() int { return ss.workers }
-
 // Shard returns the i-th shard kernel. Scheduling directly on a shard is the
 // setup-time API (and the intra-shard hot path during a run); events that
 // cross shards during a run must go through Post.

@@ -349,8 +349,8 @@ func TestShardedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Workers() != 2 || ss.ShardCount() != 3 {
-		t.Fatalf("accessors: workers=%d shards=%d", ss.Workers(), ss.ShardCount())
+	if ss.workers != 2 || ss.ShardCount() != 3 {
+		t.Fatalf("accessors: workers=%d shards=%d", ss.workers, ss.ShardCount())
 	}
 	h := func(Payload) {}
 	ss.Shard(0).AtFunc(time.Millisecond, func(p Payload) {}, Payload{})
@@ -384,8 +384,8 @@ func TestNewShardedRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Workers() != 2 {
-		t.Fatalf("workers not capped at shard count: %d", ss.Workers())
+	if ss.workers != 2 {
+		t.Fatalf("workers not capped at shard count: %d", ss.workers)
 	}
 	if ss.Post(-1, 0, 0, func(Payload) {}, Payload{}) || ss.Post(0, 5, 0, func(Payload) {}, Payload{}) ||
 		ss.Post(0, 1, -time.Second, func(Payload) {}, Payload{}) || ss.Post(0, 1, 0, nil, Payload{}) {

@@ -108,7 +108,7 @@ func (h Handle) At() time.Duration {
 
 // Payload is the inline argument block of a handler event. Ctx and Aux hold
 // pointer-shaped values (pointers, funcs, maps, channels), which convert to
-// interface values without allocating; A, B and C carry scalar operands
+// interface values without allocating; A and B carry scalar operands
 // (ids, sizes, or float64 bits via math.Float64bits). Together they let a
 // hot path schedule delivery work with zero per-event allocations.
 type Payload struct {
@@ -116,8 +116,8 @@ type Payload struct {
 	Ctx any
 	// Aux is a secondary reference, typically a caller-supplied callback.
 	Aux any
-	// A, B, C are scalar operands whose meaning the Handler defines.
-	A, B, C int64
+	// A, B are scalar operands whose meaning the Handler defines.
+	A, B int64
 }
 
 // Handler consumes a handler event's payload at fire time. Handlers should
@@ -198,9 +198,6 @@ func (s *Sim) PeekTime() (t time.Duration, ok bool) {
 // MaxPending returns the high-water mark of the pending-event count — the
 // peak schedule depth the run reached.
 func (s *Sim) MaxPending() int { return s.maxPending }
-
-// Seed returns the master seed the simulator was created with.
-func (s *Sim) Seed() int64 { return s.seed }
 
 // Observer returns the telemetry collector attached via WithObserver, or
 // nil when telemetry is off.

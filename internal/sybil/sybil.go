@@ -114,9 +114,6 @@ func (a *Attack) poison(target overlay.ID) []kademlia.Contact {
 	return kademlia.Nearest(target, a.contacts, 16)
 }
 
-// Nodes returns the attacker's nodes.
-func (a *Attack) Nodes() []*kademlia.Node { return a.nodes }
-
 // IsAttacker reports whether an identifier belongs to the attack.
 func (a *Attack) IsAttacker(id overlay.ID) bool { return a.isAtk[id] }
 

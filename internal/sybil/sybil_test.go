@@ -141,13 +141,13 @@ func TestCountAttacker(t *testing.T) {
 		t.Fatalf("Launch: %v", err)
 	}
 	contacts := []kademlia.Contact{
-		{ID: atk.Nodes()[0].ID},
+		{ID: atk.nodes[0].ID},
 		{ID: nw.Nodes()[0].ID},
 	}
 	if got := atk.CountAttacker(contacts); got != 1 {
 		t.Fatalf("CountAttacker = %d, want 1", got)
 	}
-	if !atk.IsAttacker(atk.Nodes()[2].ID) {
+	if !atk.IsAttacker(atk.nodes[2].ID) {
 		t.Fatal("IsAttacker false for attacker id")
 	}
 	_ = s

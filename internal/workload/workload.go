@@ -91,19 +91,8 @@ func NewCatalogue(g *sim.RNG, n int, s float64, minSize, maxSize int) (*Catalogu
 	return &Catalogue{sizes: sizes, zipf: z, rng: g}, nil
 }
 
-// Len returns the number of items.
-func (c *Catalogue) Len() int { return len(c.sizes) }
-
-// Pick returns a popularity-weighted item index in [0, Len()).
+// Pick returns a popularity-weighted item index in [0, n).
 func (c *Catalogue) Pick() int { return c.zipf.Rank() - 1 }
-
-// Size returns the size in bytes of item i (0 for out-of-range).
-func (c *Catalogue) Size(i int) int {
-	if i < 0 || i >= len(c.sizes) {
-		return 0
-	}
-	return c.sizes[i]
-}
 
 // Tx is an abstract transaction offered to a ledger system.
 type Tx struct {

@@ -84,8 +84,8 @@ func TestCatalogue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCatalogue: %v", err)
 	}
-	if c.Len() != 500 {
-		t.Fatalf("Len = %d, want 500", c.Len())
+	if len(c.sizes) != 500 {
+		t.Fatalf("%d items, want 500", len(c.sizes))
 	}
 	counts := make([]int, 500)
 	for i := 0; i < 50000; i++ {
@@ -94,16 +94,13 @@ func TestCatalogue(t *testing.T) {
 			t.Fatalf("Pick out of range: %d", idx)
 		}
 		counts[idx]++
-		size := c.Size(idx)
+		size := c.sizes[idx]
 		if size < 100 || size > 200 {
 			t.Fatalf("Size(%d) = %d outside [100,200]", idx, size)
 		}
 	}
 	if counts[0] <= counts[100] {
 		t.Fatalf("popularity not skewed: rank0=%d rank100=%d", counts[0], counts[100])
-	}
-	if c.Size(-1) != 0 || c.Size(500) != 0 {
-		t.Fatal("out-of-range Size should be 0")
 	}
 }
 
