@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Config parameterizes the cluster.
@@ -132,16 +133,10 @@ func (c *Cluster) Run(offeredTPS float64, duration time.Duration) (Stats, error)
 		return Stats{}, errors.New("cloudbase: offered rate and duration must be positive")
 	}
 	c.horizon = duration
-	mean := time.Duration(float64(time.Second) / offeredTPS)
-	var submit func()
-	submit = func() {
-		if c.sim.Now() >= duration {
-			return
-		}
-		c.Submit(c.rng.Uint64())
-		c.sim.After(c.rng.ExpDuration(mean), submit)
+	err := workload.StartPoisson(c.sim, c.rng, offeredTPS, duration, func(int) { c.Submit(c.rng.Uint64()) })
+	if err != nil {
+		return Stats{}, err
 	}
-	submit()
 	if err := c.sim.Run(); err != nil {
 		return Stats{}, err
 	}

@@ -1,6 +1,10 @@
 package cloudbase
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -96,5 +100,30 @@ func TestSingleShardDegenerate(t *testing.T) {
 	}
 	if st.TPS == 0 {
 		t.Fatal("single-shard cluster processed nothing")
+	}
+}
+
+// TestRunPinned compares one load run's statistics and its latency sample
+// (count, mean, five quantiles) with a digest captured at the commit where
+// Run still carried its own Poisson arrival loop; keys, the cross-shard draw
+// and the gaps share one stream, so a draw moved across an arrival shows.
+func TestRunPinned(t *testing.T) {
+	s := sim.New(sim.WithSeed(21))
+	c, err := NewCluster(s, Config{Shards: 8, ServiceTime: time.Millisecond, CrossShardFrac: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Run(5000, 2*time.Second)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%x|%d|%d|%x\n", math.Float64bits(st.TPS), st.P99, c.latency.Count(), math.Float64bits(c.latency.Mean()))
+	for _, p := range []float64{0, 25, 50, 75, 100} {
+		fmt.Fprintf(h, "%x\n", math.Float64bits(c.latency.Percentile(p)))
+	}
+	const want = "edeb1536e52f0c89c8a607392a59fcf05eadd4c088e63a1a0340d09e41714d79"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("load run digest %s, want %s", got, want)
 	}
 }

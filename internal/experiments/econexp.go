@@ -19,14 +19,8 @@ func e10MiningCentralization() core.Experiment {
 		claim:   "§III-C P1: in 2013 six mining pools controlled 75% of overall Bitcoin hashing power; nowadays it is almost impossible for a normal user to mine with a desktop computer.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			hobbyists, err := scaledSize(cfg, "e10.hobbyists")
-			if err != nil {
-				return err
-			}
-			farms, err := scaledSize(cfg, "e10.farms")
-			if err != nil {
-				return err
-			}
+			hobbyists := scaledSize(cfg, "e10.hobbyists")
+			farms := scaledSize(cfg, "e10.farms")
 			res, err := econ.RunMiningEconomy(g, econ.MiningEconConfig{
 				Epochs:            knobInt(cfg, "e10.epochs"),
 				RewardUSDPerEpoch: 5_000_000,
@@ -45,10 +39,7 @@ func e10MiningCentralization() core.Experiment {
 			}
 			r.Tables = append(r.Tables, tab)
 
-			miners, err := scaledSize(cfg, "e10.miners")
-			if err != nil {
-				return err
-			}
+			miners := scaledSize(cfg, "e10.miners")
 			pool, err := econ.RunPoolFormation(g, econ.PoolConfig{
 				Pools:     20,
 				Miners:    miners,
@@ -138,10 +129,7 @@ func e12NodeCost() core.Experiment {
 		claim:   "§III-C P1: as the history of transactions grows, each node requires more bandwidth, storage and computing power; networks retag nodes as light nodes but still count them in the global network size metrics.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			nodes, err := scaledSize(cfg, "e12.nodes")
-			if err != nil {
-				return err
-			}
+			nodes := scaledSize(cfg, "e12.nodes")
 			txBytes := knobInt(cfg, "e12.txbytes")
 			years := knobInt(cfg, "e12.years")
 			tab := metrics.NewTable("full-node fraction over ten years (simulated)",

@@ -65,7 +65,7 @@ func (e *exp) Section() string { return e.section }
 
 func (e *exp) Run(cfg core.Config) (*core.Result, error) {
 	cfg = cfg.WithDefaults()
-	if err := validateKnobs(e.id, cfg); err != nil {
+	if err := ValidateKnobs(e.id, cfg); err != nil {
 		return nil, err
 	}
 	r := &core.Result{ID: e.id, Title: e.title, Claim: e.claim}
@@ -375,38 +375,27 @@ func knobIndex(cfg core.Config, name string) int {
 }
 
 // scaledSize resolves a workload knob the experiment multiplies by -scale:
-// it scales the knob, clamps implicit (default) values to the measurement
-// floor, and rejects explicitly-set knobs the scaling pushes outside
-// [Min, Max] — clamping those would emit distinct sweep groups with
-// identical results. Implicit (default) values above Max are left alone:
-// a large -scale on a knob-free run keeps its pre-knob behavior.
-func scaledSize(cfg core.Config, knob string) (int, error) {
-	spec := knobSpecs[knob]
-	v := cfg.ScaleInt(knobInt(cfg, knob))
-	_, set := cfg.Params[knob]
-	if min := int(spec.Min); v < min {
-		if set {
-			return 0, fmt.Errorf("%s=%d (scaled to %d at scale %g) falls below the measurement floor %d; raise the knob or -scale",
-				knob, knobInt(cfg, knob), v, cfg.Scale, min)
-		}
-		v = min
-	}
-	if set && spec.Max > 0 && float64(v) > spec.Max {
-		return 0, fmt.Errorf("%s=%d (scaled to %d at scale %g) exceeds the maximum %g; lower the knob or -scale",
-			knob, knobInt(cfg, knob), v, cfg.Scale, spec.Max)
-	}
-	return v, nil
+// it scales the knob and clamps implicit (default) values to the
+// measurement floor. Implicit values above Max are left alone — a large
+// -scale on a knob-free run keeps its pre-knob behavior — and explicit
+// values cannot leave [Min, Max] here: ValidateKnobs refused them before
+// the runner started.
+func scaledSize(cfg core.Config, knob string) int {
+	return max(cfg.ScaleInt(knobInt(cfg, knob)), int(knobSpecs[knob].Min))
 }
 
-// validateKnobs rejects unregistered knob names — a typo'd knob the
-// experiment never reads would silently multiply a sweep into duplicate
-// identical groups — knobs owned by a different experiment, and
-// explicitly-set values below their spec floor, which clamping would
-// likewise collapse into identical groups. The CLI and harness also
-// validate at parse/expansion time; this check covers hand-built job
-// lists and direct Registry.Run calls.
-func validateKnobs(id string, cfg core.Config) error {
-	specs := knobSpecs
+// ValidateKnobs is the knob rule, applied by every Run before the runner
+// starts and by the report service before it schedules a job. It rejects
+// unregistered knob names — a typo'd knob the experiment never reads would
+// silently multiply a sweep into duplicate identical groups — knobs owned
+// by a different experiment, explicitly-set values outside their spec,
+// which clamping would likewise collapse into identical groups, and, once
+// every raw value has passed, Scaled knobs whose explicit value cfg.Scale
+// pushes outside [Min, Max]. The CLI and harness also validate ownership
+// at parse/expansion time; this check covers hand-built job lists and
+// direct Registry.Run calls.
+func ValidateKnobs(id string, cfg core.Config) error {
+	cfg = cfg.WithDefaults() // an unset Scale means 1, as it does to Run
 	names := make([]string, 0, len(cfg.Params))
 	for name := range cfg.Params {
 		names = append(names, name)
@@ -414,7 +403,7 @@ func validateKnobs(id string, cfg core.Config) error {
 	sort.Strings(names)
 	for _, name := range names {
 		v := cfg.Params[name]
-		spec, ok := specs[name]
+		spec, ok := knobSpecs[name]
 		if !ok {
 			return fmt.Errorf("experiments: unknown knob %q", name)
 		}
@@ -435,6 +424,22 @@ func validateKnobs(id string, cfg core.Config) error {
 		// workload and silently duplicate sweep groups.
 		if spec.Integer && v != math.Trunc(v) {
 			return fmt.Errorf("experiments: knob %s=%g must be an integer", name, v)
+		}
+	}
+	for _, name := range names {
+		spec := knobSpecs[name]
+		if !spec.Scaled {
+			continue
+		}
+		raw := cfg.ParamInt(name, 0) // set explicitly: the default is never read
+		v := cfg.ScaleInt(raw)
+		if min := int(spec.Min); v < min {
+			return fmt.Errorf("%s=%d (scaled to %d at scale %g) falls below the measurement floor %d; raise the knob or -scale",
+				name, raw, v, cfg.Scale, min)
+		}
+		if spec.Max > 0 && float64(v) > spec.Max {
+			return fmt.Errorf("%s=%d (scaled to %d at scale %g) exceeds the maximum %g; lower the knob or -scale",
+				name, raw, v, cfg.Scale, spec.Max)
 		}
 	}
 	return nil

@@ -24,10 +24,7 @@ func e19GeoPartitionedPoW() core.Experiment {
 		claim:   "§III-A: a block is broadcast to the network so that other nodes can verify it — permissionless consensus presumes timely global broadcast among thousands of heterogeneous nodes, so a wide-area partition splinters the single chain into competing forks and the weaker region's proof-of-work is discarded.",
 		run: func(cfg core.Config, r *core.Result) error {
 			miners := knobInt(cfg, "e19.miners")
-			blocks, err := scaledSize(cfg, "e19.blocks")
-			if err != nil {
-				return err
-			}
+			blocks := scaledSize(cfg, "e19.blocks")
 			mixIdx := knobInt(cfg, "e19.mix")
 			loss := knobFloat(cfg, "e19.loss")
 			startFrac := knobFloat(cfg, "e19.partstart")

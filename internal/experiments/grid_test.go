@@ -136,7 +136,7 @@ func TestSensitivityGridsValid(t *testing.T) {
 					params[rn] = rv
 				}
 				cfg := core.Config{Seed: 1, Scale: scale, Params: params}
-				if err := validateKnobs(core.KnobOwner(name), cfg); err != nil {
+				if err := ValidateKnobs(core.KnobOwner(name), cfg); err != nil {
 					t.Errorf("scale %g: %s=%g fails validation: %v", scale, name, v, err)
 				}
 				if s.Scaled {

@@ -147,7 +147,7 @@ func TestIntegerKnobRejectsFraction(t *testing.T) {
 	}
 }
 
-// TestScaledKnobBelowFloorAfterScaling checks the shared scaledSize rule:
+// TestScaledKnobBelowFloorAfterScaling checks the knob rule's post-scaling half:
 // an explicitly-set workload knob that a small -scale pushes below the
 // measurement floor is an error, not a silent clamp.
 func TestScaledKnobBelowFloorAfterScaling(t *testing.T) {

@@ -30,10 +30,7 @@ func e18OffChain() core.Experiment {
 			if degree >= nodes {
 				return fmt.Errorf("e18.meshdegree=%d must be below e18.nodes=%d", degree, nodes)
 			}
-			payments, err := scaledSize(cfg, "e18.payments")
-			if err != nil {
-				return err
-			}
+			payments := scaledSize(cfg, "e18.payments")
 			// Equal total locked capital in both topologies.
 			totalCapital := knobFloat(cfg, "e18.capital")
 			mixIdx := knobIndex(cfg, "e18.mix")

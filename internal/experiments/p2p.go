@@ -37,10 +37,7 @@ func e01Market() core.Experiment {
 				providers int
 				sigma     float64
 			}
-			customers, err := scaledSize(cfg, "e01.customers")
-			if err != nil {
-				return err
-			}
+			customers := scaledSize(cfg, "e01.customers")
 			var cdnTop3, cloudTop1, cloudTop5 float64
 			for _, sc := range []scenario{
 				{name: "cdn", providers: knobInt(cfg, "e01.cdnproviders"), sigma: 0.9},
@@ -86,10 +83,7 @@ func e02FreeRiding() core.Experiment {
 		run: func(cfg core.Config, r *core.Result) error {
 			s := newSim(cfg)
 			nm := netmodel.New(s, netmodel.WithJitter(0.1))
-			n, err := scaledSize(cfg, "e02.peers")
-			if err != nil {
-				return err
-			}
+			n := scaledSize(cfg, "e02.peers")
 			nw, err := gnutella.NewNetwork(s, nm, n, gnutella.Config{TTL: 6})
 			if err != nil {
 				return err
@@ -117,10 +111,7 @@ func e02FreeRiding() core.Experiment {
 					nw.Share(i, cat.Pick())
 				}
 			}
-			queries, err := scaledSize(cfg, "e02.queries")
-			if err != nil {
-				return err
-			}
+			queries := scaledSize(cfg, "e02.queries")
 			found, msgs := 0, 0
 			for q := 0; q < queries; q++ {
 				origin := g.Intn(n)
@@ -153,10 +144,7 @@ func e02FreeRiding() core.Experiment {
 			// Tit-for-tat swarm: selfish universe (everyone leaves at
 			// completion, the paper's point about incentives not outlasting
 			// the download).
-			swarmPeers, err := scaledSize(cfg, "e02.swarmpeers")
-			if err != nil {
-				return err
-			}
+			swarmPeers := scaledSize(cfg, "e02.swarmpeers")
 			swarmCfg := incentive.SwarmConfig{
 				Peers:         swarmPeers,
 				Seeds:         3,
@@ -219,14 +207,8 @@ func e03DHTLookup() core.Experiment {
 			// explicitly swept knob that still lands below the floor
 			// after scaling is an error: clamping it would emit distinct
 			// sweep groups with identical results.
-			n, err := scaledSize(cfg, "e03.nodes")
-			if err != nil {
-				return err
-			}
-			lookups, err := scaledSize(cfg, "e03.lookups")
-			if err != nil {
-				return err
-			}
+			n := scaledSize(cfg, "e03.nodes")
+			lookups := scaledSize(cfg, "e03.lookups")
 			measure := func(kcfg kademlia.Config, name string) (*metrics.Sample, float64, error) {
 				// The conservative window: every message in this all-Europe
 				// topology takes at least the jittered intra-EU floor, so no
@@ -318,14 +300,8 @@ func e04Sybil() core.Experiment {
 		title:   "Sybil and eclipse attacks on an open DHT",
 		claim:   "§II-B P3: open networks where peers assign their own identities are prone to sybil attacks; massive identity problems were reported in eMule KAD and the BitTorrent DHTs.",
 		run: func(cfg core.Config, r *core.Result) error {
-			honest, err := scaledSize(cfg, "e04.honest")
-			if err != nil {
-				return err
-			}
-			lookups, err := scaledSize(cfg, "e04.lookups")
-			if err != nil {
-				return err
-			}
+			honest := scaledSize(cfg, "e04.honest")
+			lookups := scaledSize(cfg, "e04.lookups")
 			tab := metrics.NewTable("sybil interception vs identity count (simulated)",
 				"sybil identities", "% of network", "mean attacker frac in results", "majority-poisoned rate")
 			fig := &metrics.Figure{Title: "sybil interception", XLabel: "sybil fraction", YLabel: "attacker frac"}
@@ -421,14 +397,8 @@ func e05OneHop() core.Experiment {
 		title:   "One-hop overlays vs multi-hop DHTs",
 		claim:   "§II-B: for networks between 10K and 100K nodes it is possible to keep full membership and route in one hop (Gupta et al.); if the overlay is relatively stable, O(1) routing is the right decision.",
 		run: func(cfg core.Config, r *core.Result) error {
-			n, err := scaledSize(cfg, "e05.nodes")
-			if err != nil {
-				return err
-			}
-			lookups, err := scaledSize(cfg, "e05.lookups")
-			if err != nil {
-				return err
-			}
+			n := scaledSize(cfg, "e05.nodes")
+			lookups := scaledSize(cfg, "e05.lookups")
 			// Chord: hops and latency.
 			s := newSim(cfg)
 			nm := netmodel.New(s, netmodel.WithJitter(0.1))
@@ -534,14 +504,8 @@ func e15Churn() core.Experiment {
 		title:   "Churn degrades open-overlay lookups",
 		claim:   "§II-B P2: P2P networks show high churn; fault-tolerant self-adjustment causes performance problems and latency — stable cloud servers have no rival when guaranteed quality of service is needed.",
 		run: func(cfg core.Config, r *core.Result) error {
-			n, err := scaledSize(cfg, "e15.nodes")
-			if err != nil {
-				return err
-			}
-			lookups, err := scaledSize(cfg, "e15.lookups")
-			if err != nil {
-				return err
-			}
+			n := scaledSize(cfg, "e15.nodes")
+			lookups := scaledSize(cfg, "e15.lookups")
 			minSession := time.Duration(knobInt(cfg, "e15.minsession")) * time.Minute
 			tab := metrics.NewTable("kademlia under churn (simulated)",
 				"mean session", "availability", "lookup success", "median latency (s)", "timeouts/lookup")

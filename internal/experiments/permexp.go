@@ -25,10 +25,7 @@ func e13PermissionedVsPoW() core.Experiment {
 		title:   "Permissioned consensus vs permissionless proof-of-work",
 		claim:   "§IV: permissioned blockchains avoid costly proof-of-work by using CFT or BFT consensus (BFT-SMaRt); consensus can be configured between a subset of nodes, unlike broadcast networks where all nodes participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
-			durSecs, err := scaledSize(cfg, "e13.duration")
-			if err != nil {
-				return err
-			}
+			durSecs := scaledSize(cfg, "e13.duration")
 			dur := time.Duration(durSecs) * time.Second
 			rate := knobFloat(cfg, "e13.rate")
 			tab := metrics.NewTable("consensus comparison (simulated)",
@@ -107,10 +104,7 @@ func e14EdgeVsCloud() core.Experiment {
 			g := sim.NewRNG(cfg.Seed)
 			edgeNodes := knobInt(cfg, "e14.edgenodes")
 			cloudDCs := knobInt(cfg, "e14.clouddcs")
-			clients, err := scaledSize(cfg, "e14.clients")
-			if err != nil {
-				return err
-			}
+			clients := scaledSize(cfg, "e14.clients")
 			d, err := edge.New(g, edge.Config{
 				Clients:   clients,
 				EdgeNodes: edgeNodes,
@@ -156,10 +150,7 @@ func e14EdgeVsCloud() core.Experiment {
 				return err
 			}
 			var lat metrics.Sample
-			records, err := scaledSize(cfg, "e14.records")
-			if err != nil {
-				return err
-			}
+			records := scaledSize(cfg, "e14.records")
 			s.After(3*time.Second, func() {
 				for i := 0; i < records; i++ {
 					key := fmt.Sprintf("rec%d", i)
@@ -208,10 +199,7 @@ func e16Channels() core.Experiment {
 		claim:   "§IV: one distinguishing aspect of Hyperledger Fabric is that consensus can be configured between a subset of the nodes of the network, unlike traditional broadcast networks where all nodes must participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
 			const orgs = 12
-			txPerChannel, err := scaledSize(cfg, "e16.txs")
-			if err != nil {
-				return err
-			}
+			txPerChannel := scaledSize(cfg, "e16.txs")
 			blockSize := knobInt(cfg, "e16.blocksize")
 			endorsers := knobInt(cfg, "e16.endorsers")
 			put := func(stub *permissioned.Stub, args []string) error {

@@ -43,10 +43,7 @@ func e06Throughput() core.Experiment {
 				return err
 			}
 			nw.Start()
-			blocks, err := scaledSize(cfg, "e06.blocks")
-			if err != nil {
-				return err
-			}
+			blocks := scaledSize(cfg, "e06.blocks")
 			if err := s.RunUntil(time.Duration(blocks) * 10 * time.Minute); err != nil {
 				return err
 			}
@@ -102,10 +99,7 @@ func e07Difficulty() core.Experiment {
 			const target = 10 * time.Minute
 			// The retarget window scales with the run so adjustment lag
 			// stays proportional at reduced scales.
-			window, err := scaledSize(cfg, "e07.window")
-			if err != nil {
-				return err
-			}
+			window := scaledSize(cfg, "e07.window")
 			nw, err := pow.NewNetwork(s, pow.Params{
 				BlockInterval:     target,
 				InitialDifficulty: 600 * 1, // hashrate 1 => on-target at start
@@ -116,10 +110,7 @@ func e07Difficulty() core.Experiment {
 			}
 			nw.Start()
 			epochs := knobInt(cfg, "e07.epochs")
-			epochBlocks, err := scaledSize(cfg, "e07.epochblocks")
-			if err != nil {
-				return err
-			}
+			epochBlocks := scaledSize(cfg, "e07.epochblocks")
 			epochLen := time.Duration(epochBlocks) * target
 			for e := 1; e <= epochs; e++ {
 				e := e
@@ -167,10 +158,7 @@ func e08ForkRate() core.Experiment {
 		title:   "Fork rate vs block interval — the trilemma's mechanics",
 		claim:   "§III-C P2: a completely open network of thousands of heterogeneous nodes is a serious burden for performance (Buterin's scalability trilemma: scalability, decentralization, security — pick two).",
 		run: func(cfg core.Config, r *core.Result) error {
-			blocks, err := scaledSize(cfg, "e08.blocks")
-			if err != nil {
-				return err
-			}
+			blocks := scaledSize(cfg, "e08.blocks")
 			// ~1MB over a global gossip mesh by default.
 			propagation := time.Duration(knobFloat(cfg, "e08.propagation") * float64(time.Second))
 			mixIdx := knobIndex(cfg, "e08.mix")
@@ -222,8 +210,8 @@ func e08ForkRate() core.Experiment {
 						return err
 					}
 				} else {
-					nw, err = pow.NewNetwork(s, params, hashrates)
-					if err != nil {
+					var err error
+					if nw, err = pow.NewNetwork(s, params, hashrates); err != nil {
 						return err
 					}
 				}
@@ -281,10 +269,7 @@ func e09Selfish() core.Experiment {
 		claim:   "§III-C P1: the incentive mechanism of Bitcoin is flawed — a minority colluding pool can obtain more revenue than the pool's fair share (Eyal & Sirer).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			blocks, err := scaledSize(cfg, "e09.blocks")
-			if err != nil {
-				return err
-			}
+			blocks := scaledSize(cfg, "e09.blocks")
 			tab := metrics.NewTable("selfish mining revenue share (simulated vs closed form)",
 				"alpha", "gamma", "revenue (sim)", "revenue (Eyal-Sirer eq.8)", "fair share", "profitable")
 			fig := &metrics.Figure{Title: "selfish mining", XLabel: "alpha", YLabel: "revenue share"}
@@ -342,10 +327,7 @@ func e17DoubleSpend() core.Experiment {
 		claim:   "§III-A: modifying the chain requires redoing the proof-of-work for the block and all that follow — a feat possible only with more than half the computing power (Nakamoto's confirmation analysis).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			trials, err := scaledSize(cfg, "e17.trials")
-			if err != nil {
-				return err
-			}
+			trials := scaledSize(cfg, "e17.trials")
 			risk := knobFloat(cfg, "e17.risk")
 			tab := metrics.NewTable("double-spend success probability",
 				"attacker share q", "z", "Nakamoto closed form", "exact race", "monte carlo")

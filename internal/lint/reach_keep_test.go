@@ -18,64 +18,56 @@ var reachKinds = map[string]bool{
 // methods, "path.Name" otherwise; a trailing * makes the row a prefix) to
 // "kind: reason".
 var reachKeep = map[string]string{
-	"(*repro/internal/netmodel.Net).Partition":                 "fault injector: ambient partition, driven by the transport's own tests and named by the invariant item",
-	"(*repro/internal/netmodel.Net).Heal":                      "fault injector: ends Partition",
-	"(*repro/internal/netmodel.Net).SetLoss":                   "fault injector: ambient loss rate",
-	"(*repro/internal/netmodel.Net).ScheduleLossWindow":        "fault injector: the invariant item's loss windows",
-	"(*repro/internal/netmodel.Net).ScheduleOutageWindow":      "fault injector: the invariant item's outage windows; TestInFlight*AcrossCrash drive it",
-	"(*repro/internal/raft.Cluster).Crash":                     "fault injector: leader/follower crash, named by the invariant item",
-	"(*repro/internal/raft.Cluster).Recover":                   "fault injector: the other half of Crash",
-	"(*repro/internal/pbft.Cluster).Crash":                     "fault injector: <= f crashed replicas, named by the invariant item",
-	"(*repro/internal/pbft.Cluster).Recover":                   "fault injector: the other half of Crash",
-	"(*repro/internal/pbft.Cluster).MakeEquivocating":          "fault injector: the Byzantine primary, named by the invariant item",
-	"(*repro/internal/overlay/chord.Network).SetOnline":        "fault injector: churn transition for the lookup-owner invariant",
-	"(*repro/internal/overlay/onehop.Network).SetOnline":       "fault injector: churn transition for the lookup-owner invariant",
-	"(*repro/internal/overlay/chord.Network).OwnerOf":          "oracle: ring-successor ground truth lookups are checked against",
-	"(*repro/internal/overlay/onehop.Network).OwnerOf":         "oracle: ring-successor ground truth lookups are checked against",
-	"(repro/internal/overlay.ID).XOR":                          "oracle: byte-wise distance XORDistance and CloserXOR are property-tested against",
-	"(repro/internal/overlay.ID).Bit":                          "oracle: bit-wise reference TestPropertyCPL checks CommonPrefixLen against",
-	"(repro/internal/cloudbase.Config).CapacityTPS":            "oracle: analytic throughput ceiling the simulated cluster is tested against",
-	"repro/internal/gossip.*":                                  "reference model: flooding relay TestGossipCalibratedForkRate cross-checks E08's parametric propagation with; not an experiment substrate",
-	"(*repro/internal/gossip.*":                                "reference model: methods of the above",
-	"(repro/internal/gossip.*":                                 "reference model: methods of the above",
-	"(*repro/internal/sim.Sim).Stop":                           "kernel control surface: FuzzScheduleCancel and the shadow-model tests drive it",
-	"(*repro/internal/sim.Sim).Pending":                        "kernel control surface: the fuzzers' exact pending-count check",
-	"(*repro/internal/sim.ShardedSim).Stop":                    "kernel control surface: roadmap item 3 owns sharded.go",
-	"(*repro/internal/sim.ShardedSim).RunFor":                  "kernel control surface: chunked-run metamorphic tests",
-	"(*repro/internal/sim.ShardedSim).Pending":                 "kernel control surface: sharded accounting tests",
-	"(*repro/internal/sim.ShardedSim).Now":                     "kernel control surface: sharded accounting tests",
-	"(*repro/internal/sim.ShardedSim).Fired":                   "kernel control surface: FuzzShardedFireOrder's cross-check",
-	"(repro/internal/sim.Handle).At":                           "deferred: TestHandleAt",
-	"(*repro/internal/churn.Process).Stop":                     "deferred: TestStopFreezesState",
-	"repro/internal/edge.Duration":                             "deferred: TestDurationHelper",
-	"(repro/internal/overlay.ID).Ring64":                       "deferred: TestRing64",
-	"repro/internal/overlay/onehop.StaleLookupProbability":     "deferred: TestStaleLookupProbability",
-	"(*repro/internal/report.Tree).Walk":                       "deferred: TestTreeWalkOpen (would need renaming)",
-	"(*repro/internal/overlay/chord.Network).StartMaintenance": "deferred: TestStabilizeRepairsSuccessor, TestMaintenanceCostPerNodeConstant; takes stabilize, fixFinger, StopMaintenance, the maint flag and counters with it",
-	"(*repro/internal/overlay/chord.Network).StopMaintenance":  "deferred: with StartMaintenance",
-	"(*repro/internal/overlay/chord.Network).Maintenance*":     "deferred: with StartMaintenance",
-	"(*repro/internal/obs.Collector).Gauge":                    "deferred: TestGaugeHighWater; takes the Gauge type, GaugeSnap, Snapshot.Gauges and report/resources.go's Gauges section with it",
-	"(*repro/internal/obs.Gauge).*":                            "deferred: with Collector.Gauge",
-	"(*repro/internal/metrics.Table).JSON":                     "deferred: TestTableAndFigureJSON (encode.go whole)",
-	"(*repro/internal/metrics.Figure).JSON":                    "deferred: TestTableAndFigureJSON",
-	"(*repro/internal/metrics.Sample).CDF":                     "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",
-	"(*repro/internal/metrics.Summary).AddDuration":            "deferred: TestSummaryDuration",
-	"repro/internal/randdist.Exponential":                      "deferred: TestExponentialMean, TestExponentialBadMean; takes RNG.ExpFloat64 with it",
-	"repro/internal/randdist.Weibull":                          "deferred: TestWeibullMean",
-	"repro/internal/randdist.LogNormal":                        "deferred: TestLogNormalMedian",
-	"repro/internal/randdist.ExpDuration":                      "deferred: TestExponentialMean",
-	"repro/internal/randdist.ParetoDuration":                   "deferred: TestParetoDurationCap",
-	"repro/internal/randdist.Discrete":                         "deferred: TestDiscrete, TestDiscreteDegenerate",
-	"repro/internal/workload.StartPoisson":                     "deferred: TestPoissonRate, TestPoissonSeqMonotone, TestPoissonStop, TestPoissonValidation; takes PoissonStream with it",
-	"(*repro/internal/workload.PoissonStream).*":               "deferred: with StartPoisson",
-	"repro/internal/workload.StartTxSource":                    "deferred: TestTxSource, TestTxSourceValidation; takes Tx and TxSource with it",
-	"(*repro/internal/workload.TxSource).*":                    "deferred: with StartTxSource",
-	"repro/internal/ledger.NewUTXOSet":                         "deferred: the six TestUTXO*/TestCoinbaseSubsidyCap tests; takes UTXOSet, ErrMissingInput, ErrOverspend and Tx.OutValue with it",
-	"(*repro/internal/ledger.UTXOSet).*":                       "deferred: with NewUTXOSet",
-	"(*repro/internal/ledger.Tx).Coinbase":                     "deferred: TestUTXOLifecycle",
-	"(*repro/internal/ledger.Tx).Size":                         "deferred: TestBlockSizeGrowsWithTxs",
-	"(*repro/internal/ledger.Block).Size":                      "deferred: TestBlockSizeGrowsWithTxs",
-	"repro/internal/ledger.Prove":                              "deferred: TestMerkleProofs, TestPropertyMerkle; takes MerkleProof with it",
-	"(*repro/internal/ledger.MerkleProof).Verify":              "deferred: with Prove",
-	"(*repro/internal/ledger.Chain).Confirmations":             "deferred: TestConfirmationsUnknown",
+	"(*repro/internal/netmodel.Net).Partition":             "fault injector: ambient partition, driven by the transport's own tests and named by the invariant item",
+	"(*repro/internal/netmodel.Net).Heal":                  "fault injector: ends Partition",
+	"(*repro/internal/netmodel.Net).SetLoss":               "fault injector: ambient loss rate",
+	"(*repro/internal/netmodel.Net).ScheduleLossWindow":    "fault injector: the invariant item's loss windows",
+	"(*repro/internal/netmodel.Net).ScheduleOutageWindow":  "fault injector: the invariant item's outage windows; TestInFlight*AcrossCrash drive it",
+	"(*repro/internal/raft.Cluster).Crash":                 "fault injector: leader/follower crash, named by the invariant item",
+	"(*repro/internal/raft.Cluster).Recover":               "fault injector: the other half of Crash",
+	"(*repro/internal/pbft.Cluster).Crash":                 "fault injector: <= f crashed replicas, named by the invariant item",
+	"(*repro/internal/pbft.Cluster).Recover":               "fault injector: the other half of Crash",
+	"(*repro/internal/pbft.Cluster).MakeEquivocating":      "fault injector: the Byzantine primary, named by the invariant item",
+	"(*repro/internal/overlay/chord.Network).SetOnline":    "fault injector: churn transition for the lookup-owner invariant",
+	"(*repro/internal/overlay/onehop.Network).SetOnline":   "fault injector: churn transition for the lookup-owner invariant",
+	"(*repro/internal/overlay/chord.Network).OwnerOf":      "oracle: ring-successor ground truth lookups are checked against",
+	"(*repro/internal/overlay/onehop.Network).OwnerOf":     "oracle: ring-successor ground truth lookups are checked against",
+	"(repro/internal/overlay.ID).XOR":                      "oracle: byte-wise distance XORDistance and CloserXOR are property-tested against",
+	"(repro/internal/overlay.ID).Bit":                      "oracle: bit-wise reference TestPropertyCPL checks CommonPrefixLen against",
+	"(repro/internal/cloudbase.Config).CapacityTPS":        "oracle: analytic throughput ceiling the simulated cluster is tested against",
+	"repro/internal/gossip.*":                              "reference model: flooding relay TestGossipCalibratedForkRate cross-checks E08's parametric propagation with; not an experiment substrate",
+	"(*repro/internal/gossip.*":                            "reference model: methods of the above",
+	"(repro/internal/gossip.*":                             "reference model: methods of the above",
+	"(*repro/internal/sim.Sim).Stop":                       "kernel control surface: FuzzScheduleCancel and the shadow-model tests drive it",
+	"(*repro/internal/sim.Sim).Pending":                    "kernel control surface: the fuzzers' exact pending-count check",
+	"(*repro/internal/sim.ShardedSim).Stop":                "kernel control surface: roadmap item 3 owns sharded.go",
+	"(*repro/internal/sim.ShardedSim).RunFor":              "kernel control surface: chunked-run metamorphic tests",
+	"(*repro/internal/sim.ShardedSim).Pending":             "kernel control surface: sharded accounting tests",
+	"(*repro/internal/sim.ShardedSim).Now":                 "kernel control surface: sharded accounting tests",
+	"(*repro/internal/sim.ShardedSim).Fired":               "kernel control surface: FuzzShardedFireOrder's cross-check",
+	"(repro/internal/sim.Handle).At":                       "deferred: TestHandleAt",
+	"(*repro/internal/churn.Process).Stop":                 "deferred: TestStopFreezesState",
+	"repro/internal/edge.Duration":                         "deferred: TestDurationHelper",
+	"(repro/internal/overlay.ID).Ring64":                   "deferred: TestRing64",
+	"repro/internal/overlay/onehop.StaleLookupProbability": "deferred: TestStaleLookupProbability",
+	"(*repro/internal/report.Tree).Walk":                   "deferred: TestTreeWalkOpen (would need renaming)",
+	"(*repro/internal/metrics.Table).JSON":                 "deferred: TestTableAndFigureJSON (encode.go whole)",
+	"(*repro/internal/metrics.Figure).JSON":                "deferred: TestTableAndFigureJSON",
+	"(*repro/internal/metrics.Sample).CDF":                 "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",
+	"(*repro/internal/metrics.Summary).AddDuration":        "deferred: TestSummaryDuration",
+	"repro/internal/randdist.Exponential":                  "deferred: TestExponentialMean, TestExponentialBadMean; takes RNG.ExpFloat64 with it",
+	"repro/internal/randdist.Weibull":                      "deferred: TestWeibullMean",
+	"repro/internal/randdist.LogNormal":                    "deferred: TestLogNormalMedian",
+	"repro/internal/randdist.ExpDuration":                  "deferred: TestExponentialMean",
+	"repro/internal/randdist.ParetoDuration":               "deferred: TestParetoDurationCap",
+	"repro/internal/randdist.Discrete":                     "deferred: TestDiscrete, TestDiscreteDegenerate",
+	"repro/internal/workload.StartTxSource":                "deferred: TestTxSource, TestTxSourceValidation; takes Tx with it",
+	"repro/internal/ledger.NewUTXOSet":                     "deferred: the six TestUTXO*/TestCoinbaseSubsidyCap tests; takes UTXOSet, ErrMissingInput, ErrOverspend and Tx.OutValue with it",
+	"(*repro/internal/ledger.UTXOSet).*":                   "deferred: with NewUTXOSet",
+	"(*repro/internal/ledger.Tx).Coinbase":                 "deferred: TestUTXOLifecycle",
+	"(*repro/internal/ledger.Tx).Size":                     "deferred: TestBlockSizeGrowsWithTxs",
+	"(*repro/internal/ledger.Block).Size":                  "deferred: TestBlockSizeGrowsWithTxs",
+	"repro/internal/ledger.Prove":                          "deferred: TestMerkleProofs, TestPropertyMerkle; takes MerkleProof with it",
+	"(*repro/internal/ledger.MerkleProof).Verify":          "deferred: with Prove",
+	"(*repro/internal/ledger.Chain).Confirmations":         "deferred: TestConfirmationsUnknown",
 }

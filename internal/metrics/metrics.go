@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -165,6 +166,23 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
+}
+
+// MeanP99 returns the mean of ds and its nearest-rank 99th percentile — the
+// element at index (n-1)*99/100 of the sorted sample, where Sample.Percentile
+// would interpolate between neighbours. Both are 0 for an empty ds, which is
+// left in its order.
+func MeanP99(ds []time.Duration) (mean, p99 time.Duration) {
+	if len(ds) == 0 {
+		return 0, 0
+	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	var sum time.Duration
+	for _, d := range sorted {
+		sum += d
+	}
+	return sum / time.Duration(len(sorted)), sorted[(len(sorted)-1)*99/100]
 }
 
 // Gini returns the Gini coefficient of xs (0 = perfect equality, →1 =

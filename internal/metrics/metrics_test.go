@@ -345,3 +345,26 @@ func TestGiniNegativeInputs(t *testing.T) {
 		t.Fatalf("Gini with a negative entry diverges from the clamped equivalent")
 	}
 }
+
+// TestMeanP99 pins the nearest-rank index the consensus goldens were
+// generated with: on 100..1 the 99th percentile is the 99th smallest value,
+// not the largest and not an interpolation between the two.
+func TestMeanP99(t *testing.T) {
+	ds := make([]time.Duration, 100)
+	for i := range ds {
+		ds[i] = time.Duration(100-i) * time.Millisecond
+	}
+	mean, p99 := MeanP99(ds)
+	if mean != 50500*time.Microsecond || p99 != 99*time.Millisecond {
+		t.Fatalf("MeanP99(100ms..1ms) = %v, %v, want 50.5ms, 99ms", mean, p99)
+	}
+	if ds[0] != 100*time.Millisecond {
+		t.Fatal("MeanP99 reordered its input")
+	}
+	if mean, p99 := MeanP99([]time.Duration{7}); mean != 7 || p99 != 7 {
+		t.Fatalf("MeanP99 of one value = %v, %v", mean, p99)
+	}
+	if mean, p99 := MeanP99(nil); mean != 0 || p99 != 0 {
+		t.Fatalf("MeanP99(nil) = %v, %v, want zeros", mean, p99)
+	}
+}

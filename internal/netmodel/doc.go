@@ -8,7 +8,8 @@
 //
 // netmodel is the single transport layer of the reproduction: overlays,
 // gossip, PBFT, Raft and the permissioned stack deliver via Send, the
-// proof-of-work miner network relays blocks via the one-pass Broadcast,
+// overlays' RPCs are Call (a request, a reply and a deadline over two
+// Sends), the proof-of-work miner network relays blocks via the one-pass Broadcast,
 // and synchronous substrates time Transfer/TransferTime. Node
 // populations are realized statistically from a TopologySpec (weighted
 // regional mixes with largest-remainder apportionment plus bandwidth
@@ -18,5 +19,6 @@
 //
 // The hot path is allocation-free: Send and Broadcast recycle pooled
 // handler events through the simulator's free list, a property pinned by
-// AllocsPerRun tests and benchmarks.
+// AllocsPerRun tests and benchmarks. Call is not on it: an RPC allocates
+// its closures.
 package netmodel

@@ -428,3 +428,27 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 	n.noteDelivered(to)
 	return delay, true
 }
+
+// Call runs one request/response exchange under a deadline — the RPC every
+// overlay issues. The deadline is scheduled first, on the requester's
+// kernel, then the request is sent. serve runs in the request's delivery, on
+// the receiver's kernel, and reports whether an answer goes back; whatever it
+// computes for the requester it leaves in variables the caller's done reads.
+// done(true) fires iff the response is delivered while the deadline is still
+// pending; otherwise done(false) fires exactly once, at the deadline, and a
+// reply arriving later is dropped unseen. Unlike Send, Call allocates its
+// closures: an RPC is a control exchange, not the per-message hot path.
+func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
+	deadline := n.Kernel(from).After(timeout, func() { done(false) })
+	n.Send(from, to, reqSize, func() {
+		if !serve() {
+			return
+		}
+		n.Send(to, from, respSize, func() {
+			if deadline.Scheduled() {
+				deadline.Cancel()
+				done(true)
+			}
+		})
+	})
+}

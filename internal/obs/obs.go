@@ -1,4 +1,4 @@
-// Package obs is the run-telemetry layer: named counters and gauges with
+// Package obs is the run-telemetry layer: named counters with
 // (node-range × region) lanes, constant-memory streaming histograms, an
 // optional Chrome trace-event buffer, and host resource sampling.
 //
@@ -10,7 +10,7 @@
 //
 // Zero cost when off. Telemetry is represented by a *Collector; nil means
 // "off". Every recording method (Counter.Add, Histogram.Observe,
-// Trace.Emit, Gauge.Set, ...) is a method with a nil-receiver no-op, so an
+// Trace.Emit, ...) is a method with a nil-receiver no-op, so an
 // instrumented hot path pays one predictable branch and zero allocations
 // when telemetry is disabled. Instrumentation sites therefore never need
 // their own guards.
@@ -45,8 +45,6 @@ type Collector struct {
 	sealed    bool  // lane geometry locked by the first recording
 	counters  []*Counter
 	counterBy map[string]*Counter
-	gauges    []*Gauge
-	gaugeBy   map[string]*Gauge
 	hists     []*Histogram
 	histBy    map[string]*Histogram
 	trace     *Trace
@@ -68,7 +66,6 @@ func WithTrace(limit int) Option {
 func NewCollector(opts ...Option) *Collector {
 	c := &Collector{
 		counterBy: make(map[string]*Counter),
-		gaugeBy:   make(map[string]*Gauge),
 		histBy:    make(map[string]*Histogram),
 	}
 	for _, opt := range opts {
@@ -160,20 +157,6 @@ func (c *Collector) Counter(name string) *Counter {
 	return ctr
 }
 
-// Gauge registers (or returns the existing) named gauge.
-func (c *Collector) Gauge(name string) *Gauge {
-	if c == nil {
-		return nil
-	}
-	if g, ok := c.gaugeBy[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	c.gauges = append(c.gauges, g)
-	c.gaugeBy[name] = g
-	return g
-}
-
 // Histogram registers (or returns the existing) named histogram.
 func (c *Collector) Histogram(name string) *Histogram {
 	if c == nil {
@@ -246,48 +229,6 @@ func (c *Counter) Total() uint64 {
 	return c.total
 }
 
-// Gauge is a named level with high-water tracking.
-type Gauge struct {
-	name string
-	v    int64
-	max  int64
-}
-
-// Set records the current level. Nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-}
-
-// Add shifts the current level by d. Nil-safe.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.v + d)
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // CounterLane is one nonzero lane of a counter snapshot.
 type CounterLane struct {
 	Nodes  string `json:"nodes"`
@@ -300,13 +241,6 @@ type CounterSnap struct {
 	Name  string        `json:"name"`
 	Total uint64        `json:"total"`
 	Lanes []CounterLane `json:"lanes,omitempty"`
-}
-
-// GaugeSnap is one gauge in a snapshot.
-type GaugeSnap struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-	Max   int64  `json:"max"`
 }
 
 // HistSnap summarizes one histogram: population moments plus interpolated
@@ -334,7 +268,6 @@ type SimSnap struct {
 type Snapshot struct {
 	Sim          SimSnap       `json:"sim"`
 	Counters     []CounterSnap `json:"counters,omitempty"`
-	Gauges       []GaugeSnap   `json:"gauges,omitempty"`
 	Hists        []HistSnap    `json:"histograms,omitempty"`
 	TraceEvents  int           `json:"trace_events,omitempty"`
 	TraceDropped uint64        `json:"trace_dropped,omitempty"`
@@ -398,10 +331,6 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, snap)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	for _, g := range c.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.v, Max: g.max})
-	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	for _, h := range c.hists {
 		s.Hists = append(s.Hists, HistSnap{
 			Name: h.name, Count: h.count, Sum: h.sum, Min: h.Min(), Max: h.max,

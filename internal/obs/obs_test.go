@@ -10,17 +10,14 @@ import (
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
 	ctr := c.Counter("x")
-	g := c.Gauge("y")
 	h := c.Histogram("z")
 	tr := c.Trace()
-	if ctr != nil || g != nil || h != nil || tr != nil {
+	if ctr != nil || h != nil || tr != nil {
 		t.Fatal("nil collector must hand out nil instruments")
 	}
 	// Every recording call must be a safe no-op and allocate nothing.
 	avg := testing.AllocsPerRun(100, func() {
 		ctr.Add(3, 1, 1)
-		g.Set(7)
-		g.Add(1)
 		h.Observe(42)
 		tr.Emit(TraceEvent{Name: "e"})
 		tr.Span("s", "c", 0, 10, 1, "a", 1, "", 0)
@@ -100,22 +97,8 @@ func TestRegisterIsIdempotent(t *testing.T) {
 	if c.Counter("x") != c.Counter("x") {
 		t.Fatal("same-name counters differ")
 	}
-	if c.Gauge("g") != c.Gauge("g") {
-		t.Fatal("same-name gauges differ")
-	}
 	if c.Histogram("h") != c.Histogram("h") {
 		t.Fatal("same-name histograms differ")
-	}
-}
-
-func TestGaugeHighWater(t *testing.T) {
-	c := NewCollector()
-	g := c.Gauge("depth")
-	g.Set(5)
-	g.Add(10)
-	g.Set(2)
-	if g.Value() != 2 || g.Max() != 15 {
-		t.Fatalf("value/max = %d/%d, want 2/15", g.Value(), g.Max())
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package chord implements the Chord structured overlay (Stoica et al.
-// 2001): a 64-bit identifier ring with successor lists, finger tables,
-// iterative greedy routing, and the periodic stabilization protocol whose
-// traffic constitutes the overlay's maintenance cost.
+// 2001): a 64-bit identifier ring with successor lists, finger tables and
+// iterative greedy routing. The ring is built converged and repaired only by
+// lookups dropping the dead pointers they meet; there is no stabilization
+// protocol.
 //
 // It provides the multi-hop baseline for the paper's one-hop-vs-multi-hop
-// comparison (E5): lookups take O(log n) hops, but per-node maintenance
-// traffic is constant in n.
+// comparison (E5): lookups take O(log n) hops.
 package chord
 
 import (
@@ -32,11 +32,6 @@ type Config struct {
 	// SuccessorListLen is the replication factor of successor pointers
 	// (default 8); the ring survives as long as one successor is alive.
 	SuccessorListLen int
-	// StabilizeInterval is the period of the successor-repair protocol.
-	StabilizeInterval time.Duration
-	// FixFingersInterval is the period at which each node refreshes one
-	// finger-table entry via a lookup.
-	FixFingersInterval time.Duration
 	// RPCTimeout bounds each hop's wait for an answer.
 	RPCTimeout time.Duration
 	// ReqSize and RespSize are per-message byte sizes.
@@ -46,12 +41,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SuccessorListLen <= 0 {
 		c.SuccessorListLen = 8
-	}
-	if c.StabilizeInterval <= 0 {
-		c.StabilizeInterval = 30 * time.Second
-	}
-	if c.FixFingersInterval <= 0 {
-		c.FixFingersInterval = time.Minute
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
@@ -106,10 +95,6 @@ type Network struct {
 
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
-
-	maintMsgs  int64
-	maintBytes int64
-	tickers    []*sim.Ticker
 }
 
 // NewNetwork creates an empty ring.
@@ -125,12 +110,6 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 
 // Nodes returns all nodes in creation order (shared slice; do not modify).
 func (nw *Network) Nodes() []*Node { return nw.nodes }
-
-// MaintenanceBytes returns cumulative stabilization traffic in bytes.
-func (nw *Network) MaintenanceBytes() int64 { return nw.maintBytes }
-
-// MaintenanceMessages returns cumulative stabilization message count.
-func (nw *Network) MaintenanceMessages() int64 { return nw.maintMsgs }
 
 // AddNode attaches a node with a random ring position in the given region.
 func (nw *Network) AddNode(region netmodel.Region) *Node {
@@ -185,123 +164,27 @@ func (nw *Network) SetOnline(n *Node, online bool) {
 	nw.net.SetUp(n.Addr, online)
 }
 
-// StartMaintenance launches the stabilize and fix-fingers tickers on every
-// node. Call StopMaintenance to halt them.
-func (nw *Network) StartMaintenance() error {
-	for _, n := range nw.nodes {
-		n := n
-		t1, err := nw.sim.Every(nw.rng.Jitter(nw.cfg.StabilizeInterval, 0.2), func() { nw.stabilize(n) })
-		if err != nil {
-			return err
-		}
-		t2, err := nw.sim.Every(nw.rng.Jitter(nw.cfg.FixFingersInterval, 0.2), func() { nw.fixFinger(n) })
-		if err != nil {
-			return err
-		}
-		nw.tickers = append(nw.tickers, t1, t2)
-	}
-	return nil
-}
-
-// StopMaintenance halts all maintenance tickers.
-func (nw *Network) StopMaintenance() {
-	for _, t := range nw.tickers {
-		t.Stop()
-	}
-	nw.tickers = nil
-}
-
-// stabilize pings the first successor; on timeout it promotes the next live
-// entry, then refreshes its successor list from the (new) successor.
-func (nw *Network) stabilize(n *Node) {
-	if !n.online || len(n.successors) == 0 {
-		return
-	}
-	succ := n.successors[0]
-	nw.rpc(n, succ.Addr, true, func(peer *Node, ok bool) {
-		if !ok {
-			// Successor dead: drop it; next stabilization round uses the
-			// promoted entry.
-			if len(n.successors) > 0 && n.successors[0].ID == succ.ID {
-				n.successors = n.successors[1:]
-			}
-			return
-		}
-		// Adopt the successor's list shifted by one (classic Chord repair).
-		list := make([]Contact, 0, nw.cfg.SuccessorListLen)
-		list = append(list, Contact{ID: peer.ID, Addr: peer.Addr})
-		for _, c := range peer.successors {
-			if len(list) >= nw.cfg.SuccessorListLen {
-				break
-			}
-			if c.ID != n.ID {
-				list = append(list, c)
-			}
-		}
-		n.successors = list
-	})
-}
-
-// fixFinger refreshes one random finger entry by routing to its start key.
-// Fix-finger lookups count as maintenance traffic.
-func (nw *Network) fixFinger(n *Node) {
-	if !n.online {
-		return
-	}
-	b := nw.rng.Intn(FingerBits)
-	start := n.ID + 1<<uint(b)
-	nw.lookup(n, start, true, func(r Result) {
-		if r.OK {
-			n.fingers[b] = r.Owner
-		}
-	})
-}
-
 // rpc sends a request and reports the peer (by direct reference — payload
-// contents are modelled, not serialized) or ok=false on timeout. Messages
-// flagged maint accrue to the maintenance-traffic counters.
-func (nw *Network) rpc(from *Node, to netmodel.NodeID, maint bool, onDone func(peer *Node, ok bool)) {
-	if maint {
-		nw.maintMsgs++
-		nw.maintBytes += int64(nw.cfg.ReqSize)
-	}
-	answered := false
-	var timeout sim.Handle
-	finish := func(p *Node, ok bool) {
-		if answered {
-			return
-		}
-		answered = true
-		timeout.Cancel()
-		onDone(p, ok)
-	}
-	timeout = nw.sim.After(nw.cfg.RPCTimeout, func() { finish(nil, false) })
-	nw.net.Send(from.Addr, to, nw.cfg.ReqSize, func() {
-		peer, ok := nw.byAddr[to]
-		if !ok || !peer.online {
-			return
-		}
-		if maint {
-			nw.maintMsgs++
-			nw.maintBytes += int64(nw.cfg.RespSize)
-		}
-		nw.net.Send(to, from.Addr, nw.cfg.RespSize, func() { finish(peer, true) })
-	})
+// contents are modelled, not serialized), or ok=false on timeout — peer is
+// then whatever the request found and must not be read.
+func (nw *Network) rpc(from *Node, to netmodel.NodeID, onDone func(peer *Node, ok bool)) {
+	var peer *Node
+	nw.net.Call(from.Addr, to, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+		func() bool {
+			peer = nw.byAddr[to]
+			return peer != nil && peer.online
+		},
+		func(ok bool) { onDone(peer, ok) })
 }
 
 // Lookup routes iteratively from origin to the owner of key, invoking done
 // exactly once. The final hop verifies the owner answers, so OK results
 // always denote a live owner.
 func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
-	nw.lookup(origin, key, false, done)
-}
-
-func (nw *Network) lookup(origin *Node, key uint64, maint bool, done func(Result)) {
 	l := &chordLookup{
 		nw:     nw,
 		origin: origin,
 		key:    key,
-		maint:  maint,
 		start:  nw.sim.Now(),
 		done:   done,
 	}
@@ -316,7 +199,6 @@ type chordLookup struct {
 	nw       *Network
 	origin   *Node
 	key      uint64
-	maint    bool
 	hops     int
 	timeouts int
 	start    time.Duration
@@ -347,7 +229,7 @@ func (l *chordLookup) visit(node *Node) {
 		// The key falls between this node and its successor: verify the
 		// owner answers before declaring success.
 		l.hops++
-		l.nw.rpc(l.origin, succ.Addr, l.maint, func(peer *Node, ok bool) {
+		l.nw.rpc(l.origin, succ.Addr, func(peer *Node, ok bool) {
 			if l.finished {
 				return
 			}
@@ -373,7 +255,7 @@ func (l *chordLookup) visit(node *Node) {
 // next-best pointer.
 func (l *chordLookup) hop(next Contact, from *Node) {
 	l.hops++
-	l.nw.rpc(l.origin, next.Addr, l.maint, func(peer *Node, ok bool) {
+	l.nw.rpc(l.origin, next.Addr, func(peer *Node, ok bool) {
 		if l.finished {
 			return
 		}

@@ -288,42 +288,34 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 	return sel.items
 }
 
-// findNode issues one FIND_NODE RPC and invokes onDone exactly once with
-// either the contacts from the reply or ok=false on timeout/drop.
+// findNode issues one FIND_NODE RPC and invokes onDone exactly once, on the
+// origin's kernel, with either the contacts from the reply or ok=false on
+// timeout/drop — also when the request was served and only the reply was
+// late or lost.
 func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
-	answered := false
-	var timeout sim.Handle
-	// finish runs on the origin's kernel either way: the timeout is
-	// scheduled there, and the reply delivery below executes there
-	// because the response Send targets from.Addr.
-	finish := func(contacts []Contact, ok bool) {
-		if answered {
-			return
-		}
-		answered = true
-		timeout.Cancel()
-		onDone(contacts, ok)
-	}
-	timeout = nw.net.Kernel(from.Addr).After(nw.cfg.RPCTimeout, func() { finish(nil, false) })
-
-	nw.net.Send(from.Addr, to.Addr, nw.cfg.ReqSize, func() {
-		recv, ok := nw.byAddr[to.Addr]
-		if !ok || !recv.online {
-			return
-		}
-		// Open networks learn the requester — the sybil poisoning vector.
-		recv.table.Add(Contact{ID: from.ID, Addr: from.Addr})
-		if !recv.responsive {
-			return
-		}
-		var contacts []Contact
-		if recv.malicious && recv.poison != nil {
-			contacts = recv.poison(target)
-		} else {
-			contacts = recv.table.Closest(target, nw.cfg.K)
-		}
-		nw.net.Send(to.Addr, from.Addr, nw.cfg.RespSize, func() {
-			finish(contacts, true)
+	var contacts []Contact
+	nw.net.Call(from.Addr, to.Addr, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+		func() bool {
+			recv, ok := nw.byAddr[to.Addr]
+			if !ok || !recv.online {
+				return false
+			}
+			// Open networks learn the requester — the sybil poisoning vector.
+			recv.table.Add(Contact{ID: from.ID, Addr: from.Addr})
+			if !recv.responsive {
+				return false
+			}
+			if recv.malicious && recv.poison != nil {
+				contacts = recv.poison(target)
+			} else {
+				contacts = recv.table.Closest(target, nw.cfg.K)
+			}
+			return true
+		},
+		func(ok bool) {
+			if !ok {
+				contacts = nil
+			}
+			onDone(contacts, ok)
 		})
-	})
 }

@@ -203,15 +203,16 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 			return
 		}
 		target := cands[i]
-		answered := false
-		var timeout sim.Handle
-		finish := func(ok bool) {
-			if answered {
-				return
-			}
-			answered = true
-			timeout.Cancel()
-			if ok {
+		nw.net.Call(origin.Addr, target.Addr, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+			func() bool {
+				peer, ok := nw.byAddr[target.Addr]
+				return ok && peer.online
+			},
+			func(ok bool) {
+				if !ok {
+					attempt(i + 1)
+					return
+				}
 				if done != nil {
 					done(Result{
 						Owner:    target.Addr,
@@ -220,18 +221,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 						OK:       true,
 					})
 				}
-				return
-			}
-			attempt(i + 1)
-		}
-		timeout = nw.sim.After(nw.cfg.RPCTimeout, func() { finish(false) })
-		nw.net.Send(origin.Addr, target.Addr, nw.cfg.ReqSize, func() {
-			peer, ok := nw.byAddr[target.Addr]
-			if !ok || !peer.online {
-				return
-			}
-			nw.net.Send(target.Addr, origin.Addr, nw.cfg.RespSize, func() { finish(true) })
-		})
+			})
 	}
 	attempt(0)
 }

@@ -1,6 +1,9 @@
 package onehop
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -179,5 +182,50 @@ func TestZeroChurnModel(t *testing.T) {
 	p := MaintenanceParams{N: 1000}
 	if p.EventRate() != 0 || p.OrdinaryBps() != 0 {
 		t.Fatal("zero churn must imply zero maintenance")
+	}
+}
+
+// TestLookupResultsPinned compares 2 100 lookups on a six-region overlay — a
+// third of it taken offline mid-run behind a 10 s view lag, an RPC deadline
+// that the slower region pairs miss so late replies do occur — with a digest
+// captured at the commit where one-hop still carried its own
+// request/response/deadline exchange.
+func TestLookupResultsPinned(t *testing.T) {
+	s := sim.New(sim.WithSeed(9))
+	nw := NewNetwork(s, netmodel.New(s, netmodel.WithJitter(0.1)), Config{RPCTimeout: 200 * time.Millisecond, ViewLag: 10 * time.Second})
+	const n = 300
+	for i := 0; i < n; i++ {
+		nw.AddNode(netmodel.Region(1 + i%netmodel.NumRegions))
+	}
+	if err := nw.Build(); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	keys, origins := s.Stream("k"), s.Stream("o")
+	h := sha256.New()
+	const lookups = 2100
+	done := 0
+	for i := 0; i < lookups; i++ {
+		s.At(time.Duration(i)*50*time.Millisecond, func() {
+			origin := nw.Nodes()[n/3+origins.Intn(n-n/3)]
+			nw.Lookup(origin, keys.Uint64(), func(r Result) {
+				done++
+				fmt.Fprintf(h, "%d|%d|%d|%t\n", r.Owner, r.Attempts, r.Latency, r.OK)
+			})
+		})
+	}
+	s.At(40*time.Second, func() {
+		for _, node := range nw.Nodes()[:n/3] {
+			nw.SetOnline(node, false)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if done != lookups {
+		t.Fatalf("%d of %d lookups reported", done, lookups)
+	}
+	const want = "d8837ba35cc56a8df52239db9dc56a46568ad5421c2e64fe24b78eb6cd63aa10"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("lookup results digest %s, want %s", got, want)
 	}
 }

@@ -12,11 +12,12 @@ package pbft
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Config parameterizes the replica group.
@@ -495,39 +496,24 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	if rate <= 0 || duration <= 0 {
 		return LoadStats{}, errors.New("pbft: rate and duration must be positive")
 	}
-	rng := c.sim.Stream("pbft.load")
-	mean := time.Duration(float64(time.Second) / rate)
-	id := 0
-	var submit func()
-	submit = func() {
-		if c.sim.Now() >= duration {
-			return
-		}
+	offered := 0
+	err := workload.StartPoisson(c.sim, c.sim.Stream("pbft.load"), rate, duration, func(id int) {
 		c.Submit(Request{ID: id, SubmittedAt: c.sim.Now()})
-		id++
-		c.sim.After(rng.ExpDuration(mean), submit)
+		offered = id + 1
+	})
+	if err != nil {
+		return LoadStats{}, err
 	}
-	submit()
 	if err := c.sim.RunUntil(duration + 10*time.Second); err != nil {
 		return LoadStats{}, err
 	}
 	if c.committed == 0 {
 		return LoadStats{}, errNotRun
 	}
-	var sum time.Duration
-	sample := make([]time.Duration, len(c.commitLatency))
-	copy(sample, c.commitLatency)
-	for _, d := range sample {
-		sum += d
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	st := LoadStats{
-		TPS:         float64(c.committed) / duration.Seconds(),
-		MeanLatency: sum / time.Duration(len(sample)),
-		P99Latency:  sample[(len(sample)-1)*99/100],
-	}
-	if id > 0 {
-		st.MsgsPerReq = float64(c.msgs) / float64(id)
+	st := LoadStats{TPS: float64(c.committed) / duration.Seconds()}
+	st.MeanLatency, st.P99Latency = metrics.MeanP99(c.commitLatency)
+	if offered > 0 {
+		st.MsgsPerReq = float64(c.msgs) / float64(offered)
 	}
 	return st, nil
 }

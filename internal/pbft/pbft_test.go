@@ -1,6 +1,10 @@
 package pbft
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -268,5 +272,28 @@ func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
 				t.Fatalf("committed = %d, want 1", c.committed)
 			}
 		})
+	}
+}
+
+// TestRunLoadPinned compares one load run's statistics and every commit
+// latency with a digest captured at the commit where RunLoad still carried
+// its own Poisson arrival loop and latency summary.
+func TestRunLoadPinned(t *testing.T) {
+	_, c := newCluster(t, 4, 21, Config{})
+	st, err := c.RunLoad(300, 4*time.Second)
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%x|%d|%d|%x\n", math.Float64bits(st.TPS), st.MeanLatency, st.P99Latency, math.Float64bits(st.MsgsPerReq))
+	for _, d := range c.commitLatency {
+		fmt.Fprintf(h, "%d\n", d)
+	}
+	if len(c.commitLatency) < 1000 {
+		t.Fatalf("only %d commits", len(c.commitLatency))
+	}
+	const want = "212ba14d158c84ab5b8a63c7b278d37fe4216d3ea7dde5d3576a9664481aadcc"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("load run digest %s, want %s", got, want)
 	}
 }

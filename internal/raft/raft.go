@@ -11,8 +11,10 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Role is a node's protocol role.
@@ -467,34 +469,17 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	if err := c.sim.RunFor(2 * c.cfg.ElectionTimeoutMax); err != nil {
 		return LoadStats{}, err
 	}
-	rng := c.sim.Stream("raft.load")
-	mean := time.Duration(float64(time.Second) / rate)
 	start := c.sim.Now()
-	id := 0
-	var submit func()
-	submit = func() {
-		if c.sim.Now()-start >= duration {
-			return
-		}
+	err := workload.StartPoisson(c.sim, c.sim.Stream("raft.load"), rate, start+duration, func(id int) {
 		c.Submit(Request{ID: id, SubmittedAt: c.sim.Now()})
-		id++
-		c.sim.After(rng.ExpDuration(mean), submit)
+	})
+	if err != nil {
+		return LoadStats{}, err
 	}
-	submit()
 	if err := c.sim.RunUntil(start + duration + 5*time.Second); err != nil {
 		return LoadStats{}, err
 	}
 	st := LoadStats{TPS: float64(c.committed) / duration.Seconds()}
-	if len(c.latency) > 0 {
-		var sum time.Duration
-		sample := make([]time.Duration, len(c.latency))
-		copy(sample, c.latency)
-		for _, d := range sample {
-			sum += d
-		}
-		sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-		st.MeanLatency = sum / time.Duration(len(sample))
-		st.P99Latency = sample[(len(sample)-1)*99/100]
-	}
+	st.MeanLatency, st.P99Latency = metrics.MeanP99(c.latency)
 	return st, nil
 }

@@ -1,6 +1,10 @@
 package raft
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -314,5 +318,28 @@ func TestInFlightAppendAcrossCrash(t *testing.T) {
 				t.Fatalf("leader commit index = %d, want 0", leader.commit)
 			}
 		})
+	}
+}
+
+// TestRunLoadPinned compares one load run's statistics and every commit
+// latency with a digest captured at the commit where RunLoad still carried
+// its own Poisson arrival loop and latency summary.
+func TestRunLoadPinned(t *testing.T) {
+	_, c := newCluster(t, 5, 21)
+	st, err := c.RunLoad(300, 4*time.Second)
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%x|%d|%d\n", math.Float64bits(st.TPS), st.MeanLatency, st.P99Latency)
+	for _, d := range c.latency {
+		fmt.Fprintf(h, "%d\n", d)
+	}
+	if len(c.latency) < 1000 {
+		t.Fatalf("only %d commits", len(c.latency))
+	}
+	const want = "02a9988dbcec5d7888151d669b10b33d24bfe29f5df1b1d8059f45a532ee1a58"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("load run digest %s, want %s", got, want)
 	}
 }

@@ -135,14 +135,6 @@ func renderResourcesSection(e core.Experiment, v *harness.GroupView, res *resour
 		}
 		b.WriteString("\n")
 	}
-	if len(snap.Gauges) > 0 {
-		b.WriteString("### Gauges\n\n")
-		b.WriteString("| Gauge | Last | High-water |\n|---|---|---|\n")
-		for _, g := range snap.Gauges {
-			fmt.Fprintf(&b, "| %s | %d | %d |\n", mdCell(g.Name), g.Value, g.Max)
-		}
-		b.WriteString("\n")
-	}
 
 	var figures []File
 	if len(snap.Hists) > 0 {
@@ -171,7 +163,7 @@ func renderResourcesSection(e core.Experiment, v *harness.GroupView, res *resour
 			fmt.Fprintf(&b, "![%s CDF](../%s)\n\n", mdCell(h.Name()), path)
 		}
 	}
-	if len(snap.Counters) == 0 && len(snap.Gauges) == 0 && len(snap.Hists) == 0 {
+	if len(snap.Counters) == 0 && len(snap.Hists) == 0 {
 		b.WriteString("_This experiment drives no instrumented subsystem; only kernel statistics were recorded._\n\n")
 	}
 	return b.String(), figures

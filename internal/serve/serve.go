@@ -406,9 +406,6 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 			artifact = v
 		case strings.HasPrefix(k, "knob."):
 			name := k[len("knob."):]
-			if _, ok := experiments.KnobSpecs()[name]; !ok {
-				return opts, "", fmt.Errorf("unknown knob %q", name)
-			}
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 				return opts, "", fmt.Errorf("knob %s value %q must be a finite number", name, v)
@@ -422,5 +419,33 @@ func (s *Server) parseScenario(q map[string][]string) (report.Options, string, e
 		}
 	}
 	opts, err := report.Canonical(s.reg, opts)
-	return opts, artifact, err
+	if err != nil {
+		return opts, "", err
+	}
+	return opts, artifact, checkKnobs(opts)
+}
+
+// checkKnobs refuses a canonical scenario's knobs by the rules its jobs
+// would be refused by — ownership for the sweep (harness.Sweep.Validate),
+// then each experiment's own rule on the config its jobs would carry —
+// before a sweep is counted or one job per seed scheduled and failed.
+func checkKnobs(opts report.Options) error {
+	probe := harness.Sweep{
+		Experiments: opts.IDs,
+		Seeds:       opts.Seeds[:1],
+		Scales:      []float64{opts.Scale},
+		Params:      make(map[string][]float64, len(opts.Params)),
+	}
+	for name, v := range opts.Params {
+		probe.Params[name] = []float64{v}
+	}
+	if err := probe.Validate(); err != nil {
+		return err
+	}
+	for _, job := range probe.Jobs() {
+		if err := experiments.ValidateKnobs(job.ExperimentID, job.Config); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -198,7 +198,8 @@ func TestRunScenarioIdentity(t *testing.T) {
 // table rejects — /run parses seeds with that function, so the service
 // and the CLI refuse the same lists — plus the per-request seed cap.
 func TestRunMalformedScenario(t *testing.T) {
-	h := testServer(t).Handler()
+	srv := testServer(t)
+	h := srv.Handler()
 	cases := []struct{ name, query, want string }{
 		{"unknown key", "/run?frobnicate=1", "unknown query key"},
 		{"unknown experiment", "/run?scenario=E99", "unknown experiment"},
@@ -227,6 +228,11 @@ func TestRunMalformedScenario(t *testing.T) {
 		{"NaN knob value", "/run?scenario=E01&knob.e01.exploration=NaN", "finite"},
 		{"infinite knob value", "/run?scenario=E01&knob.e01.exploration=-Inf", "finite"},
 		{"bad bool", "/run?scenario=E01&sensitivity=maybe", ""},
+		{"knob of an unselected experiment", "/run?scenario=E01&knob.e03.lookups=100", "not among the selected experiments"},
+		{"knob below its floor", "/run?scenario=E01&seeds=1..50&knob.e01.customers=1", "below the measurement floor"},
+		{"knob above its maximum", "/run?scenario=E01&knob.e01.cdnproviders=501", "above the maximum"},
+		{"fractional integer knob", "/run?scenario=E01&knob.e01.customers=2000.5", "must be an integer"},
+		{"scaled knob below its floor", "/run?scenario=E01&scale=0.01&knob.e01.customers=2000", "falls below the measurement floor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,6 +249,10 @@ func TestRunMalformedScenario(t *testing.T) {
 				t.Errorf("%s body = %q, want substring %q", tc.query, rec.Body.String(), tc.want)
 			}
 		})
+	}
+	// Refused at parse time: none of the above reached the generator.
+	if st := srv.Stats(); st.Sweeps != 0 {
+		t.Errorf("stats = %+v, want no sweep counted for refused scenarios", st)
 	}
 }
 

@@ -12,56 +12,33 @@ import (
 	"repro/internal/sim"
 )
 
-// PoissonStream emits events with exponentially distributed inter-arrival
-// times (a Poisson process) until stopped.
-type PoissonStream struct {
-	sim     *sim.Sim
-	rng     *sim.RNG
-	mean    time.Duration
-	fn      func(seq int)
-	seq     int
-	stopped bool
-}
-
-// StartPoisson begins a Poisson process with the given rate in events per
-// second, invoking fn(seq) for each arrival. It returns an error for
-// non-positive rates or a nil callback.
-func StartPoisson(s *sim.Sim, stream string, rate float64, fn func(seq int)) (*PoissonStream, error) {
+// StartPoisson offers an open-loop Poisson load on s: one arrival at the
+// call instant, then one after each exponentially distributed gap of mean
+// 1/rate seconds drawn from g, for as long as the clock reads before until.
+// fn(seq) runs before the gap to the next arrival is drawn, so a callback
+// that draws from g itself interleaves its draws with the gaps. It returns
+// an error for non-positive rates or a nil callback.
+func StartPoisson(s *sim.Sim, g *sim.RNG, rate float64, until time.Duration, fn func(seq int)) error {
 	if rate <= 0 {
-		return nil, errors.New("workload: rate must be positive")
+		return errors.New("workload: rate must be positive")
 	}
 	if fn == nil {
-		return nil, errors.New("workload: callback is nil")
+		return errors.New("workload: callback is nil")
 	}
-	p := &PoissonStream{
-		sim:  s,
-		rng:  s.Stream(stream),
-		mean: time.Duration(float64(time.Second) / rate),
-		fn:   fn,
-	}
-	p.next()
-	return p, nil
-}
-
-func (p *PoissonStream) next() {
-	p.sim.After(p.rng.ExpDuration(p.mean), func() {
-		if p.stopped {
+	mean := time.Duration(float64(time.Second) / rate)
+	seq := 0
+	var arrive func()
+	arrive = func() {
+		if s.Now() >= until {
 			return
 		}
-		seq := p.seq
-		p.seq++
-		p.fn(seq)
-		if !p.stopped {
-			p.next()
-		}
-	})
+		fn(seq)
+		seq++
+		s.After(g.ExpDuration(mean), arrive)
+	}
+	arrive()
+	return nil
 }
-
-// Stop halts the stream; no further arrivals fire.
-func (p *PoissonStream) Stop() { p.stopped = true }
-
-// Count returns the number of arrivals emitted so far.
-func (p *PoissonStream) Count() int { return p.seq }
 
 // Catalogue is a set of content items with Zipf-distributed popularity, the
 // canonical model for file-sharing workloads.
@@ -101,45 +78,18 @@ type Tx struct {
 	At   time.Duration
 }
 
-// TxSource produces transactions at a Poisson rate with a fixed size
-// distribution (uniform between MinSize and MaxSize).
-type TxSource struct {
-	stream  *PoissonStream
-	rng     *sim.RNG
-	minSize int
-	maxSize int
-}
-
-// StartTxSource emits transactions at rate per second with sizes uniform in
-// [minSize, maxSize] bytes, calling submit for each.
-func StartTxSource(s *sim.Sim, rate float64, minSize, maxSize int, submit func(Tx)) (*TxSource, error) {
+// StartTxSource offers transactions at a Poisson rate per second until the
+// clock reads until, with sizes uniform in [minSize, maxSize] bytes, calling
+// submit for each.
+func StartTxSource(s *sim.Sim, rate float64, minSize, maxSize int, until time.Duration, submit func(Tx)) error {
 	if minSize <= 0 || maxSize < minSize {
-		return nil, errors.New("workload: invalid tx size range")
+		return errors.New("workload: invalid tx size range")
 	}
 	if submit == nil {
-		return nil, errors.New("workload: submit callback is nil")
+		return errors.New("workload: submit callback is nil")
 	}
-	src := &TxSource{
-		rng:     s.Stream("workload.txsize"),
-		minSize: minSize,
-		maxSize: maxSize,
-	}
-	stream, err := StartPoisson(s, "workload.txarrival", rate, func(seq int) {
-		submit(Tx{
-			ID:   seq,
-			Size: src.minSize + src.rng.Intn(src.maxSize-src.minSize+1),
-			At:   s.Now(),
-		})
+	sizes := s.Stream("workload.txsize")
+	return StartPoisson(s, s.Stream("workload.txarrival"), rate, until, func(seq int) {
+		submit(Tx{ID: seq, Size: minSize + sizes.Intn(maxSize-minSize+1), At: s.Now()})
 	})
-	if err != nil {
-		return nil, err
-	}
-	src.stream = stream
-	return src, nil
 }
-
-// Stop halts transaction production.
-func (t *TxSource) Stop() { t.stream.Stop() }
-
-// Count returns the number of transactions produced.
-func (t *TxSource) Count() int { return t.stream.Count() }
