@@ -26,9 +26,10 @@ type Config struct {
 	ServiceTime time.Duration
 	// CrossShardFrac is the fraction of transactions touching two shards.
 	CrossShardFrac float64
-	// CommitRTT is the extra coordination latency for cross-shard commits.
-	CommitRTT time.Duration
 }
+
+// commitRTT is the extra coordination latency for cross-shard commits.
+const commitRTT = 2 * time.Millisecond
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards <= 0 {
@@ -39,9 +40,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CrossShardFrac < 0 || c.CrossShardFrac > 1 {
 		return c, errors.New("cloudbase: CrossShardFrac must be in [0,1]")
-	}
-	if c.CommitRTT <= 0 {
-		c.CommitRTT = 2 * time.Millisecond
 	}
 	return c, nil
 }
@@ -115,7 +113,7 @@ func (c *Cluster) Submit(key uint64) time.Duration {
 		if c.cfg.Shards > 1 {
 			other = (shard + 1 + c.rng.Intn(c.cfg.Shards-1)) % c.cfg.Shards
 		}
-		done = maxDur(done, serve(other)) + c.cfg.CommitRTT
+		done = maxDur(done, serve(other)) + commitRTT
 	}
 	c.sim.At(done, func() {
 		if c.horizon <= 0 || done <= c.horizon {

@@ -27,15 +27,15 @@ type MarketConfig struct {
 	// FitnessSigma is the lognormal spread of provider quality
 	// (0 = identical providers; larger = stronger winner-take-most).
 	FitnessSigma float64
-	// Smoothing is the additive constant k giving empty providers a
-	// chance (default 1).
-	Smoothing float64
 	// Exploration is the probability a customer ignores installed base
 	// and picks on fitness alone (idiosyncratic needs, regional pricing).
 	// It tempers lock-in: 0 converges to near-monopoly, higher values
 	// yield the oligopoly profile real CDN/cloud markets show.
 	Exploration float64
 }
+
+// smoothing is the additive constant k giving empty providers a chance.
+const smoothing = 1
 
 // MarketResult reports the final share distribution.
 type MarketResult struct {
@@ -56,9 +56,6 @@ func RunMarket(g *sim.RNG, cfg MarketConfig) (*MarketResult, error) {
 	if cfg.Customers < cfg.Providers {
 		return nil, errors.New("econ: need at least as many customers as providers")
 	}
-	if cfg.Smoothing <= 0 {
-		cfg.Smoothing = 1
-	}
 	fitness := make([]float64, cfg.Providers)
 	for i := range fitness {
 		fitness[i] = math.Exp(cfg.FitnessSigma * g.NormFloat64())
@@ -72,7 +69,7 @@ func RunMarket(g *sim.RNG, cfg MarketConfig) (*MarketResult, error) {
 			if explore {
 				weights[i] = fitness[i]
 			} else {
-				weights[i] = fitness[i] * (customers[i] + cfg.Smoothing)
+				weights[i] = fitness[i] * (customers[i] + smoothing)
 			}
 			total += weights[i]
 		}

@@ -44,14 +44,6 @@ type MiningEconConfig struct {
 	// electricity); Farms is the number of industrial operations
 	// (wholesale electricity, reinvested profits).
 	Hobbyists, Farms int
-	// RetailElecUSDPerKWh and WholesaleElecUSDPerKWh are electricity
-	// prices for the two classes.
-	RetailElecUSDPerKWh, WholesaleElecUSDPerKWh float64
-	// Gens is the hardware roadmap (default DefaultHardwareGens).
-	Gens []HardwareGen
-	// ExitAfterLossEpochs is how many consecutive loss epochs a hobbyist
-	// tolerates before quitting (default 2).
-	ExitAfterLossEpochs int
 }
 
 func (c MiningEconConfig) withDefaults() (MiningEconConfig, error) {
@@ -63,18 +55,6 @@ func (c MiningEconConfig) withDefaults() (MiningEconConfig, error) {
 	}
 	if c.RewardUSDPerEpoch <= 0 {
 		return c, errors.New("econ: RewardUSDPerEpoch must be positive")
-	}
-	if c.RetailElecUSDPerKWh <= 0 {
-		c.RetailElecUSDPerKWh = 0.20
-	}
-	if c.WholesaleElecUSDPerKWh <= 0 {
-		c.WholesaleElecUSDPerKWh = 0.04
-	}
-	if len(c.Gens) == 0 {
-		c.Gens = DefaultHardwareGens()
-	}
-	if c.ExitAfterLossEpochs <= 0 {
-		c.ExitAfterLossEpochs = 2
 	}
 	return c, nil
 }
@@ -100,7 +80,15 @@ type MiningEconResult struct {
 	FinalFarmShare float64
 }
 
-const hoursPerEpoch = 730 // one month
+const (
+	hoursPerEpoch = 730 // one month
+	// retailElecUSDPerKWh and wholesaleElecUSDPerKWh are the electricity
+	// prices hobbyists and farms pay.
+	retailElecUSDPerKWh, wholesaleElecUSDPerKWh = 0.20, 0.04
+	// exitAfterLossEpochs is how many consecutive loss epochs a hobbyist
+	// tolerates before quitting.
+	exitAfterLossEpochs = 2
+)
 
 // RunMiningEconomy simulates the hardware arms race: farms reinvest profit
 // into the best available generation while hobbyists run one commodity unit
@@ -110,6 +98,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 	if err != nil {
 		return nil, err
 	}
+	gens := DefaultHardwareGens()
 	type agent struct {
 		farm       bool
 		units      float64
@@ -123,7 +112,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 		agents = append(agents, &agent{
 			units:  1,
 			gen:    0,
-			elec:   cfg.RetailElecUSDPerKWh * (0.8 + 0.4*g.Float64()),
+			elec:   retailElecUSDPerKWh * (0.8 + 0.4*g.Float64()),
 			active: true,
 		})
 	}
@@ -132,14 +121,14 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			farm:   true,
 			units:  1 + g.Float64()*4,
 			gen:    0,
-			elec:   cfg.WholesaleElecUSDPerKWh * (0.8 + 0.4*g.Float64()),
+			elec:   wholesaleElecUSDPerKWh * (0.8 + 0.4*g.Float64()),
 			active: true,
 		})
 	}
 	res := &MiningEconResult{HobbyistExtinctionEpoch: -1}
 	bestGen := func(epoch int) int {
 		best := 0
-		for i, gen := range cfg.Gens {
+		for i, gen := range gens {
 			if gen.AvailableFrom <= epoch {
 				best = i
 			}
@@ -154,7 +143,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			}
 			if ng := bestGen(epoch); ng > a.gen {
 				// Replace fleet: capital rolls over at half value.
-				a.units = a.units*cfg.Gens[a.gen].UnitCostUSD/cfg.Gens[ng].UnitCostUSD/2 + 1
+				a.units = a.units*gens[a.gen].UnitCostUSD/gens[ng].UnitCostUSD/2 + 1
 				a.gen = ng
 			}
 		}
@@ -163,7 +152,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			if !a.active {
 				continue
 			}
-			totalHash += a.units * cfg.Gens[a.gen].HashPerSec
+			totalHash += a.units * gens[a.gen].HashPerSec
 		}
 		if totalHash == 0 {
 			break
@@ -175,8 +164,8 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			if !a.active {
 				continue
 			}
-			hash := a.units * cfg.Gens[a.gen].HashPerSec
-			watts := a.units * cfg.Gens[a.gen].Watts
+			hash := a.units * gens[a.gen].HashPerSec
+			watts := a.units * gens[a.gen].Watts
 			totalPower += watts
 			revenue := cfg.RewardUSDPerEpoch * hash / totalHash
 			cost := watts / 1000 * hoursPerEpoch * a.elec
@@ -186,7 +175,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 				farmHash += hash
 				if profit > 0 {
 					// Reinvest into more units of the current generation.
-					a.units += profit / cfg.Gens[a.gen].UnitCostUSD
+					a.units += profit / gens[a.gen].UnitCostUSD
 				}
 				continue
 			}
@@ -194,7 +183,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			hobbyProfit += profit
 			if profit < 0 {
 				a.lossStreak++
-				if a.lossStreak >= cfg.ExitAfterLossEpochs {
+				if a.lossStreak >= exitAfterLossEpochs {
 					a.active = false
 				}
 			} else {

@@ -21,9 +21,9 @@ type NodeCostParams struct {
 	Years int
 	// Nodes is the node population.
 	Nodes int
-	// DiskGBMedian and DiskGBSigma describe the lognormal distribution of
-	// per-node disk budgets for chain storage.
-	DiskGBMedian, DiskGBSigma float64
+	// DiskGBMedian is the median of the lognormal distribution of per-node
+	// disk budgets for chain storage; its sigma is diskGBSigma.
+	DiskGBMedian float64
 	// InitialChainGB is the chain size at year zero.
 	InitialChainGB float64
 }
@@ -44,11 +44,11 @@ func (p NodeCostParams) withDefaults() (NodeCostParams, error) {
 	if p.DiskGBMedian <= 0 {
 		p.DiskGBMedian = 320
 	}
-	if p.DiskGBSigma <= 0 {
-		p.DiskGBSigma = 1.0
-	}
 	return p, nil
 }
+
+// diskGBSigma is the lognormal sigma of per-node disk budgets.
+const diskGBSigma = 1.0
 
 // ChainGrowthGBPerYear returns annual chain growth.
 func (p NodeCostParams) ChainGrowthGBPerYear() float64 {
@@ -82,7 +82,7 @@ func RunNodeCostModel(g *sim.RNG, p NodeCostParams) (*NodeCostResult, error) {
 	budgets := make([]float64, p.Nodes)
 	mu := math.Log(p.DiskGBMedian)
 	for i := range budgets {
-		budgets[i] = math.Exp(mu + p.DiskGBSigma*g.NormFloat64())
+		budgets[i] = math.Exp(mu + diskGBSigma*g.NormFloat64())
 	}
 	res := &NodeCostResult{}
 	growth := p.ChainGrowthGBPerYear()

@@ -26,11 +26,6 @@ type Config struct {
 	// AreaKM is the side of the square service region in kilometres
 	// (default 3000, a continent).
 	AreaKM float64
-	// LastMileMs is the fixed access-network latency every path pays.
-	LastMileMs float64
-	// MsPerKM is one-way propagation per kilometre including routing
-	// inflation (default 0.03 ms/km ≈ fibre at 2/3 c with 1.5x detours).
-	MsPerKM float64
 	// ServiceMs is the server-side processing time.
 	ServiceMs float64
 }
@@ -42,17 +37,19 @@ func (c Config) withDefaults() (Config, error) {
 	if c.AreaKM <= 0 {
 		c.AreaKM = 3000
 	}
-	if c.LastMileMs <= 0 {
-		c.LastMileMs = 4
-	}
-	if c.MsPerKM <= 0 {
-		c.MsPerKM = 0.03
-	}
 	if c.ServiceMs < 0 {
 		c.ServiceMs = 0
 	}
 	return c, nil
 }
+
+const (
+	// lastMileMs is the fixed access-network latency every path pays.
+	lastMileMs = 4
+	// msPerKM is one-way propagation per kilometre including routing
+	// inflation: fibre at 2/3 c with 1.5x detours.
+	msPerKM = 0.03
+)
 
 type point struct {
 	x, y float64
@@ -95,7 +92,7 @@ func New(g *sim.RNG, cfg Config) (*Deployment, error) {
 // rttMs returns the request-response latency between a client and a server
 // location.
 func (d *Deployment) rttMs(c, s point) float64 {
-	oneWay := d.cfg.LastMileMs + dist(c, s)*d.cfg.MsPerKM
+	oneWay := lastMileMs + dist(c, s)*msPerKM
 	return 2*oneWay + d.cfg.ServiceMs
 }
 

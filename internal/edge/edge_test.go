@@ -65,9 +65,9 @@ func TestNearestDistanceScaling(t *testing.T) {
 }
 
 func TestLatencyFloor(t *testing.T) {
-	// Even with an edge node on top of the client, RTT >= 2*LastMile +
+	// Even with an edge node on top of the client, RTT >= 2*lastMileMs +
 	// Service.
-	d := deploy(t, 5, Config{Clients: 100, EdgeNodes: 5000, CloudDCs: 1, LastMileMs: 4, ServiceMs: 1})
+	d := deploy(t, 5, Config{Clients: 100, EdgeNodes: 5000, CloudDCs: 1, ServiceMs: 1})
 	med := d.Latencies(EdgePlacement).Median()
 	if med < 9 {
 		t.Fatalf("median %v below physical floor 9ms", med)

@@ -60,7 +60,7 @@ func e13PermissionedVsPoW() core.Experiment {
 				raftN := knobInt(cfg, "e13.raftnodes")
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
-				cl, err := raft.NewCluster(s, nm, raftN, netmodel.Europe, raft.Config{})
+				cl, err := raft.NewCluster(s, nm, raftN, netmodel.Europe)
 				if err != nil {
 					return err
 				}

@@ -74,6 +74,9 @@ type groupAcc struct {
 	metricIx map[string]*metricAcc
 	checks   []*checkAcc
 	checkIx  map[string]*checkAcc
+	// rep is the lowest-seed successful result, GroupView's representative.
+	rep     *core.Result
+	repSeed int64
 }
 
 // Aggregate collapses job results into a Report. Results belonging to the
@@ -82,10 +85,22 @@ type groupAcc struct {
 // so equal inputs produce byte-identical exports regardless of how the
 // jobs were scheduled.
 func Aggregate(results []JobResult) *Report {
+	views := AggregateView(results)
+	rep := &Report{Groups: make([]Group, 0, len(views))}
+	for _, v := range views {
+		rep.Groups = append(rep.Groups, v.Group)
+	}
+	return rep
+}
+
+// AggregateView collapses job results into report-oriented group views:
+// the grouping and ordering of Aggregate, with each group carrying its
+// representative result for artifact rendering.
+func AggregateView(results []JobResult) []GroupView {
 	var order []*groupAcc
 	index := make(map[string]*groupAcc)
 	for _, jr := range results {
-		key := groupKey(jr.Job)
+		key := ScenarioKey(jr.Job.ExperimentID, jr.Job.Config.Scale, jr.Job.Config.Params)
 		acc, ok := index[key]
 		if !ok {
 			acc = &groupAcc{
@@ -110,6 +125,9 @@ func Aggregate(results []JobResult) *Report {
 		if acc.group.Title == "" {
 			acc.group.Title = jr.Result.Title
 		}
+		if acc.rep == nil || jr.Job.Config.Seed < acc.repSeed {
+			acc.rep, acc.repSeed = jr.Result, jr.Job.Config.Seed
+		}
 		for _, mv := range resultMetrics(jr.Result) {
 			m, ok := acc.metricIx[mv.name]
 			if !ok {
@@ -132,7 +150,7 @@ func Aggregate(results []JobResult) *Report {
 			}
 		}
 	}
-	rep := &Report{Groups: make([]Group, 0, len(order))}
+	views := make([]GroupView, 0, len(order))
 	for _, acc := range order {
 		g := acc.group
 		g.Metrics = make([]MetricAgg, 0, len(acc.metrics))
@@ -162,23 +180,19 @@ func Aggregate(results []JobResult) *Report {
 				Verdict:  verdict,
 			})
 		}
-		rep.Groups = append(rep.Groups, g)
+		views = append(views, GroupView{Group: g, Representative: acc.rep, RepresentativeSeed: acc.repSeed})
 	}
-	return rep
+	return views
 }
 
-// key renders the scenario identity results are merged on: experiment id
+// Key returns the scenario identity results are merged on: experiment id
 // + scale + canonical knob assignment, everything but the seed. Group
-// stores exactly these canonical components, so a group rebuilt from its
-// exported fields keys identically to the jobs that formed it.
-func (g Group) key() string {
+// stores exactly these canonical components, so it is the same string
+// ScenarioKey renders for the jobs that formed the group, and callers can
+// index aggregated output by the scenarios they submitted.
+func (g Group) Key() string {
 	return fmt.Sprintf("%s|%g|%s", g.ExperimentID, g.Scale, g.Params)
 }
-
-// Key returns the group's canonical scenario identity — the same string
-// ScenarioKey renders for the jobs that formed it, so callers can index
-// aggregated output by the scenarios they submitted.
-func (g Group) Key() string { return g.key() }
 
 // ScenarioKey renders the canonical identity replications are merged on:
 // experiment id + scale + knob assignment (everything but the seed). It
@@ -188,7 +202,33 @@ func ScenarioKey(experimentID string, scale float64, params map[string]float64) 
 		ExperimentID: strings.ToUpper(experimentID),
 		Scale:        scale,
 		Params:       ParamLabel(params),
-	}.key()
+	}.Key()
+}
+
+// Verdict is the three-way scenario outcome every surface agrees on: ERROR
+// when no replication completed (an infrastructure failure, not a refuted
+// claim), else REPRODUCED when every check won its majority vote, else NOT
+// REPRODUCED.
+func (g Group) Verdict() string {
+	switch {
+	case len(g.Errors) == g.Replications:
+		return "ERROR"
+	case g.Reproduced:
+		return "REPRODUCED"
+	default:
+		return "NOT REPRODUCED"
+	}
+}
+
+// Passes returns how many of the group's checks won their majority vote.
+func (g Group) Passes() int {
+	n := 0
+	for _, c := range g.Checks {
+		if c.Verdict {
+			n++
+		}
+	}
+	return n
 }
 
 // Headline returns the group's headline metric: the first aggregated
@@ -210,15 +250,6 @@ func (g Group) Headline() (m MetricAgg, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// groupKey is the job-side spelling of Group.key.
-func groupKey(j Job) string {
-	return Group{
-		ExperimentID: strings.ToUpper(j.ExperimentID),
-		Scale:        j.Config.Scale,
-		Params:       ParamLabel(j.Config.Params),
-	}.key()
 }
 
 type metricValue struct {

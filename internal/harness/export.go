@@ -90,17 +90,13 @@ func (rep *Report) String() string {
 			}
 			fmt.Fprintf(&b, "[%s] %s: %d/%d seeds\n", mark, c.Name, c.Passes, c.N)
 		}
-		verdict := "NOT REPRODUCED"
-		if g.Reproduced {
-			verdict = "REPRODUCED"
-		}
 		// Votes only count runs that completed; say so when some errored.
 		voted := g.Replications - len(g.Errors)
 		if len(g.Errors) > 0 {
 			fmt.Fprintf(&b, "verdict: %s (majority vote over %d of %d seeds; %d errored)\n",
-				verdict, voted, g.Replications, len(g.Errors))
+				g.Verdict(), voted, g.Replications, len(g.Errors))
 		} else {
-			fmt.Fprintf(&b, "verdict: %s (majority vote over %d seeds)\n", verdict, voted)
+			fmt.Fprintf(&b, "verdict: %s (majority vote over %d seeds)\n", g.Verdict(), voted)
 		}
 	}
 	return b.String()

@@ -177,7 +177,7 @@ func (r *Runner) runContained(j Job) (res *core.Result, err error) {
 func profileStems(jobs []Job) []string {
 	keys := make(map[string]string, len(jobs)) // experiment id -> its one scenario key, "" once it has several
 	for _, j := range jobs {
-		id, key := strings.ToUpper(j.ExperimentID), groupKey(j)
+		id, key := strings.ToUpper(j.ExperimentID), ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params)
 		if k, ok := keys[id]; ok && k != key {
 			key = ""
 		}
@@ -187,7 +187,7 @@ func profileStems(jobs []Job) []string {
 	for i, j := range jobs {
 		name := strings.ToUpper(j.ExperimentID)
 		if keys[name] == "" {
-			name = strings.ReplaceAll(strings.TrimRight(groupKey(j), "|"), "|", "-")
+			name = strings.ReplaceAll(strings.TrimRight(ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params), "|"), "|", "-")
 		}
 		stems[i] = fmt.Sprintf("%s-s%d", name, j.Config.Seed)
 	}

@@ -530,3 +530,32 @@ func TestReportCSVIncludesErrors(t *testing.T) {
 		t.Fatalf("csv must carry errored runs:\n%s", csv)
 	}
 }
+
+// TestVerdictThreeWay pins the one verdict vocabulary every surface
+// renders, the text report included: a scenario whose every seed errored
+// is ERROR there too, not NOT REPRODUCED.
+func TestVerdictThreeWay(t *testing.T) {
+	reg := fakeRegistry(t, &fakeExp{id: "X1", errSeed: 2})
+	group := func(seeds ...int64) Group {
+		return Aggregate(runAll(reg, Sweep{Experiments: []string{"X1"}, Seeds: seeds}.Jobs(), 1)).Groups[0]
+	}
+	for _, c := range []struct {
+		g       Group
+		verdict string
+		passes  int
+	}{
+		{group(1, 3), "REPRODUCED", 1},
+		{group(1, 4, 6), "NOT REPRODUCED", 0},
+		{group(2), "ERROR", 0},
+	} {
+		if got := c.g.Verdict(); got != c.verdict {
+			t.Errorf("seeds %v: Verdict() = %q, want %q", c.g.Seeds, got, c.verdict)
+		}
+		if got := c.g.Passes(); got != c.passes {
+			t.Errorf("seeds %v: Passes() = %d, want %d", c.g.Seeds, got, c.passes)
+		}
+		if text := (&Report{Groups: []Group{c.g}}).String(); !strings.Contains(text, "verdict: "+c.verdict+" (") {
+			t.Errorf("seeds %v: text report lacks verdict %q:\n%s", c.g.Seeds, c.verdict, text)
+		}
+	}
+}

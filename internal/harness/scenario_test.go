@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -13,13 +14,12 @@ import (
 func TestScenarioKeyMatchesGroups(t *testing.T) {
 	params := map[string]float64{"e03.lookups": 100}
 	j := Job{ExperimentID: "e03", Config: core.Config{Seed: 2, Scale: 0.5, Params: params}}
-	got := groupKey(j)
-	if want := ScenarioKey("E03", 0.5, params); got != want {
-		t.Errorf("groupKey = %q, ScenarioKey = %q", got, want)
+	g := Aggregate([]JobResult{{Job: j, Err: errors.New("boom")}}).Groups[0]
+	if got, want := g.Key(), ScenarioKey("E03", 0.5, params); got != want {
+		t.Errorf("Group.Key = %q, ScenarioKey = %q", got, want)
 	}
-	g := Group{ExperimentID: "E03", Scale: 0.5, Params: ParamLabel(params)}
-	if g.Key() != got {
-		t.Errorf("Group.Key = %q, want %q", g.Key(), got)
+	if got := ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params); got != g.Key() {
+		t.Errorf("ScenarioKey of the job = %q, want %q", got, g.Key())
 	}
 }
 

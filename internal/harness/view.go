@@ -17,34 +17,3 @@ type GroupView struct {
 	// (0 when Representative is nil).
 	RepresentativeSeed int64
 }
-
-// AggregateView collapses job results into report-oriented group views:
-// the same grouping and ordering as Aggregate, with each group carrying
-// its representative result for artifact rendering.
-func AggregateView(results []JobResult) []GroupView {
-	rep := Aggregate(results)
-	type pick struct {
-		res  *core.Result
-		seed int64
-	}
-	picks := make(map[string]pick)
-	for _, jr := range results {
-		if jr.Err != nil || jr.Result == nil {
-			continue
-		}
-		key := groupKey(jr.Job)
-		if cur, ok := picks[key]; !ok || jr.Job.Config.Seed < cur.seed {
-			picks[key] = pick{res: jr.Result, seed: jr.Job.Config.Seed}
-		}
-	}
-	views := make([]GroupView, 0, len(rep.Groups))
-	for _, g := range rep.Groups {
-		v := GroupView{Group: g}
-		if p, ok := picks[g.key()]; ok {
-			v.Representative = p.res
-			v.RepresentativeSeed = p.seed
-		}
-		views = append(views, v)
-	}
-	return views
-}

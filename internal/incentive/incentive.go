@@ -24,8 +24,8 @@ type Strategy int
 
 // The supported strategies.
 const (
-	// Cooperator uploads according to protocol rules and seeds briefly
-	// after completing.
+	// Cooperator uploads according to protocol rules while downloading and,
+	// like every peer but the initial seeds, leaves on completion.
 	Cooperator Strategy = iota + 1
 	// FreeRider downloads but never uploads and leaves on completion.
 	FreeRider
@@ -52,15 +52,6 @@ type SwarmConfig struct {
 	FreeRiderFrac float64
 	// Pieces is the number of pieces constituting the file.
 	Pieces int
-	// UploadSlots is the number of reciprocity-based unchoke slots
-	// (default 3, as in mainline BitTorrent).
-	UploadSlots int
-	// OptimisticSlots is the number of random unchoke slots (default 1).
-	OptimisticSlots int
-	// PiecesPerSlot is the upload capacity per slot per round.
-	PiecesPerSlot int
-	// SeedRounds is how long a finished cooperator keeps seeding.
-	SeedRounds int
 	// TitForTat enables reciprocity-based unchoking; when false all slots
 	// are filled randomly (the incentive-less baseline).
 	TitForTat bool
@@ -76,18 +67,6 @@ func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	if c.Pieces <= 0 {
 		c.Pieces = 100
 	}
-	if c.UploadSlots <= 0 {
-		c.UploadSlots = 3
-	}
-	if c.OptimisticSlots <= 0 {
-		c.OptimisticSlots = 1
-	}
-	if c.PiecesPerSlot <= 0 {
-		c.PiecesPerSlot = 1
-	}
-	if c.SeedRounds < 0 {
-		c.SeedRounds = 0
-	}
 	if c.FreeRiderFrac < 0 {
 		c.FreeRiderFrac = 0
 	}
@@ -96,6 +75,14 @@ func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	}
 	return c, nil
 }
+
+const (
+	// uploadSlots is the number of reciprocity-based unchoke slots, as in
+	// mainline BitTorrent; optimisticSlots is the number of random ones.
+	uploadSlots, optimisticSlots = 3, 1
+	// piecesPerSlot is the upload capacity per slot per round.
+	piecesPerSlot = 1
+)
 
 // SwarmResult summarizes a swarm run.
 type SwarmResult struct {
@@ -125,8 +112,7 @@ func (r *SwarmResult) SlowdownFactor() float64 {
 type peer struct {
 	strategy  Strategy
 	pieces    int
-	doneRound int // -1 while downloading
-	seedLeft  int
+	doneRound int   // -1 while downloading
 	recvFrom  []int // pieces received from each peer last round
 	recvNow   []int
 }
@@ -153,7 +139,6 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 		case i < cfg.Seeds:
 			p.strategy = Cooperator
 			p.pieces = cfg.Pieces
-			p.seedLeft = maxRounds // initial seeds stay
 			p.doneRound = 0
 		case g.Float64() < cfg.FreeRiderFrac:
 			p.strategy = FreeRider
@@ -174,7 +159,7 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 		if interested(p) {
 			return p.pieces > 0 // has something to share
 		}
-		return p.seedLeft > 0 // finished: seeds for a while
+		return i < cfg.Seeds // initial seeds stay; finished peers have left
 	}
 
 	for round := 1; round <= maxRounds; round++ {
@@ -204,7 +189,7 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 			if len(cands) == 0 {
 				continue
 			}
-			slots := cfg.UploadSlots + cfg.OptimisticSlots
+			slots := uploadSlots + optimisticSlots
 			chosen := make(map[int]bool, slots)
 			randomSlots := slots
 			if cfg.TitForTat && interested(p) {
@@ -216,14 +201,14 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 					return p.recvFrom[cands[a]] > p.recvFrom[cands[b]]
 				})
 				for _, j := range cands {
-					if len(chosen) >= cfg.UploadSlots {
+					if len(chosen) >= uploadSlots {
 						break
 					}
 					if p.recvFrom[j] > 0 {
 						chosen[j] = true
 					}
 				}
-				randomSlots = len(chosen) + cfg.OptimisticSlots
+				randomSlots = len(chosen) + optimisticSlots
 			}
 			if randomSlots > slots {
 				randomSlots = slots
@@ -234,7 +219,7 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 			}
 			for j := range chosen {
 				q := peers[j]
-				n := cfg.PiecesPerSlot
+				n := piecesPerSlot
 				if q.pieces+n > cfg.Pieces {
 					n = cfg.Pieces - q.pieces
 				}
@@ -254,23 +239,18 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 					case FreeRider:
 						res.FreeRidersDone++
 						res.FreeRiderRounds.Add(float64(round))
-						// Free riders leave immediately (seedLeft stays 0).
 					case Cooperator:
 						res.CooperatorsDone++
 						res.CooperatorRounds.Add(float64(round))
-						q.seedLeft = cfg.SeedRounds
 					}
 				}
 			}
 		}
-		// Round bookkeeping: rotate reciprocity counters, decay seeding.
+		// Round bookkeeping: rotate reciprocity counters.
 		for _, p := range peers {
 			p.recvFrom, p.recvNow = p.recvNow, p.recvFrom
 			for j := range p.recvNow {
 				p.recvNow[j] = 0
-			}
-			if p.doneRound >= 0 && p.seedLeft > 0 && !interested(p) {
-				p.seedLeft--
 			}
 		}
 	}

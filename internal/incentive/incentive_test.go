@@ -7,15 +7,14 @@ import (
 )
 
 // baseConfig models the paper's "selfish universe": peers leave as soon as
-// their download completes (SeedRounds 0) — precisely the Problem-1
-// observation that collaboration is only enforced during the download.
+// their download completes — precisely the Problem-1 observation that
+// collaboration is only enforced during the download.
 func baseConfig() SwarmConfig {
 	return SwarmConfig{
 		Peers:         100,
 		Seeds:         3,
 		FreeRiderFrac: 0.3,
 		Pieces:        50,
-		SeedRounds:    0,
 	}
 }
 

@@ -29,37 +29,31 @@ type Contact struct {
 
 // Config parameterizes a Chord deployment.
 type Config struct {
-	// SuccessorListLen is the replication factor of successor pointers
-	// (default 8); the ring survives as long as one successor is alive.
-	SuccessorListLen int
 	// RPCTimeout bounds each hop's wait for an answer.
 	RPCTimeout time.Duration
-	// ReqSize and RespSize are per-message byte sizes.
-	ReqSize, RespSize int
 }
 
 func (c Config) withDefaults() Config {
-	if c.SuccessorListLen <= 0 {
-		c.SuccessorListLen = 8
-	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
 	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = 40
-	}
-	if c.RespSize <= 0 {
-		c.RespSize = 120
-	}
 	return c
 }
+
+const (
+	// successorListLen is the replication factor of successor pointers; the
+	// ring survives as long as one successor is alive.
+	successorListLen = 8
+	// reqSize and respSize are per-message byte sizes.
+	reqSize, respSize = 40, 120
+)
 
 // Node is one Chord participant.
 type Node struct {
 	ID   uint64
 	Addr netmodel.NodeID
 
-	successors []Contact // ordered clockwise, length <= SuccessorListLen
+	successors []Contact // ordered clockwise, length <= successorListLen
 	fingers    [FingerBits]Contact
 	online     bool
 }
@@ -136,7 +130,7 @@ func (nw *Network) Build() error {
 	sort.Slice(ring, func(i, j int) bool { return ring[i].ID < ring[j].ID })
 	for i, node := range ring {
 		node.successors = node.successors[:0]
-		for j := 1; j <= nw.cfg.SuccessorListLen && j < n; j++ {
+		for j := 1; j <= successorListLen && j < n; j++ {
 			s := ring[(i+j)%n]
 			node.successors = append(node.successors, Contact{ID: s.ID, Addr: s.Addr})
 		}
@@ -169,7 +163,7 @@ func (nw *Network) SetOnline(n *Node, online bool) {
 // then whatever the request found and must not be read.
 func (nw *Network) rpc(from *Node, to netmodel.NodeID, onDone func(peer *Node, ok bool)) {
 	var peer *Node
-	nw.net.Call(from.Addr, to, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+	nw.net.Call(from.Addr, to, reqSize, respSize, nw.cfg.RPCTimeout,
 		func() bool {
 			peer = nw.byAddr[to]
 			return peer != nil && peer.online

@@ -37,8 +37,8 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildConvergedRing(t *testing.T) {
 	_, nw := newRing(t, 100, 1, Config{})
 	for _, n := range nw.Nodes() {
-		if len(n.successors) != nw.cfg.SuccessorListLen {
-			t.Fatalf("successor list len = %d, want %d", len(n.successors), nw.cfg.SuccessorListLen)
+		if len(n.successors) != successorListLen {
+			t.Fatalf("successor list len = %d, want %d", len(n.successors), successorListLen)
 		}
 		if n.fingers[0].Addr == n.Addr && nw.OwnerOf(n.ID+1).Addr != n.Addr {
 			t.Fatal("finger 0 not set")

@@ -1,11 +1,11 @@
 // Package gnutella implements an unstructured file-sharing overlay in the
-// style of Gnutella 0.4 (flat random graph, TTL-limited query flooding) and
-// its superpeer successors (Kazaa/eDonkey-style two-tier topology).
+// style of Gnutella 0.4: a flat random graph searched by TTL-limited query
+// flooding.
 //
 // It underpins the paper's free-riding claim (E2, Adar & Huberman): with no
 // incentive mechanism, most peers share nothing, the small sharing minority
-// carries nearly all uploads, and the flood traffic per query is enormous
-// compared to the two-tier design.
+// carries nearly all uploads, and every query floods the graph within its
+// TTL.
 package gnutella
 
 import (
@@ -18,42 +18,26 @@ import (
 
 // Config parameterizes the overlay.
 type Config struct {
-	// Degree is the number of neighbours each flat-mode node links to
-	// (default 6, roughly the measured Gnutella mean).
-	Degree int
 	// TTL is the flood horizon in hops (default 7, the Gnutella default).
 	TTL int
-	// QuerySize and HitSize are message sizes in bytes.
-	QuerySize, HitSize int
-	// Superpeer selects the two-tier topology.
-	Superpeer bool
-	// LeavesPerSuper is the leaf fan-in of each superpeer (default 30).
-	LeavesPerSuper int
-	// QueryTimeout bounds how long a query waits for the flood to die out.
-	QueryTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.Degree <= 0 {
-		c.Degree = 6
-	}
 	if c.TTL <= 0 {
 		c.TTL = 7
 	}
-	if c.QuerySize <= 0 {
-		c.QuerySize = 80
-	}
-	if c.HitSize <= 0 {
-		c.HitSize = 120
-	}
-	if c.LeavesPerSuper <= 0 {
-		c.LeavesPerSuper = 30
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
 	return c
 }
+
+const (
+	// degree is the mean number of neighbours per node, roughly the
+	// measured Gnutella mean.
+	degree = 6
+	// querySize and hitSize are message sizes in bytes.
+	querySize, hitSize = 80, 120
+	// queryTimeout bounds how long a query waits for the flood to die out.
+	queryTimeout = 30 * time.Second
+)
 
 // QueryResult summarizes one flooded search.
 type QueryResult struct {
@@ -74,11 +58,8 @@ type Network struct {
 
 	addrs   []netmodel.NodeID
 	adj     [][]int
-	isSuper []bool
-	superOf []int // leaf -> its superpeer (-1 in flat mode)
 	shares  []map[int]bool
 	uploads []int64
-	built   bool
 }
 
 // NewNetwork creates an overlay with n nodes in the given region.
@@ -96,19 +77,16 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, n int, cfg Config) (*Network, erro
 	nw.shares = make([]map[int]bool, n)
 	nw.uploads = make([]int64, n)
 	nw.adj = make([][]int, n)
-	nw.superOf = make([]int, n)
-	nw.isSuper = make([]bool, n)
 	for i := 0; i < n; i++ {
 		nw.addrs[i] = nm.AddNode(netmodel.Europe, 0)
 		nw.shares[i] = make(map[int]bool)
-		nw.superOf[i] = -1
 	}
 	nw.build()
 	return nw, nil
 }
 
-// build wires the topology: a connected random graph in flat mode; a random
-// graph among superpeers with leaves attached in two-tier mode.
+// build wires a connected random graph: a ring plus random chords, for a
+// mean degree of about degree.
 func (nw *Network) build() {
 	n := len(nw.addrs)
 	link := func(a, b int) {
@@ -123,33 +101,12 @@ func (nw *Network) build() {
 		nw.adj[a] = append(nw.adj[a], b)
 		nw.adj[b] = append(nw.adj[b], a)
 	}
-	if !nw.cfg.Superpeer {
-		// Ring + random chords: connected with ~Degree mean degree.
-		for i := 0; i < n; i++ {
-			link(i, (i+1)%n)
-		}
-		extra := (nw.cfg.Degree - 2) * n / 2
-		for e := 0; e < extra; e++ {
-			link(nw.rng.Intn(n), nw.rng.Intn(n))
-		}
-		return
+	for i := 0; i < n; i++ {
+		link(i, (i+1)%n)
 	}
-	superCount := (n + nw.cfg.LeavesPerSuper) / (nw.cfg.LeavesPerSuper + 1)
-	if superCount < 2 {
-		superCount = 2
-	}
-	for i := 0; i < superCount; i++ {
-		nw.isSuper[i] = true
-	}
-	for i := 0; i < superCount; i++ {
-		link(i, (i+1)%superCount)
-	}
-	extra := (nw.cfg.Degree - 2) * superCount / 2
+	extra := (degree - 2) * n / 2
 	for e := 0; e < extra; e++ {
-		link(nw.rng.Intn(superCount), nw.rng.Intn(superCount))
-	}
-	for i := superCount; i < n; i++ {
-		nw.superOf[i] = nw.rng.Intn(superCount)
+		link(nw.rng.Intn(n), nw.rng.Intn(n))
 	}
 }
 
@@ -173,23 +130,6 @@ func (nw *Network) RecordDownload(provider int) {
 	}
 }
 
-// holders reports whether node i can answer a query for item: in flat mode
-// its own shares; in superpeer mode a superpeer also indexes its leaves.
-func (nw *Network) holdersAt(node, item int) []int {
-	var out []int
-	if nw.shares[node][item] {
-		out = append(out, node)
-	}
-	if nw.isSuper[node] {
-		for leaf, sp := range nw.superOf {
-			if sp == node && nw.shares[leaf][item] {
-				out = append(out, leaf)
-			}
-		}
-	}
-	return out
-}
-
 type query struct {
 	nw        *Network
 	item      int
@@ -198,7 +138,6 @@ type query struct {
 	pending   int
 	messages  int
 	providers []int
-	provSeen  map[int]bool
 	done      func(QueryResult)
 	finished  bool
 	timeout   sim.Handle
@@ -208,25 +147,14 @@ type query struct {
 // once when the flood dies out (or the safety timeout fires).
 func (nw *Network) Query(origin, item int, done func(QueryResult)) {
 	q := &query{
-		nw:       nw,
-		item:     item,
-		origin:   origin,
-		seen:     make([]bool, len(nw.addrs)),
-		provSeen: make(map[int]bool),
-		done:     done,
+		nw:     nw,
+		item:   item,
+		origin: origin,
+		seen:   make([]bool, len(nw.addrs)),
+		done:   done,
 	}
-	q.timeout = nw.sim.After(nw.cfg.QueryTimeout, q.finish)
-
-	start := origin
-	if nw.cfg.Superpeer && !nw.isSuper[origin] {
-		// Leaf forwards to its superpeer; the flood happens up there.
-		sp := nw.superOf[origin]
-		q.seen[origin] = true
-		q.send(origin, sp, nw.cfg.TTL)
-		q.settle()
-		return
-	}
-	q.visit(start, nw.cfg.TTL)
+	q.timeout = nw.sim.After(queryTimeout, q.finish)
+	q.visit(origin, nw.cfg.TTL)
 	q.settle()
 }
 
@@ -236,11 +164,8 @@ func (q *query) visit(node, ttl int) {
 		return
 	}
 	q.seen[node] = true
-	for _, p := range q.nw.holdersAt(node, q.item) {
-		if !q.provSeen[p] {
-			q.provSeen[p] = true
-			q.hit(node, p)
-		}
+	if q.nw.shares[node][q.item] {
+		q.hit(node)
 	}
 	if ttl <= 0 {
 		return
@@ -256,7 +181,7 @@ func (q *query) visit(node, ttl int) {
 func (q *query) send(from, to, ttl int) {
 	q.messages++
 	q.pending++
-	ok := q.nw.net.Send(q.nw.addrs[from], q.nw.addrs[to], q.nw.cfg.QuerySize, func() {
+	ok := q.nw.net.Send(q.nw.addrs[from], q.nw.addrs[to], querySize, func() {
 		q.pending--
 		q.visit(to, ttl)
 		q.settle()
@@ -266,11 +191,11 @@ func (q *query) send(from, to, ttl int) {
 	}
 }
 
-// hit sends a query-hit from the answering node back to the origin.
-func (q *query) hit(at, provider int) {
+// hit sends a query-hit from a sharing node back to the origin.
+func (q *query) hit(provider int) {
 	q.messages++
 	q.pending++
-	ok := q.nw.net.Send(q.nw.addrs[at], q.nw.addrs[q.origin], q.nw.cfg.HitSize, func() {
+	ok := q.nw.net.Send(q.nw.addrs[provider], q.nw.addrs[q.origin], hitSize, func() {
 		q.pending--
 		q.providers = append(q.providers, provider)
 		q.settle()

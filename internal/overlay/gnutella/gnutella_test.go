@@ -86,7 +86,7 @@ func TestRareItemOftenMissedWithSmallTTL(t *testing.T) {
 }
 
 func TestFloodTrafficScale(t *testing.T) {
-	s, nw := newFlat(t, 400, 4, Config{TTL: 7, Degree: 6})
+	s, nw := newFlat(t, 400, 4, Config{TTL: 7})
 	var res QueryResult
 	nw.Query(0, 12345, func(r QueryResult) { res = r }) // item nobody has
 	if err := s.Run(); err != nil {
@@ -98,54 +98,6 @@ func TestFloodTrafficScale(t *testing.T) {
 	}
 	if res.Found {
 		t.Fatal("nonexistent item reported found")
-	}
-}
-
-func TestSuperpeerModeFindsLeafContent(t *testing.T) {
-	s, nw := newFlat(t, 310, 5, Config{Superpeer: true, LeavesPerSuper: 30, TTL: 4})
-	// Find a leaf and share an item on it.
-	leaf := -1
-	for i := 0; i < len(nw.addrs); i++ {
-		if !nw.isSuper[i] {
-			leaf = i
-			break
-		}
-	}
-	if leaf < 0 {
-		t.Fatal("no leaves in superpeer topology")
-	}
-	nw.Share(leaf, 42)
-	origin := leaf + 1
-	for nw.isSuper[origin] {
-		origin++
-	}
-	var res QueryResult
-	nw.Query(origin, 42, func(r QueryResult) { res = r })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Found {
-		t.Fatal("superpeer index failed to locate leaf content")
-	}
-	if res.Providers[0] != leaf {
-		t.Fatalf("provider = %d, want leaf %d", res.Providers[0], leaf)
-	}
-}
-
-func TestSuperpeerTrafficFarBelowFlat(t *testing.T) {
-	run := func(superpeer bool) int {
-		s, nw := newFlat(t, 310, 6, Config{Superpeer: superpeer, TTL: 7})
-		var msgs int
-		nw.Query(5, 9999, func(r QueryResult) { msgs = r.Messages })
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return msgs
-	}
-	flat := run(false)
-	sp := run(true)
-	if sp*3 > flat {
-		t.Fatalf("superpeer flood (%d msgs) should be far below flat flood (%d msgs)", sp, flat)
 	}
 }
 
@@ -179,8 +131,10 @@ func TestSharedCount(t *testing.T) {
 	}
 }
 
+// A flood settles long before queryTimeout: the query completes because no
+// message is left in flight, not because the safety timeout fired.
 func TestQueryCompletesWithinTimeout(t *testing.T) {
-	s, nw := newFlat(t, 100, 9, Config{QueryTimeout: 5 * time.Second})
+	s, nw := newFlat(t, 100, 9, Config{})
 	doneAt := time.Duration(-1)
 	nw.Query(0, 1, func(QueryResult) { doneAt = s.Now() })
 	if err := s.Run(); err != nil {
@@ -189,7 +143,7 @@ func TestQueryCompletesWithinTimeout(t *testing.T) {
 	if doneAt < 0 {
 		t.Fatal("query never completed")
 	}
-	if doneAt > 5*time.Second {
-		t.Fatalf("query completed at %v, after the timeout", doneAt)
+	if doneAt >= queryTimeout {
+		t.Fatalf("query completed at %v, not before the %v timeout", doneAt, queryTimeout)
 	}
 }

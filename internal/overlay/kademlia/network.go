@@ -22,8 +22,6 @@ type Config struct {
 	Alpha int
 	// RPCTimeout is how long a node waits before declaring a query dead.
 	RPCTimeout time.Duration
-	// ReqSize and RespSize are message sizes in bytes.
-	ReqSize, RespSize int
 	// UnresponsiveFrac is the fraction of nodes that receive but never
 	// answer RPCs (NATed/firewalled peers).
 	UnresponsiveFrac float64
@@ -39,12 +37,6 @@ func (c Config) withDefaults() Config {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
 	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = 60
-	}
-	if c.RespSize <= 0 {
-		c.RespSize = 60 + 26*c.K
-	}
 	if c.UnresponsiveFrac < 0 {
 		c.UnresponsiveFrac = 0
 	}
@@ -53,6 +45,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// reqSize is a FIND_NODE request's size in bytes; a reply is sized for K
+// contacts (see findNode).
+const reqSize = 60
 
 // KADConfig models eMule KAD as measured by Jiménez et al.: small
 // unresponsive population and tight timeouts, yielding lookups within
@@ -294,7 +290,7 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // late or lost.
 func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
 	var contacts []Contact
-	nw.net.Call(from.Addr, to.Addr, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+	nw.net.Call(from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout,
 		func() bool {
 			recv, ok := nw.byAddr[to.Addr]
 			if !ok || !recv.online {

@@ -35,10 +35,6 @@ type Config struct {
 	ViewLag time.Duration
 	// RPCTimeout bounds each attempt.
 	RPCTimeout time.Duration
-	// ReqSize and RespSize are per-message byte sizes.
-	ReqSize, RespSize int
-	// MaxAttempts bounds retries through the believed successor list.
-	MaxAttempts int
 }
 
 func (c Config) withDefaults() Config {
@@ -48,17 +44,15 @@ func (c Config) withDefaults() Config {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
 	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = 40
-	}
-	if c.RespSize <= 0 {
-		c.RespSize = 120
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
 	return c
 }
+
+const (
+	// reqSize and respSize are per-message byte sizes.
+	reqSize, respSize = 40, 120
+	// maxAttempts bounds retries through the believed successor list.
+	maxAttempts = 4
+)
 
 // Node is one participant.
 type Node struct {
@@ -192,7 +186,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 		}
 		return
 	}
-	cands := nw.believedSuccessors(key, nw.cfg.MaxAttempts)
+	cands := nw.believedSuccessors(key, maxAttempts)
 	start := nw.sim.Now()
 	var attempt func(i int)
 	attempt = func(i int) {
@@ -203,7 +197,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 			return
 		}
 		target := cands[i]
-		nw.net.Call(origin.Addr, target.Addr, nw.cfg.ReqSize, nw.cfg.RespSize, nw.cfg.RPCTimeout,
+		nw.net.Call(origin.Addr, target.Addr, reqSize, respSize, nw.cfg.RPCTimeout,
 			func() bool {
 				peer, ok := nw.byAddr[target.Addr]
 				return ok && peer.online
@@ -233,42 +227,25 @@ type MaintenanceParams struct {
 	// MeanSession and MeanGap define the churn process; each full cycle
 	// produces two membership events (join and leave).
 	MeanSession, MeanGap time.Duration
-	// EventBytes is the wire size of one membership event record
-	// (default 20: id + address + type + timestamp).
-	EventBytes int
-	// Overhead multiplies raw event traffic for headers, acks and
-	// keep-alives (default 1.5).
-	Overhead float64
-	// Slices is the number of ring slices (default sqrt(N)).
-	Slices int
-	// UnitSize is the number of nodes per unit (default sqrt(N)).
-	UnitSize int
 }
 
-func (p MaintenanceParams) withDefaults() MaintenanceParams {
-	if p.EventBytes <= 0 {
-		p.EventBytes = 20
-	}
-	if p.Overhead <= 0 {
-		p.Overhead = 1.5
-	}
-	root := int(math.Sqrt(float64(p.N)))
-	if root < 1 {
-		root = 1
-	}
-	if p.Slices <= 0 {
-		p.Slices = root
-	}
-	if p.UnitSize <= 0 {
-		p.UnitSize = root
-	}
-	return p
+const (
+	// eventBytes is the wire size of one membership event record: id,
+	// address, type and timestamp.
+	eventBytes = 20
+	// overhead multiplies raw event traffic for headers, acks and
+	// keep-alives.
+	overhead = 1.5
+)
+
+// sqrtN is both the number of ring slices and the number of nodes per unit.
+func (p MaintenanceParams) sqrtN() int {
+	return max(int(math.Sqrt(float64(p.N))), 1)
 }
 
 // EventRate returns network-wide membership events per second: every node
 // cycles through one session and one gap, producing two events per cycle.
 func (p MaintenanceParams) EventRate() float64 {
-	p = p.withDefaults()
 	cycle := (p.MeanSession + p.MeanGap).Seconds()
 	if cycle <= 0 || p.N <= 0 {
 		return 0
@@ -280,32 +257,30 @@ func (p MaintenanceParams) EventRate() float64 {
 // node spends on membership maintenance: it must receive every event in the
 // network exactly once, plus protocol overhead.
 func (p MaintenanceParams) OrdinaryBps() float64 {
-	p = p.withDefaults()
-	return p.EventRate() * float64(p.EventBytes) * 8 * p.Overhead
+	return p.EventRate() * eventBytes * 8 * overhead
 }
 
 // SliceLeaderBps returns the bandwidth of a slice leader, which aggregates
 // its slice's events, exchanges aggregates with the other slice leaders, and
 // fans the full event stream out to the unit leaders in its slice.
 func (p MaintenanceParams) SliceLeaderBps() float64 {
-	p = p.withDefaults()
+	slices := p.sqrtN()
 	r := p.EventRate()
-	perSlice := r / float64(p.Slices)
-	unitsPerSlice := math.Ceil(float64(p.N) / float64(p.Slices) / float64(p.UnitSize))
+	perSlice := r / float64(slices)
+	unitsPerSlice := math.Ceil(float64(p.N) / float64(slices) / float64(slices))
 	// Receive own slice's events + all other slices' aggregates, then send
 	// the full stream to each unit leader in the slice.
 	recv := perSlice + (r - perSlice)
-	send := perSlice*float64(p.Slices-1) + r*unitsPerSlice
-	return (recv + send) * float64(p.EventBytes) * 8 * p.Overhead
+	send := perSlice*float64(slices-1) + r*unitsPerSlice
+	return (recv + send) * eventBytes * 8 * overhead
 }
 
 // UnitLeaderBps returns the bandwidth of a unit leader, which receives the
 // full stream from its slice leader and pipes it to its two ring neighbours
 // (events then piggyback around the unit on keep-alives).
 func (p MaintenanceParams) UnitLeaderBps() float64 {
-	p = p.withDefaults()
 	r := p.EventRate()
-	return r * float64(p.EventBytes) * 8 * p.Overhead * 3 // receive + 2 neighbours
+	return r * eventBytes * 8 * overhead * 3 // receive + 2 neighbours
 }
 
 // StaleLookupProbability returns the probability that a one-hop lookup hits
@@ -313,7 +288,6 @@ func (p MaintenanceParams) UnitLeaderBps() float64 {
 // state changed in the last ViewLag seconds, scaled by the chance the
 // believed owner is affected.
 func StaleLookupProbability(p MaintenanceParams, viewLag time.Duration) float64 {
-	p = p.withDefaults()
 	cycle := (p.MeanSession + p.MeanGap).Seconds()
 	if cycle <= 0 {
 		return 0

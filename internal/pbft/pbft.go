@@ -30,10 +30,11 @@ type Config struct {
 	// ViewChangeTimeout is how long a replica waits for progress on a
 	// pending request before demanding a new primary.
 	ViewChangeTimeout time.Duration
-	// ReqSize is the client-request payload size; protocol messages add
-	// fixed overhead.
-	ReqSize int
 }
+
+// reqSize is the client-request payload size; protocol messages add fixed
+// overhead.
+const reqSize = 200
 
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
@@ -44,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ViewChangeTimeout <= 0 {
 		c.ViewChangeTimeout = 2 * time.Second
-	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = 200
 	}
 	return c
 }
@@ -167,7 +165,7 @@ func (c *Cluster) Recover(id int) {
 	size := 0
 	for seq := r.lastExe + 1; seq <= donor.lastExe; seq++ {
 		if inst, ok := donor.log[seq]; ok {
-			size += c.cfg.ReqSize*len(inst.batch) + 64
+			size += reqSize*len(inst.batch) + 64
 		}
 	}
 	from := donor
@@ -252,7 +250,7 @@ func (c *Cluster) flushBatch(p *Replica) {
 	seq := p.nextSeq
 	p.nextSeq++
 	digest := batchDigest(p.view, seq, batch, 0)
-	size := c.cfg.ReqSize*len(batch) + 64
+	size := reqSize*len(batch) + 64
 	for _, r := range c.replicas {
 		if r == p {
 			continue

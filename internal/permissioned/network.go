@@ -64,15 +64,12 @@ type Config struct {
 	BlockSize int
 	// BlockTimeout cuts a non-empty partial block.
 	BlockTimeout time.Duration
-	// OrdererNodes is the Raft ordering cluster size (odd, default 3).
-	OrdererNodes int
-	// OrdererRegion hosts the ordering service.
-	OrdererRegion netmodel.Region
-	// RetryDelay is the backoff before resubmitting an envelope when the
-	// ordering service has no leader or a full queue (default: the shared
-	// transport retry delay, netmodel.DefaultRetryDelay).
-	RetryDelay time.Duration
 }
+
+// ordererNodes is the size of the Raft ordering cluster, which runs in
+// Europe. An envelope the ordering service cannot take (no leader, full
+// queue) is resubmitted after netmodel.DefaultRetryDelay.
+const ordererNodes = 3
 
 func (c Config) withDefaults() Config {
 	if c.BlockSize <= 0 {
@@ -80,15 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockTimeout <= 0 {
 		c.BlockTimeout = 200 * time.Millisecond
-	}
-	if c.OrdererNodes <= 0 {
-		c.OrdererNodes = 3
-	}
-	if c.OrdererRegion == 0 {
-		c.OrdererRegion = netmodel.Europe
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = netmodel.DefaultRetryDelay
 	}
 	return c
 }
@@ -164,7 +152,7 @@ type pendingTx struct {
 // NewNetwork creates a network with a Raft ordering service.
 func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
-	ord, err := raft.NewCluster(s, nm, cfg.OrdererNodes, cfg.OrdererRegion, raft.Config{})
+	ord, err := raft.NewCluster(s, nm, ordererNodes, netmodel.Europe)
 	if err != nil {
 		return nil, fmt.Errorf("ordering service: %w", err)
 	}
@@ -355,21 +343,21 @@ func (nw *Network) sendToOrderer(corg *Org, env *Envelope, done func(TxResult)) 
 	leader := nw.orderer.Leader()
 	if leader == nil {
 		// No leader yet (election in progress): retry shortly.
-		nw.sim.After(nw.cfg.RetryDelay, func() { nw.sendToOrderer(corg, env, done) })
+		nw.sim.After(netmodel.DefaultRetryDelay, func() { nw.sendToOrderer(corg, env, done) })
 		return
 	}
 	nw.pending[env.ID] = &pendingTx{env: env, done: done}
 	// Model the client->orderer hop, then consensus inside the cluster.
 	nw.net.Send(corg.Peer, nw.ordererAddr(), env.Size(), func() {
 		if !nw.orderer.Submit(raft.Request{ID: env.ID, SubmittedAt: env.SubmittedAt}) {
-			nw.sim.After(nw.cfg.RetryDelay, func() { nw.resubmit(env.ID) })
+			nw.sim.After(netmodel.DefaultRetryDelay, func() { nw.resubmit(env.ID) })
 		}
 	})
 }
 
 func (nw *Network) resubmit(envID int) {
 	if !nw.orderer.Submit(raft.Request{ID: envID, SubmittedAt: nw.sim.Now()}) {
-		nw.sim.After(nw.cfg.RetryDelay, func() { nw.resubmit(envID) })
+		nw.sim.After(netmodel.DefaultRetryDelay, func() { nw.resubmit(envID) })
 	}
 }
 

@@ -40,31 +40,17 @@ func (r Role) String() string {
 	}
 }
 
-// Config parameterizes the cluster.
-type Config struct {
-	// ElectionTimeoutMin/Max bound the randomized election timeout.
-	ElectionTimeoutMin, ElectionTimeoutMax time.Duration
-	// HeartbeatInterval is the leader's append/heartbeat period.
-	HeartbeatInterval time.Duration
-	// ReqSize is the per-entry payload size in bytes.
-	ReqSize int
-}
-
-func (c Config) withDefaults() Config {
-	if c.ElectionTimeoutMin <= 0 {
-		c.ElectionTimeoutMin = 500 * time.Millisecond
-	}
-	if c.ElectionTimeoutMax <= c.ElectionTimeoutMin {
-		c.ElectionTimeoutMax = 2 * c.ElectionTimeoutMin
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = c.ElectionTimeoutMin / 5
-	}
-	if c.ReqSize <= 0 {
-		c.ReqSize = 200
-	}
-	return c
-}
+// Cluster timing and sizes.
+const (
+	// electionTimeoutMin and electionTimeoutMax bound the randomized
+	// election timeout.
+	electionTimeoutMin = 500 * time.Millisecond
+	electionTimeoutMax = 2 * electionTimeoutMin
+	// heartbeatInterval is the leader's append/heartbeat period.
+	heartbeatInterval = electionTimeoutMin / 5
+	// reqSize is the per-entry payload size in bytes.
+	reqSize = 200
+)
 
 // Request is a client command to replicate.
 type Request struct {
@@ -108,7 +94,6 @@ func (n *Node) Addr() netmodel.NodeID { return n.addr }
 type Cluster struct {
 	sim *sim.Sim
 	net *netmodel.Net
-	cfg Config
 	rng *sim.RNG
 
 	nodes []*Node
@@ -120,14 +105,13 @@ type Cluster struct {
 }
 
 // NewCluster creates an n-node cluster (n must be odd and >= 3).
-func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region, cfg Config) (*Cluster, error) {
+func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region) (*Cluster, error) {
 	if n < 3 || n%2 == 0 {
 		return nil, errors.New("raft: n must be odd and >= 3")
 	}
 	c := &Cluster{
 		sim: s,
 		net: nm,
-		cfg: cfg.withDefaults(),
 		rng: s.Stream("raft"),
 	}
 	for i := 0; i < n; i++ {
@@ -215,8 +199,7 @@ func (c *Cluster) Submit(req Request) bool {
 
 func (c *Cluster) resetElectionTimer(n *Node) {
 	n.electionTimer.Cancel()
-	span := c.cfg.ElectionTimeoutMax - c.cfg.ElectionTimeoutMin
-	d := c.cfg.ElectionTimeoutMin + time.Duration(c.rng.Float64()*float64(span))
+	d := electionTimeoutMin + time.Duration(c.rng.Float64()*float64(electionTimeoutMax-electionTimeoutMin))
 	n.electionTimer = c.sim.After(d, func() { c.startElection(n) })
 }
 
@@ -299,7 +282,7 @@ func (c *Cluster) onVote(n *Node, from, term int) {
 			c.sendAppend(n, peer)
 		}
 	}
-	hb, err := c.sim.Every(c.cfg.HeartbeatInterval, func() {
+	hb, err := c.sim.Every(heartbeatInterval, func() {
 		if n.crashed || n.role != Leader {
 			if n.heartbeat != nil {
 				n.heartbeat.Stop()
@@ -345,7 +328,7 @@ func (c *Cluster) sendAppend(leader, peer *Node) {
 	}
 	entries := make([]entry, len(leader.log)-next)
 	copy(entries, leader.log[next:])
-	size := 64 + c.cfg.ReqSize*len(entries)
+	size := 64 + reqSize*len(entries)
 	term := leader.term
 	commit := leader.commit
 	c.send(leader, peer, size, func() {
@@ -466,7 +449,7 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	}
 	c.Start()
 	// Let the first election settle.
-	if err := c.sim.RunFor(2 * c.cfg.ElectionTimeoutMax); err != nil {
+	if err := c.sim.RunFor(2 * electionTimeoutMax); err != nil {
 		return LoadStats{}, err
 	}
 	start := c.sim.Now()

@@ -16,7 +16,7 @@ func newCluster(t *testing.T, n int, seed int64) (*sim.Sim, *Cluster) {
 	t.Helper()
 	s := sim.New(sim.WithSeed(seed))
 	nm := netmodel.New(s, netmodel.WithJitter(0.1))
-	c, err := NewCluster(s, nm, n, netmodel.Europe, Config{})
+	c, err := NewCluster(s, nm, n, netmodel.Europe)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -26,10 +26,10 @@ func newCluster(t *testing.T, n int, seed int64) (*sim.Sim, *Cluster) {
 func TestValidation(t *testing.T) {
 	s := sim.New()
 	nm := netmodel.New(s)
-	if _, err := NewCluster(s, nm, 2, netmodel.Europe, Config{}); err == nil {
+	if _, err := NewCluster(s, nm, 2, netmodel.Europe); err == nil {
 		t.Fatal("even n should error")
 	}
-	if _, err := NewCluster(s, nm, 1, netmodel.Europe, Config{}); err == nil {
+	if _, err := NewCluster(s, nm, 1, netmodel.Europe); err == nil {
 		t.Fatal("n=1 should error")
 	}
 }

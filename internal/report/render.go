@@ -69,22 +69,12 @@ func renderIndex(exps []core.Experiment, byID map[string][]harness.GroupView, ge
 		}
 		for _, v := range views {
 			total++
-			passes, verdictCell := 0, "NOT REPRODUCED"
-			for _, c := range v.Checks {
-				if c.Verdict {
-					passes++
-				}
-			}
 			if v.Reproduced {
-				verdictCell = "REPRODUCED"
 				reproduced++
-			}
-			if len(v.Errors) == len(v.Seeds) {
-				verdictCell = "ERROR"
 			}
 			fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | %d/%d | %s | %s |%s\n",
 				mdCell(section), e.ID(), e.ID(), mdCell(e.Title()),
-				passes, len(v.Checks), mdCell(headlineMetric(v)), verdictCell, stability)
+				v.Passes(), len(v.Checks), mdCell(headlineMetric(v)), v.Verdict(), stability)
 		}
 		if len(views) == 0 {
 			fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | — | — | NO RUNS |%s\n",
@@ -148,15 +138,9 @@ func renderExperimentPage(e core.Experiment, views []harness.GroupView, gen genC
 	figN := 0
 	for _, v := range views {
 		voted := v.Replications - len(v.Errors)
-		// Same three-way verdict as the matrix row: a scenario with no
-		// completed runs is an infrastructure failure, not a refuted
-		// claim.
-		verdict := "NOT REPRODUCED"
-		if v.Reproduced {
-			verdict = "REPRODUCED"
-		}
+		verdict := v.Verdict()
 		if voted == 0 {
-			verdict = "ERROR (no completed runs)"
+			verdict += " (no completed runs)"
 		}
 		fmt.Fprintf(&b, "## Verdict: %s\n\n", verdict)
 		fmt.Fprintf(&b, "%d replications (seeds %s) at scale %.4g; majority vote over %d completed run(s).\n\n",

@@ -445,17 +445,13 @@ func manifestClaims(exps []core.Experiment, byID map[string][]harness.GroupView,
 		}
 		for _, v := range views {
 			c := ManifestClaim{
-				Experiment: e.ID(),
-				Scenario:   v.Key(),
-				Section:    core.SectionOf(e),
-				Title:      e.Title(),
-				Verdict:    claimVerdict(v),
-				Checks:     len(v.Checks),
-			}
-			for _, ch := range v.Checks {
-				if ch.Verdict {
-					c.ChecksPassed++
-				}
+				Experiment:   e.ID(),
+				Scenario:     v.Key(),
+				Section:      core.SectionOf(e),
+				Title:        e.Title(),
+				Verdict:      v.Verdict(),
+				ChecksPassed: v.Passes(),
+				Checks:       len(v.Checks),
 			}
 			if m, ok := v.Headline(); ok {
 				c.Metric, c.Mean, c.CI95 = m.Name, m.Mean, m.CI95
@@ -464,19 +460,6 @@ func manifestClaims(exps []core.Experiment, byID map[string][]harness.GroupView,
 		}
 	}
 	return claims
-}
-
-// claimVerdict is the three-way scenario outcome every surface (matrix,
-// pages, manifest claims) agrees on.
-func claimVerdict(v harness.GroupView) string {
-	switch {
-	case len(v.Errors) == len(v.Seeds):
-		return "ERROR"
-	case v.Reproduced:
-		return "REPRODUCED"
-	default:
-		return "NOT REPRODUCED"
-	}
 }
 
 // genContext carries the run parameters the renderers print in headers.

@@ -51,7 +51,6 @@ type sensitivity struct {
 type expStability struct {
 	swept  int // knobs swept
 	points int // grid scenarios with at least one completed run
-	errors int // grid scenarios where every replication errored
 	// flips maps check name -> knob=value labels whose majority vote
 	// differs from the baseline, in knob-then-value order.
 	flips map[string][]string
@@ -400,42 +399,15 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 		}
 		var rows []row
 		for _, p := range pts {
-			voted := p.view.Replications - len(p.view.Errors)
-			passes := 0
-			for _, c := range p.view.Checks {
-				if c.Verdict {
-					passes++
-				}
+			if p.view.Verdict() != "ERROR" {
+				st.points++
 			}
-			verdict := "NOT REPRODUCED"
-			if p.view.Reproduced {
-				verdict = "REPRODUCED"
-			}
-			if voted == 0 {
-				verdict = "ERROR"
-				st.errors++
-				rows = append(rows, row{value: p.value,
-					cells: fmt.Sprintf("| %s | — | ERROR |", fmtKnobValue(p.value))})
-				continue
-			}
-			st.points++
-			rows = append(rows, row{value: p.value,
-				cells: fmt.Sprintf("| %s | %d/%d | %s |", fmtKnobValue(p.value), passes, len(p.view.Checks), verdict)})
+			rows = append(rows, row{value: p.value, cells: verdictCells(fmtKnobValue(p.value), p.view.Group)})
 		}
 		if baseline != nil {
 			if def, ok := sens.defaults[knob]; ok {
-				passes := 0
-				for _, c := range baseline.Checks {
-					if c.Verdict {
-						passes++
-					}
-				}
-				verdict := "NOT REPRODUCED"
-				if baseline.Reproduced {
-					verdict = "REPRODUCED"
-				}
 				rows = append(rows, row{value: def, baseline: true,
-					cells: fmt.Sprintf("| %s (baseline) | %d/%d | %s |", fmtKnobValue(def), passes, len(baseline.Checks), verdict)})
+					cells: verdictCells(fmtKnobValue(def)+" (baseline)", baseline.Group)})
 			}
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
@@ -508,6 +480,16 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 			totalFlips, strings.Join(st.fragile, ", "))
 	}
 	return b.String(), figures
+}
+
+// verdictCells renders one row of a knob's verdict table: the scenario's
+// majority-pass tally and verdict, or no tally when no replication
+// completed.
+func verdictCells(label string, g harness.Group) string {
+	if g.Verdict() == "ERROR" {
+		return fmt.Sprintf("| %s | — | ERROR |", label)
+	}
+	return fmt.Sprintf("| %s | %d/%d | %s |", label, g.Passes(), len(g.Checks), g.Verdict())
 }
 
 // sensFigure accumulates one metric-vs-knob figure: the grid means with

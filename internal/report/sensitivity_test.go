@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // sensOpts is the cheap fixed configuration the sensitivity tests share:
@@ -276,5 +278,22 @@ func TestGoldenSensitivityReport(t *testing.T) {
 		if !bytes.Equal(data, want) {
 			t.Errorf("%s diverges from golden %s; run with -update only if the rendering change is intentional", name, path)
 		}
+	}
+}
+
+// TestSensitivityBaselineAllErrored pins the baseline row of a knob's
+// verdict table to the grid rows' vocabulary: a baseline with no completed
+// runs reads ERROR, not "0/0 NOT REPRODUCED".
+func TestSensitivityBaselineAllErrored(t *testing.T) {
+	e, _ := registry(t).Get("E11")
+	sens := &sensitivity{
+		knobs:     map[string][]string{"E11": {"e11.tps"}},
+		defaults:  map[string]float64{"e11.tps": 4},
+		stability: map[string]*expStability{},
+	}
+	baseline := &harness.GroupView{Group: harness.Group{Seeds: []int64{1}, Replications: 1, Errors: []string{"seed 1: boom"}}}
+	page, _ := renderSensitivitySection(e, baseline, sens, genContext{seeds: []int64{1}, scale: 1})
+	if !strings.Contains(page, "| 4 (baseline) | — | ERROR |") {
+		t.Errorf("errored baseline row should read ERROR:\n%s", page)
 	}
 }

@@ -27,16 +27,10 @@ type AttackConfig struct {
 	Targeted bool
 	// Target is the victim key for targeted attacks.
 	Target overlay.ID
-	// Region is where the attacker's hosts sit.
-	Region netmodel.Region
-	// AnnounceLookups is how many announcement lookups each identity
-	// performs (default 1).
-	AnnounceLookups int
 }
 
 // Attack is a launched sybil attack.
 type Attack struct {
-	cfg      AttackConfig
 	nodes    []*kademlia.Node
 	contacts []kademlia.Contact
 	isAtk    map[overlay.ID]bool
@@ -49,17 +43,8 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 	if cfg.Identities <= 0 {
 		return nil, errors.New("sybil: need at least one identity")
 	}
-	if cfg.AnnounceLookups <= 0 {
-		cfg.AnnounceLookups = 1
-	}
-	if cfg.Region == 0 {
-		cfg.Region = netmodel.Europe
-	}
 	rng := s.Stream("sybil")
-	a := &Attack{
-		cfg:   cfg,
-		isAtk: make(map[overlay.ID]bool, cfg.Identities),
-	}
+	a := &Attack{isAtk: make(map[overlay.ID]bool, cfg.Identities)}
 	honest := make([]*kademlia.Node, 0, len(nw.Nodes()))
 	for _, n := range nw.Nodes() {
 		if !n.Malicious() {
@@ -80,29 +65,25 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 		} else {
 			id = overlay.RandomID(rng)
 		}
-		node := nw.AddMaliciousNode(cfg.Region, id, a.poison)
+		node := nw.AddMaliciousNode(netmodel.Europe, id, a.poison) // the attacker's hosts
 		a.nodes = append(a.nodes, node)
 		a.contacts = append(a.contacts, kademlia.Contact{ID: node.ID, Addr: node.Addr})
 		a.isAtk[node.ID] = true
 	}
 	// Announcement: each sybil seeds its table with honest contacts and
-	// looks up either the victim key (targeted) or its own id (uniform),
-	// planting itself in honest routing tables via sender learning.
+	// performs one lookup of either the victim key (targeted) or its own id
+	// (uniform), planting itself in honest routing tables via sender learning.
 	for _, node := range a.nodes {
 		node := node
 		for j := 0; j < 3; j++ {
 			h := honest[rng.Intn(len(honest))]
 			node.Table().Add(kademlia.Contact{ID: h.ID, Addr: h.Addr})
 		}
-		for j := 0; j < cfg.AnnounceLookups; j++ {
-			target := node.ID
-			if cfg.Targeted {
-				target = cfg.Target
-			}
-			s.After(rng.ExpDuration(500_000_000), func() { // spread over ~0.5s mean
-				nw.Lookup(node, target, nil)
-			})
+		target := node.ID
+		if cfg.Targeted {
+			target = cfg.Target
 		}
+		s.After(rng.ExpDuration(500_000_000), func() { nw.Lookup(node, target, nil) }) // spread over ~0.5s mean
 	}
 	return a, nil
 }
