@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 
 	"repro/internal/metrics"
@@ -209,32 +210,18 @@ type Experiment interface {
 	Run(cfg Config) (*Result, error)
 }
 
-// Sectioned is implemented by experiments that carry a stable paper
-// section tag (e.g. "§III-C P2") naming where in the paper's argument
-// their claim lives. The reproduction report groups its claim-traceability
-// matrix by this tag.
-type Sectioned interface {
-	// Section returns the paper section tag, e.g. "§II-B P1".
-	Section() string
-}
+// sectionRef is a paper section reference: a roman section, an optional
+// lettered subsection and an optional numbered problem ("§III-C P2").
+var sectionRef = regexp.MustCompile(`^§[IVX]+(-[A-Z])?( P[0-9]+)?`)
 
-// SectionOf returns the paper section an experiment's claim belongs to:
-// the Sectioned tag when the experiment implements it, otherwise the
-// leading "§..." token of the claim text (up to the first ":"), otherwise
-// "". The result is stable metadata — it depends only on the experiment
+// SectionOf returns the paper section tag naming where in the paper's
+// argument an experiment's claim lives: the section reference the claim
+// text starts with ("§V" for "§V / Fig.1: ..."), otherwise "". The
+// reproduction report groups its claim-traceability matrix by this tag. The
+// result is stable metadata — it depends only on the experiment
 // definition, never on a run.
 func SectionOf(e Experiment) string {
-	if s, ok := e.(Sectioned); ok {
-		if tag := s.Section(); tag != "" {
-			return tag
-		}
-	}
-	claim := e.Claim()
-	if !strings.HasPrefix(claim, "§") {
-		return ""
-	}
-	tag, _, _ := strings.Cut(claim, ":")
-	return strings.TrimSpace(tag)
+	return sectionRef.FindString(e.Claim())
 }
 
 // ErrUnknownExperiment is returned when an id does not resolve.

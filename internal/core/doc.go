@@ -12,7 +12,7 @@
 //   - Result: regenerated tables, figures, full-precision metrics, and
 //     shape checks, marshalling to stable JSON;
 //   - Experiment and Registry: the claim catalogue in paper order;
-//   - Sectioned / SectionOf: stable paper-section metadata, the axis the
+//   - SectionOf: the paper section a claim cites, the axis the
 //     reproduction report's claim-traceability matrix is grouped on.
 //
 // Equal seeds give identical Results; everything else in the repository

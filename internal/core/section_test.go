@@ -2,7 +2,7 @@ package core
 
 import "testing"
 
-// secExp is a minimal Experiment without a Section method.
+// secExp is a minimal Experiment carrying only a claim.
 type secExp struct{ claim string }
 
 func (f secExp) ID() string                  { return "EX" }
@@ -10,32 +10,11 @@ func (f secExp) Title() string               { return "fake" }
 func (f secExp) Claim() string               { return f.claim }
 func (f secExp) Run(Config) (*Result, error) { return &Result{}, nil }
 
-// taggedExp adds an explicit tag.
-type taggedExp struct {
-	secExp
-	section string
-}
-
-func (s taggedExp) Section() string { return s.section }
-
-func TestSectionOfPrefersSectionedTag(t *testing.T) {
-	e := taggedExp{secExp{claim: "§II-A: something"}, "§IV"}
-	if got := SectionOf(e); got != "§IV" {
-		t.Errorf("SectionOf = %q, want the explicit tag %q", got, "§IV")
-	}
-}
-
-func TestSectionOfEmptyTagFallsBackToClaim(t *testing.T) {
-	e := taggedExp{secExp{claim: "§II-B P1: free riding"}, ""}
-	if got := SectionOf(e); got != "§II-B P1" {
-		t.Errorf("SectionOf = %q, want claim-derived %q", got, "§II-B P1")
-	}
-}
-
 func TestSectionOfParsesClaimPrefix(t *testing.T) {
 	cases := []struct{ claim, want string }{
 		{"§I: concentration", "§I"},
 		{"§III-C P2: layer 2", "§III-C P2"},
+		{"§V / Fig.1: edge federations", "§V"},
 		{"no section marker here", ""},
 		{"", ""},
 	}

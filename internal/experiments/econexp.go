@@ -13,10 +13,9 @@ import (
 // concentrates hashpower into industrial farms and a handful of pools.
 func e10MiningCentralization() core.Experiment {
 	return &exp{
-		id:      "E10",
-		section: "§III-C P1",
-		title:   "Mining centralization: farms and pools take over",
-		claim:   "§III-C P1: in 2013 six mining pools controlled 75% of overall Bitcoin hashing power; nowadays it is almost impossible for a normal user to mine with a desktop computer.",
+		id:    "E10",
+		title: "Mining centralization: farms and pools take over",
+		claim: "§III-C P1: in 2013 six mining pools controlled 75% of overall Bitcoin hashing power; nowadays it is almost impossible for a normal user to mine with a desktop computer.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			hobbyists := scaledSize(cfg, "e10.hobbyists")
@@ -72,10 +71,9 @@ func e10MiningCentralization() core.Experiment {
 // 70 TWh/yr — a country's worth.
 func e11Energy() core.Experiment {
 	return &exp{
-		id:      "E11",
-		section: "§III-B",
-		title:   "Proof-of-work energy at economic equilibrium",
-		claim:   "§III-B: Bitcoin energy consumption peaked at 70 TWh in 2018, roughly what a country like Austria consumes.",
+		id:    "E11",
+		title: "Proof-of-work energy at economic equilibrium",
+		claim: "§III-B: Bitcoin energy consumption peaked at 70 TWh in 2018, roughly what a country like Austria consumes.",
 		run: func(cfg core.Config, r *core.Result) error {
 			tab := metrics.NewTable("equilibrium energy model",
 				"coin price ($)", "network power (GW)", "annual energy (TWh)", "kWh per transaction")
@@ -123,10 +121,9 @@ func e11Energy() core.Experiment {
 // validating core shrinks.
 func e12NodeCost() core.Experiment {
 	return &exp{
-		id:      "E12",
-		section: "§III-C P1",
-		title:   "Node resource growth erodes the validating population",
-		claim:   "§III-C P1: as the history of transactions grows, each node requires more bandwidth, storage and computing power; networks retag nodes as light nodes but still count them in the global network size metrics.",
+		id:    "E12",
+		title: "Node resource growth erodes the validating population",
+		claim: "§III-C P1: as the history of transactions grows, each node requires more bandwidth, storage and computing power; networks retag nodes as light nodes but still count them in the global network size metrics.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			nodes := scaledSize(cfg, "e12.nodes")

@@ -46,22 +46,19 @@ func newShardedSim(cfg core.Config, shards int, window time.Duration) (*sim.Shar
 	return sim.NewSharded(shards, window, cfg.Shards, sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Obs))
 }
 
-// exp is the shared experiment scaffold. section is the stable paper
-// section tag (core.Sectioned) the reproduction report groups claims by;
-// every runner sets it explicitly and TestSections pins it against the
-// claim's "§..." prefix so the two can never drift apart.
+// exp is the shared experiment scaffold. The claim leads with its paper
+// section ("§III-C P2: ..."), which core.SectionOf reads and TestSections
+// checks.
 type exp struct {
-	id      string
-	title   string
-	claim   string
-	section string
-	run     func(cfg core.Config, r *core.Result) error
+	id    string
+	title string
+	claim string
+	run   func(cfg core.Config, r *core.Result) error
 }
 
-func (e *exp) ID() string      { return e.id }
-func (e *exp) Title() string   { return e.title }
-func (e *exp) Claim() string   { return e.claim }
-func (e *exp) Section() string { return e.section }
+func (e *exp) ID() string    { return e.id }
+func (e *exp) Title() string { return e.title }
+func (e *exp) Claim() string { return e.claim }
 
 func (e *exp) Run(cfg core.Config) (*core.Result, error) {
 	cfg = cfg.WithDefaults()

@@ -18,10 +18,9 @@ import (
 // discarded as stale blocks.
 func e19GeoPartitionedPoW() core.Experiment {
 	return &exp{
-		id:      "E19",
-		section: "§III-A",
-		title:   "Geo-partitioned proof-of-work mining",
-		claim:   "§III-A: a block is broadcast to the network so that other nodes can verify it — permissionless consensus presumes timely global broadcast among thousands of heterogeneous nodes, so a wide-area partition splinters the single chain into competing forks and the weaker region's proof-of-work is discarded.",
+		id:    "E19",
+		title: "Geo-partitioned proof-of-work mining",
+		claim: "§III-A: a block is broadcast to the network so that other nodes can verify it — permissionless consensus presumes timely global broadcast among thousands of heterogeneous nodes, so a wide-area partition splinters the single chain into competing forks and the weaker region's proof-of-work is discarded.",
 		run: func(cfg core.Config, r *core.Result) error {
 			miners := knobInt(cfg, "e19.miners")
 			blocks := scaledSize(cfg, "e19.blocks")
@@ -53,7 +52,8 @@ func e19GeoPartitionedPoW() core.Experiment {
 			run := func(partition bool) (outcome, error) {
 				var out outcome
 				s := newSim(cfg)
-				nm := netmodel.New(s, netmodel.WithJitter(0.1), netmodel.WithLoss(loss))
+				nm := netmodel.New(s, netmodel.WithJitter(0.1))
+				nm.SetLoss(loss)
 				addrs, err := nm.BuildTopology(netmodel.TopologySpec{Nodes: miners, Mix: mix})
 				if err != nil {
 					return out, err

@@ -15,10 +15,9 @@ import (
 // set of peers.
 func e18OffChain() core.Experiment {
 	return &exp{
-		id:      "E18",
-		section: "§III-C P2",
-		title:   "Layer-2 channels: throughput bought with re-centralization",
-		claim:   "§III-C P2: the so-called layer 2 or off-chain solutions like Lightning (Bitcoin), Plasma (Ethereum) or EOS follow this trend [toward centralization]: transactions are processed by a much smaller set of peers to increase performance.",
+		id:    "E18",
+		title: "Layer-2 channels: throughput bought with re-centralization",
+		claim: "§III-C P2: the so-called layer 2 or off-chain solutions like Lightning (Bitcoin), Plasma (Ethereum) or EOS follow this trend [toward centralization]: transactions are processed by a much smaller set of peers to increase performance.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			nodes := knobInt(cfg, "e18.nodes")

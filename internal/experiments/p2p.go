@@ -24,10 +24,9 @@ import (
 // attachment (top-3 CDN ≈ 75%, top-1 cloud ≈ 33%).
 func e01Market() core.Experiment {
 	return &exp{
-		id:      "E01",
-		section: "§I",
-		title:   "Market concentration under preferential attachment",
-		claim:   "§I: >75% of the CDN market is controlled by three providers; five cloud providers hold ~60%; Amazon alone ~33% — a natural effect of preferential attachment.",
+		id:    "E01",
+		title: "Market concentration under preferential attachment",
+		claim: "§I: >75% of the CDN market is controlled by three providers; five cloud providers hold ~60%; Amazon alone ~33% — a natural effect of preferential attachment.",
 		run: func(cfg core.Config, r *core.Result) error {
 			s := newSim(cfg)
 			tab := metrics.NewTable("market concentration (simulated)",
@@ -76,10 +75,9 @@ func e01Market() core.Experiment {
 // incentives; tit-for-tat penalizes it but only during downloads.
 func e02FreeRiding() core.Experiment {
 	return &exp{
-		id:      "E02",
-		section: "§II-B P1",
-		title:   "Free riding in unstructured overlays and the tit-for-tat fix",
-		claim:   "§II-B P1: free riding was extensively reported on Gnutella (most peers share nothing; a tiny minority serves most requests); BitTorrent's tit-for-tat enforces reciprocity, but only during the download.",
+		id:    "E02",
+		title: "Free riding in unstructured overlays and the tit-for-tat fix",
+		claim: "§II-B P1: free riding was extensively reported on Gnutella (most peers share nothing; a tiny minority serves most requests); BitTorrent's tit-for-tat enforces reciprocity, but only during the download.",
 		run: func(cfg core.Config, r *core.Result) error {
 			s := newSim(cfg)
 			nm := netmodel.New(s, netmodel.WithJitter(0.1))
@@ -195,10 +193,9 @@ const e03Shards = 8
 // shard, and windows are bounded by the all-Europe delay floor.
 func e03DHTLookup() core.Experiment {
 	return &exp{
-		id:      "E03",
-		section: "§II-A",
-		title:   "DHT lookup latency: KAD vs BitTorrent Mainline parameterizations",
-		claim:   "§II-A: lookups were performed within 5 seconds 90% of the time in eMule's KAD, but the median lookup time was around a minute in both BitTorrent DHTs (Jiménez et al.).",
+		id:    "E03",
+		title: "DHT lookup latency: KAD vs BitTorrent Mainline parameterizations",
+		claim: "§II-A: lookups were performed within 5 seconds 90% of the time in eMule's KAD, but the median lookup time was around a minute in both BitTorrent DHTs (Jiménez et al.).",
 		run: func(cfg core.Config, r *core.Result) error {
 			// Sweepable knobs; the spec defaults reproduce the documented
 			// run and the shared scaffold enforces the measurement floors
@@ -295,10 +292,9 @@ func e03DHTLookup() core.Experiment {
 // attacker intercept lookups and eclipse keys.
 func e04Sybil() core.Experiment {
 	return &exp{
-		id:      "E04",
-		section: "§II-B P3",
-		title:   "Sybil and eclipse attacks on an open DHT",
-		claim:   "§II-B P3: open networks where peers assign their own identities are prone to sybil attacks; massive identity problems were reported in eMule KAD and the BitTorrent DHTs.",
+		id:    "E04",
+		title: "Sybil and eclipse attacks on an open DHT",
+		claim: "§II-B P3: open networks where peers assign their own identities are prone to sybil attacks; massive identity problems were reported in eMule KAD and the BitTorrent DHTs.",
 		run: func(cfg core.Config, r *core.Result) error {
 			honest := scaledSize(cfg, "e04.honest")
 			lookups := scaledSize(cfg, "e04.lookups")
@@ -392,10 +388,9 @@ func e04Sybil() core.Experiment {
 // network is reasonably stable.
 func e05OneHop() core.Experiment {
 	return &exp{
-		id:      "E05",
-		section: "§II-B",
-		title:   "One-hop overlays vs multi-hop DHTs",
-		claim:   "§II-B: for networks between 10K and 100K nodes it is possible to keep full membership and route in one hop (Gupta et al.); if the overlay is relatively stable, O(1) routing is the right decision.",
+		id:    "E05",
+		title: "One-hop overlays vs multi-hop DHTs",
+		claim: "§II-B: for networks between 10K and 100K nodes it is possible to keep full membership and route in one hop (Gupta et al.); if the overlay is relatively stable, O(1) routing is the right decision.",
 		run: func(cfg core.Config, r *core.Result) error {
 			n := scaledSize(cfg, "e05.nodes")
 			lookups := scaledSize(cfg, "e05.lookups")
@@ -499,10 +494,9 @@ func sessionLabel(d time.Duration) string {
 // with churn.
 func e15Churn() core.Experiment {
 	return &exp{
-		id:      "E15",
-		section: "§II-B P2",
-		title:   "Churn degrades open-overlay lookups",
-		claim:   "§II-B P2: P2P networks show high churn; fault-tolerant self-adjustment causes performance problems and latency — stable cloud servers have no rival when guaranteed quality of service is needed.",
+		id:    "E15",
+		title: "Churn degrades open-overlay lookups",
+		claim: "§II-B P2: P2P networks show high churn; fault-tolerant self-adjustment causes performance problems and latency — stable cloud servers have no rival when guaranteed quality of service is needed.",
 		run: func(cfg core.Config, r *core.Result) error {
 			n := scaledSize(cfg, "e15.nodes")
 			lookups := scaledSize(cfg, "e15.lookups")

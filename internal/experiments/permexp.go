@@ -20,10 +20,9 @@ import (
 // throughput with immediate finality.
 func e13PermissionedVsPoW() core.Experiment {
 	return &exp{
-		id:      "E13",
-		section: "§IV",
-		title:   "Permissioned consensus vs permissionless proof-of-work",
-		claim:   "§IV: permissioned blockchains avoid costly proof-of-work by using CFT or BFT consensus (BFT-SMaRt); consensus can be configured between a subset of nodes, unlike broadcast networks where all nodes participate in all transactions.",
+		id:    "E13",
+		title: "Permissioned consensus vs permissionless proof-of-work",
+		claim: "§IV: permissioned blockchains avoid costly proof-of-work by using CFT or BFT consensus (BFT-SMaRt); consensus can be configured between a subset of nodes, unlike broadcast networks where all nodes participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
 			durSecs := scaledSize(cfg, "e13.duration")
 			dur := time.Duration(durSecs) * time.Second
@@ -96,10 +95,9 @@ func e13PermissionedVsPoW() core.Experiment {
 // trust versus the centralized cloud.
 func e14EdgeVsCloud() core.Experiment {
 	return &exp{
-		id:      "E14",
-		section: "§V",
-		title:   "Edge-centric placement with permissioned trust",
-		claim:   "§V / Fig.1: modern services are data-intensive and latency-sensitive, making a centralized cloud a poor match; permissioned blockchains provide the decentralized trust that edge federations need (authorization and auditing).",
+		id:    "E14",
+		title: "Edge-centric placement with permissioned trust",
+		claim: "§V / Fig.1: modern services are data-intensive and latency-sensitive, making a centralized cloud a poor match; permissioned blockchains provide the decentralized trust that edge federations need (authorization and auditing).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			edgeNodes := knobInt(cfg, "e14.edgenodes")
@@ -193,10 +191,9 @@ func e14EdgeVsCloud() core.Experiment {
 // validation to the interested subset, unlike global-broadcast chains.
 func e16Channels() core.Experiment {
 	return &exp{
-		id:      "E16",
-		section: "§IV",
-		title:   "Channels: consensus among subsets beats global broadcast",
-		claim:   "§IV: one distinguishing aspect of Hyperledger Fabric is that consensus can be configured between a subset of the nodes of the network, unlike traditional broadcast networks where all nodes must participate in all transactions.",
+		id:    "E16",
+		title: "Channels: consensus among subsets beats global broadcast",
+		claim: "§IV: one distinguishing aspect of Hyperledger Fabric is that consensus can be configured between a subset of the nodes of the network, unlike traditional broadcast networks where all nodes must participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
 			const orgs = 12
 			txPerChannel := scaledSize(cfg, "e16.txs")

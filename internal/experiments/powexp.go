@@ -17,10 +17,9 @@ import (
 // 3.3–7 tps vs Ethereum ~15 tps.
 func e06Throughput() core.Experiment {
 	return &exp{
-		id:      "E06",
-		section: "§III-C P2",
-		title:   "Throughput: permissionless chains vs partitioned cloud",
-		claim:   "§III-C P2: while VISA processes 24,000 transactions per second, Bitcoin can process between 3.3 and 7, and Ethereum around 15 — the consequence of a broadcast network where all nodes validate all transactions.",
+		id:    "E06",
+		title: "Throughput: permissionless chains vs partitioned cloud",
+		claim: "§III-C P2: while VISA processes 24,000 transactions per second, Bitcoin can process between 3.3 and 7, and Ethereum around 15 — the consequence of a broadcast network where all nodes validate all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
 			tab := metrics.NewTable("sustained throughput (tps)",
 				"system", "mechanism", "tps", "paper reference")
@@ -90,10 +89,9 @@ func e06Throughput() core.Experiment {
 // adjusted so a block appears every ~10 minutes regardless of hashpower.
 func e07Difficulty() core.Experiment {
 	return &exp{
-		id:      "E07",
-		section: "§III-A",
-		title:   "Difficulty retargeting under exponential hashpower growth",
-		claim:   "§III-A: the difficulty target is periodically adjusted in such a way that a new block is generated every 10 minutes.",
+		id:    "E07",
+		title: "Difficulty retargeting under exponential hashpower growth",
+		claim: "§III-A: the difficulty target is periodically adjusted in such a way that a new block is generated every 10 minutes.",
 		run: func(cfg core.Config, r *core.Result) error {
 			s := newSim(cfg)
 			const target = 10 * time.Minute
@@ -153,10 +151,9 @@ func e07Difficulty() core.Experiment {
 // security.
 func e08ForkRate() core.Experiment {
 	return &exp{
-		id:      "E08",
-		section: "§III-C P2",
-		title:   "Fork rate vs block interval — the trilemma's mechanics",
-		claim:   "§III-C P2: a completely open network of thousands of heterogeneous nodes is a serious burden for performance (Buterin's scalability trilemma: scalability, decentralization, security — pick two).",
+		id:    "E08",
+		title: "Fork rate vs block interval — the trilemma's mechanics",
+		claim: "§III-C P2: a completely open network of thousands of heterogeneous nodes is a serious burden for performance (Buterin's scalability trilemma: scalability, decentralization, security — pick two).",
 		run: func(cfg core.Config, r *core.Result) error {
 			blocks := scaledSize(cfg, "e08.blocks")
 			// ~1MB over a global gossip mesh by default.
@@ -193,7 +190,8 @@ func e08ForkRate() core.Experiment {
 					if err != nil {
 						return err
 					}
-					nm := netmodel.New(s, netmodel.WithJitter(0.4), netmodel.WithLoss(loss))
+					nm := netmodel.New(s, netmodel.WithJitter(0.4))
+					nm.SetLoss(loss)
 					upBps := float64(4*params.BlockSize*len(hashrates)) / propagation.Seconds()
 					addrs, err := nm.BuildTopology(netmodel.TopologySpec{
 						Nodes: len(hashrates),
@@ -263,10 +261,9 @@ func e08ForkRate() core.Experiment {
 // minority pool earns more than its fair share.
 func e09Selfish() core.Experiment {
 	return &exp{
-		id:      "E09",
-		section: "§III-C P1",
-		title:   "Selfish mining: majority is not enough",
-		claim:   "§III-C P1: the incentive mechanism of Bitcoin is flawed — a minority colluding pool can obtain more revenue than the pool's fair share (Eyal & Sirer).",
+		id:    "E09",
+		title: "Selfish mining: majority is not enough",
+		claim: "§III-C P1: the incentive mechanism of Bitcoin is flawed — a minority colluding pool can obtain more revenue than the pool's fair share (Eyal & Sirer).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			blocks := scaledSize(cfg, "e09.blocks")
@@ -321,10 +318,9 @@ func e09Selfish() core.Experiment {
 // paper's §III-A immutability discussion.
 func e17DoubleSpend() core.Experiment {
 	return &exp{
-		id:      "E17",
-		section: "§III-A",
-		title:   "Double-spend probability vs confirmations",
-		claim:   "§III-A: modifying the chain requires redoing the proof-of-work for the block and all that follow — a feat possible only with more than half the computing power (Nakamoto's confirmation analysis).",
+		id:    "E17",
+		title: "Double-spend probability vs confirmations",
+		claim: "§III-A: modifying the chain requires redoing the proof-of-work for the block and all that follow — a feat possible only with more than half the computing power (Nakamoto's confirmation analysis).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
 			trials := scaledSize(cfg, "e17.trials")

@@ -20,7 +20,6 @@ var reachKinds = map[string]bool{
 var reachKeep = map[string]string{
 	"(*repro/internal/netmodel.Net).Partition":             "fault injector: ambient partition, driven by the transport's own tests and named by the invariant item",
 	"(*repro/internal/netmodel.Net).Heal":                  "fault injector: ends Partition",
-	"(*repro/internal/netmodel.Net).SetLoss":               "fault injector: ambient loss rate",
 	"(*repro/internal/netmodel.Net).ScheduleLossWindow":    "fault injector: the invariant item's loss windows",
 	"(*repro/internal/netmodel.Net).ScheduleOutageWindow":  "fault injector: the invariant item's outage windows; TestInFlight*AcrossCrash drive it",
 	"(*repro/internal/raft.Cluster).Crash":                 "fault injector: leader/follower crash, named by the invariant item",

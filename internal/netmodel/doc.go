@@ -13,9 +13,9 @@
 // and synchronous substrates time Transfer/TransferTime. Node
 // populations are realized statistically from a TopologySpec (weighted
 // regional mixes with largest-remainder apportionment plus bandwidth
-// classes), and failure scenarios are declared as condition windows
-// (SchedulePartitionWindow, ScheduleLossWindow, ScheduleOutageWindow)
-// with pinned in-flight drop semantics.
+// classes). A fault condition (loss, partition, a node's up flag) has an
+// ambient value its setter writes; a Schedule*Window call holds it at
+// another value for a while, with pinned in-flight drop semantics.
 //
 // The hot path is allocation-free: Send and Broadcast recycle pooled
 // handler events through the simulator's free list, a property pinned by

@@ -85,20 +85,14 @@ type Net struct {
 	nodes    []nodeState
 	jitter   float64
 	loss     float64 // effective rate (a window may be overriding base)
-	baseLoss float64 // ambient rate set by WithLoss/SetLoss
+	baseLoss float64 // ambient rate set by SetLoss
 	partOf   []int   // effective node->group map; nil when unpartitioned
 	basePart []int   // ambient partition set by Partition/Heal
 
-	// scheduled condition windows: intervals for overlap rejection plus
-	// the currently-applied window per state, so a window's end never
-	// clobbers an adjacent window that started at the same instant
-	// (see schedule.go).
-	lossWins   []window
-	partWins   []window
-	outageWins map[NodeID][]window
-	lossOwner  *window
-	partOwner  *window
-	outOwner   map[NodeID]*window
+	// condition windows (schedule.go), nil until the first is booked: the
+	// intervals and the current holder, keyed by condition.
+	wins   map[NodeID][]window
+	holder map[NodeID]*window
 
 	// telemetry instruments (observe.go); all nil when the run has no
 	// collector, in which case every recording call is a nil-receiver
@@ -128,11 +122,6 @@ type Option func(*Net)
 // WithJitter sets the symmetric latency jitter fraction (e.g. 0.2 = ±20 %).
 func WithJitter(f float64) Option {
 	return func(n *Net) { n.jitter = f }
-}
-
-// WithLoss sets the independent per-message loss probability.
-func WithLoss(p float64) Option {
-	return func(n *Net) { n.loss, n.baseLoss = p, p }
 }
 
 // New creates an empty network bound to the simulator, drawing randomness
@@ -171,7 +160,7 @@ func (n *Net) SetUp(id NodeID, up bool) {
 		return
 	}
 	n.nodes[id].baseUp = up
-	if n.outOwner[id] == nil {
+	if n.holder[id] == nil {
 		n.nodes[id].up = up
 	}
 }
@@ -230,7 +219,7 @@ func serialization(bps float64, size int) time.Duration {
 // partition takes effect when the window closes.
 func (n *Net) Partition(groups map[NodeID]int) {
 	n.basePart = n.groupSlice(groups)
-	if n.partOwner == nil {
+	if n.holder[partCond] == nil {
 		n.partOf = n.basePart
 	}
 }
@@ -239,7 +228,7 @@ func (n *Net) Partition(groups map[NodeID]int) {
 // like Partition).
 func (n *Net) Heal() {
 	n.basePart = nil
-	if n.partOwner == nil {
+	if n.holder[partCond] == nil {
 		n.partOf = nil
 	}
 }
@@ -273,18 +262,17 @@ func (n *Net) partitioned(a, b NodeID) bool {
 }
 
 // SetLoss updates the ambient per-message loss probability, clamped to
-// [0, 1]. It applies to sends issued after the call; messages already in
-// flight are unaffected. While a scheduled loss window is active, the new
-// ambient rate takes effect when the window closes.
+// [0, 1] (NaN reads as 0). It applies to sends issued after the call;
+// messages already in flight are unaffected. While a scheduled loss window
+// is active, the new ambient rate takes effect when the window closes.
 func (n *Net) SetLoss(p float64) {
-	if p < 0 {
+	if !(p >= 0) {
 		p = 0
-	}
-	if p > 1 {
+	} else if p > 1 {
 		p = 1
 	}
 	n.baseLoss = p
-	if n.lossOwner == nil {
+	if n.holder[lossCond] == nil {
 		n.loss = p
 	}
 }

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -170,7 +171,8 @@ func TestReceiverGoesDownMidFlight(t *testing.T) {
 
 func TestLoss(t *testing.T) {
 	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithLoss(1.0))
+		n := e.net()
+		n.SetLoss(1.0)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
 		if n.Send(a, b, 10, func() { t.Fatal("lossy link delivered") }) {
@@ -310,6 +312,13 @@ func TestLossWindowRestoresPreviousRate(t *testing.T) {
 	if err := n.ScheduleLossWindow(30*time.Millisecond, 40*time.Millisecond, 1.5); err == nil {
 		t.Fatal("out-of-range loss accepted")
 	}
+	if err := n.ScheduleLossWindow(30*time.Millisecond, 40*time.Millisecond, math.NaN()); err == nil {
+		t.Fatal("NaN loss window accepted")
+	}
+	n.SetLoss(math.NaN())
+	if n.loss != 0 || n.baseLoss != 0 {
+		t.Fatalf("SetLoss(NaN) stored loss %g, ambient %g; want both 0", n.loss, n.baseLoss)
+	}
 	results := make(map[time.Duration]bool)
 	probe := func(at time.Duration) {
 		s.At(at, func() { results[at] = n.Send(a, b, 1, func() {}) })
@@ -377,7 +386,8 @@ func TestOverlappingWindowsRejected(t *testing.T) {
 // matter which order the windows were scheduled in.
 func TestAdjacentWindowsAnyScheduleOrder(t *testing.T) {
 	for _, bFirst := range []bool{false, true} {
-		s, n := newNet(t, WithJitter(0), WithLoss(0.01))
+		s, n := newNet(t, WithJitter(0))
+		n.SetLoss(0.01)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
 		_, _ = a, b

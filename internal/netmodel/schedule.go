@@ -5,33 +5,27 @@ import (
 	"time"
 )
 
-// Time-varying network conditions. Experiments describe degraded windows —
-// a trans-continental partition, a lossy period — declaratively; the
-// transport flips the condition on at the window start and restores the
-// ambient state at the end. Messages in flight when a window opens are
-// subject to the new condition at delivery time (a partition drops them),
-// and messages dropped during a window are gone: healing does not
-// retroactively deliver anything.
+// Time-varying network conditions. A condition — the loss rate, the
+// partition map or one node's up flag — has an ambient value, which its
+// setter writes (SetLoss, Partition/Heal, SetUp), and a window may hold it
+// at another value during [start, end) of virtual time. Messages in flight
+// when a window opens are subject to the new condition at delivery time (a
+// partition drops them), and messages dropped during a window are gone:
+// healing does not retroactively deliver anything.
 //
-// Windows over the same state (the loss rate, the partition map, one
-// node's up flag) must not overlap and are rejected at scheduling time.
-// Back-to-back windows are fine: each window records itself as the state's
-// owner while active, and its end event restores the ambient value only if
-// it still owns the state — so when window A's end and window B's start
-// land on the same instant, the outcome is B's condition regardless of
-// event order.
+// override is the one rule that books a window. Windows over the same
+// condition must not overlap. While a window holds its condition a setter
+// changes only the ambient value, and the window's end restores that value
+// only if the window still holds the condition, so when window A's end and
+// window B's start land on the same instant, B's condition wins whatever
+// the event order.
 
 // window is one scheduled [start, end) condition interval.
 type window struct{ start, end time.Duration }
 
-func overlapsAny(ws []window, w window) bool {
-	for _, x := range ws {
-		if w.start < x.end && x.start < w.end {
-			return true
-		}
-	}
-	return false
-}
+// Condition keys: a node's up flag is keyed by its id, the shared
+// conditions by negative ids.
+const lossCond, partCond NodeID = -1, -2
 
 // SchedulePartitionWindow installs the given partition groups during
 // [start, end) of virtual time, restoring the ambient partition (the
@@ -39,61 +33,33 @@ func overlapsAny(ws []window, w window) bool {
 // Windows must lie in the future, be well-ordered, and not overlap another
 // partition window.
 func (n *Net) SchedulePartitionWindow(start, end time.Duration, groups map[NodeID]int) error {
-	if err := n.checkWindow(start, end); err != nil {
-		return err
-	}
-	w := &window{start, end}
-	if overlapsAny(n.partWins, *w) {
-		return fmt.Errorf("netmodel: partition window [%v, %v) overlaps an existing one", start, end)
-	}
-	n.partWins = append(n.partWins, *w)
 	// Expand the groups now: the caller may reuse its map after this call,
 	// and nodes attached before the window starts default to group 0 via
 	// partitioned()'s bounds rule anyway.
 	expanded := n.groupSlice(groups)
-	n.kerns[0].At(start, func() {
-		n.partOwner = w
+	return n.override(partCond, "partition", start, end, func() {
 		n.partOf = expanded
 		n.noteWindow("partition.start", 0, "groups", int64(len(groups)))
+	}, func() {
+		n.partOf = n.basePart
+		n.noteWindow("partition.end", 0, "", 0)
 	})
-	n.kerns[0].At(end, func() {
-		if n.partOwner == w {
-			n.partOwner = nil
-			n.partOf = n.basePart
-			n.noteWindow("partition.end", 0, "", 0)
-		}
-	})
-	return nil
 }
 
 // ScheduleLossWindow raises the per-message loss probability to p during
-// [start, end), restoring the ambient rate (the WithLoss/SetLoss value) at
-// the end. Loss windows must not overlap each other.
+// [start, end), restoring the ambient rate (the SetLoss value) at the end.
+// Loss windows must not overlap each other.
 func (n *Net) ScheduleLossWindow(start, end time.Duration, p float64) error {
-	if err := n.checkWindow(start, end); err != nil {
-		return err
-	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("netmodel: loss probability %g outside [0, 1]", p)
 	}
-	w := &window{start, end}
-	if overlapsAny(n.lossWins, *w) {
-		return fmt.Errorf("netmodel: loss window [%v, %v) overlaps an existing one", start, end)
-	}
-	n.lossWins = append(n.lossWins, *w)
-	n.kerns[0].At(start, func() {
-		n.lossOwner = w
+	return n.override(lossCond, "loss", start, end, func() {
 		n.loss = p
 		n.noteWindow("loss.start", 0, "ppm", int64(p*1e6))
+	}, func() {
+		n.loss = n.baseLoss
+		n.noteWindow("loss.end", 0, "ppm", int64(n.loss*1e6))
 	})
-	n.kerns[0].At(end, func() {
-		if n.lossOwner == w {
-			n.lossOwner = nil
-			n.loss = n.baseLoss
-			n.noteWindow("loss.end", 0, "ppm", int64(n.loss*1e6))
-		}
-	})
-	return nil
 }
 
 // ScheduleOutageWindow takes a node offline during [start, end), restoring
@@ -102,37 +68,22 @@ func (n *Net) ScheduleLossWindow(start, end time.Duration, p float64) error {
 // delivery time, exactly as with a manual SetUp(id, false). A node's
 // outage windows must not overlap.
 func (n *Net) ScheduleOutageWindow(start, end time.Duration, id NodeID) error {
-	if err := n.checkWindow(start, end); err != nil {
-		return err
-	}
 	if !n.valid(id) {
 		return fmt.Errorf("netmodel: unknown node %d", id)
 	}
-	w := &window{start, end}
-	if overlapsAny(n.outageWins[id], *w) {
-		return fmt.Errorf("netmodel: outage window [%v, %v) for node %d overlaps an existing one", start, end, id)
-	}
-	if n.outageWins == nil {
-		n.outageWins = make(map[NodeID][]window)
-		n.outOwner = make(map[NodeID]*window)
-	}
-	n.outageWins[id] = append(n.outageWins[id], *w)
-	n.kerns[0].At(start, func() {
-		n.outOwner[id] = w
+	return n.override(id, fmt.Sprintf("node %d outage", id), start, end, func() {
 		n.nodes[id].up = false
 		n.noteWindow("outage.start", int64(id), "node", int64(id))
+	}, func() {
+		n.nodes[id].up = n.nodes[id].baseUp
+		n.noteWindow("outage.end", int64(id), "node", int64(id))
 	})
-	n.kerns[0].At(end, func() {
-		if n.outOwner[id] == w {
-			delete(n.outOwner, id)
-			n.nodes[id].up = n.nodes[id].baseUp
-			n.noteWindow("outage.end", int64(id), "node", int64(id))
-		}
-	})
-	return nil
 }
 
-func (n *Net) checkWindow(start, end time.Duration) error {
+// override books a window over the condition keyed by key: at start the
+// window becomes the holder and apply sets its value; at end, if it still
+// holds the condition, it lets go and restore reinstates the ambient value.
+func (n *Net) override(key NodeID, what string, start, end time.Duration, apply, restore func()) error {
 	if len(n.kerns) > 1 {
 		return fmt.Errorf("netmodel: condition windows mutate state shared across shards and are not supported on sharded nets")
 	}
@@ -142,5 +93,26 @@ func (n *Net) checkWindow(start, end time.Duration) error {
 	if end <= start {
 		return fmt.Errorf("netmodel: window end %v not after start %v", end, start)
 	}
+	for _, x := range n.wins[key] {
+		if start < x.end && x.start < end {
+			return fmt.Errorf("netmodel: %s window [%v, %v) overlaps an existing one", what, start, end)
+		}
+	}
+	if n.wins == nil {
+		n.wins = make(map[NodeID][]window)
+		n.holder = make(map[NodeID]*window)
+	}
+	w := &window{start, end}
+	n.wins[key] = append(n.wins[key], *w)
+	n.kerns[0].At(start, func() {
+		n.holder[key] = w
+		apply()
+	})
+	n.kerns[0].At(end, func() {
+		if n.holder[key] == w {
+			delete(n.holder, key)
+			restore()
+		}
+	})
 	return nil
 }

@@ -54,7 +54,8 @@ func TestShardCrossDelivery(t *testing.T) {
 func TestShardSenderStreamDraws(t *testing.T) {
 	const jitter, loss = 0.2, 0.5
 	for _, senderFirst := range []bool{true, false} {
-		ss, n := shardedNet(t, 2, 1, WithJitter(jitter), WithLoss(loss))
+		ss, n := shardedNet(t, 2, 1, WithJitter(jitter))
+		n.SetLoss(loss)
 		twin, _ := shardedNet(t, 2, 1)
 		var from, to NodeID
 		if senderFirst {

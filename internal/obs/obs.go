@@ -27,6 +27,7 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -281,25 +282,9 @@ func (c *Collector) rangeLabel(i int) string {
 	}
 	hi := c.bounds[i] - 1
 	if lo >= hi {
-		return "n" + itoa(lo)
+		return "n" + strconv.Itoa(lo)
 	}
-	return "n" + itoa(lo) + "-" + itoa(hi)
-}
-
-// itoa is a minimal strconv.Itoa for non-negative ints, avoiding an import
-// dance in label rendering.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "n" + strconv.Itoa(lo) + "-" + strconv.Itoa(hi)
 }
 
 // Snapshot renders the deterministic run summary, instruments sorted by

@@ -255,7 +255,8 @@ func TestPayWithoutTransportSamplesNothing(t *testing.T) {
 func TestLossyTransportNeverSpeedsPayments(t *testing.T) {
 	measure := func(loss float64) (count int, mean float64) {
 		s := sim.New(sim.WithSeed(3))
-		nm := netmodel.New(s, netmodel.WithJitter(0), netmodel.WithLoss(loss))
+		nm := netmodel.New(s, netmodel.WithJitter(0))
+		nm.SetLoss(loss)
 		nw, err := NewNetwork(3)
 		if err != nil {
 			t.Fatalf("NewNetwork: %v", err)

@@ -12,6 +12,7 @@ package pbft
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -231,11 +232,7 @@ func (c *Cluster) medianView() int {
 	for _, r := range c.replicas {
 		views = append(views, r.view)
 	}
-	for i := 1; i < len(views); i++ {
-		for j := i; j > 0 && views[j] < views[j-1]; j-- {
-			views[j], views[j-1] = views[j-1], views[j]
-		}
-	}
+	slices.Sort(views)
 	return views[len(views)/2]
 }
 

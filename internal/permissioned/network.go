@@ -3,6 +3,7 @@ package permissioned
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -282,7 +283,7 @@ func (nw *Network) Submit(channel, creator, chaincode string, args []string, don
 	if !ok {
 		return fmt.Errorf("permissioned: unknown org %q", creator)
 	}
-	if !contains(ch.orgs, creator) {
+	if !slices.Contains(ch.orgs, creator) {
 		return fmt.Errorf("permissioned: org %q is not a member of %q", creator, channel)
 	}
 	cc, ok := ch.ccs[chaincode]
@@ -456,7 +457,7 @@ func (nw *Network) validate(ch *Channel, env *Envelope) bool {
 	seen := make(map[string]bool, len(env.Endorsements))
 	for _, e := range env.Endorsements {
 		id, ok := nw.msp.Lookup(e.Org)
-		if !ok || !contains(ch.orgs, e.Org) || seen[e.Org] {
+		if !ok || !slices.Contains(ch.orgs, e.Org) || seen[e.Org] {
 			return false
 		}
 		if !id.Verify(digest, e.Sig) {
@@ -465,13 +466,4 @@ func (nw *Network) validate(ch *Channel, env *Envelope) bool {
 		seen[e.Org] = true
 	}
 	return !ch.state.conflict(env.RWSet)
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
