@@ -7,6 +7,14 @@
 // (pre-prepare, prepare, commit) costs O(n²) messages per batch, which is
 // exactly why permissioned deployments keep n in the tens — and why, at
 // that scale, they outrun permissionless PoW by orders of magnitude (E13).
+//
+// Protocol messages are one pooled type dispatched by one handler: a message
+// is taken from the cluster's free list, handed to the transport with the
+// deliver func it was bound to when first allocated, and returned to the
+// list once delivered (or when the transport refuses it). A replica's
+// instances live in a slice indexed by sequence number, and an instance
+// counts its prepare and commit votes in bitsets, so delivering a vote
+// allocates nothing.
 package pbft
 
 import (
@@ -61,8 +69,28 @@ type instance struct {
 	sentCommit  bool
 	committed   bool
 	executed    bool
-	prepares    map[int]bool
-	commits     map[int]bool
+	prepares    voteSet
+	commits     voteSet
+	inline      [2]uint64 // both vote sets' bits when n <= 64
+}
+
+// voteSet is a set of replica ids, one bit per replica, and its size.
+type voteSet struct {
+	bits  []uint64
+	count int
+}
+
+func (v *voteSet) add(id int) {
+	w, b := id/64, uint64(1)<<(id%64)
+	if v.bits[w]&b == 0 {
+		v.bits[w] |= b
+		v.count++
+	}
+}
+
+func (v *voteSet) reset() {
+	clear(v.bits)
+	v.count = 0
 }
 
 // Request is a client request being ordered.
@@ -76,16 +104,44 @@ type Replica struct {
 	id      int
 	addr    netmodel.NodeID
 	view    int
-	nextSeq int // primary only
-	log     map[int]*instance
+	nextSeq int         // primary only
+	log     []*instance // by seq; nil where no message has arrived
 	lastExe int
 
 	pending      []Request // primary's batch buffer
 	batchTimer   sim.Handle
 	progressT    sim.Handle
+	onBatch      func()               // flushes the batch; bound once per replica
+	onTimeout    func()               // starts a view change; bound once per replica
 	vcVotes      map[int]map[int]bool // view -> voters
 	crashed      bool
 	byzantineMut bool // equivocating primary behaviour
+}
+
+// kind says which protocol message a message is.
+type kind uint8
+
+const (
+	prePrepare kind = iota
+	prepare
+	commit
+	viewChange
+	stateTransfer
+)
+
+// message is one protocol message. prePrepare sets view, seq, digest and
+// batch; a prepare or commit vote sets view, seq and digest; viewChange sets
+// view, the view voted for; stateTransfer sets nothing, and its receiver
+// reads the sender's log at delivery.
+type message struct {
+	c        *Cluster
+	kind     kind
+	from, to *Replica
+	view     int
+	seq      int
+	digest   uint64
+	batch    []Request
+	deliver  func() // m.handle, bound when m was allocated
 }
 
 // Cluster is a PBFT replica group over a simulated network.
@@ -96,6 +152,8 @@ type Cluster struct {
 	f   int
 
 	replicas []*Replica
+	free     []*message // delivered messages, ready for reuse
+	views    []int      // medianView's scratch
 
 	// execution observation, set by in-package tests
 	onExecute func(replica int, seq int, batch []Request)
@@ -119,13 +177,15 @@ func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region, cfg
 		f:   (n - 1) / 3,
 	}
 	for i := 0; i < n; i++ {
-		c.replicas = append(c.replicas, &Replica{
+		r := &Replica{
 			id:      i,
 			addr:    nm.AddNode(region, 0),
-			log:     make(map[int]*instance),
 			lastExe: -1,
 			vcVotes: make(map[int]map[int]bool),
-		})
+		}
+		r.onBatch = func() { c.flushBatch(r) }
+		r.onTimeout = func() { c.startViewChange(r) }
+		c.replicas = append(c.replicas, r)
 	}
 	return c, nil
 }
@@ -165,27 +225,30 @@ func (c *Cluster) Recover(id int) {
 	}
 	size := 0
 	for seq := r.lastExe + 1; seq <= donor.lastExe; seq++ {
-		if inst, ok := donor.log[seq]; ok {
+		if inst := donor.instance(seq); inst != nil {
 			size += reqSize*len(inst.batch) + 64
 		}
 	}
-	from := donor
-	c.send(from, r, size, func() {
-		for seq := r.lastExe + 1; seq <= from.lastExe; seq++ {
-			src, ok := from.log[seq]
-			if !ok || !src.executed {
-				continue
-			}
-			inst := c.ensureInstance(r, seq, src.digest)
-			inst.preprepared = true
-			inst.batch = src.batch
-			inst.committed = true
+	c.send(c.message(stateTransfer, donor, r), size)
+}
+
+// onStateTransfer installs every instance the donor has executed beyond
+// r's last execution, as they stand at delivery.
+func (c *Cluster) onStateTransfer(r, from *Replica) {
+	for seq := r.lastExe + 1; seq <= from.lastExe; seq++ {
+		src := from.instance(seq)
+		if src == nil || !src.executed {
+			continue
 		}
-		if r.view < from.view {
-			r.view = from.view
-		}
-		c.tryExecute(r)
-	})
+		inst := c.ensureInstance(r, seq, src.digest)
+		inst.preprepared = true
+		inst.batch = src.batch
+		inst.committed = true
+	}
+	if r.view < from.view {
+		r.view = from.view
+	}
+	c.tryExecute(r)
 }
 
 // MakeEquivocating marks a replica so that, as primary, it sends different
@@ -223,17 +286,17 @@ func (c *Cluster) Submit(req Request) {
 		return
 	}
 	if !p.batchTimer.Scheduled() {
-		p.batchTimer = c.sim.After(c.cfg.BatchTimeout, func() { c.flushBatch(p) })
+		p.batchTimer = c.sim.After(c.cfg.BatchTimeout, p.onBatch)
 	}
 }
 
 func (c *Cluster) medianView() int {
-	views := make([]int, 0, len(c.replicas))
+	c.views = c.views[:0]
 	for _, r := range c.replicas {
-		views = append(views, r.view)
+		c.views = append(c.views, r.view)
 	}
-	slices.Sort(views)
-	return views[len(views)/2]
+	slices.Sort(c.views)
+	return c.views[len(c.views)/2]
 }
 
 // flushBatch starts consensus on the primary's pending batch.
@@ -252,16 +315,14 @@ func (c *Cluster) flushBatch(p *Replica) {
 		if r == p {
 			continue
 		}
-		r := r
-		d := digest
-		b := batch
+		m := c.message(prePrepare, p, r)
+		m.view, m.seq, m.digest, m.batch = p.view, seq, digest, batch
 		if p.byzantineMut && r.id%2 == 1 {
 			// Equivocate: odd replicas get a different batch.
-			d = batchDigest(p.view, seq, batch, 1)
-			b = nil
+			m.digest = batchDigest(p.view, seq, batch, 1)
+			m.batch = nil
 		}
-		view := p.view
-		c.send(p, r, size, func() { c.onPrePrepare(r, view, seq, d, b) })
+		c.send(m, size)
 	}
 	// The primary pre-prepares locally; its prepare vote is implicit in
 	// the pre-prepare.
@@ -283,26 +344,78 @@ func batchDigest(view, seq int, batch []Request, variant int) uint64 {
 	return h
 }
 
-func (c *Cluster) ensureInstance(r *Replica, seq int, digest uint64) *instance {
-	inst, ok := r.log[seq]
-	if !ok {
-		inst = &instance{
-			digest:   digest,
-			prepares: make(map[int]bool),
-			commits:  make(map[int]bool),
-		}
-		r.log[seq] = inst
+// instance returns the replica's instance for seq, or nil.
+func (r *Replica) instance(seq int) *instance {
+	if seq < len(r.log) {
+		return r.log[seq]
 	}
+	return nil
+}
+
+func (c *Cluster) ensureInstance(r *Replica, seq int, digest uint64) *instance {
+	if inst := r.instance(seq); inst != nil {
+		return inst
+	}
+	inst := &instance{digest: digest}
+	bits := inst.inline[:]
+	if words := (len(c.replicas) + 63) / 64; words > 1 {
+		bits = make([]uint64, 2*words)
+	}
+	w := len(bits) / 2
+	inst.prepares.bits, inst.commits.bits = bits[:w:w], bits[w:]
+	for len(r.log) <= seq {
+		r.log = append(r.log, nil)
+	}
+	r.log[seq] = inst
 	return inst
 }
 
-// send transmits one protocol message and counts it. It needs no crash
-// check of its own: Crash takes the replica's address down with it, so the
-// transport drops a delivery to a crashed replica before deliver runs, and
-// every handler re-checks crashed anyway.
-func (c *Cluster) send(from, to *Replica, size int, deliver func()) {
+// message returns a message of the given kind from the free list,
+// allocating (and binding its deliver func) only when the list is empty.
+func (c *Cluster) message(k kind, from, to *Replica) *message {
+	var m *message
+	if last := len(c.free) - 1; last >= 0 {
+		m, c.free = c.free[last], c.free[:last]
+	} else {
+		m = &message{c: c}
+		m.deliver = m.handle
+	}
+	*m = message{c: c, kind: k, from: from, to: to, deliver: m.deliver}
+	return m
+}
+
+// send transmits one protocol message and counts it; a message the
+// transport refuses goes straight back to the free list, and one dropped in
+// flight is left to the garbage collector. send needs no crash check of its
+// own: Crash takes the replica's address down with it, so the transport
+// drops a delivery to a crashed replica before deliver runs, and every
+// handler re-checks crashed anyway.
+func (c *Cluster) send(m *message, size int) {
 	c.msgs++
-	c.net.Send(from.addr, to.addr, size, deliver)
+	if !c.net.Send(m.from.addr, m.to.addr, size, m.deliver) {
+		c.release(m)
+	}
+}
+
+func (c *Cluster) release(m *message) {
+	m.batch = nil
+	c.free = append(c.free, m)
+}
+
+// handle dispatches a delivered message to its handler, then recycles it.
+func (m *message) handle() {
+	c := m.c
+	switch m.kind {
+	case prePrepare:
+		c.onPrePrepare(m.to, m.view, m.seq, m.digest, m.batch)
+	case prepare, commit:
+		c.onVote(m.to, m.from.id, m.view, m.seq, m.digest, m.kind)
+	case viewChange:
+		c.onViewChange(m.to, m.from.id, m.view)
+	case stateTransfer:
+		c.onStateTransfer(m.to, m.from)
+	}
+	c.release(m)
 }
 
 // onPrePrepare handles the primary's proposal (including the primary's own
@@ -311,19 +424,19 @@ func (c *Cluster) onPrePrepare(r *Replica, view, seq int, digest uint64, batch [
 	if r.crashed || view < r.view {
 		return
 	}
-	inst, ok := r.log[seq]
-	if ok && inst.preprepared && inst.digest != digest {
+	inst := r.instance(seq)
+	if inst != nil && inst.preprepared && inst.digest != digest {
 		// Conflicting proposal for an accepted slot: ignore (and in full
 		// PBFT, report). The first accepted pre-prepare wins this
 		// replica's prepare vote.
 		return
 	}
-	if ok && inst.digest != digest {
+	if inst != nil && inst.digest != digest {
 		// Shell instance built from early votes of a different digest:
 		// discard those votes and adopt the primary's proposal.
 		inst.digest = digest
-		inst.prepares = make(map[int]bool)
-		inst.commits = make(map[int]bool)
+		inst.prepares.reset()
+		inst.commits.reset()
 	}
 	inst = c.ensureInstance(r, seq, digest)
 	inst.preprepared = true
@@ -335,15 +448,15 @@ func (c *Cluster) onPrePrepare(r *Replica, view, seq int, digest uint64, batch [
 func (c *Cluster) advance(r *Replica, view, seq int, inst *instance) {
 	if inst.preprepared && !inst.sentPrepare {
 		inst.sentPrepare = true
-		c.broadcastPhase(r, view, seq, inst.digest, "prepare")
+		c.broadcastPhase(r, view, seq, inst.digest, prepare)
 	}
 	// prepared: pre-prepare + 2f matching prepares (own vote included).
-	if inst.preprepared && inst.sentPrepare && !inst.sentCommit && len(inst.prepares) >= 2*c.f {
+	if inst.preprepared && inst.sentPrepare && !inst.sentCommit && inst.prepares.count >= 2*c.f {
 		inst.sentCommit = true
-		c.broadcastPhase(r, view, seq, inst.digest, "commit")
+		c.broadcastPhase(r, view, seq, inst.digest, commit)
 	}
 	// committed-local: prepared + 2f+1 commits.
-	if inst.sentCommit && !inst.committed && len(inst.commits) >= 2*c.f+1 {
+	if inst.sentCommit && !inst.committed && inst.commits.count >= 2*c.f+1 {
 		inst.committed = true
 		c.tryExecute(r)
 	}
@@ -351,20 +464,21 @@ func (c *Cluster) advance(r *Replica, view, seq int, inst *instance) {
 
 // broadcastPhase sends PREPARE or COMMIT votes to all peers (including a
 // self-delivery, applied synchronously).
-func (c *Cluster) broadcastPhase(r *Replica, view, seq int, digest uint64, kind string) {
+func (c *Cluster) broadcastPhase(r *Replica, view, seq int, digest uint64, phase kind) {
 	const voteSize = 96
 	for _, peer := range c.replicas {
-		peer := peer
 		if peer == r {
-			c.onVote(r, r.id, view, seq, digest, kind)
+			c.onVote(r, r.id, view, seq, digest, phase)
 			continue
 		}
-		c.send(r, peer, voteSize, func() { c.onVote(peer, r.id, view, seq, digest, kind) })
+		m := c.message(phase, r, peer)
+		m.view, m.seq, m.digest = view, seq, digest
+		c.send(m, voteSize)
 	}
 }
 
 // onVote processes a PREPARE or COMMIT vote at a replica.
-func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, kind string) {
+func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, phase kind) {
 	if r.crashed || view < r.view {
 		return
 	}
@@ -374,11 +488,10 @@ func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, kind st
 	if inst.digest != digest {
 		return
 	}
-	switch kind {
-	case "prepare":
-		inst.prepares[from] = true
-	case "commit":
-		inst.commits[from] = true
+	if phase == prepare {
+		inst.prepares.add(from)
+	} else {
+		inst.commits.add(from)
 	}
 	c.advance(r, view, seq, inst)
 }
@@ -386,8 +499,8 @@ func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, kind st
 // tryExecute runs committed instances in sequence order.
 func (c *Cluster) tryExecute(r *Replica) {
 	for {
-		inst, ok := r.log[r.lastExe+1]
-		if !ok || !inst.committed || inst.executed {
+		inst := r.instance(r.lastExe + 1)
+		if inst == nil || !inst.committed || inst.executed {
 			return
 		}
 		inst.executed = true
@@ -424,7 +537,7 @@ func (c *Cluster) ensureProgressTimer(r *Replica) {
 	if r.crashed || !r.progressT.IsZero() {
 		return
 	}
-	r.progressT = c.sim.After(c.cfg.ViewChangeTimeout, func() { c.startViewChange(r) })
+	r.progressT = c.sim.After(c.cfg.ViewChangeTimeout, r.onTimeout)
 }
 
 // startViewChange broadcasts a VIEW-CHANGE vote for the next view.
@@ -435,12 +548,13 @@ func (c *Cluster) startViewChange(r *Replica) {
 	next := r.view + 1
 	const vcSize = 256
 	for _, peer := range c.replicas {
-		peer := peer
 		if peer == r {
 			c.onViewChange(r, r.id, next)
 			continue
 		}
-		c.send(r, peer, vcSize, func() { c.onViewChange(peer, r.id, next) })
+		m := c.message(viewChange, r, peer)
+		m.view = next
+		c.send(m, vcSize)
 	}
 }
 
@@ -460,16 +574,10 @@ func (c *Cluster) onViewChange(r *Replica, from, view int) {
 		r.progressT = sim.Handle{}
 		c.viewChanges++
 		if c.primary(view) == r {
-			// New primary resumes: adopt the highest sequence it knows and
-			// re-propose nothing (pending requests are resubmitted by
-			// clients in this model).
-			max := -1
-			for seq := range r.log {
-				if seq > max {
-					max = seq
-				}
-			}
-			r.nextSeq = max + 1
+			// New primary resumes after the highest sequence it knows (the
+			// log is exactly that long) and re-proposes nothing (pending
+			// requests are resubmitted by clients in this model).
+			r.nextSeq = len(r.log)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package pbft
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -275,6 +276,36 @@ func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestVoteSteadyStateAllocs pins a vote's cost once its instance exists:
+// sending a commit vote, delivering it and counting it allocate nothing.
+func TestVoteSteadyStateAllocs(t *testing.T) {
+	s, c := newCluster(t, 4, 13, Config{BatchSize: 1})
+	c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	from, to := c.replicas[1], c.replicas[2]
+	inst := to.instance(0)
+	if inst == nil || !inst.executed {
+		t.Fatal("seq 0 not executed")
+	}
+	vote := func() {
+		m := c.message(commit, from, to)
+		m.digest = inst.digest
+		c.send(m, 96)
+		if err := s.RunFor(50 * time.Millisecond); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	vote() // fills the message free list
+	if allocs := testing.AllocsPerRun(100, vote); allocs != 0 {
+		t.Errorf("a vote allocates %v, want 0", allocs)
+	}
+	if inst.commits.count != 4 {
+		t.Fatalf("instance counts %d commit votes, want 4", inst.commits.count)
+	}
+}
+
 // TestRunLoadPinned compares one load run's statistics and every commit
 // latency with a digest captured at the commit where RunLoad still carried
 // its own Poisson arrival loop and latency summary.
@@ -295,5 +326,85 @@ func TestRunLoadPinned(t *testing.T) {
 	const want = "212ba14d158c84ab5b8a63c7b278d37fe4216d3ea7dde5d3576a9664481aadcc"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("load run digest %s, want %s", got, want)
+	}
+}
+
+// TestScenarioDigestsPinned digests every execution (replica, seq, request
+// ids, time) plus the message and view-change counts of four runs the
+// default-batch load digest does not reach: sixteen replicas ordering one
+// request per instance, a crashed primary, an equivocating primary, and a
+// replica that crashes and recovers through state transfer. The literals
+// were captured at the commit where votes were closures over a kind string
+// counted in maps.
+func TestScenarioDigestsPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		seed  int64
+		cfg   Config
+		rate  float64
+		dur   time.Duration
+		setup func(s *sim.Sim, c *Cluster)
+		want  string
+	}{
+		{
+			name: "n16 batch1", n: 16, seed: 31, cfg: Config{BatchSize: 1},
+			rate: 150, dur: 2 * time.Second,
+			want: "1549d0c6d8efd5c799953e9601dca0c555cbf6568ceb1aca92490a23b13cf2b1",
+		},
+		{
+			name: "crashed primary", n: 4, seed: 32,
+			cfg:  Config{BatchSize: 1, ViewChangeTimeout: 500 * time.Millisecond},
+			rate: 50, dur: 4 * time.Second,
+			setup: func(_ *sim.Sim, c *Cluster) { c.Crash(0) },
+			want:  "9fda872162bb4ab537ca369e467402d9e83286c38bef6574385a1653117caa0d",
+		},
+		{
+			name: "equivocating primary", n: 7, seed: 33,
+			cfg:  Config{BatchSize: 2, ViewChangeTimeout: time.Second},
+			rate: 50, dur: 3 * time.Second,
+			setup: func(s *sim.Sim, c *Cluster) {
+				// View 0 orders honestly until its primary crashes; the
+				// primary of view 1 equivocates.
+				c.MakeEquivocating(1)
+				s.After(time.Second, func() { c.Crash(0) })
+			},
+			want: "b943e1fa40d66d33a5804f5f18fa7eed2a28d3c01e90f69a25ac60f6937010e6",
+		},
+		{
+			name: "crash then recover", n: 4, seed: 34, cfg: Config{BatchSize: 5},
+			rate: 100, dur: 4 * time.Second,
+			setup: func(s *sim.Sim, c *Cluster) {
+				c.Crash(2)
+				s.After(2*time.Second, func() { c.Recover(2) })
+			},
+			want: "3ec274ff3d11dcdde65a1103f6324be64e7cf8796884fafe0020821a46dfd9cd",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newCluster(t, tc.n, tc.seed, tc.cfg)
+			h := sha256.New()
+			executions := 0
+			c.onExecute = func(replica, seq int, batch []Request) {
+				executions++
+				fmt.Fprintf(h, "%d %d %d:", replica, seq, s.Now())
+				for _, r := range batch {
+					fmt.Fprintf(h, " %d", r.ID)
+				}
+				fmt.Fprintln(h)
+			}
+			if tc.setup != nil {
+				tc.setup(s, c)
+			}
+			if _, err := c.RunLoad(tc.rate, tc.dur); err != nil && !errors.Is(err, errNotRun) {
+				t.Fatalf("RunLoad: %v", err)
+			}
+			fmt.Fprintf(h, "msgs %d view changes %d\n", c.msgs, c.viewChanges)
+			t.Logf("%d executions, %d msgs, %d view changes", executions, c.msgs, c.viewChanges)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

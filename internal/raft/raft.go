@@ -4,11 +4,23 @@
 // permissioned blockchain stack (Fabric's Raft orderer), the cheaper
 // alternative to PBFT when participants are authenticated and merely
 // crash-prone rather than Byzantine.
+//
+// Protocol messages are one pooled type: a message is taken from the
+// cluster's free list, handed to the transport with the deliver func it was
+// bound to when first allocated, and returned to the list once delivered (or
+// when the transport refuses it), so steady-state replication allocates
+// nothing per message.
+//
+// An append carries a capped slice of the leader's log, not a copy. That is
+// safe because a log is append-only except at one truncation point in
+// onAppend, and that truncation copies the kept prefix into a new array:
+// every entry a slice in flight can see keeps its value until the slice is
+// delivered.
 package raft
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -80,6 +92,7 @@ type Node struct {
 	matchIndex []int
 
 	electionTimer sim.Handle
+	onTimeout     func() // starts an election; bound once per node
 	heartbeat     *sim.Ticker
 	crashed       bool
 }
@@ -101,7 +114,38 @@ type Cluster struct {
 	committed int
 	latency   []time.Duration
 
+	free    []*message // delivered messages, ready for reuse
+	matches []int      // onAppendReply's scratch copy of matchIndex
+
 	onApply func(node, index int, req Request)
+}
+
+// kind says which protocol message a message is.
+type kind uint8
+
+const (
+	requestVote kind = iota
+	grantVote
+	appendEntries
+	appendReply
+)
+
+// message is one protocol message. Which fields are set depends on its kind:
+//
+//	requestVote    term; index, logTerm: the candidate's last log entry
+//	grantVote      term voted in
+//	appendEntries  term; index, logTerm: the entry before entries; commit
+//	appendReply    term of the append; ok; index: the last index matched
+type message struct {
+	c              *Cluster
+	kind           kind
+	from, to       *Node
+	term           int
+	index, logTerm int
+	commit         int
+	ok             bool
+	entries        []entry
+	deliver        func() // m.handle, bound when m was allocated
 }
 
 // NewCluster creates an n-node cluster (n must be odd and >= 3).
@@ -115,14 +159,16 @@ func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region) (*C
 		rng: s.Stream("raft"),
 	}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, &Node{
+		node := &Node{
 			id:       i,
 			addr:     nm.AddNode(region, 0),
 			role:     Follower,
 			votedFor: -1,
 			commit:   -1,
 			applied:  -1,
-		})
+		}
+		node.onTimeout = func() { c.startElection(node) }
+		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
 }
@@ -200,7 +246,7 @@ func (c *Cluster) Submit(req Request) bool {
 func (c *Cluster) resetElectionTimer(n *Node) {
 	n.electionTimer.Cancel()
 	d := electionTimeoutMin + time.Duration(c.rng.Float64()*float64(electionTimeoutMax-electionTimeoutMin))
-	n.electionTimer = c.sim.After(d, func() { c.startElection(n) })
+	n.electionTimer = c.sim.After(d, n.onTimeout)
 }
 
 func (c *Cluster) startElection(n *Node) {
@@ -217,15 +263,13 @@ func (c *Cluster) startElection(n *Node) {
 	if lastIdx >= 0 {
 		lastTerm = n.log[lastIdx].term
 	}
-	term := n.term
 	for _, peer := range c.nodes {
 		if peer == n {
 			continue
 		}
-		peer := peer
-		c.send(n, peer, 64, func() {
-			c.onRequestVote(peer, n, term, lastIdx, lastTerm)
-		})
+		m := c.message(requestVote, n, peer, n.term)
+		m.index, m.logTerm = lastIdx, lastTerm
+		c.send(m, 64)
 	}
 }
 
@@ -253,10 +297,7 @@ func (c *Cluster) onRequestVote(n, candidate *Node, term, lastIdx, lastTerm int)
 	if !grant {
 		return
 	}
-	votedTerm := term
-	c.send(n, candidate, 32, func() {
-		c.onVote(candidate, n.id, votedTerm)
-	})
+	c.send(c.message(grantVote, n, candidate, term), 32)
 }
 
 func (c *Cluster) onVote(n *Node, from, term int) {
@@ -326,14 +367,12 @@ func (c *Cluster) sendAppend(leader, peer *Node) {
 	if prevIdx >= 0 && prevIdx < len(leader.log) {
 		prevTerm = leader.log[prevIdx].term
 	}
-	entries := make([]entry, len(leader.log)-next)
-	copy(entries, leader.log[next:])
-	size := 64 + reqSize*len(entries)
-	term := leader.term
-	commit := leader.commit
-	c.send(leader, peer, size, func() {
-		c.onAppend(peer, leader, term, prevIdx, prevTerm, entries, commit)
-	})
+	m := c.message(appendEntries, leader, peer, leader.term)
+	m.index, m.logTerm, m.commit = prevIdx, prevTerm, leader.commit
+	// Shared, not copied: capped at the current length, so the leader's
+	// later appends land beyond it, and no truncation writes in place.
+	m.entries = leader.log[next:len(leader.log):len(leader.log)]
+	c.send(m, 64+reqSize*len(m.entries))
 }
 
 func (c *Cluster) onAppend(n, leader *Node, term, prevIdx, prevTerm int, entries []entry, leaderCommit int) {
@@ -348,35 +387,35 @@ func (c *Cluster) onAppend(n, leader *Node, term, prevIdx, prevTerm int, entries
 	}
 	c.resetElectionTimer(n)
 	// Consistency check.
+	reply := c.message(appendReply, n, leader, term)
 	if prevIdx >= 0 {
 		if prevIdx >= len(n.log) || n.log[prevIdx].term != prevTerm {
 			// Reject: leader will back off nextIndex.
-			c.send(n, leader, 32, func() {
-				c.onAppendReply(leader, n, term, false, -1)
-			})
+			reply.index = -1
+			c.send(reply, 32)
 			return
 		}
 	}
-	// Append/overwrite entries.
-	for i, e := range entries {
-		idx := prevIdx + 1 + i
-		if idx < len(n.log) {
-			if n.log[idx].term != e.term {
-				n.log = n.log[:idx]
-				n.log = append(n.log, e)
-			}
-		} else {
-			n.log = append(n.log, e)
+	// Entries up to the last index both logs hold match if that one does
+	// (Log Matching), so the scan for a conflict runs only when it does not.
+	// The first conflicting entry and everything after it give way to the
+	// leader's; the kept prefix is copied to a new array because appends
+	// still in flight may share the old one.
+	if last := min(len(n.log), prevIdx+1+len(entries)) - 1; last > prevIdx && n.log[last].term != entries[last-prevIdx-1].term {
+		i := prevIdx + 1
+		for n.log[i].term == entries[i-prevIdx-1].term {
+			i++
 		}
+		n.log = append(n.log[:i:i], entries[i-prevIdx-1:]...)
+	} else if k := len(n.log) - prevIdx - 1; k < len(entries) {
+		n.log = append(n.log, entries[k:]...)
 	}
-	matched := prevIdx + len(entries)
+	reply.ok, reply.index = true, prevIdx+len(entries)
 	if leaderCommit > n.commit {
 		n.commit = min(leaderCommit, len(n.log)-1)
 		c.apply(n)
 	}
-	c.send(n, leader, 32, func() {
-		c.onAppendReply(leader, n, term, true, matched)
-	})
+	c.send(reply, 32)
 }
 
 func (c *Cluster) onAppendReply(leader, from *Node, term int, ok bool, matched int) {
@@ -398,10 +437,9 @@ func (c *Cluster) onAppendReply(leader, from *Node, term int, ok bool, matched i
 	}
 	// Advance commit index: the largest N replicated on a majority with an
 	// entry from the current term.
-	idxs := make([]int, len(leader.matchIndex))
-	copy(idxs, leader.matchIndex)
-	sort.Ints(idxs)
-	majority := idxs[(len(idxs)-1)/2]
+	c.matches = append(c.matches[:0], leader.matchIndex...)
+	slices.Sort(c.matches)
+	majority := c.matches[(len(c.matches)-1)/2]
 	for n := majority; n > leader.commit; n-- {
 		if n < len(leader.log) && leader.log[n].term == leader.term {
 			leader.commit = n
@@ -426,11 +464,51 @@ func (c *Cluster) apply(n *Node) {
 	}
 }
 
-// send needs no crash check of its own: Crash takes the node's address
-// down with it, so the transport drops a delivery to a crashed node before
-// deliver runs, and every handler re-checks crashed anyway.
-func (c *Cluster) send(from, to *Node, size int, deliver func()) {
-	c.net.Send(from.addr, to.addr, size, deliver)
+// message returns a message of the given kind and term from the free list,
+// allocating (and binding its deliver func) only when the list is empty.
+func (c *Cluster) message(k kind, from, to *Node, term int) *message {
+	var m *message
+	if last := len(c.free) - 1; last >= 0 {
+		m, c.free = c.free[last], c.free[:last]
+	} else {
+		m = &message{c: c}
+		m.deliver = m.handle
+	}
+	*m = message{c: c, kind: k, from: from, to: to, term: term, deliver: m.deliver}
+	return m
+}
+
+// send hands m to the transport; a message the transport refuses goes
+// straight back to the free list, and one dropped in flight is left to the
+// garbage collector. send needs no crash check of its own: Crash takes the
+// node's address down with it, so the transport drops a delivery to a
+// crashed node before deliver runs, and every handler re-checks crashed
+// anyway.
+func (c *Cluster) send(m *message, size int) {
+	if !c.net.Send(m.from.addr, m.to.addr, size, m.deliver) {
+		c.release(m)
+	}
+}
+
+func (c *Cluster) release(m *message) {
+	m.entries = nil
+	c.free = append(c.free, m)
+}
+
+// handle dispatches a delivered message to its handler, then recycles it.
+func (m *message) handle() {
+	c := m.c
+	switch m.kind {
+	case requestVote:
+		c.onRequestVote(m.to, m.from, m.term, m.index, m.logTerm)
+	case grantVote:
+		c.onVote(m.to, m.from.id, m.term)
+	case appendEntries:
+		c.onAppend(m.to, m.from, m.term, m.index, m.logTerm, m.entries, m.commit)
+	case appendReply:
+		c.onAppendReply(m.to, m.from, m.term, m.ok, m.index)
+	}
+	c.release(m)
 }
 
 // LoadStats summarizes a load run.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -321,6 +322,93 @@ func TestInFlightAppendAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestInFlightEntriesSurviveTruncation checks the shared-log invariant. An
+// append carries a slice of its leader's log, not a copy; here the leader
+// steps down before its appends arrive and, as a follower, truncates the
+// entry they carry and appends a newer leader's entry in its place. The
+// appends must still deliver the entry they were sent with.
+func TestInFlightEntriesSurviveTruncation(t *testing.T) {
+	s, c := newCluster(t, 3, 11)
+	c.Start()
+	if err := s.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	leader := c.Leader()
+	if leader == nil {
+		t.Fatal("no leader")
+	}
+	leader.heartbeat.Stop()
+	leader.heartbeat = nil
+	for i := 0; i < 3; i++ {
+		c.Submit(Request{ID: i, SubmittedAt: s.Now()})
+	}
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Submit sends the entry to both followers; Europe's 15 ms one-way
+	// delay keeps it in flight while the leader is deposed.
+	c.Submit(Request{ID: 100, SubmittedAt: s.Now()})
+	idx := len(leader.log) - 1
+	sent := leader.log[idx]
+	next := entry{term: leader.term + 1, req: Request{ID: 200, SubmittedAt: s.Now()}}
+	c.onAppend(leader, c.nodes[(leader.id+1)%3], next.term, idx-1, leader.log[idx-1].term, []entry{next}, leader.commit)
+	if leader.role != Follower || len(leader.log) != idx+1 || leader.log[idx] != next {
+		t.Fatalf("deposed leader: role %v, log length %d, entry %d = %+v; want follower holding %+v at its end",
+			leader.role, len(leader.log), idx, leader.log[idx], next)
+	}
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, f := range c.nodes {
+		if f == leader {
+			continue
+		}
+		if len(f.log) != idx+1 || f.log[idx] != sent {
+			t.Fatalf("follower %d: log length %d, last entry %+v; the append in flight carried %+v at index %d",
+				f.id, len(f.log), f.log[len(f.log)-1], sent, idx)
+		}
+	}
+}
+
+// TestReplicationSteadyStateAllocs pins replication's cost on a warm
+// cluster: a Submit, its appends to every follower, their replies and the
+// commit allocate nothing once the logs have room for the entry.
+func TestReplicationSteadyStateAllocs(t *testing.T) {
+	s, c := newCluster(t, 5, 12)
+	c.Start()
+	if err := s.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	leader := c.Leader()
+	if leader == nil {
+		t.Fatal("no leader")
+	}
+	leader.heartbeat.Stop()
+	leader.heartbeat = nil
+	const runs = 100
+	// Log growth is amortized and not what this pins: leave room for the
+	// warm-up round, AllocsPerRun's own warm-up call and the runs.
+	for _, n := range c.nodes {
+		n.log = slices.Grow(n.log, runs+2)
+	}
+	c.latency = slices.Grow(c.latency, runs+2)
+	id := 0
+	round := func() {
+		c.Submit(Request{ID: id, SubmittedAt: s.Now()})
+		id++
+		if err := s.RunFor(50 * time.Millisecond); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	round() // fills the message free list and the kernel's event pool
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Errorf("replication round allocates %v per Submit, want 0", allocs)
+	}
+	if c.committed != id {
+		t.Fatalf("committed %d of %d", c.committed, id)
+	}
+}
+
 // TestRunLoadPinned compares one load run's statistics and every commit
 // latency with a digest captured at the commit where RunLoad still carried
 // its own Poisson arrival loop and latency summary.
@@ -341,5 +429,40 @@ func TestRunLoadPinned(t *testing.T) {
 	const want = "02a9988dbcec5d7888151d669b10b33d24bfe29f5df1b1d8059f45a532ee1a58"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("load run digest %s, want %s", got, want)
+	}
+}
+
+// TestFailoverPinned digests every application (node, index, request id,
+// time) and every leader commit latency of a load run whose leader crashes
+// with appends in flight and later recovers as a follower, truncating the
+// entries it could not commit. The literal was captured at the commit where
+// every append carried its own copy of the unacknowledged log suffix.
+func TestFailoverPinned(t *testing.T) {
+	s, c := newCluster(t, 5, 22)
+	h := sha256.New()
+	applies := 0
+	c.OnApply(func(node, index int, req Request) {
+		applies++
+		fmt.Fprintf(h, "%d %d %d %d\n", node, index, req.ID, s.Now())
+	})
+	crashed := -1
+	s.At(4*time.Second, func() {
+		crashed = c.Leader().id
+		c.Crash(crashed)
+	})
+	s.At(6*time.Second, func() { c.Recover(crashed) })
+	if _, err := c.RunLoad(400, 6*time.Second); err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	for _, d := range c.latency {
+		fmt.Fprintf(h, "%d\n", d)
+	}
+	t.Logf("leader %d crashed; %d applies, %d leader commits", crashed, applies, len(c.latency))
+	if c.nodes[crashed].commit != c.Leader().commit {
+		t.Fatalf("recovered node commit %d, leader %d", c.nodes[crashed].commit, c.Leader().commit)
+	}
+	const want = "75ca95a21441817021dcf993dab4acd0897b69339aaab3dd8aec87ccb44c60ee"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("failover digest %s, want %s", got, want)
 	}
 }
