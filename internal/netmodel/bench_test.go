@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -99,6 +100,46 @@ func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Broadcast allocates %.1f per round, want 0", avg)
+	}
+}
+
+// warmCall returns one answered exchange, run to completion, with serve and
+// done bound once as an overlay's pooled RPC passes them; it has run once.
+func warmCall(tb testing.TB) func() {
+	s, n, ids := benchNet(2)
+	answered := 0
+	serve := func() bool { return true }
+	done := func(ok bool) {
+		if ok {
+			answered++
+		}
+	}
+	call := func() {
+		n.Call(ids[0], ids[1], 40, 120, time.Second, serve, done)
+		if err := s.Run(); err != nil {
+			tb.Fatalf("Run: %v", err)
+		}
+	}
+	call()
+	if answered != 1 {
+		tb.Fatal("the warm-up exchange was not answered")
+	}
+	return call
+}
+
+func BenchmarkTransportCall(b *testing.B) {
+	call := warmCall(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+}
+
+func TestCallSteadyStateAllocs(t *testing.T) {
+	call := warmCall(t)
+	if avg := testing.AllocsPerRun(200, call); avg != 0 {
+		t.Fatalf("a warm answered Call allocates %.1f, want 0", avg)
 	}
 }
 

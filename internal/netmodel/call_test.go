@@ -60,11 +60,48 @@ func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 	}
 }
 
+// checkCallReuse issues a second exchange from the same requester between
+// the first's done(false) and its late serve: the first goes to Asia (80 ms
+// one way) under a 20 ms deadline, and its done issues the second, to a
+// European peer. Each exchange must serve and report exactly once, as its
+// own, although the first's request and reply are still in flight when the
+// second starts.
+func checkCallReuse(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duration) error)) {
+	n, runUntil := mk(t)
+	a, far, near := n.AddNode(Europe, 0), n.AddNode(Asia, 0), n.AddNode(Europe, 0)
+	var log []string
+	exchange := func(name string, to NodeID, timeout time.Duration, then func()) {
+		n.Call(a, to, 40, 120, timeout,
+			func() bool {
+				log = append(log, fmt.Sprintf("%s served@%v", name, n.Kernel(to).Now()))
+				return true
+			},
+			func(ok bool) {
+				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, n.Kernel(a).Now()))
+				if then != nil {
+					then()
+				}
+			})
+	}
+	exchange("first", far, 20*time.Millisecond, func() {
+		exchange("second", near, 100*time.Millisecond, nil)
+	})
+	if err := runUntil(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := "[first false@20ms second served@35ms second true@50ms first served@80ms]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("exchanges reported %s, want %s", got, want)
+	}
+}
+
 func TestCall(t *testing.T) {
-	checkCallCases(t, func(t *testing.T) (*Net, func(time.Duration) error) {
+	mk := func(t *testing.T) (*Net, func(time.Duration) error) {
 		s, n := newNet(t, WithJitter(0))
 		return n, s.RunUntil
-	})
+	}
+	checkCallCases(t, mk)
+	checkCallReuse(t, mk)
 }
 
 // TestShardCall holds the same table with requester and receiver on
@@ -72,10 +109,12 @@ func TestCall(t *testing.T) {
 // done on the requester's, at one worker and at four.
 func TestShardCall(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		checkCallCases(t, func(t *testing.T) (*Net, func(time.Duration) error) {
+		mk := func(t *testing.T) (*Net, func(time.Duration) error) {
 			ss, n := shardedNet(t, 4, workers, WithJitter(0))
 			return n, ss.RunUntil
-		})
+		}
+		checkCallCases(t, mk)
+		checkCallReuse(t, mk)
 	}
 }
 

@@ -81,6 +81,7 @@ type Net struct {
 	rngs  []*sim.RNG      // per-shard "netmodel" streams
 	owner []int32         // node -> owning shard, round-robin by attach order
 	ss    *sim.ShardedSim // carries cross-shard deliveries; nil and unreached with one kernel
+	calls [][]*exchange   // per-shard pools of Call's exchange state
 
 	nodes    []nodeState
 	jitter   float64
@@ -424,19 +425,74 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 // computes for the requester it leaves in variables the caller's done reads.
 // done(true) fires iff the response is delivered while the deadline is still
 // pending; otherwise done(false) fires exactly once, at the deadline, and a
-// reply arriving later is dropped unseen. Unlike Send, Call allocates its
-// closures: an RPC is a control exchange, not the per-message hot path.
+// reply arriving later is dropped unseen. The exchange's own state comes
+// from a pool of the requester's shard, so a caller passing serve and done
+// funcs it bound once makes an answered Call allocate nothing.
 func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
-	deadline := n.Kernel(from).After(timeout, func() { done(false) })
-	n.Send(from, to, reqSize, func() {
-		if !serve() {
-			return
-		}
-		n.Send(to, from, respSize, func() {
-			if deadline.Scheduled() {
-				deadline.Cancel()
-				done(true)
-			}
-		})
-	})
+	x := n.exchange(from)
+	x.from, x.to, x.respSize, x.serve, x.done = from, to, respSize, serve, done
+	x.deadline = n.Kernel(from).After(timeout, x.expire)
+	x.sent = n.Send(from, to, reqSize, x.request)
+}
+
+// exchange is the state of one Call, with its three event callbacks bound
+// once per object. It is taken from and returned to the pool of the
+// requester's shard, on the requester's kernel: when the response is
+// delivered, or at the deadline if the request was never sent. Any other
+// exchange (request or response dropped, serve declining) may still have an
+// event in flight or never will, and is left to the garbage collector.
+type exchange struct {
+	n                         *Net
+	from, to                  NodeID
+	respSize                  int
+	serve                     func() bool
+	done                      func(ok bool)
+	deadline                  sim.Handle
+	sent                      bool // Send accepted the request
+	expire, request, response func()
+}
+
+// exchange takes an exchange from the pool of from's shard.
+func (n *Net) exchange(from NodeID) *exchange {
+	pool := &n.calls[n.ShardOf(from)]
+	if last := len(*pool) - 1; last >= 0 {
+		x := (*pool)[last]
+		*pool = (*pool)[:last]
+		return x
+	}
+	x := &exchange{n: n}
+	x.expire, x.request, x.response = x.onDeadline, x.onRequest, x.onResponse
+	return x
+}
+
+// release returns an exchange no event refers to any more to its pool.
+func (x *exchange) release() {
+	x.serve, x.done = nil, nil
+	pool := &x.n.calls[x.n.ShardOf(x.from)]
+	*pool = append(*pool, x)
+}
+
+func (x *exchange) onDeadline() {
+	done := x.done
+	if !x.sent {
+		x.release()
+	}
+	done(false)
+}
+
+func (x *exchange) onRequest() {
+	if x.serve() {
+		x.n.Send(x.to, x.from, x.respSize, x.response)
+	}
+}
+
+func (x *exchange) onResponse() {
+	done, answered := x.done, x.deadline.Scheduled()
+	if answered {
+		x.deadline.Cancel()
+	}
+	x.release()
+	if answered {
+		done(true)
+	}
 }

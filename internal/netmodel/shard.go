@@ -43,7 +43,7 @@ func NewSharded(ss *sim.ShardedSim, opts ...Option) *Net {
 // The transport's instruments are single-writer, so they register only when
 // one kernel does all the writing.
 func bind(ss *sim.ShardedSim, kerns []*sim.Sim, opts []Option) *Net {
-	n := &Net{kerns: kerns, ss: ss, jitter: 0.1}
+	n := &Net{kerns: kerns, ss: ss, jitter: 0.1, calls: make([][]*exchange, len(kerns))}
 	for _, k := range kerns {
 		n.rngs = append(n.rngs, k.Stream("netmodel"))
 	}

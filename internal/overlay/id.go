@@ -120,6 +120,20 @@ func (d Distance) Less(e Distance) bool {
 	return d.lo < e.lo
 }
 
+// Bit returns bit i (0 = most significant) of the distance.
+func (d Distance) Bit(i int) int {
+	switch {
+	case i < 0 || i >= IDBits:
+		return 0
+	case i < 64:
+		return int(d.hi>>(63-uint(i))) & 1
+	case i < 128:
+		return int(d.mid>>(127-uint(i))) & 1
+	default:
+		return int(d.lo>>(IDBits-1-uint(i))) & 1
+	}
+}
+
 // CloserXOR reports whether a is strictly closer to target than b under the
 // XOR metric.
 func CloserXOR(target, a, b ID) bool {

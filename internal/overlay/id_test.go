@@ -205,6 +205,24 @@ func TestDistanceWordSeams(t *testing.T) {
 	}
 }
 
+// Property: a word distance's bits are those of the byte-wise XOR, out of
+// range included.
+func TestPropertyDistanceBit(t *testing.T) {
+	f := func(ab, bb [IDBytes]byte) bool {
+		a, b := ID(ab), ID(bb)
+		d, x := XORDistance(a, b), a.XOR(b)
+		for i := -1; i <= IDBits; i++ {
+			if d.Bit(i) != x.Bit(i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: CPL(a,b) >= k implies the top k bits agree.
 func TestPropertyCPL(t *testing.T) {
 	f := func(ab, bb [IDBytes]byte) bool {

@@ -1,7 +1,6 @@
 package kademlia
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/overlay"
@@ -38,15 +37,20 @@ type candidate struct {
 	state   int
 }
 
+// lookup is one iterative FIND_NODE lookup. It is taken from its origin's
+// shard pool and goes back once it is finished and no query of it is in
+// flight, so a reply never reaches a lookup that has been handed on.
 type lookup struct {
 	nw     *Network
+	pool   *pool
 	kern   *sim.Sim // the origin's kernel: every step of the lookup runs on it
 	origin *Node
 	target overlay.ID
 
 	// cands holds every contact learned so far in ascending distance to
 	// target; entries are never dropped, so it is also the set of ids seen.
-	cands    []*candidate
+	// A distance is unique per target, so it names its candidate.
+	cands    []candidate
 	inflight int
 	rpcs     int
 	timeouts int
@@ -60,22 +64,33 @@ type lookup struct {
 // otherwise done fires immediately with an empty result.
 func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 	kern := nw.net.Kernel(origin.Addr)
-	l := &lookup{
-		nw:     nw,
-		kern:   kern,
-		origin: origin,
-		target: target,
-		start:  kern.Now(),
-		done:   done,
-	}
+	p := nw.pools[nw.net.ShardOf(origin.Addr)]
+	l := p.lookup()
+	l.origin, l.target, l.kern, l.start, l.done = origin, target, kern, kern.Now(), done
 	if !origin.online {
 		l.finish(false)
 		return
 	}
-	for _, c := range origin.table.Closest(target, nw.cfg.K) {
+	p.seed = origin.table.appendClosest(p.seed[:0], target, nw.cfg.K)
+	for _, c := range p.seed {
 		l.add(c)
 	}
 	l.step()
+}
+
+// search returns the index of the first candidate not nearer than d, and
+// whether it is at distance d.
+func (l *lookup) search(d overlay.Distance) (int, bool) {
+	lo, hi := 0, len(l.cands)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.cands[m].dist.Less(d) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(l.cands) && l.cands[lo].dist == d
 }
 
 func (l *lookup) add(c Contact) {
@@ -83,20 +98,21 @@ func (l *lookup) add(c Contact) {
 		return
 	}
 	d := overlay.XORDistance(c.ID, l.target)
-	i := sort.Search(len(l.cands), func(i int) bool { return !l.cands[i].dist.Less(d) })
-	if i < len(l.cands) && l.cands[i].dist == d {
+	i, known := l.search(d)
+	if known {
 		return // equal distance to one target: the same id, already a candidate
 	}
-	l.cands = append(l.cands, nil)
+	l.cands = append(l.cands, candidate{})
 	copy(l.cands[i+1:], l.cands[i:])
-	l.cands[i] = &candidate{contact: c, dist: d, state: statePending}
+	l.cands[i] = candidate{contact: c, dist: d, state: statePending}
 }
 
 // converged reports whether the K closest non-failed candidates have all
 // responded — Kademlia's termination condition.
 func (l *lookup) converged() bool {
 	checked := 0
-	for _, c := range l.cands {
+	for i := range l.cands {
+		c := &l.cands[i]
 		if c.state == stateFailed {
 			continue
 		}
@@ -119,20 +135,18 @@ func (l *lookup) step() {
 		l.finish(true)
 		return
 	}
-	for _, c := range l.cands {
+	for i := range l.cands {
 		if l.inflight >= l.nw.cfg.Alpha {
 			break
 		}
+		c := &l.cands[i]
 		if c.state != statePending {
 			continue
 		}
 		c.state = stateInflight
 		l.inflight++
 		l.rpcs++
-		cand := c
-		l.nw.findNode(l.origin, c.contact, l.target, func(contacts []Contact, ok bool) {
-			l.onReply(cand, contacts, ok)
-		})
+		l.pool.rpc().send(l, c.contact, c.dist)
 	}
 	if l.inflight == 0 {
 		// No candidates left to query and not converged: partial result.
@@ -140,11 +154,18 @@ func (l *lookup) step() {
 	}
 }
 
-func (l *lookup) onReply(c *candidate, contacts []Contact, ok bool) {
+// onReply settles the query sent to the candidate at distance d. A reply
+// to a finished lookup only counts down its queries in flight.
+func (l *lookup) onReply(d overlay.Distance, contacts []Contact, ok bool) {
+	l.inflight--
 	if l.finished {
+		if l.inflight == 0 {
+			l.release()
+		}
 		return
 	}
-	l.inflight--
+	i, _ := l.search(d)
+	c := &l.cands[i]
 	if !ok {
 		c.state = stateFailed
 		l.timeouts++
@@ -166,8 +187,11 @@ func (l *lookup) finish(converged bool) {
 	}
 	l.finished = true
 	var closest []Contact
-	for _, c := range l.cands {
-		if c.state == stateResponded {
+	for i := range l.cands {
+		if c := &l.cands[i]; c.state == stateResponded {
+			if closest == nil {
+				closest = make([]Contact, 0, l.nw.cfg.K)
+			}
 			closest = append(closest, c.contact)
 			if len(closest) >= l.nw.cfg.K {
 				break
@@ -183,4 +207,14 @@ func (l *lookup) finish(converged bool) {
 			Converged: converged,
 		})
 	}
+	if l.inflight == 0 {
+		l.release()
+	}
+}
+
+// release hands a finished lookup with no query in flight back to its pool.
+func (l *lookup) release() {
+	p := l.pool
+	*l = lookup{nw: l.nw, pool: p, cands: l.cands[:0]}
+	p.lookups = append(p.lookups, l)
 }

@@ -47,7 +47,7 @@ func (c Config) withDefaults() Config {
 }
 
 // reqSize is a FIND_NODE request's size in bytes; a reply is sized for K
-// contacts (see findNode).
+// contacts (see rpc.send).
 const reqSize = 60
 
 // KADConfig models eMule KAD as measured by Jiménez et al.: small
@@ -117,6 +117,37 @@ type Network struct {
 
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
+	pools  []*pool // indexed by nm.ShardOf
+}
+
+// pool holds one shard's recycled lookups and queries. A lookup and its
+// queries are taken and returned on the origin's kernel, so a pool is only
+// ever touched by one shard's worker, and never shared across shards.
+type pool struct {
+	nw      *Network
+	lookups []*lookup
+	rpcs    []*rpc
+	seed    []Contact // Lookup's scratch: the origin's closest contacts
+}
+
+func (p *pool) lookup() *lookup {
+	if last := len(p.lookups) - 1; last >= 0 {
+		l := p.lookups[last]
+		p.lookups = p.lookups[:last]
+		return l
+	}
+	return &lookup{nw: p.nw, pool: p}
+}
+
+func (p *pool) rpc() *rpc {
+	if last := len(p.rpcs) - 1; last >= 0 {
+		r := p.rpcs[last]
+		p.rpcs = p.rpcs[:last]
+		return r
+	}
+	r := &rpc{nw: p.nw, pool: p}
+	r.serve, r.done = r.handle, r.complete
+	return r
 }
 
 // NewNetwork creates an empty deployment over nm. s is the kernel nm was
@@ -163,6 +194,9 @@ func (nw *Network) addNode(region netmodel.Region, id overlay.ID, responsive, ma
 	}
 	nw.nodes = append(nw.nodes, n)
 	nw.byAddr[addr] = n
+	for len(nw.pools) <= nw.net.ShardOf(addr) {
+		nw.pools = append(nw.pools, &pool{nw: nw})
+	}
 	return n
 }
 
@@ -256,7 +290,7 @@ func (nw *Network) RandomOnlineNode() *Node {
 // repopulate its neighbourhood.
 func (nw *Network) Rejoin(n *Node, done func()) {
 	nw.SetOnline(n, true)
-	n.table = NewTable(n.ID, nw.cfg.K)
+	n.table.reset()
 	boot := nw.RandomOnlineNode()
 	if boot == nil || boot == n {
 		if done != nil {
@@ -284,34 +318,57 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 	return sel.items
 }
 
-// findNode issues one FIND_NODE RPC and invokes onDone exactly once, on the
-// origin's kernel, with either the contacts from the reply or ok=false on
+// rpc is one FIND_NODE query, the exchange netmodel.Net.Call runs with serve
+// and done bound once per object. It reports to its lookup exactly once, on
+// the origin's kernel, with either the contacts from the reply or ok=false on
 // timeout/drop — also when the request was served and only the reply was
-// late or lost.
-func (nw *Network) findNode(from *Node, to Contact, target overlay.ID, onDone func(contacts []Contact, ok bool)) {
-	var contacts []Contact
-	nw.net.Call(from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout,
-		func() bool {
-			recv, ok := nw.byAddr[to.Addr]
-			if !ok || !recv.online {
-				return false
-			}
-			// Open networks learn the requester — the sybil poisoning vector.
-			recv.table.Add(Contact{ID: from.ID, Addr: from.Addr})
-			if !recv.responsive {
-				return false
-			}
-			if recv.malicious && recv.poison != nil {
-				contacts = recv.poison(target)
-			} else {
-				contacts = recv.table.Closest(target, nw.cfg.K)
-			}
-			return true
-		},
-		func(ok bool) {
-			if !ok {
-				contacts = nil
-			}
-			onDone(contacts, ok)
-		})
+// late or lost. It goes back to its pool only after done(true): after
+// done(false) the request may still be served, and serve writes into it.
+type rpc struct {
+	nw     *Network
+	pool   *pool
+	serve  func() bool
+	done   func(ok bool)
+	lookup *lookup
+	from   *Node
+	to     Contact
+	dist   overlay.Distance // the queried candidate's, which names it to the lookup
+	target overlay.ID       // serve's copy: the lookup may be recycled before a late serve
+	reply  []Contact        // written by serve on the receiver's kernel, read by done
+}
+
+// send queries the candidate of l at distance d, which is to.
+func (r *rpc) send(l *lookup, to Contact, d overlay.Distance) {
+	r.lookup, r.from, r.to, r.dist, r.target = l, l.origin, to, d, l.target
+	nw := r.nw
+	nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
+}
+
+func (r *rpc) handle() bool {
+	nw := r.nw
+	recv, ok := nw.byAddr[r.to.Addr]
+	if !ok || !recv.online {
+		return false
+	}
+	// Open networks learn the requester — the sybil poisoning vector.
+	recv.table.Add(Contact{ID: r.from.ID, Addr: r.from.Addr})
+	if !recv.responsive {
+		return false
+	}
+	if recv.malicious && recv.poison != nil {
+		r.reply = append(r.reply[:0], recv.poison(r.target)...)
+	} else {
+		r.reply = recv.table.appendClosest(r.reply[:0], r.target, nw.cfg.K)
+	}
+	return true
+}
+
+func (r *rpc) complete(ok bool) {
+	if !ok {
+		r.lookup.onReply(r.dist, nil, false)
+		return
+	}
+	r.lookup.onReply(r.dist, r.reply, true)
+	r.lookup, r.from = nil, nil
+	r.pool.rpcs = append(r.pool.rpcs, r)
 }

@@ -149,12 +149,12 @@ func TestLookupAdd(t *testing.T) {
 	if len(l.cands) != len(distinct) || len(distinct) == 300 {
 		t.Fatalf("%d candidates for %d distinct ids in 300 adds", len(l.cands), len(distinct))
 	}
-	failed := l.cands[len(l.cands)/2]
-	failed.state = stateFailed
-	before := len(l.cands)
+	mid := len(l.cands) / 2
+	l.cands[mid].state = stateFailed
+	failed, before := l.cands[mid], len(l.cands)
 	l.add(Contact{ID: failed.contact.ID, Addr: failed.contact.Addr + 1000})
 	l.add(Contact{ID: l.cands[0].contact.ID, Addr: 2000})
-	if len(l.cands) != before || failed.state != stateFailed || l.cands[len(l.cands)/2] != failed {
+	if len(l.cands) != before || l.cands[mid] != failed {
 		t.Fatal("re-adding a known id changed the candidate list")
 	}
 	for i := 1; i < len(l.cands); i++ {
@@ -188,6 +188,161 @@ func TestLookupResultsPinned(t *testing.T) {
 	} {
 		if got := resultsDigest(convergence(t, 1, 1, tc.unresponsive)); got != tc.want {
 			t.Errorf("unresponsive=%g: results digest %s, want %s", tc.unresponsive, got, tc.want)
+		}
+	}
+}
+
+// TestShardLookupResultsPinned holds the convergence scenario on a 4-shard
+// net, at one worker and at four, to digests captured before lookups, their
+// queries and the transport's exchanges were pooled per shard.
+func TestShardLookupResultsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		unresponsive float64
+		want         string
+	}{
+		{0, "5b6f2f41fabc800e576ebd823bb70138221063f6ee21a3c9b83edca239d9ecf2"},
+		{0.3, "73196f7df41ba237e1b3d296dd52172b96cbe3388006d077a477ff0252be0020"},
+	} {
+		for _, workers := range []int{1, 4} {
+			if got := resultsDigest(convergence(t, 4, workers, tc.unresponsive)); got != tc.want {
+				t.Errorf("unresponsive=%g workers=%d: results digest %s, want %s", tc.unresponsive, workers, got, tc.want)
+			}
+		}
+	}
+}
+
+// tablesDigest hashes every node's routing table, nodes in creation order
+// and contacts in bucket and recency order.
+func tablesDigest(nw *Network) string {
+	h := sha256.New()
+	for _, n := range nw.Nodes() {
+		for _, c := range n.Table().Contacts() {
+			h.Write(c.ID[:])
+			fmt.Fprintf(h, "@%d", c.Addr)
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// churnLookups is E15 in miniature: 200 nodes and 600 events spread over
+// 30 s, each drawing a node and taking it offline, rejoining it, or starting
+// a lookup from it. Lookups average ~50 ms apart and last longer, so origins
+// leave, wipe and rebuild their tables while their own and other nodes'
+// queries are in flight. It returns the results in completion order and the
+// digest of the final routing tables.
+func churnLookups(t *testing.T) ([]Result, string) {
+	t.Helper()
+	s, nw := newDeployment(t, 200, Config{K: 8, Alpha: 3, RPCTimeout: 500 * time.Millisecond}, 31)
+	g := s.Stream("churn")
+	var results []Result
+	rejoined := 0
+	for i := 0; i < 600; i++ {
+		s.At(time.Duration(g.Float64()*float64(30*time.Second)), func() {
+			n := nw.Nodes()[g.Intn(len(nw.Nodes()))]
+			switch {
+			case !n.Online():
+				nw.Rejoin(n, func() { rejoined++ })
+			case g.Bool(0.3):
+				nw.SetOnline(n, false)
+			default:
+				nw.Lookup(n, overlay.RandomID(g), func(r Result) { results = append(results, r) })
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rejoined == 0 || len(results) < 300 {
+		t.Fatalf("%d rejoins and %d lookups completed: the scenario does not churn", rejoined, len(results))
+	}
+	return results, fmt.Sprintf("%s/%d", tablesDigest(nw), rejoined)
+}
+
+// lateServe spreads 300 nodes over all six regions under a 60 ms
+// RPCTimeout. Every inter-region one-way delay is at least 45 ms, so many
+// replies arrive after their query was declared dead, and on the links of
+// 70 ms or more the request itself is served only after that.
+func lateServe(t *testing.T) []Result {
+	t.Helper()
+	s := sim.New(sim.WithSeed(37))
+	nw := NewNetwork(s, netmodel.New(s, netmodel.WithJitter(0.1)), Config{K: 8, Alpha: 3, RPCTimeout: 60 * time.Millisecond})
+	for i := 0; i < 300; i++ {
+		nw.AddNode(netmodel.Region(i%netmodel.NumRegions + 1))
+	}
+	if err := nw.Bootstrap(); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	g := s.Stream("late")
+	var results []Result
+	for i := 0; i < 60; i++ {
+		origin := nw.Nodes()[g.Intn(len(nw.Nodes()))]
+		s.At(time.Duration(i)*20*time.Millisecond, func() {
+			nw.Lookup(origin, overlay.RandomID(g), func(r Result) { results = append(results, r) })
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	timeouts := 0
+	for _, r := range results {
+		timeouts += r.Timeouts
+	}
+	if len(results) != 60 || timeouts == 0 {
+		t.Fatalf("%d lookups completed with %d timeouts", len(results), timeouts)
+	}
+	return results
+}
+
+// poisoned lets 24 attacker identities minted around one victim key
+// announce themselves through lookups of it, then runs 40 honest lookups,
+// alternately toward the victim and toward random keys. Every attacker
+// answers FIND_NODE with the 8 identities closest to the queried target.
+func poisoned(t *testing.T) []Result {
+	t.Helper()
+	s, nw := newDeployment(t, 300, Config{K: 8, Alpha: 3, RPCTimeout: time.Second}, 41)
+	g := s.Stream("poison")
+	victim := overlay.RandomID(g)
+	var atk []Contact
+	poison := func(target overlay.ID) []Contact { return Nearest(target, atk, 8) }
+	for i := 0; i < 24; i++ {
+		id := victim
+		id[overlay.IDBytes-1] ^= byte(i + 1)
+		mal := nw.AddMaliciousNode(netmodel.Europe, id, poison)
+		atk = append(atk, Contact{ID: mal.ID, Addr: mal.Addr})
+		honest := nw.Nodes()[g.Intn(300)]
+		mal.Table().Add(Contact{ID: honest.ID, Addr: honest.Addr})
+		s.At(time.Duration(i)*10*time.Millisecond, func() { nw.Lookup(mal, victim, nil) })
+	}
+	var results []Result
+	for i := 0; i < 40; i++ {
+		origin, target := nw.Nodes()[g.Intn(300)], victim
+		if i%2 == 1 {
+			target = overlay.RandomID(g)
+		}
+		s.At(time.Second+time.Duration(i)*25*time.Millisecond, func() {
+			nw.Lookup(origin, target, func(r Result) { results = append(results, r) })
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return results
+}
+
+// TestLookupScenariosPinned holds three lookup scenarios the convergence pin
+// does not reach — churn, late serves, poisoning — to digests captured
+// before lookups, their queries and the transport's exchanges were pooled.
+func TestLookupScenariosPinned(t *testing.T) {
+	results, tables := churnLookups(t)
+	for _, tc := range []struct{ name, got, want string }{
+		{"churn results", resultsDigest(results), "3fbdad2f0cf318ddc600e471643753d6393719d11e4c88735bc2389908435db7"},
+		{"churn tables", tables, "f9f4e1756685e7f49b3fc488fae211378fec4a5386298bd4076c1dedc3b7bfa0/108"},
+		{"late serve", resultsDigest(lateServe(t)), "e85930b2e6e08303358eca19b1fe3576dfb76e3ae7fe51df46614f44b03e96dc"},
+		{"poisoning", resultsDigest(poisoned(t)), "377cec8b1ccc65a96d1de5ca20d29dce6cbf94ca49eeefa3e8088fe637caba40"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, tc.got, tc.want)
 		}
 	}
 }
@@ -317,8 +472,8 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// Closest allocates its result and the distances beside it, nothing else:
-// no copy of the table, no sort closure.
+// Closest allocates its result, nothing else: no copy of the table, no sort
+// closure, and the distances beside the selected items live in the table.
 func TestClosestAllocs(t *testing.T) {
 	_, nw, targets := benchTargets(t)
 	nodes := nw.Nodes()
@@ -327,7 +482,31 @@ func TestClosestAllocs(t *testing.T) {
 		benchSink += len(nodes[i%len(nodes)].Table().Closest(targets[i%len(targets)], 8))
 		i++
 	})
-	if allocs > 2 {
-		t.Fatalf("Table.Closest(target, 8) allocates %.1f objects per call, want at most 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("Table.Closest(target, 8) allocates %.1f objects per call, want at most 1", allocs)
+	}
+}
+
+// A warm lookup allocates its Result.Closest and nothing else: the lookup,
+// its candidates, its queries, their replies and the transport's exchanges
+// all come back from the pools. Warm means every lookup of the cycle has
+// run twice, so sender learning has put the origins in every table it will.
+func TestLookupSteadyStateAllocs(t *testing.T) {
+	s, nw, targets := benchTargets(t)
+	nodes := nw.Nodes()
+	done := func(r Result) { benchSink += len(r.Closest) }
+	i := 0
+	lookup := func() {
+		nw.Lookup(nodes[i%16], targets[i%16], done)
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		i++
+	}
+	for i < 32 {
+		lookup()
+	}
+	if allocs := testing.AllocsPerRun(160, lookup); allocs > 1 {
+		t.Fatalf("a warm lookup allocates %.1f objects, want 1 (its Result.Closest)", allocs)
 	}
 }

@@ -25,11 +25,14 @@ type Contact struct {
 // Table is a Kademlia routing table: up to IDBits k-buckets indexed by the
 // common prefix length with the owner's identifier. Buckets keep
 // least-recently-seen contacts at the front and, when full, drop newcomers —
-// Kademlia's documented bias toward long-lived peers.
+// Kademlia's documented bias toward long-lived peers. A table is only ever
+// touched on its owner's kernel, which is what lets it keep scratch space.
 type Table struct {
 	self    overlay.ID
 	k       int
+	top     int // highest bucket index ever filled: every bucket above it is empty
 	buckets [][]Contact
+	dists   []overlay.Distance // appendClosest's scratch, beside the items it selects
 }
 
 // NewTable creates a routing table for the given owner with bucket size k.
@@ -41,7 +44,16 @@ func NewTable(self overlay.ID, k int) *Table {
 		self:    self,
 		k:       k,
 		buckets: make([][]Contact, overlay.IDBits+1),
+		dists:   make([]overlay.Distance, 0, k),
 	}
+}
+
+// reset empties every bucket in place, keeping their storage.
+func (t *Table) reset() {
+	for i := 0; i <= t.top; i++ {
+		t.buckets[i] = t.buckets[i][:0]
+	}
+	t.top = 0
 }
 
 // Add inserts or refreshes a contact. Existing contacts move to the
@@ -62,11 +74,15 @@ func (t *Table) Add(c Contact) bool {
 			return true
 		}
 	}
-	if len(b) < t.k {
-		t.buckets[idx] = append(b, c)
-		return true
+	if len(b) == t.k {
+		return false
 	}
-	return false
+	if b == nil {
+		b = make([]Contact, 0, t.k)
+	}
+	t.buckets[idx] = append(b, c)
+	t.top = max(t.top, idx)
+	return true
 }
 
 // Remove deletes a contact (e.g. after an RPC timeout).
@@ -140,31 +156,59 @@ func (t *Table) Closest(target overlay.ID, n int) []Contact {
 	if n <= 0 {
 		return nil
 	}
-	sel := newNearest[Contact](target, n)
-	group := func(buckets [][]Contact) bool {
-		for _, b := range buckets {
-			for _, c := range b {
-				sel.offer(c.ID, c)
-			}
-		}
-		return sel.full()
+	return t.appendClosest(nil, target, n)
+}
+
+// appendClosest appends the up to n contacts closest to target to dst, in
+// ascending XOR distance, growing dst at most once.
+//
+// Whole buckets are offered in ascending distance. With x = self⊕target and
+// p its leading one (the prefix self shares with target), a contact c in
+// bucket j is at distance x⊕(self⊕c), where self⊕c has its leading one at
+// j. Bucket p therefore holds exactly the contacts sharing more than p bits
+// with target: they come first. A bucket j > p agrees with x on bits
+// p … j−1 and has bit j of x flipped, so against any bucket above it, bucket
+// j is nearer iff bit j of x is set: the set ones follow in ascending j,
+// then the clear ones in descending j. A bucket j < p has its leading one at
+// j, so those come last, in descending j. This is a total order of whole
+// buckets, and a selector holding n at a bucket boundary cannot change any
+// more.
+func (t *Table) appendClosest(dst []Contact, target overlay.ID, n int) []Contact {
+	if n <= 0 {
+		return dst
 	}
-	// With p the prefix length self shares with target, bucket p holds the
-	// contacts sharing more than p bits with target; buckets above p all
-	// share exactly p bits with it (their mutual order follows self⊕target,
-	// not the bucket index, so they are one group); bucket j < p shares
-	// exactly j. Groups are taken in that order of ascending distance, and
-	// a selector full at a group boundary cannot change any more.
+	if cap(dst)-len(dst) < n {
+		// Not slices.Grow: under -race its append-of-make costs two allocations.
+		dst = append(make([]Contact, 0, len(dst)+n), dst...)
+	}
+	sel := nearest[Contact]{target: target, n: n, items: dst[len(dst):], dists: t.dists[:0]}
+	x := overlay.XORDistance(t.self, target)
 	p := overlay.CommonPrefixLen(t.self, target)
-	if group(t.buckets[p:p+1]) || group(t.buckets[p+1:]) {
-		return sel.items
-	}
-	for j := p - 1; j >= 0; j-- {
-		if group(t.buckets[j : j+1]) {
-			break
+	full := offerBucket(&sel, t.buckets[p])
+	for j := p + 1; j <= t.top && !full; j++ {
+		if x.Bit(j) == 1 {
+			full = offerBucket(&sel, t.buckets[j])
 		}
 	}
-	return sel.items
+	for j := t.top; j > p && !full; j-- {
+		if x.Bit(j) == 0 {
+			full = offerBucket(&sel, t.buckets[j])
+		}
+	}
+	for j := p - 1; j >= 0 && !full; j-- {
+		full = offerBucket(&sel, t.buckets[j])
+	}
+	t.dists = sel.dists[:0]
+	return dst[:len(dst)+len(sel.items)] // the selector filled dst's spare capacity in place
+}
+
+// offerBucket offers every contact of one bucket and reports whether the
+// selector is full.
+func offerBucket(sel *nearest[Contact], b []Contact) bool {
+	for _, c := range b {
+		sel.offer(c.ID, c)
+	}
+	return sel.full()
 }
 
 // Contacts returns a copy of every stored contact (bucket order).
