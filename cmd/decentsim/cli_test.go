@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/report"
 )
 
@@ -117,6 +119,54 @@ func TestReportDiffAgainstFiles(t *testing.T) {
 	err = run([]string{"report", "-diff", oldDrift, "-against", breach}, &out)
 	if err == nil || !strings.Contains(err.Error(), "drift envelope") {
 		t.Errorf("breach: err = %v, want drift envelope failure", err)
+	}
+}
+
+// TestDriftRoundTrip feeds the document `rep -drift` writes to the soak
+// gate's reader: against itself it passes with nothing to report, and
+// against a copy with one headline mean moved past its old [min, max] it
+// reports exactly that breach.
+func TestDriftRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "drift.json")
+	var out bytes.Buffer
+	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-drift", path, "E01", "E11"}, &out); err != nil {
+		t.Fatalf("rep -drift: %v\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := report.DiffDocs(data, data)
+	if err != nil {
+		t.Fatalf("DiffDocs: %v", err)
+	}
+	if d.Kind != "drift" || d.Failing() || d.Render() != "PASS: no changes\n" {
+		t.Errorf("self-diff = %+v\n%s", d, d.Render())
+	}
+
+	var doc harness.Drift
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Drift) != 2 {
+		t.Fatalf("drift has %d rows, want one per experiment: %+v", len(doc.Drift), doc.Drift)
+	}
+	moved := &doc.Drift[1]
+	moved.Mean = moved.Max + 1
+	movedData, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err = report.DiffDocs(data, movedData)
+	if err != nil {
+		t.Fatalf("DiffDocs: %v", err)
+	}
+	if !d.Failing() || len(d.Breaches) != 1 || len(d.Added)+len(d.Removed)+len(d.Flips)+len(d.Drifts) != 0 {
+		t.Fatalf("want exactly one breach: %+v", d)
+	}
+	if br := d.Breaches[0]; br.Metric != moved.Metric || !strings.HasPrefix(br.Scenario, "E11|") ||
+		br.NewMean != moved.Mean || br.OldMin != moved.Min || br.OldMax != moved.Max {
+		t.Errorf("breach = %+v, want E11's %q at %g outside [%g, %g]", br, moved.Metric, moved.Mean, moved.Min, moved.Max)
 	}
 }
 

@@ -659,76 +659,11 @@ func serveCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) er
 	return nil
 }
 
-// writeDrift exports per-scenario drift bounds: the headline metric
-// (first varying, else first) of every aggregate group with its
-// cross-seed mean, stddev and 95% CI, plus one host-resource row per run
-// (wall time and live heap — machine-dependent by nature, tracked so the
-// nightly soak surfaces runtime and memory drift alongside metric
-// drift). This is the compact artifact the nightly soak workflow
-// publishes, so drift across large seed sets accumulates as a trajectory
-// instead of a full report tree.
+// writeDrift writes the soak drift document (harness.Drift): the compact
+// artifact the nightly soak workflow publishes, so drift across large seed
+// sets accumulates as a trajectory instead of a full report tree.
 func writeDrift(path string, report *harness.Report, seeds []int64, results []harness.JobResult) error {
-	type driftMetric struct {
-		Experiment   string  `json:"experiment"`
-		Scale        float64 `json:"scale"`
-		Params       string  `json:"params,omitempty"`
-		Replications int     `json:"replications"`
-		Metric       string  `json:"metric"`
-		N            int     `json:"n"`
-		Mean         float64 `json:"mean"`
-		Std          float64 `json:"stddev"`
-		CI95         float64 `json:"ci95"`
-		Min          float64 `json:"min"`
-		Max          float64 `json:"max"`
-	}
-	type driftRun struct {
-		Experiment    string  `json:"experiment"`
-		Seed          int64   `json:"seed"`
-		Scale         float64 `json:"scale"`
-		WallNanos     int64   `json:"wall_ns"`
-		HeapLiveBytes uint64  `json:"heap_live_bytes"`
-	}
-	doc := struct {
-		Seeds int           `json:"seeds"`
-		Drift []driftMetric `json:"drift"`
-		Runs  []driftRun    `json:"runs"`
-	}{Seeds: len(seeds), Drift: []driftMetric{}, Runs: []driftRun{}}
-	for _, jr := range results {
-		if jr.Err != nil {
-			continue
-		}
-		run := driftRun{
-			Experiment: strings.ToUpper(jr.Job.ExperimentID),
-			Seed:       jr.Job.Config.Seed,
-			Scale:      jr.Job.Config.Scale,
-			WallNanos:  int64(jr.Elapsed),
-		}
-		if jr.Host != nil {
-			run.WallNanos = jr.Host.WallNanos
-			run.HeapLiveBytes = jr.Host.HeapLiveBytes
-		}
-		doc.Runs = append(doc.Runs, run)
-	}
-	for _, g := range report.Groups {
-		m, ok := g.Headline()
-		if !ok {
-			continue
-		}
-		doc.Drift = append(doc.Drift, driftMetric{
-			Experiment:   g.ExperimentID,
-			Scale:        g.Scale,
-			Params:       g.Params,
-			Replications: g.Replications,
-			Metric:       m.Name,
-			N:            m.N,
-			Mean:         m.Mean,
-			Std:          m.Std,
-			CI95:         m.CI95,
-			Min:          m.Min,
-			Max:          m.Max,
-		})
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
+	enc, err := json.MarshalIndent(harness.NewDrift(report, len(seeds), results), "", "  ")
 	if err != nil {
 		return err
 	}

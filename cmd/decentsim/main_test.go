@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func TestUnknownCommand(t *testing.T) {
@@ -424,15 +426,7 @@ func TestRepDriftWritesBounds(t *testing.T) {
 	if err := run([]string{"rep", "-n", "3", "-scale", "0.25", "-drift", path, "E11"}, &out); err != nil {
 		t.Fatalf("rep -drift: %v\n%s", err, out.String())
 	}
-	var doc struct {
-		Seeds int `json:"seeds"`
-		Drift []struct {
-			Experiment string  `json:"experiment"`
-			Metric     string  `json:"metric"`
-			N          int     `json:"n"`
-			Mean       float64 `json:"mean"`
-		} `json:"drift"`
-	}
+	var doc harness.Drift
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read drift: %v", err)
@@ -639,14 +633,7 @@ func TestRepDriftIncludesHostRuns(t *testing.T) {
 	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-drift", path, "E11"}, &out); err != nil {
 		t.Fatalf("rep -drift: %v", err)
 	}
-	var doc struct {
-		Runs []struct {
-			Experiment    string `json:"experiment"`
-			Seed          int64  `json:"seed"`
-			WallNanos     int64  `json:"wall_ns"`
-			HeapLiveBytes uint64 `json:"heap_live_bytes"`
-		} `json:"runs"`
-	}
+	var doc harness.Drift
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read drift: %v", err)

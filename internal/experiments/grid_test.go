@@ -119,8 +119,23 @@ func TestGridRequiresKeepsDefault(t *testing.T) {
 // the same rules a run enforces: raw bounds, integrality, ownership of
 // companions, and — for scaled knobs — the post-scaling floor. This is
 // the contract that `report -sensitivity` never submits a job that can
-// only fail validation.
+// only fail validation. Every grid is also strictly ascending at the grid
+// sizes and scales reports use, so no value is swept twice (it would
+// aggregate into one group and double-count every seed) and pages list
+// grid points in knob order.
 func TestSensitivityGridsValid(t *testing.T) {
+	for _, points := range []int{1, 3, 5} {
+		for _, scale := range []float64{0.25, 1} {
+			for name, g := range SensitivityGrids(points, scale) {
+				for i := 1; i < len(g); i++ {
+					if g[i] <= g[i-1] {
+						t.Errorf("points %d scale %g: knob %s grid is not strictly ascending: %v", points, scale, name, g)
+						break
+					}
+				}
+			}
+		}
+	}
 	for _, scale := range []float64{1, 0.25} {
 		grids := SensitivityGrids(0, scale)
 		for _, name := range sortedKnobNames(t) {

@@ -55,6 +55,86 @@ func csvFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// Drift is the soak drift document `decentsim rep -drift` writes and
+// `decentsim report -diff` reads back: the headline metric's cross-seed
+// bounds per aggregate group, plus one host-resource row per completed run
+// (wall time and live heap — machine facts, tracked so the soak surfaces
+// runtime and memory drift beside metric drift). Field order and tags are
+// the file format; Drift and Runs encode as [] when empty.
+type Drift struct {
+	Seeds int           `json:"seeds"`
+	Drift []DriftMetric `json:"drift"`
+	Runs  []DriftRun    `json:"runs"`
+}
+
+// DriftMetric is one group's headline metric bounds.
+type DriftMetric struct {
+	Experiment   string  `json:"experiment"`
+	Scale        float64 `json:"scale"`
+	Params       string  `json:"params,omitempty"`
+	Replications int     `json:"replications"`
+	Metric       string  `json:"metric"`
+	N            int     `json:"n"`
+	Mean         float64 `json:"mean"`
+	Std          float64 `json:"stddev"`
+	CI95         float64 `json:"ci95"`
+	Min          float64 `json:"min"`
+	Max          float64 `json:"max"`
+}
+
+// DriftRun is one completed run's host measurements.
+type DriftRun struct {
+	Experiment    string  `json:"experiment"`
+	Seed          int64   `json:"seed"`
+	Scale         float64 `json:"scale"`
+	WallNanos     int64   `json:"wall_ns"`
+	HeapLiveBytes uint64  `json:"heap_live_bytes"`
+}
+
+// NewDrift builds the drift document of a replication: the headline metric
+// (Group.Headline) of every group of rep that has one, and a run row per
+// error-free result, whose wall time is the host sample's when the runner
+// took one and the job's elapsed time otherwise.
+func NewDrift(rep *Report, seeds int, results []JobResult) *Drift {
+	d := &Drift{Seeds: seeds, Drift: []DriftMetric{}, Runs: []DriftRun{}}
+	for _, jr := range results {
+		if jr.Err != nil {
+			continue
+		}
+		run := DriftRun{
+			Experiment: strings.ToUpper(jr.Job.ExperimentID),
+			Seed:       jr.Job.Config.Seed,
+			Scale:      jr.Job.Config.Scale,
+			WallNanos:  int64(jr.Elapsed),
+		}
+		if jr.Host != nil {
+			run.WallNanos = jr.Host.WallNanos
+			run.HeapLiveBytes = jr.Host.HeapLiveBytes
+		}
+		d.Runs = append(d.Runs, run)
+	}
+	for _, g := range rep.Groups {
+		m, ok := g.Headline()
+		if !ok {
+			continue
+		}
+		d.Drift = append(d.Drift, DriftMetric{
+			Experiment:   g.ExperimentID,
+			Scale:        g.Scale,
+			Params:       g.Params,
+			Replications: g.Replications,
+			Metric:       m.Name,
+			N:            m.N,
+			Mean:         m.Mean,
+			Std:          m.Std,
+			CI95:         m.CI95,
+			Min:          m.Min,
+			Max:          m.Max,
+		})
+	}
+	return d
+}
+
 // String renders the report as human-readable text: one block per
 // scenario with its replication count, metric summaries and check votes.
 func (rep *Report) String() string {

@@ -47,15 +47,6 @@ type Block struct {
 // Hash returns the block's identity (the header hash).
 func (b *Block) Hash() Hash { return b.Header.Hash() }
 
-// Size returns the modelled wire size in bytes.
-func (b *Block) Size() int {
-	size := 88 // header + counts
-	for _, tx := range b.Txs {
-		size += tx.Size()
-	}
-	return size
-}
-
 // NewBlock assembles a block over the given parent with a correct Merkle
 // root.
 func NewBlock(prev Hash, txs []*Tx, at time.Duration, difficulty float64) *Block {

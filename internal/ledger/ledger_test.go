@@ -328,16 +328,6 @@ func TestChainErrors(t *testing.T) {
 	}
 }
 
-func TestBlockSizeGrowsWithTxs(t *testing.T) {
-	small := NewBlock(Hash{}, []*Tx{coinbase("a", 1, 1)}, 0, 1)
-	big := NewBlock(Hash{}, []*Tx{
-		coinbase("a", 1, 1), coinbase("b", 2, 2), coinbase("c", 3, 3),
-	}, 0, 1)
-	if big.Size() <= small.Size() {
-		t.Fatal("block size must grow with tx count")
-	}
-}
-
 func TestConfirmationsUnknown(t *testing.T) {
 	c, _ := newTestChain(t)
 	if c.Confirmations(Hash{9}) != 0 {

@@ -92,17 +92,6 @@ func (tx *Tx) ID() TxID {
 	return id
 }
 
-// Size returns the modelled wire size of the transaction in bytes.
-func (tx *Tx) Size() int {
-	size := 10 // version, counts
-	size += len(tx.Ins) * 36
-	for _, o := range tx.Outs {
-		size += 9 + len(o.Owner)
-	}
-	size += len(tx.Payload)
-	return size
-}
-
 // UTXOSet tracks unspent outputs and enforces conservation of value.
 type UTXOSet struct {
 	entries map[Outpoint]TxOut

@@ -15,10 +15,11 @@ import (
 // The options rule. A config field is a value someone sets: a field no
 // program, example or bench/ writes is a constant in disguise, read by
 // every run at its withDefaults value and invisible to -sensitivity, so it
-// becomes a constant at its use site. configKeep lists the two exceptions:
-// a field tests set to non-default values to reach behaviour the pinned
-// digests cover (the row names those tests, which must exist), and the one
-// reference model.
+// becomes a constant at its use site. An options field only tests set is
+// an input with a code path no program takes, so it goes. configKeep lists
+// the two exceptions: a field tests set to non-default values to reach
+// behaviour the pinned digests cover (the row names those tests, which
+// must exist), and the one reference model.
 var configKinds = map[string]bool{"tests": true, "reference model": true}
 
 // configKeep maps "path.Type.Field" (a trailing * makes the row a prefix)
@@ -33,12 +34,12 @@ var configKeep = map[string]string{
 }
 
 // TestConfigFieldsSet fails on any field of a non-test struct type under
-// internal/ that is named *Config or *Params or has a withDefaults method,
-// when no non-test code outside that type's withDefaults writes it and
-// configKeep does not list it; and on any configKeep row that protects
-// nothing or names a test its package lacks. A write is a composite-literal
-// element (keyed or positional), an assignment, an increment or an
-// address-of.
+// internal/ that is named *Config, *Params or *Options or has a
+// withDefaults method, when no non-test code outside that type's
+// withDefaults writes it and configKeep does not list it; and on any
+// configKeep row that protects nothing or names a test its package lacks.
+// A write is a composite-literal element (keyed or positional), an
+// assignment, an increment or an address-of.
 func TestConfigFieldsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the whole module")
@@ -95,7 +96,8 @@ func TestConfigFieldsSet(t *testing.T) {
 							break
 						}
 						m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg.Types, "withDefaults")
-						if _, isFunc := m.(*types.Func); !isFunc && !strings.HasSuffix(tn.Name(), "Config") && !strings.HasSuffix(tn.Name(), "Params") {
+						name := tn.Name()
+						if _, isFunc := m.(*types.Func); !isFunc && !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Params") && !strings.HasSuffix(name, "Options") {
 							break
 						}
 						for _, fl := range st.Fields.List {

@@ -50,8 +50,6 @@ var reachKeep = map[string]string{
 	"(repro/internal/overlay.ID).Ring64":                   "deferred: TestRing64",
 	"repro/internal/overlay/onehop.StaleLookupProbability": "deferred: TestStaleLookupProbability",
 	"(*repro/internal/report.Tree).Walk":                   "deferred: TestTreeWalkOpen (would need renaming)",
-	"(*repro/internal/metrics.Table).JSON":                 "deferred: TestTableAndFigureJSON (encode.go whole)",
-	"(*repro/internal/metrics.Figure).JSON":                "deferred: TestTableAndFigureJSON",
 	"(*repro/internal/metrics.Sample).CDF":                 "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",
 	"(*repro/internal/metrics.Summary).AddDuration":        "deferred: TestSummaryDuration",
 	"repro/internal/randdist.Exponential":                  "deferred: TestExponentialMean, TestExponentialBadMean; takes RNG.ExpFloat64 with it",
@@ -64,8 +62,6 @@ var reachKeep = map[string]string{
 	"repro/internal/ledger.NewUTXOSet":                     "deferred: the six TestUTXO*/TestCoinbaseSubsidyCap tests; takes UTXOSet, ErrMissingInput, ErrOverspend and Tx.OutValue with it",
 	"(*repro/internal/ledger.UTXOSet).*":                   "deferred: with NewUTXOSet",
 	"(*repro/internal/ledger.Tx).Coinbase":                 "deferred: TestUTXOLifecycle",
-	"(*repro/internal/ledger.Tx).Size":                     "deferred: TestBlockSizeGrowsWithTxs",
-	"(*repro/internal/ledger.Block).Size":                  "deferred: TestBlockSizeGrowsWithTxs",
 	"repro/internal/ledger.Prove":                          "deferred: TestMerkleProofs, TestPropertyMerkle; takes MerkleProof with it",
 	"(*repro/internal/ledger.MerkleProof).Verify":          "deferred: with Prove",
 	"(*repro/internal/ledger.Chain).Confirmations":         "deferred: TestConfirmationsUnknown",

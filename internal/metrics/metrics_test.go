@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -259,38 +258,6 @@ func TestFigureEmpty(t *testing.T) {
 	f.Title = "empty"
 	if got := f.Render(40, 10); !strings.Contains(got, "no data") {
 		t.Fatalf("empty figure should say 'no data', got %q", got)
-	}
-}
-
-func TestTableAndFigureJSON(t *testing.T) {
-	tab := NewTable("tbl", "k", "v")
-	tab.AddRowf("a", 3.25)
-	tab.AddNote("a note")
-	data, err := tab.JSON()
-	if err != nil {
-		t.Fatalf("Table.JSON: %v", err)
-	}
-	var backT Table
-	if err := json.Unmarshal(data, &backT); err != nil {
-		t.Fatalf("table unmarshal: %v", err)
-	}
-	if backT.Title != "tbl" || len(backT.Rows) != 1 || backT.Rows[0][1] != "3.25" {
-		t.Fatalf("table round trip lost data: %+v", backT)
-	}
-	var f Figure
-	f.Title = "fig"
-	f.XLabel = "x"
-	f.Add("s", 1, 2)
-	data, err = f.JSON()
-	if err != nil {
-		t.Fatalf("Figure.JSON: %v", err)
-	}
-	var backF Figure
-	if err := json.Unmarshal(data, &backF); err != nil {
-		t.Fatalf("figure unmarshal: %v", err)
-	}
-	if backF.Title != "fig" || len(backF.Series) != 1 || backF.Series[0].Points[0].Y != 2 {
-		t.Fatalf("figure round trip lost data: %+v", backF)
 	}
 }
 

@@ -115,6 +115,55 @@ func TestPartitionForksThenHeals(t *testing.T) {
 	}
 }
 
+// TestPartitionHealConvergesOnMostWork cuts two of eight miners on a
+// global topology, a fifth of the hashrate, off the rest for a 40-interval
+// partition window, so the majority side ends it far ahead. After the heal
+// and 20 more intervals it stops mining and drains the relays still in
+// flight: every miner's tip must then carry the block tree's best
+// cumulative work (equal-work forks may leave miners on different tips).
+// A minority block relayed after the heal must not pull anyone back.
+func TestPartitionHealConvergesOnMostWork(t *testing.T) {
+	const interval = 10 * time.Minute
+	heal := 60 * interval
+	for seed := int64(1); seed <= 8; seed++ {
+		s, nm, addrs := minerNet(t, seed, 8, netmodel.MixGlobal)
+		nw, err := NewNetworkOverNet(s, nm, addrs, Params{
+			BlockInterval:     interval,
+			InitialDifficulty: 600, // total hashrate 1 -> on-target
+		}, []float64{0.2, 0.15, 0.15, 0.1, 0.1, 0.1, 0.1, 0.1})
+		if err != nil {
+			t.Fatalf("NewNetworkOverNet: %v", err)
+		}
+		groups := make(map[netmodel.NodeID]int, len(addrs))
+		for i, a := range addrs {
+			groups[a] = i / 6
+		}
+		if err := nm.SchedulePartitionWindow(20*interval, heal, groups); err != nil {
+			t.Fatalf("SchedulePartitionWindow: %v", err)
+		}
+		nw.Start()
+		if err := s.RunUntil(heal); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if nw.miners[0].tipHash == nw.miners[7].tipHash {
+			t.Fatalf("seed %d: the two sides share a tip at the heal; the partition split nothing", seed)
+		}
+		if err := s.RunUntil(heal + 20*interval); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		nw.Stop()
+		if err := s.Run(); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		best := nw.workOf(nw.chain.BestHash())
+		for _, m := range nw.miners {
+			if m.tipWork != best {
+				t.Errorf("seed %d: miner %d ends on work %g, the best chain has %g", seed, m.ID, m.tipWork, best)
+			}
+		}
+	}
+}
+
 // TestAbstractDefaultUnchanged pins that a plain NewNetwork still uses the
 // abstract propagation draw (no transport attached).
 func TestAbstractDefaultUnchanged(t *testing.T) {

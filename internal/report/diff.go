@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro/internal/harness"
 )
 
 // diff.go is the verdict comparator behind `decentsim report -diff`: it
@@ -115,45 +117,29 @@ func DiffManifests(old, now *Manifest) *Diff {
 	return d
 }
 
-// driftDoc mirrors the JSON the soak run writes with -drift: per-scenario
-// headline bounds over a large seed set. Host-resource rows (runs) are
-// machine facts and take no part in the comparison.
-type driftDoc struct {
-	Seeds int `json:"seeds"`
-	Drift []struct {
-		Experiment string  `json:"experiment"`
-		Scale      float64 `json:"scale"`
-		Params     string  `json:"params,omitempty"`
-		Metric     string  `json:"metric"`
-		Mean       float64 `json:"mean"`
-		Min        float64 `json:"min"`
-		Max        float64 `json:"max"`
-	} `json:"drift"`
-}
-
-func (doc *driftDoc) key(i int) string {
-	r := doc.Drift[i]
+// driftKey names one headline bound of a soak drift document.
+func driftKey(r harness.DriftMetric) string {
 	return fmt.Sprintf("%s|%.6g|%s|%s", r.Experiment, r.Scale, r.Params, r.Metric)
 }
 
 // diffDrift compares two drift documents: a scenario breaches when its
 // new mean falls outside the old document's observed [min, max].
-func diffDrift(old, now *driftDoc) *Diff {
+// Host-resource rows (runs) are machine facts and take no part.
+func diffDrift(old, now *harness.Drift) *Diff {
 	d := &Diff{Kind: "drift"}
-	oldBy := make(map[string]int, len(old.Drift))
-	for i := range old.Drift {
-		oldBy[old.key(i)] = i
+	oldBy := make(map[string]harness.DriftMetric, len(old.Drift))
+	for _, r := range old.Drift {
+		oldBy[driftKey(r)] = r
 	}
 	newKeys := make(map[string]bool, len(now.Drift))
-	for i := range now.Drift {
-		k := now.key(i)
+	for _, nr := range now.Drift {
+		k := driftKey(nr)
 		newKeys[k] = true
-		oi, ok := oldBy[k]
+		or, ok := oldBy[k]
 		if !ok {
 			d.Added = append(d.Added, k)
 			continue
 		}
-		or, nr := old.Drift[oi], now.Drift[i]
 		if nr.Mean < or.Min || nr.Mean > or.Max {
 			d.Breaches = append(d.Breaches, TrendBreach{
 				Scenario: k,
@@ -164,9 +150,9 @@ func diffDrift(old, now *driftDoc) *Diff {
 			})
 		}
 	}
-	for i := range old.Drift {
-		if !newKeys[old.key(i)] {
-			d.Removed = append(d.Removed, old.key(i))
+	for _, r := range old.Drift {
+		if k := driftKey(r); !newKeys[k] {
+			d.Removed = append(d.Removed, k)
 		}
 	}
 	return d
@@ -182,7 +168,7 @@ func DiffDocs(oldData, newData []byte) (*Diff, error) {
 		return nil, fmt.Errorf("report: diff: document kinds differ (one manifest, one drift document)")
 	}
 	if oldDrift {
-		var od, nd driftDoc
+		var od, nd harness.Drift
 		if err := json.Unmarshal(oldData, &od); err != nil {
 			return nil, fmt.Errorf("report: diff: parse old drift document: %w", err)
 		}

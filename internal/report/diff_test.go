@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func manifestJSON(t *testing.T, claims []ManifestClaim) []byte {
@@ -103,13 +105,10 @@ func TestDiffAddedRemoved(t *testing.T) {
 }
 
 func driftJSON(mean, min, max float64) []byte {
-	return []byte(`{"seeds":100,"drift":[{"experiment":"E01","scale":1,"metric":"m",` +
-		`"mean":` + jsonNum(mean) + `,"min":` + jsonNum(min) + `,"max":` + jsonNum(max) + `}],"runs":[]}`)
-}
-
-func jsonNum(f float64) string {
-	b, _ := json.Marshal(f)
-	return string(b)
+	data, _ := json.Marshal(harness.Drift{Seeds: 100, Drift: []harness.DriftMetric{
+		{Experiment: "E01", Scale: 1, Metric: "m", Mean: mean, Min: min, Max: max},
+	}})
+	return data
 }
 
 func TestDiffDriftWithinEnvelope(t *testing.T) {

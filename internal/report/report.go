@@ -56,15 +56,11 @@ type Options struct {
 	// verdict-stability table, and the traceability matrix gains a
 	// stable/fragile column per claim.
 	Sensitivity bool
-	// GridPoints bounds the swept values per knob when the default grids
-	// are used (<= 0 means experiments.DefaultGridPoints). Ignored when
-	// Grids is set.
+	// GridPoints bounds the swept values per knob (<= 0 means
+	// experiments.DefaultGridPoints); every registered KnobSpec is swept
+	// over its floor → default → stretch grid at the report's scale
+	// (experiments.SensitivityGrids).
 	GridPoints int
-	// Grids overrides the default sensitivity grids: knob name -> swept
-	// values. Nil means every registered KnobSpec swept over its default
-	// floor → default → stretch grid at the report's scale. Knobs not
-	// owned by a selected experiment are ignored.
-	Grids map[string][]float64
 	// Resources enables the run-telemetry layer: every baseline run gets
 	// its own obs collector, each experiment page gains a Resources
 	// appendix (kernel statistics, transport counters, latency-histogram

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,17 +28,12 @@ type sensitivity struct {
 	shards int
 	// knobs maps experiment id -> its swept knob names, sorted.
 	knobs map[string][]string
-	// grids maps knob name -> swept values (deduplicated, in submission
-	// order — ascending for the default grids).
+	// grids maps knob name -> swept values, strictly ascending
+	// (experiments.SensitivityGrids).
 	grids map[string][]float64
-	// requires maps knob name -> companion assignments merged into every
-	// scenario of that knob's grid.
-	requires map[string]map[string]float64
-	// defaults maps knob name -> spec default, the baseline x position.
-	defaults map[string]float64
-	// hasDefault marks knobs whose grid includes the default value, so
-	// figures skip the duplicate baseline injection at that x.
-	hasDefault map[string]bool
+	// specs is the knob registry: each spec's default is the baseline x
+	// position and its Requires are merged into every grid scenario.
+	specs map[string]experiments.KnobSpec
 	// views indexes the aggregated grid scenarios by harness.ScenarioKey.
 	views map[string]harness.GroupView
 	// scenarios counts the distinct grid scenarios run.
@@ -71,29 +67,21 @@ func (st *expStability) fragileLabel() string {
 	}
 }
 
-// buildSensitivity resolves the grid spec for the selected experiments:
-// the caller-supplied Options.Grids, or the default KnobSpec grids at
-// the generation's scale. Knobs not owned by a selected experiment are
-// dropped; duplicate grid values are deduplicated (they would aggregate
-// into one group and double-count every seed).
+// buildSensitivity resolves the default KnobSpec grids at the generation's
+// scale (experiments.SensitivityGrids) for the selected experiments; knobs
+// not owned by a selected experiment are dropped.
 func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sensitivity {
 	points := opts.GridPoints
 	if points < 1 {
 		points = experiments.DefaultGridPoints
 	}
-	grids := opts.Grids
-	if grids == nil {
-		grids = experiments.SensitivityGrids(points, scale)
-	}
-	specs := experiments.KnobSpecs()
+	grids := experiments.SensitivityGrids(points, scale)
 	s := &sensitivity{
 		gridPoints: points,
 		shards:     opts.Shards,
 		knobs:      make(map[string][]string, len(exps)),
 		grids:      make(map[string][]float64, len(grids)),
-		requires:   make(map[string]map[string]float64),
-		defaults:   make(map[string]float64),
-		hasDefault: make(map[string]bool),
+		specs:      experiments.KnobSpecs(),
 		stability:  make(map[string]*expStability, len(exps)),
 	}
 	names := make([]string, 0, len(grids))
@@ -106,38 +94,9 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 			if !harness.KnobAppliesTo(name, e.ID()) {
 				continue
 			}
-			var vals []float64
-			seen := make(map[float64]bool, len(grids[name]))
-			for _, v := range grids[name] {
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				vals = append(vals, v)
-			}
-			if len(vals) == 0 {
-				continue
-			}
 			s.knobs[e.ID()] = append(s.knobs[e.ID()], name)
-			s.grids[name] = vals
-			if spec, ok := specs[name]; ok {
-				s.defaults[name] = spec.Default
-				s.hasDefault[name] = seen[spec.Default]
-				if len(spec.Requires) > 0 {
-					s.requires[name] = spec.Requires
-				}
-			}
-			s.scenarios += len(vals)
-		}
-	}
-	// Caller-supplied grids are not bounded by GridPoints; report the
-	// real maximum so the page text and manifest describe what ran.
-	if opts.Grids != nil {
-		s.gridPoints = 0
-		for _, vals := range s.grids {
-			if len(vals) > s.gridPoints {
-				s.gridPoints = len(vals)
-			}
+			s.grids[name] = grids[name]
+			s.scenarios += len(grids[name])
 		}
 	}
 	return s
@@ -147,7 +106,7 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 // knob plus its companions.
 func (s *sensitivity) params(knob string, v float64) map[string]float64 {
 	p := map[string]float64{knob: v}
-	for rn, rv := range s.requires[knob] {
+	for rn, rv := range s.specs[knob].Requires {
 		p[rn] = rv
 	}
 	return p
@@ -298,7 +257,6 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 	if len(knobs) == 0 {
 		return "", nil
 	}
-	specs := experiments.KnobSpecs()
 
 	var b strings.Builder
 	var figures []File
@@ -315,15 +273,15 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 
 	fragile := make(map[string]bool)
 	for _, knob := range knobs {
+		spec := sens.specs[knob]
 		fmt.Fprintf(&b, "### `%s`\n\n", knob)
-		if spec, ok := specs[knob]; ok {
-			fmt.Fprintf(&b, "%s\n\n", mdCell(spec.Desc))
-		}
-		if req := sens.requires[knob]; len(req) > 0 {
-			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(req)) + "; its verdicts are compared against the unmodified baseline.\n\n")
+		fmt.Fprintf(&b, "%s\n\n", mdCell(spec.Desc))
+		if len(spec.Requires) > 0 {
+			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(spec.Requires)) + "; its verdicts are compared against the unmodified baseline.\n\n")
 		}
 
-		// Collect the knob's grid points that actually aggregated.
+		// Collect the knob's grid points that actually aggregated, in the
+		// grid's ascending order.
 		type gridPoint struct {
 			value float64
 			view  harness.GroupView
@@ -336,7 +294,6 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 			}
 			pts = append(pts, gridPoint{value: v, view: gv})
 		}
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].value < pts[j].value })
 
 		// Figures: one per headline metric, points in ascending knob order,
 		// baseline injected at the default unless the grid covers it.
@@ -378,11 +335,10 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 				}
 				continue
 			}
-			if baseline != nil && !sens.hasDefault[knob] {
-				if def, ok := sens.defaults[knob]; ok {
-					if m, ok := metricAgg(*baseline, metric); ok {
-						fig.addBaseline(def, m)
-					}
+			// A grid that covers the default already plots that x.
+			if baseline != nil && !slices.Contains(sens.grids[knob], spec.Default) {
+				if m, ok := metricAgg(*baseline, metric); ok {
+					fig.addBaseline(spec.Default, m)
 				}
 			}
 			path := fmt.Sprintf("figures/%s-sens-%s-%d.svg", e.ID(), knob, mi+1)
@@ -405,10 +361,8 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 			rows = append(rows, row{value: p.value, cells: verdictCells(fmtKnobValue(p.value), p.view.Group)})
 		}
 		if baseline != nil {
-			if def, ok := sens.defaults[knob]; ok {
-				rows = append(rows, row{value: def, baseline: true,
-					cells: verdictCells(fmtKnobValue(def)+" (baseline)", baseline.Group)})
-			}
+			rows = append(rows, row{value: spec.Default, baseline: true,
+				cells: verdictCells(fmtKnobValue(spec.Default)+" (baseline)", baseline.Group)})
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
 			if rows[i].value != rows[j].value {

@@ -2,11 +2,14 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/harness"
 )
 
@@ -133,22 +136,36 @@ func TestSensitivityDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSensitivityCustomSinglePointGrid drives the layer with an explicit
-// one-value grid at the knob's floor: only that knob is swept, its
-// single point renders, and the other registered knob is absent.
+// knobSection returns one knob's part of an experiment page: from its
+// "### `knob`" heading to the next heading of that level.
+func knobSection(t *testing.T, page, knob string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(page, "### `"+knob+"`\n")
+	if !ok {
+		t.Fatalf("page has no section for %s:\n%s", knob, page)
+	}
+	if i := strings.Index(rest, "\n### "); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest
+}
+
+// TestSensitivityCustomSinglePointGrid drives the layer with one-point
+// grids: every knob is swept at its floor only, so e11.tps renders the
+// single grid row 0.1 beside its baseline, and gets its figure.
 func TestSensitivityCustomSinglePointGrid(t *testing.T) {
 	opts := sensOpts()
-	opts.Grids = map[string][]float64{"e11.tps": {0.1}}
+	opts.GridPoints = 1
 	tree, err := Generate(registry(t), opts)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	page := string(tree.Lookup("experiments/E11.md"))
-	if !strings.Contains(page, "### `e11.tps`") || !strings.Contains(page, "| 0.1 |") {
-		t.Errorf("single-point grid row missing:\n%s", page)
+	sec := knobSection(t, string(tree.Lookup("experiments/E11.md")), "e11.tps")
+	if !strings.Contains(sec, "| 0.1 |") || !strings.Contains(sec, "| 4 (baseline) |") {
+		t.Errorf("single-point grid row missing:\n%s", sec)
 	}
-	if strings.Contains(page, "### `e11.price`") {
-		t.Error("custom grid should not sweep e11.price")
+	if rows := strings.Count(sec, "\n| ") - 1; rows != 2 {
+		t.Errorf("e11.tps table has %d rows, want the grid point and the baseline:\n%s", rows, sec)
 	}
 	if tree.Lookup("figures/E11-sens-e11.tps-1.svg") == nil {
 		t.Error("missing the single-point figure")
@@ -164,72 +181,73 @@ func TestSensitivityCategoricalKnob(t *testing.T) {
 		Seeds:       []int64{1, 2},
 		Scale:       0.25,
 		Sensitivity: true,
-		Grids:       map[string][]float64{"e16.endorsers": {1, 3}},
+		GridPoints:  2,
 	}
 	tree, err := Generate(registry(t), opts)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	page := string(tree.Lookup("experiments/E16.md"))
-	for _, want := range []string{"### `e16.endorsers`", "| 1 |", "| 3 |", "| 2 (baseline) |"} {
-		if !strings.Contains(page, want) {
-			t.Errorf("categorical sweep lacks %q:\n%s", want, page)
+	sec := knobSection(t, string(tree.Lookup("experiments/E16.md")), "e16.endorsers")
+	for _, want := range []string{"| 1 |", "| 3 |", "| 2 (baseline) |"} {
+		if !strings.Contains(sec, want) {
+			t.Errorf("categorical sweep lacks %q:\n%s", want, sec)
 		}
-	}
-}
-
-// TestSensitivityDuplicateGridValues checks duplicate values collapse to
-// one scenario instead of double-counting seeds.
-func TestSensitivityDuplicateGridValues(t *testing.T) {
-	opts := sensOpts()
-	opts.Grids = map[string][]float64{"e11.tps": {0.1, 0.1, 8}}
-	tree, err := Generate(registry(t), opts)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	page := string(tree.Lookup("experiments/E11.md"))
-	if got := strings.Count(page, "| 0.1 |"); got != 1 {
-		t.Errorf("duplicate grid value rendered %d rows, want 1:\n%s", got, page)
-	}
-	if !strings.Contains(string(tree.Lookup("manifest.json")), `"scenarios": 2`) {
-		t.Error("manifest should count 2 deduplicated scenarios")
 	}
 }
 
 // TestSensitivityNoSharedMetricNote pins the degenerate-figure guard: a
 // grid whose views share no metric name with the baseline (E11's table
-// rows are keyed by the swept price) renders an explanatory note, never
-// a baseline-only plot.
+// rows are keyed by the swept price, here its floor 100) renders an
+// explanatory note, never a baseline-only plot.
 func TestSensitivityNoSharedMetricNote(t *testing.T) {
 	opts := sensOpts()
-	opts.Grids = map[string][]float64{"e11.price": {100}}
+	opts.GridPoints = 1
 	tree, err := Generate(registry(t), opts)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	page := string(tree.Lookup("experiments/E11.md"))
-	if !strings.Contains(page, "series across this knob's grid") {
-		t.Errorf("page lacks the no-shared-metric note:\n%s", page)
+	sec := knobSection(t, string(tree.Lookup("experiments/E11.md")), "e11.price")
+	if !strings.Contains(sec, "| 100 |") || !strings.Contains(sec, "series across this knob's grid") {
+		t.Errorf("e11.price section lacks the grid row or the no-shared-metric note:\n%s", sec)
 	}
 	for _, f := range tree.Files {
-		if strings.Contains(f.Path, "-sens-") {
-			t.Errorf("no figure should be emitted, got %s", f.Path)
+		if strings.Contains(f.Path, "-sens-e11.price") {
+			t.Errorf("no e11.price figure should be emitted, got %s", f.Path)
 		}
 	}
 }
 
-// TestSensitivityAllErrored pins the zero-evidence rendering: a grid
-// whose every replication errors (value below the knob floor) must say
-// so on the page and show ERROR in the matrix — never "stable".
+// knobRefusingExp runs the wrapped experiment only without knobs: every
+// sensitivity grid run errors while the baseline completes.
+type knobRefusingExp struct{ core.Experiment }
+
+func (e knobRefusingExp) Run(cfg core.Config) (*core.Result, error) {
+	if len(cfg.Params) > 0 {
+		return nil, fmt.Errorf("%s: knobs refused", e.ID())
+	}
+	return e.Experiment.Run(cfg)
+}
+
+// TestSensitivityAllErrored pins the zero-evidence rendering: a sweep
+// whose every grid replication errors must say so on the page and show
+// ERROR in the matrix — never "stable".
 func TestSensitivityAllErrored(t *testing.T) {
+	e11, err := registry(t).Get("E11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := core.NewRegistry(knobRefusingExp{e11})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := sensOpts()
-	opts.Grids = map[string][]float64{"e11.tps": {0.01}} // floor is 0.1
-	tree, err := Generate(registry(t), opts)
+	opts.GridPoints = 1
+	tree, err := Generate(reg, opts)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	if tree.RunErrors == 0 {
-		t.Fatal("below-floor grid value should produce run errors")
+		t.Fatal("knob-refusing grid runs should produce run errors")
 	}
 	page := string(tree.Lookup("experiments/E11.md"))
 	if !strings.Contains(page, "no completed grid runs") {
@@ -288,7 +306,7 @@ func TestSensitivityBaselineAllErrored(t *testing.T) {
 	e, _ := registry(t).Get("E11")
 	sens := &sensitivity{
 		knobs:     map[string][]string{"E11": {"e11.tps"}},
-		defaults:  map[string]float64{"e11.tps": 4},
+		specs:     map[string]experiments.KnobSpec{"e11.tps": {Default: 4}},
 		stability: map[string]*expStability{},
 	}
 	baseline := &harness.GroupView{Group: harness.Group{Seeds: []int64{1}, Replications: 1, Errors: []string{"seed 1: boom"}}}

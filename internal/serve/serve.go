@@ -18,6 +18,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -279,10 +280,8 @@ func (s *Server) Handler() http.Handler {
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /statz", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"cache_hits\":%d,\"cache_misses\":%d,\"cache_inflight_waits\":%d,\"sweeps\":%d}\n",
-			st.Hits, st.Misses, st.InflightWaits, st.Sweeps)
+		json.NewEncoder(w).Encode(s.Stats())
 	})
 	mux.HandleFunc("GET /report", func(w http.ResponseWriter, r *http.Request) {
 		s.serveScenario(w, r, s.base, "index.html")

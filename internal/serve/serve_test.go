@@ -131,6 +131,22 @@ func TestRoutes(t *testing.T) {
 	}
 }
 
+// TestStatzBody pins /statz's exact bytes: Stats' JSON keys in field order,
+// compact, one trailing newline.
+func TestStatzBody(t *testing.T) {
+	h := testServer(t).Handler()
+	get(t, h, "/report")
+	get(t, h, "/report")
+	rec := get(t, h, "/statz")
+	const want = `{"cache_hits":1,"cache_misses":1,"cache_inflight_waits":0,"sweeps":1}` + "\n"
+	if rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Errorf("/statz = %d %q, want %q", rec.Code, rec.Body.String(), want)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/statz content type = %q", ct)
+	}
+}
+
 // TestRunSingleflight pins the collapse contract: concurrent identical
 // /run requests share one generation — exactly one sweep runs, every
 // response carries identical bytes, and the lane headers partition into
