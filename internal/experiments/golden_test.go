@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -67,6 +69,29 @@ func TestGoldenKnobFreeRuns(t *testing.T) {
 			}
 			goldenRun(t, e, 1, "golden_scale1")
 		})
+	}
+}
+
+// TestE04ScaledDigest pins E04 at five times its default honest population,
+// where the uniform sybil clouds reach 2 000 identities against the goldens'
+// 400, to the digest of its JSON captured before poisoned replies were read
+// from a prefix index over the cloud.
+func TestE04ScaledDigest(t *testing.T) {
+	reg, err := Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	res, err := reg.Run("E04", core.Config{Seed: 1, Scale: 1, Params: map[string]float64{"e04.honest": 4000}})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	enc, err := res.JSON()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	const want = "6fc484c8782a3d355c6e3043cd9e294ffc03447086c7d9d0d39d3d8e386fa234"
+	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("E04 at e04.honest=4000: digest %x, want %s", sum, want)
 	}
 }
 

@@ -32,7 +32,6 @@ var reachKeep = map[string]string{
 	"(*repro/internal/overlay/chord.Network).OwnerOf":      "oracle: ring-successor ground truth lookups are checked against",
 	"(*repro/internal/overlay/onehop.Network).OwnerOf":     "oracle: ring-successor ground truth lookups are checked against",
 	"(repro/internal/overlay.ID).XOR":                      "oracle: byte-wise distance XORDistance and CloserXOR are property-tested against",
-	"(repro/internal/overlay.ID).Bit":                      "oracle: bit-wise reference TestPropertyCPL checks CommonPrefixLen against",
 	"(repro/internal/cloudbase.Config).CapacityTPS":        "oracle: analytic throughput ceiling the simulated cluster is tested against",
 	"repro/internal/gossip.*":                              "reference model: flooding relay TestGossipCalibratedForkRate cross-checks E08's parametric propagation with; not an experiment substrate",
 	"(*repro/internal/gossip.*":                            "reference model: methods of the above",
@@ -47,7 +46,6 @@ var reachKeep = map[string]string{
 	"(repro/internal/sim.Handle).At":                       "deferred: TestHandleAt",
 	"(*repro/internal/churn.Process).Stop":                 "deferred: TestStopFreezesState",
 	"repro/internal/edge.Duration":                         "deferred: TestDurationHelper",
-	"(repro/internal/overlay.ID).Ring64":                   "deferred: TestRing64",
 	"repro/internal/overlay/onehop.StaleLookupProbability": "deferred: TestStaleLookupProbability",
 	"(*repro/internal/report.Tree).Walk":                   "deferred: TestTreeWalkOpen (would need renaming)",
 	"(*repro/internal/metrics.Sample).CDF":                 "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",

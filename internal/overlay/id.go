@@ -140,10 +140,6 @@ func CloserXOR(target, a, b ID) bool {
 	return XORDistance(a, target).Less(XORDistance(b, target))
 }
 
-// Ring64 maps the identifier onto a 64-bit ring position (used by the Chord
-// and one-hop overlays, which operate on a compact ring).
-func (id ID) Ring64() uint64 { return binary.BigEndian.Uint64(id[:8]) }
-
 // RingDistance returns the clockwise distance from a to b on the 64-bit
 // ring; wrap-around is handled by unsigned arithmetic.
 func RingDistance(a, b uint64) uint64 { return b - a }

@@ -243,14 +243,6 @@ func TestPropertyCPL(t *testing.T) {
 	}
 }
 
-func TestRing64(t *testing.T) {
-	var id ID
-	id[0] = 0x01
-	if got := id.Ring64(); got != 1<<56 {
-		t.Fatalf("Ring64 = %d, want %d", got, uint64(1)<<56)
-	}
-}
-
 func TestStringForms(t *testing.T) {
 	id := KeyID([]byte("x"))
 	if len(id.String()) != 8 {

@@ -176,6 +176,8 @@ func (nw *Network) AddNode(region netmodel.Region) *Node {
 // identifier. Malicious nodes are always responsive — answering fast is the
 // attack. The poison function fabricates its FIND_NODE replies; nil means it
 // behaves protocol-correctly (a passive sybil that merely occupies space).
+// The slice poison returns is read before its next call and never kept, so
+// poison may reuse one buffer for every reply.
 func (nw *Network) AddMaliciousNode(region netmodel.Region, id overlay.ID, poison func(target overlay.ID) []Contact) *Node {
 	n := nw.addNode(region, id, true, true)
 	n.poison = poison
@@ -232,6 +234,7 @@ func (nw *Network) Bootstrap() error {
 	// neighbours.
 	sort.Slice(order, func(i, j int) bool { return order[i].ID.Cmp(order[j].ID) < 0 })
 	window := 4 * nw.cfg.K
+	sel := newNearest[Contact](overlay.ID{}, nw.cfg.K)
 	for i, node := range order {
 		lo := i - window/2
 		if lo < 0 {
@@ -245,14 +248,13 @@ func (nw *Network) Bootstrap() error {
 				lo = 0
 			}
 		}
-		neigh := make([]Contact, 0, hi-lo)
+		sel.target, sel.items, sel.dists = node.ID, sel.items[:0], sel.dists[:0]
 		for j := lo; j < hi; j++ {
-			if j == i {
-				continue
+			if j != i {
+				sel.offer(order[j].ID, Contact{ID: order[j].ID, Addr: order[j].Addr})
 			}
-			neigh = append(neigh, Contact{ID: order[j].ID, Addr: order[j].Addr})
 		}
-		for _, c := range Nearest(node.ID, neigh, nw.cfg.K) {
+		for _, c := range sel.items {
 			node.table.Add(c)
 		}
 		// Distant contacts: random online nodes fill the short-prefix

@@ -16,8 +16,8 @@ import (
 
 // bruteClosest is the reference the sort-free selection paths are held to:
 // a full sort of the contacts by overlay.CloserXOR, truncated to n. It is
-// what Table.Closest, ClosestOnline, Bootstrap and sybil's poisoned replies
-// computed before they shared the bounded selector.
+// what Table.Closest, ClosestOnline and Bootstrap computed before they
+// shared the bounded selector.
 func bruteClosest(target overlay.ID, contacts []Contact, n int) []Contact {
 	all := append([]Contact(nil), contacts...)
 	sort.Slice(all, func(i, j int) bool {
@@ -304,7 +304,7 @@ func poisoned(t *testing.T) []Result {
 	g := s.Stream("poison")
 	victim := overlay.RandomID(g)
 	var atk []Contact
-	poison := func(target overlay.ID) []Contact { return Nearest(target, atk, 8) }
+	poison := func(target overlay.ID) []Contact { return bruteClosest(target, atk, 8) }
 	for i := 0; i < 24; i++ {
 		id := victim
 		id[overlay.IDBytes-1] ^= byte(i + 1)

@@ -141,16 +141,6 @@ func (s *nearest[T]) offer(id overlay.ID, item T) {
 	s.items[i], s.dists[i] = item, d
 }
 
-// Nearest returns the up to n contacts closest to target, sorted by XOR
-// distance. The contacts' ids must be pairwise distinct.
-func Nearest(target overlay.ID, contacts []Contact, n int) []Contact {
-	sel := newNearest[Contact](target, n)
-	for _, c := range contacts {
-		sel.offer(c.ID, c)
-	}
-	return sel.items
-}
-
 // Closest returns up to n contacts sorted by XOR distance to target.
 func (t *Table) Closest(target overlay.ID, n int) []Contact {
 	if n <= 0 {

@@ -11,6 +11,8 @@ package sybil
 
 import (
 	"errors"
+	"slices"
+	"sort"
 
 	"repro/internal/netmodel"
 	"repro/internal/overlay"
@@ -29,10 +31,15 @@ type AttackConfig struct {
 	Target overlay.ID
 }
 
+// replyLen is the number of fabricated contacts in one poisoned reply.
+const replyLen = 16
+
 // Attack is a launched sybil attack.
 type Attack struct {
 	nodes    []*kademlia.Node
 	contacts []kademlia.Contact
+	byID     []kademlia.Contact // contacts in ascending id order: poison's prefix index
+	reply    []kademlia.Contact // poison's result, overwritten by the next call
 	isAtk    map[overlay.ID]bool
 }
 
@@ -57,11 +64,7 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 	for i := 0; i < cfg.Identities; i++ {
 		var id overlay.ID
 		if cfg.Targeted {
-			// Identities adjacent to the target: flip only low-order bits so
-			// every sybil is closer to the victim key than any honest node.
-			id = cfg.Target
-			id[overlay.IDBytes-1] ^= byte(i + 1)
-			id[overlay.IDBytes-2] ^= byte(i >> 8)
+			id = targetedID(cfg.Target, i)
 		} else {
 			id = overlay.RandomID(rng)
 		}
@@ -70,6 +73,8 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 		a.contacts = append(a.contacts, kademlia.Contact{ID: node.ID, Addr: node.Addr})
 		a.isAtk[node.ID] = true
 	}
+	a.byID = sortedByID(a.contacts)
+	a.reply = make([]kademlia.Contact, 0, replyLen)
 	// Announcement: each sybil seeds its table with honest contacts and
 	// performs one lookup of either the victim key (targeted) or its own id
 	// (uniform), planting itself in honest routing tables via sender learning.
@@ -88,11 +93,57 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 	return a, nil
 }
 
+// targetedID is the i-th identity of a cloud aimed at key: only low-order
+// bits are flipped, so every sybil is closer to the victim key than any
+// honest node. The low byte wraps at i = 255, whose identity is key itself.
+func targetedID(key overlay.ID, i int) overlay.ID {
+	key[overlay.IDBytes-1] ^= byte(i + 1)
+	key[overlay.IDBytes-2] ^= byte(i >> 8)
+	return key
+}
+
+// sortedByID returns a copy of the contacts in ascending id order, equal ids
+// in their given order.
+func sortedByID(contacts []kademlia.Contact) []kademlia.Contact {
+	s := slices.Clone(contacts)
+	slices.SortStableFunc(s, func(x, y kademlia.Contact) int { return x.ID.Cmp(y.ID) })
+	return s
+}
+
 // poison fabricates FIND_NODE replies: the sybils closest to the queried
 // target, cross-referencing the identity cloud so honest lookups spiral
-// inward and never escape.
+// inward and never escape. The reply is the Attack's buffer, valid until the
+// next call.
 func (a *Attack) poison(target overlay.ID) []kademlia.Contact {
-	return kademlia.Nearest(target, a.contacts, 16)
+	a.reply = appendNearest(a.reply[:0], target, a.byID)
+	return a.reply
+}
+
+// appendNearest appends to dst, up to replyLen in all, the contacts of the
+// non-empty range r closest to target, in ascending XOR distance; r is sorted
+// by id.
+//
+// The ids of a sorted range share exactly the prefix its first and last ids
+// share, say d bits, and bit d splits the range into two contiguous halves.
+// Bits 0…d−1 of the distance to target are therefore equal across the range,
+// and bit d is 0 in the half whose bit d is the target's and 1 in the other:
+// every id of that near half is closer than every id of the far half, so the
+// near half is taken first. A range of equal ids is a leaf, taken in index
+// order, as a stable selection would.
+func appendNearest(dst []kademlia.Contact, target overlay.ID, r []kademlia.Contact) []kademlia.Contact {
+	if len(dst) == replyLen {
+		return dst
+	}
+	d := overlay.CommonPrefixLen(r[0].ID, r[len(r)-1].ID)
+	if d == overlay.IDBits {
+		return append(dst, r[:min(len(r), replyLen-len(dst))]...)
+	}
+	m := sort.Search(len(r), func(i int) bool { return r[i].ID.Bit(d) == 1 })
+	near, far := r[:m], r[m:]
+	if target.Bit(d) == 1 {
+		near, far = far, near
+	}
+	return appendNearest(appendNearest(dst, target, near), target, far)
 }
 
 // IsAttacker reports whether an identifier belongs to the attack.

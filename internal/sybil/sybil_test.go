@@ -1,8 +1,7 @@
 package sybil
 
 import (
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-func honestNetwork(t *testing.T, n int, seed int64) (*sim.Sim, *kademlia.Network) {
+func honestNetwork(t testing.TB, n int, seed int64) (*sim.Sim, *kademlia.Network) {
 	t.Helper()
 	s := sim.New(sim.WithSeed(seed))
 	nm := netmodel.New(s, netmodel.WithJitter(0.1))
@@ -103,34 +102,148 @@ func TestUniformSybilInterceptionGrowsWithIdentities(t *testing.T) {
 	}
 }
 
+// bruteNearest is the reference poison is held to: a full sort of the cloud
+// by overlay.CloserXOR, stable so equal ids keep their order, cut at
+// replyLen.
+func bruteNearest(target overlay.ID, cloud []kademlia.Contact) []kademlia.Contact {
+	all := slices.Clone(cloud)
+	slices.SortStableFunc(all, func(a, b kademlia.Contact) int {
+		switch {
+		case overlay.CloserXOR(target, a.ID, b.ID):
+			return -1
+		case overlay.CloserXOR(target, b.ID, a.ID):
+			return 1
+		}
+		return 0
+	})
+	return all[:min(len(all), replyLen)]
+}
+
+// flipBit returns id with bit i (0 = most significant) inverted.
+func flipBit(id overlay.ID, i int) overlay.ID {
+	id[i/8] ^= 0x80 >> uint(i%8)
+	return id
+}
+
 // A poisoned reply is the 16 sybils closest to the queried target — what a
 // full sort of the identity cloud by overlay.CloserXOR, cut at 16, yields —
-// whether the cloud is smaller than, exactly, just over or far over 16, and
-// past the 255 identities at which the targeted ids' low byte wraps.
+// for targeted clouds, whose ids share 144 bits or more, up to and past the
+// 255 identities at which their low byte wraps, and for uniform clouds
+// smaller than, exactly, just over and far over 16. Targets are an identity,
+// that identity with one bit flipped at each word boundary of
+// overlay.Distance and at both ends, the victim key and a random id.
 func TestPoisonMatchesBruteForce(t *testing.T) {
-	for _, identities := range []int{1, 16, 17, 300} {
+	victim := overlay.KeyID([]byte("victim-key"))
+	for _, tc := range []struct {
+		identities int
+		targeted   bool
+	}{
+		{1, true}, {16, true}, {17, true}, {300, true}, {512, true},
+		{1, false}, {2, false}, {16, false}, {17, false}, {300, false}, {10000, false},
+	} {
 		s, nw := honestNetwork(t, 50, 5)
-		victim := overlay.KeyID([]byte("victim-key"))
-		atk, err := Launch(s, nw, AttackConfig{Identities: identities, Targeted: true, Target: victim})
+		atk, err := Launch(s, nw, AttackConfig{Identities: tc.identities, Targeted: tc.targeted, Target: victim})
 		if err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		cloud := append([]kademlia.Contact(nil), atk.contacts...)
-		near := atk.contacts[identities/2].ID
-		near[overlay.IDBytes-1] ^= 0x40
-		for _, target := range []overlay.ID{victim, atk.contacts[0].ID, near, overlay.RandomID(s.Stream("t"))} {
-			want := append([]kademlia.Contact(nil), atk.contacts...)
-			sort.Slice(want, func(i, j int) bool { return overlay.CloserXOR(target, want[i].ID, want[j].ID) })
-			if len(want) > 16 {
-				want = want[:16]
-			}
-			if got := atk.poison(target); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d identities, target %v:\n got %v\nwant %v", identities, target, got, want)
+		cloud := slices.Clone(atk.contacts)
+		self := atk.contacts[tc.identities/2].ID
+		targets := []overlay.ID{self, victim, overlay.RandomID(s.Stream("t"))}
+		for _, bit := range []int{0, 63, 64, 127, 128, 159} {
+			targets = append(targets, flipBit(self, bit))
+		}
+		for _, target := range targets {
+			if got, want := atk.poison(target), bruteNearest(target, cloud); !slices.Equal(got, want) {
+				t.Fatalf("%d identities (targeted %t), target %v:\n got %v\nwant %v", tc.identities, tc.targeted, target, got, want)
 			}
 		}
-		if !reflect.DeepEqual(atk.contacts, cloud) {
-			t.Fatalf("%d identities: poison reordered the attack's own contact list", identities)
+		if !slices.Equal(atk.contacts, cloud) {
+			t.Fatalf("%d identities (targeted %t): poison reordered the attack's own contact list", tc.identities, tc.targeted)
 		}
+	}
+}
+
+// FuzzPoisonIndex holds the prefix descent to the full sort on clouds of up
+// to 600 identities. A cloud is either targeted (targetedID around a random
+// key: the low byte wraps past 255 identities and identity 255 is the key)
+// or uniform ids forced to share their first prefix%161 bits, so long shared
+// prefixes and repeated ids both occur. The target is pick%(size+2): a cloud
+// member, the key, or a random id, with bit flip inverted when flip < 160.
+func FuzzPoisonIndex(f *testing.F) {
+	f.Add(uint64(2), false, uint16(150), uint16(40), uint16(3), uint16(155))
+	f.Fuzz(func(t *testing.T, seed uint64, targeted bool, prefix, size, pick, flip uint16) {
+		g := sim.NewRNG(int64(seed))
+		key := overlay.RandomID(g)
+		n := int(size)%600 + 1
+		cloud := make([]kademlia.Contact, n)
+		for i := range cloud {
+			var id overlay.ID
+			if targeted {
+				id = targetedID(key, i)
+			} else {
+				id = overlay.RandomID(g)
+				for b := 0; b < int(prefix)%(overlay.IDBits+1); b++ {
+					if id.Bit(b) != key.Bit(b) {
+						id = flipBit(id, b)
+					}
+				}
+			}
+			cloud[i] = kademlia.Contact{ID: id, Addr: netmodel.NodeID(i)}
+		}
+		target := overlay.RandomID(g)
+		switch p := int(pick) % (n + 2); {
+		case p < n:
+			target = cloud[p].ID
+		case p == n:
+			target = key
+		}
+		if int(flip) < overlay.IDBits {
+			target = flipBit(target, int(flip))
+		}
+		if got, want := appendNearest(nil, target, sortedByID(cloud)), bruteNearest(target, cloud); !slices.Equal(got, want) {
+			t.Fatalf("%d identities (targeted %t, prefix %d), target %v:\n got %v\nwant %v", n, targeted, prefix, target, got, want)
+		}
+	})
+}
+
+// uniformAttack launches n uniform identities into a 50-node network and
+// returns the attack with targets drawn from their own stream.
+func uniformAttack(tb testing.TB, n int) (*Attack, []overlay.ID) {
+	s, nw := honestNetwork(tb, 50, 6)
+	atk, err := Launch(s, nw, AttackConfig{Identities: n})
+	if err != nil {
+		tb.Fatalf("Launch: %v", err)
+	}
+	g := sim.NewRNG(7)
+	targets := make([]overlay.ID, 256)
+	for i := range targets {
+		targets[i] = overlay.RandomID(g)
+	}
+	return atk, targets
+}
+
+var benchSink int
+
+func BenchmarkPoison(b *testing.B) {
+	atk, targets := uniformAttack(b, 10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(atk.poison(targets[i%len(targets)]))
+	}
+}
+
+// A reply reuses the Attack's buffer: after one warm call, poison allocates
+// nothing — no copy of the cloud, no selector, no per-call result.
+func TestPoisonAllocs(t *testing.T) {
+	atk, targets := uniformAttack(t, 10000)
+	benchSink += len(atk.poison(targets[0]))
+	i := 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		benchSink += len(atk.poison(targets[i%len(targets)]))
+		i++
+	}); allocs != 0 {
+		t.Fatalf("poison allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
