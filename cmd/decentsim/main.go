@@ -9,7 +9,6 @@
 //	decentsim -seed 7 -scale 0.5 run E03
 //	decentsim run -csv E06             # emit tables as CSV
 //	decentsim run -json -parallel 4 all
-//	decentsim run -shards 4 E03        # sharded-kernel runs fan out across 4 workers
 //	decentsim sweep -parallel 8 -json -seeds 1..10 E03 E06
 //	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
 //	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
@@ -91,7 +90,6 @@ type options struct {
 	resources  bool
 	profile    string
 	traceLimit int
-	shards     int
 
 	html    bool
 	diff    string
@@ -192,7 +190,6 @@ var flagRules = map[string]flagRule{
 	"resources":   {cmds: "report serve", reason: "only the report subcommand renders the resources appendix"},
 	"profile":     {cmds: "sweep rep report", reason: "only the sweep, rep, and report subcommands run on the profiled harness"},
 	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
-	"shards":      {cmds: "run sweep rep report serve", reason: "sharded runs do not register the transport instruments a trace records"},
 	"html":        {cmds: "report serve", reason: "only the report and serve subcommands render HTML pages"},
 	"diff":        {cmds: "report", reason: onlyManifests},
 	"against":     {cmds: "report", reason: onlyManifests},
@@ -224,7 +221,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.resources, "resources", o.resources, help("resources", "attach run telemetry and render a per-experiment Resources appendix plus resources/host.json"))
 	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
-	fs.IntVar(&o.shards, "shards", o.shards, help("shards", "intra-run worker goroutines for experiments on the sharded kernel (results are byte-identical at any value)"))
 	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
 	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips"))
 	fs.StringVar(&o.against, "against", o.against, help("against", "with -diff: compare the -diff file against this file instead of generating a report"))
@@ -248,7 +244,7 @@ commands:
 run 'decentsim <command> -h' for that command's flags`
 
 func run(args []string, out io.Writer) error {
-	opts := options{seed: 1, scale: 1, reps: 10, out: "report", shards: 1, addr: ":8080"}
+	opts := options{seed: 1, scale: 1, reps: 10, out: "report", addr: ":8080"}
 	global := flag.NewFlagSet("decentsim", flag.ContinueOnError)
 	opts.register(global)
 	if err := global.Parse(args); err != nil {
@@ -312,9 +308,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if (cmd == "run" || cmd == "trace") && opts.seed < 1 {
 		return fmt.Errorf("%s: -seed must be >= 1 (got %d)", cmd, opts.seed)
-	}
-	if provided["shards"] && opts.shards < 1 {
-		return fmt.Errorf("%s: -shards must be >= 1 (got %d)", cmd, opts.shards)
 	}
 	if provided["trace-limit"] && opts.traceLimit < 1 {
 		return fmt.Errorf("trace: -trace-limit must be >= 1 (got %d)", opts.traceLimit)
@@ -476,7 +469,7 @@ func runCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) erro
 // crosses knob values — anywhere else a multi-value knob is a sweep
 // request, and silently taking the first value would drop grid points.
 func (o *options) grid(reg *core.Registry, cmd string, ids []string) (harness.Sweep, error) {
-	g := harness.Sweep{Params: o.set.params, Shards: o.shards}
+	g := harness.Sweep{Params: o.set.params}
 	var err error
 	if g.Experiments, err = expandIDs(reg, ids); err != nil {
 		return g, fmt.Errorf("%s: %w", cmd, err)
@@ -514,7 +507,6 @@ func (o *options) scenario(reg *core.Registry, cmd string, ids []string) (report
 		Scale:       o.scale,
 		HTML:        o.html,
 		Workers:     o.parallel,
-		Shards:      o.shards,
 		Sensitivity: o.sensitivity,
 		GridPoints:  o.gridPoints,
 		Resources:   o.resources,

@@ -30,8 +30,8 @@ func TestFlagMatrix(t *testing.T) {
 	values := map[string]string{
 		"seed": "2", "scale": "0.5", "parallel": "1", "seeds": "1..2", "scales": "0.5,1",
 		"n": "3", "set": "e01.exploration=0.5", "grid-points": "3", "trace-limit": "10",
-		"shards": "1", "addr": "127.0.0.1:0",
-		"out": filepath.Join(tmp, "out"), "drift": filepath.Join(tmp, "drift.json"),
+		"addr": "127.0.0.1:0",
+		"out":  filepath.Join(tmp, "out"), "drift": filepath.Join(tmp, "drift.json"),
 		"profile": filepath.Join(tmp, "prof"), "diff": filepath.Join(tmp, "old.json"),
 		"against": filepath.Join(tmp, "new.json"),
 	}
@@ -39,8 +39,8 @@ func TestFlagMatrix(t *testing.T) {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	new(options).register(fs)
 	fs.VisitAll(func(f *flag.Flag) { flags = append(flags, f) })
-	if len(flags) != 21 {
-		t.Fatalf("CLI registers %d flags, want 21", len(flags))
+	if len(flags) != 20 {
+		t.Fatalf("CLI registers %d flags, want 20", len(flags))
 	}
 
 	var got bytes.Buffer

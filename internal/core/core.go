@@ -31,15 +31,7 @@ type Config struct {
 	// Collectors are per-run state, never part of the configuration
 	// identity, so the field is excluded from marshalled output.
 	Obs *obs.Collector `json:"-"`
-	// Shards is the worker count for experiments whose transport spans
-	// more than one logical shard (a sim.ShardedSim drives them): how many
-	// goroutines execute those fixed shards within each conservative
-	// window. An experiment on a plain kernel is a one-shard run of the same
-	// transport and has nothing to fan out. Results are identical at every
-	// value — the shard-count invisibility contract (DESIGN.md, "Sharded
-	// kernel") — so like Obs it is execution state, never configuration
-	// identity, and is excluded from marshalled output. 0 and 1 both run
-	// the shards inline on the caller's goroutine.
+	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
 	Shards int `json:"-"`
 }
 
@@ -50,9 +42,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	return c
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netmodel"
@@ -34,16 +33,6 @@ func newSimSeed(cfg core.Config, seed int64) *sim.Sim {
 		return sim.New(sim.WithSeed(seed))
 	}
 	return sim.New(sim.WithSeed(seed), sim.WithObserver(cfg.Obs))
-}
-
-// newShardedSim is newSim's counterpart for runners on the windowed driver:
-// the runner supplies its fixed logical shard structure (count and
-// conservative window, both structural constants derived from the model,
-// never from available parallelism), while the -shards execution knob in
-// the config only sets how many workers drive those shards. Results are
-// identical at every worker count.
-func newShardedSim(cfg core.Config, shards int, window time.Duration) (*sim.ShardedSim, error) {
-	return sim.NewSharded(shards, window, cfg.Shards, sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Obs))
 }
 
 // exp is the shared experiment scaffold. The claim leads with its paper

@@ -72,26 +72,45 @@ func TestGoldenKnobFreeRuns(t *testing.T) {
 	}
 }
 
+// scaledDigest runs one experiment at seed 1 with params set and returns
+// the SHA-256 of its JSON.
+func scaledDigest(t *testing.T, id string, params map[string]float64) string {
+	t.Helper()
+	reg, err := Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	res, err := reg.Run(id, core.Config{Seed: 1, Scale: 1, Params: params})
+	if err != nil {
+		t.Fatalf("run %s: %v", id, err)
+	}
+	enc, err := res.JSON()
+	if err != nil {
+		t.Fatalf("encode %s: %v", id, err)
+	}
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestE04ScaledDigest pins E04 at five times its default honest population,
 // where the uniform sybil clouds reach 2 000 identities against the goldens'
 // 400, to the digest of its JSON captured before poisoned replies were read
 // from a prefix index over the cloud.
 func TestE04ScaledDigest(t *testing.T) {
-	reg, err := Registry()
-	if err != nil {
-		t.Fatalf("Registry: %v", err)
-	}
-	res, err := reg.Run("E04", core.Config{Seed: 1, Scale: 1, Params: map[string]float64{"e04.honest": 4000}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	enc, err := res.JSON()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
 	const want = "6fc484c8782a3d355c6e3043cd9e294ffc03447086c7d9d0d39d3d8e386fa234"
-	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != want {
-		t.Errorf("E04 at e04.honest=4000: digest %x, want %s", sum, want)
+	if got := scaledDigest(t, "E04", map[string]float64{"e04.honest": 4000}); got != want {
+		t.Errorf("E04 at e04.honest=4000: digest %s, want %s", got, want)
+	}
+}
+
+// TestE03ScaledDigest pins E03, the one runner on the sharded driver, at
+// four times its default overlay, to the digest of its JSON captured while
+// the driver could still fan its eight logical shards out to worker
+// goroutines.
+func TestE03ScaledDigest(t *testing.T) {
+	const want = "4da76a9b012f443f9023dd5c0222f39ca44b03e57be299573332a986f3c99858"
+	if got := scaledDigest(t, "E03", map[string]float64{"e03.nodes": 6000}); got != want {
+		t.Errorf("E03 at e03.nodes=6000: digest %s, want %s", got, want)
 	}
 }
 

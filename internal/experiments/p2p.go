@@ -16,6 +16,7 @@ import (
 	"repro/internal/overlay/kademlia"
 	"repro/internal/overlay/onehop"
 	"repro/internal/randdist"
+	"repro/internal/sim"
 	"repro/internal/sybil"
 	"repro/internal/workload"
 )
@@ -180,15 +181,14 @@ func e02FreeRiding() core.Experiment {
 	}
 }
 
-// e03Shards is E03's fixed logical shard count. It is a structural constant
-// of the runner — NOT the -shards knob, which only sets how many workers
-// execute these logical shards — so the run's event structure, and with it
-// every exported byte, is identical at any worker count.
+// e03Shards is E03's fixed logical shard count, a structural constant of
+// the runner: the run's event structure, and with it every exported byte,
+// follows from it.
 const e03Shards = 8
 
 // e03DHTLookup reproduces §II-A (Jiménez et al.): KAD lookups within 5 s at
 // the 90th percentile vs ~1 minute medians on the BitTorrent Mainline DHT.
-// It is the first runner on the sharded kernel: nodes partition round-robin
+// It is the one runner on the sharded kernel: nodes partition round-robin
 // across e03Shards logical shards, each lookup's state lives on its origin's
 // shard, and windows are bounded by the all-Europe delay floor.
 func e03DHTLookup() core.Experiment {
@@ -211,7 +211,8 @@ func e03DHTLookup() core.Experiment {
 				// topology takes at least the jittered intra-EU floor, so no
 				// shard can affect another inside a window of that length.
 				const jitter = 0.2
-				ss, err := newShardedSim(cfg, e03Shards, netmodel.DelayFloor(jitter, netmodel.Europe))
+				ss, err := sim.NewSharded(e03Shards, netmodel.DelayFloor(jitter, netmodel.Europe),
+					sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Obs))
 				if err != nil {
 					return nil, 0, err
 				}
@@ -225,7 +226,7 @@ func e03DHTLookup() core.Experiment {
 				}
 				// Lookup callbacks fire on the origin's shard, so results
 				// accumulate in shard-owned slots and merge in shard order
-				// after the run — identical at any worker count.
+				// after the run.
 				var samples [e03Shards]metrics.Sample
 				var converged [e03Shards]int
 				g := ss.Shard(0).Stream("e03." + name)

@@ -25,10 +25,7 @@ type Sweep struct {
 	// "e03.lookups" -> {100, 200}). Experiments read knobs via
 	// core.Config.Param; unset knobs keep their documented defaults.
 	Params map[string][]float64
-	// Shards is the intra-run worker count threaded into every job's
-	// config. It is an execution knob like the runner's Workers — results
-	// are identical at every value — so it is never crossed into the grid
-	// (sweeping it would emit distinct groups with identical results).
+	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
 	Shards int
 }
 
@@ -63,7 +60,6 @@ func (s Sweep) Jobs() []Job {
 							Seed:   seed,
 							Scale:  scale,
 							Params: params,
-							Shards: s.Shards,
 						},
 					})
 				}

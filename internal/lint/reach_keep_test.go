@@ -38,11 +38,11 @@ var reachKeep = map[string]string{
 	"(repro/internal/gossip.*":                             "reference model: methods of the above",
 	"(*repro/internal/sim.Sim).Stop":                       "kernel control surface: FuzzScheduleCancel and the shadow-model tests drive it",
 	"(*repro/internal/sim.Sim).Pending":                    "kernel control surface: the fuzzers' exact pending-count check",
-	"(*repro/internal/sim.ShardedSim).Stop":                "kernel control surface: roadmap item 3 owns sharded.go",
-	"(*repro/internal/sim.ShardedSim).RunFor":              "kernel control surface: chunked-run metamorphic tests",
-	"(*repro/internal/sim.ShardedSim).Pending":             "kernel control surface: sharded accounting tests",
-	"(*repro/internal/sim.ShardedSim).Now":                 "kernel control surface: sharded accounting tests",
-	"(*repro/internal/sim.ShardedSim).Fired":               "kernel control surface: FuzzShardedFireOrder's cross-check",
+	"(*repro/internal/sim.ShardedSim).Stop":                "kernel control surface: TestShardedStopAtBarrier; roadmap item 2 deletes it with sharded.go",
+	"(*repro/internal/sim.ShardedSim).RunFor":              "kernel control surface: TestShardedRunUntilChunks; roadmap item 2 deletes it with sharded.go",
+	"(*repro/internal/sim.ShardedSim).Pending":             "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
+	"(*repro/internal/sim.ShardedSim).Now":                 "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
+	"(*repro/internal/sim.ShardedSim).Fired":               "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
 	"(repro/internal/sim.Handle).At":                       "deferred: TestHandleAt",
 	"(*repro/internal/churn.Process).Stop":                 "deferred: TestStopFreezesState",
 	"repro/internal/edge.Duration":                         "deferred: TestDurationHelper",

@@ -9,8 +9,8 @@ import (
 // checkCallCases drives Call through every way an exchange can end, each on
 // a fresh two-node net from mk (both in Europe, no jitter: the request lands
 // at 15 ms, the reply at 30 ms). A case's fault is injected between two
-// chunks of the run, while no worker is executing, so the same table holds
-// on a plain kernel and on a sharded driver at any worker count.
+// chunks of the run, at a window barrier, so the same table holds on a plain
+// kernel and on a sharded driver.
 func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duration) error)) {
 	const deadline = 100 * time.Millisecond
 	for _, tc := range []struct {
@@ -105,17 +105,15 @@ func TestCall(t *testing.T) {
 }
 
 // TestShardCall holds the same table with requester and receiver on
-// different shards: serve runs on the receiver's worker, the deadline and
-// done on the requester's, at one worker and at four.
+// different shards: serve runs on the receiver's kernel, the deadline and
+// done on the requester's.
 func TestShardCall(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		mk := func(t *testing.T) (*Net, func(time.Duration) error) {
-			ss, n := shardedNet(t, 4, workers, WithJitter(0))
-			return n, ss.RunUntil
-		}
-		checkCallCases(t, mk)
-		checkCallReuse(t, mk)
+	mk := func(t *testing.T) (*Net, func(time.Duration) error) {
+		ss, n := shardedNet(t, 4, WithJitter(0))
+		return n, ss.RunUntil
 	}
+	checkCallCases(t, mk)
+	checkCallReuse(t, mk)
 }
 
 // TestCallDeadlineBooksFirst pins the one place Call's internal order shows:

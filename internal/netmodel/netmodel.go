@@ -81,7 +81,7 @@ type Net struct {
 	rngs  []*sim.RNG      // per-shard "netmodel" streams
 	owner []int32         // node -> owning shard, round-robin by attach order
 	ss    *sim.ShardedSim // carries cross-shard deliveries; nil and unreached with one kernel
-	calls [][]*exchange   // per-shard pools of Call's exchange state
+	calls []*exchange     // recycled exchange state of Call
 
 	nodes    []nodeState
 	jitter   float64
@@ -426,18 +426,17 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 // done(true) fires iff the response is delivered while the deadline is still
 // pending; otherwise done(false) fires exactly once, at the deadline, and a
 // reply arriving later is dropped unseen. The exchange's own state comes
-// from a pool of the requester's shard, so a caller passing serve and done
-// funcs it bound once makes an answered Call allocate nothing.
+// from the net's pool, so a caller passing serve and done funcs it bound once
+// makes an answered Call allocate nothing.
 func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
-	x := n.exchange(from)
+	x := n.exchange()
 	x.from, x.to, x.respSize, x.serve, x.done = from, to, respSize, serve, done
 	x.deadline = n.Kernel(from).After(timeout, x.expire)
 	x.sent = n.Send(from, to, reqSize, x.request)
 }
 
 // exchange is the state of one Call, with its three event callbacks bound
-// once per object. It is taken from and returned to the pool of the
-// requester's shard, on the requester's kernel: when the response is
+// once per object. It goes back to the net's pool when the response is
 // delivered, or at the deadline if the request was never sent. Any other
 // exchange (request or response dropped, serve declining) may still have an
 // event in flight or never will, and is left to the garbage collector.
@@ -452,12 +451,11 @@ type exchange struct {
 	expire, request, response func()
 }
 
-// exchange takes an exchange from the pool of from's shard.
-func (n *Net) exchange(from NodeID) *exchange {
-	pool := &n.calls[n.ShardOf(from)]
-	if last := len(*pool) - 1; last >= 0 {
-		x := (*pool)[last]
-		*pool = (*pool)[:last]
+// exchange takes an exchange from the pool.
+func (n *Net) exchange() *exchange {
+	if last := len(n.calls) - 1; last >= 0 {
+		x := n.calls[last]
+		n.calls = n.calls[:last]
 		return x
 	}
 	x := &exchange{n: n}
@@ -468,8 +466,7 @@ func (n *Net) exchange(from NodeID) *exchange {
 // release returns an exchange no event refers to any more to its pool.
 func (x *exchange) release() {
 	x.serve, x.done = nil, nil
-	pool := &x.n.calls[x.n.ShardOf(x.from)]
-	*pool = append(*pool, x)
+	x.n.calls = append(x.n.calls, x)
 }
 
 func (x *exchange) onDeadline() {

@@ -21,9 +21,9 @@ var testFloor = DelayFloor(0.2, NorthAmerica, Europe, Asia, SouthAmerica, Oceani
 
 // shardedNet builds a transport on S logical shards and returns it with
 // its driver.
-func shardedNet(t *testing.T, shards, workers int, opts ...Option) (*sim.ShardedSim, *Net) {
+func shardedNet(t *testing.T, shards int, opts ...Option) (*sim.ShardedSim, *Net) {
 	t.Helper()
-	ss, err := sim.NewSharded(shards, testFloor, workers, sim.WithSeed(7))
+	ss, err := sim.NewSharded(shards, testFloor, sim.WithSeed(7))
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -44,7 +44,7 @@ func (e *env) net(opts ...Option) *Net {
 		e.run = s.Run
 		return n
 	}
-	ss, n := shardedNet(e.t, e.shards, 1, opts...)
+	ss, n := shardedNet(e.t, e.shards, opts...)
 	e.run = ss.Run
 	return n
 }
@@ -52,8 +52,9 @@ func (e *env) net(opts ...Option) *Net {
 // forShards runs body against the transport on a plain kernel (S = 1) and
 // on four logical shards of a windowed driver. Bodies read clocks and
 // schedule control events through n.Kernel(id), which is the plain kernel
-// at S = 1. The S = 4 driver runs its shards inline (one worker), so a body
-// may flip shared topology state mid-run just as it does on a plain kernel.
+// at S = 1. The S = 4 driver runs its shards in order on one goroutine, so a
+// body may flip shared topology state mid-run just as it does on a plain
+// kernel.
 func forShards(t *testing.T, body func(t *testing.T, e *env)) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { body(t, &env{t: t, shards: shards}) })

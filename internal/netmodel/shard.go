@@ -7,10 +7,9 @@ package netmodel
 // on the kernel owning the receiver: a same-shard delivery is a pooled
 // AtFunc on that kernel, a cross-shard one rides the driver's mailbox and
 // is merged deterministically at the next window barrier. A send draws loss
-// and jitter from its *sender's* shard's "netmodel" stream, on the sender's
-// worker, so draw sequences depend only on per-shard event order, which the
-// driver keeps worker-count invariant. With S = 1 every node is owned by
-// shard 0, no delivery crosses, and this is an ordinary sequential
+// and jitter from its *sender's* shard's "netmodel" stream, so draw
+// sequences depend only on per-shard event order. With S = 1 every node is
+// owned by shard 0, no delivery crosses, and this is an ordinary sequential
 // transport.
 //
 // What S > 1 takes away is decided when a net is built or a window is
@@ -43,7 +42,7 @@ func NewSharded(ss *sim.ShardedSim, opts ...Option) *Net {
 // The transport's instruments are single-writer, so they register only when
 // one kernel does all the writing.
 func bind(ss *sim.ShardedSim, kerns []*sim.Sim, opts []Option) *Net {
-	n := &Net{kerns: kerns, ss: ss, jitter: 0.1, calls: make([][]*exchange, len(kerns))}
+	n := &Net{kerns: kerns, ss: ss, jitter: 0.1}
 	for _, k := range kerns {
 		n.rngs = append(n.rngs, k.Stream("netmodel"))
 	}
@@ -66,7 +65,7 @@ func (n *Net) ShardOf(id NodeID) int {
 
 // Kernel returns the sim kernel a node's events execute on. Substrates
 // riding the transport schedule their per-node control events (timeouts,
-// retries) on it so those events run on the node's worker.
+// retries) on it so those events run on the node's shard.
 func (n *Net) Kernel(id NodeID) *sim.Sim { return n.kerns[n.ShardOf(id)] }
 
 // rngFor returns the stream a node's sends draw loss and jitter from.

@@ -15,34 +15,32 @@ import (
 // TestShardCrossDelivery pins the mailbox hop: a Send whose receiver lives
 // on another shard parks in the driver's mailbox (not on the receiver's
 // kernel) until the next barrier, and is then delivered exactly once at
-// send time + delay on the receiver's clock — at any worker count.
+// send time + delay on the receiver's clock.
 func TestShardCrossDelivery(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ss, n := shardedNet(t, 4, workers, WithJitter(0))
-		a := n.AddNode(NorthAmerica, 0)
-		b := n.AddNode(Europe, 0)
-		if n.ShardOf(a) == n.ShardOf(b) {
-			t.Fatal("consecutive attaches landed on one shard")
+	ss, n := shardedNet(t, 4, WithJitter(0))
+	a := n.AddNode(NorthAmerica, 0)
+	b := n.AddNode(Europe, 0)
+	if n.ShardOf(a) == n.ShardOf(b) {
+		t.Fatal("consecutive attaches landed on one shard")
+	}
+	var deliveredAt []time.Duration
+	deliver := func() { deliveredAt = append(deliveredAt, n.Kernel(b).Now()) }
+	parked := false
+	n.Kernel(a).At(30*time.Millisecond, func() {
+		if !n.Send(a, b, 100, deliver) {
+			t.Error("Send returned false")
 		}
-		var deliveredAt []time.Duration
-		deliver := func() { deliveredAt = append(deliveredAt, n.Kernel(b).Now()) }
-		parked := false
-		n.Kernel(a).At(30*time.Millisecond, func() {
-			if !n.Send(a, b, 100, deliver) {
-				t.Error("Send returned false")
-			}
-			// Mid-window the delivery is in the mailbox, not on b's kernel.
-			parked = n.Kernel(b).Pending() == 0 && ss.Pending() == 1
-		})
-		if err := ss.Run(); err != nil {
-			t.Fatalf("workers=%d: Run: %v", workers, err)
-		}
-		if !parked {
-			t.Errorf("workers=%d: cross-shard delivery reached the receiver's kernel before a barrier", workers)
-		}
-		if len(deliveredAt) != 1 || deliveredAt[0] != 75*time.Millisecond { // 30 ms + 45 ms NA->EU
-			t.Errorf("workers=%d: deliveries at %v, want exactly one at 75ms", workers, deliveredAt)
-		}
+		// Mid-window the delivery is in the mailbox, not on b's kernel.
+		parked = n.Kernel(b).Pending() == 0 && ss.Pending() == 1
+	})
+	if err := ss.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !parked {
+		t.Error("cross-shard delivery reached the receiver's kernel before a barrier")
+	}
+	if len(deliveredAt) != 1 || deliveredAt[0] != 75*time.Millisecond { // 30 ms + 45 ms NA->EU
+		t.Errorf("deliveries at %v, want exactly one at 75ms", deliveredAt)
 	}
 }
 
@@ -54,9 +52,9 @@ func TestShardCrossDelivery(t *testing.T) {
 func TestShardSenderStreamDraws(t *testing.T) {
 	const jitter, loss = 0.2, 0.5
 	for _, senderFirst := range []bool{true, false} {
-		ss, n := shardedNet(t, 2, 1, WithJitter(jitter))
+		ss, n := shardedNet(t, 2, WithJitter(jitter))
 		n.SetLoss(loss)
-		twin, _ := shardedNet(t, 2, 1)
+		twin, _ := shardedNet(t, 2)
 		var from, to NodeID
 		if senderFirst {
 			from, to = n.AddNode(Europe, 0), n.AddNode(Europe, 0)
@@ -99,8 +97,8 @@ func TestShardSenderStreamDraws(t *testing.T) {
 // plain or a one-shard driver — accepts them.
 func TestShardConditionWindowsRejected(t *testing.T) {
 	_, plain := newNet(t)
-	_, one := shardedNet(t, 1, 1)
-	_, four := shardedNet(t, 4, 1)
+	_, one := shardedNet(t, 1)
+	_, four := shardedNet(t, 4)
 	for _, tc := range []struct {
 		name   string
 		n      *Net
@@ -130,7 +128,7 @@ func TestShardConditionWindowsRejected(t *testing.T) {
 // per call of its own, so the pin is that sending and delivering a batch
 // adds nothing to an idle Run.
 func TestShardSendZeroAllocs(t *testing.T) {
-	ss, n := shardedNet(t, 4, 1)
+	ss, n := shardedNet(t, 4)
 	ids := make([]NodeID, 5)
 	for i := range ids {
 		ids[i] = n.AddNode(Europe, 0)

@@ -1,7 +1,6 @@
 package kademlia
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -121,14 +120,14 @@ func TestPropertyTableInvariants(t *testing.T) {
 }
 
 // convergence is the lookup-convergence scenario: 300 nodes on a net
-// spanning `shards` kernels (a plain kernel at 1, else a windowed driver
-// with the given worker count), 30 lookups from stream-drawn origins toward
+// spanning `shards` kernels (a plain kernel at 1, else a windowed driver),
+// 30 lookups from stream-drawn origins toward
 // stream-drawn targets. With every node responsive, all but at most one
 // lookup must converge on the globally closest node; with an unresponsive
 // population, queries must time out. Either way the network-wide RPC count
 // equals the sum over the per-lookup results (and the timeout count is at
 // least their sum), which it returns in issue order.
-func convergence(t *testing.T, shards, workers int, unresponsive float64) []Result {
+func convergence(t *testing.T, shards int, unresponsive float64) []Result {
 	t.Helper()
 	const nodes, lookups, jitter = 300, 30, 0.1
 	cfg := Config{K: 8, Alpha: 3, RPCTimeout: time.Second, UnresponsiveFrac: unresponsive}
@@ -139,7 +138,7 @@ func convergence(t *testing.T, shards, workers int, unresponsive float64) []Resu
 		s = sim.New(sim.WithSeed(42))
 		nm = netmodel.New(s, netmodel.WithJitter(jitter))
 	} else {
-		ss, err := sim.NewSharded(shards, netmodel.DelayFloor(jitter, netmodel.Europe), workers, sim.WithSeed(42))
+		ss, err := sim.NewSharded(shards, netmodel.DelayFloor(jitter, netmodel.Europe), sim.WithSeed(42))
 		if err != nil {
 			t.Fatalf("NewSharded: %v", err)
 		}
@@ -186,20 +185,16 @@ func convergence(t *testing.T, shards, workers int, unresponsive float64) []Resu
 }
 
 func TestLookupFindsGlobalClosest(t *testing.T) {
-	convergence(t, 1, 1, 0)
-	convergence(t, 1, 1, 0.3)
+	convergence(t, 1, 0)
+	convergence(t, 1, 0.3)
 }
 
 // TestShardLookupFindsGlobalClosest runs the same scenario on eight logical
-// shards: lookups from origins on different shards proceed concurrently,
-// and every per-lookup Result is identical at any worker count.
+// shards, where each lookup lives on its origin's shard and queries to nodes
+// on other shards cross the driver's mailbox.
 func TestShardLookupFindsGlobalClosest(t *testing.T) {
-	for _, unresponsive := range []float64{0, 0.3} {
-		inline := convergence(t, 8, 1, unresponsive)
-		if pooled := convergence(t, 8, 4, unresponsive); !reflect.DeepEqual(inline, pooled) {
-			t.Fatalf("unresponsive=%g: results differ between 1 and 4 workers", unresponsive)
-		}
-	}
+	convergence(t, 8, 0)
+	convergence(t, 8, 0.3)
 }
 
 func TestLookupLatencyReasonable(t *testing.T) {

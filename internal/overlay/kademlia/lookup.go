@@ -37,12 +37,11 @@ type candidate struct {
 	state   int
 }
 
-// lookup is one iterative FIND_NODE lookup. It is taken from its origin's
-// shard pool and goes back once it is finished and no query of it is in
-// flight, so a reply never reaches a lookup that has been handed on.
+// lookup is one iterative FIND_NODE lookup. It is taken from the network's
+// pool and goes back once it is finished and no query of it is in flight,
+// so a reply never reaches a lookup that has been handed on.
 type lookup struct {
 	nw     *Network
-	pool   *pool
 	kern   *sim.Sim // the origin's kernel: every step of the lookup runs on it
 	origin *Node
 	target overlay.ID
@@ -64,8 +63,8 @@ type lookup struct {
 // otherwise done fires immediately with an empty result.
 func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 	kern := nw.net.Kernel(origin.Addr)
-	p := nw.pools[nw.net.ShardOf(origin.Addr)]
-	l := p.lookup()
+	p := &nw.pool
+	l := nw.newLookup()
 	l.origin, l.target, l.kern, l.start, l.done = origin, target, kern, kern.Now(), done
 	if !origin.online {
 		l.finish(false)
@@ -146,7 +145,7 @@ func (l *lookup) step() {
 		c.state = stateInflight
 		l.inflight++
 		l.rpcs++
-		l.pool.rpc().send(l, c.contact, c.dist)
+		l.nw.newRPC().send(l, c.contact, c.dist)
 	}
 	if l.inflight == 0 {
 		// No candidates left to query and not converged: partial result.
@@ -212,9 +211,9 @@ func (l *lookup) finish(converged bool) {
 	}
 }
 
-// release hands a finished lookup with no query in flight back to its pool.
+// release hands a finished lookup with no query in flight back to the pool.
 func (l *lookup) release() {
-	p := l.pool
-	*l = lookup{nw: l.nw, pool: p, cands: l.cands[:0]}
-	p.lookups = append(p.lookups, l)
+	nw := l.nw
+	*l = lookup{nw: nw, cands: l.cands[:0]}
+	nw.pool.lookups = append(nw.pool.lookups, l)
 }

@@ -104,12 +104,10 @@ func (n *Node) Table() *Table { return n.table }
 // Network is a simulated Kademlia deployment over a netmodel.Net. A node's
 // RPC timeouts and lookup state live on the kernel owning it (nm.Kernel),
 // request deliveries execute on the receiver's kernel and replies ride back
-// to the origin's — so on a net spanning several shards, lookups from
-// origins on different shards proceed concurrently inside conservative
-// windows with no shared mutable state, and on a plain kernel all of it is
-// the one kernel. Setup (AddNode, Bootstrap, issuing Lookups) is sequential;
-// churn helpers that mutate shared topology (SetOnline, Rejoin) are
-// setup-time only on a net with more than one shard.
+// to the origin's; on a plain kernel all of it is the one kernel. Setup
+// (AddNode, Bootstrap, issuing Lookups) is sequential; churn helpers that
+// mutate shared topology (SetOnline, Rejoin) are setup-time only on a net
+// with more than one shard.
 type Network struct {
 	net *netmodel.Net
 	cfg Config
@@ -117,35 +115,34 @@ type Network struct {
 
 	nodes  []*Node
 	byAddr map[netmodel.NodeID]*Node
-	pools  []*pool // indexed by nm.ShardOf
+	pool   pool
 }
 
-// pool holds one shard's recycled lookups and queries. A lookup and its
-// queries are taken and returned on the origin's kernel, so a pool is only
-// ever touched by one shard's worker, and never shared across shards.
+// pool holds the network's recycled lookups and queries.
 type pool struct {
-	nw      *Network
 	lookups []*lookup
 	rpcs    []*rpc
 	seed    []Contact // Lookup's scratch: the origin's closest contacts
 }
 
-func (p *pool) lookup() *lookup {
+func (nw *Network) newLookup() *lookup {
+	p := &nw.pool
 	if last := len(p.lookups) - 1; last >= 0 {
 		l := p.lookups[last]
 		p.lookups = p.lookups[:last]
 		return l
 	}
-	return &lookup{nw: p.nw, pool: p}
+	return &lookup{nw: nw}
 }
 
-func (p *pool) rpc() *rpc {
+func (nw *Network) newRPC() *rpc {
+	p := &nw.pool
 	if last := len(p.rpcs) - 1; last >= 0 {
 		r := p.rpcs[last]
 		p.rpcs = p.rpcs[:last]
 		return r
 	}
-	r := &rpc{nw: p.nw, pool: p}
+	r := &rpc{nw: nw}
 	r.serve, r.done = r.handle, r.complete
 	return r
 }
@@ -196,9 +193,6 @@ func (nw *Network) addNode(region netmodel.Region, id overlay.ID, responsive, ma
 	}
 	nw.nodes = append(nw.nodes, n)
 	nw.byAddr[addr] = n
-	for len(nw.pools) <= nw.net.ShardOf(addr) {
-		nw.pools = append(nw.pools, &pool{nw: nw})
-	}
 	return n
 }
 
@@ -324,11 +318,10 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // and done bound once per object. It reports to its lookup exactly once, on
 // the origin's kernel, with either the contacts from the reply or ok=false on
 // timeout/drop — also when the request was served and only the reply was
-// late or lost. It goes back to its pool only after done(true): after
+// late or lost. It goes back to the pool only after done(true): after
 // done(false) the request may still be served, and serve writes into it.
 type rpc struct {
 	nw     *Network
-	pool   *pool
 	serve  func() bool
 	done   func(ok bool)
 	lookup *lookup
@@ -372,5 +365,5 @@ func (r *rpc) complete(ok bool) {
 	}
 	r.lookup.onReply(r.dist, r.reply, true)
 	r.lookup, r.from = nil, nil
-	r.pool.rpcs = append(r.pool.rpcs, r)
+	r.nw.pool.rpcs = append(r.nw.pool.rpcs, r)
 }

@@ -186,15 +186,15 @@ func TestLookupResultsPinned(t *testing.T) {
 		{0, "02a2b67db0c3c1c384207fd9511e44d03e727aa422b40c3d9a8b868f398db3fd"},
 		{0.3, "a70f437dffd4bb73932f9dc98ee7c15496ae743a300e5d5f687975f185f22186"},
 	} {
-		if got := resultsDigest(convergence(t, 1, 1, tc.unresponsive)); got != tc.want {
+		if got := resultsDigest(convergence(t, 1, tc.unresponsive)); got != tc.want {
 			t.Errorf("unresponsive=%g: results digest %s, want %s", tc.unresponsive, got, tc.want)
 		}
 	}
 }
 
 // TestShardLookupResultsPinned holds the convergence scenario on a 4-shard
-// net, at one worker and at four, to digests captured before lookups, their
-// queries and the transport's exchanges were pooled per shard.
+// net to digests captured before lookups, their queries and the transport's
+// exchanges were pooled.
 func TestShardLookupResultsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		unresponsive float64
@@ -203,10 +203,8 @@ func TestShardLookupResultsPinned(t *testing.T) {
 		{0, "5b6f2f41fabc800e576ebd823bb70138221063f6ee21a3c9b83edca239d9ecf2"},
 		{0.3, "73196f7df41ba237e1b3d296dd52172b96cbe3388006d077a477ff0252be0020"},
 	} {
-		for _, workers := range []int{1, 4} {
-			if got := resultsDigest(convergence(t, 4, workers, tc.unresponsive)); got != tc.want {
-				t.Errorf("unresponsive=%g workers=%d: results digest %s, want %s", tc.unresponsive, workers, got, tc.want)
-			}
+		if got := resultsDigest(convergence(t, 4, tc.unresponsive)); got != tc.want {
+			t.Errorf("unresponsive=%g: results digest %s, want %s", tc.unresponsive, got, tc.want)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func TestMDBodyConversion(t *testing.T) {
 		{"star em", "a claim is *stable* when", "a claim is <em>stable</em> when"},
 		{"whole line underscore em", "_No runs recorded._", "<p><em>No runs recorded.</em></p>"},
 		{"inline underscores literal", "mean delivery_delay_ns over", "mean delivery_delay_ns over"},
-		{"code", "the `-shards` knob", "the <code>-shards</code> knob"},
+		{"code", "the `-parallel` knob", "the <code>-parallel</code> knob"},
 		{"link rewrite", "[E01](experiments/E01.md)", `<a href="experiments/E01.html">E01</a>`},
 		{"report link rewrite", "[Back](../REPORT.md)", `<a href="../index.html">Back</a>`},
 		{"non-md link kept", "[manifest](manifest.json)", `<a href="manifest.json">manifest</a>`},

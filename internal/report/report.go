@@ -45,10 +45,7 @@ type Options struct {
 	// Workers bounds the harness worker pool (<= 0 means GOMAXPROCS).
 	// It has no effect on the generated bytes.
 	Workers int
-	// Shards is the intra-run worker count for experiments on the
-	// sharded kernel (the -shards knob). Like Workers it has no effect
-	// on the generated bytes — the CI determinism gate diffs report
-	// trees across -shards values to enforce exactly that.
+	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
 	Shards int
 	// Sensitivity enables the per-knob sensitivity layer: every selected
 	// experiment's registered knobs are swept over a grid, each page
@@ -296,7 +293,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 		Experiments: opts.IDs,
 		Seeds:       seeds,
 		Scales:      []float64{scale},
-		Shards:      opts.Shards,
 	}
 	if len(opts.Params) > 0 {
 		sweep.Params = make(map[string][]float64, len(opts.Params))

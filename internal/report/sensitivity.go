@@ -23,9 +23,6 @@ const maxHeadlines = 4
 // per-experiment stability verdicts derived from them.
 type sensitivity struct {
 	gridPoints int
-	// shards is the intra-run worker count threaded into every grid job;
-	// like the harness worker pool it never affects the generated bytes.
-	shards int
 	// knobs maps experiment id -> its swept knob names, sorted.
 	knobs map[string][]string
 	// grids maps knob name -> swept values, strictly ascending
@@ -78,7 +75,6 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 	grids := experiments.SensitivityGrids(points, scale)
 	s := &sensitivity{
 		gridPoints: points,
-		shards:     opts.Shards,
 		knobs:      make(map[string][]string, len(exps)),
 		grids:      make(map[string][]float64, len(grids)),
 		specs:      experiments.KnobSpecs(),
@@ -128,7 +124,6 @@ func (s *sensitivity) jobs(exps []core.Experiment, seeds []int64, scale float64)
 							Seed:   seed,
 							Scale:  scale,
 							Params: s.params(knob, v),
-							Shards: s.shards,
 						},
 					})
 				}

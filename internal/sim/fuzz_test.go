@@ -231,31 +231,3 @@ func FuzzScheduleCancel(f *testing.F) {
 		}
 	})
 }
-
-// FuzzShardedFireOrder drives the chaos workload (sharded_test.go) at a
-// fuzzed (shard count, seed, budget) and cross-checks the parallel
-// executor's per-shard fire logs against the sequential driver: workers=1
-// runs every window inline on one goroutine, workers=shards fans the same
-// windows out across the pool. The logs must be identical — the shard-count
-// invisibility contract says the worker count may never reach any observable
-// byte. One shard is a valid draw, pinning the degenerate case the
-// equivalence suite covers at experiment level.
-func FuzzShardedFireOrder(f *testing.F) {
-	f.Add([]byte{0x02, 0x2a, 0x30})
-	f.Add([]byte{0x00, 0x01, 0x10})
-	f.Add([]byte{0x01, 0xff, 0x55})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
-		}
-		shards := 1 + int(data[0])%3
-		seed := int64(data[1]) + 1
-		budget := 20 + int(data[2])%80
-		base := runChaos(t, shards, 1, seed, budget)
-		par := runChaos(t, shards, shards, seed, budget)
-		if d := diffLogs(base, par); d != "" {
-			t.Fatalf("shards=%d seed=%d budget=%d: parallel run diverged from sequential: %s",
-				shards, seed, budget, d)
-		}
-	})
-}

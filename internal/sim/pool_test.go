@@ -152,6 +152,31 @@ func TestRescheduleChainZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTickerSteadyStateAllocs pins the ticker to the same contract: once
+// running, each tick reschedules the next without allocating — the Raft
+// heartbeat and permissioned block-cutting timers tick for a whole run.
+func TestTickerSteadyStateAllocs(t *testing.T) {
+	s := New()
+	ticks := 0
+	if _, err := s.Every(time.Millisecond, func() { ticks++ }); err != nil {
+		t.Fatalf("Every: %v", err)
+	}
+	if err := s.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if err := s.RunFor(16 * time.Millisecond); err != nil {
+			t.Fatalf("RunFor: %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("16 ticks allocate %.1f per run, want 0", avg)
+	}
+	if want := 10 + 16*101; ticks != want {
+		t.Fatalf("ticked %d times, want %d", ticks, want)
+	}
+}
+
 func BenchmarkKernelAfterFuncPooled(b *testing.B) {
 	s := New()
 	var sink []int64

@@ -2,21 +2,18 @@ package sim
 
 // Conservative-window sharded driver. A ShardedSim partitions one simulation
 // into S independent Sim kernels ("logical shards") and advances them through
-// conservative time windows: within a window every shard executes its own
-// events with no interleaving guarantees against the others, which is sound
-// exactly when no event can affect another shard before the window ends. The
-// caller picks the window from the model's cross-shard delay floor (see
+// conservative time windows: within a window each shard executes its own
+// events with no cross-shard interleaving, which is sound exactly when no
+// event can affect another shard before the window ends. The caller picks
+// the window from the model's cross-shard delay floor (see
 // netmodel.DelayFloor); the driver enforces the rule at run time and fails
 // loudly on violations instead of silently diverging.
 //
-// Determinism is the contract: the number of worker goroutines (the -shards
-// knob) only sets how many logical shards execute concurrently, never which
-// events exist or in what per-shard order they fire. Cross-shard events park
-// in per-source outboxes during a window and are merged at the barrier in
-// (time, seq, source shard) order — a total order independent of worker
-// scheduling — so a run is bit-identical at any worker count, including the
-// inline workers=1 path. DESIGN.md ("Sharded kernel") states the full
-// invisibility contract.
+// Every window runs its shards in index order on the caller's goroutine.
+// Cross-shard events park in per-source outboxes during a window and are
+// merged at the barrier in (time, seq, source shard) order, so a run is a
+// pure function of the seed and the shard structure. DESIGN.md ("Sharded
+// kernel") says why the driver remains: E03's bytes are pinned on it.
 
 import (
 	"errors"
@@ -24,7 +21,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
@@ -76,59 +72,41 @@ type violation struct {
 // Construct with NewSharded; populate shards via Shard (setup is sequential,
 // exactly like a single kernel); run with Run/RunUntil/RunFor.
 type ShardedSim struct {
-	shards  []*Sim
-	window  time.Duration
-	workers int
+	shards []*Sim
+	window time.Duration
 
 	outbox  [][]crossEvent // per-source-shard mailboxes, drained at barriers
 	outSeq  []uint64       // per-source-shard mailbox sequence counters
 	violate []violation    // per-source-shard window-rule breaches
-	errs    []error        // per-shard window results, reused across windows
 	merged  mailboxOrder   // reusable barrier merge scratch
 
-	// curEnd is the exclusive end of the window being executed, 0 at
-	// barriers. Workers read it after receiving a shard index on the work
-	// channel, which orders the coordinator's write before the read.
-	curEnd  time.Duration
-	stopped atomic.Bool
+	curEnd  time.Duration // exclusive end of the window being executed, 0 at barriers
+	stopped bool
 }
 
-// NewSharded constructs a driver with the given logical shard count,
-// conservative window and worker count. The shard count is a structural
-// property of the simulation (how state is partitioned) and must not depend
-// on available parallelism; the window must not exceed the minimum time a
-// shard needs to affect another. It errors on a non-positive shard count or
-// window rather than producing a driver that cannot uphold its determinism
-// contract.
-//
-// workers is how many goroutines execute logical shards within a window:
-// values below 1 clamp to 1 (inline, no goroutines), values above the shard
-// count are capped at it, and the results of a run are identical at every
-// setting. opts are the ordinary kernel options, applied to every shard:
-// WithSeed is the master seed from which shard i derives its own (so its
-// named RNG streams are stable regardless of what other shards consume), and
-// a collector attached WithObserver sums kernel statistics across shards.
-func NewSharded(shards int, window time.Duration, workers int, opts ...Option) (*ShardedSim, error) {
+// NewSharded constructs a driver with the given logical shard count and
+// conservative window. The shard count is a structural property of the
+// simulation (how state is partitioned); the window must not exceed the
+// minimum time a shard needs to affect another. It errors on a non-positive
+// shard count or window rather than producing a driver that cannot uphold
+// its determinism contract. opts are the ordinary kernel options, applied to
+// every shard: WithSeed is the master seed from which shard i derives its
+// own (so its named RNG streams are stable regardless of what other shards
+// consume), and a collector attached WithObserver sums kernel statistics
+// across shards.
+func NewSharded(shards int, window time.Duration, opts ...Option) (*ShardedSim, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: sharded driver needs at least one shard, got %d", shards)
 	}
 	if window <= 0 {
 		return nil, fmt.Errorf("sim: sharded window %v is not positive", window)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
 	ss := &ShardedSim{
 		shards:  make([]*Sim, shards),
 		window:  window,
-		workers: workers,
 		outbox:  make([][]crossEvent, shards),
 		outSeq:  make([]uint64, shards),
 		violate: make([]violation, shards),
-		errs:    make([]error, shards),
 	}
 	for i := range ss.shards {
 		k := New(opts...)
@@ -184,16 +162,14 @@ func (ss *ShardedSim) Pending() int {
 // variant returns ErrStopped. Safe to call from any shard's callback; a Stop
 // with no run in flight makes the next Run variant return ErrStopped
 // immediately, mirroring Sim.Stop.
-func (ss *ShardedSim) Stop() { ss.stopped.Store(true) }
+func (ss *ShardedSim) Stop() { ss.stopped = true }
 
 // Post parks a handler event for another shard's kernel; it is delivered at
 // the next window barrier and scheduled there in (time, seq, source shard)
 // order. Posting with a fire time inside the source shard's current window
 // breaks the conservative contract: the post is recorded and the run fails
 // at the barrier. Invalid shard indexes, nil handlers and negative times are
-// rejected by returning false, like AtFunc. Only the owning shard's worker
-// may post from a given source index during a run, which is what makes the
-// per-source outboxes lock-free.
+// rejected by returning false, like AtFunc.
 //
 //decentlint:hotpath
 func (ss *ShardedSim) Post(from, to int, at time.Duration, h Handler, p Payload) bool {
@@ -211,10 +187,8 @@ func (ss *ShardedSim) Post(from, to int, at time.Duration, h Handler, p Payload)
 }
 
 // drainOutboxes merges every parked cross-shard event into its destination
-// kernel in (time, seq, source shard) order. The merge order is a total
-// order over posts that depends only on simulation structure — never on
-// worker interleaving — so destination kernels assign the same local event
-// sequence numbers at any worker count.
+// kernel in (time, seq, source shard) order, a total order over posts that
+// depends only on simulation structure.
 //
 //decentlint:hotpath
 func (ss *ShardedSim) drainOutboxes() {
@@ -237,8 +211,7 @@ func (ss *ShardedSim) drainOutboxes() {
 
 // nextTime returns the earliest pending event time across all shards.
 // Outboxes are empty when it is called (barriers drain first), so shard
-// heads are the complete frontier. The result is worker-count invariant,
-// which makes the window lookahead skip deterministic.
+// heads are the complete frontier.
 func (ss *ShardedSim) nextTime() (time.Duration, bool) {
 	best, any := maxDuration, false
 	for _, sh := range ss.shards {
@@ -263,11 +236,9 @@ func (ss *ShardedSim) checkViolations() error {
 }
 
 // runShard executes shard idx's share of the current window. A panicking
-// handler is recovered into the shard's window error: on a worker goroutine
-// an unrecovered panic would kill the process past every caller's recover,
-// and the inline path reports it the same way so a failure reads alike at
-// any worker count. The shard that panicked is left mid-event; the driver
-// is not usable afterwards.
+// handler is recovered into an error naming the shard, so a failure reads
+// the same whichever shard raised it. The shard that panicked is left
+// mid-event; the driver is not usable afterwards.
 func (ss *ShardedSim) runShard(idx int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -277,40 +248,23 @@ func (ss *ShardedSim) runShard(idx int) (err error) {
 	return ss.shards[idx].runBefore(ss.curEnd)
 }
 
-// runWindow executes one window on every shard that has work before end.
-// With one worker shards run inline in index order; otherwise shard indexes
-// are dispatched to the worker pool and the call blocks until all acks
-// arrive — the barrier. Per-shard execution is identical either way. It
-// returns the lowest-indexed shard's panic error if any shard panicked,
-// else ErrStopped if any shard's kernel was stopped.
-func (ss *ShardedSim) runWindow(end time.Duration, work chan int, ack chan struct{}) error {
+// runWindow executes one window on every shard that has work before end, in
+// index order. Every such shard runs even after another failed; it returns
+// the lowest-indexed shard's panic error if any shard panicked, else
+// ErrStopped if any shard's kernel was stopped.
+func (ss *ShardedSim) runWindow(end time.Duration) error {
 	ss.curEnd = end
-	dispatched := 0
+	var err error
 	for i, sh := range ss.shards {
-		ss.errs[i] = nil
 		if t, ok := sh.PeekTime(); !ok || t >= end {
 			continue
 		}
-		if work == nil {
-			ss.errs[i] = ss.runShard(i)
-			continue
+		if e := ss.runShard(i); e != nil && (err == nil || errors.Is(err, ErrStopped)) {
+			err = e
 		}
-		work <- i
-		dispatched++
-	}
-	for k := 0; k < dispatched; k++ {
-		<-ack
 	}
 	ss.curEnd = 0
-	var stopped error
-	for _, err := range ss.errs {
-		if errors.Is(err, ErrStopped) {
-			stopped = ErrStopped
-		} else if err != nil {
-			return err
-		}
-	}
-	return stopped
+	return err
 }
 
 // Run executes windows until every shard schedule and mailbox is empty, or
@@ -339,30 +293,12 @@ func (ss *ShardedSim) RunFor(d time.Duration) error {
 // leave the driver at a consistent barrier. A handler that panics ends the
 // run with an error naming its shard (see runShard).
 func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
-	if ss.stopped.CompareAndSwap(true, false) {
+	if ss.stopped {
+		ss.stopped = false
 		return ErrStopped
 	}
 	// Merge setup-time cross-shard posts before the first window.
 	ss.drainOutboxes()
-
-	var work chan int
-	var ack chan struct{}
-	if ss.workers > 1 {
-		// Both channels are buffered to the shard count so the
-		// coordinator can dispatch a full window without blocking on
-		// busy workers, and workers never block acking.
-		work = make(chan int, len(ss.shards))
-		ack = make(chan struct{}, len(ss.shards))
-		for w := 0; w < ss.workers; w++ {
-			go func() {
-				for idx := range work {
-					ss.errs[idx] = ss.runShard(idx)
-					ack <- struct{}{}
-				}
-			}()
-		}
-		defer close(work)
-	}
 
 	for {
 		t0, ok := ss.nextTime()
@@ -379,7 +315,7 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 		if horizon != maxDuration && end > horizon+1 {
 			end = horizon + 1
 		}
-		err := ss.runWindow(end, work, ack)
+		err := ss.runWindow(end)
 		if verr := ss.checkViolations(); verr != nil {
 			return verr
 		}
@@ -387,7 +323,8 @@ func (ss *ShardedSim) RunUntil(horizon time.Duration) error {
 			return err
 		}
 		ss.drainOutboxes()
-		if ss.stopped.CompareAndSwap(true, false) {
+		if ss.stopped {
+			ss.stopped = false
 			return ErrStopped
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // events come from the kernels' free lists.
 func BenchmarkKernelShardMailbox(b *testing.B) {
 	const shards = 4
-	ss, err := NewSharded(shards, time.Millisecond, 1, WithSeed(1))
+	ss, err := NewSharded(shards, time.Millisecond, WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

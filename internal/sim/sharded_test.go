@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +20,7 @@ type fireRec struct {
 // shards (always at least one window out), or schedule-and-maybe-cancel a
 // closure event. All decisions draw from per-shard streams in per-shard
 // event order, so the whole trajectory is a pure function of (seed, shards,
-// window, budget) — never of the worker count.
+// window, budget).
 type chaosCtx struct {
 	ss        *ShardedSim
 	window    time.Duration
@@ -30,9 +29,9 @@ type chaosCtx struct {
 	remaining []int // per-shard respawn budget, bounds the run
 }
 
-func newChaos(t testing.TB, shards, workers int, seed int64, window time.Duration, budget int) *chaosCtx {
+func newChaos(t testing.TB, shards int, seed int64, window time.Duration, budget int) *chaosCtx {
 	t.Helper()
-	ss, err := NewSharded(shards, window, workers, WithSeed(seed))
+	ss, err := NewSharded(shards, window, WithSeed(seed))
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -88,10 +87,10 @@ func chaosFire(p Payload) {
 	}
 }
 
-func runChaos(t testing.TB, shards, workers int, seed int64, budget int) [][]fireRec {
+func runChaos(t testing.TB, shards int, seed int64, budget int) [][]fireRec {
 	t.Helper()
 	window := 10 * time.Millisecond
-	c := newChaos(t, shards, workers, seed, window, budget)
+	c := newChaos(t, shards, seed, window, budget)
 	if err := c.ss.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -115,38 +114,11 @@ func diffLogs(a, b [][]fireRec) string {
 	return ""
 }
 
-// TestShardedWorkerCountInvisible is the core determinism contract: the same
-// sharded workload must produce identical per-shard fire logs at every
-// worker count and every GOMAXPROCS setting.
-func TestShardedWorkerCountInvisible(t *testing.T) {
-	const shards = 5
-	base := runChaos(t, shards, 1, 42, 200)
-	total := 0
-	for _, l := range base {
-		total += len(l)
-	}
-	if total < 100 {
-		t.Fatalf("workload too small to be meaningful: %d events", total)
-	}
-	for _, procs := range []int{1, 2, 8} {
-		for _, workers := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
-				old := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(old)
-				got := runChaos(t, shards, workers, 42, 200)
-				if d := diffLogs(base, got); d != "" {
-					t.Fatalf("fire log diverged from workers=1: %s", d)
-				}
-			})
-		}
-	}
-}
-
 // TestShardedSeedSensitivity guards against the chaos harness being a
 // constant: different seeds must produce different trajectories.
 func TestShardedSeedSensitivity(t *testing.T) {
-	a := runChaos(t, 4, 1, 1, 150)
-	b := runChaos(t, 4, 1, 2, 150)
+	a := runChaos(t, 4, 1, 150)
+	b := runChaos(t, 4, 2, 150)
 	if diffLogs(a, b) == "" {
 		t.Fatal("seeds 1 and 2 produced identical trajectories; harness draws no randomness")
 	}
@@ -176,7 +148,7 @@ func TestShardedSingleShardMatchesPlainSim(t *testing.T) {
 		return log
 	}
 	runSharded := func() []rec {
-		ss, err := NewSharded(1, 10*time.Millisecond, 1, WithSeed(7))
+		ss, err := NewSharded(1, 10*time.Millisecond, WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +176,7 @@ func TestShardedSingleShardMatchesPlainSim(t *testing.T) {
 // events landing on one destination at the same instant fire in (time, seq,
 // source shard) order regardless of posting order across shards.
 func TestShardedMailboxMergeOrder(t *testing.T) {
-	ss, err := NewSharded(4, 10*time.Millisecond, 1, WithSeed(1))
+	ss, err := NewSharded(4, 10*time.Millisecond, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +209,7 @@ func TestShardedMailboxMergeOrder(t *testing.T) {
 // cross-shard post due inside the posting shard's own window fails the run
 // with a diagnostic naming the shard.
 func TestShardedWindowViolation(t *testing.T) {
-	ss, err := NewSharded(2, 10*time.Millisecond, 1, WithSeed(1))
+	ss, err := NewSharded(2, 10*time.Millisecond, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +228,7 @@ func TestShardedWindowViolation(t *testing.T) {
 // TestShardedStopAtBarrier verifies Stop semantics: the driver stops at a
 // window barrier, the stop is consumed, and a pre-run Stop short-circuits.
 func TestShardedStopAtBarrier(t *testing.T) {
-	ss, err := NewSharded(2, 10*time.Millisecond, 1, WithSeed(1))
+	ss, err := NewSharded(2, 10*time.Millisecond, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +255,11 @@ func TestShardedStopAtBarrier(t *testing.T) {
 
 // TestShardedRunUntilChunks is the window-barrier metamorphic test at the
 // driver level: driving the same workload in k RunFor chunks must equal one
-// RunUntil over the whole horizon, for every worker count.
+// RunUntil over the whole horizon.
 func TestShardedRunUntilChunks(t *testing.T) {
 	const horizon = 400 * time.Millisecond
-	run := func(workers int, chunks int) [][]fireRec {
-		c := newChaos(t, 3, workers, 9, 10*time.Millisecond, 120)
+	run := func(chunks int) [][]fireRec {
+		c := newChaos(t, 3, 9, 10*time.Millisecond, 120)
 		if chunks <= 1 {
 			if err := c.ss.RunUntil(horizon); err != nil {
 				t.Fatalf("RunUntil: %v", err)
@@ -310,47 +282,23 @@ func TestShardedRunUntilChunks(t *testing.T) {
 		}
 		return c.logs
 	}
-	base := run(1, 1)
-	for _, workers := range []int{1, 3} {
-		for _, chunks := range []int{2, 3, 7} {
-			if d := diffLogs(base, run(workers, chunks)); d != "" {
-				t.Fatalf("workers=%d chunks=%d diverged: %s", workers, chunks, d)
-			}
+	base := run(1)
+	for _, chunks := range []int{2, 3, 7} {
+		if d := diffLogs(base, run(chunks)); d != "" {
+			t.Fatalf("chunks=%d diverged: %s", chunks, d)
 		}
-	}
-}
-
-// TestShardedStress hammers the driver with a large cross-shard ping-pong
-// under every GOMAXPROCS the CI race matrix uses; the assertions are the
-// determinism contract plus exact conservation of fired events. The race
-// detector (CI runs this file under -race) checks the memory model side.
-func TestShardedStress(t *testing.T) {
-	budget := 800
-	if testing.Short() {
-		budget = 150
-	}
-	base := runChaos(t, 8, 1, 1234, budget)
-	for _, procs := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-			got := runChaos(t, 8, 8, 1234, budget)
-			if d := diffLogs(base, got); d != "" {
-				t.Fatalf("stress run diverged: %s", d)
-			}
-		})
 	}
 }
 
 // TestShardedAccounting checks the aggregate accessors sum across shards
 // and mailboxes.
 func TestShardedAccounting(t *testing.T) {
-	ss, err := NewSharded(3, 10*time.Millisecond, 2, WithSeed(1))
+	ss, err := NewSharded(3, 10*time.Millisecond, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.workers != 2 || ss.ShardCount() != 3 {
-		t.Fatalf("accessors: workers=%d shards=%d", ss.workers, ss.ShardCount())
+	if ss.ShardCount() != 3 {
+		t.Fatalf("ShardCount %d, want 3", ss.ShardCount())
 	}
 	h := func(Payload) {}
 	ss.Shard(0).AtFunc(time.Millisecond, func(p Payload) {}, Payload{})
@@ -374,18 +322,15 @@ func TestShardedAccounting(t *testing.T) {
 
 // TestNewShardedRejects pins constructor validation.
 func TestNewShardedRejects(t *testing.T) {
-	if _, err := NewSharded(0, time.Millisecond, 1); err == nil {
+	if _, err := NewSharded(0, time.Millisecond); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := NewSharded(2, 0, 1); err == nil {
+	if _, err := NewSharded(2, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	ss, err := NewSharded(2, time.Millisecond, 99)
+	ss, err := NewSharded(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ss.workers != 2 {
-		t.Fatalf("workers not capped at shard count: %d", ss.workers)
 	}
 	if ss.Post(-1, 0, 0, func(Payload) {}, Payload{}) || ss.Post(0, 5, 0, func(Payload) {}, Payload{}) ||
 		ss.Post(0, 1, -time.Second, func(Payload) {}, Payload{}) || ss.Post(0, 1, 0, nil, Payload{}) {
@@ -394,27 +339,24 @@ func TestNewShardedRejects(t *testing.T) {
 }
 
 // TestShardedPanicContained pins panic containment: a handler that panics
-// on a shard ends the run with an error naming that shard, returned on the
-// caller's goroutine at every worker count — on a worker goroutine the
-// panic would otherwise take the process down past any caller's recover.
+// on a shard ends the run with an error naming that shard, returned to the
+// caller, after the window's other shards have run.
 func TestShardedPanicContained(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		ss, err := NewSharded(3, 10*time.Millisecond, workers, WithSeed(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fired := 0
-		ss.Shard(0).AtFunc(time.Millisecond, func(Payload) { fired++ }, Payload{})
-		ss.Shard(2).AtFunc(time.Millisecond, func(Payload) { panic("boom") }, Payload{})
-		err = ss.RunUntil(time.Second)
-		if err == nil || errors.Is(err, ErrStopped) {
-			t.Fatalf("workers=%d: RunUntil returned %v, want a panic error", workers, err)
-		}
-		if !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("workers=%d: error %q does not name shard 2 and the panic value", workers, err)
-		}
-		if fired != 1 {
-			t.Fatalf("workers=%d: the healthy shard fired %d events in the window, want 1", workers, fired)
-		}
+	ss, err := NewSharded(3, 10*time.Millisecond, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	ss.Shard(0).AtFunc(time.Millisecond, func(Payload) { fired++ }, Payload{})
+	ss.Shard(2).AtFunc(time.Millisecond, func(Payload) { panic("boom") }, Payload{})
+	err = ss.RunUntil(time.Second)
+	if err == nil || errors.Is(err, ErrStopped) {
+		t.Fatalf("RunUntil returned %v, want a panic error", err)
+	}
+	if !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("error %q does not name shard 2 and the panic value", err)
+	}
+	if fired != 1 {
+		t.Fatalf("the healthy shard fired %d events in the window, want 1", fired)
 	}
 }

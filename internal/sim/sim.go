@@ -187,7 +187,7 @@ func (s *Sim) Pending() int { return len(s.queue) }
 
 // PeekTime returns the timestamp of the earliest pending event. ok is
 // false when nothing is scheduled. The sharded driver uses it to skip
-// windows with no work (the lookahead jump is worker-count invariant).
+// windows with no work.
 func (s *Sim) PeekTime() (t time.Duration, ok bool) {
 	if len(s.queue) == 0 {
 		return 0, false
@@ -300,6 +300,7 @@ type Ticker struct {
 	sim     *Sim
 	period  time.Duration
 	fn      func()
+	tick    func() // fire, bound once so a tick schedules without allocating
 	next    Handle
 	stopped bool
 }
@@ -314,20 +315,21 @@ func (s *Sim) Every(period time.Duration, fn func()) (*Ticker, error) {
 		return nil, errors.New("sim: ticker callback is nil")
 	}
 	t := &Ticker{sim: s, period: period, fn: fn}
+	t.tick = t.fire
 	t.schedule()
 	return t, nil
 }
 
-func (t *Ticker) schedule() {
-	t.next = t.sim.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.schedule()
-		}
-	})
+func (t *Ticker) schedule() { t.next = t.sim.After(t.period, t.tick) }
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.schedule()
+	}
 }
 
 // Stop halts the ticker. It is safe to call multiple times.
