@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -94,5 +95,36 @@ func TestExperimentsScaleDown(t *testing.T) {
 		if len(res.Checks) == 0 {
 			t.Fatalf("%s produced no checks at small scale", id)
 		}
+	}
+}
+
+// TestE03RecordsTransportTelemetry pins that E03's transport registers its
+// instruments with the run's collector: its messages are counted sent and
+// delivered and their delays land in the delivery histogram.
+func TestE03RecordsTransportTelemetry(t *testing.T) {
+	reg, err := Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	col := obs.NewCollector()
+	if _, err := reg.Run("E03", core.Config{Seed: 1, Scale: 0.1, Obs: col}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	snap := col.Snapshot()
+	totals := make(map[string]uint64)
+	for _, c := range snap.Counters {
+		totals[c.Name] = c.Total
+	}
+	if totals["net.msgs_sent"] == 0 || totals["net.msgs_delivered"] == 0 {
+		t.Errorf("counters %v: want nonzero net.msgs_sent and net.msgs_delivered", totals)
+	}
+	var delays uint64
+	for _, h := range snap.Hists {
+		if h.Name == "net.delivery_delay_ns" {
+			delays = h.Count
+		}
+	}
+	if delays == 0 {
+		t.Error("net.delivery_delay_ns recorded no delays")
 	}
 }

@@ -72,15 +72,15 @@ func TestGoldenKnobFreeRuns(t *testing.T) {
 	}
 }
 
-// scaledDigest runs one experiment at seed 1 with params set and returns
-// the SHA-256 of its JSON.
-func scaledDigest(t *testing.T, id string, params map[string]float64) string {
+// scaledDigest runs one experiment at the given seed with params set and
+// returns the SHA-256 of its JSON.
+func scaledDigest(t *testing.T, id string, seed int64, params map[string]float64) string {
 	t.Helper()
 	reg, err := Registry()
 	if err != nil {
 		t.Fatalf("Registry: %v", err)
 	}
-	res, err := reg.Run(id, core.Config{Seed: 1, Scale: 1, Params: params})
+	res, err := reg.Run(id, core.Config{Seed: seed, Scale: 1, Params: params})
 	if err != nil {
 		t.Fatalf("run %s: %v", id, err)
 	}
@@ -98,19 +98,31 @@ func scaledDigest(t *testing.T, id string, params map[string]float64) string {
 // from a prefix index over the cloud.
 func TestE04ScaledDigest(t *testing.T) {
 	const want = "6fc484c8782a3d355c6e3043cd9e294ffc03447086c7d9d0d39d3d8e386fa234"
-	if got := scaledDigest(t, "E04", map[string]float64{"e04.honest": 4000}); got != want {
+	if got := scaledDigest(t, "E04", 1, map[string]float64{"e04.honest": 4000}); got != want {
 		t.Errorf("E04 at e04.honest=4000: digest %s, want %s", got, want)
 	}
 }
 
-// TestE03ScaledDigest pins E03, the one runner on the sharded driver, at
-// four times its default overlay, to the digest of its JSON captured while
-// the driver could still fan its eight logical shards out to worker
-// goroutines.
+// TestE03ScaledDigest pins E03 at four times its default overlay and at
+// the sizes the benchmark's dht-static workload runs (1 500 lookups and the
+// default config, seeds 1..3), to digests of its JSON captured on the
+// sharded driver E03 ran on before it moved to one kernel.
 func TestE03ScaledDigest(t *testing.T) {
-	const want = "4da76a9b012f443f9023dd5c0222f39ca44b03e57be299573332a986f3c99858"
-	if got := scaledDigest(t, "E03", map[string]float64{"e03.nodes": 6000}); got != want {
-		t.Errorf("E03 at e03.nodes=6000: digest %s, want %s", got, want)
+	for _, tc := range []struct {
+		seed   int64
+		params map[string]float64
+		want   string
+	}{
+		{1, map[string]float64{"e03.nodes": 6000}, "4da76a9b012f443f9023dd5c0222f39ca44b03e57be299573332a986f3c99858"},
+		{1, map[string]float64{"e03.lookups": 1500}, "959b01b7752ad21d12e44f6bd87b8669a7bb626008074eb5765f08dced393bdc"},
+		{2, map[string]float64{"e03.lookups": 1500}, "4edf0cd6bc7adcba8fb09153de6d4e85783da6ca737dce149ee57a6c82c3e1bd"},
+		{3, map[string]float64{"e03.lookups": 1500}, "dc0b997e4b2261d9c4915bb660f7a582088465f700048cab6421ef40aeab113b"},
+		{2, nil, "a5d65519d74e464b12fcdc3ad7b2bd0f9129bffce5250c9e33e96097a2741400"},
+		{3, nil, "8d56f629c505cf1d72b157b91014f9c0f7738b6621f646102972fbbd75ab24f7"},
+	} {
+		if got := scaledDigest(t, "E03", tc.seed, tc.params); got != tc.want {
+			t.Errorf("E03 seed %d %v: digest %s, want %s", tc.seed, tc.params, got, tc.want)
+		}
 	}
 }
 

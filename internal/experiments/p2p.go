@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/churn"
@@ -181,16 +182,26 @@ func e02FreeRiding() core.Experiment {
 	}
 }
 
-// e03Shards is E03's fixed logical shard count, a structural constant of
-// the runner: the run's event structure, and with it every exported byte,
-// follows from it.
-const e03Shards = 8
+// e03Streams is the number of sender streams in E03's legacy layout. E03's
+// pinned outputs were recorded on eight logical shards of a windowed
+// driver; one kernel reproduces them when it is seeded as shard 0 was and
+// node i's sends draw from the "netmodel" stream shard i % e03Streams
+// owned. DESIGN.md ("E03's stream layout") says when the layout can go.
+const e03Streams = 8
+
+// e03Layout returns the kernel seed and the sender streams of E03's legacy
+// layout under the run's seed.
+func e03Layout(seed int64) (int64, []*sim.RNG) {
+	shardSeed := func(i int) int64 { return sim.DeriveSeed(seed, "shard:"+strconv.Itoa(i)) }
+	streams := make([]*sim.RNG, e03Streams)
+	for i := range streams {
+		streams[i] = sim.NewRNG(sim.DeriveSeed(shardSeed(i), "netmodel"))
+	}
+	return shardSeed(0), streams
+}
 
 // e03DHTLookup reproduces §II-A (Jiménez et al.): KAD lookups within 5 s at
 // the 90th percentile vs ~1 minute medians on the BitTorrent Mainline DHT.
-// It is the one runner on the sharded kernel: nodes partition round-robin
-// across e03Shards logical shards, each lookup's state lives on its origin's
-// shard, and windows are bounded by the all-Europe delay floor.
 func e03DHTLookup() core.Experiment {
 	return &exp{
 		id:    "E03",
@@ -207,29 +218,19 @@ func e03DHTLookup() core.Experiment {
 			n := scaledSize(cfg, "e03.nodes")
 			lookups := scaledSize(cfg, "e03.lookups")
 			measure := func(kcfg kademlia.Config, name string) (*metrics.Sample, float64, error) {
-				// The conservative window: every message in this all-Europe
-				// topology takes at least the jittered intra-EU floor, so no
-				// shard can affect another inside a window of that length.
-				const jitter = 0.2
-				ss, err := sim.NewSharded(e03Shards, netmodel.DelayFloor(jitter, netmodel.Europe),
-					sim.WithSeed(cfg.Seed), sim.WithObserver(cfg.Obs))
-				if err != nil {
-					return nil, 0, err
-				}
-				nm := netmodel.NewSharded(ss, netmodel.WithJitter(jitter))
-				nw := kademlia.NewNetwork(ss.Shard(0), nm, kcfg)
+				seed, streams := e03Layout(cfg.Seed)
+				s := newSimSeed(cfg, seed)
+				nm := netmodel.New(s, netmodel.WithJitter(0.2), netmodel.WithSenderStreams(streams))
+				nw := kademlia.NewNetwork(s, nm, kcfg)
 				for i := 0; i < n; i++ {
 					nw.AddNode(netmodel.Europe)
 				}
 				if err := nw.Bootstrap(); err != nil {
 					return nil, 0, err
 				}
-				// Lookup callbacks fire on the origin's shard, so results
-				// accumulate in shard-owned slots and merge in shard order
-				// after the run.
-				var samples [e03Shards]metrics.Sample
-				var converged [e03Shards]int
-				g := ss.Shard(0).Stream("e03." + name)
+				var sample metrics.Sample
+				converged := 0
+				g := s.Stream("e03." + name)
 				for i := 0; i < lookups; i++ {
 					// Origins must be responsive participants (measurement
 					// studies instrument live clients).
@@ -237,26 +238,17 @@ func e03DHTLookup() core.Experiment {
 					for origin == nil || !origin.Responsive() {
 						origin = nw.Nodes()[g.Intn(n)]
 					}
-					shard := nm.ShardOf(origin.Addr)
 					nw.Lookup(origin, overlay.RandomID(g), func(res kademlia.Result) {
-						samples[shard].AddDuration(res.Latency)
+						sample.AddDuration(res.Latency)
 						if res.Converged {
-							converged[shard]++
+							converged++
 						}
 					})
 				}
-				if err := ss.Run(); err != nil {
+				if err := s.Run(); err != nil {
 					return nil, 0, err
 				}
-				var sample metrics.Sample
-				ok := 0
-				for s := range samples {
-					for _, v := range samples[s].Values() {
-						sample.Add(v)
-					}
-					ok += converged[s]
-				}
-				return &sample, float64(ok) / float64(lookups), nil
+				return &sample, float64(converged) / float64(lookups), nil
 			}
 			kad, kadOK, err := measure(kademlia.KADConfig(), "kad")
 			if err != nil {

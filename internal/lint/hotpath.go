@@ -13,10 +13,10 @@ import (
 // lint time, before a benchmark run: closure allocations, fmt calls,
 // interface conversions of non-pointer-shaped values, and appends to
 // slices without locally visible preallocated capacity. Hot paths are
-// also on the determinism-critical spine (the kernel schedule loop and
-// the sharded mailbox/merge path in particular), so map iteration —
-// whose order Go randomizes per run — is flagged as well: a map-order-
-// dependent write there would leak scheduler randomness into results.
+// also where a run's determinism is decided — every event and message
+// passes through them — and Go randomizes map iteration order per run, so
+// ranging over a map is flagged as well: a map-order-dependent write
+// there would leak that randomness into results.
 var HotPath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "functions annotated //decentlint:hotpath must not allocate: no " +

@@ -38,17 +38,13 @@ var reachKeep = map[string]string{
 	"(repro/internal/gossip.*":                             "reference model: methods of the above",
 	"(*repro/internal/sim.Sim).Stop":                       "kernel control surface: FuzzScheduleCancel and the shadow-model tests drive it",
 	"(*repro/internal/sim.Sim).Pending":                    "kernel control surface: the fuzzers' exact pending-count check",
-	"(*repro/internal/sim.ShardedSim).Stop":                "kernel control surface: TestShardedStopAtBarrier; roadmap item 2 deletes it with sharded.go",
-	"(*repro/internal/sim.ShardedSim).RunFor":              "kernel control surface: TestShardedRunUntilChunks; roadmap item 2 deletes it with sharded.go",
-	"(*repro/internal/sim.ShardedSim).Pending":             "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
-	"(*repro/internal/sim.ShardedSim).Now":                 "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
-	"(*repro/internal/sim.ShardedSim).Fired":               "kernel control surface: TestShardedAccounting; roadmap item 2 deletes it with sharded.go",
 	"(repro/internal/sim.Handle).At":                       "deferred: TestHandleAt",
 	"(*repro/internal/churn.Process).Stop":                 "deferred: TestStopFreezesState",
 	"repro/internal/edge.Duration":                         "deferred: TestDurationHelper",
 	"repro/internal/overlay/onehop.StaleLookupProbability": "deferred: TestStaleLookupProbability",
 	"(*repro/internal/report.Tree).Walk":                   "deferred: TestTreeWalkOpen (would need renaming)",
 	"(*repro/internal/metrics.Sample).CDF":                 "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",
+	"(*repro/internal/metrics.Sample).Values":              "deferred: TestGossipCalibratedForkRate",
 	"(*repro/internal/metrics.Summary).AddDuration":        "deferred: TestSummaryDuration",
 	"repro/internal/randdist.Exponential":                  "deferred: TestExponentialMean, TestExponentialBadMean; takes RNG.ExpFloat64 with it",
 	"repro/internal/randdist.Weibull":                      "deferred: TestWeibullMean",

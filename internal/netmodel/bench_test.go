@@ -12,9 +12,9 @@ import (
 // without allocating. These benchmarks (and the AllocsPerRun tests pinning
 // the same property) are exported to CI as BENCH_transport.json.
 
-func benchNet(nodes int) (*sim.Sim, *Net, []NodeID) {
+func benchNet(nodes int, opts ...Option) (*sim.Sim, *Net, []NodeID) {
 	s := sim.New(sim.WithSeed(1))
-	n := New(s)
+	n := New(s, opts...)
 	ids := make([]NodeID, nodes)
 	for i := range ids {
 		ids[i] = n.AddNode(Region(i%NumRegions+1), 0)
@@ -59,27 +59,38 @@ func BenchmarkTransportBroadcast(b *testing.B) {
 	}
 }
 
+// TestSendSteadyStateZeroAllocs pins the Send path on the kernel's one
+// stream and with one stream per sender group (WithSenderStreams).
 func TestSendSteadyStateZeroAllocs(t *testing.T) {
-	s, n, ids := benchNet(2)
-	deliver := func() {}
-	for i := 0; i < 64; i++ {
-		n.Send(ids[0], ids[1], 100, deliver)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 16; i++ {
-			if !n.Send(ids[0], ids[1], 100, deliver) {
-				t.Fatal("send refused")
-			}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"one stream", nil},
+		{"sender streams", []Option{WithSenderStreams([]*sim.RNG{sim.NewRNG(1), sim.NewRNG(2), sim.NewRNG(3)})}},
+	} {
+		name := tc.name
+		s, n, ids := benchNet(2, tc.opts...)
+		deliver := func() {}
+		for i := 0; i < 64; i++ {
+			n.Send(ids[0], ids[1], 100, deliver)
 		}
 		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("%s: warmup: %v", name, err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Send allocates %.1f per batch, want 0", avg)
+		avg := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 16; i++ {
+				if !n.Send(ids[0], ids[1], 100, deliver) || !n.Send(ids[1], ids[0], 100, deliver) {
+					t.Fatal("send refused")
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: steady-state Send allocates %.1f per batch, want 0", name, avg)
+		}
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 )
 
 // checkCallCases drives Call through every way an exchange can end, each on
-// a fresh two-node net from mk (both in Europe, no jitter: the request lands
-// at 15 ms, the reply at 30 ms). A case's fault is injected between two
-// chunks of the run, at a window barrier, so the same table holds on a plain
-// kernel and on a sharded driver.
-func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duration) error)) {
+// a fresh two-node net (both in Europe, no jitter: the request lands at
+// 15 ms, the reply at 30 ms). A case's fault is injected between two chunks
+// of the run.
+func checkCallCases(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	for _, tc := range []struct {
 		name     string
@@ -35,7 +34,7 @@ func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 			inject: func(n *Net, a, b NodeID) { n.SetUp(a, false) }, want: "false@100ms", served: 1},
 		{name: "serve declines", timeout: deadline, declines: true, want: "false@100ms", served: 1},
 	} {
-		n, runUntil := mk(t)
+		s, n := newNet(t, WithJitter(0))
 		a, b := n.AddNode(Europe, 0), n.AddNode(Europe, 0)
 		if tc.lossy {
 			n.SetLoss(1)
@@ -44,14 +43,14 @@ func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 		served := 0
 		n.Call(a, b, 40, 120, tc.timeout,
 			func() bool { served++; return !tc.declines },
-			func(ok bool) { log = append(log, fmt.Sprintf("%t@%v", ok, n.Kernel(a).Now())) })
+			func(ok bool) { log = append(log, fmt.Sprintf("%t@%v", ok, s.Now())) })
 		if tc.inject != nil {
-			if err := runUntil(tc.at); err != nil {
+			if err := s.RunUntil(tc.at); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			tc.inject(n, a, b)
 		}
-		if err := runUntil(time.Second); err != nil {
+		if err := s.RunUntil(time.Second); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(log) != 1 || log[0] != tc.want || served != tc.served {
@@ -66,18 +65,18 @@ func checkCallCases(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 // European peer. Each exchange must serve and report exactly once, as its
 // own, although the first's request and reply are still in flight when the
 // second starts.
-func checkCallReuse(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duration) error)) {
-	n, runUntil := mk(t)
+func checkCallReuse(t *testing.T) {
+	s, n := newNet(t, WithJitter(0))
 	a, far, near := n.AddNode(Europe, 0), n.AddNode(Asia, 0), n.AddNode(Europe, 0)
 	var log []string
 	exchange := func(name string, to NodeID, timeout time.Duration, then func()) {
 		n.Call(a, to, 40, 120, timeout,
 			func() bool {
-				log = append(log, fmt.Sprintf("%s served@%v", name, n.Kernel(to).Now()))
+				log = append(log, fmt.Sprintf("%s served@%v", name, s.Now()))
 				return true
 			},
 			func(ok bool) {
-				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, n.Kernel(a).Now()))
+				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, s.Now()))
 				if then != nil {
 					then()
 				}
@@ -86,7 +85,7 @@ func checkCallReuse(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 	exchange("first", far, 20*time.Millisecond, func() {
 		exchange("second", near, 100*time.Millisecond, nil)
 	})
-	if err := runUntil(time.Second); err != nil {
+	if err := s.RunUntil(time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := "[first false@20ms second served@35ms second true@50ms first served@80ms]"
@@ -96,24 +95,8 @@ func checkCallReuse(t *testing.T, mk func(t *testing.T) (*Net, func(time.Duratio
 }
 
 func TestCall(t *testing.T) {
-	mk := func(t *testing.T) (*Net, func(time.Duration) error) {
-		s, n := newNet(t, WithJitter(0))
-		return n, s.RunUntil
-	}
-	checkCallCases(t, mk)
-	checkCallReuse(t, mk)
-}
-
-// TestShardCall holds the same table with requester and receiver on
-// different shards: serve runs on the receiver's kernel, the deadline and
-// done on the requester's.
-func TestShardCall(t *testing.T) {
-	mk := func(t *testing.T) (*Net, func(time.Duration) error) {
-		ss, n := shardedNet(t, 4, WithJitter(0))
-		return n, ss.RunUntil
-	}
-	checkCallCases(t, mk)
-	checkCallReuse(t, mk)
+	checkCallCases(t)
+	checkCallReuse(t)
 }
 
 // TestCallDeadlineBooksFirst pins the one place Call's internal order shows:

@@ -19,6 +19,6 @@
 //
 // The hot path is allocation-free: Send and Broadcast recycle pooled
 // handler events through the simulator's free list, a property pinned by
-// AllocsPerRun tests and benchmarks. Call is not on it: an RPC allocates
-// its closures.
+// AllocsPerRun tests and benchmarks. A warm Call allocates nothing either
+// when the caller binds its serve and done funcs once.
 package netmodel

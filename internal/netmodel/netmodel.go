@@ -72,16 +72,12 @@ const (
 	DefaultPacing = time.Second
 )
 
-// Net is a simulated wide-area network. Construct with New (or NewSharded);
-// attach nodes with AddNode; deliver messages with Send.
+// Net is a simulated wide-area network. Construct with New; attach nodes
+// with AddNode; deliver messages with Send.
 type Net struct {
-	// shard routing (shard.go): the kernels deliveries are scheduled on,
-	// indexed by shard — one kernel, and an all-zero owner table, under New.
-	kerns []*sim.Sim
-	rngs  []*sim.RNG      // per-shard "netmodel" streams
-	owner []int32         // node -> owning shard, round-robin by attach order
-	ss    *sim.ShardedSim // carries cross-shard deliveries; nil and unreached with one kernel
-	calls []*exchange     // recycled exchange state of Call
+	kern  *sim.Sim
+	rngs  []*sim.RNG  // the streams sends draw from; node i's is rngs[i % len(rngs)]
+	calls []*exchange // recycled exchange state of Call
 
 	nodes    []nodeState
 	jitter   float64
@@ -111,10 +107,11 @@ type Net struct {
 
 type nodeState struct {
 	region  Region
-	upBps   float64 // uplink bits/second; 0 = unconstrained
-	downBps float64 // downlink bits/second; 0 = unconstrained
-	up      bool    // effective state (an outage window may override base)
-	baseUp  bool    // ambient state set by SetUp
+	rng     *sim.RNG // the stream this node's sends draw loss and jitter from
+	upBps   float64  // uplink bits/second; 0 = unconstrained
+	downBps float64  // downlink bits/second; 0 = unconstrained
+	up      bool     // effective state (an outage window may override base)
+	baseUp  bool     // ambient state set by SetUp
 }
 
 // Option configures a Net.
@@ -125,10 +122,30 @@ func WithJitter(f float64) Option {
 	return func(n *Net) { n.jitter = f }
 }
 
+// WithSenderStreams makes node i's sends draw loss and jitter from
+// streams[i % len(streams)] instead of the kernel's one "netmodel" stream.
+// It exists for E03, whose pinned outputs were recorded with one such
+// stream per group of senders (DESIGN.md, "E03's stream layout"). An empty
+// list leaves the default.
+func WithSenderStreams(streams []*sim.RNG) Option {
+	return func(n *Net) { n.rngs = streams }
+}
+
 // New creates an empty network bound to the simulator, drawing randomness
-// from its "netmodel" stream.
+// from its "netmodel" stream. The transport's instruments register with the
+// simulator's collector when it has one.
 func New(s *sim.Sim, opts ...Option) *Net {
-	return bind(nil, []*sim.Sim{s}, opts)
+	n := &Net{kern: s, jitter: 0.1}
+	for _, opt := range opts {
+		opt(n)
+	}
+	if len(n.rngs) == 0 {
+		n.rngs = []*sim.RNG{s.Stream("netmodel")}
+	}
+	if col := s.Observer(); col != nil {
+		n.observe(col)
+	}
+	return n
 }
 
 // AddNode attaches a node in the given region with the given uplink
@@ -143,8 +160,8 @@ func (n *Net) AddNode(region Region, uplinkBps float64) NodeID {
 // direction — the common edge case (home broadband, cellular) where a node
 // can receive far faster than it can serve.
 func (n *Net) AddNodeLink(region Region, uplinkBps, downlinkBps float64) NodeID {
-	n.nodes = append(n.nodes, nodeState{region: region, upBps: uplinkBps, downBps: downlinkBps, up: true, baseUp: true})
-	n.owner = append(n.owner, int32((len(n.nodes)-1)%len(n.kerns)))
+	rng := n.rngs[len(n.nodes)%len(n.rngs)]
+	n.nodes = append(n.nodes, nodeState{region: region, rng: rng, upBps: uplinkBps, downBps: downlinkBps, up: true, baseUp: true})
 	n.col.SetNodeSpace(len(n.nodes))
 	return NodeID(len(n.nodes) - 1)
 }
@@ -179,14 +196,14 @@ func (n *Net) valid(id NodeID) bool {
 }
 
 // Latency returns a jittered one-way propagation delay between two nodes.
-// The draw comes from the stream of the shard owning the sending node.
+// The draw comes from the sending node's stream.
 func (n *Net) Latency(from, to NodeID) time.Duration {
 	if !n.valid(from) || !n.valid(to) {
 		return 0
 	}
 	a, b := n.nodes[from].region, n.nodes[to].region
 	base := time.Duration(baseOneWay[a-1][b-1]) * time.Millisecond
-	return n.rngFor(from).Jitter(base, n.jitter)
+	return n.nodes[from].rng.Jitter(base, n.jitter)
 }
 
 // TransferTime returns serialization delay for size bytes across the pair
@@ -340,14 +357,14 @@ func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
 		n.noteAdmissionDrop(from, to)
 		return false
 	}
-	if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
+	if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
 		n.noteLossDrop(from, to)
 		return false
 	}
 	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
 	n.noteSend(from, to, size, delay)
 	p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
-	return n.schedule(from, to, delay, deliverSend, p)
+	return n.kern.AfterFunc(delay, deliverSend, p)
 }
 
 // Broadcast schedules one-pass delivery of size bytes from one node to
@@ -379,14 +396,14 @@ func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
 			continue
 		}
 		uplink += perCopy
-		if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
+		if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
 			n.noteLossDrop(from, to)
 			continue
 		}
 		delay := uplink + serialization(n.nodes[to].downBps, size) + n.Latency(from, to)
 		n.noteSend(from, to, size, delay)
 		p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
-		if n.schedule(from, to, delay, deliverBroadcast, p) {
+		if n.kern.AfterFunc(delay, deliverBroadcast, p) {
 			scheduled++
 		}
 	}
@@ -408,7 +425,7 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 		n.noteAdmissionDrop(from, to)
 		return 0, false
 	}
-	if n.loss > 0 && n.rngFor(from).Bool(n.loss) {
+	if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
 		n.noteLossDrop(from, to)
 		return 0, false
 	}
@@ -419,10 +436,10 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 }
 
 // Call runs one request/response exchange under a deadline — the RPC every
-// overlay issues. The deadline is scheduled first, on the requester's
-// kernel, then the request is sent. serve runs in the request's delivery, on
-// the receiver's kernel, and reports whether an answer goes back; whatever it
-// computes for the requester it leaves in variables the caller's done reads.
+// overlay issues. The deadline is scheduled first, then the request is sent.
+// serve runs in the request's delivery and reports whether an answer goes
+// back; whatever it computes for the requester it leaves in variables the
+// caller's done reads.
 // done(true) fires iff the response is delivered while the deadline is still
 // pending; otherwise done(false) fires exactly once, at the deadline, and a
 // reply arriving later is dropped unseen. The exchange's own state comes
@@ -431,7 +448,7 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
 	x := n.exchange()
 	x.from, x.to, x.respSize, x.serve, x.done = from, to, respSize, serve, done
-	x.deadline = n.Kernel(from).After(timeout, x.expire)
+	x.deadline = n.kern.After(timeout, x.expire)
 	x.sent = n.Send(from, to, reqSize, x.request)
 }
 

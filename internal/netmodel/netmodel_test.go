@@ -1,8 +1,9 @@
 package netmodel
 
 import (
-	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,50 +16,11 @@ func newNet(t *testing.T, opts ...Option) (*sim.Sim, *Net) {
 	return s, New(s, opts...)
 }
 
-// testFloor windows every sharded test net: no test attaches a region
-// outside the table or sets more than 20 % jitter.
-var testFloor = DelayFloor(0.2, NorthAmerica, Europe, Asia, SouthAmerica, Oceania, Africa)
-
-// shardedNet builds a transport on S logical shards and returns it with
-// its driver.
-func shardedNet(t *testing.T, shards int, opts ...Option) (*sim.ShardedSim, *Net) {
-	t.Helper()
-	ss, err := sim.NewSharded(shards, testFloor, sim.WithSeed(7))
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	return ss, NewSharded(ss, opts...)
-}
-
-// env is what a forShards body gets: net builds the transport under test on
-// the subtest's shard count, after which run drives it to exhaustion.
-type env struct {
-	t      *testing.T
-	shards int
-	run    func() error
-}
-
-func (e *env) net(opts ...Option) *Net {
-	if e.shards == 1 {
-		s, n := newNet(e.t, opts...)
-		e.run = s.Run
-		return n
-	}
-	ss, n := shardedNet(e.t, e.shards, opts...)
-	e.run = ss.Run
-	return n
-}
-
-// forShards runs body against the transport on a plain kernel (S = 1) and
-// on four logical shards of a windowed driver. Bodies read clocks and
-// schedule control events through n.Kernel(id), which is the plain kernel
-// at S = 1. The S = 4 driver runs its shards in order on one goroutine, so a
-// body may flip shared topology state mid-run just as it does on a plain
-// kernel.
-func forShards(t *testing.T, body func(t *testing.T, e *env)) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { body(t, &env{t: t, shards: shards}) })
-	}
+// singleKernel runs body as the subtest "S=1": the transport on one kernel.
+// The transport tests that once also ran on a multi-shard driver keep this
+// subtest name so their results stay comparable across versions.
+func singleKernel(t *testing.T, body func(t *testing.T)) {
+	t.Run("S=1", body)
 }
 
 func TestLatencyRegions(t *testing.T) {
@@ -120,16 +82,16 @@ func TestTransferTimeDownlink(t *testing.T) {
 }
 
 func TestSendDelivers(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithJitter(0))
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t, WithJitter(0))
 		a := n.AddNode(NorthAmerica, 0)
 		b := n.AddNode(Europe, 0)
 		var deliveredAt time.Duration
-		ok := n.Send(a, b, 100, func() { deliveredAt = n.Kernel(b).Now() })
+		ok := n.Send(a, b, 100, func() { deliveredAt = s.Now() })
 		if !ok {
 			t.Fatal("Send returned false")
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if deliveredAt != 45*time.Millisecond {
@@ -139,29 +101,29 @@ func TestSendDelivers(t *testing.T) {
 }
 
 func TestSendToOfflineNode(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net()
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
 		n.SetUp(b, false)
 		if n.Send(a, b, 10, func() { t.Fatal("delivered to offline node") }) {
 			t.Fatal("Send to offline node should return false")
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	})
 }
 
 func TestReceiverGoesDownMidFlight(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net()
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Asia, 0)
 		delivered := false
 		n.Send(a, b, 10, func() { delivered = true })
-		n.Kernel(a).After(time.Millisecond, func() { n.SetUp(b, false) })
-		if err := e.run(); err != nil {
+		s.After(time.Millisecond, func() { n.SetUp(b, false) })
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if delivered {
@@ -171,8 +133,8 @@ func TestReceiverGoesDownMidFlight(t *testing.T) {
 }
 
 func TestLoss(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net()
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t)
 		n.SetLoss(1.0)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
@@ -182,15 +144,15 @@ func TestLoss(t *testing.T) {
 		if _, ok := n.Transfer(a, b, 10); ok {
 			t.Fatal("Transfer should report drop under 100% loss")
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	})
 }
 
 func TestPartitionAndHeal(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net()
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
 		n.Partition(map[NodeID]int{a: 0, b: 1})
@@ -202,7 +164,7 @@ func TestPartitionAndHeal(t *testing.T) {
 		if !n.Send(a, b, 10, func() { delivered = true }) {
 			t.Fatal("Send after Heal should succeed")
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if !delivered {
@@ -212,14 +174,14 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 func TestPartitionDropsInFlight(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net()
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t)
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Asia, 0)
 		delivered := false
 		n.Send(a, b, 10, func() { delivered = true })
-		n.Kernel(a).After(time.Millisecond, func() { n.Partition(map[NodeID]int{a: 0, b: 1}) })
-		if err := e.run(); err != nil {
+		s.After(time.Millisecond, func() { n.Partition(map[NodeID]int{a: 0, b: 1}) })
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if delivered {
@@ -477,8 +439,8 @@ func TestRegionString(t *testing.T) {
 // TestNodeAddedDuringPartition pins that attaching a node while a
 // partition is active neither panics nor isolates it from group 0.
 func TestNodeAddedDuringPartition(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithJitter(0))
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t, WithJitter(0))
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Asia, 0)
 		n.Partition(map[NodeID]int{a: 0, b: 1})
@@ -493,7 +455,7 @@ func TestNodeAddedDuringPartition(t *testing.T) {
 		if got := n.Broadcast(a, 10, func(NodeID) {}); got != 1 {
 			t.Fatalf("broadcast reached %d nodes, want 1 (the newcomer)", got)
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if !delivered {
@@ -557,5 +519,50 @@ func TestPartitionWindowSnapshotsGroups(t *testing.T) {
 	}
 	if !cut {
 		t.Fatal("window applied the mutated map instead of the scheduled snapshot")
+	}
+}
+
+// TestShardSenderStreamDraws pins where randomness comes from under
+// WithSenderStreams: a send's loss and jitter draws consume the stream of
+// its sender's group (attach index modulo the stream count), and every
+// other stream is left untouched. A twin set of streams with the same
+// seeds supplies the expected draws.
+func TestShardSenderStreamDraws(t *testing.T) {
+	const jitter, loss = 0.2, 0.5
+	streams := func() []*sim.RNG { return []*sim.RNG{sim.NewRNG(1), sim.NewRNG(2)} }
+	for _, senderFirst := range []bool{true, false} {
+		s, n := newNet(t, WithJitter(jitter), WithSenderStreams(streams()))
+		n.SetLoss(loss)
+		twin := streams()
+		var from, to NodeID
+		if senderFirst {
+			from, to = n.AddNode(Europe, 0), n.AddNode(Europe, 0)
+		} else {
+			to, from = n.AddNode(Europe, 0), n.AddNode(Europe, 0)
+		}
+		group := int(from) % len(twin)
+		want := twin[group]
+		var wantAt, gotAt []time.Duration
+		for i := 0; i < 32; i++ {
+			admitted := !want.Bool(loss)
+			if admitted {
+				wantAt = append(wantAt, want.Jitter(15*time.Millisecond, jitter))
+			}
+			if ok := n.Send(from, to, 10, func() { gotAt = append(gotAt, s.Now()) }); ok != admitted {
+				t.Fatalf("senderFirst=%v send %d: admitted=%v, the sender's stream says %v", senderFirst, i, ok, admitted)
+			}
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Every send left at time 0, so deliveries fire at the drawn delays
+		// in ascending order.
+		sort.Slice(wantAt, func(i, j int) bool { return wantAt[i] < wantAt[j] })
+		if len(wantAt) == 0 || !reflect.DeepEqual(gotAt, wantAt) {
+			t.Fatalf("senderFirst=%v: deliveries at %v, the sender's stream says %v", senderFirst, gotAt, wantAt)
+		}
+		if n.rngs[1-group].Float64() != twin[1-group].Float64() {
+			t.Fatalf("senderFirst=%v: the receiver's stream was consumed", senderFirst)
+		}
 	}
 }

@@ -84,11 +84,8 @@ func (n *Net) ScheduleOutageWindow(start, end time.Duration, id NodeID) error {
 // window becomes the holder and apply sets its value; at end, if it still
 // holds the condition, it lets go and restore reinstates the ambient value.
 func (n *Net) override(key NodeID, what string, start, end time.Duration, apply, restore func()) error {
-	if len(n.kerns) > 1 {
-		return fmt.Errorf("netmodel: condition windows mutate state shared across shards and are not supported on sharded nets")
-	}
-	if start < n.kerns[0].Now() {
-		return fmt.Errorf("netmodel: window start %v is in the past (now %v)", start, n.kerns[0].Now())
+	if start < n.kern.Now() {
+		return fmt.Errorf("netmodel: window start %v is in the past (now %v)", start, n.kern.Now())
 	}
 	if end <= start {
 		return fmt.Errorf("netmodel: window end %v not after start %v", end, start)
@@ -104,11 +101,11 @@ func (n *Net) override(key NodeID, what string, start, end time.Duration, apply,
 	}
 	w := &window{start, end}
 	n.wins[key] = append(n.wins[key], *w)
-	n.kerns[0].At(start, func() {
+	n.kern.At(start, func() {
 		n.holder[key] = w
 		apply()
 	})
-	n.kerns[0].At(end, func() {
+	n.kern.At(end, func() {
 		if n.holder[key] == w {
 			delete(n.holder, key)
 			restore()

@@ -82,8 +82,8 @@ func MixPreset(i int) ([]RegionWeight, error) {
 
 // BuildTopology attaches spec.Nodes nodes to the network and returns their
 // ids. Region counts follow the mix weights exactly; assignment order and
-// bandwidth classes are drawn from the "netmodel" stream (shard 0's: building
-// a topology is setup, before any shard runs).
+// bandwidth classes are drawn from the net's first stream (the kernel's
+// "netmodel" stream unless WithSenderStreams replaced it).
 func (n *Net) BuildTopology(spec TopologySpec) ([]NodeID, error) {
 	if spec.Nodes <= 0 {
 		return nil, errors.New("netmodel: topology needs at least one node")

@@ -146,8 +146,8 @@ func TestBuildTopologyValidation(t *testing.T) {
 }
 
 func TestBroadcastReachesEveryoneOnce(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithJitter(0))
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t, WithJitter(0))
 		ids, err := n.BuildTopology(TopologySpec{Nodes: 10})
 		if err != nil {
 			t.Fatalf("BuildTopology: %v", err)
@@ -157,7 +157,7 @@ func TestBroadcastReachesEveryoneOnce(t *testing.T) {
 		if scheduled != 9 {
 			t.Fatalf("scheduled %d deliveries, want 9", scheduled)
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if len(got) != 9 {
@@ -175,14 +175,14 @@ func TestBroadcastReachesEveryoneOnce(t *testing.T) {
 }
 
 func TestBroadcastSerializesOnUplink(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithJitter(0))
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t, WithJitter(0))
 		from := n.AddNode(Europe, 8e6) // 1 MB -> 1 s per copy
 		n.AddNode(Europe, 0)
 		n.AddNode(Europe, 0)
 		var times []time.Duration
-		n.Broadcast(from, 1_000_000, func(to NodeID) { times = append(times, n.Kernel(to).Now()) })
-		if err := e.run(); err != nil {
+		n.Broadcast(from, 1_000_000, func(to NodeID) { times = append(times, s.Now()) })
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if len(times) != 2 {
@@ -199,8 +199,8 @@ func TestBroadcastSerializesOnUplink(t *testing.T) {
 }
 
 func TestBroadcastRespectsPartitionAndLoss(t *testing.T) {
-	forShards(t, func(t *testing.T, e *env) {
-		n := e.net(WithJitter(0))
+	singleKernel(t, func(t *testing.T) {
+		s, n := newNet(t, WithJitter(0))
 		a := n.AddNode(Europe, 0)
 		b := n.AddNode(Europe, 0)
 		c := n.AddNode(Asia, 0)
@@ -209,7 +209,7 @@ func TestBroadcastRespectsPartitionAndLoss(t *testing.T) {
 		if got := n.Broadcast(a, 10, func(to NodeID) { reached[to] = true }); got != 1 {
 			t.Fatalf("scheduled %d deliveries across a partition, want 1", got)
 		}
-		if err := e.run(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		if !reached[b] || reached[c] {

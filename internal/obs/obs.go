@@ -257,7 +257,8 @@ type HistSnap struct {
 	P99   int64  `json:"p99"`
 }
 
-// SimSnap sums kernel statistics over all attached kernels.
+// SimSnap is the kernel statistics over all attached kernels: events fired
+// and virtual time are sums, MaxPending is the largest single kernel's peak.
 type SimSnap struct {
 	Fired       uint64 `json:"events_fired"`
 	MaxPending  int    `json:"max_pending"`

@@ -119,33 +119,18 @@ func TestPropertyTableInvariants(t *testing.T) {
 	}
 }
 
-// convergence is the lookup-convergence scenario: 300 nodes on a net
-// spanning `shards` kernels (a plain kernel at 1, else a windowed driver),
-// 30 lookups from stream-drawn origins toward
-// stream-drawn targets. With every node responsive, all but at most one
+// convergence is the lookup-convergence scenario: 300 nodes, 30 lookups
+// from stream-drawn origins toward stream-drawn targets. With every node responsive, all but at most one
 // lookup must converge on the globally closest node; with an unresponsive
 // population, queries must time out. Either way the network-wide RPC count
 // equals the sum over the per-lookup results (and the timeout count is at
 // least their sum), which it returns in issue order.
-func convergence(t *testing.T, shards int, unresponsive float64) []Result {
+func convergence(t *testing.T, unresponsive float64) []Result {
 	t.Helper()
-	const nodes, lookups, jitter = 300, 30, 0.1
+	const nodes, lookups = 300, 30
 	cfg := Config{K: 8, Alpha: 3, RPCTimeout: time.Second, UnresponsiveFrac: unresponsive}
-	var s *sim.Sim
-	var nm *netmodel.Net
-	run := func() error { return s.Run() }
-	if shards == 1 {
-		s = sim.New(sim.WithSeed(42))
-		nm = netmodel.New(s, netmodel.WithJitter(jitter))
-	} else {
-		ss, err := sim.NewSharded(shards, netmodel.DelayFloor(jitter, netmodel.Europe), sim.WithSeed(42))
-		if err != nil {
-			t.Fatalf("NewSharded: %v", err)
-		}
-		s, run = ss.Shard(0), ss.Run
-		nm = netmodel.NewSharded(ss, netmodel.WithJitter(jitter))
-	}
-	nw := NewNetwork(s, nm, cfg)
+	s := sim.New(sim.WithSeed(42))
+	nw := NewNetwork(s, netmodel.New(s, netmodel.WithJitter(0.1)), cfg)
 	for i := 0; i < nodes; i++ {
 		nw.AddNode(netmodel.Europe)
 	}
@@ -157,10 +142,9 @@ func convergence(t *testing.T, shards int, unresponsive float64) []Result {
 	for i := range targets {
 		targets[i] = overlay.RandomID(s.Stream("targets"))
 		origin := nw.Nodes()[s.Stream("origins").Intn(nodes)]
-		// Each callback runs on its origin's shard and owns one slot.
 		nw.Lookup(origin, targets[i], func(r Result) { results[i] = r })
 	}
-	if err := run(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	timeouts, misses := 0, 0
@@ -185,16 +169,8 @@ func convergence(t *testing.T, shards int, unresponsive float64) []Result {
 }
 
 func TestLookupFindsGlobalClosest(t *testing.T) {
-	convergence(t, 1, 0)
-	convergence(t, 1, 0.3)
-}
-
-// TestShardLookupFindsGlobalClosest runs the same scenario on eight logical
-// shards, where each lookup lives on its origin's shard and queries to nodes
-// on other shards cross the driver's mailbox.
-func TestShardLookupFindsGlobalClosest(t *testing.T) {
-	convergence(t, 8, 0)
-	convergence(t, 8, 0.3)
+	convergence(t, 0)
+	convergence(t, 0.3)
 }
 
 func TestLookupLatencyReasonable(t *testing.T) {

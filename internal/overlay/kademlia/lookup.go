@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/overlay"
-	"repro/internal/sim"
 )
 
 // Result summarizes one iterative lookup.
@@ -42,7 +41,6 @@ type candidate struct {
 // so a reply never reaches a lookup that has been handed on.
 type lookup struct {
 	nw     *Network
-	kern   *sim.Sim // the origin's kernel: every step of the lookup runs on it
 	origin *Node
 	target overlay.ID
 
@@ -62,10 +60,9 @@ type lookup struct {
 // invoking done exactly once on termination. The origin must be online;
 // otherwise done fires immediately with an empty result.
 func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
-	kern := nw.net.Kernel(origin.Addr)
 	p := &nw.pool
 	l := nw.newLookup()
-	l.origin, l.target, l.kern, l.start, l.done = origin, target, kern, kern.Now(), done
+	l.origin, l.target, l.start, l.done = origin, target, nw.sim.Now(), done
 	if !origin.online {
 		l.finish(false)
 		return
@@ -202,7 +199,7 @@ func (l *lookup) finish(converged bool) {
 			Closest:   closest,
 			RPCs:      l.rpcs,
 			Timeouts:  l.timeouts,
-			Latency:   l.kern.Now() - l.start,
+			Latency:   l.nw.sim.Now() - l.start,
 			Converged: converged,
 		})
 	}

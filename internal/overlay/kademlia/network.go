@@ -101,14 +101,10 @@ func (n *Node) Malicious() bool { return n.malicious }
 // measurements).
 func (n *Node) Table() *Table { return n.table }
 
-// Network is a simulated Kademlia deployment over a netmodel.Net. A node's
-// RPC timeouts and lookup state live on the kernel owning it (nm.Kernel),
-// request deliveries execute on the receiver's kernel and replies ride back
-// to the origin's; on a plain kernel all of it is the one kernel. Setup
-// (AddNode, Bootstrap, issuing Lookups) is sequential; churn helpers that
-// mutate shared topology (SetOnline, Rejoin) are setup-time only on a net
-// with more than one shard.
+// Network is a simulated Kademlia deployment over a netmodel.Net, on the
+// kernel the net was built on.
 type Network struct {
+	sim *sim.Sim
 	net *netmodel.Net
 	cfg Config
 	rng *sim.RNG
@@ -148,10 +144,11 @@ func (nw *Network) newRPC() *rpc {
 }
 
 // NewNetwork creates an empty deployment over nm. s is the kernel nm was
-// built on (shard 0 of its driver when it spans several); identity and
-// bootstrap randomness draw from its "kademlia" stream.
+// built on; identity and bootstrap randomness draw from its "kademlia"
+// stream.
 func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 	return &Network{
+		sim:    s,
 		net:    nm,
 		cfg:    cfg.withDefaults(),
 		rng:    s.Stream("kademlia"),
@@ -315,10 +312,9 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 }
 
 // rpc is one FIND_NODE query, the exchange netmodel.Net.Call runs with serve
-// and done bound once per object. It reports to its lookup exactly once, on
-// the origin's kernel, with either the contacts from the reply or ok=false on
-// timeout/drop — also when the request was served and only the reply was
-// late or lost. It goes back to the pool only after done(true): after
+// and done bound once per object. It reports to its lookup exactly once,
+// with either the contacts from the reply or ok=false on timeout/drop —
+// also when the request was served and only the reply was late or lost. It goes back to the pool only after done(true): after
 // done(false) the request may still be served, and serve writes into it.
 type rpc struct {
 	nw     *Network
@@ -329,7 +325,7 @@ type rpc struct {
 	to     Contact
 	dist   overlay.Distance // the queried candidate's, which names it to the lookup
 	target overlay.ID       // serve's copy: the lookup may be recycled before a late serve
-	reply  []Contact        // written by serve on the receiver's kernel, read by done
+	reply  []Contact        // written by serve, read by done
 }
 
 // send queries the candidate of l at distance d, which is to.

@@ -25,8 +25,8 @@ type Contact struct {
 // Table is a Kademlia routing table: up to IDBits k-buckets indexed by the
 // common prefix length with the owner's identifier. Buckets keep
 // least-recently-seen contacts at the front and, when full, drop newcomers —
-// Kademlia's documented bias toward long-lived peers. A table is only ever
-// touched on its owner's kernel, which is what lets it keep scratch space.
+// Kademlia's documented bias toward long-lived peers. A run is
+// single-threaded, which is what lets a table keep scratch space.
 type Table struct {
 	self    overlay.ID
 	k       int

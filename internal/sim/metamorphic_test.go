@@ -10,8 +10,7 @@ import (
 // driving any workload with RunFor in k chunks must be indistinguishable
 // from one RunUntil over the same horizon — identical fire log, identical
 // final clock, identical Pending. The property is what lets the harness,
-// the report runner, and the sharded driver (which is itself a RunFor loop
-// over windows) compose runs freely. Each workload mirrors the scheduling
+// the report runner and chunked drivers compose runs freely. Each workload mirrors the scheduling
 // shape of a family of experiments rather than reusing their full stacks,
 // so a failure localizes to the kernel.
 

@@ -22,7 +22,7 @@ func (s *Sim) Stream(name string) *RNG {
 	if g, ok := s.streams[name]; ok {
 		return g
 	}
-	g := NewRNG(deriveSeed(s.seed, name))
+	g := NewRNG(DeriveSeed(s.seed, name))
 	s.streams[name] = g
 	return g
 }
@@ -33,7 +33,10 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-func deriveSeed(master int64, name string) int64 {
+// DeriveSeed returns the seed of the stream name under master seed: a
+// kernel seeded master builds its Stream(name) from NewRNG(DeriveSeed(master,
+// name)).
+func DeriveSeed(master int64, name string) int64 {
 	h := sha256.New()
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(master))

@@ -185,16 +185,6 @@ func (s *Sim) Fired() uint64 { return s.fired }
 // counted.
 func (s *Sim) Pending() int { return len(s.queue) }
 
-// PeekTime returns the timestamp of the earliest pending event. ok is
-// false when nothing is scheduled. The sharded driver uses it to skip
-// windows with no work.
-func (s *Sim) PeekTime() (t time.Duration, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
-
 // MaxPending returns the high-water mark of the pending-event count — the
 // peak schedule depth the run reached.
 func (s *Sim) MaxPending() int { return s.maxPending }
@@ -369,33 +359,13 @@ func (s *Sim) RunFor(d time.Duration) error {
 // immediately without executing anything; the stop is consumed either way, so
 // the following Run variant proceeds normally.
 func (s *Sim) RunUntil(horizon time.Duration) error {
-	err := s.drain(horizon, true)
-	if err == nil && horizon > s.now && horizon != time.Duration(math.MaxInt64) {
-		s.now = horizon
-	}
-	return err
-}
-
-// runBefore executes events with timestamps strictly below end and leaves the
-// clock at the last fired event. It is the window primitive of the sharded
-// driver (sharded.go): the exclusive bound keeps an event at exactly the
-// window end for the next window, after the barrier has merged any
-// cross-shard arrivals landing at that same instant.
-func (s *Sim) runBefore(end time.Duration) error {
-	return s.drain(end, false)
-}
-
-// drain is the execution core shared by RunUntil and runBefore: it pops and
-// fires events while the head timestamp is within the bound (inclusive or
-// exclusive). The clock is left at the last fired event.
-func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 	if s.stopped {
 		s.stopped = false
 		return ErrStopped
 	}
 	for len(s.queue) > 0 {
 		at, next := s.queue[0].at, s.queue[0].ev
-		if at > bound || (!inclusive && at == bound) {
+		if at > horizon {
 			break
 		}
 		s.queue.removeAt(0)
@@ -420,6 +390,9 @@ func (s *Sim) drain(bound time.Duration, inclusive bool) error {
 			s.stopped = false
 			return ErrStopped
 		}
+	}
+	if horizon > s.now && horizon != time.Duration(math.MaxInt64) {
+		s.now = horizon
 	}
 	return nil
 }
