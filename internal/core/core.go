@@ -31,7 +31,7 @@ type Config struct {
 	// Collectors are per-run state, never part of the configuration
 	// identity, so the field is excluded from marshalled output.
 	Obs *obs.Collector `json:"-"`
-	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
+	// Shards is read by nothing; bench/ writes it, and ROADMAP item 1(A) deletes it.
 	Shards int `json:"-"`
 }
 

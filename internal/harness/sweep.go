@@ -25,7 +25,7 @@ type Sweep struct {
 	// "e03.lookups" -> {100, 200}). Experiments read knobs via
 	// core.Config.Param; unset knobs keep their documented defaults.
 	Params map[string][]float64
-	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
+	// Shards is read by nothing; bench/ writes it, and ROADMAP item 1(A) deletes it.
 	Shards int
 }
 

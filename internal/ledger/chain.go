@@ -175,18 +175,3 @@ func (c *Chain) BestPath() []Hash {
 	}
 	return out
 }
-
-// Confirmations returns how many blocks deep h is under the best tip
-// (tip = 1), or 0 if h is not on the best chain.
-func (c *Chain) Confirmations(h Hash) uint64 {
-	target, ok := c.nodes[h]
-	if !ok {
-		return 0
-	}
-	for n := c.best; n != nil; n = n.parent {
-		if n == target {
-			return c.best.height - target.height + 1
-		}
-	}
-	return 0
-}

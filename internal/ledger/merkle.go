@@ -1,9 +1,6 @@
 package ledger
 
-import (
-	"crypto/sha256"
-	"errors"
-)
+import "crypto/sha256"
 
 // MerkleRoot computes the Merkle root of the given transaction ids using the
 // Bitcoin convention (odd levels duplicate the last node). An empty input
@@ -34,53 +31,4 @@ func hashPair(a, b Hash) Hash {
 	var out Hash
 	copy(out[:], h.Sum(nil))
 	return out
-}
-
-// MerkleProof is an inclusion proof: the sibling hashes from leaf to root
-// and, per level, whether the sibling sits on the left.
-type MerkleProof struct {
-	Siblings []Hash
-	Left     []bool
-}
-
-// Prove builds an inclusion proof for ids[index].
-func Prove(ids []TxID, index int) (*MerkleProof, error) {
-	if index < 0 || index >= len(ids) {
-		return nil, errors.New("ledger: merkle proof index out of range")
-	}
-	proof := &MerkleProof{}
-	level := make([]Hash, len(ids))
-	copy(level, ids)
-	pos := index
-	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
-		}
-		sib := pos ^ 1
-		proof.Siblings = append(proof.Siblings, level[sib])
-		proof.Left = append(proof.Left, sib < pos)
-		next := make([]Hash, 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			next = append(next, hashPair(level[i], level[i+1]))
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// Verify checks that id is included under root according to the proof.
-func (p *MerkleProof) Verify(root Hash, id TxID) bool {
-	if p == nil || len(p.Siblings) != len(p.Left) {
-		return false
-	}
-	cur := Hash(id)
-	for i, sib := range p.Siblings {
-		if p.Left[i] {
-			cur = hashPair(sib, cur)
-		} else {
-			cur = hashPair(cur, sib)
-		}
-	}
-	return cur == root
 }

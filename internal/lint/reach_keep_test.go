@@ -53,10 +53,4 @@ var reachKeep = map[string]string{
 	"repro/internal/randdist.ParetoDuration":               "deferred: TestParetoDurationCap",
 	"repro/internal/randdist.Discrete":                     "deferred: TestDiscrete, TestDiscreteDegenerate",
 	"repro/internal/workload.StartTxSource":                "deferred: TestTxSource, TestTxSourceValidation; takes Tx with it",
-	"repro/internal/ledger.NewUTXOSet":                     "deferred: the six TestUTXO*/TestCoinbaseSubsidyCap tests; takes UTXOSet, ErrMissingInput, ErrOverspend and Tx.OutValue with it",
-	"(*repro/internal/ledger.UTXOSet).*":                   "deferred: with NewUTXOSet",
-	"(*repro/internal/ledger.Tx).Coinbase":                 "deferred: TestUTXOLifecycle",
-	"repro/internal/ledger.Prove":                          "deferred: TestMerkleProofs, TestPropertyMerkle; takes MerkleProof with it",
-	"(*repro/internal/ledger.MerkleProof).Verify":          "deferred: with Prove",
-	"(*repro/internal/ledger.Chain).Confirmations":         "deferred: TestConfirmationsUnknown",
 }

@@ -45,7 +45,7 @@ type Options struct {
 	// Workers bounds the harness worker pool (<= 0 means GOMAXPROCS).
 	// It has no effect on the generated bytes.
 	Workers int
-	// Shards is read by nothing; bench/ writes it, and ROADMAP items 1 and 2 delete it.
+	// Shards is read by nothing; bench/ writes it, and ROADMAP item 1(A) deletes it.
 	Shards int
 	// Sensitivity enables the per-knob sensitivity layer: every selected
 	// experiment's registered knobs are swept over a grid, each page
