@@ -49,7 +49,7 @@ func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "closure allocation in hot path %s; use a package-level func with AtFunc/AfterFunc payloads", fd.Name.Name)
+			pass.Reportf(n.Pos(), "closure allocation in hot path %s; use a package-level func with AfterFunc payloads", fd.Name.Name)
 			return false // the closure's own body is not on the hot path
 		case *ast.CallExpr:
 			checkHotCall(pass, fd, n, prealloc)

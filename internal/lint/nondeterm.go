@@ -155,7 +155,7 @@ var fmtOutputFuncs = map[string]bool{
 // same-instant event tie-breaking (which is by sequence) depend on map
 // order — a determinism hazard even though nothing is written yet.
 var scheduleMethods = map[string]bool{
-	"At": true, "After": true, "AtFunc": true, "AfterFunc": true,
+	"At": true, "After": true, "AfterFunc": true,
 	"Every": true, "Send": true, "Broadcast": true,
 }
 

@@ -46,11 +46,5 @@ var reachKeep = map[string]string{
 	"(*repro/internal/metrics.Sample).CDF":                 "deferred: TestSampleCDFMonotone, TestSampleCDFOnePoint",
 	"(*repro/internal/metrics.Sample).Values":              "deferred: TestGossipCalibratedForkRate",
 	"(*repro/internal/metrics.Summary).AddDuration":        "deferred: TestSummaryDuration",
-	"repro/internal/randdist.Exponential":                  "deferred: TestExponentialMean, TestExponentialBadMean; takes RNG.ExpFloat64 with it",
-	"repro/internal/randdist.Weibull":                      "deferred: TestWeibullMean",
-	"repro/internal/randdist.LogNormal":                    "deferred: TestLogNormalMedian",
-	"repro/internal/randdist.ExpDuration":                  "deferred: TestExponentialMean",
-	"repro/internal/randdist.ParetoDuration":               "deferred: TestParetoDurationCap",
-	"repro/internal/randdist.Discrete":                     "deferred: TestDiscrete, TestDiscreteDegenerate",
 	"repro/internal/workload.StartTxSource":                "deferred: TestTxSource, TestTxSourceValidation; takes Tx with it",
 }

@@ -306,13 +306,14 @@ func (n *Net) reachable(from, to NodeID) bool {
 	return !n.partitioned(from, to)
 }
 
-// deliverSend is the pooled delivery handler behind Send: Ctx is the *Net,
-// Aux the caller's deliver callback and A/B the endpoints. The receiver
-// must still be online and reachable at delivery time — a message in flight
-// when a partition forms (or the receiver goes down) is dropped.
+// deliver is the pooled delivery handler behind Send and Broadcast: Ctx is
+// the *Net, Aux the caller's callback (Send's func(), Broadcast's
+// func(NodeID), which takes the receiver's id) and A/B the endpoints. The
+// receiver must still be online and reachable at delivery time — a message
+// in flight when a partition forms (or the receiver goes down) is dropped.
 //
 //decentlint:hotpath
-func deliverSend(p sim.Payload) {
+func deliver(p sim.Payload) {
 	n := p.Ctx.(*Net)
 	from, to := NodeID(p.A), NodeID(p.B)
 	if !n.nodes[to].up || n.partitioned(from, to) {
@@ -320,55 +321,59 @@ func deliverSend(p sim.Payload) {
 		return
 	}
 	n.noteDelivered(to)
-	p.Aux.(func())()
+	switch f := p.Aux.(type) {
+	case func():
+		f()
+	case func(NodeID):
+		f(to)
+	}
 }
 
-// deliverBroadcast mirrors deliverSend for Broadcast's per-receiver
-// callback, which takes the receiver's id.
+// admit applies the transport's rules to one message between valid nodes,
+// in this order: reachability, the loss draw, then the delay draw from the
+// sender's stream. It records the outcome and returns the one-way delay of
+// an admitted message. Send and Transfer both go through it.
 //
 //decentlint:hotpath
-func deliverBroadcast(p sim.Payload) {
-	n := p.Ctx.(*Net)
-	from, to := NodeID(p.A), NodeID(p.B)
-	if !n.nodes[to].up || n.partitioned(from, to) {
-		n.noteInFlightDrop(from, to)
-		return
+func (n *Net) admit(from, to NodeID, size int) (time.Duration, bool) {
+	if !n.reachable(from, to) {
+		n.noteAdmissionDrop(from, to)
+		return 0, false
 	}
-	n.noteDelivered(to)
-	p.Aux.(func(NodeID))(to)
+	if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
+		n.noteLossDrop(from, to)
+		return 0, false
+	}
+	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
+	n.noteSend(from, to, size, delay)
+	return delay, true
 }
 
 // Send schedules delivery of a message of size bytes from one node to
-// another, invoking deliver at the receive time. It returns false if the
+// another, invoking fn at the receive time. It returns false if the
 // message was dropped (loss, partition, or an endpoint being offline at send
 // time; delivery additionally checks the receiver is still online and
 // unpartitioned). A message to an unreachable peer is never transmitted; a
 // message lost to the loss draw was transmitted and then dropped in flight.
 // Send is the transport's hot path: delivery rides the sim kernel's pooled
 // handler events, so a steady-state Send performs zero allocations (the
-// deliver func itself should be reused by callers that care).
+// fn itself should be reused by callers that care).
 //
 //decentlint:hotpath
-func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
-	if !n.valid(from) || !n.valid(to) || deliver == nil {
+func (n *Net) Send(from, to NodeID, size int, fn func()) bool {
+	if !n.valid(from) || !n.valid(to) || fn == nil {
 		return false
 	}
-	if !n.reachable(from, to) {
-		n.noteAdmissionDrop(from, to)
+	delay, ok := n.admit(from, to, size)
+	if !ok {
 		return false
 	}
-	if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
-		n.noteLossDrop(from, to)
-		return false
-	}
-	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
-	n.noteSend(from, to, size, delay)
-	p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
-	return n.kern.AfterFunc(delay, deliverSend, p)
+	p := sim.Payload{Ctx: n, Aux: fn, A: int64(from), B: int64(to)}
+	return n.kern.AfterFunc(delay, deliver, p)
 }
 
 // Broadcast schedules one-pass delivery of size bytes from one node to
-// every other online, reachable node, invoking deliver(to) at each receive
+// every other online, reachable node, invoking fn(to) at each receive
 // time. Copies serialize sequentially on the sender's uplink — the k-th
 // receiver waits k uplink transfers plus its own downlink and propagation
 // delay — which is what makes large blocks from low-bandwidth senders slow
@@ -379,8 +384,8 @@ func (n *Net) Send(from, to NodeID, size int, deliver func()) bool {
 // scheduled.
 //
 //decentlint:hotpath
-func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
-	if !n.valid(from) || deliver == nil || !n.nodes[from].up {
+func (n *Net) Broadcast(from NodeID, size int, fn func(to NodeID)) int {
+	if !n.valid(from) || fn == nil || !n.nodes[from].up {
 		return 0
 	}
 	scheduled := 0
@@ -402,8 +407,8 @@ func (n *Net) Broadcast(from NodeID, size int, deliver func(to NodeID)) int {
 		}
 		delay := uplink + serialization(n.nodes[to].downBps, size) + n.Latency(from, to)
 		n.noteSend(from, to, size, delay)
-		p := sim.Payload{Ctx: n, Aux: deliver, A: int64(from), B: int64(to)}
-		if n.kern.AfterFunc(delay, deliverBroadcast, p) {
+		p := sim.Payload{Ctx: n, Aux: fn, A: int64(from), B: int64(to)}
+		if n.kern.AfterFunc(delay, deliver, p) {
 			scheduled++
 		}
 	}
@@ -421,18 +426,11 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 	if !n.valid(from) || !n.valid(to) {
 		return 0, false
 	}
-	if !n.reachable(from, to) {
-		n.noteAdmissionDrop(from, to)
-		return 0, false
+	delay, ok := n.admit(from, to, size)
+	if ok {
+		n.noteDelivered(to)
 	}
-	if n.loss > 0 && n.nodes[from].rng.Bool(n.loss) {
-		n.noteLossDrop(from, to)
-		return 0, false
-	}
-	delay := n.TransferTime(from, to, size) + n.Latency(from, to)
-	n.noteSend(from, to, size, delay)
-	n.noteDelivered(to)
-	return delay, true
+	return delay, ok
 }
 
 // Call runs one request/response exchange under a deadline — the RPC every

@@ -77,11 +77,22 @@ func TestObserveClassifiesDrops(t *testing.T) {
 	n.Partition(map[NodeID]int{ids[2]: 1})
 	n.Send(ids[0], ids[2], 10, func() {})
 	n.Heal()
-	// In-flight drop: receiver goes down before delivery.
+	// In-flight drops: the receiver goes down after Send and after
+	// Broadcast, before either delivers.
 	n.Send(ids[0], ids[3], 10, func() { t.Error("delivered to a dead node") })
+	heard := 0
+	n.Broadcast(ids[0], 10, func(to NodeID) {
+		if to == ids[3] {
+			t.Error("broadcast delivered to a dead node")
+		}
+		heard++
+	})
 	n.SetUp(ids[3], false)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if heard != 2 {
+		t.Fatalf("broadcast reached %d live receivers, want 2", heard)
 	}
 	// Loss drop: force certain loss.
 	n.SetLoss(1)
@@ -93,7 +104,7 @@ func TestObserveClassifiesDrops(t *testing.T) {
 	}
 	want := map[string]uint64{
 		"net.drop_down": 1, "net.drop_partition": 1,
-		"net.drop_in_flight": 1, "net.drop_loss": 1,
+		"net.drop_in_flight": 2, "net.drop_loss": 1,
 	}
 	for name, w := range want {
 		if got[name] != w {

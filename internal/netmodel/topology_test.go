@@ -1,9 +1,11 @@
 package netmodel
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -283,6 +285,67 @@ func TestTransferChargesWithoutScheduling(t *testing.T) {
 	}
 	if _, ok := n.Transfer(NodeID(99), b, 10); ok {
 		t.Fatal("Transfer accepted an unknown sender")
+	}
+}
+
+// TestTransferDrawsLikeSend pins that Send and Transfer apply one set of
+// admission rules: on identically seeded nets with jitter, loss and an
+// offline node, the same message sequence is accepted or dropped alike,
+// takes the same delay (for Send, delivery time minus send time) and leaves
+// the same counters behind.
+func TestTransferDrawsLikeSend(t *testing.T) {
+	type msg struct {
+		from, to NodeID
+		size     int
+	}
+	type outcome struct {
+		ok    bool
+		delay time.Duration
+	}
+	build := func() (*sim.Sim, *Net, *obs.Collector) {
+		col := obs.NewCollector()
+		s := sim.New(sim.WithSeed(7), sim.WithObserver(col))
+		n := New(s, WithJitter(0.3))
+		n.SetLoss(0.3)
+		for i := 0; i < 6; i++ {
+			n.AddNodeLink(Region(i%NumRegions+1), float64(i)*1e6, float64(5-i)*1e6)
+		}
+		n.SetUp(4, false)
+		return s, n, col
+	}
+	g := sim.NewRNG(3)
+	msgs := make([]msg, 400)
+	for i := range msgs {
+		msgs[i] = msg{NodeID(g.Intn(6)), NodeID(g.Intn(6)), 1 + g.Intn(100_000)}
+	}
+
+	s, sendNet, sendCol := build()
+	sent := make([]outcome, len(msgs))
+	accepted := 0
+	for i, m := range msgs {
+		at, o := s.Now(), &sent[i]
+		o.ok = sendNet.Send(m.from, m.to, m.size, func() { o.delay = s.Now() - at })
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if o.ok {
+			accepted++
+		}
+	}
+	if accepted < len(msgs)/4 || accepted > len(msgs)*3/4 {
+		t.Fatalf("%d of %d sends accepted: the sequence must exercise both outcomes", accepted, len(msgs))
+	}
+
+	_, transferNet, transferCol := build()
+	for i, m := range msgs {
+		d, ok := transferNet.Transfer(m.from, m.to, m.size)
+		if got := (outcome{ok, d}); got != sent[i] {
+			t.Fatalf("message %d %+v: Transfer gave %+v, Send %+v", i, m, got, sent[i])
+		}
+	}
+	a, b := sendCol.Snapshot(), transferCol.Snapshot()
+	if !reflect.DeepEqual(a.Counters, b.Counters) || !reflect.DeepEqual(a.Hists, b.Hists) {
+		t.Fatalf("counters differ:\nSend     %+v %+v\nTransfer %+v %+v", a.Counters, a.Hists, b.Counters, b.Hists)
 	}
 }
 

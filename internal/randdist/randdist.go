@@ -1,24 +1,16 @@
-// Package randdist provides the random distributions used across the
-// simulations: heavy-tailed session times (Pareto, Weibull, lognormal),
-// Poisson arrivals (exponential), and Zipf popularity. All samplers draw
-// from a sim.RNG stream so experiments stay deterministic.
+// Package randdist provides the two random distributions the simulations
+// draw beyond the kernel RNG's own: Pareto (heavy-tailed session times) and
+// Zipf (content popularity). Both draw from a sim.RNG stream so experiments
+// stay deterministic. Poisson inter-arrival gaps come from
+// sim.RNG.ExpDuration.
 package randdist
 
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/sim"
 )
-
-// Exponential returns a sample with the given mean (rate 1/mean).
-func Exponential(g *sim.RNG, mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return g.ExpFloat64() * mean
-}
 
 // Pareto returns a sample from a Pareto distribution with scale xm (minimum
 // value) and shape alpha. Heavy-tailed session lengths in P2P measurement
@@ -32,42 +24,6 @@ func Pareto(g *sim.RNG, xm, alpha float64) float64 {
 		u = g.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Weibull returns a sample with the given shape k and scale lambda. Shape <1
-// produces the "many short sessions, few very long" profile observed in DHT
-// churn traces.
-func Weibull(g *sim.RNG, shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		return 0
-	}
-	u := g.Float64()
-	for u == 0 {
-		u = g.Float64()
-	}
-	return scale * math.Pow(-math.Log(u), 1/shape)
-}
-
-// LogNormal returns a sample whose logarithm is normal with mean mu and
-// standard deviation sigma.
-func LogNormal(g *sim.RNG, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*g.NormFloat64())
-}
-
-// ExpDuration returns an exponentially distributed duration with the given
-// mean.
-func ExpDuration(g *sim.RNG, mean time.Duration) time.Duration {
-	return g.ExpDuration(mean)
-}
-
-// ParetoDuration returns a Pareto-distributed duration with minimum xm and
-// shape alpha, capped at max (0 = no cap) to keep simulations bounded.
-func ParetoDuration(g *sim.RNG, xm time.Duration, alpha float64, max time.Duration) time.Duration {
-	d := time.Duration(Pareto(g, float64(xm), alpha))
-	if max > 0 && d > max {
-		return max
-	}
-	return d
 }
 
 // Zipf generates ranks in [1, n] with probability proportional to
@@ -97,31 +53,4 @@ func (z *Zipf) Rank() int {
 		return 1
 	}
 	return int(z.z.Uint64()) + 1
-}
-
-// Discrete samples an index in [0, len(weights)) proportionally to the
-// weights. Non-positive weights are treated as zero; if all weights are
-// zero it returns 0.
-func Discrete(g *sim.RNG, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	target := g.Float64() * total
-	var cum float64
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		cum += w
-		if target < cum {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -19,8 +20,8 @@ func TestAfterFuncDelivers(t *testing.T) {
 	if !s.AfterFunc(time.Second, collectPayloads, Payload{Ctx: &got, A: 7}) {
 		t.Fatal("AfterFunc refused a valid schedule")
 	}
-	if !s.AtFunc(2*time.Second, collectPayloads, Payload{Ctx: &got, A: 9}) {
-		t.Fatal("AtFunc refused a valid schedule")
+	if !s.AfterFunc(2*time.Second, collectPayloads, Payload{Ctx: &got, A: 9}) {
+		t.Fatal("AfterFunc refused a valid schedule")
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -56,8 +57,8 @@ func TestAfterFuncRejectsBadSchedules(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if s.AtFunc(0, collectPayloads, Payload{}) {
-		t.Fatal("past schedule accepted")
+	if s.AfterFunc(math.MaxInt64, collectPayloads, Payload{}) {
+		t.Fatal("delay overflowing the clock accepted")
 	}
 	var got []int64
 	if !s.AfterFunc(-time.Second, collectPayloads, Payload{Ctx: &got, A: 1}) {

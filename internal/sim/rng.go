@@ -64,9 +64,6 @@ func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int {
 	if n <= 0 {

@@ -14,13 +14,16 @@
 // (time, sequence) order of the remaining events, so canceling never
 // perturbs determinism.
 //
-// Every event — closure (At/After/Every) and handler (AtFunc/AfterFunc)
-// alike — is drawn from a per-Sim free list and recycled the moment it
-// fires or is canceled, so steady-state scheduling allocates nothing on
-// either path. Because recycled events are reused, callers never hold
-// *event pointers: scheduling returns a by-value Handle carrying the
-// event's generation number, which makes a stale Cancel (after the event
-// fired, was canceled, or its slot was reused) a safe no-op.
+// Every event has one shape: a Handler and the Payload it fires with. A
+// closure scheduled with At/After/Every rides the same shape — its Handler
+// is a trampoline that calls the closure parked in Payload.Aux — so the run
+// loop fires every event one way. Events are drawn from a per-Sim free list
+// and recycled the moment they fire or are canceled, so steady-state
+// scheduling allocates nothing beyond a caller's closure. Because recycled
+// events are reused, callers never hold *event pointers: At and After
+// return a by-value Handle carrying the event's generation number, which
+// makes a stale Cancel (after the event fired, was canceled, or its slot
+// was reused) a safe no-op.
 package sim
 
 import (
@@ -36,18 +39,13 @@ import (
 // explicit call to Stop rather than by reaching its natural end.
 var ErrStopped = errors.New("sim: stopped")
 
-// event is a scheduled callback slot. Slots live on a per-Sim free list and
-// are reused across schedules; gen counts reuses so stale Handles can detect
-// that "their" event is gone.
-//
-// Events come in two flavours. Closure events (At/After/Every) carry a
-// fresh fn closure and hand the caller a Handle for cancellation. Handler
-// events (AtFunc/AfterFunc) carry a shared Handler plus an inline Payload
-// instead of a closure and return no handle — the hot-path contract is
-// fire-and-forget.
+// event is a scheduled callback slot: h fires with p at time at. Slots live
+// on a per-Sim free list and are reused across schedules; gen counts reuses
+// so stale Handles can detect that "their" event is gone. A closure event
+// (At/After/Every) is h = callClosure with the closure in p.Aux; AfterFunc
+// stores the caller's shared Handler and Payload as they are.
 type event struct {
 	at       time.Duration
-	fn       func()
 	h        Handler
 	p        Payload
 	owner    *Sim
@@ -56,11 +54,11 @@ type event struct {
 	nextFree *event // free-list link for recycled events
 }
 
-// Handle refers to a scheduled closure event. It is a small by-value pair
-// (slot pointer + generation), so handles can be stored, copied and kept
-// past the event's lifetime freely: once the event fires, is canceled, or
-// its slot is reused, the generation no longer matches and the handle is
-// inert. The zero Handle is valid and refers to nothing.
+// Handle refers to an event scheduled with At or After. It is a small
+// by-value pair (slot pointer + generation), so handles can be stored,
+// copied and kept past the event's lifetime freely: once the event fires,
+// is canceled, or its slot is reused, the generation no longer matches and
+// the handle is inert. The zero Handle is valid and refers to nothing.
 type Handle struct {
 	ev  *event
 	gen uint64
@@ -106,11 +104,12 @@ func (h Handle) At() time.Duration {
 	return h.ev.at
 }
 
-// Payload is the inline argument block of a handler event. Ctx and Aux hold
-// pointer-shaped values (pointers, funcs, maps, channels), which convert to
-// interface values without allocating; A and B carry scalar operands
-// (ids, sizes, or float64 bits via math.Float64bits). Together they let a
-// hot path schedule delivery work with zero per-event allocations.
+// Payload is the inline argument block every event fires with. Ctx and Aux
+// hold pointer-shaped values (pointers, funcs, maps, channels), which
+// convert to interface values without allocating; A and B carry scalar
+// operands (ids, sizes, or float64 bits via math.Float64bits). Together
+// they let a hot path schedule delivery work with zero per-event
+// allocations. A closure event carries its closure in Aux and nothing else.
 type Payload struct {
 	// Ctx is the scheduling subsystem's context (e.g. a *netmodel.Net).
 	Ctx any
@@ -120,11 +119,14 @@ type Payload struct {
 	A, B int64
 }
 
-// Handler consumes a handler event's payload at fire time. Handlers should
-// be package-level functions (or otherwise long-lived func values): the
-// whole point of the handler path is that scheduling one does not allocate
-// a closure per event.
+// Handler consumes an event's payload at fire time. Handlers passed to
+// AfterFunc should be package-level functions (or otherwise long-lived func
+// values), so that scheduling one does not allocate a closure per event.
 type Handler func(p Payload)
+
+// callClosure is the Handler of every closure event: At parks the closure
+// in Aux.
+func callClosure(p Payload) { p.Aux.(func())() }
 
 // Sim is a discrete-event simulator. The zero value is not usable; construct
 // instances with New.
@@ -218,7 +220,7 @@ func (s *Sim) At(t time.Duration, fn func()) Handle {
 		return Handle{}
 	}
 	ev := s.takeEvent()
-	ev.at, ev.fn = t, fn
+	ev.at, ev.h, ev.p.Aux = t, callClosure, fn
 	s.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -233,14 +235,18 @@ func (s *Sim) After(d time.Duration, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
-// AtFunc schedules h to run with payload p at absolute virtual time t. It is
-// the handle-free counterpart of At for per-message hot paths: no Handle is
-// returned and the event cannot be canceled; use At when you need
-// cancellation. Scheduling in the past or with a nil handler is a no-op
-// returning false.
+// AfterFunc schedules h to run with payload p after delay d — the
+// closure-free variant of After for per-message hot paths. Negative delays
+// clamp to zero. No Handle is returned and the event cannot be canceled;
+// use After when you need cancellation. A nil handler, or a delay that
+// overflows the clock, schedules nothing and returns false.
 //
 //decentlint:hotpath
-func (s *Sim) AtFunc(t time.Duration, h Handler, p Payload) bool {
+func (s *Sim) AfterFunc(d time.Duration, h Handler, p Payload) bool {
+	if d < 0 {
+		d = 0
+	}
+	t := s.now + d
 	if t < s.now || h == nil {
 		return false
 	}
@@ -248,18 +254,6 @@ func (s *Sim) AtFunc(t time.Duration, h Handler, p Payload) bool {
 	ev.at, ev.h, ev.p = t, h, p
 	s.push(ev)
 	return true
-}
-
-// AfterFunc schedules h to run with payload p after delay d — the pooled,
-// closure-free variant of After. Negative delays clamp to zero. See AtFunc
-// for the recycling contract.
-//
-//decentlint:hotpath
-func (s *Sim) AfterFunc(d time.Duration, h Handler, p Payload) bool {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtFunc(s.now+d, h, p)
 }
 
 // takeEvent pops a recycled event slot or allocates a fresh one; the
@@ -374,18 +368,12 @@ func (s *Sim) RunUntil(horizon time.Duration) error {
 		s.now = at
 		s.fired++
 		// Recycle before invoking so the callback's own scheduling can
-		// reuse the slot — the steady-state fast path for both flavours.
-		// The release bumps the generation, so a Handle to this event is
-		// already inert inside its own callback.
-		if next.h != nil {
-			h, p := next.h, next.p
-			s.releaseEvent(next)
-			h(p)
-		} else {
-			fn := next.fn
-			s.releaseEvent(next)
-			fn()
-		}
+		// reuse the slot — the steady-state fast path. The release bumps
+		// the generation, so a Handle to this event is already inert
+		// inside its own callback.
+		h, p := next.h, next.p
+		s.releaseEvent(next)
+		h(p)
 		if s.stopped {
 			s.stopped = false
 			return ErrStopped

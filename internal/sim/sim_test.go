@@ -462,7 +462,7 @@ func TestPropertyDeepHeapOrder(t *testing.T) {
 			if ev.closure {
 				ev.h = s.At(at, func() { got = append(got, id) })
 			} else {
-				s.AtFunc(at, collectPayloads, Payload{Ctx: &got, A: id})
+				s.AfterFunc(at-s.Now(), collectPayloads, Payload{Ctx: &got, A: id})
 			}
 			evs = append(evs, ev)
 			live++
