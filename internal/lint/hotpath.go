@@ -8,9 +8,9 @@ import (
 )
 
 // HotPath enforces the 0-alloc contract on functions annotated
-// //decentlint:hotpath. BENCH_baseline.json pins those paths dynamically
-// (allocs/op must stay 0); this analyzer catches the same regressions at
-// lint time, before a benchmark run: closure allocations, fmt calls,
+// //decentlint:hotpath. The AllocsPerRun tests pin those paths dynamically
+// (allocations per run must stay 0); this analyzer catches the same
+// regressions at lint time, before a test run: closure allocations, fmt calls,
 // interface conversions of non-pointer-shaped values, and appends to
 // slices without locally visible preallocated capacity. Hot paths are
 // also where a run's determinism is decided — every event and message

@@ -8,9 +8,10 @@ import (
 )
 
 // The transport's hot path contract: once the kernel's event pool and the
-// heap's backing array are warm, Send and Broadcast schedule and deliver
-// without allocating. These benchmarks (and the AllocsPerRun tests pinning
-// the same property) are exported to CI as BENCH_transport.json.
+// heap's backing array are warm, Send, Transfer, Broadcast and Call admit,
+// schedule and deliver without allocating. The AllocsPerRun tests pin that
+// property in every go test run; the benchmarks measure what the paths
+// cost, and CI uploads their raw output as the bench-transport artifact.
 
 func benchNet(nodes int, opts ...Option) (*sim.Sim, *Net, []NodeID) {
 	s := sim.New(sim.WithSeed(1))
@@ -59,58 +60,116 @@ func BenchmarkTransportBroadcast(b *testing.B) {
 	}
 }
 
-// TestSendSteadyStateZeroAllocs pins the Send path on the kernel's one
-// stream and with one stream per sender group (WithSenderStreams).
+// lossyNet is the Send path with every admission rule live: a 10 % loss
+// draw, and an ambient partition that keeps both endpoints in one group so
+// the group lookups run. BenchmarkTransportSendLossy and the lossy case of
+// TestSendSteadyStateZeroAllocs share it.
+func lossyNet() (*sim.Sim, *Net, []NodeID) {
+	s, n, ids := benchNet(2)
+	n.SetLoss(0.1)
+	n.Partition(map[NodeID]int{ids[0]: 1, ids[1]: 1})
+	return s, n, ids
+}
+
+// splitNet puts four nodes in two groups under a 20 % loss draw, so a
+// Transfer along every ordered pair meets each of admit's outcomes.
+func splitNet(s *sim.Sim, n *Net, ids []NodeID) (*sim.Sim, *Net, []NodeID) {
+	n.SetLoss(0.2)
+	n.Partition(map[NodeID]int{ids[2]: 1, ids[3]: 1})
+	return s, n, ids
+}
+
+// TestSendSteadyStateZeroAllocs pins the point-to-point paths: Send on the
+// kernel's one stream, with one stream per sender group (WithSenderStreams)
+// and through every admission rule, and Transfer through every admission
+// rule with telemetry off and on. Each run makes 16 calls along every
+// ordered pair, so an allocation on only the calls one rule admits or
+// refuses still averages one or more per run and cannot round down to 0.
 func TestSendSteadyStateZeroAllocs(t *testing.T) {
+	deliver := func() {}
+	send := func(n *Net, from, to NodeID) bool { return n.Send(from, to, 100, deliver) }
+	transfer := func(n *Net, from, to NodeID) bool {
+		_, ok := n.Transfer(from, to, 100)
+		return ok
+	}
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		net  func() (*sim.Sim, *Net, []NodeID)
+		op   func(n *Net, from, to NodeID) bool
 	}{
-		{"one stream", nil},
-		{"sender streams", []Option{WithSenderStreams([]*sim.RNG{sim.NewRNG(1), sim.NewRNG(2), sim.NewRNG(3)})}},
+		{"one stream", func() (*sim.Sim, *Net, []NodeID) { return benchNet(2) }, send},
+		{"sender streams", func() (*sim.Sim, *Net, []NodeID) {
+			return benchNet(2, WithSenderStreams([]*sim.RNG{sim.NewRNG(1), sim.NewRNG(2), sim.NewRNG(3)}))
+		}, send},
+		{"lossy", lossyNet, send},
+		{"transfer", func() (*sim.Sim, *Net, []NodeID) { return splitNet(benchNet(4)) }, transfer},
+		{"transfer, telemetry on", func() (*sim.Sim, *Net, []NodeID) {
+			s, n, ids, _ := benchNetObs(4, 0)
+			return splitNet(s, n, ids)
+		}, transfer},
 	} {
 		name := tc.name
-		s, n, ids := benchNet(2, tc.opts...)
-		deliver := func() {}
-		for i := 0; i < 64; i++ {
-			n.Send(ids[0], ids[1], 100, deliver)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("%s: warmup: %v", name, err)
-		}
-		avg := testing.AllocsPerRun(200, func() {
+		s, n, ids := tc.net()
+		var admitted, refused int
+		round := func() {
 			for i := 0; i < 16; i++ {
-				if !n.Send(ids[0], ids[1], 100, deliver) || !n.Send(ids[1], ids[0], 100, deliver) {
-					t.Fatal("send refused")
+				for _, from := range ids {
+					for _, to := range ids {
+						if from == to {
+							continue
+						}
+						if tc.op(n, from, to) {
+							admitted++
+						} else {
+							refused++
+						}
+					}
 				}
 			}
 			if err := s.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatalf("%s: Run: %v", name, err)
 			}
-		})
-		if avg != 0 {
-			t.Fatalf("%s: steady-state Send allocates %.1f per batch, want 0", name, avg)
+		}
+		round() // warm the event pool and the heap
+		if avg := testing.AllocsPerRun(200, round); avg != 0 {
+			t.Fatalf("%s: steady-state calls allocate %.1f per run, want 0", name, avg)
+		}
+		if lossy := n.loss > 0; admitted == 0 || (refused > 0) != lossy {
+			t.Fatalf("%s: %d admitted, %d refused at loss %.1f", name, admitted, refused, n.loss)
 		}
 	}
 }
 
+// TestBroadcastSteadyStateZeroAllocs pins Broadcast with telemetry off and
+// on; each run broadcasts from four senders to 31 receivers apiece.
 func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
-	s, n, ids := benchNet(32)
-	deliver := func(NodeID) {}
-	n.Broadcast(ids[0], 1000, deliver)
-	if err := s.Run(); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if n.Broadcast(ids[0], 1000, deliver) != 31 {
-			t.Fatal("broadcast did not reach everyone")
+	for _, tc := range []struct {
+		name string
+		net  func() (*sim.Sim, *Net, []NodeID)
+	}{
+		{"telemetry off", func() (*sim.Sim, *Net, []NodeID) { return benchNet(32) }},
+		{"telemetry on", func() (*sim.Sim, *Net, []NodeID) {
+			s, n, ids, _ := benchNetObs(32, 0)
+			return s, n, ids
+		}},
+	} {
+		name := tc.name
+		s, n, ids := tc.net()
+		deliver := func(NodeID) {}
+		round := func() {
+			for _, from := range ids[:4] {
+				if n.Broadcast(from, 1000, deliver) != 31 {
+					t.Fatalf("%s: broadcast did not reach everyone", name)
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("%s: Run: %v", name, err)
+			}
 		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
+		round() // warm the event pool and the heap
+		if avg := testing.AllocsPerRun(200, round); avg != 0 {
+			t.Fatalf("%s: steady-state Broadcast allocates %.1f per run, want 0", name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Broadcast allocates %.1f per round, want 0", avg)
 	}
 }
 
@@ -157,8 +216,7 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 // BenchmarkTransportSendLossy exercises the admission path with loss and
 // partitions enabled so the non-trivial checks stay on the profile.
 func BenchmarkTransportSendLossy(b *testing.B) {
-	s, n, ids := benchNet(2)
-	n.SetLoss(0.1)
+	s, n, ids := lossyNet()
 	deliver := func() {}
 	for i := 0; i < 64; i++ {
 		n.Send(ids[0], ids[1], 100, deliver)

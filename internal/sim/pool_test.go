@@ -131,6 +131,35 @@ func TestAfterFuncSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDeepHeapSteadyStateZeroAllocs is the same contract at depth: with
+// 4096 events pending, each fire and its replacement sift through a dozen
+// levels of the heap, where the test above sifts one or two. Each run fires
+// 16 events, one per Run.
+func TestDeepHeapSteadyStateZeroAllocs(t *testing.T) {
+	const depth = 4096
+	s := New()
+	p := Payload{Ctx: NewRNG(1), Aux: s, A: depth}
+	for i := 0; i < depth; i++ {
+		s.AfterFunc(time.Duration(i)*time.Microsecond, deepHeapStep, p)
+	}
+	step := func() {
+		for i := 0; i < 16; i++ {
+			if err := s.Run(); err != ErrStopped {
+				t.Fatalf("Run = %v, want ErrStopped after one event", err)
+			}
+		}
+	}
+	const runs = 100
+	step() // warm the free list
+	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+		t.Fatalf("deep-heap schedule/fire allocates %.1f per run, want 0", avg)
+	}
+	// The warm-up step, AllocsPerRun's own warm-up call and the runs.
+	if want := uint64(16 * (runs + 2)); s.Pending() != depth || s.Fired() != want {
+		t.Fatalf("Pending() = %d, Fired() = %d; want %d pending, %d fired", s.Pending(), s.Fired(), depth, want)
+	}
+}
+
 func TestRescheduleChainZeroAllocs(t *testing.T) {
 	s := New()
 	var n int64
