@@ -27,7 +27,6 @@ func run() error {
 		EdgeNodes: 80,
 		CloudDCs:  3,
 		AreaKM:    3000, // a continent
-		ServiceMs: 2,
 	})
 	if err != nil {
 		return err
@@ -46,7 +45,7 @@ func run() error {
 	fmt.Println("\ndensity sweep — how many edge sites buy how much latency:")
 	for _, sites := range []int{10, 40, 160, 640} {
 		d, err := edge.New(g, edge.Config{
-			Clients: 2000, EdgeNodes: sites, CloudDCs: 3, ServiceMs: 2,
+			Clients: 2000, EdgeNodes: sites, CloudDCs: 3,
 		})
 		if err != nil {
 			return err

@@ -42,7 +42,6 @@ type Process struct {
 	online  []bool
 	onJoin  func(node int)
 	onLeave func(node int)
-	stopped bool
 }
 
 // New creates a churn process over nodes [0, n). onJoin/onLeave may be nil.
@@ -84,13 +83,10 @@ func (p *Process) Start() {
 	}
 }
 
-// Stop halts all future churn transitions; current states are frozen.
-func (p *Process) Stop() { p.stopped = true }
-
 func (p *Process) scheduleLeave(node int) {
 	d := p.cfg.Session(p.rng)
 	p.sim.After(d, func() {
-		if p.stopped || !p.online[node] {
+		if !p.online[node] {
 			return
 		}
 		p.leave(node)
@@ -101,7 +97,7 @@ func (p *Process) scheduleLeave(node int) {
 func (p *Process) scheduleJoin(node int) {
 	d := p.cfg.Gap(p.rng)
 	p.sim.After(d, func() {
-		if p.stopped || p.online[node] {
+		if p.online[node] {
 			return
 		}
 		p.join(node)

@@ -78,31 +78,6 @@ func TestSteadyStateAvailability(t *testing.T) {
 	}
 }
 
-func TestStopFreezesState(t *testing.T) {
-	s := sim.New(sim.WithSeed(2))
-	joins := 0
-	p, err := New(s, 50, Config{
-		Session:       Exponential(time.Minute),
-		Gap:           Exponential(time.Minute),
-		InitialOnline: 0.5,
-	}, func(int) { joins++ }, nil)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	p.Start()
-	if err := s.RunUntil(10 * time.Minute); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	p.Stop()
-	before, joinsBefore := p.OnlineCount(), joins
-	if err := s.RunUntil(time.Hour); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if p.OnlineCount() != before || joins != joinsBefore {
-		t.Fatal("churn transitions occurred after Stop")
-	}
-}
-
 func TestOnlineOutOfRange(t *testing.T) {
 	s := sim.New()
 	p, err := New(s, 3, Config{Session: Fixed(time.Second), Gap: Fixed(time.Second)}, nil, nil)

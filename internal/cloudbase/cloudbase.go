@@ -22,21 +22,20 @@ import (
 type Config struct {
 	// Shards is the number of partitions.
 	Shards int
-	// ServiceTime is the per-transaction processing time at one shard.
-	ServiceTime time.Duration
 	// CrossShardFrac is the fraction of transactions touching two shards.
 	CrossShardFrac float64
 }
 
-// commitRTT is the extra coordination latency for cross-shard commits.
-const commitRTT = 2 * time.Millisecond
+const (
+	// serviceTime is the per-transaction processing time at one shard.
+	serviceTime = time.Millisecond
+	// commitRTT is the extra coordination latency for cross-shard commits.
+	commitRTT = 2 * time.Millisecond
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Shards <= 0 {
 		return c, errors.New("cloudbase: need at least one shard")
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = time.Millisecond
 	}
 	if c.CrossShardFrac < 0 || c.CrossShardFrac > 1 {
 		return c, errors.New("cloudbase: CrossShardFrac must be in [0,1]")
@@ -51,7 +50,7 @@ func (c Config) CapacityTPS() float64 {
 	if err != nil {
 		return 0
 	}
-	perShard := 1 / cfg.ServiceTime.Seconds()
+	perShard := 1 / serviceTime.Seconds()
 	return float64(cfg.Shards) * perShard / (1 + cfg.CrossShardFrac)
 }
 
@@ -103,7 +102,7 @@ func (c *Cluster) Submit(key uint64) time.Duration {
 	// trip is paid. Shards are not held across the commit (early lock
 	// release), so no convoy forms.
 	serve := func(sh int) time.Duration {
-		done := maxDur(now, c.nextFree[sh]) + c.cfg.ServiceTime
+		done := maxDur(now, c.nextFree[sh]) + serviceTime
 		c.nextFree[sh] = done
 		return done
 	}

@@ -29,8 +29,8 @@ func TestValidation(t *testing.T) {
 }
 
 func TestCapacityScalesWithShards(t *testing.T) {
-	small := Config{Shards: 4, ServiceTime: time.Millisecond}
-	big := Config{Shards: 64, ServiceTime: time.Millisecond}
+	small := Config{Shards: 4}
+	big := Config{Shards: 64}
 	if big.CapacityTPS() != 16*small.CapacityTPS() {
 		t.Fatalf("capacity should scale linearly: %v vs %v", small.CapacityTPS(), big.CapacityTPS())
 	}
@@ -43,7 +43,7 @@ func TestCapacityScalesWithShards(t *testing.T) {
 
 func TestUnderloadLowLatency(t *testing.T) {
 	s := sim.New(sim.WithSeed(1))
-	c, err := NewCluster(s, Config{Shards: 64, ServiceTime: time.Millisecond, CrossShardFrac: 0.1})
+	c, err := NewCluster(s, Config{Shards: 64, CrossShardFrac: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestUnderloadLowLatency(t *testing.T) {
 
 func TestOverloadSaturates(t *testing.T) {
 	s := sim.New(sim.WithSeed(2))
-	cfg := Config{Shards: 8, ServiceTime: time.Millisecond, CrossShardFrac: 0.1}
+	cfg := Config{Shards: 8, CrossShardFrac: 0.1}
 	c, err := NewCluster(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +81,8 @@ func TestOverloadSaturates(t *testing.T) {
 }
 
 func TestCrossShardCostsCapacity(t *testing.T) {
-	none := Config{Shards: 16, ServiceTime: time.Millisecond, CrossShardFrac: 0}
-	half := Config{Shards: 16, ServiceTime: time.Millisecond, CrossShardFrac: 0.5}
+	none := Config{Shards: 16, CrossShardFrac: 0}
+	half := Config{Shards: 16, CrossShardFrac: 0.5}
 	if none.CapacityTPS() <= half.CapacityTPS() {
 		t.Fatal("cross-shard transactions must reduce capacity")
 	}
@@ -90,7 +90,7 @@ func TestCrossShardCostsCapacity(t *testing.T) {
 
 func TestSingleShardDegenerate(t *testing.T) {
 	s := sim.New(sim.WithSeed(3))
-	c, err := NewCluster(s, Config{Shards: 1, ServiceTime: time.Millisecond, CrossShardFrac: 0.5})
+	c, err := NewCluster(s, Config{Shards: 1, CrossShardFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSingleShardDegenerate(t *testing.T) {
 // and the gaps share one stream, so a draw moved across an arrival shows.
 func TestRunPinned(t *testing.T) {
 	s := sim.New(sim.WithSeed(21))
-	c, err := NewCluster(s, Config{Shards: 8, ServiceTime: time.Millisecond, CrossShardFrac: 0.1})
+	c, err := NewCluster(s, Config{Shards: 8, CrossShardFrac: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

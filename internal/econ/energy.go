@@ -2,6 +2,18 @@ package econ
 
 import "errors"
 
+// The late-2018 Bitcoin reward schedule and miner cost structure: a 12.5 BTC
+// subsidy plus ~0.3 BTC of fees per block, 144 blocks a day, wholesale
+// electricity, and a cost share of revenue spent on electricity at
+// equilibrium (the rest covers hardware and margin; typically 0.6–0.9).
+const (
+	blockRewardCoins  = 12.5
+	feesPerBlockCoins = 0.3
+	blocksPerDay      = 144
+	elecUSDPerKWh     = 0.05
+	costShare         = 0.75
+)
+
 // EnergyParams models proof-of-work energy at economic equilibrium: miners
 // add power until the marginal electricity cost approaches marginal revenue,
 // so network consumption is pinned by coin price and reward schedule rather
@@ -10,57 +22,29 @@ import "errors"
 type EnergyParams struct {
 	// CoinPriceUSD is the exchange rate.
 	CoinPriceUSD float64
-	// BlockRewardCoins is the subsidy per block; FeesPerBlockCoins the
-	// average fee take.
-	BlockRewardCoins, FeesPerBlockCoins float64
-	// BlocksPerDay is the block production rate (Bitcoin: 144).
-	BlocksPerDay float64
-	// ElecUSDPerKWh is the marginal miner's electricity price.
-	ElecUSDPerKWh float64
-	// CostShare is the fraction of revenue spent on electricity at
-	// equilibrium (the rest covers hardware and margin), typically
-	// 0.6–0.9.
-	CostShare float64
 }
 
 // Bitcoin2018Energy returns parameters matching late-2018 Bitcoin: ~$7.5k
-// per coin, 12.5 BTC subsidy, wholesale electricity.
+// per coin.
 func Bitcoin2018Energy() EnergyParams {
-	return EnergyParams{
-		CoinPriceUSD:      7500,
-		BlockRewardCoins:  12.5,
-		FeesPerBlockCoins: 0.3,
-		BlocksPerDay:      144,
-		ElecUSDPerKWh:     0.05,
-		CostShare:         0.75,
-	}
+	return EnergyParams{CoinPriceUSD: 7500}
 }
 
 // DailyRevenueUSD returns the network's total daily mining revenue.
 func (p EnergyParams) DailyRevenueUSD() float64 {
-	return p.CoinPriceUSD * (p.BlockRewardCoins + p.FeesPerBlockCoins) * p.BlocksPerDay
+	return p.CoinPriceUSD * (blockRewardCoins + feesPerBlockCoins) * blocksPerDay
 }
 
 // NetworkPowerGW returns the equilibrium power draw in gigawatts.
-func (p EnergyParams) NetworkPowerGW() (float64, error) {
-	if p.ElecUSDPerKWh <= 0 {
-		return 0, errors.New("econ: electricity price must be positive")
-	}
-	if p.CostShare <= 0 || p.CostShare > 1 {
-		return 0, errors.New("econ: CostShare must be in (0,1]")
-	}
-	dailyKWh := p.DailyRevenueUSD() * p.CostShare / p.ElecUSDPerKWh
-	return dailyKWh / 24 / 1e6, nil
+func (p EnergyParams) NetworkPowerGW() float64 {
+	dailyKWh := p.DailyRevenueUSD() * costShare / elecUSDPerKWh
+	return dailyKWh / 24 / 1e6
 }
 
 // AnnualTWh returns the equilibrium annual energy consumption in
 // terawatt-hours.
-func (p EnergyParams) AnnualTWh() (float64, error) {
-	gw, err := p.NetworkPowerGW()
-	if err != nil {
-		return 0, err
-	}
-	return gw * 24 * 365 / 1000, nil
+func (p EnergyParams) AnnualTWh() float64 {
+	return p.NetworkPowerGW() * 24 * 365 / 1000
 }
 
 // PerTxKWh returns the energy cost of a single transaction at the given
@@ -69,11 +53,7 @@ func (p EnergyParams) PerTxKWh(tps float64) (float64, error) {
 	if tps <= 0 {
 		return 0, errors.New("econ: tps must be positive")
 	}
-	gw, err := p.NetworkPowerGW()
-	if err != nil {
-		return 0, err
-	}
 	txPerDay := tps * 86_400
-	dailyKWh := gw * 1e6 * 24
+	dailyKWh := p.NetworkPowerGW() * 1e6 * 24
 	return dailyKWh / txPerDay, nil
 }

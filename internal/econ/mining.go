@@ -38,8 +38,6 @@ func DefaultHardwareGens() []HardwareGen {
 type MiningEconConfig struct {
 	// Epochs is the horizon (one epoch ≈ one month).
 	Epochs int
-	// RewardUSDPerEpoch is the total network mining revenue per epoch.
-	RewardUSDPerEpoch float64
 	// Hobbyists is the number of commodity miners (one unit each, retail
 	// electricity); Farms is the number of industrial operations
 	// (wholesale electricity, reinvested profits).
@@ -52,9 +50,6 @@ func (c MiningEconConfig) withDefaults() (MiningEconConfig, error) {
 	}
 	if c.Hobbyists <= 0 || c.Farms <= 0 {
 		return c, errors.New("econ: need both hobbyists and farms")
-	}
-	if c.RewardUSDPerEpoch <= 0 {
-		return c, errors.New("econ: RewardUSDPerEpoch must be positive")
 	}
 	return c, nil
 }
@@ -82,6 +77,8 @@ type MiningEconResult struct {
 
 const (
 	hoursPerEpoch = 730 // one month
+	// rewardUSDPerEpoch is the total network mining revenue per epoch.
+	rewardUSDPerEpoch = 5_000_000
 	// retailElecUSDPerKWh and wholesaleElecUSDPerKWh are the electricity
 	// prices hobbyists and farms pay.
 	retailElecUSDPerKWh, wholesaleElecUSDPerKWh = 0.20, 0.04
@@ -167,7 +164,7 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 			hash := a.units * gens[a.gen].HashPerSec
 			watts := a.units * gens[a.gen].Watts
 			totalPower += watts
-			revenue := cfg.RewardUSDPerEpoch * hash / totalHash
+			revenue := rewardUSDPerEpoch * hash / totalHash
 			cost := watts / 1000 * hoursPerEpoch * a.elec
 			profit := revenue - cost
 			if a.farm {
@@ -216,16 +213,19 @@ func RunMiningEconomy(g *sim.RNG, cfg MiningEconConfig) (*MiningEconResult, erro
 // minimize payout variance, which favours large pools — preferential
 // attachment again, now over hashpower.
 type PoolConfig struct {
-	// Pools is the number of candidate pools.
-	Pools int
 	// Miners is the number of miners choosing a pool.
 	Miners int
 	// SizeBias is the preferential-attachment exponent (1 = linear;
 	// >1 = super-linear, winner-take-most).
 	SizeBias float64
-	// FeeSpread adds per-pool fitness noise (pool fees/reliability).
-	FeeSpread float64
 }
+
+const (
+	// pools is the number of candidate pools.
+	pools = 20
+	// feeSpread adds per-pool fitness noise (pool fees/reliability).
+	feeSpread = 0.3
+)
 
 // PoolResult reports pool-concentration outcomes.
 type PoolResult struct {
@@ -241,30 +241,27 @@ type PoolResult struct {
 // RunPoolFormation assigns miners to pools one at a time with probability
 // proportional to fitness × (pool hashpower + 1)^SizeBias.
 func RunPoolFormation(g *sim.RNG, cfg PoolConfig) (*PoolResult, error) {
-	if cfg.Pools < 2 || cfg.Miners < cfg.Pools {
-		return nil, errors.New("econ: need >=2 pools and more miners than pools")
+	if cfg.Miners < pools {
+		return nil, errors.New("econ: need more miners than pools")
 	}
 	if cfg.SizeBias <= 0 {
 		cfg.SizeBias = 1
 	}
-	fitness := make([]float64, cfg.Pools)
+	fitness := make([]float64, pools)
 	for i := range fitness {
-		fitness[i] = 1
-		if cfg.FeeSpread > 0 {
-			fitness[i] = 1 + cfg.FeeSpread*g.Float64()
-		}
+		fitness[i] = 1 + feeSpread*g.Float64()
 	}
-	size := make([]float64, cfg.Pools)
+	size := make([]float64, pools)
 	for m := 0; m < cfg.Miners; m++ {
 		var total float64
-		weights := make([]float64, cfg.Pools)
+		weights := make([]float64, pools)
 		for i := range weights {
 			weights[i] = fitness[i] * math.Pow(size[i]+1, cfg.SizeBias)
 			total += weights[i]
 		}
 		target := g.Float64() * total
 		var cum float64
-		pick := cfg.Pools - 1
+		pick := pools - 1
 		for i, w := range weights {
 			cum += w
 			if target < cum {
@@ -274,7 +271,7 @@ func RunPoolFormation(g *sim.RNG, cfg PoolConfig) (*PoolResult, error) {
 		}
 		size[pick]++
 	}
-	shares := make([]float64, cfg.Pools)
+	shares := make([]float64, pools)
 	for i, s := range size {
 		shares[i] = s / float64(cfg.Miners)
 	}

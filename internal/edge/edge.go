@@ -13,7 +13,6 @@ package edge
 import (
 	"errors"
 	"math"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -26,8 +25,6 @@ type Config struct {
 	// AreaKM is the side of the square service region in kilometres
 	// (default 3000, a continent).
 	AreaKM float64
-	// ServiceMs is the server-side processing time.
-	ServiceMs float64
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -36,9 +33,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.AreaKM <= 0 {
 		c.AreaKM = 3000
-	}
-	if c.ServiceMs < 0 {
-		c.ServiceMs = 0
 	}
 	return c, nil
 }
@@ -49,6 +43,8 @@ const (
 	// msPerKM is one-way propagation per kilometre including routing
 	// inflation: fibre at 2/3 c with 1.5x detours.
 	msPerKM = 0.03
+	// serviceMs is the server-side processing time.
+	serviceMs = 2
 )
 
 type point struct {
@@ -93,7 +89,7 @@ func New(g *sim.RNG, cfg Config) (*Deployment, error) {
 // location.
 func (d *Deployment) rttMs(c, s point) float64 {
 	oneWay := lastMileMs + dist(c, s)*msPerKM
-	return 2*oneWay + d.cfg.ServiceMs
+	return 2*oneWay + serviceMs
 }
 
 func nearest(c point, sites []point) point {
@@ -195,9 +191,4 @@ func TheoreticalNearestDistance(areaKM float64, n int) float64 {
 		return 0
 	}
 	return 0.5 * areaKM / math.Sqrt(float64(n))
-}
-
-// Duration converts a latency in milliseconds to a time.Duration.
-func Duration(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
 }

@@ -21,10 +21,9 @@ func e10MiningCentralization() core.Experiment {
 			hobbyists := scaledSize(cfg, "e10.hobbyists")
 			farms := scaledSize(cfg, "e10.farms")
 			res, err := econ.RunMiningEconomy(g, econ.MiningEconConfig{
-				Epochs:            knobInt(cfg, "e10.epochs"),
-				RewardUSDPerEpoch: 5_000_000,
-				Hobbyists:         hobbyists,
-				Farms:             farms,
+				Epochs:    knobInt(cfg, "e10.epochs"),
+				Hobbyists: hobbyists,
+				Farms:     farms,
 			})
 			if err != nil {
 				return err
@@ -40,10 +39,8 @@ func e10MiningCentralization() core.Experiment {
 
 			miners := scaledSize(cfg, "e10.miners")
 			pool, err := econ.RunPoolFormation(g, econ.PoolConfig{
-				Pools:     20,
-				Miners:    miners,
-				SizeBias:  1.3,
-				FeeSpread: 0.3,
+				Miners:   miners,
+				SizeBias: 1.3,
 			})
 			if err != nil {
 				return err
@@ -84,14 +81,7 @@ func e11Energy() core.Experiment {
 			for _, price := range []float64{midPrice / 2, midPrice, midPrice * 2} {
 				p := base
 				p.CoinPriceUSD = price
-				gw, err := p.NetworkPowerGW()
-				if err != nil {
-					return err
-				}
-				twh, err := p.AnnualTWh()
-				if err != nil {
-					return err
-				}
+				gw, twh := p.NetworkPowerGW(), p.AnnualTWh()
 				perTx, err := p.PerTxKWh(tps)
 				if err != nil {
 					return err

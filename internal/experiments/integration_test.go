@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -29,12 +30,18 @@ func TestGossipCalibratedForkRate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gossip network: %v", err)
 	}
-	var delays *metrics.Sample
-	gnw.MeasurePropagation(5, 1_000_000, func(sample *metrics.Sample) { delays = sample })
+	var delays metrics.Sample
+	var values []time.Duration
+	gnw.MeasurePropagation(5, 1_000_000, func(ds []time.Duration) {
+		for _, d := range ds {
+			delays.Add(d.Seconds())
+		}
+		values = slices.Sorted(slices.Values(ds))
+	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("calibration run: %v", err)
 	}
-	if delays == nil || delays.Count() == 0 {
+	if delays.Count() == 0 {
 		t.Fatal("no propagation sample collected")
 	}
 	median := time.Duration(delays.Median() * float64(time.Second))
@@ -47,13 +54,12 @@ func TestGossipCalibratedForkRate(t *testing.T) {
 	// Phase 2: mine with the empirical delay distribution at an interval
 	// chosen to stress forking (interval ~= 4x median delay).
 	interval := 4 * median
-	values := delays.Values()
 	s2 := sim.New(sim.WithSeed(12))
 	mnw, err := pow.NewNetwork(s2, pow.Params{
 		BlockInterval:     interval,
 		InitialDifficulty: interval.Seconds(),
 		Propagation: func(g *sim.RNG, size int) time.Duration {
-			return time.Duration(values[g.Intn(len(values))] * float64(time.Second))
+			return values[g.Intn(len(values))]
 		},
 	}, []float64{0.25, 0.25, 0.25, 0.25})
 	if err != nil {

@@ -147,9 +147,7 @@ func e02FreeRiding() core.Experiment {
 			swarmPeers := scaledSize(cfg, "e02.swarmpeers")
 			swarmCfg := incentive.SwarmConfig{
 				Peers:         swarmPeers,
-				Seeds:         3,
 				FreeRiderFrac: knobFloat(cfg, "e02.swarmfreeriders"),
-				Pieces:        50,
 			}
 			g2 := s.Stream("e02.swarm")
 			base, err := incentive.RunSwarm(g2, swarmCfg, 5000)

@@ -107,7 +107,6 @@ func e14EdgeVsCloud() core.Experiment {
 				Clients:   clients,
 				EdgeNodes: edgeNodes,
 				CloudDCs:  cloudDCs,
-				ServiceMs: 2,
 			})
 			if err != nil {
 				return err

@@ -55,7 +55,6 @@ func e06Throughput() core.Experiment {
 			s2 := newSim(cfg)
 			cluster, err := cloudbase.NewCluster(s2, cloudbase.Config{
 				Shards:         shards,
-				ServiceTime:    time.Millisecond,
 				CrossShardFrac: knobFloat(cfg, "e06.crossshard"),
 			})
 			if err != nil {

@@ -235,18 +235,16 @@ func (b *broadcast) finish() {
 }
 
 // MeasurePropagation runs rounds broadcasts of the given size from random
-// origins and invokes done with the pooled delivery-time sample (seconds).
-// It is the calibration step feeding the PoW fork model.
-func (nw *Network) MeasurePropagation(rounds, size int, done func(sample *metrics.Sample)) {
-	sample := &metrics.Sample{}
+// origins and invokes done with the pooled delivery times, in delivery
+// order. It is the calibration step feeding the PoW fork model.
+func (nw *Network) MeasurePropagation(rounds, size int, done func(delays []time.Duration)) {
+	var delays []time.Duration
 	remaining := rounds
 	var runOne func()
 	runOne = func() {
 		origin := nw.rng.Intn(len(nw.addrs))
 		nw.Broadcast(origin, size, func(sp *Spread) {
-			for _, d := range sp.DeliveryTimes {
-				sample.AddDuration(d)
-			}
+			delays = append(delays, sp.DeliveryTimes...)
 			remaining--
 			if remaining > 0 {
 				// Space rounds out so broadcasts do not overlap.
@@ -254,12 +252,12 @@ func (nw *Network) MeasurePropagation(rounds, size int, done func(sample *metric
 				return
 			}
 			if done != nil {
-				done(sample)
+				done(delays)
 			}
 		})
 	}
 	if rounds <= 0 {
-		done(sample)
+		done(delays)
 		return
 	}
 	runOne()

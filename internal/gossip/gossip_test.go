@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
@@ -105,8 +104,8 @@ func TestPropagationMedianRealistic(t *testing.T) {
 func TestMeasurePropagationPooledSample(t *testing.T) {
 	s, nw := newGossip(t, 200, 5, 0, Config{})
 	var count int
-	nw.MeasurePropagation(3, 50_000, func(sample *metrics.Sample) {
-		count = sample.Count()
+	nw.MeasurePropagation(3, 50_000, func(delays []time.Duration) {
+		count = len(delays)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

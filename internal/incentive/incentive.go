@@ -46,12 +46,8 @@ func (s Strategy) String() string {
 type SwarmConfig struct {
 	// Peers is the number of downloading peers.
 	Peers int
-	// Seeds is the number of initial seeders (full copies).
-	Seeds int
 	// FreeRiderFrac is the fraction of peers that never upload.
 	FreeRiderFrac float64
-	// Pieces is the number of pieces constituting the file.
-	Pieces int
 	// TitForTat enables reciprocity-based unchoking; when false all slots
 	// are filled randomly (the incentive-less baseline).
 	TitForTat bool
@@ -60,12 +56,6 @@ type SwarmConfig struct {
 func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	if c.Peers <= 1 {
 		return c, errors.New("incentive: need at least two peers")
-	}
-	if c.Seeds <= 0 {
-		return c, errors.New("incentive: need at least one seed")
-	}
-	if c.Pieces <= 0 {
-		c.Pieces = 100
 	}
 	if c.FreeRiderFrac < 0 {
 		c.FreeRiderFrac = 0
@@ -82,6 +72,9 @@ const (
 	uploadSlots, optimisticSlots = 3, 1
 	// piecesPerSlot is the upload capacity per slot per round.
 	piecesPerSlot = 1
+	// initialSeeds is the number of initial seeders (full copies);
+	// filePieces is the number of pieces constituting the file.
+	initialSeeds, filePieces = 3, 50
 )
 
 // SwarmResult summarizes a swarm run.
@@ -124,9 +117,9 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 		return nil, err
 	}
 	if maxRounds <= 0 {
-		maxRounds = 10 * cfg.Pieces
+		maxRounds = 10 * filePieces
 	}
-	total := cfg.Peers + cfg.Seeds
+	total := cfg.Peers + initialSeeds
 	peers := make([]*peer, total)
 	res := &SwarmResult{}
 	for i := 0; i < total; i++ {
@@ -136,9 +129,9 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 			recvNow:   make([]int, total),
 		}
 		switch {
-		case i < cfg.Seeds:
+		case i < initialSeeds:
 			p.strategy = Cooperator
-			p.pieces = cfg.Pieces
+			p.pieces = filePieces
 			p.doneRound = 0
 		case g.Float64() < cfg.FreeRiderFrac:
 			p.strategy = FreeRider
@@ -150,7 +143,7 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 		peers[i] = p
 	}
 
-	interested := func(p *peer) bool { return p.pieces < cfg.Pieces }
+	interested := func(p *peer) bool { return p.pieces < filePieces }
 	uploading := func(i int) bool {
 		p := peers[i]
 		if p.strategy == FreeRider {
@@ -159,7 +152,7 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 		if interested(p) {
 			return p.pieces > 0 // has something to share
 		}
-		return i < cfg.Seeds // initial seeds stay; finished peers have left
+		return i < initialSeeds // initial seeds stay; finished peers have left
 	}
 
 	for round := 1; round <= maxRounds; round++ {
@@ -220,20 +213,20 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 			for j := range chosen {
 				q := peers[j]
 				n := piecesPerSlot
-				if q.pieces+n > cfg.Pieces {
-					n = cfg.Pieces - q.pieces
+				if q.pieces+n > filePieces {
+					n = filePieces - q.pieces
 				}
 				if n <= 0 {
 					continue
 				}
 				q.pieces += n
 				q.recvNow[i] += n
-				if p.doneRound == 0 && i < cfg.Seeds {
+				if p.doneRound == 0 && i < initialSeeds {
 					res.SeedUploads += n
 				} else {
 					res.CooperatorUploads += n
 				}
-				if q.pieces >= cfg.Pieces && q.doneRound < 0 {
+				if q.pieces >= filePieces && q.doneRound < 0 {
 					q.doneRound = round
 					switch q.strategy {
 					case FreeRider:

@@ -12,19 +12,14 @@ import (
 func baseConfig() SwarmConfig {
 	return SwarmConfig{
 		Peers:         100,
-		Seeds:         3,
 		FreeRiderFrac: 0.3,
-		Pieces:        50,
 	}
 }
 
 func TestValidation(t *testing.T) {
 	g := sim.NewRNG(1)
-	if _, err := RunSwarm(g, SwarmConfig{Peers: 1, Seeds: 1}, 10); err == nil {
+	if _, err := RunSwarm(g, SwarmConfig{Peers: 1}, 10); err == nil {
 		t.Fatal("Peers<2 should error")
-	}
-	if _, err := RunSwarm(g, SwarmConfig{Peers: 10, Seeds: 0}, 10); err == nil {
-		t.Fatal("Seeds=0 should error")
 	}
 }
 

@@ -91,7 +91,6 @@ type Chain struct {
 	nodes   map[Hash]*blockNode
 	genesis Hash
 	best    *blockNode
-	stale   int
 }
 
 // Chain errors.

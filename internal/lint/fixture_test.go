@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/lint/analysis"
 )
 
 // The fixture runner is a minimal analysistest: fixture packages live
@@ -139,13 +137,10 @@ func fixtureWants(t *testing.T, pkg *Package) map[string][]*regexp.Regexp {
 // runFixture applies analyzers to the fixture package and matches the
 // findings against its want comments, failing on any mismatch in either
 // direction.
-func runFixture(t *testing.T, importPath string, analyzers ...*analysis.Analyzer) {
+func runFixture(t *testing.T, importPath string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, importPath)
-	findings, err := RunAnalyzers(pkg, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := RunAnalyzers(pkg, analyzers)
 	wants := fixtureWants(t, pkg)
 	got := make(map[string][]Finding)
 	for _, f := range findings {
@@ -221,10 +216,7 @@ func TestOutOfScopePackage(t *testing.T) {
 // is itself reported.
 func TestMalformedDirective(t *testing.T) {
 	pkg := loadFixture(t, "repro/internal/econ/badallow")
-	findings, err := RunAnalyzers(pkg, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := RunAnalyzers(pkg, Analyzers())
 	if len(findings) != 2 {
 		t.Fatalf("want 2 findings (malformed directive + unsuppressed Getenv), got %d: %v", len(findings), findings)
 	}

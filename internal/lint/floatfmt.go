@@ -5,8 +5,6 @@ import (
 	"go/constant"
 	"go/types"
 	"strings"
-
-	"repro/internal/lint/analysis"
 )
 
 // FloatFmtPkgs are the byte-determinism-critical render paths: every byte
@@ -21,7 +19,7 @@ var FloatFmtPkgs = []string{
 }
 
 // FloatFmt bans width-unstable float formatting in render paths.
-var FloatFmt = &analysis.Analyzer{
+var FloatFmt = &Analyzer{
 	Name: "floatfmt",
 	Doc: "flags %v and precision-less %g/%G applied to floating-point " +
 		"operands, and fmt.Sprint-style calls with float operands, in the " +
@@ -44,9 +42,9 @@ var fmtPlainFuncs = map[string]int{
 	"Fprint": 1, "Fprintln": 1, "Append": 1, "Appendln": 1,
 }
 
-func runFloatFmt(pass *analysis.Pass) (any, error) {
+func runFloatFmt(pass *Pass) {
 	if !pathInSet(pass.Pkg.Path(), FloatFmtPkgs) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -73,14 +71,13 @@ func runFloatFmt(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkFormatCall matches the format literal's verbs against operand types
 // and flags %v and precision-less %g/%G on floats. Non-constant format
 // strings and parses the scanner cannot follow are skipped: the dynamic
 // golden gates still cover them.
-func checkFormatCall(pass *analysis.Pass, call *ast.CallExpr, fname string, fmtIdx int) {
+func checkFormatCall(pass *Pass, call *ast.CallExpr, fname string, fmtIdx int) {
 	if len(call.Args) <= fmtIdx {
 		return
 	}

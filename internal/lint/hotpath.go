@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/lint/analysis"
 )
 
 // HotPath enforces the 0-alloc contract on functions annotated
@@ -17,7 +15,7 @@ import (
 // passes through them — and Go randomizes map iteration order per run, so
 // ranging over a map is flagged as well: a map-order-dependent write
 // there would leak that randomness into results.
-var HotPath = &analysis.Analyzer{
+var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "functions annotated //decentlint:hotpath must not allocate: no " +
 		"func literals, no fmt calls, no interface conversions of " +
@@ -27,7 +25,7 @@ var HotPath = &analysis.Analyzer{
 	Run: runHotPath,
 }
 
-func runHotPath(pass *analysis.Pass) (any, error) {
+func runHotPath(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -37,10 +35,9 @@ func runHotPath(pass *analysis.Pass) (any, error) {
 			checkHotBody(pass, fd)
 		}
 	}
-	return nil, nil
 }
 
-func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 	prealloc := preallocatedSlices(pass, fd.Body)
 	var results *types.Tuple
 	if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
@@ -82,7 +79,7 @@ func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 // checkHotCall flags fmt calls, unpreallocated appends, conversions to
 // interface types, and interface-typed parameters receiving allocating
 // operands.
-func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, prealloc map[types.Object]bool) {
+func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, prealloc map[types.Object]bool) {
 	if isBuiltin(pass.TypesInfo, call, "append") && len(call.Args) > 0 {
 		if !isPreallocated(pass, call.Args[0], prealloc) {
 			pass.Reportf(call.Pos(), "append without locally preallocated capacity in hot path %s; make the slice with explicit cap or pool it", fd.Name.Name)
@@ -124,7 +121,7 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, pre
 
 // checkHotComposite matches composite-literal elements against interface-
 // typed struct fields or element types.
-func checkHotComposite(pass *analysis.Pass, fd *ast.FuncDecl, lit *ast.CompositeLit) {
+func checkHotComposite(pass *Pass, fd *ast.FuncDecl, lit *ast.CompositeLit) {
 	t := pass.TypesInfo.Types[lit].Type
 	if t == nil {
 		return
@@ -172,7 +169,7 @@ func eltValue(elt ast.Expr) ast.Expr {
 // interface type target when the operand's representation forces an
 // allocation: not already an interface, not pointer-shaped, and not a
 // compile-time constant (constants are interned in read-only data).
-func checkIfaceConv(pass *analysis.Pass, fd *ast.FuncDecl, target types.Type, expr ast.Expr) {
+func checkIfaceConv(pass *Pass, fd *ast.FuncDecl, target types.Type, expr ast.Expr) {
 	if target == nil || !isInterface(target) {
 		return
 	}
@@ -191,7 +188,7 @@ func checkIfaceConv(pass *analysis.Pass, fd *ast.FuncDecl, target types.Type, ex
 
 // preallocatedSlices collects variables assigned from make(T, len, cap)
 // within body: appends to them reuse capacity in steady state.
-func preallocatedSlices(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+func preallocatedSlices(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	record := func(lhs ast.Expr, rhs ast.Expr) {
 		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
@@ -230,7 +227,7 @@ func preallocatedSlices(pass *analysis.Pass, body *ast.BlockStmt) map[types.Obje
 
 // isPreallocated reports whether the append target is a variable the
 // function made with explicit capacity.
-func isPreallocated(pass *analysis.Pass, target ast.Expr, prealloc map[types.Object]bool) bool {
+func isPreallocated(pass *Pass, target ast.Expr, prealloc map[types.Object]bool) bool {
 	id, ok := ast.Unparen(target).(*ast.Ident)
 	if !ok {
 		return false

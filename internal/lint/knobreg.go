@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-
-	"repro/internal/lint/analysis"
 )
 
 // KnobReg cross-checks knob-reader call sites against the KnobSpecs
@@ -15,7 +13,7 @@ import (
 // never reads. This analyzer turns that into a lint failure: every knob
 // name passed to a reader must be a constant string present as a key of
 // the package's `knobSpecs` map literal.
-var KnobReg = &analysis.Analyzer{
+var KnobReg = &Analyzer{
 	Name: "knobreg",
 	Doc: "verifies every knobInt/knobFloat/knobIndex/scaledSize knob-name " +
 		"literal appears as a key of the knobSpecs registry map in the same " +
@@ -32,12 +30,12 @@ var knobReaderArg = map[string]int{
 	"scaledSize": 1,
 }
 
-func runKnobReg(pass *analysis.Pass) (any, error) {
+func runKnobReg(pass *Pass) {
 	registry := collectKnobRegistry(pass)
 	if registry == nil {
 		// No knobSpecs map literal in this package: nothing to check
 		// against. The readers live beside the registry by construction.
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -52,12 +50,11 @@ func runKnobReg(pass *analysis.Pass) (any, error) {
 			checkKnobCalls(pass, decl, registry)
 		}
 	}
-	return nil, nil
 }
 
 // checkKnobCalls flags unregistered or non-constant knob names in reader
 // calls under root.
-func checkKnobCalls(pass *analysis.Pass, root ast.Node, registry map[string]bool) {
+func checkKnobCalls(pass *Pass, root ast.Node, registry map[string]bool) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -87,7 +84,7 @@ func checkKnobCalls(pass *analysis.Pass, root ast.Node, registry map[string]bool
 
 // collectKnobRegistry returns the key set of the package-level `knobSpecs`
 // map composite literal, or nil if the package declares none.
-func collectKnobRegistry(pass *analysis.Pass) map[string]bool {
+func collectKnobRegistry(pass *Pass) map[string]bool {
 	var registry map[string]bool
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

@@ -17,15 +17,41 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
-
-	"repro/internal/lint/analysis"
 )
 
+// Analyzer is one static check. Every analyzer is a single-package
+// syntax+types walk.
+type Analyzer struct {
+	// Name identifies the check in findings and in //decentlint:allow
+	// directives. It must be a valid identifier.
+	Name string
+	// Doc is the one-paragraph contract the check enforces.
+	Doc string
+	// Run applies the check to one package.
+	Run func(*Pass)
+}
+
+// Pass hands one analyzer invocation a single type-checked package and a
+// sink for its findings.
+type Pass struct {
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	report    func(pos token.Pos, msg string)
+}
+
+// Reportf reports a formatted finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
 // Analyzers returns the decentlint suite in reporting order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{NonDeterm, RNGStream, FloatFmt, KnobReg, HotPath}
+func Analyzers() []*Analyzer {
+	return []*Analyzer{NonDeterm, RNGStream, FloatFmt, KnobReg, HotPath}
 }
 
 // Finding is one unsuppressed diagnostic.
@@ -44,7 +70,7 @@ func (f Finding) String() string {
 // returns the survivors sorted by position. Malformed directives (missing
 // check name or reason) are findings themselves, attributed to the
 // pseudo-check "directive".
-func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	dirs := collectDirectives(pkg)
 	var findings []Finding
 	for _, d := range dirs.malformed {
@@ -55,23 +81,16 @@ func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer) ([]Finding, erro
 		})
 	}
 	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
+		a.Run(&Pass{
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-		}
-		pass.Report = func(d analysis.Diagnostic) {
-			pos := pkg.Fset.Position(d.Pos)
-			if dirs.allows(a.Name, pos) {
-				return
-			}
-			findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.ImportPath, err)
-		}
+			report: func(p token.Pos, msg string) {
+				if pos := pkg.Fset.Position(p); !dirs.allows(a.Name, pos) {
+					findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: msg})
+				}
+			},
+		})
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -86,7 +105,7 @@ func RunAnalyzers(pkg *Package, analyzers []*analysis.Analyzer) ([]Finding, erro
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, nil
+	return findings
 }
 
 // Run loads the packages matched by patterns relative to dir and applies
@@ -99,11 +118,7 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 	suite := Analyzers()
 	var all []Finding
 	for _, pkg := range pkgs {
-		fs, err := RunAnalyzers(pkg, suite)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
+		all = append(all, RunAnalyzers(pkg, suite)...)
 	}
 	return all, nil
 }

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"repro/internal/lint/analysis"
 )
 
 // DeterministicPkgs is the deterministic package set: everything an
@@ -53,7 +51,7 @@ var WallclockAllowedPkgs = []string{
 
 // NonDeterm bans nondeterminism sources inside the deterministic package
 // set.
-var NonDeterm = &analysis.Analyzer{
+var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc: "bans wall clocks (time.Now/Since/Until), ambient randomness " +
 		"(global math/rand functions), environment reads (os.Getenv), and " +
@@ -62,10 +60,10 @@ var NonDeterm = &analysis.Analyzer{
 	Run: runNonDeterm,
 }
 
-func runNonDeterm(pass *analysis.Pass) (any, error) {
+func runNonDeterm(pass *Pass) {
 	pkgPath := pass.Pkg.Path()
 	if !pathInSet(pkgPath, DeterministicPkgs) {
-		return nil, nil
+		return
 	}
 	wallOK := pathInSet(pkgPath, WallclockAllowedPkgs)
 	seen := make(map[token.Pos]bool)
@@ -86,11 +84,10 @@ func runNonDeterm(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkNonDetCall flags a single call of a banned package-level function.
-func checkNonDetCall(pass *analysis.Pass, call *ast.CallExpr, wallOK bool, report func(token.Pos, string, ...any)) {
+func checkNonDetCall(pass *Pass, call *ast.CallExpr, wallOK bool, report func(token.Pos, string, ...any)) {
 	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return
@@ -166,7 +163,7 @@ var scheduleMethods = map[string]bool{
 // key to a slice (`keys = append(keys, k)`), which callers sort before
 // using; golden-baseline diffs remain the dynamic backstop for an
 // unsorted copy of that slice.
-func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, report func(token.Pos, string, ...any)) {
+func checkMapRange(pass *Pass, rng *ast.RangeStmt, report func(token.Pos, string, ...any)) {
 	t := pass.TypesInfo.Types[rng.X].Type
 	if t == nil {
 		return
@@ -213,7 +210,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, report func(token.Po
 
 // isKeyCollect reports whether rng's body is exactly `s = append(s, k)`
 // where k is the range key.
-func isKeyCollect(pass *analysis.Pass, rng *ast.RangeStmt) bool {
+func isKeyCollect(pass *Pass, rng *ast.RangeStmt) bool {
 	if rng.Value != nil || len(rng.Body.List) != 1 {
 		return false
 	}
@@ -238,7 +235,7 @@ func isKeyCollect(pass *analysis.Pass, rng *ast.RangeStmt) bool {
 
 // declaredOutside reports whether expr is (rooted at) a variable declared
 // before the range statement — i.e. outside its body.
-func declaredOutside(pass *analysis.Pass, expr ast.Expr, rng *ast.RangeStmt) bool {
+func declaredOutside(pass *Pass, expr ast.Expr, rng *ast.RangeStmt) bool {
 	for {
 		switch e := ast.Unparen(expr).(type) {
 		case *ast.Ident:

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/lint/analysis"
 )
 
 // RNGConstructorPkgs are the only packages allowed to construct raw
@@ -18,7 +16,7 @@ var RNGConstructorPkgs = []string{
 }
 
 // RNGStream requires every RNG to originate from a named sim stream.
-var RNGStream = &analysis.Analyzer{
+var RNGStream = &Analyzer{
 	Name: "rngstream",
 	Doc: "flags math/rand generator construction (rand.New, rand.NewSource, " +
 		"and the math/rand/v2 equivalents) outside internal/sim and " +
@@ -36,9 +34,9 @@ var rngCtorNames = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func runRNGStream(pass *analysis.Pass) (any, error) {
+func runRNGStream(pass *Pass) {
 	if pathInSet(pass.Pkg.Path(), RNGConstructorPkgs) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -60,5 +58,4 @@ func runRNGStream(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

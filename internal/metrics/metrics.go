@@ -35,9 +35,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddDuration records a duration observation in seconds.
-func (s *Summary) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
 // Count returns the number of observations.
 func (s *Summary) Count() int { return s.n }
 
@@ -138,34 +135,6 @@ func (s *Sample) Fraction(pred func(float64) bool) float64 {
 		}
 	}
 	return float64(k) / float64(len(s.xs))
-}
-
-// CDF returns up to points (x, F(x)) pairs summarizing the empirical CDF.
-func (s *Sample) CDF(points int) []Point {
-	if len(s.xs) == 0 || points <= 0 {
-		return nil
-	}
-	s.sort()
-	if points > len(s.xs) {
-		points = len(s.xs)
-	}
-	out := make([]Point, 0, points)
-	for i := 0; i < points; i++ {
-		idx := i * (len(s.xs) - 1) / max(points-1, 1)
-		out = append(out, Point{
-			X: s.xs[idx],
-			Y: float64(idx+1) / float64(len(s.xs)),
-		})
-	}
-	return out
-}
-
-// Values returns a copy of the observations (sorted ascending).
-func (s *Sample) Values() []float64 {
-	s.sort()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
 }
 
 // MeanP99 returns the mean of ds and its nearest-rank 99th percentile — the

@@ -282,19 +282,3 @@ func (p MaintenanceParams) UnitLeaderBps() float64 {
 	r := p.EventRate()
 	return r * eventBytes * 8 * overhead * 3 // receive + 2 neighbours
 }
-
-// StaleLookupProbability returns the probability that a one-hop lookup hits
-// a node that departed within the view lag: the fraction of nodes whose
-// state changed in the last ViewLag seconds, scaled by the chance the
-// believed owner is affected.
-func StaleLookupProbability(p MaintenanceParams, viewLag time.Duration) float64 {
-	cycle := (p.MeanSession + p.MeanGap).Seconds()
-	if cycle <= 0 {
-		return 0
-	}
-	frac := 2 * viewLag.Seconds() / cycle
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
-}

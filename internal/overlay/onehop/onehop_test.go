@@ -166,18 +166,6 @@ func TestMaintenanceScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestStaleLookupProbability(t *testing.T) {
-	p := MaintenanceParams{N: 1000, MeanSession: time.Hour, MeanGap: time.Hour}
-	pr := StaleLookupProbability(p, 30*time.Second)
-	// 2*30s / 7200s = ~0.83%.
-	if pr < 0.005 || pr > 0.012 {
-		t.Fatalf("StaleLookupProbability = %v, want ~0.0083", pr)
-	}
-	if got := StaleLookupProbability(p, 2*time.Hour); got > 1 {
-		t.Fatalf("probability must be capped at 1, got %v", got)
-	}
-}
-
 func TestZeroChurnModel(t *testing.T) {
 	p := MaintenanceParams{N: 1000}
 	if p.EventRate() != 0 || p.OrdinaryBps() != 0 {

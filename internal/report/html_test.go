@@ -151,22 +151,12 @@ func TestHTMLTitle(t *testing.T) {
 	}
 }
 
-// TestTreeWalkOpen covers the in-memory artifact API serve streams from.
-func TestTreeWalkOpen(t *testing.T) {
+// TestTreeOpen covers the in-memory artifact API serve streams from.
+func TestTreeOpen(t *testing.T) {
 	tree := &Tree{Files: []File{
 		{Path: "REPORT.md", Data: []byte("a")},
 		{Path: "manifest.json", Data: []byte("{}")},
 	}}
-	var walked []string
-	if err := tree.Walk(func(f File) error {
-		walked = append(walked, f.Path)
-		return nil
-	}); err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
-	if strings.Join(walked, ",") != "REPORT.md,manifest.json" {
-		t.Errorf("Walk order = %v", walked)
-	}
 	rd, ok := tree.Open("manifest.json")
 	if !ok {
 		t.Fatalf("Open(manifest.json) missing")

@@ -120,19 +120,6 @@ func (t *Tree) Lookup(path string) []byte {
 	return nil
 }
 
-// Walk calls fn for every artifact in path order and stops at the first
-// error, which it returns. Together with Open it is the in-memory
-// counterpart of WriteDir: consumers (the report service, tests, archive
-// writers) can stream a tree without materializing a directory.
-func (t *Tree) Walk(fn func(f File) error) error {
-	for _, f := range t.Files {
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Open returns a reader over the named artifact, or ok=false when the
 // tree has no file at path. The reader seeks, so it satisfies HTTP
 // range-request plumbing directly.

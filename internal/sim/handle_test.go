@@ -56,18 +56,6 @@ func TestHandleInertInsideOwnCallback(t *testing.T) {
 	}
 }
 
-func TestHandleAt(t *testing.T) {
-	s := New()
-	h := s.After(3*time.Second, func() {})
-	if h.At() != 3*time.Second {
-		t.Fatalf("At = %v, want 3s", h.At())
-	}
-	h.Cancel()
-	if h.At() != 0 {
-		t.Fatalf("At on dead handle = %v, want 0", h.At())
-	}
-}
-
 // TestClosureSteadyStateZeroAllocs pins the satellite contract: the closure
 // schedule/fire loop rides the same free list as the handler path, so with
 // a hoisted closure it allocates nothing.

@@ -95,15 +95,6 @@ func (h Handle) Scheduled() bool {
 // from "the event ran its course".
 func (h Handle) IsZero() bool { return h.ev == nil }
 
-// At returns the virtual time the event is scheduled to fire, or 0 if the
-// handle is no longer live.
-func (h Handle) At() time.Duration {
-	if !h.Scheduled() {
-		return 0
-	}
-	return h.ev.at
-}
-
 // Payload is the inline argument block every event fires with. Ctx and Aux
 // hold pointer-shaped values (pointers, funcs, maps, channels), which
 // convert to interface values without allocating; A and B carry scalar

@@ -45,7 +45,6 @@ func StartPoisson(s *sim.Sim, g *sim.RNG, rate float64, until time.Duration, fn 
 type Catalogue struct {
 	sizes []int
 	zipf  *randdist.Zipf
-	rng   *sim.RNG
 }
 
 // NewCatalogue builds a catalogue of n items with popularity exponent s
@@ -65,31 +64,8 @@ func NewCatalogue(g *sim.RNG, n int, s float64, minSize, maxSize int) (*Catalogu
 	for i := range sizes {
 		sizes[i] = minSize + g.Intn(maxSize-minSize+1)
 	}
-	return &Catalogue{sizes: sizes, zipf: z, rng: g}, nil
+	return &Catalogue{sizes: sizes, zipf: z}, nil
 }
 
 // Pick returns a popularity-weighted item index in [0, n).
 func (c *Catalogue) Pick() int { return c.zipf.Rank() - 1 }
-
-// Tx is an abstract transaction offered to a ledger system.
-type Tx struct {
-	ID   int
-	Size int // bytes on the wire and in a block
-	At   time.Duration
-}
-
-// StartTxSource offers transactions at a Poisson rate per second until the
-// clock reads until, with sizes uniform in [minSize, maxSize] bytes, calling
-// submit for each.
-func StartTxSource(s *sim.Sim, rate float64, minSize, maxSize int, until time.Duration, submit func(Tx)) error {
-	if minSize <= 0 || maxSize < minSize {
-		return errors.New("workload: invalid tx size range")
-	}
-	if submit == nil {
-		return errors.New("workload: submit callback is nil")
-	}
-	sizes := s.Stream("workload.txsize")
-	return StartPoisson(s, s.Stream("workload.txarrival"), rate, until, func(seq int) {
-		submit(Tx{ID: seq, Size: minSize + sizes.Intn(maxSize-minSize+1), At: s.Now()})
-	})
-}

@@ -132,38 +132,3 @@ func TestCatalogueValidation(t *testing.T) {
 		t.Fatal("zipf s<=1 should error")
 	}
 }
-
-func TestTxSource(t *testing.T) {
-	s := sim.New(sim.WithSeed(17))
-	var txs []Tx
-	if err := StartTxSource(s, 50, 250, 500, 100*time.Second, func(tx Tx) { txs = append(txs, tx) }); err != nil {
-		t.Fatalf("StartTxSource: %v", err)
-	}
-	if err := s.RunUntil(200 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(txs) < 4000 || len(txs) > 6000 {
-		t.Fatalf("tx count = %d, want ~5000", len(txs))
-	}
-	for i, tx := range txs {
-		if tx.Size < 250 || tx.Size > 500 {
-			t.Fatalf("tx size %d outside [250,500]", tx.Size)
-		}
-		if tx.ID != i || tx.At >= 100*time.Second {
-			t.Fatalf("tx %d has id %d, offered at %v (horizon 100s)", i, tx.ID, tx.At)
-		}
-	}
-}
-
-func TestTxSourceValidation(t *testing.T) {
-	s := sim.New()
-	if err := StartTxSource(s, 1, 0, 10, time.Second, func(Tx) {}); err == nil {
-		t.Fatal("bad size range should error")
-	}
-	if err := StartTxSource(s, 1, 10, 20, time.Second, nil); err == nil {
-		t.Fatal("nil submit should error")
-	}
-	if err := StartTxSource(s, 0, 10, 20, time.Second, func(Tx) {}); err == nil {
-		t.Fatal("zero rate should error")
-	}
-}
