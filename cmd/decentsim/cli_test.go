@@ -219,3 +219,26 @@ func TestServeHTTPServerTimeouts(t *testing.T) {
 		t.Errorf("server does not route to the given handler (status %d)", rec.Code)
 	}
 }
+
+// TestServeRefusesBadBaseScenario checks that serve refuses a base
+// scenario no /report could generate before it listens, instead of
+// serving a 500 for every /report. The timeout guards the failure mode:
+// a serve that accepts the scenario listens until interrupted.
+func TestServeRefusesBadBaseScenario(t *testing.T) {
+	var out bytes.Buffer
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"serve", "-set", "e01.customers=1", "-addr", "127.0.0.1:0", "E01"}, &out)
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "below the measurement floor") {
+			t.Fatalf("serve err = %v, want the floor error", err)
+		}
+		if strings.Contains(out.String(), "listening") {
+			t.Errorf("serve listened before refusing its scenario: %q", out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve accepted a base scenario below the knob floor and kept listening")
+	}
+}

@@ -627,6 +627,10 @@ func serveCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) er
 	if err != nil {
 		return err
 	}
+	// Refuse a base scenario no /report could generate before listening.
+	if _, err := report.Check(reg, base); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	srv := serve.New(reg, base, obs.NewCollector())
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {

@@ -371,7 +371,7 @@ func scaledSize(cfg core.Config, knob string) int {
 }
 
 // ValidateKnobs is the knob rule, applied by every Run before the runner
-// starts and by the report service before it schedules a job. It rejects
+// starts and by report.Check before any report job is scheduled. It rejects
 // unregistered knob names — a typo'd knob the experiment never reads would
 // silently multiply a sweep into duplicate identical groups — knobs owned
 // by a different experiment, explicitly-set values outside their spec,

@@ -93,8 +93,8 @@ type DriftRun struct {
 
 // NewDrift builds the drift document of a replication: the headline metric
 // (Group.Headline) of every group of rep that has one, and a run row per
-// error-free result, whose wall time is the host sample's when the runner
-// took one and the job's elapsed time otherwise.
+// error-free result, whose wall time is the job's Elapsed and whose live
+// heap is the host sample's when the runner took one.
 func NewDrift(rep *Report, seeds int, results []JobResult) *Drift {
 	d := &Drift{Seeds: seeds, Drift: []DriftMetric{}, Runs: []DriftRun{}}
 	for _, jr := range results {
@@ -108,7 +108,6 @@ func NewDrift(rep *Report, seeds int, results []JobResult) *Drift {
 			WallNanos:  int64(jr.Elapsed),
 		}
 		if jr.Host != nil {
-			run.WallNanos = jr.Host.WallNanos
 			run.HeapLiveBytes = jr.Host.HeapLiveBytes
 		}
 		d.Runs = append(d.Runs, run)

@@ -49,8 +49,8 @@ type Runner struct {
 	// but arrive in completion order, not job order — consumers that
 	// stream output should buffer until their next index is complete.
 	OnResult func(i int, r JobResult)
-	// SampleHost, when set, attaches an obs.HostSample (wall time, live
-	// heap, allocation deltas) to every JobResult. With parallel workers
+	// SampleHost, when set, attaches an obs.HostSample (live heap,
+	// allocation deltas) to every JobResult. With parallel workers
 	// the process-wide deltas include neighbouring runs; samples are
 	// indicative, never part of deterministic output.
 	SampleHost bool

@@ -40,13 +40,11 @@ var DeterministicPkgs = []string{
 }
 
 // WallclockAllowedPkgs may read the wall clock: the harness times jobs
-// (Elapsed is measurement metadata, not experiment output) and obs samples
-// host resources into the documented-volatile host.json. Audited call
+// (Elapsed is measurement metadata, not experiment output). Audited call
 // sites there additionally carry //decentlint:allow annotations as the
 // review trail. Every other nondeterm check still applies to them.
 var WallclockAllowedPkgs = []string{
 	"internal/harness",
-	"internal/obs",
 }
 
 // NonDeterm bans nondeterminism sources inside the deterministic package

@@ -1,13 +1,11 @@
 package obs
 
-import (
-	"runtime/metrics"
-	"time"
-)
+import "runtime/metrics"
 
 // Host sampling is the one part of the telemetry layer that is NOT
-// deterministic: wall time, heap occupancy and allocation counts depend on
-// the machine, the Go version, and whatever else shares the process.
+// deterministic: heap occupancy and allocation counts depend on the
+// machine, the Go version, and whatever else shares the process. It reads
+// no clock; a run's wall time is the harness's JobResult.Elapsed.
 // Samples therefore never enter Snapshot or any hashed artifact — the
 // report writes them to a separate volatile file, and the soak harness
 // tracks them as drift indicators only.
@@ -24,8 +22,6 @@ const (
 // allocation deltas include neighbouring runs — treat them as indicative,
 // not attributed.
 type HostSample struct {
-	// WallNanos is elapsed wall-clock time.
-	WallNanos int64 `json:"wall_ns"`
 	// HeapLiveBytes is the live heap (surviving objects) at sample time,
 	// the closest cheap proxy for peak per-run heap the runtime exposes.
 	HeapLiveBytes uint64 `json:"heap_live_bytes"`
@@ -39,7 +35,6 @@ type HostSample struct {
 
 // HostWatch captures a baseline for delta sampling.
 type HostWatch struct {
-	start      time.Time
 	allocBytes uint64
 	allocs     uint64
 	gcCycles   uint64
@@ -62,11 +57,11 @@ func readHost() (heapLive, allocBytes, allocs, gcCycles uint64) {
 	return vals[0], vals[1], vals[2], vals[3]
 }
 
-// StartHostWatch records the current wall clock and cumulative runtime
-// metrics as the baseline for a later Sample.
+// StartHostWatch records the cumulative runtime metrics as the baseline
+// for a later Sample.
 func StartHostWatch() *HostWatch {
 	_, ab, ac, gc := readHost()
-	return &HostWatch{start: time.Now(), allocBytes: ab, allocs: ac, gcCycles: gc} //decentlint:allow nondeterm HostWatch measures machine facts; samples are quarantined as volatile
+	return &HostWatch{allocBytes: ab, allocs: ac, gcCycles: gc}
 }
 
 // Sample reads the host metrics again and returns the delta since the
@@ -77,8 +72,6 @@ func (w *HostWatch) Sample() HostSample {
 	}
 	live, ab, ac, gc := readHost()
 	return HostSample{
-		//decentlint:allow nondeterm HostWatch measures machine facts; samples are quarantined as volatile
-		WallNanos:     time.Since(w.start).Nanoseconds(),
 		HeapLiveBytes: live,
 		AllocBytes:    ab - w.allocBytes,
 		Allocs:        ac - w.allocs,

@@ -21,8 +21,9 @@
 // trace timestamps are all derived from virtual time and integer
 // arithmetic, so the snapshot and trace emitted by a run are byte-identical
 // regardless of how many runs execute in parallel around it. The only
-// wall-clock-dependent piece is host sampling (host.go), which is kept out
-// of the deterministic snapshot entirely.
+// machine-dependent piece is host sampling (host.go), which reads runtime
+// heap and allocation metrics but no clock, and is kept out of the
+// deterministic snapshot entirely.
 package obs
 
 import (

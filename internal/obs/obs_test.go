@@ -268,9 +268,6 @@ func TestHostWatchSample(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	_ = buf
 	s := w.Sample()
-	if s.WallNanos <= 0 {
-		t.Fatalf("wall time %d, want > 0", s.WallNanos)
-	}
 	if s.HeapLiveBytes == 0 {
 		t.Fatal("heap live bytes should be nonzero in a running process")
 	}

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -29,11 +30,12 @@ type Options struct {
 	Seeds []int64
 	// Scale is the workload scale factor for every run (0 means 1).
 	Scale float64
-	// Params pins named knobs for every baseline run (one value each, the
-	// single-scenario analogue of a sweep's grid). Knob ownership follows
-	// the sweep rule: a knob prefixed for one selected experiment attaches
-	// only to that experiment, and a knob owned by an unselected
-	// experiment is a generation error. The assignment is part of each
+	// Params pins named knobs for every run, grid points included (one
+	// value each, the single-scenario analogue of a sweep's grid). Knob
+	// ownership follows the sweep rule: a knob prefixed for one selected
+	// experiment attaches only to that experiment, and a knob owned by an
+	// unselected experiment, like a value its spec refuses, is a
+	// generation error (Check). The assignment is part of each
 	// scenario's identity (it appears in the manifest's claim keys).
 	Params map[string]float64
 	// HTML also renders every markdown page as a self-contained HTML
@@ -252,6 +254,46 @@ func Canonical(reg *core.Registry, opts Options) (Options, error) {
 	return opts, nil
 }
 
+// sweep is the one conversion of canonical options into a harness.Sweep:
+// every selected experiment at the scenario's seeds and scale, each pin a
+// one-value grid. Check, the baseline jobs and every sensitivity grid
+// expand from it.
+func (o Options) sweep() harness.Sweep {
+	sw := harness.Sweep{
+		Experiments: o.IDs,
+		Seeds:       o.Seeds,
+		Scales:      []float64{o.Scale},
+		Params:      make(map[string][]float64, len(o.Params)),
+	}
+	for name, v := range o.Params {
+		sw.Params[name] = []float64{v}
+	}
+	return sw
+}
+
+// Check is the one scenario check: it resolves opts with Canonical, then
+// refuses the scenario by the rules its jobs would be refused by — knob
+// ownership (harness.Sweep.Validate), then each selected experiment's
+// knob rule (experiments.ValidateKnobs) at the scenario's scale. Canonical
+// alone does not check, because every warm /report hit runs it.
+func Check(reg *core.Registry, opts Options) (Options, error) {
+	opts, err := Canonical(reg, opts)
+	if err != nil {
+		return opts, err
+	}
+	sw := opts.sweep()
+	if err := sw.Validate(); err != nil {
+		return opts, err
+	}
+	sw.Seeds = sw.Seeds[:1] // the knob rule does not read the seed
+	for _, job := range sw.Jobs() {
+		if err := experiments.ValidateKnobs(job.ExperimentID, job.Config); err != nil {
+			return opts, err
+		}
+	}
+	return opts, nil
+}
+
 // Generate runs the selected experiments across the seed set on the
 // harness worker pool and renders the reproduction report as an in-memory
 // document tree. Equal registries and options produce byte-identical
@@ -266,35 +308,19 @@ func Generate(reg *core.Registry, opts Options) (*Tree, error) {
 // returns ctx's error instead of a partial tree. The report service uses
 // this to abandon sweeps whose requesters have gone away.
 func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tree, error) {
-	opts, err := Canonical(reg, opts)
+	opts, err := Check(reg, opts)
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
 	exps := make([]core.Experiment, len(opts.IDs))
 	for i, id := range opts.IDs {
-		exps[i], _ = reg.Get(id) // Canonical resolved every id against reg
+		exps[i], _ = reg.Get(id) // Check resolved every id against reg
 	}
 	seeds, scale := opts.Seeds, opts.Scale
-
-	sweep := harness.Sweep{
-		Experiments: opts.IDs,
-		Seeds:       seeds,
-		Scales:      []float64{scale},
-	}
-	if len(opts.Params) > 0 {
-		sweep.Params = make(map[string][]float64, len(opts.Params))
-		for name, v := range opts.Params {
-			sweep.Params[name] = []float64{v}
-		}
-	}
-	if err := sweep.Validate(); err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
 	runner := harness.Runner{Registry: reg, Workers: opts.Workers, ProfileDir: opts.ProfileDir}
 	// Baseline and sensitivity jobs run as one batch so the worker pool
-	// stays saturated; aggregation keys the two apart (baseline scenarios
-	// carry no knob assignment).
-	baseJobs := sweep.Jobs()
+	// stays saturated; the two halves of the results aggregate apart.
+	baseJobs := opts.sweep().Jobs()
 	var res *resourcesLayer
 	if opts.Resources {
 		res = &resourcesLayer{collectors: make(map[string]*obs.Collector, len(baseJobs))}
@@ -304,8 +330,9 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	jobs := baseJobs
 	var sens *sensitivity
 	if opts.Sensitivity {
-		sens = buildSensitivity(exps, scale, opts)
-		jobs = append(jobs[:len(baseJobs):len(baseJobs)], sens.jobs(exps, seeds, scale)...)
+		var sensJobs []harness.Job
+		sens, sensJobs = buildSensitivity(exps, opts)
+		jobs = append(slices.Clip(jobs), sensJobs...)
 	}
 	results := runner.Run(ctx, jobs)
 	if err := ctx.Err(); err != nil {
@@ -366,7 +393,7 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	sort.Slice(tree.Files, func(i, j int) bool { return tree.Files[i].Path < tree.Files[j].Path })
 	man := Manifest{
 		Title:       "decentsim reproduction report",
-		Experiments: sweep.Experiments,
+		Experiments: opts.IDs,
 		Seeds:       seeds,
 		Scale:       scale,
 		Params:      harness.ParamLabel(opts.Params),

@@ -47,6 +47,27 @@ func TestGenerateDuplicateID(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesBadPin checks that a pin below its knob's floor is
+// refused before any job runs, instead of erroring every replication.
+func TestGenerateRefusesBadPin(t *testing.T) {
+	e01, err := registry(t).Get("E01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecordingExp(e01)
+	reg, err := core.NewRegistry(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Generate(reg, Options{IDs: []string{"E01"}, Seeds: []int64{1}, Scale: 0.25, Params: map[string]float64{"e01.customers": 1}})
+	if err == nil || !strings.Contains(err.Error(), "below the measurement floor") {
+		t.Fatalf("Generate err = %v, want the floor error", err)
+	}
+	if n := len(*rec.cfgs); n != 0 {
+		t.Errorf("%d job(s) ran before the pin was refused", n)
+	}
+}
+
 // TestCanonical pins the one place scenario defaults are resolved: all
 // ids when none are given, registry-case ids in a slice of its own, seeds
 // 1..3, scale 1, and a canonical scenario resolving to itself.

@@ -33,16 +33,15 @@ type resourcesLayer struct {
 	hosts      []hostEntry
 }
 
-// hostEntry is one run's host-side measurements in resources/host.json.
+// hostEntry is one run's host-side measurements in resources/host.json:
+// its wall time (the harness's Elapsed) and its host sample, whose fields
+// encode inline after wall_ns.
 type hostEntry struct {
-	Experiment    string  `json:"experiment"`
-	Seed          int64   `json:"seed"`
-	Scale         float64 `json:"scale"`
-	WallNanos     int64   `json:"wall_ns"`
-	HeapLiveBytes uint64  `json:"heap_live_bytes"`
-	AllocBytes    uint64  `json:"alloc_bytes"`
-	Allocs        uint64  `json:"allocs"`
-	GCCycles      uint64  `json:"gc_cycles"`
+	Experiment string  `json:"experiment"`
+	Seed       int64   `json:"seed"`
+	Scale      float64 `json:"scale"`
+	WallNanos  int64   `json:"wall_ns"`
+	obs.HostSample
 }
 
 func resKey(experimentID string, seed int64) string {
@@ -70,11 +69,7 @@ func (r *resourcesLayer) record(results []harness.JobResult) {
 			WallNanos:  int64(jr.Elapsed),
 		}
 		if jr.Host != nil {
-			e.WallNanos = jr.Host.WallNanos
-			e.HeapLiveBytes = jr.Host.HeapLiveBytes
-			e.AllocBytes = jr.Host.AllocBytes
-			e.Allocs = jr.Host.Allocs
-			e.GCCycles = jr.Host.GCCycles
+			e.HostSample = *jr.Host
 		}
 		r.hosts = append(r.hosts, e)
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -29,8 +30,12 @@ type sensitivity struct {
 	// (experiments.SensitivityGrids).
 	grids map[string][]float64
 	// specs is the knob registry: each spec's default is the baseline x
-	// position and its Requires are merged into every grid scenario.
+	// position of an unpinned knob and its Requires are merged into every
+	// grid scenario.
 	specs map[string]experiments.KnobSpec
+	// pins is the scenario's Options.Params, carried into every grid
+	// scenario of the experiment a pin applies to.
+	pins map[string]float64
 	// views indexes the aggregated grid scenarios by harness.ScenarioKey.
 	views map[string]harness.GroupView
 	// scenarios counts the distinct grid scenarios run.
@@ -66,18 +71,23 @@ func (st *expStability) fragileLabel() string {
 
 // buildSensitivity resolves the default KnobSpec grids at the generation's
 // scale (experiments.SensitivityGrids) for the selected experiments; knobs
-// not owned by a selected experiment are dropped.
-func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sensitivity {
+// not owned by a selected experiment are dropped. Each (experiment, knob)
+// grid expands into jobs through the sweep of its assignment, with the
+// knob's grid values crossed in: experiments in page order, knobs sorted,
+// values ascending and seeds innermost, so aggregate groups come out in
+// render order.
+func buildSensitivity(exps []core.Experiment, opts Options) (*sensitivity, []harness.Job) {
 	points := opts.GridPoints
 	if points < 1 {
 		points = experiments.DefaultGridPoints
 	}
-	grids := experiments.SensitivityGrids(points, scale)
+	grids := experiments.SensitivityGrids(points, opts.Scale)
 	s := &sensitivity{
 		gridPoints: points,
 		knobs:      make(map[string][]string, len(exps)),
 		grids:      make(map[string][]float64, len(grids)),
 		specs:      experiments.KnobSpecs(),
+		pins:       opts.Params,
 		stability:  make(map[string]*expStability, len(exps)),
 	}
 	names := make([]string, 0, len(grids))
@@ -85,6 +95,7 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var jobs []harness.Job
 	for _, e := range exps {
 		for _, name := range names {
 			if !harness.KnobAppliesTo(name, e.ID()) {
@@ -93,49 +104,36 @@ func buildSensitivity(exps []core.Experiment, scale float64, opts Options) *sens
 			s.knobs[e.ID()] = append(s.knobs[e.ID()], name)
 			s.grids[name] = grids[name]
 			s.scenarios += len(grids[name])
+			grid := opts
+			grid.IDs, grid.Params = []string{e.ID()}, s.assignment(e.ID(), name)
+			sw := grid.sweep()
+			sw.Params[name] = grids[name]
+			jobs = append(jobs, sw.Jobs()...)
 		}
 	}
-	return s
+	return s, jobs
 }
 
-// params builds the scenario assignment for one grid point: the swept
-// knob plus its companions.
-func (s *sensitivity) params(knob string, v float64) map[string]float64 {
-	p := map[string]float64{knob: v}
-	for rn, rv := range s.specs[knob].Requires {
-		p[rn] = rv
-	}
-	return p
-}
-
-// jobs expands the grids into the deterministic sweep job list:
-// experiments in page order, knobs sorted, values in grid order, seeds
-// innermost — mirroring harness.Sweep expansion so aggregate groups come
-// out in render order.
-func (s *sensitivity) jobs(exps []core.Experiment, seeds []int64, scale float64) []harness.Job {
-	var jobs []harness.Job
-	for _, e := range exps {
-		for _, knob := range s.knobs[e.ID()] {
-			for _, v := range s.grids[knob] {
-				for _, seed := range seeds {
-					jobs = append(jobs, harness.Job{
-						ExperimentID: e.ID(),
-						Config: core.Config{
-							Seed:   seed,
-							Scale:  scale,
-							Params: s.params(knob, v),
-						},
-					})
-				}
-			}
+// assignment is what every grid point of one experiment's grid over knob
+// sets besides the knob's grid value, which overrides it: the knob's
+// Requires companions, overridden by the scenario's pins that apply to
+// the experiment. Job expansion and the view lookup both read it.
+func (s *sensitivity) assignment(id, knob string) map[string]float64 {
+	a := make(map[string]float64)
+	maps.Copy(a, s.specs[knob].Requires)
+	for name, v := range s.pins {
+		if harness.KnobAppliesTo(name, id) {
+			a[name] = v
 		}
 	}
-	return jobs
+	return a
 }
 
 // view returns the aggregated group for one grid point, if it ran.
 func (s *sensitivity) view(id, knob string, v float64, scale float64) (harness.GroupView, bool) {
-	gv, ok := s.views[harness.ScenarioKey(id, scale, s.params(knob, v))]
+	p := s.assignment(id, knob)
+	p[knob] = v
+	gv, ok := s.views[harness.ScenarioKey(id, scale, p)]
 	return gv, ok
 }
 
@@ -268,11 +266,20 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 
 	fragile := make(map[string]bool)
 	for _, knob := range knobs {
+		// The baseline sits on the knob's axis at its pin, else its default.
 		spec := sens.specs[knob]
+		base, pinned := sens.pins[knob]
+		if !pinned {
+			base = spec.Default
+		}
 		fmt.Fprintf(&b, "### `%s`\n\n", knob)
 		fmt.Fprintf(&b, "%s\n\n", mdCell(spec.Desc))
-		if len(spec.Requires) > 0 {
-			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(spec.Requires)) + "; its verdicts are compared against the unmodified baseline.\n\n")
+		companions := maps.Clone(spec.Requires)
+		for name := range sens.pins {
+			delete(companions, name) // a pinned companion is no change from the baseline
+		}
+		if len(companions) > 0 {
+			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(companions)) + "; its verdicts are compared against the unmodified baseline.\n\n")
 		}
 
 		// Collect the knob's grid points that actually aggregated, in the
@@ -291,7 +298,7 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 		}
 
 		// Figures: one per headline metric, points in ascending knob order,
-		// baseline injected at the default unless the grid covers it.
+		// baseline injected at its value unless the grid covers it.
 		// Experiments without explicit metrics plot the table-derived
 		// metric this knob actually moves (cross-seed variance says
 		// nothing about knob response). A metric no grid point carries
@@ -330,10 +337,10 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 				}
 				continue
 			}
-			// A grid that covers the default already plots that x.
-			if baseline != nil && !slices.Contains(sens.grids[knob], spec.Default) {
+			// A grid that covers the baseline value already plots that x.
+			if baseline != nil && !slices.Contains(sens.grids[knob], base) {
 				if m, ok := metricAgg(*baseline, metric); ok {
-					fig.addBaseline(spec.Default, m)
+					fig.addBaseline(base, m)
 				}
 			}
 			path := fmt.Sprintf("figures/%s-sens-%s-%d.svg", e.ID(), knob, mi+1)
@@ -356,8 +363,8 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 			rows = append(rows, row{value: p.value, cells: verdictCells(fmtKnobValue(p.value), p.view.Group)})
 		}
 		if baseline != nil {
-			rows = append(rows, row{value: spec.Default, baseline: true,
-				cells: verdictCells(fmtKnobValue(spec.Default)+" (baseline)", baseline.Group)})
+			rows = append(rows, row{value: base, baseline: true,
+				cells: verdictCells(fmtKnobValue(base)+" (baseline)", baseline.Group)})
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
 			if rows[i].value != rows[j].value {

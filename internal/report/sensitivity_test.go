@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -226,6 +227,65 @@ func (e knobRefusingExp) Run(cfg core.Config) (*core.Result, error) {
 		return nil, fmt.Errorf("%s: knobs refused", e.ID())
 	}
 	return e.Experiment.Run(cfg)
+}
+
+// recordingExp records the config of every run of the wrapped
+// experiment; runs may come from several workers at once.
+type recordingExp struct {
+	core.Experiment
+	mu   *sync.Mutex
+	cfgs *[]core.Config
+}
+
+func newRecordingExp(e core.Experiment) recordingExp {
+	return recordingExp{Experiment: e, mu: new(sync.Mutex), cfgs: new([]core.Config)}
+}
+
+func (e recordingExp) Run(cfg core.Config) (*core.Result, error) {
+	e.mu.Lock()
+	*e.cfgs = append(*e.cfgs, cfg)
+	e.mu.Unlock()
+	return e.Experiment.Run(cfg)
+}
+
+// TestSensitivityGridCarriesPins checks that a pinned scenario's grid
+// points differ from its baseline in the swept knob only: every e11.tps
+// grid run carries the pinned e11.price, and the e11.price table's
+// baseline row sits at the pinned value, not at the spec default.
+func TestSensitivityGridCarriesPins(t *testing.T) {
+	e11, err := registry(t).Get("E11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecordingExp(e11)
+	reg, err := core.NewRegistry(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sensOpts()
+	opts.GridPoints = 2
+	opts.Params = map[string]float64{"e11.price": 5000}
+	tree, err := Generate(reg, opts)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	tpsRuns := 0
+	for _, cfg := range *rec.cfgs {
+		if _, ok := cfg.Params["e11.tps"]; !ok {
+			continue
+		}
+		tpsRuns++
+		if got, ok := cfg.Params["e11.price"]; !ok || got != 5000 {
+			t.Errorf("e11.tps grid run %v lost the pin e11.price=5000", cfg.Params)
+		}
+	}
+	if tpsRuns == 0 {
+		t.Fatal("no e11.tps grid run recorded")
+	}
+	sec := knobSection(t, string(tree.Lookup("experiments/E11.md")), "e11.price")
+	if !strings.Contains(sec, "| 5000 (baseline) |") {
+		t.Errorf("e11.price baseline row should sit at the pinned 5000:\n%s", sec)
+	}
 }
 
 // TestSensitivityAllErrored pins the zero-evidence rendering: a sweep
