@@ -11,15 +11,17 @@ import (
 	"testing"
 )
 
-// updateMatrix rewrites testdata/flag_matrix.golden from the current
-// applicability rules:
+// update rewrites this package's pins from the current code:
+// testdata/flag_matrix.golden (the pair-by-pair contract of which command
+// accepts which flag and what it says when it does not) and the sha256
+// column of testdata/digests.json. One command re-pins them together
+// with the experiment and report goldens:
 //
-//	go test ./cmd/decentsim -run FlagMatrix -update
+//	go test ./internal/experiments ./internal/report ./cmd/decentsim -update
 //
-// Only do this when a flag's applicability or rejection reason is meant
-// to change; the file is the pair-by-pair contract of which command
-// accepts which flag and what it says when it does not.
-var updateMatrix = flag.Bool("update", false, "rewrite testdata/flag_matrix.golden")
+// Only do this when the moved bytes are meant to move; `git diff` then
+// shows exactly which pins did.
+var update = flag.Bool("update", false, "rewrite testdata/flag_matrix.golden and the sha256 column of testdata/digests.json")
 
 // TestFlagMatrix drives every command × flag pair through run and pins
 // the outcome: "accept" (the flag got past the applicability check — the
@@ -70,7 +72,7 @@ func TestFlagMatrix(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "flag_matrix.golden")
-	if *updateMatrix {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// updateGolden rewrites the golden report baselines:
+// updateGolden rewrites the golden report baselines. One command re-pins
+// them together with the experiment goldens, the CLI's flag matrix and
+// its table of scaled digests:
 //
-//	go test ./internal/report -run Golden -update
+//	go test ./internal/experiments ./internal/report ./cmd/decentsim -update
 //
 // Only do this for an intentional rendering change; the files are the
 // byte-level contract that report generation is deterministic.
