@@ -151,7 +151,8 @@ var fmtOutputFuncs = map[string]bool{
 // order — a determinism hazard even though nothing is written yet.
 var scheduleMethods = map[string]bool{
 	"At": true, "After": true, "AfterFunc": true,
-	"Every": true, "Send": true, "Broadcast": true,
+	"Every": true, "Send": true, "SendFrom": true, "Broadcast": true,
+	"Call": true, // books the deadline, then sends the request
 }
 
 // checkMapRange flags map iteration whose body performs order-dependent

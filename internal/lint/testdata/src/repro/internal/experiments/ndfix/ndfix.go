@@ -64,9 +64,20 @@ type sched struct{}
 
 func (sched) After(d time.Duration, fn func()) {}
 
+func (sched) SendFrom(from, to, size int, fn func(from, to int)) bool { return true }
+
+func (sched) Call(from, to, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
+}
+
 func schedule(m map[string]int, s sched) {
 	for range m {
 		s.After(time.Second, nil) // want `After call inside map iteration schedules events in map order`
+	}
+	for k, v := range m {
+		s.SendFrom(len(k), v, 80, nil) // want `SendFrom call inside map iteration schedules events in map order`
+	}
+	for k, v := range m {
+		s.Call(len(k), v, 80, 120, time.Second, nil, nil) // want `Call call inside map iteration schedules events in map order`
 	}
 }
 

@@ -81,13 +81,15 @@ func splitNet(s *sim.Sim, n *Net, ids []NodeID) (*sim.Sim, *Net, []NodeID) {
 
 // TestSendSteadyStateZeroAllocs pins the point-to-point paths: Send on the
 // kernel's one stream, with one stream per sender group (WithSenderStreams)
-// and through every admission rule, and Transfer through every admission
-// rule with telemetry off and on. Each run makes 16 calls along every
+// and through every admission rule, SendFrom through every admission rule,
+// and Transfer through every admission rule with telemetry off and on. Each run makes 16 calls along every
 // ordered pair, so an allocation on only the calls one rule admits or
 // refuses still averages one or more per run and cannot round down to 0.
 func TestSendSteadyStateZeroAllocs(t *testing.T) {
 	deliver := func() {}
 	send := func(n *Net, from, to NodeID) bool { return n.Send(from, to, 100, deliver) }
+	deliverFrom := func(from, to NodeID) {}
+	sendFrom := func(n *Net, from, to NodeID) bool { return n.SendFrom(from, to, 100, deliverFrom) }
 	transfer := func(n *Net, from, to NodeID) bool {
 		_, ok := n.Transfer(from, to, 100)
 		return ok
@@ -102,6 +104,7 @@ func TestSendSteadyStateZeroAllocs(t *testing.T) {
 			return benchNet(2, WithSenderStreams([]*sim.RNG{sim.NewRNG(1), sim.NewRNG(2), sim.NewRNG(3)}))
 		}, send},
 		{"lossy", lossyNet, send},
+		{"send from, lossy", lossyNet, sendFrom},
 		{"transfer", func() (*sim.Sim, *Net, []NodeID) { return splitNet(benchNet(4)) }, transfer},
 		{"transfer, telemetry on", func() (*sim.Sim, *Net, []NodeID) {
 			s, n, ids, _ := benchNetObs(4, 0)

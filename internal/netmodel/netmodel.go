@@ -306,9 +306,10 @@ func (n *Net) reachable(from, to NodeID) bool {
 	return !n.partitioned(from, to)
 }
 
-// deliver is the pooled delivery handler behind Send and Broadcast: Ctx is
-// the *Net, Aux the caller's callback (Send's func(), Broadcast's
-// func(NodeID), which takes the receiver's id) and A/B the endpoints. The
+// deliver is the pooled delivery handler behind Send, SendFrom and
+// Broadcast: Ctx is the *Net, Aux the caller's callback (Send's func(),
+// Broadcast's func(NodeID), which takes the receiver's id, SendFrom's
+// func(NodeID, NodeID), which takes both endpoints) and A/B the endpoints. The
 // receiver must still be online and reachable at delivery time — a message
 // in flight when a partition forms (or the receiver goes down) is dropped.
 //
@@ -326,6 +327,8 @@ func deliver(p sim.Payload) {
 		f()
 	case func(NodeID):
 		f(to)
+	case func(NodeID, NodeID):
+		f(from, to)
 	}
 }
 
@@ -361,7 +364,26 @@ func (n *Net) admit(from, to NodeID, size int) (time.Duration, bool) {
 //
 //decentlint:hotpath
 func (n *Net) Send(from, to NodeID, size int, fn func()) bool {
-	if !n.valid(from) || !n.valid(to) || fn == nil {
+	return fn != nil && n.post(from, to, size, fn)
+}
+
+// SendFrom is Send with a callback that receives both endpoints,
+// fn(from, to). A protocol that carries its per-message state in who sent
+// to whom binds one fn per conversation instead of one closure per message
+// (the Gnutella flood binds one per query).
+//
+//decentlint:hotpath
+func (n *Net) SendFrom(from, to NodeID, size int, fn func(from, to NodeID)) bool {
+	return fn != nil && n.post(from, to, size, fn)
+}
+
+// post is Send and SendFrom after the nil check: the endpoints' validity,
+// admit, then one delivery of fn (a non-nil func value of a shape deliver
+// knows) booked on the kernel.
+//
+//decentlint:hotpath
+func (n *Net) post(from, to NodeID, size int, fn any) bool {
+	if !n.valid(from) || !n.valid(to) {
 		return false
 	}
 	delay, ok := n.admit(from, to, size)

@@ -6,6 +6,12 @@
 // incentive mechanism, most peers share nothing, the small sharing minority
 // carries nearly all uploads, and every query floods the graph within its
 // TTL.
+//
+// A query carries one callback pair, bound when it is issued, through
+// netmodel's SendFrom: every copy and every hit is delivered to it with its
+// endpoints, and a copy's TTL is recovered from its sender (the TTL the
+// sender was visited with, minus one), so the flood allocates nothing per
+// hop.
 package gnutella
 
 import (
@@ -78,7 +84,7 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, n int, cfg Config) (*Network, erro
 	nw.uploads = make([]int64, n)
 	nw.adj = make([][]int, n)
 	for i := 0; i < n; i++ {
-		nw.addrs[i] = nm.AddNode(netmodel.Europe, 0)
+		nw.addrs[i] = nm.AddNode(netmodel.Europe, 0) // consecutive ids: see index
 		nw.shares[i] = make(map[int]bool)
 	}
 	nw.build()
@@ -131,16 +137,22 @@ func (nw *Network) RecordDownload(provider int) {
 }
 
 type query struct {
-	nw        *Network
-	item      int
-	origin    int
-	seen      []bool
+	nw     *Network
+	item   int
+	origin int
+	// ttlAt is the TTL each node was visited with, -1 until it is. A node
+	// is visited once and forwards every copy with its TTL minus one, so a
+	// copy's TTL is ttlAt[sender] - 1: no message carries it.
+	ttlAt     []int32
 	pending   int
 	messages  int
 	providers []int
 	done      func(QueryResult)
 	finished  bool
 	timeout   sim.Handle
+	// onQuery and onHit are bound once per query and receive every copy
+	// of it and every hit.
+	onQuery, onHit func(from, to netmodel.NodeID)
 }
 
 // Query floods a search for item from the origin node and calls done exactly
@@ -150,20 +162,29 @@ func (nw *Network) Query(origin, item int, done func(QueryResult)) {
 		nw:     nw,
 		item:   item,
 		origin: origin,
-		seen:   make([]bool, len(nw.addrs)),
+		ttlAt:  make([]int32, len(nw.addrs)),
 		done:   done,
 	}
+	for i := range q.ttlAt {
+		q.ttlAt[i] = -1
+	}
+	q.onQuery, q.onHit = q.receiveQuery, q.receiveHit
 	q.timeout = nw.sim.After(queryTimeout, q.finish)
 	q.visit(origin, nw.cfg.TTL)
 	q.settle()
 }
 
+// index maps a transport address back to its node. NewNetwork adds the
+// overlay's nodes to the transport one after another, so their addresses
+// are consecutive from addrs[0].
+func (nw *Network) index(id netmodel.NodeID) int { return int(id - nw.addrs[0]) }
+
 // visit processes the query arriving at a node with remaining TTL.
 func (q *query) visit(node, ttl int) {
-	if q.seen[node] {
+	if q.ttlAt[node] >= 0 {
 		return
 	}
-	q.seen[node] = true
+	q.ttlAt[node] = int32(ttl)
 	if q.nw.shares[node][q.item] {
 		q.hit(node)
 	}
@@ -171,38 +192,42 @@ func (q *query) visit(node, ttl int) {
 		return
 	}
 	for _, nb := range q.nw.adj[node] {
-		if !q.seen[nb] {
-			q.send(node, nb, ttl-1)
+		if q.ttlAt[nb] < 0 {
+			q.send(node, nb)
 		}
 	}
 }
 
 // send forwards the query over one edge.
-func (q *query) send(from, to, ttl int) {
+func (q *query) send(from, to int) {
 	q.messages++
 	q.pending++
-	ok := q.nw.net.Send(q.nw.addrs[from], q.nw.addrs[to], querySize, func() {
-		q.pending--
-		q.visit(to, ttl)
-		q.settle()
-	})
-	if !ok {
+	if !q.nw.net.SendFrom(q.nw.addrs[from], q.nw.addrs[to], querySize, q.onQuery) {
 		q.pending--
 	}
+}
+
+// receiveQuery is a copy of the query arriving over the edge from → to.
+func (q *query) receiveQuery(from, to netmodel.NodeID) {
+	q.pending--
+	q.visit(q.nw.index(to), int(q.ttlAt[q.nw.index(from)])-1)
+	q.settle()
 }
 
 // hit sends a query-hit from a sharing node back to the origin.
 func (q *query) hit(provider int) {
 	q.messages++
 	q.pending++
-	ok := q.nw.net.Send(q.nw.addrs[provider], q.nw.addrs[q.origin], hitSize, func() {
-		q.pending--
-		q.providers = append(q.providers, provider)
-		q.settle()
-	})
-	if !ok {
+	if !q.nw.net.SendFrom(q.nw.addrs[provider], q.nw.addrs[q.origin], hitSize, q.onHit) {
 		q.pending--
 	}
+}
+
+// receiveHit is a query-hit from provider reaching the origin.
+func (q *query) receiveHit(provider, _ netmodel.NodeID) {
+	q.pending--
+	q.providers = append(q.providers, q.nw.index(provider))
+	q.settle()
 }
 
 // settle finishes the query once no messages remain in flight.

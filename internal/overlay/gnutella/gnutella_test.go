@@ -147,3 +147,35 @@ func TestQueryCompletesWithinTimeout(t *testing.T) {
 		t.Fatalf("query completed at %v, not before the %v timeout", doneAt, queryTimeout)
 	}
 }
+
+// TestQueryAllocsIndependentOfHops pins the flood's per-hop cost at zero
+// allocations: on a warm network one Query allocates the same at n = 200 as
+// at n = 2000, although the larger flood sends about ten times the
+// messages. A closure per hop would add one allocation per message.
+func TestQueryAllocsIndependentOfHops(t *testing.T) {
+	perQuery := func(n int) (allocs float64, msgs int) {
+		s, nw := newFlat(t, n, 10, Config{TTL: 7})
+		flood := func(queries int) {
+			for i := 0; i < queries; i++ {
+				nw.Query(i, 1, func(r QueryResult) { msgs = r.Messages }) // item nobody shares
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		// Warm the kernel's event pool and heap with three overlapping
+		// floods, so no single flood's peak of pending deliveries can
+		// outgrow them: a warm network allocates no events.
+		flood(3)
+		return testing.AllocsPerRun(10, func() { flood(1) }), msgs
+	}
+	small, smallMsgs := perQuery(200)
+	large, largeMsgs := perQuery(2000)
+	if largeMsgs < 5*smallMsgs {
+		t.Fatalf("floods of %d and %d messages: want the larger about ten times the smaller", smallMsgs, largeMsgs)
+	}
+	if small != large {
+		t.Fatalf("a query allocates %.0f at n=200 (%d messages) and %.0f at n=2000 (%d messages), want equal",
+			small, smallMsgs, large, largeMsgs)
+	}
+}

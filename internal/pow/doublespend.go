@@ -106,6 +106,8 @@ func SimulateDoubleSpend(g *sim.RNG, q float64, z, trials int) (float64, error) 
 	if trials <= 0 {
 		trials = 10_000
 	}
+	// q is in (0,1) from here on, so g.Float64() < q draws as g.Bool(q)
+	// does, and unlike Bool it inlines.
 	const giveUpDeficit = 60 // P(recovery) < (q/p)^60: negligible
 	wins := 0
 	for t := 0; t < trials; t++ {
@@ -115,7 +117,7 @@ func SimulateDoubleSpend(g *sim.RNG, q float64, z, trials int) (float64, error) 
 		attacker := 0
 		honest := 0
 		for honest < z {
-			if g.Bool(q) {
+			if g.Float64() < q {
 				attacker++
 			} else {
 				honest++
@@ -126,7 +128,7 @@ func SimulateDoubleSpend(g *sim.RNG, q float64, z, trials int) (float64, error) 
 		deficit := honest - attacker + 1
 		// Phase 2: gambler's ruin.
 		for deficit > 0 && deficit < giveUpDeficit {
-			if g.Bool(q) {
+			if g.Float64() < q {
 				deficit--
 			} else {
 				deficit++

@@ -44,7 +44,7 @@ func SimulateSelfishMining(g *sim.RNG, alpha, gamma float64, blocks int) (Selfis
 		pool, hon int
 	)
 	for i := 0; i < blocks; i++ {
-		if g.Bool(alpha) {
+		if g.Float64() < alpha { // g.Bool(alpha) for alpha in (0,1), but inlined
 			// Pool finds a block.
 			if tie {
 				// Pool extends its branch and publishes: wins both blocks.
