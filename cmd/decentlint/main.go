@@ -1,7 +1,7 @@
-// Command decentlint runs the repository's static-analysis suite: five
-// analyzers (nondeterm, rngstream, floatfmt, knobreg, hotpath) that
-// enforce the determinism, RNG-stream, knob-registry, and 0-alloc
-// hot-path contracts at lint time. See internal/lint for the contracts
+// Command decentlint runs the repository's static-analysis suite: four
+// analyzers (nondeterm, rngstream, floatfmt, hotpath) that enforce the
+// determinism, RNG-stream, float-formatting and 0-alloc hot-path
+// contracts at lint time. See internal/lint for the contracts
 // and the //decentlint:allow / //decentlint:hotpath directives.
 //
 // Usage:

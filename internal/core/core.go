@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"regexp"
 	"strings"
 
@@ -69,21 +68,6 @@ func (c Config) Param(name string, def float64) float64 {
 		return v
 	}
 	return def
-}
-
-// ParamInt returns the named knob rounded to the nearest int, clamped to
-// [1, MaxInt32] — float-to-int conversion of out-of-range values is
-// implementation-defined in Go, so huge knob values must not reach int()
-// unchecked.
-func (c Config) ParamInt(name string, def int) int {
-	v := math.Round(c.Param(name, float64(def)))
-	if v < 1 || math.IsNaN(v) {
-		return 1
-	}
-	if v > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(v)
 }
 
 // ScaleInt scales a workload size, keeping a floor of 1.
@@ -189,7 +173,7 @@ func (r *Result) String() string {
 
 // Experiment reproduces one paper claim.
 type Experiment interface {
-	// ID returns the experiment identifier ("E01".."E18").
+	// ID returns the experiment identifier ("E01".."E19").
 	ID() string
 	// Title returns a short name.
 	Title() string

@@ -114,21 +114,12 @@ func TestEmptyResultNotReproduced(t *testing.T) {
 }
 
 func TestConfigParams(t *testing.T) {
-	cfg := Config{Params: map[string]float64{"knob": 2.5, "count": 7}}
+	cfg := Config{Params: map[string]float64{"knob": 2.5}}
 	if got := cfg.Param("knob", 1); got != 2.5 {
 		t.Fatalf("Param(knob) = %g", got)
 	}
 	if got := cfg.Param("missing", 4); got != 4 {
 		t.Fatalf("Param(missing) = %g, want default", got)
-	}
-	if got := cfg.ParamInt("count", 1); got != 7 {
-		t.Fatalf("ParamInt(count) = %d", got)
-	}
-	if got := cfg.ParamInt("missing", 9); got != 9 {
-		t.Fatalf("ParamInt(missing) = %d, want default", got)
-	}
-	if got := (Config{}).ParamInt("missing", -3); got != 1 {
-		t.Fatalf("ParamInt floor = %d, want 1", got)
 	}
 }
 

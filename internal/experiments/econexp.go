@@ -18,10 +18,10 @@ func e10MiningCentralization() core.Experiment {
 		claim: "§III-C P1: in 2013 six mining pools controlled 75% of overall Bitcoin hashing power; nowadays it is almost impossible for a normal user to mine with a desktop computer.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			hobbyists := scaledSize(cfg, "e10.hobbyists")
-			farms := scaledSize(cfg, "e10.farms")
+			hobbyists := e10Hobbyists.get(cfg)
+			farms := e10Farms.get(cfg)
 			res, err := econ.RunMiningEconomy(g, econ.MiningEconConfig{
-				Epochs:    knobInt(cfg, "e10.epochs"),
+				Epochs:    e10Epochs.get(cfg),
 				Hobbyists: hobbyists,
 				Farms:     farms,
 			})
@@ -37,7 +37,7 @@ func e10MiningCentralization() core.Experiment {
 			}
 			r.Tables = append(r.Tables, tab)
 
-			miners := scaledSize(cfg, "e10.miners")
+			miners := e10Miners.get(cfg)
 			pool, err := econ.RunPoolFormation(g, econ.PoolConfig{
 				Miners:   miners,
 				SizeBias: 1.3,
@@ -75,8 +75,8 @@ func e11Energy() core.Experiment {
 			tab := metrics.NewTable("equilibrium energy model",
 				"coin price ($)", "network power (GW)", "annual energy (TWh)", "kWh per transaction")
 			base := econ.Bitcoin2018Energy()
-			midPrice := knobFloat(cfg, "e11.price")
-			tps := knobFloat(cfg, "e11.tps")
+			midPrice := e11Price.get(cfg)
+			tps := e11TPS.get(cfg)
 			var baselineTWh float64
 			for _, price := range []float64{midPrice / 2, midPrice, midPrice * 2} {
 				p := base
@@ -116,9 +116,9 @@ func e12NodeCost() core.Experiment {
 		claim: "§III-C P1: as the history of transactions grows, each node requires more bandwidth, storage and computing power; networks retag nodes as light nodes but still count them in the global network size metrics.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			nodes := scaledSize(cfg, "e12.nodes")
-			txBytes := knobInt(cfg, "e12.txbytes")
-			years := knobInt(cfg, "e12.years")
+			nodes := e12Nodes.get(cfg)
+			txBytes := e12TxBytes.get(cfg)
+			years := e12Years.get(cfg)
 			tab := metrics.NewTable("full-node fraction over ten years (simulated)",
 				"throughput", "chain growth (GB/yr)", "full frac year 0", fmt.Sprintf("full frac year %d", years))
 			fig := &metrics.Figure{Title: "full-node erosion", XLabel: "year", YLabel: "full-node fraction"}
@@ -129,7 +129,7 @@ func e12NodeCost() core.Experiment {
 					TxBytes:        txBytes,
 					Years:          years,
 					Nodes:          nodes,
-					DiskGBMedian:   knobFloat(cfg, "e12.diskgb"),
+					DiskGBMedian:   e12DiskGB.get(cfg),
 					InitialChainGB: 150,
 				})
 				if err != nil {

@@ -22,12 +22,12 @@ func e19GeoPartitionedPoW() core.Experiment {
 		title: "Geo-partitioned proof-of-work mining",
 		claim: "§III-A: a block is broadcast to the network so that other nodes can verify it — permissionless consensus presumes timely global broadcast among thousands of heterogeneous nodes, so a wide-area partition splinters the single chain into competing forks and the weaker region's proof-of-work is discarded.",
 		run: func(cfg core.Config, r *core.Result) error {
-			miners := knobInt(cfg, "e19.miners")
-			blocks := scaledSize(cfg, "e19.blocks")
-			mixIdx := knobInt(cfg, "e19.mix")
-			loss := knobFloat(cfg, "e19.loss")
-			startFrac := knobFloat(cfg, "e19.partstart")
-			durFrac := knobFloat(cfg, "e19.partdur")
+			miners := e19Miners.get(cfg)
+			blocks := e19Blocks.get(cfg)
+			mixIdx := e19Mix.get(cfg)
+			loss := e19Loss.get(cfg)
+			startFrac := e19PartStart.get(cfg)
+			durFrac := e19PartDur.get(cfg)
 			if startFrac+durFrac > 0.9 {
 				return fmt.Errorf("e19.partstart=%g + e19.partdur=%g leaves no room to heal (must be <= 0.9)", startFrac, durFrac)
 			}

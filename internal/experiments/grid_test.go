@@ -47,7 +47,7 @@ func TestGridSinglePoint(t *testing.T) {
 	}
 }
 
-// TestGridCategoricalEnumerates checks knobIndex-style selector knobs
+// TestGridCategoricalEnumerates checks selector knobs
 // (small integer domains) enumerate every value instead of interpolating.
 func TestGridCategoricalEnumerates(t *testing.T) {
 	cases := []struct {

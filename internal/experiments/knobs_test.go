@@ -23,7 +23,9 @@ func sortedKnobNames(t *testing.T) []string {
 
 // TestKnobSpecsWellFormed checks the registry's internal consistency: every
 // knob names a real experiment, its default sits inside [Min, Max], integer
-// knobs have whole defaults, and the description leads with the owner id.
+// knobs have whole defaults, scaled knobs are integer knobs (the knob
+// rule's scaled check truncates), and the description leads with the
+// owner id.
 func TestKnobSpecsWellFormed(t *testing.T) {
 	reg, err := Registry()
 	if err != nil {
@@ -52,7 +54,51 @@ func TestKnobSpecsWellFormed(t *testing.T) {
 		if s.Integer && s.Default != math.Trunc(s.Default) {
 			t.Errorf("integer knob %s has fractional default %g", name, s.Default)
 		}
+		if s.Scaled && !s.Integer {
+			t.Errorf("scaled knob %s is not an integer knob", name)
+		}
 	}
+}
+
+// TestKnobReaders pins what a runner reads through a handle: the spec
+// default when the knob is unset, a selector's 0 ("off") as 0, and a
+// scaled knob multiplied by -scale with an implicit value clamped to the
+// floor but not to Max.
+func TestKnobReaders(t *testing.T) {
+	cases := []struct {
+		name   string
+		read   func(core.Config) float64
+		scale  float64
+		params map[string]float64
+		want   float64
+	}{
+		{"e08.mix unset is off", asFloat(e08Mix.get), 1, nil, 0},
+		{"e18.mix=2", asFloat(e18Mix.get), 1, map[string]float64{"e18.mix": 2}, 2},
+		{"e03.nodes unset at scale 0.1 reads the floor", asFloat(e03Nodes.get), 0.1, nil, 200},
+		{"e03.nodes=1000 at scale 0.5", asFloat(e03Nodes.get), 0.5, map[string]float64{"e03.nodes": 1000}, 500},
+		{"e04.honest unset at scale 30 stays above Max", asFloat(e04Honest.get), 30, nil, 24_000},
+		{"e13.rate unset", e13Rate.get, 1, nil, 2000},
+	}
+	for _, c := range cases {
+		cfg := core.Config{Seed: 1, Scale: c.scale, Params: c.params}
+		if got := c.read(cfg); got != c.want {
+			t.Errorf("%s: read %g, want %g", c.name, got, c.want)
+		}
+	}
+}
+
+func asFloat(get func(core.Config) int) func(core.Config) float64 {
+	return func(cfg core.Config) float64 { return float64(get(cfg)) }
+}
+
+// TestKnobDuplicatePanics checks a name can be registered only once.
+func TestKnobDuplicatePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering e03.nodes a second time did not panic")
+		}
+	}()
+	newIntKnob("e03.nodes", knobSpecs["e03.nodes"])
 }
 
 // TestEveryExperimentHasKnobs is the sweepability criterion: each of

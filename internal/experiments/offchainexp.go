@@ -20,19 +20,19 @@ func e18OffChain() core.Experiment {
 		claim: "§III-C P2: the so-called layer 2 or off-chain solutions like Lightning (Bitcoin), Plasma (Ethereum) or EOS follow this trend [toward centralization]: transactions are processed by a much smaller set of peers to increase performance.",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			nodes := knobInt(cfg, "e18.nodes")
-			hubs := knobInt(cfg, "e18.hubs")
-			degree := knobInt(cfg, "e18.meshdegree")
+			nodes := e18Nodes.get(cfg)
+			hubs := e18Hubs.get(cfg)
+			degree := e18MeshDegree.get(cfg)
 			if hubs >= nodes {
 				return fmt.Errorf("e18.hubs=%d must be below e18.nodes=%d", hubs, nodes)
 			}
 			if degree >= nodes {
 				return fmt.Errorf("e18.meshdegree=%d must be below e18.nodes=%d", degree, nodes)
 			}
-			payments := scaledSize(cfg, "e18.payments")
+			payments := e18Payments.get(cfg)
 			// Equal total locked capital in both topologies.
-			totalCapital := knobFloat(cfg, "e18.capital")
-			mixIdx := knobIndex(cfg, "e18.mix")
+			totalCapital := e18Capital.get(cfg)
+			mixIdx := e18Mix.get(cfg)
 
 			build := func(hub bool) (*offchain.Network, error) {
 				nw, err := offchain.NewNetwork(nodes)

@@ -38,17 +38,17 @@ func e01Market() core.Experiment {
 				providers int
 				sigma     float64
 			}
-			customers := scaledSize(cfg, "e01.customers")
+			customers := e01Customers.get(cfg)
 			var cdnTop3, cloudTop1, cloudTop5 float64
 			for _, sc := range []scenario{
-				{name: "cdn", providers: knobInt(cfg, "e01.cdnproviders"), sigma: 0.9},
-				{name: "cloud", providers: knobInt(cfg, "e01.cloudproviders"), sigma: 0.8},
+				{name: "cdn", providers: e01CDNProviders.get(cfg), sigma: 0.9},
+				{name: "cloud", providers: e01CloudProviders.get(cfg), sigma: 0.8},
 			} {
 				res, err := econ.RunMarket(s.Stream("e01."+sc.name), econ.MarketConfig{
 					Providers:    sc.providers,
 					Customers:    customers,
 					FitnessSigma: sc.sigma,
-					Exploration:  knobFloat(cfg, "e01.exploration"),
+					Exploration:  e01Exploration.get(cfg),
 				})
 				if err != nil {
 					return err
@@ -83,7 +83,7 @@ func e02FreeRiding() core.Experiment {
 		run: func(cfg core.Config, r *core.Result) error {
 			s := newSim(cfg)
 			nm := netmodel.New(s, netmodel.WithJitter(0.1))
-			n := scaledSize(cfg, "e02.peers")
+			n := e02Peers.get(cfg)
 			nw, err := gnutella.NewNetwork(s, nm, n, gnutella.Config{TTL: 6})
 			if err != nil {
 				return err
@@ -96,7 +96,7 @@ func e02FreeRiding() core.Experiment {
 			// 66% free riders by default (Adar & Huberman's ~2/3); sharers'
 			// library sizes are heavy-tailed — a few peers host huge
 			// collections, which is what concentrates upload load on them.
-			freeRiderFrac := knobFloat(cfg, "e02.freeriders")
+			freeRiderFrac := e02FreeRiders.get(cfg)
 			sharers := 0
 			for i := 0; i < n; i++ {
 				if g.Bool(freeRiderFrac) {
@@ -111,7 +111,7 @@ func e02FreeRiding() core.Experiment {
 					nw.Share(i, cat.Pick())
 				}
 			}
-			queries := scaledSize(cfg, "e02.queries")
+			queries := e02Queries.get(cfg)
 			found, msgs := 0, 0
 			for q := 0; q < queries; q++ {
 				origin := g.Intn(n)
@@ -144,10 +144,10 @@ func e02FreeRiding() core.Experiment {
 			// Tit-for-tat swarm: selfish universe (everyone leaves at
 			// completion, the paper's point about incentives not outlasting
 			// the download).
-			swarmPeers := scaledSize(cfg, "e02.swarmpeers")
+			swarmPeers := e02SwarmPeers.get(cfg)
 			swarmCfg := incentive.SwarmConfig{
 				Peers:         swarmPeers,
-				FreeRiderFrac: knobFloat(cfg, "e02.swarmfreeriders"),
+				FreeRiderFrac: e02SwarmFreeRiders.get(cfg),
 			}
 			g2 := s.Stream("e02.swarm")
 			base, err := incentive.RunSwarm(g2, swarmCfg, 5000)
@@ -213,8 +213,8 @@ func e03DHTLookup() core.Experiment {
 			// explicitly swept knob that still lands below the floor
 			// after scaling is an error: clamping it would emit distinct
 			// sweep groups with identical results.
-			n := scaledSize(cfg, "e03.nodes")
-			lookups := scaledSize(cfg, "e03.lookups")
+			n := e03Nodes.get(cfg)
+			lookups := e03Lookups.get(cfg)
 			measure := func(kcfg kademlia.Config, name string) (*metrics.Sample, float64, error) {
 				seed, streams := e03Layout(cfg.Seed)
 				s := newSimSeed(cfg, seed)
@@ -287,8 +287,8 @@ func e04Sybil() core.Experiment {
 		title: "Sybil and eclipse attacks on an open DHT",
 		claim: "§II-B P3: open networks where peers assign their own identities are prone to sybil attacks; massive identity problems were reported in eMule KAD and the BitTorrent DHTs.",
 		run: func(cfg core.Config, r *core.Result) error {
-			honest := scaledSize(cfg, "e04.honest")
-			lookups := scaledSize(cfg, "e04.lookups")
+			honest := e04Honest.get(cfg)
+			lookups := e04Lookups.get(cfg)
 			tab := metrics.NewTable("sybil interception vs identity count (simulated)",
 				"sybil identities", "% of network", "mean attacker frac in results", "majority-poisoned rate")
 			fig := &metrics.Figure{Title: "sybil interception", XLabel: "sybil fraction", YLabel: "attacker frac"}
@@ -339,7 +339,7 @@ func e04Sybil() core.Experiment {
 			if err := nw.Bootstrap(); err != nil {
 				return err
 			}
-			targetIDs := knobInt(cfg, "e04.targetids")
+			targetIDs := e04TargetIDs.get(cfg)
 			target := overlay.KeyID([]byte("victim"))
 			atk, err := sybil.Launch(s, nw, sybil.AttackConfig{
 				Identities: targetIDs, Targeted: true, Target: target,
@@ -383,8 +383,8 @@ func e05OneHop() core.Experiment {
 		title: "One-hop overlays vs multi-hop DHTs",
 		claim: "§II-B: for networks between 10K and 100K nodes it is possible to keep full membership and route in one hop (Gupta et al.); if the overlay is relatively stable, O(1) routing is the right decision.",
 		run: func(cfg core.Config, r *core.Result) error {
-			n := scaledSize(cfg, "e05.nodes")
-			lookups := scaledSize(cfg, "e05.lookups")
+			n := e05Nodes.get(cfg)
+			lookups := e05Lookups.get(cfg)
 			// Chord: hops and latency.
 			s := newSim(cfg)
 			nm := netmodel.New(s, netmodel.WithJitter(0.1))
@@ -443,7 +443,7 @@ func e05OneHop() core.Experiment {
 			// Maintenance bandwidth: analytic one-hop model at the paper's
 			// scales, with one-hour mean sessions by default (a "relatively
 			// stable" corporate-style network).
-			session := time.Duration(knobInt(cfg, "e05.sessionmins")) * time.Minute
+			session := time.Duration(e05SessionMins.get(cfg)) * time.Minute
 			tab2 := metrics.NewTable(fmt.Sprintf("one-hop maintenance bandwidth (analytic, %s sessions)", sessionLabel(session)),
 				"n", "ordinary node (kbit/s)", "unit leader (kbit/s)", "slice leader (kbit/s)")
 			var ordinary100k float64
@@ -489,9 +489,9 @@ func e15Churn() core.Experiment {
 		title: "Churn degrades open-overlay lookups",
 		claim: "§II-B P2: P2P networks show high churn; fault-tolerant self-adjustment causes performance problems and latency — stable cloud servers have no rival when guaranteed quality of service is needed.",
 		run: func(cfg core.Config, r *core.Result) error {
-			n := scaledSize(cfg, "e15.nodes")
-			lookups := scaledSize(cfg, "e15.lookups")
-			minSession := time.Duration(knobInt(cfg, "e15.minsession")) * time.Minute
+			n := e15Nodes.get(cfg)
+			lookups := e15Lookups.get(cfg)
+			minSession := time.Duration(e15MinSession.get(cfg)) * time.Minute
 			tab := metrics.NewTable("kademlia under churn (simulated)",
 				"mean session", "availability", "lookup success", "median latency (s)", "timeouts/lookup")
 			fig := &metrics.Figure{Title: "churn impact", XLabel: "mean session (min)", YLabel: "median latency (s)"}

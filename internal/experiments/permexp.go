@@ -24,9 +24,9 @@ func e13PermissionedVsPoW() core.Experiment {
 		title: "Permissioned consensus vs permissionless proof-of-work",
 		claim: "§IV: permissioned blockchains avoid costly proof-of-work by using CFT or BFT consensus (BFT-SMaRt); consensus can be configured between a subset of nodes, unlike broadcast networks where all nodes participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
-			durSecs := scaledSize(cfg, "e13.duration")
+			durSecs := e13Duration.get(cfg)
 			dur := time.Duration(durSecs) * time.Second
-			rate := knobFloat(cfg, "e13.rate")
+			rate := e13Rate.get(cfg)
 			tab := metrics.NewTable("consensus comparison (simulated)",
 				"system", "n", "fault model", "tps", "finality (mean)", "finality (p99)", "msgs/req")
 
@@ -36,7 +36,7 @@ func e13PermissionedVsPoW() core.Experiment {
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				cl, err := pbft.NewCluster(s, nm, n, netmodel.Europe, pbft.Config{
-					BatchSize:    knobInt(cfg, "e13.batch"),
+					BatchSize:    e13Batch.get(cfg),
 					BatchTimeout: 20 * time.Millisecond,
 				})
 				if err != nil {
@@ -56,7 +56,7 @@ func e13PermissionedVsPoW() core.Experiment {
 			}
 			var raftTPS float64
 			{
-				raftN := knobInt(cfg, "e13.raftnodes")
+				raftN := e13RaftNodes.get(cfg)
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				cl, err := raft.NewCluster(s, nm, raftN, netmodel.Europe)
@@ -100,9 +100,9 @@ func e14EdgeVsCloud() core.Experiment {
 		claim: "§V / Fig.1: modern services are data-intensive and latency-sensitive, making a centralized cloud a poor match; permissioned blockchains provide the decentralized trust that edge federations need (authorization and auditing).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			edgeNodes := knobInt(cfg, "e14.edgenodes")
-			cloudDCs := knobInt(cfg, "e14.clouddcs")
-			clients := scaledSize(cfg, "e14.clients")
+			edgeNodes := e14EdgeNodes.get(cfg)
+			cloudDCs := e14CloudDCs.get(cfg)
+			clients := e14Clients.get(cfg)
 			d, err := edge.New(g, edge.Config{
 				Clients:   clients,
 				EdgeNodes: edgeNodes,
@@ -111,7 +111,7 @@ func e14EdgeVsCloud() core.Experiment {
 			if err != nil {
 				return err
 			}
-			budgetMs := knobFloat(cfg, "e14.budgetms")
+			budgetMs := e14BudgetMs.get(cfg)
 			cmp := d.Compare(budgetMs)
 			tab := metrics.NewTable("client RTT by placement (ms, simulated geography)",
 				"placement", "median", "p95", fmt.Sprintf("%% within %gms budget", budgetMs))
@@ -147,7 +147,7 @@ func e14EdgeVsCloud() core.Experiment {
 				return err
 			}
 			var lat metrics.Sample
-			records := scaledSize(cfg, "e14.records")
+			records := e14Records.get(cfg)
 			s.After(3*time.Second, func() {
 				for i := 0; i < records; i++ {
 					key := fmt.Sprintf("rec%d", i)
@@ -195,9 +195,9 @@ func e16Channels() core.Experiment {
 		claim: "§IV: one distinguishing aspect of Hyperledger Fabric is that consensus can be configured between a subset of the nodes of the network, unlike traditional broadcast networks where all nodes must participate in all transactions.",
 		run: func(cfg core.Config, r *core.Result) error {
 			const orgs = 12
-			txPerChannel := scaledSize(cfg, "e16.txs")
-			blockSize := knobInt(cfg, "e16.blocksize")
-			endorsers := knobInt(cfg, "e16.endorsers")
+			txPerChannel := e16Txs.get(cfg)
+			blockSize := e16BlockSize.get(cfg)
+			endorsers := e16Endorsers.get(cfg)
 			put := func(stub *permissioned.Stub, args []string) error {
 				return stub.PutState(args[0], []byte(args[1]))
 			}

@@ -35,14 +35,14 @@ func e06Throughput() core.Experiment {
 			nw, err := pow.NewNetwork(s, pow.Params{
 				BlockInterval:     10 * time.Minute,
 				BlockSize:         1_000_000,
-				AvgTxSize:         knobInt(cfg, "e06.txbytes"),
+				AvgTxSize:         e06TxBytes.get(cfg),
 				InitialDifficulty: 600,
 			}, []float64{0.3, 0.25, 0.2, 0.15, 0.1})
 			if err != nil {
 				return err
 			}
 			nw.Start()
-			blocks := scaledSize(cfg, "e06.blocks")
+			blocks := e06Blocks.get(cfg)
 			if err := s.RunUntil(time.Duration(blocks) * 10 * time.Minute); err != nil {
 				return err
 			}
@@ -51,11 +51,11 @@ func e06Throughput() core.Experiment {
 			tab.AddRowf("bitcoin (simulated)", "event-driven mining network", st.TPS, "3.3-7")
 
 			// Cloud baseline: a sharded cluster absorbing VISA's load.
-			shards := knobInt(cfg, "e06.shards")
+			shards := e06Shards.get(cfg)
 			s2 := newSim(cfg)
 			cluster, err := cloudbase.NewCluster(s2, cloudbase.Config{
 				Shards:         shards,
-				CrossShardFrac: knobFloat(cfg, "e06.crossshard"),
+				CrossShardFrac: e06CrossShard.get(cfg),
 			})
 			if err != nil {
 				return err
@@ -96,7 +96,7 @@ func e07Difficulty() core.Experiment {
 			const target = 10 * time.Minute
 			// The retarget window scales with the run so adjustment lag
 			// stays proportional at reduced scales.
-			window := scaledSize(cfg, "e07.window")
+			window := e07Window.get(cfg)
 			nw, err := pow.NewNetwork(s, pow.Params{
 				BlockInterval:     target,
 				InitialDifficulty: 600 * 1, // hashrate 1 => on-target at start
@@ -106,8 +106,8 @@ func e07Difficulty() core.Experiment {
 				return err
 			}
 			nw.Start()
-			epochs := knobInt(cfg, "e07.epochs")
-			epochBlocks := scaledSize(cfg, "e07.epochblocks")
+			epochs := e07Epochs.get(cfg)
+			epochBlocks := e07EpochBlocks.get(cfg)
 			epochLen := time.Duration(epochBlocks) * target
 			for e := 1; e <= epochs; e++ {
 				e := e
@@ -154,11 +154,11 @@ func e08ForkRate() core.Experiment {
 		title: "Fork rate vs block interval — the trilemma's mechanics",
 		claim: "§III-C P2: a completely open network of thousands of heterogeneous nodes is a serious burden for performance (Buterin's scalability trilemma: scalability, decentralization, security — pick two).",
 		run: func(cfg core.Config, r *core.Result) error {
-			blocks := scaledSize(cfg, "e08.blocks")
+			blocks := e08Blocks.get(cfg)
 			// ~1MB over a global gossip mesh by default.
-			propagation := time.Duration(knobFloat(cfg, "e08.propagation") * float64(time.Second))
-			mixIdx := knobIndex(cfg, "e08.mix")
-			loss := knobFloat(cfg, "e08.loss")
+			propagation := time.Duration(e08Propagation.get(cfg) * float64(time.Second))
+			mixIdx := e08Mix.get(cfg)
+			loss := e08Loss.get(cfg)
 			if loss > 0 && mixIdx == 0 {
 				return fmt.Errorf("e08.loss=%g needs a WAN relay: set e08.mix to 1..%d", loss, netmodel.NumMixPresets)
 			}
@@ -265,13 +265,13 @@ func e09Selfish() core.Experiment {
 		claim: "§III-C P1: the incentive mechanism of Bitcoin is flawed — a minority colluding pool can obtain more revenue than the pool's fair share (Eyal & Sirer).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			blocks := scaledSize(cfg, "e09.blocks")
+			blocks := e09Blocks.get(cfg)
 			tab := metrics.NewTable("selfish mining revenue share (simulated vs closed form)",
 				"alpha", "gamma", "revenue (sim)", "revenue (Eyal-Sirer eq.8)", "fair share", "profitable")
 			fig := &metrics.Figure{Title: "selfish mining", XLabel: "alpha", YLabel: "revenue share"}
 			var maxDelta float64
 			var profitableBelow, unprofitableAbove bool
-			gamma2 := knobFloat(cfg, "e09.gamma")
+			gamma2 := e09Gamma.get(cfg)
 			for _, gamma := range []float64{0, gamma2} {
 				for _, alpha := range []float64{0.15, 0.25, 0.3, 0.35, 0.4, 0.45} {
 					out, err := pow.SimulateSelfishMining(g, alpha, gamma, blocks)
@@ -322,8 +322,8 @@ func e17DoubleSpend() core.Experiment {
 		claim: "§III-A: modifying the chain requires redoing the proof-of-work for the block and all that follow — a feat possible only with more than half the computing power (Nakamoto's confirmation analysis).",
 		run: func(cfg core.Config, r *core.Result) error {
 			g := sim.NewRNG(cfg.Seed)
-			trials := scaledSize(cfg, "e17.trials")
-			risk := knobFloat(cfg, "e17.risk")
+			trials := e17Trials.get(cfg)
+			risk := e17Risk.get(cfg)
 			tab := metrics.NewTable("double-spend success probability",
 				"attacker share q", "z", "Nakamoto closed form", "exact race", "monte carlo")
 			var maxDelta float64

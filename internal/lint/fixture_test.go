@@ -193,10 +193,6 @@ func TestFloatFmtFixture(t *testing.T) {
 	runFixture(t, "repro/internal/report/fffix", FloatFmt)
 }
 
-func TestKnobRegFixture(t *testing.T) {
-	runFixture(t, "repro/internal/experiments/krfix", KnobReg)
-}
-
 func TestHotPathFixture(t *testing.T) {
 	runFixture(t, "repro/internal/sim/hpfix", HotPath)
 }
@@ -209,7 +205,7 @@ func TestWallclockAllowlist(t *testing.T) {
 
 // TestOutOfScopePackage: cmd packages are outside the deterministic set.
 func TestOutOfScopePackage(t *testing.T) {
-	runFixture(t, "repro/cmd/oosfix", NonDeterm, FloatFmt, KnobReg, HotPath)
+	runFixture(t, "repro/cmd/oosfix", NonDeterm, FloatFmt, HotPath)
 }
 
 // TestMalformedDirective: an allow without a reason suppresses nothing and

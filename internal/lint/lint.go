@@ -1,18 +1,20 @@
 // Package lint implements decentlint, the repository's static-analysis
-// suite. Five analyzers turn the reproduction's dynamic determinism and
+// suite. Four analyzers turn the reproduction's dynamic determinism and
 // performance contracts — byte-identical golden baselines, named RNG
-// streams, registered knobs, 0-alloc hot paths — into lint-time failures:
+// streams, 0-alloc hot paths — into lint-time failures:
 //
 //	nondeterm  no wall clock, ambient RNG, env reads, or order-dependent
 //	           map iteration inside the deterministic package set
 //	rngstream  RNGs are constructed only in internal/sim and
 //	           internal/randdist; everyone else uses named streams
 //	floatfmt   no value-width-dependent float formatting in render paths
-//	knobreg    every knob-reader string literal is a registered knob
 //	hotpath    //decentlint:hotpath functions stay allocation-free
 //
 // Audited exceptions carry `//decentlint:allow <check> <reason>`; the
 // reason is mandatory. Run the suite with `go run ./cmd/decentlint ./...`.
+// Knob names need no analyzer: runners read knobs through typed handles,
+// so the compiler rejects an unknown knob and TestReachability an unread
+// one.
 package lint
 
 import (
@@ -51,7 +53,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the decentlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NonDeterm, RNGStream, FloatFmt, KnobReg, HotPath}
+	return []*Analyzer{NonDeterm, RNGStream, FloatFmt, HotPath}
 }
 
 // Finding is one unsuppressed diagnostic.

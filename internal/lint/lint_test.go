@@ -62,15 +62,15 @@ func TestParseVerbs(t *testing.T) {
 	}
 }
 
-// TestAnalyzersWellFormed pins the suite composition: five analyzers,
+// TestAnalyzersWellFormed pins the suite composition: four analyzers,
 // unique identifier names, docs present — the properties the directive
 // parser and the CI lint job rely on.
 func TestAnalyzersWellFormed(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 5 {
-		t.Fatalf("want 5 analyzers, got %d", len(as))
+	if len(as) != 4 {
+		t.Fatalf("want 4 analyzers, got %d", len(as))
 	}
-	want := map[string]bool{"nondeterm": true, "rngstream": true, "floatfmt": true, "knobreg": true, "hotpath": true}
+	want := map[string]bool{"nondeterm": true, "rngstream": true, "floatfmt": true, "hotpath": true}
 	seen := map[string]bool{}
 	for _, a := range as {
 		if !want[a.Name] {

@@ -223,9 +223,12 @@ func ParseManifest(data []byte) (*Manifest, error) {
 // consumer (generation, the report service's cache key, the CLI) agrees on
 // what an Options value means: empty IDs become every registered
 // experiment in paper order, ids are upper-cased into a fresh slice (the
-// caller's is never written), empty Seeds become 1..3 and a zero Scale 1.
-// Unknown and duplicate ids are errors — a repeated id would aggregate as
-// extra replications of the same scenario. Canonical options resolve to
+// caller's is never written), empty Seeds become 1..3, a zero Scale 1,
+// and GridPoints the count the sensitivity layer sweeps: < 1 becomes
+// experiments.DefaultGridPoints with Sensitivity on, and any count 0 with
+// it off — one tree, one cache key. Unknown and duplicate ids are errors
+// — a repeated id would aggregate as extra replications of the same
+// scenario. Canonical options resolve to
 // themselves.
 func Canonical(reg *core.Registry, opts Options) (Options, error) {
 	given := opts.IDs
@@ -250,6 +253,12 @@ func Canonical(reg *core.Registry, opts Options) (Options, error) {
 	}
 	if opts.Scale == 0 {
 		opts.Scale = 1
+	}
+	switch {
+	case !opts.Sensitivity:
+		opts.GridPoints = 0
+	case opts.GridPoints < 1:
+		opts.GridPoints = experiments.DefaultGridPoints
 	}
 	return opts, nil
 }

@@ -77,13 +77,9 @@ func (st *expStability) fragileLabel() string {
 // values ascending and seeds innermost, so aggregate groups come out in
 // render order.
 func buildSensitivity(exps []core.Experiment, opts Options) (*sensitivity, []harness.Job) {
-	points := opts.GridPoints
-	if points < 1 {
-		points = experiments.DefaultGridPoints
-	}
-	grids := experiments.SensitivityGrids(points, opts.Scale)
+	grids := experiments.SensitivityGrids(opts.GridPoints, opts.Scale) // Canonical resolved the count
 	s := &sensitivity{
-		gridPoints: points,
+		gridPoints: opts.GridPoints,
 		knobs:      make(map[string][]string, len(exps)),
 		grids:      make(map[string][]float64, len(grids)),
 		specs:      experiments.KnobSpecs(),

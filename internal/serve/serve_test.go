@@ -301,6 +301,25 @@ func TestKeyCanonical(t *testing.T) {
 	if Key(spelled) != Key(defaulted) {
 		t.Errorf("spelled-out defaults (seeds 1..3, scale 1) should share a key with omitted ones")
 	}
+	// The grid count is part of the key only when the sensitivity layer
+	// runs, and an omitted count keys as the default it sweeps.
+	for _, pair := range [][2]report.Options{
+		{{IDs: []string{"E01"}, Sensitivity: true}, {IDs: []string{"E01"}, Sensitivity: true, GridPoints: experiments.DefaultGridPoints}},
+		{{IDs: []string{"E01"}}, {IDs: []string{"E01"}, GridPoints: 3}},
+	} {
+		var keys [2]string
+		for i, o := range pair {
+			opts, err := report.Canonical(reg, o)
+			if err != nil {
+				t.Fatalf("Canonical: %v", err)
+			}
+			keys[i] = Key(opts)
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("sensitivity=%t: grid points %d and %d generate one tree but key apart",
+				pair[0].Sensitivity, pair[0].GridPoints, pair[1].GridPoints)
+		}
+	}
 }
 
 // TestEviction checks completed idle entries beyond the cap are dropped
