@@ -29,7 +29,6 @@ var reachKeep = map[string]string{
 	"(*repro/internal/overlay/onehop.Network).SetOnline":  "fault injector: churn transition for the lookup-owner invariant",
 	"(*repro/internal/overlay/chord.Network).OwnerOf":     "oracle: ring-successor ground truth lookups are checked against",
 	"(*repro/internal/overlay/onehop.Network).OwnerOf":    "oracle: ring-successor ground truth lookups are checked against",
-	"(repro/internal/overlay.ID).XOR":                     "oracle: byte-wise distance XORDistance and CloserXOR are property-tested against",
 	"(repro/internal/cloudbase.Config).CapacityTPS":       "oracle: analytic throughput ceiling the simulated cluster is tested against",
 	"repro/internal/gossip.*":                             "reference model: flooding relay TestGossipCalibratedForkRate cross-checks E08's parametric propagation with; not an experiment substrate",
 	"(*repro/internal/gossip.*":                           "reference model: methods of the above",

@@ -5,6 +5,7 @@
 package overlay
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -20,119 +21,119 @@ const IDBytes = 20
 // IDBits is the identifier width in bits.
 const IDBits = IDBytes * 8
 
-// ID is a 160-bit overlay identifier. The zero value is the all-zeros
-// identifier.
-type ID [IDBytes]byte
+// ID is a 160-bit overlay identifier held as three big-endian words: hi is
+// bytes 0–7, mid bytes 8–15 and lo bytes 16–19, so the words order as the
+// bytes do and every comparison is at most three integer compares. The zero
+// value is the all-zeros identifier.
+type ID struct {
+	hi, mid uint64
+	lo      uint32
+}
+
+// FromBytes returns the identifier spelled by b, most significant byte
+// first.
+func FromBytes(b [IDBytes]byte) ID {
+	return ID{
+		hi:  binary.BigEndian.Uint64(b[0:]),
+		mid: binary.BigEndian.Uint64(b[8:]),
+		lo:  binary.BigEndian.Uint32(b[16:]),
+	}
+}
+
+// Bytes returns the identifier's 20 bytes, most significant first; it
+// inverts FromBytes.
+func (id ID) Bytes() [IDBytes]byte {
+	var b [IDBytes]byte
+	binary.BigEndian.PutUint64(b[0:], id.hi)
+	binary.BigEndian.PutUint64(b[8:], id.mid)
+	binary.BigEndian.PutUint32(b[16:], id.lo)
+	return b
+}
 
 // RandomID returns an identifier drawn uniformly from the id space. Open
 // overlays let nodes self-assign exactly these — the root cause of the sybil
-// vulnerability the paper discusses.
+// vulnerability the paper discusses. It takes three draws and keeps the
+// first 20 of their 24 big-endian bytes (the fields are evaluated left to
+// right).
 func RandomID(g *sim.RNG) ID {
-	var buf [24]byte
-	for i := 0; i < len(buf); i += 8 {
-		binary.BigEndian.PutUint64(buf[i:], g.Uint64())
-	}
-	var id ID
-	copy(id[:], buf[:IDBytes])
-	return id
+	return ID{hi: g.Uint64(), mid: g.Uint64(), lo: uint32(g.Uint64() >> 32)}
 }
 
 // KeyID hashes arbitrary bytes into the identifier space (SHA-256 truncated
 // to 160 bits).
 func KeyID(data []byte) ID {
 	sum := sha256.Sum256(data)
-	var id ID
-	copy(id[:], sum[:IDBytes])
-	return id
+	return FromBytes([IDBytes]byte(sum[:IDBytes]))
 }
 
 // String returns a short hex prefix for logs and tables.
-func (id ID) String() string { return hex.EncodeToString(id[:4]) }
+func (id ID) String() string {
+	b := id.Bytes()
+	return hex.EncodeToString(b[:4])
+}
 
 // Bit returns bit i (0 = most significant) of the identifier.
 func (id ID) Bit(i int) int {
-	if i < 0 || i >= IDBits {
+	switch {
+	case i < 0 || i >= IDBits:
 		return 0
+	case i < 64:
+		return int(id.hi>>(63-uint(i))) & 1
+	case i < 128:
+		return int(id.mid>>(127-uint(i))) & 1
+	default:
+		return int(id.lo>>(IDBits-1-uint(i))) & 1
 	}
-	return int(id[i/8]>>(7-uint(i%8))) & 1
 }
 
 // XOR returns the bitwise XOR of two identifiers (the Kademlia distance).
 func (a ID) XOR(b ID) ID {
-	var out ID
-	for i := range a {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
+	return ID{hi: a.hi ^ b.hi, mid: a.mid ^ b.mid, lo: a.lo ^ b.lo}
 }
 
 // Cmp compares identifiers as unsigned big-endian integers: -1 if a < b, 0
 // if equal, +1 if a > b.
 func (a ID) Cmp(b ID) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(a.mid, b.mid); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
+}
+
+// Less reports whether a is strictly smaller than b as an unsigned
+// big-endian integer.
+func (a ID) Less(b ID) bool {
+	if a.hi != b.hi {
+		return a.hi < b.hi
+	}
+	if a.mid != b.mid {
+		return a.mid < b.mid
+	}
+	return a.lo < b.lo
 }
 
 // CommonPrefixLen returns the number of leading bits shared by a and b
 // (IDBits when equal). It indexes Kademlia's k-buckets.
 func CommonPrefixLen(a, b ID) int {
-	for i := range a {
-		if x := a[i] ^ b[i]; x != 0 {
-			return i*8 + bits.LeadingZeros8(x)
-		}
+	switch {
+	case a.hi != b.hi:
+		return bits.LeadingZeros64(a.hi ^ b.hi)
+	case a.mid != b.mid:
+		return 64 + bits.LeadingZeros64(a.mid^b.mid)
 	}
-	return IDBits
+	return 128 + bits.LeadingZeros32(a.lo^b.lo)
 }
 
-// Distance is an XOR distance held as big-endian words, so ordering two
-// distances costs at most three integer compares. For a fixed target,
+// Distance is an XOR distance, ordered by Less. For a fixed target,
 // id ↦ XORDistance(id, target) is a bijection: equal distances mean equal
 // identifiers.
-type Distance struct {
-	hi, mid uint64
-	lo      uint32
-}
+type Distance = ID
 
 // XORDistance returns the Kademlia distance between a and b.
-func XORDistance(a, b ID) Distance {
-	return Distance{
-		hi:  binary.BigEndian.Uint64(a[0:]) ^ binary.BigEndian.Uint64(b[0:]),
-		mid: binary.BigEndian.Uint64(a[8:]) ^ binary.BigEndian.Uint64(b[8:]),
-		lo:  binary.BigEndian.Uint32(a[16:]) ^ binary.BigEndian.Uint32(b[16:]),
-	}
-}
-
-// Less reports whether d is strictly smaller than e.
-func (d Distance) Less(e Distance) bool {
-	if d.hi != e.hi {
-		return d.hi < e.hi
-	}
-	if d.mid != e.mid {
-		return d.mid < e.mid
-	}
-	return d.lo < e.lo
-}
-
-// Bit returns bit i (0 = most significant) of the distance.
-func (d Distance) Bit(i int) int {
-	switch {
-	case i < 0 || i >= IDBits:
-		return 0
-	case i < 64:
-		return int(d.hi>>(63-uint(i))) & 1
-	case i < 128:
-		return int(d.mid>>(127-uint(i))) & 1
-	default:
-		return int(d.lo>>(IDBits-1-uint(i))) & 1
-	}
-}
+func XORDistance(a, b ID) Distance { return a.XOR(b) }
 
 // CloserXOR reports whether a is strictly closer to target than b under the
 // XOR metric.

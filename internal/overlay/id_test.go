@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -32,12 +35,104 @@ func TestRandomIDUniqueness(t *testing.T) {
 	}
 }
 
+// The byte-wise reference every word operation is held to: an identifier
+// as its 20 big-endian bytes, compared, XORed and read one byte at a time.
+
+func refXOR(a, b [IDBytes]byte) [IDBytes]byte {
+	var out [IDBytes]byte
+	for i := range a {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
+
+func refCmp(a, b [IDBytes]byte) int {
+	for i := range a {
+		switch {
+		case a[i] < b[i]:
+			return -1
+		case a[i] > b[i]:
+			return 1
+		}
+	}
+	return 0
+}
+
+func refCPL(a, b [IDBytes]byte) int {
+	for i := range a {
+		if x := a[i] ^ b[i]; x != 0 {
+			return i*8 + bits.LeadingZeros8(x)
+		}
+	}
+	return IDBits
+}
+
+func refBit(a [IDBytes]byte, i int) int {
+	if i < 0 || i >= IDBits {
+		return 0
+	}
+	return int(a[i/8]>>(7-uint(i%8))) & 1
+}
+
+// refCloser is the byte-wise XOR order: XOR both with the target, then
+// compare.
+func refCloser(target, a, b [IDBytes]byte) bool {
+	return refCmp(refXOR(a, target), refXOR(b, target)) < 0
+}
+
+// TestIDBytesRoundTrip pins the one bridge between words and bytes, and
+// the byte spellings RandomID, KeyID and String are defined by.
+func TestIDBytesRoundTrip(t *testing.T) {
+	g := sim.NewRNG(5)
+	for i := 0; i < 200; i++ {
+		var b [IDBytes]byte
+		for j := range b {
+			b[j] = byte(g.Intn(256))
+		}
+		if FromBytes(b).Bytes() != b {
+			t.Fatalf("FromBytes(%x).Bytes() = %x", b, FromBytes(b).Bytes())
+		}
+		if id := RandomID(g); FromBytes(id.Bytes()) != id {
+			t.Fatalf("FromBytes(Bytes()) of %v is not the identity", id)
+		}
+	}
+	draws, ids := sim.NewRNG(9), sim.NewRNG(9)
+	for i := 0; i < 200; i++ {
+		var buf [24]byte
+		for j := 0; j < len(buf); j += 8 {
+			binary.BigEndian.PutUint64(buf[j:], draws.Uint64())
+		}
+		if got, want := RandomID(ids).Bytes(), [IDBytes]byte(buf[:IDBytes]); got != want {
+			t.Fatalf("draw %d: RandomID spells %x, want the first 20 bytes of its three draws %x", i, got, want)
+		}
+	}
+	for _, key := range []string{"", "hello", "victim-key"} {
+		sum := sha256.Sum256([]byte(key))
+		id := KeyID([]byte(key))
+		if got := id.Bytes(); got != [IDBytes]byte(sum[:IDBytes]) {
+			t.Fatalf("KeyID(%q) = %x, want sha256[:20] %x", key, got, sum[:IDBytes])
+		}
+		if b := id.Bytes(); id.String() != hex.EncodeToString(b[:4]) {
+			t.Fatalf("KeyID(%q).String() = %s, want the hex of its first 4 bytes", key, id.String())
+		}
+	}
+}
+
 func TestBit(t *testing.T) {
-	var id ID
-	id[0] = 0x80 // bit 0 set
-	id[1] = 0x01 // bit 15 set
-	if id.Bit(0) != 1 || id.Bit(1) != 0 || id.Bit(15) != 1 {
-		t.Fatalf("Bit extraction wrong: %d %d %d", id.Bit(0), id.Bit(1), id.Bit(15))
+	var b [IDBytes]byte
+	b[0] = 0x80  // bit 0 set
+	b[1] = 0x01  // bit 15 set
+	b[15] = 0x01 // bit 127 set
+	b[16] = 0x80 // bit 128 set
+	b[19] = 0x01 // bit 159 set
+	id := FromBytes(b)
+	for _, i := range []int{0, 1, 15, 63, 64, 127, 128, 158, 159} {
+		if id.Bit(i) != refBit(b, i) {
+			t.Fatalf("Bit(%d) = %d, want %d", i, id.Bit(i), refBit(b, i))
+		}
+	}
+	if id.Bit(0) != 1 || id.Bit(1) != 0 || id.Bit(15) != 1 || id.Bit(159) != 1 {
+		t.Fatalf("Bit extraction wrong: %d %d %d %d", id.Bit(0), id.Bit(1), id.Bit(15), id.Bit(159))
 	}
 	if id.Bit(-1) != 0 || id.Bit(IDBits) != 0 {
 		t.Fatal("out-of-range Bit should be 0")
@@ -45,42 +140,42 @@ func TestBit(t *testing.T) {
 }
 
 func TestCommonPrefixLen(t *testing.T) {
-	var a, b ID
-	if got := CommonPrefixLen(a, b); got != IDBits {
+	var a, b [IDBytes]byte
+	if got := CommonPrefixLen(FromBytes(a), FromBytes(b)); got != IDBits {
 		t.Fatalf("equal ids CPL = %d, want %d", got, IDBits)
 	}
-	b[0] = 0x80
-	if got := CommonPrefixLen(a, b); got != 0 {
-		t.Fatalf("CPL = %d, want 0", got)
-	}
-	b[0] = 0x01
-	if got := CommonPrefixLen(a, b); got != 7 {
-		t.Fatalf("CPL = %d, want 7", got)
-	}
-	b[0] = 0
-	b[5] = 0x10
-	if got := CommonPrefixLen(a, b); got != 43 {
-		t.Fatalf("CPL = %d, want 43", got)
+	for _, tc := range []struct{ i, bit, want int }{
+		{0, 7, 0}, {0, 0, 7}, {5, 4, 43}, {8, 7, 64}, {16, 7, 128}, {16, 0, 135}, {19, 0, 159},
+	} {
+		b = [IDBytes]byte{}
+		b[tc.i] = 1 << tc.bit
+		if got := CommonPrefixLen(FromBytes(a), FromBytes(b)); got != tc.want {
+			t.Fatalf("byte %d bit %d: CPL = %d, want %d", tc.i, tc.bit, got, tc.want)
+		}
 	}
 }
 
 func TestCmp(t *testing.T) {
-	var a, b ID
-	if a.Cmp(b) != 0 {
+	var a, b [IDBytes]byte
+	if FromBytes(a).Cmp(FromBytes(b)) != 0 {
 		t.Fatal("equal ids must compare 0")
 	}
-	b[19] = 1
-	if a.Cmp(b) != -1 || b.Cmp(a) != 1 {
-		t.Fatal("Cmp ordering wrong")
+	for _, i := range []int{0, 7, 8, 15, 16, 19} {
+		b = [IDBytes]byte{}
+		b[i] = 1
+		x, y := FromBytes(a), FromBytes(b)
+		if x.Cmp(y) != -1 || y.Cmp(x) != 1 || !x.Less(y) || y.Less(x) {
+			t.Fatalf("byte %d: Cmp ordering wrong", i)
+		}
 	}
 }
 
 func TestCloserXOR(t *testing.T) {
 	target := KeyID([]byte("t"))
-	a := target
-	a[19] ^= 0x01 // distance 1
-	b := target
-	b[0] ^= 0x80 // enormous distance
+	ab, bb := target.Bytes(), target.Bytes()
+	ab[19] ^= 0x01 // distance 1
+	bb[0] ^= 0x80  // enormous distance
+	a, b := FromBytes(ab), FromBytes(bb)
 	if !CloserXOR(target, a, b) {
 		t.Fatal("a (distance 1) should be closer than b")
 	}
@@ -115,12 +210,12 @@ func TestRingBetween(t *testing.T) {
 
 // Property: XOR metric axioms — identity, symmetry, and the triangle
 // equality d(a,c) <= d(a,b) XOR d(b,c) doesn't hold in general for XOR, but
-// d(a,b)=0 iff a==b and d is symmetric.
+// d(a,b)=0 iff a==b and d is symmetric. The words XOR as the bytes do.
 func TestPropertyXORMetric(t *testing.T) {
 	f := func(ab, bb [IDBytes]byte) bool {
-		a, b := ID(ab), ID(bb)
+		a, b := FromBytes(ab), FromBytes(bb)
 		dAB, dBA := a.XOR(b), b.XOR(a)
-		if dAB != dBA {
+		if dAB != dBA || dAB.Bytes() != refXOR(ab, bb) {
 			return false
 		}
 		zero := dAB.Cmp(ID{}) == 0
@@ -135,7 +230,7 @@ func TestPropertyXORMetric(t *testing.T) {
 // exactly one of the two is strictly closer.
 func TestPropertyXORTotalOrder(t *testing.T) {
 	f := func(tb, ab, bb [IDBytes]byte) bool {
-		target, a, b := ID(tb), ID(ab), ID(bb)
+		target, a, b := FromBytes(tb), FromBytes(ab), FromBytes(bb)
 		if a == b {
 			return !CloserXOR(target, a, b) && !CloserXOR(target, b, a)
 		}
@@ -146,31 +241,24 @@ func TestPropertyXORTotalOrder(t *testing.T) {
 	}
 }
 
-// refCloser is the byte-wise definition of the XOR order that the word
-// distance must reproduce.
-func refCloser(target, a, b ID) bool { return a.XOR(target).Cmp(b.XOR(target)) < 0 }
-
-func (d Distance) leadingZeros() int {
-	switch {
-	case d.hi != 0:
-		return bits.LeadingZeros64(d.hi)
-	case d.mid != 0:
-		return 64 + bits.LeadingZeros64(d.mid)
-	}
-	return 128 + bits.LeadingZeros32(d.lo)
+// wordsMatchBytes reports whether the word operations on the identifiers
+// spelled by tb, ab and bb agree with the byte-wise reference: XOR, Cmp,
+// Less, equality, CommonPrefixLen (also as a distance's leading zeros),
+// CloserXOR and the distance order.
+func wordsMatchBytes(tb, ab, bb [IDBytes]byte) bool {
+	target, a, b := FromBytes(tb), FromBytes(ab), FromBytes(bb)
+	da, db := XORDistance(a, target), XORDistance(b, target)
+	return a.XOR(b).Bytes() == refXOR(ab, bb) && da.Bytes() == refXOR(ab, tb) &&
+		a.Cmp(b) == refCmp(ab, bb) && a.Less(b) == (refCmp(ab, bb) < 0) && (a == b) == (ab == bb) &&
+		CommonPrefixLen(a, b) == refCPL(ab, bb) && CommonPrefixLen(da, ID{}) == refCPL(ab, tb) &&
+		da.Less(db) == refCloser(tb, ab, bb) && db.Less(da) == refCloser(tb, bb, ab) &&
+		CloserXOR(target, a, b) == refCloser(tb, ab, bb) && (da == db) == (ab == bb)
 }
 
-// Property: the word distance orders exactly as the byte-wise XOR-then-Cmp
-// it replaces, and its leading zeros are the common prefix length.
+// Property: the word distance orders exactly as the byte-wise XOR-then-Cmp,
+// and its leading zeros are the common prefix length.
 func TestPropertyDistanceWords(t *testing.T) {
-	f := func(tb, ab, bb [IDBytes]byte) bool {
-		target, a, b := ID(tb), ID(ab), ID(bb)
-		da, db := XORDistance(a, target), XORDistance(b, target)
-		return da.Less(db) == refCloser(target, a, b) && db.Less(da) == refCloser(target, b, a) &&
-			CloserXOR(target, a, b) == refCloser(target, a, b) &&
-			da.leadingZeros() == CommonPrefixLen(a, target) && (da == db) == (a == b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(wordsMatchBytes, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,7 +270,7 @@ func TestDistanceWordSeams(t *testing.T) {
 	g := sim.NewRNG(3)
 	seams := []int{0, 7, 8, 15, 16, 19}
 	for round := 0; round < 50; round++ {
-		target, base := RandomID(g), RandomID(g)
+		target, base := RandomID(g).Bytes(), RandomID(g).Bytes()
 		for _, i := range seams {
 			for _, j := range seams {
 				for bi := uint(0); bi < 8; bi++ {
@@ -190,13 +278,8 @@ func TestDistanceWordSeams(t *testing.T) {
 						a, b := base, base
 						a[i] ^= 1 << bi
 						b[j] ^= 1 << bj
-						da, db := XORDistance(a, target), XORDistance(b, target)
-						if da.Less(db) != refCloser(target, a, b) || db.Less(da) != refCloser(target, b, a) || (da == db) != (a == b) {
-							t.Fatalf("byte %d bit %d vs byte %d bit %d: words order (%v, %v), bytes order (%v, %v)",
-								i, bi, j, bj, da.Less(db), db.Less(da), refCloser(target, a, b), refCloser(target, b, a))
-						}
-						if lz, cpl := XORDistance(a, b).leadingZeros(), CommonPrefixLen(a, b); lz != cpl {
-							t.Fatalf("byte %d bit %d vs byte %d bit %d: %d leading zeros, common prefix %d", i, bi, j, bj, lz, cpl)
+						if !wordsMatchBytes(target, a, b) || !wordsMatchBytes(b, a, target) {
+							t.Fatalf("byte %d bit %d vs byte %d bit %d: the words disagree with the bytes", i, bi, j, bj)
 						}
 					}
 				}
@@ -209,10 +292,9 @@ func TestDistanceWordSeams(t *testing.T) {
 // range included.
 func TestPropertyDistanceBit(t *testing.T) {
 	f := func(ab, bb [IDBytes]byte) bool {
-		a, b := ID(ab), ID(bb)
-		d, x := XORDistance(a, b), a.XOR(b)
+		d, x := XORDistance(FromBytes(ab), FromBytes(bb)), refXOR(ab, bb)
 		for i := -1; i <= IDBits; i++ {
-			if d.Bit(i) != x.Bit(i) {
+			if d.Bit(i) != refBit(x, i) {
 				return false
 			}
 		}
@@ -223,11 +305,15 @@ func TestPropertyDistanceBit(t *testing.T) {
 	}
 }
 
-// Property: CPL(a,b) >= k implies the top k bits agree.
+// Property: CPL(a,b) is the byte-wise prefix length, and CPL(a,b) >= k
+// implies the top k bits agree.
 func TestPropertyCPL(t *testing.T) {
 	f := func(ab, bb [IDBytes]byte) bool {
-		a, b := ID(ab), ID(bb)
+		a, b := FromBytes(ab), FromBytes(bb)
 		cpl := CommonPrefixLen(a, b)
+		if cpl != refCPL(ab, bb) {
+			return false
+		}
 		for i := 0; i < cpl; i++ {
 			if a.Bit(i) != b.Bit(i) {
 				return false
@@ -241,6 +327,29 @@ func TestPropertyCPL(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzIDWords holds every word operation to the byte-wise reference on
+// three arbitrary identifiers (each input cut or zero-padded to 20 bytes),
+// every bit position included.
+func FuzzIDWords(f *testing.F) {
+	f.Add([]byte{}, []byte{0x80}, []byte{0, 0, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Add([]byte("target-target-target"), []byte("target-target-targes"), []byte("target-tarfet-target"))
+	f.Fuzz(func(t *testing.T, tin, ain, bin []byte) {
+		var tb, ab, bb [IDBytes]byte
+		copy(tb[:], tin)
+		copy(ab[:], ain)
+		copy(bb[:], bin)
+		if !wordsMatchBytes(tb, ab, bb) {
+			t.Fatalf("target %x, a %x, b %x: the words disagree with the bytes", tb, ab, bb)
+		}
+		a, d := FromBytes(ab), XORDistance(FromBytes(ab), FromBytes(tb))
+		for i := -1; i <= IDBits; i++ {
+			if a.Bit(i) != refBit(ab, i) || d.Bit(i) != refBit(refXOR(ab, tb), i) {
+				t.Fatalf("a %x, target %x: bit %d differs from the bytes", ab, tb, i)
+			}
+		}
+	})
 }
 
 func TestStringForms(t *testing.T) {

@@ -34,10 +34,10 @@ func TestTableAddAndEvict(t *testing.T) {
 	}
 	// Fill one specific bucket with ids sharing CPL 0 with self.
 	mk := func(i byte) Contact {
-		var id overlay.ID
-		id[0] = ^self[0] // guarantees CPL 0
+		var id [overlay.IDBytes]byte
+		id[0] = ^self.Bytes()[0] // guarantees CPL 0
 		id[19] = i
-		return Contact{ID: id, Addr: netmodel.NodeID(i)}
+		return Contact{ID: overlay.FromBytes(id), Addr: netmodel.NodeID(i)}
 	}
 	for i := byte(0); i < 4; i++ {
 		if !tab.Add(mk(i)) {
@@ -76,6 +76,45 @@ func TestTableRemove(t *testing.T) {
 	tab.Remove(c.ID) // removing absent contact is a no-op
 }
 
+// A fresh table holds no bucket array; Add grows it to the highest bucket
+// filled. A Rejoin-style reset keeps every bucket's storage, so re-adding
+// the same contacts allocates nothing and rebuilds the same table.
+func TestTableBucketsOnDemand(t *testing.T) {
+	g := sim.NewRNG(43)
+	self := overlay.RandomID(g)
+	tab := NewTable(self, 8)
+	if cap(tab.buckets) >= overlay.IDBits+1 {
+		t.Fatalf("a fresh table holds %d bucket slots, want fewer than %d", cap(tab.buckets), overlay.IDBits+1)
+	}
+	contacts := make([]Contact, 300)
+	top := 0
+	for i := range contacts {
+		id := overlay.RandomID(g)
+		if i%2 == 1 {
+			id = clusteredID(g, self)
+		}
+		contacts[i] = Contact{ID: id, Addr: netmodel.NodeID(i)}
+		if tab.Add(contacts[i]) {
+			top = max(top, overlay.CommonPrefixLen(self, contacts[i].ID))
+		}
+	}
+	if len(tab.buckets) != top+1 {
+		t.Fatalf("%d bucket slots after filling up to bucket %d, want %d", len(tab.buckets), top, top+1)
+	}
+	before := tab.Contacts()
+	if allocs := testing.AllocsPerRun(20, func() {
+		tab.reset()
+		for _, c := range contacts {
+			tab.Add(c)
+		}
+	}); allocs != 0 {
+		t.Fatalf("reset and re-adding the same contacts allocates %.1f objects, want 0", allocs)
+	}
+	if !slices.Equal(tab.Contacts(), before) {
+		t.Fatal("reset and re-adding the same contacts built a different table")
+	}
+}
+
 func TestTableClosestOrdering(t *testing.T) {
 	g := sim.NewRNG(3)
 	self := overlay.RandomID(g)
@@ -105,10 +144,10 @@ func TestPropertyTableInvariants(t *testing.T) {
 	f := func(ids [][overlay.IDBytes]byte) bool {
 		tab := NewTable(self, 4)
 		for _, raw := range ids {
-			tab.Add(Contact{ID: overlay.ID(raw)})
+			tab.Add(Contact{ID: overlay.FromBytes(raw)})
 		}
-		for cpl := 0; cpl <= overlay.IDBits; cpl++ {
-			if len(tab.buckets[cpl]) > 4 {
+		for _, b := range tab.buckets {
+			if len(b) > 4 {
 				return false
 			}
 		}
@@ -286,9 +325,9 @@ func TestMaliciousPoisonedResponses(t *testing.T) {
 	// Attacker mints ids adjacent to the target and cross-references them.
 	var atkContacts []Contact
 	for i := 0; i < 8; i++ {
-		id := target
+		id := target.Bytes()
 		id[19] ^= byte(i + 1)
-		mal := nw.AddMaliciousNode(netmodel.Europe, id, func(overlay.ID) []Contact { return atkContacts })
+		mal := nw.AddMaliciousNode(netmodel.Europe, overlay.FromBytes(id), func(overlay.ID) []Contact { return atkContacts })
 		atkContacts = append(atkContacts, Contact{ID: mal.ID, Addr: mal.Addr})
 	}
 	// Announcement phase: each attacker looks up the target, so honest

@@ -223,7 +223,7 @@ func (nw *Network) Bootstrap() error {
 	// Sort by identifier; numerically adjacent identifiers share long
 	// prefixes, so XOR-closest neighbours are found among the numeric
 	// neighbours.
-	sort.Slice(order, func(i, j int) bool { return order[i].ID.Cmp(order[j].ID) < 0 })
+	sort.Slice(order, func(i, j int) bool { return order[i].ID.Less(order[j].ID) })
 	window := 4 * nw.cfg.K
 	sel := newNearest[Contact](overlay.ID{}, nw.cfg.K)
 	for i, node := range order {

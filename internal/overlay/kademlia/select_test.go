@@ -33,14 +33,14 @@ func bruteClosest(target overlay.ID, contacts []Contact, n int) []Contact {
 // randomizes the tail, so ids land in every bucket of base's table. Uniform
 // random ids only ever reach buckets 0–9.
 func clusteredID(g *sim.RNG, base overlay.ID) overlay.ID {
-	id := overlay.RandomID(g)
+	id, b := overlay.RandomID(g).Bytes(), base.Bytes()
 	cpl := g.Intn(overlay.IDBits)
 	for i := 0; i <= cpl; i++ {
 		mask := byte(0x80) >> uint(i%8)
-		id[i/8] = id[i/8]&^mask | base[i/8]&mask
+		id[i/8] = id[i/8]&^mask | b[i/8]&mask
 	}
 	id[cpl/8] ^= byte(0x80) >> uint(cpl%8)
-	return id
+	return overlay.FromBytes(id)
 }
 
 // Property: Closest equals the brute-force sort of Contacts on tables whose
@@ -168,7 +168,8 @@ func resultsDigest(results []Result) string {
 	h := sha256.New()
 	for _, r := range results {
 		for _, c := range r.Closest {
-			h.Write(c.ID[:])
+			b := c.ID.Bytes()
+			h.Write(b[:])
 		}
 		fmt.Fprintf(h, "|%d|%d|%d|%t\n", r.RPCs, r.Timeouts, r.Latency, r.Converged)
 	}
@@ -198,7 +199,8 @@ func tablesDigest(nw *Network) string {
 	h := sha256.New()
 	for _, n := range nw.Nodes() {
 		for _, c := range n.Table().Contacts() {
-			h.Write(c.ID[:])
+			b := c.ID.Bytes()
+			h.Write(b[:])
 			fmt.Fprintf(h, "@%d", c.Addr)
 		}
 		h.Write([]byte{'\n'})
@@ -287,9 +289,9 @@ func poisoned(t *testing.T) []Result {
 	var atk []Contact
 	poison := func(target overlay.ID) []Contact { return bruteClosest(target, atk, 8) }
 	for i := 0; i < 24; i++ {
-		id := victim
+		id := victim.Bytes()
 		id[overlay.IDBytes-1] ^= byte(i + 1)
-		mal := nw.AddMaliciousNode(netmodel.Europe, id, poison)
+		mal := nw.AddMaliciousNode(netmodel.Europe, overlay.FromBytes(id), poison)
 		atk = append(atk, Contact{ID: mal.ID, Addr: mal.Addr})
 		honest := nw.Nodes()[g.Intn(300)]
 		mal.Table().Add(Contact{ID: honest.ID, Addr: honest.Addr})
@@ -332,18 +334,18 @@ func TestLookupScenariosPinned(t *testing.T) {
 // itself when a selects no bit) and b folded into the bits below it, so a
 // short input reaches every bucket, fills some past k and repeats ids.
 func fuzzID(self overlay.ID, a, b byte) overlay.ID {
-	id := self
 	cpl := int(a) % (overlay.IDBits + 1)
 	if cpl == overlay.IDBits {
-		return id
+		return self
 	}
+	id := self.Bytes()
 	id[cpl/8] ^= byte(0x80) >> uint(cpl%8)
 	if cpl/8 < overlay.IDBytes-1 {
 		id[overlay.IDBytes-1] ^= b
 	} else {
 		id[overlay.IDBytes-1] ^= b & (0x7f >> uint(cpl%8))
 	}
-	return id
+	return overlay.FromBytes(id)
 }
 
 // FuzzTableOps decodes the input into Add, Remove and Closest operations
@@ -398,9 +400,9 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("step %d: Closest(cpl %d, n=%d):\n got %v\nwant %v", step, cpl, n, got, want)
 				}
 			}
-			for b := 0; b <= overlay.IDBits; b++ {
-				if len(tab.buckets[b]) > k {
-					t.Fatalf("step %d: bucket %d holds %d > k=%d", step, b, len(tab.buckets[b]), k)
+			for b, bucket := range tab.buckets {
+				if len(bucket) > k {
+					t.Fatalf("step %d: bucket %d holds %d > k=%d", step, b, len(bucket), k)
 				}
 			}
 			grouped := slices.Clone(model)

@@ -30,8 +30,7 @@ type Contact struct {
 type Table struct {
 	self    overlay.ID
 	k       int
-	top     int // highest bucket index ever filled: every bucket above it is empty
-	buckets [][]Contact
+	buckets [][]Contact        // grown on demand: every bucket past its end is empty
 	dists   []overlay.Distance // appendClosest's scratch, beside the items it selects
 }
 
@@ -41,19 +40,26 @@ func NewTable(self overlay.ID, k int) *Table {
 		k = 20
 	}
 	return &Table{
-		self:    self,
-		k:       k,
-		buckets: make([][]Contact, overlay.IDBits+1),
-		dists:   make([]overlay.Distance, 0, k),
+		self:  self,
+		k:     k,
+		dists: make([]overlay.Distance, 0, k),
 	}
+}
+
+// bucket returns bucket i, which is empty when the array has not grown to
+// it.
+func (t *Table) bucket(i int) []Contact {
+	if i < len(t.buckets) {
+		return t.buckets[i]
+	}
+	return nil
 }
 
 // reset empties every bucket in place, keeping their storage.
 func (t *Table) reset() {
-	for i := 0; i <= t.top; i++ {
+	for i := range t.buckets {
 		t.buckets[i] = t.buckets[i][:0]
 	}
-	t.top = 0
 }
 
 // Add inserts or refreshes a contact. Existing contacts move to the
@@ -65,7 +71,7 @@ func (t *Table) Add(c Contact) bool {
 		return false
 	}
 	idx := overlay.CommonPrefixLen(t.self, c.ID)
-	b := t.buckets[idx]
+	b := t.bucket(idx)
 	for i := range b {
 		if b[i].ID == c.ID {
 			// Move to tail (most recently seen).
@@ -80,15 +86,19 @@ func (t *Table) Add(c Contact) bool {
 	if b == nil {
 		b = make([]Contact, 0, t.k)
 	}
+	if idx >= len(t.buckets) {
+		grown := make([][]Contact, idx+1)
+		copy(grown, t.buckets)
+		t.buckets = grown
+	}
 	t.buckets[idx] = append(b, c)
-	t.top = max(t.top, idx)
 	return true
 }
 
 // Remove deletes a contact (e.g. after an RPC timeout).
 func (t *Table) Remove(id overlay.ID) {
 	idx := overlay.CommonPrefixLen(t.self, id)
-	b := t.buckets[idx]
+	b := t.bucket(idx)
 	for i := range b {
 		if b[i].ID == id {
 			t.buckets[idx] = append(b[:i], b[i+1:]...)
@@ -173,19 +183,19 @@ func (t *Table) appendClosest(dst []Contact, target overlay.ID, n int) []Contact
 	}
 	sel := nearest[Contact]{target: target, n: n, items: dst[len(dst):], dists: t.dists[:0]}
 	x := overlay.XORDistance(t.self, target)
-	p := overlay.CommonPrefixLen(t.self, target)
-	full := offerBucket(&sel, t.buckets[p])
-	for j := p + 1; j <= t.top && !full; j++ {
+	p, top := overlay.CommonPrefixLen(t.self, target), len(t.buckets)-1
+	full := offerBucket(&sel, t.bucket(p))
+	for j := p + 1; j <= top && !full; j++ {
 		if x.Bit(j) == 1 {
 			full = offerBucket(&sel, t.buckets[j])
 		}
 	}
-	for j := t.top; j > p && !full; j-- {
+	for j := top; j > p && !full; j-- {
 		if x.Bit(j) == 0 {
 			full = offerBucket(&sel, t.buckets[j])
 		}
 	}
-	for j := p - 1; j >= 0 && !full; j-- {
+	for j := min(p-1, top); j >= 0 && !full; j-- {
 		full = offerBucket(&sel, t.buckets[j])
 	}
 	t.dists = sel.dists[:0]

@@ -97,9 +97,10 @@ func Launch(s *sim.Sim, nw *kademlia.Network, cfg AttackConfig) (*Attack, error)
 // bits are flipped, so every sybil is closer to the victim key than any
 // honest node. The low byte wraps at i = 255, whose identity is key itself.
 func targetedID(key overlay.ID, i int) overlay.ID {
-	key[overlay.IDBytes-1] ^= byte(i + 1)
-	key[overlay.IDBytes-2] ^= byte(i >> 8)
-	return key
+	b := key.Bytes()
+	b[overlay.IDBytes-1] ^= byte(i + 1)
+	b[overlay.IDBytes-2] ^= byte(i >> 8)
+	return overlay.FromBytes(b)
 }
 
 // sortedByID returns a copy of the contacts in ascending id order, equal ids

@@ -121,8 +121,9 @@ func bruteNearest(target overlay.ID, cloud []kademlia.Contact) []kademlia.Contac
 
 // flipBit returns id with bit i (0 = most significant) inverted.
 func flipBit(id overlay.ID, i int) overlay.ID {
-	id[i/8] ^= 0x80 >> uint(i%8)
-	return id
+	var bit [overlay.IDBytes]byte
+	bit[i/8] = 0x80 >> uint(i%8)
+	return id.XOR(overlay.FromBytes(bit))
 }
 
 // A poisoned reply is the 16 sybils closest to the queried target — what a
