@@ -191,7 +191,7 @@ func AggregateView(results []JobResult) []GroupView {
 // ScenarioKey renders for the jobs that formed the group, and callers can
 // index aggregated output by the scenarios they submitted.
 func (g Group) Key() string {
-	return fmt.Sprintf("%s|%g|%s", g.ExperimentID, g.Scale, g.Params)
+	return g.ExperimentID + "|" + strconv.FormatFloat(g.Scale, 'g', -1, 64) + "|" + g.Params
 }
 
 // ScenarioKey renders the canonical identity replications are merged on:

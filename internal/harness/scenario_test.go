@@ -2,6 +2,8 @@ package harness
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -20,6 +22,18 @@ func TestScenarioKeyMatchesGroups(t *testing.T) {
 	}
 	if got := ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params); got != g.Key() {
 		t.Errorf("ScenarioKey of the job = %q, want %q", got, g.Key())
+	}
+}
+
+// TestGroupKeyMatchesSprintf pins Group.Key's bytes to the format it had
+// when it was built with fmt: "%s|%g|%s", including the scales %g spells
+// in exponent form and the non-finite ones.
+func TestGroupKeyMatchesSprintf(t *testing.T) {
+	for _, scale := range []float64{0.1, 0.25, 1.0 / 3, 1e-7, 1e20, 1e21, math.Inf(1), math.NaN()} {
+		g := Group{ExperimentID: "E03", Scale: scale, Params: "e03.lookups=100"}
+		if got, want := g.Key(), fmt.Sprintf("%s|%g|%s", g.ExperimentID, g.Scale, g.Params); got != want {
+			t.Errorf("scale %v: Key = %q, want %q", scale, got, want)
+		}
 	}
 }
 

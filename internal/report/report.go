@@ -284,7 +284,8 @@ func (o Options) sweep() harness.Sweep {
 // refuses the scenario by the rules its jobs would be refused by — knob
 // ownership (harness.Sweep.Validate), then each selected experiment's
 // knob rule (experiments.ValidateKnobs) at the scenario's scale. Canonical
-// alone does not check, because every warm /report hit runs it.
+// alone does not check: serve.New resolves its base scenario with it, and
+// a base that fails the knob rule fails at generation.
 func Check(reg *core.Registry, opts Options) (Options, error) {
 	opts, err := Canonical(reg, opts)
 	if err != nil {

@@ -43,8 +43,9 @@ const DefaultMaxCached = 16
 // scenario hash. The zero value is not usable; construct with New.
 type Server struct {
 	reg *core.Registry
-	// base is the default scenario served by /report and /experiments.
-	base report.Options
+	// base is the default scenario served by /report and /experiments,
+	// resolved once by New.
+	base scenario
 	// maxCached bounds retained completed trees (LRU beyond it).
 	maxCached int
 	// col receives the service's cache lanes. The obs collector is
@@ -55,6 +56,14 @@ type Server struct {
 	mu    sync.Mutex
 	cache map[string]*entry
 	seq   int64
+}
+
+// scenario is a resolved scenario: canonical options and their cache key,
+// or the error report.Canonical refused the options with.
+type scenario struct {
+	opts report.Options
+	key  string
+	err  error
 }
 
 // entry is one cached (or in-flight) scenario generation.
@@ -69,19 +78,26 @@ type entry struct {
 
 // New builds a Server over the registry. base is the default scenario
 // for /report and /experiments/{id}; its HTML rendering is forced on (the
-// service's reason to exist). Every request resolves its scenario through
-// report.Canonical, so the default scenario hashes identically to an
-// explicit /run request naming the same values. col may be nil (no
-// telemetry).
+// service's reason to exist). New resolves it through report.Canonical
+// and keys it once, so a warm base hit is a cache lookup only and hashes
+// identically to an explicit /run request naming the same values; the
+// registry is therefore fixed for the server's lifetime. If Canonical
+// refuses the base, every base route answers that error with a 500. col
+// may be nil (no telemetry).
 func New(reg *core.Registry, base report.Options, col *obs.Collector) *Server {
 	base.HTML = true
-	return &Server{
+	opts, err := report.Canonical(reg, base)
+	s := &Server{
 		reg:       reg,
-		base:      base,
+		base:      scenario{opts: opts, err: err},
 		maxCached: DefaultMaxCached,
 		col:       col,
 		cache:     make(map[string]*entry),
 	}
+	if err == nil {
+		s.base.key = Key(opts)
+	}
+	return s
 }
 
 // maxRequestSeeds caps how many seeds one /run request may replicate
@@ -140,21 +156,14 @@ func (s *Server) count(name string) {
 	s.col.Counter(name).Add(0, -1, 1)
 }
 
-// Tree returns the generated tree for the scenario, its cache key, and
-// the cache lane the request took: "hit" (already generated), "miss"
+// lookup is the keyed cache lookup every scenario route goes through: it
+// returns the generated tree for the canonical scenario opts keyed by key,
+// and the cache lane the request took: "hit" (already generated), "miss"
 // (this request triggered generation), or "wait" (joined a generation
 // already in flight). Errors are never cached; a failed generation's
 // waiters all receive the error and the next request retries. When ctx
-// ends and a generation has no remaining waiters it is cancelled. A
-// scenario report.Canonical refuses (unknown or repeated id) is an error
-// before any lane is taken.
-func (s *Server) Tree(ctx context.Context, opts report.Options) (*report.Tree, string, string, error) {
-	opts, err := report.Canonical(s.reg, opts)
-	if err != nil {
-		return nil, "", "", err
-	}
-	key := Key(opts)
-
+// ends and a generation has no remaining waiters it is cancelled.
+func (s *Server) lookup(ctx context.Context, opts report.Options, key string) (*report.Tree, string, error) {
 	s.mu.Lock()
 	s.seq++
 	if e, ok := s.cache[key]; ok {
@@ -165,7 +174,7 @@ func (s *Server) Tree(ctx context.Context, opts report.Options) (*report.Tree, s
 			// from the cache before ready is observed here.
 			s.count("serve.cache_hit")
 			s.mu.Unlock()
-			return e.tree, key, "hit", nil
+			return e.tree, "hit", nil
 		default:
 			e.waiters++
 			s.count("serve.cache_inflight_wait")
@@ -199,7 +208,7 @@ func (s *Server) Tree(ctx context.Context, opts report.Options) (*report.Tree, s
 // wait blocks until the entry completes or ctx ends. The caller must
 // already be counted in e.waiters. The last waiter to abandon an
 // unfinished generation cancels it and removes the entry.
-func (s *Server) wait(ctx context.Context, e *entry, key, lane string) (*report.Tree, string, string, error) {
+func (s *Server) wait(ctx context.Context, e *entry, key, lane string) (*report.Tree, string, error) {
 	select {
 	case <-e.ready:
 	case <-ctx.Done():
@@ -220,15 +229,15 @@ func (s *Server) wait(ctx context.Context, e *entry, key, lane string) (*report.
 		if abandoned {
 			e.cancel()
 		}
-		return nil, key, lane, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
+		return nil, lane, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
 	}
 	s.mu.Lock()
 	e.waiters--
 	s.mu.Unlock()
 	if e.err != nil {
-		return nil, key, lane, e.err
+		return nil, lane, e.err
 	}
-	return e.tree, key, lane, nil
+	return e.tree, lane, nil
 }
 
 // evictLocked drops least-recently-used completed idle entries beyond
@@ -302,17 +311,21 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, fmt.Sprintf("bad scenario: %v", err), http.StatusBadRequest)
 			return
 		}
-		s.serveScenario(w, r, opts, artifact)
+		s.serveScenario(w, r, scenario{opts: opts, key: Key(opts)}, artifact)
 	})
 	return mux
 }
 
-// serveScenario resolves the scenario through the cache and streams one
-// artifact of its tree.
-func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, opts report.Options, artifact string) {
-	tree, key, lane, err := s.Tree(r.Context(), opts)
+// serveScenario looks the resolved scenario up in the cache and streams
+// one artifact of its tree. A scenario Canonical refused takes no lane.
+func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, sc scenario, artifact string) {
+	var tree *report.Tree
+	lane, err := "", sc.err
+	if err == nil {
+		tree, lane, err = s.lookup(r.Context(), sc.opts, sc.key)
+	}
 	w.Header().Set("X-Decentsim-Cache", lane)
-	w.Header().Set("X-Decentsim-Key", key)
+	w.Header().Set("X-Decentsim-Key", sc.key)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("scenario generation failed: %v", err), http.StatusInternalServerError)
 		return
@@ -359,7 +372,7 @@ func contentType(path string) string {
 func (s *Server) parseScenario(q map[string][]string) (report.Options, string, error) {
 	opts := report.Options{
 		HTML:    true,
-		Workers: s.base.Workers,
+		Workers: s.base.opts.Workers,
 	}
 	artifact := "manifest.json"
 	keys := make([]string, 0, len(q))

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -187,14 +189,25 @@ func TestRunSingleflight(t *testing.T) {
 
 // TestRunScenarioIdentity checks /run keying: the same scenario spelled
 // through /run hits the cache entry the default /report scenario filled,
-// and a different scenario misses.
+// under the key of the canonical base, and a different scenario misses.
 func TestRunScenarioIdentity(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	get(t, h, "/report")
+	base := testScenario
+	base.HTML = true
+	canon, err := report.Canonical(s.reg, base)
+	if err != nil {
+		t.Fatalf("Canonical: %v", err)
+	}
+	if got, want := get(t, h, "/report").Header().Get("X-Decentsim-Key"), Key(canon); got != want {
+		t.Errorf("/report X-Decentsim-Key = %q, want the canonical base's %q", got, want)
+	}
 	same := get(t, h, "/run?scenario=E01&seeds=1&scale=0.25&artifact=index.html")
 	if lane := same.Header().Get("X-Decentsim-Cache"); lane != "hit" {
 		t.Errorf("identical scenario via /run lane = %q, want hit", lane)
+	}
+	if got, want := same.Header().Get("X-Decentsim-Key"), Key(canon); got != want {
+		t.Errorf("/run X-Decentsim-Key = %q, want the base's %q", got, want)
 	}
 	other := get(t, h, "/run?scenario=E01&seeds=2&scale=0.25")
 	if lane := other.Header().Get("X-Decentsim-Cache"); lane != "miss" {
@@ -301,6 +314,17 @@ func TestKeyCanonical(t *testing.T) {
 	if Key(spelled) != Key(defaulted) {
 		t.Errorf("spelled-out defaults (seeds 1..3, scale 1) should share a key with omitted ones")
 	}
+	// /run keys Check's canonical options without resolving them again,
+	// which is sound only if canonical options resolve to themselves.
+	for _, canon := range []report.Options{spelled, defaulted} {
+		again, err := report.Canonical(reg, canon)
+		if err != nil {
+			t.Fatalf("Canonical of canonical options: %v", err)
+		}
+		if !reflect.DeepEqual(again, canon) || Key(again) != Key(canon) {
+			t.Errorf("Canonical is not idempotent: %+v resolves to %+v", canon, again)
+		}
+	}
 	// The grid count is part of the key only when the sensitivity layer
 	// runs, and an omitted count keys as the default it sweeps.
 	for _, pair := range [][2]report.Options{
@@ -378,6 +402,62 @@ func TestConcurrentDefaultScenarioLowerCaseIDs(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Sweeps != 1 {
 		t.Errorf("stats = %+v, want one sweep shared by all requests", st)
+	}
+}
+
+// TestBaseRefusedByCanonical pins the answer to a base New could not
+// resolve: every base route is the 500 it was when each request resolved
+// the base itself, byte for byte and with empty lane and key headers,
+// while /run serves its own scenarios.
+func TestBaseRefusedByCanonical(t *testing.T) {
+	reg, err := experiments.Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	s := New(reg, report.Options{IDs: []string{"E99"}, Seeds: []int64{1}, Scale: 0.25}, obs.NewCollector())
+	h := s.Handler()
+	const want = `scenario generation failed: core: unknown experiment: "E99"` + "\n"
+	for _, path := range []string{"/report", "/report/manifest.json", "/experiments/e01"} {
+		rec := get(t, h, path)
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+			t.Errorf("%s = %d %q, want 500 %q", path, rec.Code, rec.Body.String(), want)
+		}
+		for _, name := range []string{"X-Decentsim-Cache", "X-Decentsim-Key"} {
+			if v, ok := rec.Header()[name]; !ok || len(v) != 1 || v[0] != "" {
+				t.Errorf("%s header %s = %q, want one empty value", path, name, v)
+			}
+		}
+	}
+	if rec := get(t, h, "/run?scenario=E01&seeds=1&scale=0.25"); rec.Code != http.StatusOK {
+		t.Errorf("/run beside a refused base = %d %s", rec.Code, rec.Body.String())
+	}
+	if st := s.Stats(); st.Sweeps != 1 {
+		t.Errorf("stats = %+v, want the one /run sweep only", st)
+	}
+}
+
+// TestBaseHitAllocs pins the warm base hit at zero allocations: after one
+// fill, the base routes' keyed lookup neither resolves nor hashes the
+// scenario again.
+func TestBaseHitAllocs(t *testing.T) {
+	reg, err := core.NewRegistry(stubExp{id: "S1"}, stubExp{id: "S2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, report.Options{Seeds: []int64{1}}, obs.NewCollector())
+	if rec := get(t, s.Handler(), "/report"); rec.Code != http.StatusOK {
+		t.Fatalf("filling /report = %d %s", rec.Code, rec.Body.String())
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			if tree, lane, err := s.lookup(ctx, s.base.opts, s.base.key); tree == nil || lane != "hit" || err != nil {
+				t.Fatalf("warm base lookup = %v %q %v, want a hit", tree, lane, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm base hit allocates %.2f times per 4 lookups, want 0", allocs)
 	}
 }
 
