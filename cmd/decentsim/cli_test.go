@@ -225,20 +225,25 @@ func TestServeHTTPServerTimeouts(t *testing.T) {
 // serving a 500 for every /report. The timeout guards the failure mode:
 // a serve that accepts the scenario listens until interrupted.
 func TestServeRefusesBadBaseScenario(t *testing.T) {
-	var out bytes.Buffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"serve", "-set", "e01.customers=1", "-addr", "127.0.0.1:0", "E01"}, &out)
-	}()
-	select {
-	case err := <-errc:
-		if err == nil || !strings.Contains(err.Error(), "below the measurement floor") {
-			t.Fatalf("serve err = %v, want the floor error", err)
+	for _, tc := range []struct{ set, id, want string }{
+		{"e01.customers=1", "E01", "below the measurement floor"},
+		{"e08.loss=0.1", "E08", "requires e08.mix away from its default"},
+	} {
+		var out bytes.Buffer
+		errc := make(chan error, 1)
+		go func() {
+			errc <- run([]string{"serve", "-set", tc.set, "-addr", "127.0.0.1:0", tc.id}, &out)
+		}()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("serve -set %s err = %v, want %q", tc.set, err, tc.want)
+			}
+			if strings.Contains(out.String(), "listening") {
+				t.Errorf("serve listened before refusing its scenario: %q", out.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("serve accepted the base scenario -set %s and kept listening", tc.set)
 		}
-		if strings.Contains(out.String(), "listening") {
-			t.Errorf("serve listened before refusing its scenario: %q", out.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve accepted a base scenario below the knob floor and kept listening")
 	}
 }

@@ -712,7 +712,6 @@ func sweepOrRep(out io.Writer, reg *core.Registry, opts *options, ids []string, 
 		Registry:   reg,
 		Workers:    opts.parallel,
 		ProfileDir: opts.profile,
-		SampleHost: rep && opts.drift != "",
 	}
 	results := runner.Run(context.Background(), sweep.Jobs())
 	report := harness.Aggregate(results)

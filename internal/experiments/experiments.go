@@ -6,7 +6,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,9 +71,11 @@ func (e *exp) Run(cfg core.Config) (*core.Result, error) {
 // values must therefore survive the post-scaling floor/max checks.
 // Requires carries companion knob assignments merged into every
 // sensitivity-grid scenario (e.g. e08.loss needs a WAN relay, so its
-// grid sets e08.mix=1). GridValues overrides the computed default grid
-// for knobs whose valid values the linear floor→stretch interpolation
-// cannot know (e.g. e13.raftnodes must be odd).
+// grid sets e08.mix=1); ValidateKnobs refuses the knob away from its
+// default while a companion sits at the companion's own default.
+// GridValues overrides the computed default grid for knobs whose valid
+// values the linear floor→stretch interpolation cannot know (e.g.
+// e13.raftnodes must be odd).
 type KnobSpec struct {
 	Default    float64
 	Min        float64
@@ -401,10 +405,12 @@ func (k floatKnob) get(cfg core.Config) float64 {
 // silently multiply a sweep into duplicate identical groups — knobs owned
 // by a different experiment, explicitly-set values outside their spec,
 // which clamping would likewise collapse into identical groups, and, once
-// every raw value has passed, Scaled knobs whose explicit value cfg.Scale
-// pushes outside [Min, Max]. The CLI and harness also validate ownership
-// at parse/expansion time; this check covers hand-built job lists and
-// direct Registry.Run calls.
+// knobs set away from their default while a Requires companion sits at its
+// own default (e08.loss without a WAN relay), and, once every raw value
+// has passed, Scaled knobs whose explicit value cfg.Scale pushes outside
+// [Min, Max]. The CLI and harness also validate ownership at
+// parse/expansion time; this check covers hand-built job lists and direct
+// Registry.Run calls.
 func ValidateKnobs(id string, cfg core.Config) error {
 	cfg = cfg.WithDefaults() // an unset Scale means 1, as it does to Run
 	names := make([]string, 0, len(cfg.Params))
@@ -435,6 +441,15 @@ func ValidateKnobs(id string, cfg core.Config) error {
 		// workload and silently duplicate sweep groups.
 		if spec.Integer && v != math.Trunc(v) {
 			return fmt.Errorf("experiments: knob %s=%g must be an integer", name, v)
+		}
+		if v == spec.Default {
+			continue
+		}
+		for _, comp := range slices.Sorted(maps.Keys(spec.Requires)) {
+			if def := knobSpecs[comp].Default; cfg.Param(comp, def) == def {
+				return fmt.Errorf("experiments: knob %s=%g requires %s away from its default %g (e.g. %s=%g)",
+					name, v, comp, def, comp, spec.Requires[comp])
+			}
 		}
 	}
 	for _, name := range names {

@@ -241,3 +241,28 @@ func TestKnobsRejectForeignOwner(t *testing.T) {
 		t.Fatalf("error = %v, want ownership rejection", err)
 	}
 }
+
+// TestKnobRequiresCompanion checks the knob rule's companion half: a knob
+// set away from its default while a Requires companion sits at that
+// companion's default is refused before the run starts (e08.loss without
+// a WAN relay measures nothing), and is accepted once the companion moves.
+func TestKnobRequiresCompanion(t *testing.T) {
+	for _, tc := range []struct {
+		params map[string]float64
+		ok     bool
+	}{
+		{map[string]float64{"e08.loss": 0.1}, false},
+		{map[string]float64{"e08.loss": 0.1, "e08.mix": 0}, false},
+		{map[string]float64{"e08.loss": 0.1, "e08.mix": 1}, true},
+		{map[string]float64{"e08.loss": 0}, true},
+		{map[string]float64{"e08.loss": 0, "e08.mix": 2}, true},
+	} {
+		err := ValidateKnobs("E08", core.Config{Seed: 1, Scale: 0.25, Params: tc.params})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%v: unexpected error %v", tc.params, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "requires e08.mix away from its default 0")):
+			t.Errorf("%v: error = %v, want the e08.mix companion rejection", tc.params, err)
+		}
+	}
+}

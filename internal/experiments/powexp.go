@@ -158,10 +158,7 @@ func e08ForkRate() core.Experiment {
 			// ~1MB over a global gossip mesh by default.
 			propagation := time.Duration(e08Propagation.get(cfg) * float64(time.Second))
 			mixIdx := e08Mix.get(cfg)
-			loss := e08Loss.get(cfg)
-			if loss > 0 && mixIdx == 0 {
-				return fmt.Errorf("e08.loss=%g needs a WAN relay: set e08.mix to 1..%d", loss, netmodel.NumMixPresets)
-			}
+			loss := e08Loss.get(cfg) // > 0 only with a WAN relay (KnobSpec.Requires)
 			hashrates := []float64{0.25, 0.25, 0.2, 0.15, 0.15}
 			tab := metrics.NewTable(fmt.Sprintf("stale rate vs block interval (%s propagation, simulated)", propagation),
 				"interval", "throughput gain", "stale rate (sim)", "stale rate (model)", "honest share needed to attack")

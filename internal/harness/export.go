@@ -94,23 +94,20 @@ type DriftRun struct {
 // NewDrift builds the drift document of a replication: the headline metric
 // (Group.Headline) of every group of rep that has one, and a run row per
 // error-free result, whose wall time is the job's Elapsed and whose live
-// heap is the host sample's when the runner took one.
+// heap is its host sample's.
 func NewDrift(rep *Report, seeds int, results []JobResult) *Drift {
 	d := &Drift{Seeds: seeds, Drift: []DriftMetric{}, Runs: []DriftRun{}}
 	for _, jr := range results {
 		if jr.Err != nil {
 			continue
 		}
-		run := DriftRun{
-			Experiment: strings.ToUpper(jr.Job.ExperimentID),
-			Seed:       jr.Job.Config.Seed,
-			Scale:      jr.Job.Config.Scale,
-			WallNanos:  int64(jr.Elapsed),
-		}
-		if jr.Host != nil {
-			run.HeapLiveBytes = jr.Host.HeapLiveBytes
-		}
-		d.Runs = append(d.Runs, run)
+		d.Runs = append(d.Runs, DriftRun{
+			Experiment:    strings.ToUpper(jr.Job.ExperimentID),
+			Seed:          jr.Job.Config.Seed,
+			Scale:         jr.Job.Config.Scale,
+			WallNanos:     int64(jr.Elapsed),
+			HeapLiveBytes: jr.Host.HeapLiveBytes,
+		})
 	}
 	for _, g := range rep.Groups {
 		m, ok := g.Headline()

@@ -33,9 +33,11 @@ type JobResult struct {
 	Result  *core.Result  `json:"result,omitempty"`
 	Err     error         `json:"-"`
 	Elapsed time.Duration `json:"-"`
-	// Host carries the run's host-resource sample when the Runner has
-	// SampleHost set; nil otherwise.
-	Host *obs.HostSample `json:"-"`
+	// Host is the run's host-resource sample (live heap, allocation
+	// deltas; four runtime/metrics reads, no stop-the-world). With
+	// parallel workers the process-wide deltas include neighbouring
+	// runs; samples are indicative, never part of deterministic output.
+	Host obs.HostSample `json:"-"`
 }
 
 // Runner executes experiment jobs on a bounded worker pool.
@@ -49,11 +51,6 @@ type Runner struct {
 	// but arrive in completion order, not job order — consumers that
 	// stream output should buffer until their next index is complete.
 	OnResult func(i int, r JobResult)
-	// SampleHost, when set, attaches an obs.HostSample (live heap,
-	// allocation deltas) to every JobResult. With parallel workers
-	// the process-wide deltas include neighbouring runs; samples are
-	// indicative, never part of deterministic output.
-	SampleHost bool
 	// ProfileDir, when non-empty, writes per-job CPU and heap profiles
 	// (<experiment>-s<seed>.cpu.pprof / .heap.pprof; profileStems) into the directory.
 	// CPU profiling is process-global, so profiled jobs serialize on an
@@ -137,10 +134,7 @@ func (r *Runner) runOne(j Job, profileStem string) JobResult {
 		return JobResult{Job: j, Err: fmt.Errorf(
 			"harness: job scale %g must be a finite positive number", j.Config.Scale)}
 	}
-	var watch *obs.HostWatch
-	if r.SampleHost {
-		watch = obs.StartHostWatch()
-	}
+	watch := obs.StartHostWatch()
 	start := time.Now() //decentlint:allow nondeterm host-side wall timing rides on JobResult.Elapsed, never on deterministic output
 	var res *core.Result
 	var err error
@@ -149,12 +143,7 @@ func (r *Runner) runOne(j Job, profileStem string) JobResult {
 	} else {
 		res, err = r.runContained(j)
 	}
-	out := JobResult{Job: j, Result: res, Err: err, Elapsed: time.Since(start)} //decentlint:allow nondeterm host-side wall timing rides on JobResult.Elapsed, never on deterministic output
-	if watch != nil {
-		s := watch.Sample()
-		out.Host = &s
-	}
-	return out
+	return JobResult{Job: j, Result: res, Err: err, Elapsed: time.Since(start), Host: watch.Sample()} //decentlint:allow nondeterm host-side wall timing rides on JobResult.Elapsed, never on deterministic output
 }
 
 // runContained is Registry.Run with a panicking experiment turned into the

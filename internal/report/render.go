@@ -15,14 +15,14 @@ import (
 const figureW, figureH = 640, 360
 
 // renderIndex builds REPORT.md: the claim-traceability matrix grouped by
-// paper section, in paper-section order. With a sensitivity layer the
-// matrix gains a stability column (pages must have rendered first — the
-// per-claim stability summaries accumulate there).
-func renderIndex(exps []core.Experiment, byID map[string][]harness.GroupView, gen genContext, sens *sensitivity) string {
+// paper section, in paper-section order, one row per experiment
+// (views[i] is exps[i]'s scenario). With a sensitivity layer the matrix
+// gains a stability column.
+func renderIndex(exps []core.Experiment, views []harness.GroupView, opts Options, sens *sensitivity) string {
 	var b strings.Builder
 	b.WriteString("# Reproduction report — Please, do not Decentralize the Internet with (Permissionless) Blockchains!\n\n")
 	fmt.Fprintf(&b, "Generated by `decentsim report`: %d experiments × seeds {%s} at scale %.4g.\n",
-		len(exps), gen.seedsLabel(), gen.scale)
+		len(exps), opts.seedsLabel(), opts.Scale)
 	b.WriteString("Verdicts are majority votes across the seeds; the headline metric carries the 95% Student-t confidence half-width. Each experiment links to a page with its full check votes, aggregated metrics, tables, and figures.\n")
 	if sens != nil {
 		fmt.Fprintf(&b, "Sensitivity: every registered knob swept over up to %d grid values × the same seeds (%d scenarios); a claim is *stable* when no swept knob value flips any check's majority vote, *fragile* otherwise (the flipping knobs are listed). Details and metric-vs-knob figures live on each experiment page.\n",
@@ -39,60 +39,46 @@ func renderIndex(exps []core.Experiment, byID map[string][]harness.GroupView, ge
 		b.WriteString("|---|---|---|---|---|---|\n")
 	}
 
-	// Sections in paper order; experiments keep their registry order
-	// within a section.
-	type row struct {
-		section string
-		exp     core.Experiment
+	// Sections in paper order; stable, so experiments keep their input
+	// (registry) order within a section.
+	order := make([]int, len(exps))
+	for i := range order {
+		order[i] = i
 	}
-	rows := make([]row, 0, len(exps))
-	for _, e := range exps {
-		rows = append(rows, row{section: core.SectionOf(e), exp: e})
-	}
-	// Stable: experiments keep their input (registry) order within a
-	// section.
-	sort.SliceStable(rows, func(i, j int) bool {
-		return sectionLess(rows[i].section, rows[j].section)
+	sort.SliceStable(order, func(i, j int) bool {
+		return sectionLess(core.SectionOf(exps[order[i]]), core.SectionOf(exps[order[j]]))
 	})
 
-	total, reproduced := 0, 0
-	for _, r := range rows {
-		e := r.exp
-		views := byID[e.ID()]
-		section := r.section
+	reproduced := 0
+	for _, i := range order {
+		e, v := exps[i], views[i]
+		section := core.SectionOf(e)
 		if section == "" {
 			section = "—"
 		}
 		stability := ""
 		if sens != nil {
-			stability = " " + mdCell(sens.stability[e.ID()].fragileLabel()) + " |"
+			stability = " " + mdCell(sens.exps[e.ID()].fragileLabel()) + " |"
 		}
-		for _, v := range views {
-			total++
-			if v.Reproduced {
-				reproduced++
-			}
-			fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | %d/%d | %s | %s |%s\n",
-				mdCell(section), e.ID(), e.ID(), mdCell(e.Title()),
-				v.Passes(), len(v.Checks), mdCell(headlineMetric(v)), v.Verdict(), stability)
+		if v.Reproduced {
+			reproduced++
 		}
-		if len(views) == 0 {
-			fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | — | — | NO RUNS |%s\n",
-				mdCell(section), e.ID(), e.ID(), mdCell(e.Title()), stability)
-		}
+		fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | %d/%d | %s | %s |%s\n",
+			mdCell(section), e.ID(), e.ID(), mdCell(e.Title()),
+			v.Passes(), len(v.Checks), mdCell(headlineMetric(v)), v.Verdict(), stability)
 	}
 
 	fmt.Fprintf(&b, "\n## Summary\n\n%d of %d scenarios reproduced the paper claim's shape under majority vote.\n",
-		reproduced, total)
+		reproduced, len(views))
 	if sens != nil {
 		stable, fragile, errored := 0, []string{}, []string{}
 		for _, e := range exps {
-			st := sens.stability[e.ID()]
+			es := sens.exps[e.ID()]
 			switch {
-			case st == nil || st.swept == 0:
-			case st.points == 0:
+			case len(es.grids) == 0:
+			case es.points == 0:
 				errored = append(errored, e.ID())
-			case len(st.fragile) == 0:
+			case len(es.fragile) == 0:
 				stable++
 			default:
 				fragile = append(fragile, e.ID())
@@ -122,11 +108,11 @@ func headlineMetric(v harness.GroupView) string {
 	return fmt.Sprintf("%s: %.6g ± %.3g", m.Name, m.Mean, m.CI95)
 }
 
-// renderExperimentPage builds experiments/<ID>.md plus the experiment's
-// SVG figure files. With a sensitivity layer the page gains a knob-sweep
-// section (metric-vs-knob figures, per-knob verdict tables, and the
-// verdict-stability table) before the footer.
-func renderExperimentPage(e core.Experiment, views []harness.GroupView, gen genContext, sens *sensitivity, res *resourcesLayer) (string, []File) {
+// renderExperimentPage builds experiments/<ID>.md from the experiment's
+// one scenario view, plus the experiment's SVG figure files. With a
+// resources or sensitivity layer the page gains that layer's section
+// before the footer.
+func renderExperimentPage(e core.Experiment, v harness.GroupView, opts Options, sens *sensitivity, res *resourcesLayer) (string, []File) {
 	var b strings.Builder
 	var figures []File
 	fmt.Fprintf(&b, "# %s — %s\n\n", e.ID(), e.Title())
@@ -135,96 +121,81 @@ func renderExperimentPage(e core.Experiment, views []harness.GroupView, gen genC
 	}
 	fmt.Fprintf(&b, "**Claim:** %s\n\n", e.Claim())
 
-	figN := 0
-	for _, v := range views {
-		voted := v.Replications - len(v.Errors)
-		verdict := v.Verdict()
-		if voted == 0 {
-			verdict += " (no completed runs)"
-		}
-		fmt.Fprintf(&b, "## Verdict: %s\n\n", verdict)
-		fmt.Fprintf(&b, "%d replications (seeds %s) at scale %.4g; majority vote over %d completed run(s).\n\n",
-			v.Replications, gen.seedsLabel(), v.Scale, voted)
-		for _, errMsg := range v.Errors {
-			fmt.Fprintf(&b, "- **run error:** %s\n", mdCell(errMsg))
-		}
-		if len(v.Errors) > 0 {
-			b.WriteString("\n")
-		}
-
-		if len(v.Checks) > 0 {
-			detail := make(map[string]string)
-			if v.Representative != nil {
-				for _, c := range v.Representative.Checks {
-					detail[c.Name] = c.Detail
-				}
-			}
-			fmt.Fprintf(&b, "### Shape checks\n\n")
-			fmt.Fprintf(&b, "| Check | Seeds passing | Majority | Detail (seed %d) |\n|---|---|---|---|\n", v.RepresentativeSeed)
-			for _, c := range v.Checks {
-				mark := "FAIL"
-				if c.Verdict {
-					mark = "PASS"
-				}
-				fmt.Fprintf(&b, "| %s | %d/%d | %s | %s |\n",
-					mdCell(c.Name), c.Passes, c.N, mark, mdCell(detail[c.Name]))
-			}
-			b.WriteString("\n")
-		}
-
-		if len(v.Metrics) > 0 {
-			b.WriteString("### Aggregated metrics\n\n")
-			b.WriteString("| Metric | n | mean | stddev | 95% CI | min | max |\n|---|---|---|---|---|---|---|\n")
-			for _, m := range v.Metrics {
-				fmt.Fprintf(&b, "| %s | %d | %.6g | %.6g | %.6g | %.6g | %.6g |\n",
-					mdCell(m.Name), m.N, m.Mean, m.Std, m.CI95, m.Min, m.Max)
-			}
-			b.WriteString("\n")
-		}
-
-		if v.Representative != nil {
-			if len(v.Representative.Tables) > 0 {
-				fmt.Fprintf(&b, "### Tables (seed %d)\n\n", v.RepresentativeSeed)
-				for _, t := range v.Representative.Tables {
-					b.WriteString(mdTable(t))
-				}
-			}
-			if len(v.Representative.Figures) > 0 {
-				fmt.Fprintf(&b, "### Figures (seed %d)\n\n", v.RepresentativeSeed)
-				for _, f := range v.Representative.Figures {
-					figN++
-					path := fmt.Sprintf("figures/%s-%d.svg", e.ID(), figN)
-					figures = append(figures, File{
-						Path: path,
-						Data: []byte(f.SVG(figureW, figureH)),
-					})
-					title := f.Title
-					if title == "" {
-						title = fmt.Sprintf("%s figure %d", e.ID(), figN)
-					}
-					fmt.Fprintf(&b, "![%s](../%s)\n\n", mdCell(title), path)
-				}
-			}
-		}
+	voted := v.Replications - len(v.Errors)
+	verdict := v.Verdict()
+	if voted == 0 {
+		verdict += " (no completed runs)"
 	}
-	if len(views) == 0 {
-		b.WriteString("_No runs were recorded for this experiment._\n")
+	fmt.Fprintf(&b, "## Verdict: %s\n\n", verdict)
+	fmt.Fprintf(&b, "%d replications (seeds %s) at scale %.4g; majority vote over %d completed run(s).\n\n",
+		v.Replications, opts.seedsLabel(), v.Scale, voted)
+	for _, errMsg := range v.Errors {
+		fmt.Fprintf(&b, "- **run error:** %s\n", mdCell(errMsg))
+	}
+	if len(v.Errors) > 0 {
+		b.WriteString("\n")
+	}
+
+	if len(v.Checks) > 0 {
+		detail := make(map[string]string)
+		if v.Representative != nil {
+			for _, c := range v.Representative.Checks {
+				detail[c.Name] = c.Detail
+			}
+		}
+		fmt.Fprintf(&b, "### Shape checks\n\n")
+		fmt.Fprintf(&b, "| Check | Seeds passing | Majority | Detail (seed %d) |\n|---|---|---|---|\n", v.RepresentativeSeed)
+		for _, c := range v.Checks {
+			mark := "FAIL"
+			if c.Verdict {
+				mark = "PASS"
+			}
+			fmt.Fprintf(&b, "| %s | %d/%d | %s | %s |\n",
+				mdCell(c.Name), c.Passes, c.N, mark, mdCell(detail[c.Name]))
+		}
+		b.WriteString("\n")
+	}
+
+	if len(v.Metrics) > 0 {
+		b.WriteString("### Aggregated metrics\n\n")
+		b.WriteString("| Metric | n | mean | stddev | 95% CI | min | max |\n|---|---|---|---|---|---|---|\n")
+		for _, m := range v.Metrics {
+			fmt.Fprintf(&b, "| %s | %d | %.6g | %.6g | %.6g | %.6g | %.6g |\n",
+				mdCell(m.Name), m.N, m.Mean, m.Std, m.CI95, m.Min, m.Max)
+		}
+		b.WriteString("\n")
+	}
+
+	if v.Representative != nil {
+		if len(v.Representative.Tables) > 0 {
+			fmt.Fprintf(&b, "### Tables (seed %d)\n\n", v.RepresentativeSeed)
+			for _, t := range v.Representative.Tables {
+				b.WriteString(mdTable(t))
+			}
+		}
+		if len(v.Representative.Figures) > 0 {
+			fmt.Fprintf(&b, "### Figures (seed %d)\n\n", v.RepresentativeSeed)
+			for i, f := range v.Representative.Figures {
+				path := fmt.Sprintf("figures/%s-%d.svg", e.ID(), i+1)
+				figures = append(figures, File{
+					Path: path,
+					Data: []byte(f.SVG(figureW, figureH)),
+				})
+				title := f.Title
+				if title == "" {
+					title = fmt.Sprintf("%s figure %d", e.ID(), i+1)
+				}
+				fmt.Fprintf(&b, "![%s](../%s)\n\n", mdCell(title), path)
+			}
+		}
 	}
 	if res != nil {
-		var baseline *harness.GroupView
-		if len(views) > 0 {
-			baseline = &views[0]
-		}
-		section, resFigures := renderResourcesSection(e, baseline, res)
+		section, resFigures := renderResourcesSection(e, v, res)
 		b.WriteString(section)
 		figures = append(figures, resFigures...)
 	}
 	if sens != nil {
-		var baseline *harness.GroupView
-		if len(views) > 0 {
-			baseline = &views[0]
-		}
-		section, sensFigures := renderSensitivitySection(e, baseline, sens, gen)
+		section, sensFigures := renderSensitivitySection(e, v, sens, opts)
 		b.WriteString(section)
 		figures = append(figures, sensFigures...)
 	}

@@ -187,7 +187,7 @@ type ManifestClaim struct {
 	Section    string `json:"section,omitempty"`
 	Title      string `json:"title"`
 	// Verdict is the three-way matrix outcome: REPRODUCED,
-	// NOT REPRODUCED, ERROR (no completed runs), or NO RUNS.
+	// NOT REPRODUCED, or ERROR (no completed runs).
 	Verdict string `json:"verdict"`
 	// ChecksPassed / Checks are the majority-vote tallies behind Verdict.
 	ChecksPassed int `json:"checks_passed"`
@@ -266,7 +266,7 @@ func Canonical(reg *core.Registry, opts Options) (Options, error) {
 // sweep is the one conversion of canonical options into a harness.Sweep:
 // every selected experiment at the scenario's seeds and scale, each pin a
 // one-value grid. Check, the baseline jobs and every sensitivity grid
-// expand from it.
+// point expand from it.
 func (o Options) sweep() harness.Sweep {
 	sw := harness.Sweep{
 		Experiments: o.IDs,
@@ -317,6 +317,12 @@ func Generate(reg *core.Registry, opts Options) (*Tree, error) {
 // replications that have not started yet are skipped and generation
 // returns ctx's error instead of a partial tree. The report service uses
 // this to abandon sweeps whose requesters have gone away.
+//
+// Generation builds the whole report model before rendering any of it:
+// the baseline jobs expand experiments outermost, each at one scale and
+// one knob assignment, so views[i] is exps[i]'s only scenario; the
+// sensitivity layer then binds its grid points to their views and
+// computes every verdict's stability; only then do pages render.
 func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tree, error) {
 	opts, err := Check(reg, opts)
 	if err != nil {
@@ -326,7 +332,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	for i, id := range opts.IDs {
 		exps[i], _ = reg.Get(id) // Check resolved every id against reg
 	}
-	seeds, scale := opts.Seeds, opts.Scale
 	runner := harness.Runner{Registry: reg, Workers: opts.Workers, ProfileDir: opts.ProfileDir}
 	// Baseline and sensitivity jobs run as one batch so the worker pool
 	// stays saturated; the two halves of the results aggregate apart.
@@ -335,7 +340,6 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	if opts.Resources {
 		res = &resourcesLayer{collectors: make(map[string]*obs.Collector, len(baseJobs))}
 		res.attach(baseJobs)
-		runner.SampleHost = true
 	}
 	jobs := baseJobs
 	var sens *sensitivity
@@ -358,67 +362,48 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	}
 	if sens != nil {
 		sviews := harness.AggregateView(results[len(baseJobs):])
-		sens.views = make(map[string]harness.GroupView, len(sviews))
 		for _, v := range sviews {
-			sens.views[v.Key()] = v
 			tree.noteRunErrors(v)
 		}
+		sens.bind(exps, views, sviews)
 	}
 
-	byID := make(map[string][]harness.GroupView, len(exps))
-	for _, v := range views {
-		byID[v.ExperimentID] = append(byID[v.ExperimentID], v)
-	}
-
-	gen := genContext{seeds: seeds, scale: scale}
-	reproduced := 0
-	for _, e := range exps {
-		evs := byID[e.ID()]
-		for _, v := range evs {
-			if v.Reproduced {
-				reproduced++
-			}
-		}
-		page, figures := renderExperimentPage(e, evs, gen, sens, res)
-		for _, f := range figures {
-			tree.Files = append(tree.Files, f)
-		}
-		tree.Files = append(tree.Files, File{
-			Path: "experiments/" + e.ID() + ".md",
-			Data: []byte(page),
-		})
-	}
-	if res != nil {
-		tree.Files = append(tree.Files, File{Path: hostFile, Data: res.hostJSON()})
-	}
-	tree.Files = append(tree.Files, File{
-		Path: "REPORT.md",
-		Data: []byte(renderIndex(exps, byID, gen, sens)),
-	})
-
-	tree.Reproduced = reproduced
-	if opts.HTML {
-		tree.Files = append(tree.Files, htmlFiles(tree.Files)...)
-	}
-	sort.Slice(tree.Files, func(i, j int) bool { return tree.Files[i].Path < tree.Files[j].Path })
 	man := Manifest{
 		Title:       "decentsim reproduction report",
 		Experiments: opts.IDs,
-		Seeds:       seeds,
-		Scale:       scale,
+		Seeds:       opts.Seeds,
+		Scale:       opts.Scale,
 		Params:      harness.ParamLabel(opts.Params),
 		Groups:      len(views),
-		Reproduced:  reproduced,
 		Resources:   res != nil,
-		Claims:      manifestClaims(exps, byID, scale),
+		Claims:      make([]ManifestClaim, len(exps)),
 	}
 	if sens != nil {
 		man.Sensitivity = &ManifestSensitivity{
 			GridPoints: sens.gridPoints,
-			Knobs:      sens.sweptKnobs(),
+			Knobs:      sens.knobs,
 			Scenarios:  sens.scenarios,
 		}
 	}
+	for i, e := range exps {
+		v := views[i]
+		if v.Reproduced {
+			tree.Reproduced++
+		}
+		man.Claims[i] = manifestClaim(e, v)
+		page, figures := renderExperimentPage(e, v, opts, sens, res)
+		tree.Files = append(tree.Files, figures...)
+		tree.Files = append(tree.Files, File{Path: "experiments/" + e.ID() + ".md", Data: []byte(page)})
+	}
+	man.Reproduced = tree.Reproduced
+	if res != nil {
+		tree.Files = append(tree.Files, File{Path: hostFile, Data: res.hostJSON()})
+	}
+	tree.Files = append(tree.Files, File{Path: "REPORT.md", Data: []byte(renderIndex(exps, views, opts, sens))})
+	if opts.HTML {
+		tree.Files = append(tree.Files, htmlFiles(tree.Files)...)
+	}
+	sort.Slice(tree.Files, func(i, j int) bool { return tree.Files[i].Path < tree.Files[j].Path })
 	for _, f := range tree.Files {
 		if f.Path == hostFile {
 			// Host measurements change on every run; hashing them would
@@ -442,51 +427,29 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	return tree, nil
 }
 
-// manifestClaims builds the manifest's diffable verdict rows: one per
-// aggregated scenario, in experiment (registry) order — the same order
-// and three-way verdicts the traceability matrix renders.
-func manifestClaims(exps []core.Experiment, byID map[string][]harness.GroupView, scale float64) []ManifestClaim {
-	claims := make([]ManifestClaim, 0, len(exps))
-	for _, e := range exps {
-		views := byID[e.ID()]
-		if len(views) == 0 {
-			claims = append(claims, ManifestClaim{
-				Experiment: e.ID(),
-				Scenario:   harness.ScenarioKey(e.ID(), scale, nil),
-				Section:    core.SectionOf(e),
-				Title:      e.Title(),
-				Verdict:    "NO RUNS",
-			})
-			continue
-		}
-		for _, v := range views {
-			c := ManifestClaim{
-				Experiment:   e.ID(),
-				Scenario:     v.Key(),
-				Section:      core.SectionOf(e),
-				Title:        e.Title(),
-				Verdict:      v.Verdict(),
-				ChecksPassed: v.Passes(),
-				Checks:       len(v.Checks),
-			}
-			if m, ok := v.Headline(); ok {
-				c.Metric, c.Mean, c.CI95 = m.Name, m.Mean, m.CI95
-			}
-			claims = append(claims, c)
-		}
+// manifestClaim is one experiment's diffable verdict row in the manifest:
+// the scenario, verdict and headline metric the traceability matrix
+// renders.
+func manifestClaim(e core.Experiment, v harness.GroupView) ManifestClaim {
+	c := ManifestClaim{
+		Experiment:   e.ID(),
+		Scenario:     v.Key(),
+		Section:      core.SectionOf(e),
+		Title:        e.Title(),
+		Verdict:      v.Verdict(),
+		ChecksPassed: v.Passes(),
+		Checks:       len(v.Checks),
 	}
-	return claims
+	if m, ok := v.Headline(); ok {
+		c.Metric, c.Mean, c.CI95 = m.Name, m.Mean, m.CI95
+	}
+	return c
 }
 
-// genContext carries the run parameters the renderers print in headers.
-type genContext struct {
-	seeds []int64
-	scale float64
-}
-
-func (g genContext) seedsLabel() string {
-	parts := make([]string, len(g.seeds))
-	for i, s := range g.seeds {
+// seedsLabel renders the seed set as the page headers print it.
+func (o Options) seedsLabel() string {
+	parts := make([]string, len(o.Seeds))
+	for i, s := range o.Seeds {
 		parts[i] = fmt.Sprint(s)
 	}
 	return strings.Join(parts, ", ")

@@ -62,16 +62,13 @@ func (r *resourcesLayer) attach(jobs []harness.Job) {
 // record captures the host samples of the completed baseline runs.
 func (r *resourcesLayer) record(results []harness.JobResult) {
 	for _, jr := range results {
-		e := hostEntry{
+		r.hosts = append(r.hosts, hostEntry{
 			Experiment: strings.ToUpper(jr.Job.ExperimentID),
 			Seed:       jr.Job.Config.Seed,
 			Scale:      jr.Job.Config.Scale,
 			WallNanos:  int64(jr.Elapsed),
-		}
-		if jr.Host != nil {
-			e.HostSample = *jr.Host
-		}
-		r.hosts = append(r.hosts, e)
+			HostSample: jr.Host,
+		})
 	}
 	sort.Slice(r.hosts, func(i, j int) bool {
 		if r.hosts[i].Experiment != r.hosts[j].Experiment {
@@ -99,20 +96,16 @@ func (r *resourcesLayer) hostJSON() []byte {
 }
 
 // renderResourcesSection builds the Resources appendix of one experiment
-// page from the representative replication's collector, plus any latency
-// CDF figures. Returns "" when the experiment had no completed runs.
-func renderResourcesSection(e core.Experiment, v *harness.GroupView, res *resourcesLayer) (string, []File) {
+// page from the representative replication's collector (attach gave every
+// baseline run one), plus any latency CDF figures.
+func renderResourcesSection(e core.Experiment, v harness.GroupView, res *resourcesLayer) (string, []File) {
 	var b strings.Builder
 	b.WriteString("## Resources\n\n")
-	if v == nil || v.Representative == nil {
+	if v.Representative == nil {
 		b.WriteString("_No completed runs; no telemetry was recorded._\n\n")
 		return b.String(), nil
 	}
 	col := res.collectors[resKey(e.ID(), v.RepresentativeSeed)]
-	if col == nil {
-		b.WriteString("_No collector was attached to the representative run._\n\n")
-		return b.String(), nil
-	}
 	snap := col.Snapshot()
 	fmt.Fprintf(&b, "Run telemetry from the representative replication (seed %d). Everything below is sim-derived and byte-deterministic; host-side wall time and heap samples for all seeds live in [%s](../%s), which is excluded from manifest hashing.\n\n",
 		v.RepresentativeSeed, hostFile, hostFile)

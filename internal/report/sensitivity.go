@@ -19,36 +19,26 @@ import (
 // the figure count without adding narrative.
 const maxHeadlines = 4
 
-// sensitivity carries one generation's knob-sweep layer: the grids that
-// were run, the aggregated view of every grid scenario, and the
-// per-experiment stability verdicts derived from them.
+// sensitivity carries one generation's knob-sweep layer: every selected
+// experiment's knob grids, bound after aggregation to the views of the
+// scenarios they name, and the verdict stability derived from them.
 type sensitivity struct {
 	gridPoints int
-	// knobs maps experiment id -> its swept knob names, sorted.
-	knobs map[string][]string
-	// grids maps knob name -> swept values, strictly ascending
-	// (experiments.SensitivityGrids).
-	grids map[string][]float64
-	// specs is the knob registry: each spec's default is the baseline x
-	// position of an unpinned knob and its Requires are merged into every
-	// grid scenario.
-	specs map[string]experiments.KnobSpec
-	// pins is the scenario's Options.Params, carried into every grid
-	// scenario of the experiment a pin applies to.
-	pins map[string]float64
-	// views indexes the aggregated grid scenarios by harness.ScenarioKey.
-	views map[string]harness.GroupView
+	// knobs lists every swept knob name, sorted — the manifest's grid
+	// index.
+	knobs []string
 	// scenarios counts the distinct grid scenarios run.
 	scenarios int
-	// stability accumulates per-experiment verdict stability while pages
-	// render, then feeds the matrix column (pages render first).
-	stability map[string]*expStability
+	// exps maps experiment id -> its share of the layer.
+	exps map[string]*expSens
 }
 
-// expStability is one experiment's verdict-stability summary.
-type expStability struct {
-	swept  int // knobs swept
-	points int // grid scenarios with at least one completed run
+// expSens is one experiment's share of the sensitivity layer: its knob
+// grids and the verdict-stability summary bind computes from them.
+type expSens struct {
+	grids []knobGrid // sorted by knob name
+	// points counts grid points with at least one completed run.
+	points int
 	// flips maps check name -> knob=value labels whose majority vote
 	// differs from the baseline, in knob-then-value order.
 	flips map[string][]string
@@ -56,92 +46,143 @@ type expStability struct {
 	fragile []string
 }
 
-func (st *expStability) fragileLabel() string {
+// knobGrid is one experiment's grid over one knob.
+type knobGrid struct {
+	knob string
+	spec experiments.KnobSpec
+	// base is the baseline's position on the knob's axis: the knob's pin,
+	// else its spec default.
+	base float64
+	// companions are the knob's Requires that the scenario does not pin:
+	// what every grid point changes besides the swept value.
+	companions map[string]float64
+	points     []gridPoint // ascending by value
+}
+
+// gridPoint is one swept value and the scenario it names. Points of
+// different knobs can name the same scenario; it runs once and they
+// share its view.
+type gridPoint struct {
+	value float64
+	key   string // harness.ScenarioKey
+	view  harness.GroupView
+}
+
+func (es *expSens) fragileLabel() string {
 	switch {
-	case st == nil || st.swept == 0:
+	case len(es.grids) == 0:
 		return "—"
-	case st.points == 0:
+	case es.points == 0:
 		return "ERROR"
-	case len(st.fragile) == 0:
+	case len(es.fragile) == 0:
 		return "stable"
 	default:
-		return "fragile (" + strings.Join(st.fragile, ", ") + ")"
+		return "fragile (" + strings.Join(es.fragile, ", ") + ")"
 	}
 }
 
 // buildSensitivity resolves the default KnobSpec grids at the generation's
 // scale (experiments.SensitivityGrids) for the selected experiments; knobs
-// not owned by a selected experiment are dropped. Each (experiment, knob)
-// grid expands into jobs through the sweep of its assignment, with the
-// knob's grid values crossed in: experiments in page order, knobs sorted,
-// values ascending and seeds innermost, so aggregate groups come out in
-// render order.
+// not owned by a selected experiment are dropped. Each grid point's
+// assignment is the knob's Requires companions, overridden by the
+// scenario's pins that apply to the experiment, overridden by the point's
+// value. Every distinct scenario expands into jobs once, through the
+// sweep of its assignment: experiments in page order, knobs sorted,
+// values ascending and seeds innermost.
 func buildSensitivity(exps []core.Experiment, opts Options) (*sensitivity, []harness.Job) {
 	grids := experiments.SensitivityGrids(opts.GridPoints, opts.Scale) // Canonical resolved the count
+	specs := experiments.KnobSpecs()
+	names := slices.Sorted(maps.Keys(grids))
 	s := &sensitivity{
 		gridPoints: opts.GridPoints,
-		knobs:      make(map[string][]string, len(exps)),
-		grids:      make(map[string][]float64, len(grids)),
-		specs:      experiments.KnobSpecs(),
-		pins:       opts.Params,
-		stability:  make(map[string]*expStability, len(exps)),
+		knobs:      make([]string, 0, len(names)),
+		exps:       make(map[string]*expSens, len(exps)),
 	}
-	names := make([]string, 0, len(grids))
-	for name := range grids {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	swept := make(map[string]bool, len(names))
+	expanded := make(map[string]bool)
 	var jobs []harness.Job
 	for _, e := range exps {
+		es := &expSens{}
+		s.exps[e.ID()] = es
 		for _, name := range names {
 			if !harness.KnobAppliesTo(name, e.ID()) {
 				continue
 			}
-			s.knobs[e.ID()] = append(s.knobs[e.ID()], name)
-			s.grids[name] = grids[name]
-			s.scenarios += len(grids[name])
-			grid := opts
-			grid.IDs, grid.Params = []string{e.ID()}, s.assignment(e.ID(), name)
-			sw := grid.sweep()
-			sw.Params[name] = grids[name]
-			jobs = append(jobs, sw.Jobs()...)
+			swept[name] = true
+			spec := specs[name]
+			base, pinned := opts.Params[name]
+			if !pinned {
+				base = spec.Default
+			}
+			g := knobGrid{knob: name, spec: spec, base: base, companions: maps.Clone(spec.Requires)}
+			assign := make(map[string]float64)
+			maps.Copy(assign, spec.Requires)
+			for pin, v := range opts.Params {
+				delete(g.companions, pin) // a pinned companion is no change from the baseline
+				if harness.KnobAppliesTo(pin, e.ID()) {
+					assign[pin] = v
+				}
+			}
+			for _, v := range grids[name] {
+				point := opts
+				point.IDs, point.Params = []string{e.ID()}, maps.Clone(assign)
+				point.Params[name] = v
+				key := harness.ScenarioKey(e.ID(), opts.Scale, point.Params)
+				g.points = append(g.points, gridPoint{value: v, key: key})
+				if !expanded[key] {
+					expanded[key] = true
+					jobs = append(jobs, point.sweep().Jobs()...)
+				}
+			}
+			es.grids = append(es.grids, g)
+		}
+	}
+	for _, name := range names {
+		if swept[name] {
+			s.knobs = append(s.knobs, name)
 		}
 	}
 	return s, jobs
 }
 
-// assignment is what every grid point of one experiment's grid over knob
-// sets besides the knob's grid value, which overrides it: the knob's
-// Requires companions, overridden by the scenario's pins that apply to
-// the experiment. Job expansion and the view lookup both read it.
-func (s *sensitivity) assignment(id, knob string) map[string]float64 {
-	a := make(map[string]float64)
-	maps.Copy(a, s.specs[knob].Requires)
-	for name, v := range s.pins {
-		if harness.KnobAppliesTo(name, id) {
-			a[name] = v
+// bind completes the layer once every scenario has aggregated, before any
+// page renders: each grid point gets its scenario's view, scenarios
+// counts the distinct grid scenarios, and every experiment's verdict
+// stability is computed against its baseline (baselines[i] is exps[i]'s
+// view).
+func (s *sensitivity) bind(exps []core.Experiment, baselines, views []harness.GroupView) {
+	byKey := make(map[string]harness.GroupView, len(views))
+	for _, v := range views {
+		byKey[v.Key()] = v
+	}
+	s.scenarios = len(views)
+	for i, e := range exps {
+		es := s.exps[e.ID()]
+		es.flips = make(map[string][]string)
+		for _, g := range es.grids {
+			for j := range g.points {
+				g.points[j].view = byKey[g.points[j].key]
+				if g.points[j].view.Verdict() != "ERROR" {
+					es.points++
+				}
+			}
+			flipped := false
+			for _, bc := range baselines[i].Checks {
+				for _, p := range g.points {
+					if p.view.Verdict() == "ERROR" {
+						continue
+					}
+					if c, ok := checkAgg(p.view, bc.Name); ok && c.Verdict != bc.Verdict {
+						es.flips[bc.Name] = append(es.flips[bc.Name], g.knob+"="+fmtKnobValue(p.value))
+						flipped = true
+					}
+				}
+			}
+			if flipped {
+				es.fragile = append(es.fragile, g.knob)
+			}
 		}
 	}
-	return a
-}
-
-// view returns the aggregated group for one grid point, if it ran.
-func (s *sensitivity) view(id, knob string, v float64, scale float64) (harness.GroupView, bool) {
-	p := s.assignment(id, knob)
-	p[knob] = v
-	gv, ok := s.views[harness.ScenarioKey(id, scale, p)]
-	return gv, ok
-}
-
-// sweptKnobs returns every swept knob name across all experiments,
-// sorted — the manifest's grid index.
-func (s *sensitivity) sweptKnobs() []string {
-	names := make([]string, 0, len(s.grids))
-	for name := range s.grids {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // fmtKnobValue renders a grid value exactly as harness.ParamLabel does,
@@ -237,13 +278,11 @@ func checkAgg(v harness.GroupView, name string) (harness.CheckAgg, bool) {
 
 // renderSensitivitySection renders one experiment's sensitivity layer:
 // per-knob metric-vs-knob figures with ±95% CI bands, per-knob verdict
-// tables, and the experiment's verdict-stability table. It records the
-// experiment's stability summary on sens for the matrix column.
-func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, sens *sensitivity, gen genContext) (string, []File) {
-	knobs := sens.knobs[e.ID()]
-	st := &expStability{swept: len(knobs), flips: make(map[string][]string)}
-	sens.stability[e.ID()] = st
-	if len(knobs) == 0 {
+// tables, and the experiment's verdict-stability table, from the grids
+// and stability bind computed.
+func renderSensitivitySection(e core.Experiment, baseline harness.GroupView, sens *sensitivity, opts Options) (string, []File) {
+	es := sens.exps[e.ID()]
+	if len(es.grids) == 0 {
 		return "", nil
 	}
 
@@ -251,46 +290,15 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 	var figures []File
 	b.WriteString("## Sensitivity\n\n")
 	fmt.Fprintf(&b, "Each registered knob swept over up to %d grid values (floor → default → stretch; see DESIGN.md) × seeds {%s} at scale %.4g. ",
-		sens.gridPoints, gen.seedsLabel(), gen.scale)
+		sens.gridPoints, opts.seedsLabel(), opts.Scale)
 	b.WriteString("Figures plot each headline metric's cross-seed mean with a shaded ±95% CI band; the baseline (default) point reuses the replications above. The stability table lists the knob values that flip a check's majority vote.\n\n")
 
-	var headlines []string
-	explicitHeadlines := false
-	if baseline != nil {
-		headlines, explicitHeadlines = sensHeadlines(*baseline)
-	}
-
-	fragile := make(map[string]bool)
-	for _, knob := range knobs {
-		// The baseline sits on the knob's axis at its pin, else its default.
-		spec := sens.specs[knob]
-		base, pinned := sens.pins[knob]
-		if !pinned {
-			base = spec.Default
-		}
-		fmt.Fprintf(&b, "### `%s`\n\n", knob)
-		fmt.Fprintf(&b, "%s\n\n", mdCell(spec.Desc))
-		companions := maps.Clone(spec.Requires)
-		for name := range sens.pins {
-			delete(companions, name) // a pinned companion is no change from the baseline
-		}
-		if len(companions) > 0 {
-			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(companions)) + "; its verdicts are compared against the unmodified baseline.\n\n")
-		}
-
-		// Collect the knob's grid points that actually aggregated, in the
-		// grid's ascending order.
-		type gridPoint struct {
-			value float64
-			view  harness.GroupView
-		}
-		var pts []gridPoint
-		for _, v := range sens.grids[knob] {
-			gv, ok := sens.view(e.ID(), knob, v, gen.scale)
-			if !ok {
-				continue
-			}
-			pts = append(pts, gridPoint{value: v, view: gv})
+	headlines, explicitHeadlines := sensHeadlines(baseline)
+	for _, g := range es.grids {
+		fmt.Fprintf(&b, "### `%s`\n\n", g.knob)
+		fmt.Fprintf(&b, "%s\n\n", mdCell(g.spec.Desc))
+		if len(g.companions) > 0 {
+			b.WriteString("Every grid point of this knob also sets " + mdCell(harness.ParamLabel(g.companions)) + "; its verdicts are compared against the unmodified baseline.\n\n")
 		}
 
 		// Figures: one per headline metric, points in ascending knob order,
@@ -303,20 +311,21 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 		// baseline-only plot — emit a note instead; the verdict table
 		// below still covers the knob.
 		knobMetrics := headlines
-		if !explicitHeadlines && baseline != nil && len(pts) > 0 {
-			gridViews := make([]harness.GroupView, 0, len(pts))
-			for _, p := range pts {
-				gridViews = append(gridViews, p.view)
+		if !explicitHeadlines {
+			gridViews := make([]harness.GroupView, len(g.points))
+			for i, p := range g.points {
+				gridViews[i] = p.view
 			}
-			if name, ok := knobResponsiveMetric(*baseline, gridViews); ok {
+			if name, ok := knobResponsiveMetric(baseline, gridViews); ok {
 				knobMetrics = []string{name}
 			}
 		}
+		covered := slices.ContainsFunc(g.points, func(p gridPoint) bool { return p.value == g.base })
 		for mi, metric := range knobMetrics {
-			fig := &sensFigure{metric: metric, knob: knob}
+			fig := &sensFigure{metric: metric, knob: g.knob}
 			gridPts, votedPts := 0, 0
-			for _, p := range pts {
-				if voted := p.view.Replications - len(p.view.Errors); voted == 0 {
+			for _, p := range g.points {
+				if p.view.Verdict() == "ERROR" {
 					continue
 				}
 				votedPts++
@@ -333,76 +342,37 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 				}
 				continue
 			}
-			// A grid that covers the baseline value already plots that x.
-			if baseline != nil && !slices.Contains(sens.grids[knob], base) {
-				if m, ok := metricAgg(*baseline, metric); ok {
-					fig.addBaseline(base, m)
+			if !covered {
+				if m, ok := metricAgg(baseline, metric); ok {
+					fig.addBaseline(g.base, m)
 				}
 			}
-			path := fmt.Sprintf("figures/%s-sens-%s-%d.svg", e.ID(), knob, mi+1)
+			path := fmt.Sprintf("figures/%s-sens-%s-%d.svg", e.ID(), g.knob, mi+1)
 			figures = append(figures, File{Path: path, Data: []byte(fig.svg())})
-			fmt.Fprintf(&b, "![%s](../%s)\n\n", mdCell(metric+" vs "+knob), path)
+			fmt.Fprintf(&b, "![%s](../%s)\n\n", mdCell(metric+" vs "+g.knob), path)
 		}
 
 		// Per-knob verdict table: every grid value plus the baseline row,
 		// ascending by value (baseline after a same-valued grid row).
-		type row struct {
-			value    float64
-			baseline bool
-			cells    string
-		}
-		var rows []row
-		for _, p := range pts {
-			if p.view.Verdict() != "ERROR" {
-				st.points++
+		fmt.Fprintf(&b, "| `%s` | Checks (majority-pass) | Verdict |\n|---|---|---|\n", g.knob)
+		baselineRow := false
+		for _, p := range g.points {
+			if !baselineRow && p.value > g.base {
+				b.WriteString(verdictCells(fmtKnobValue(g.base)+" (baseline)", baseline.Group) + "\n")
+				baselineRow = true
 			}
-			rows = append(rows, row{value: p.value, cells: verdictCells(fmtKnobValue(p.value), p.view.Group)})
+			b.WriteString(verdictCells(fmtKnobValue(p.value), p.view.Group) + "\n")
 		}
-		if baseline != nil {
-			rows = append(rows, row{value: base, baseline: true,
-				cells: verdictCells(fmtKnobValue(base)+" (baseline)", baseline.Group)})
+		if !baselineRow {
+			b.WriteString(verdictCells(fmtKnobValue(g.base)+" (baseline)", baseline.Group) + "\n")
 		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			if rows[i].value != rows[j].value {
-				return rows[i].value < rows[j].value
-			}
-			return !rows[i].baseline && rows[j].baseline
-		})
-		if len(rows) > 0 {
-			fmt.Fprintf(&b, "| `%s` | Checks (majority-pass) | Verdict |\n|---|---|---|\n", knob)
-			for _, r := range rows {
-				b.WriteString(r.cells + "\n")
-			}
-			b.WriteString("\n")
-		}
-
-		// Flip detection against the baseline votes.
-		if baseline != nil {
-			for _, bc := range baseline.Checks {
-				for _, p := range pts {
-					if p.view.Replications-len(p.view.Errors) == 0 {
-						continue
-					}
-					if c, ok := checkAgg(p.view, bc.Name); ok && c.Verdict != bc.Verdict {
-						label := knob + "=" + fmtKnobValue(p.value)
-						st.flips[bc.Name] = append(st.flips[bc.Name], label)
-						fragile[knob] = true
-					}
-				}
-			}
-		}
+		b.WriteString("\n")
 	}
-
-	st.fragile = make([]string, 0, len(fragile))
-	for knob := range fragile {
-		st.fragile = append(st.fragile, knob)
-	}
-	sort.Strings(st.fragile)
 
 	// The experiment-level stability table: every baseline check with the
 	// knob values that flip its majority vote.
 	b.WriteString("### Verdict stability\n\n")
-	if baseline == nil || len(baseline.Checks) == 0 {
+	if len(baseline.Checks) == 0 {
 		b.WriteString("_No baseline checks to compare against._\n\n")
 		return b.String(), figures
 	}
@@ -414,22 +384,22 @@ func renderSensitivitySection(e core.Experiment, baseline *harness.GroupView, se
 			vote = "PASS"
 		}
 		at := "—"
-		if fl := st.flips[bc.Name]; len(fl) > 0 {
+		if fl := es.flips[bc.Name]; len(fl) > 0 {
 			at = strings.Join(fl, ", ")
 			totalFlips += len(fl)
 		}
 		fmt.Fprintf(&b, "| %s | %s | %s |\n", mdCell(bc.Name), vote, mdCell(at))
 	}
 	switch {
-	case st.points == 0:
+	case es.points == 0:
 		// Matches the matrix's ERROR cell: zero completed grid runs is
 		// absence of evidence, not stability.
 		b.WriteString("\n**Stability: no completed grid runs** — every swept scenario errored.\n\n")
 	case totalFlips == 0:
-		fmt.Fprintf(&b, "\n**Stability: stable** — every check keeps its baseline majority vote across all %d completed grid points.\n\n", st.points)
+		fmt.Fprintf(&b, "\n**Stability: stable** — every check keeps its baseline majority vote across all %d completed grid points.\n\n", es.points)
 	default:
 		fmt.Fprintf(&b, "\n**Stability: fragile** — %d flip(s) across %s.\n\n",
-			totalFlips, strings.Join(st.fragile, ", "))
+			totalFlips, strings.Join(es.fragile, ", "))
 	}
 	return b.String(), figures
 }

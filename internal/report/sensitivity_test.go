@@ -364,14 +364,82 @@ func TestGoldenSensitivityReport(t *testing.T) {
 // runs reads ERROR, not "0/0 NOT REPRODUCED".
 func TestSensitivityBaselineAllErrored(t *testing.T) {
 	e, _ := registry(t).Get("E11")
-	sens := &sensitivity{
-		knobs:     map[string][]string{"E11": {"e11.tps"}},
-		specs:     map[string]experiments.KnobSpec{"e11.tps": {Default: 4}},
-		stability: map[string]*expStability{},
-	}
-	baseline := &harness.GroupView{Group: harness.Group{Seeds: []int64{1}, Replications: 1, Errors: []string{"seed 1: boom"}}}
-	page, _ := renderSensitivitySection(e, baseline, sens, genContext{seeds: []int64{1}, scale: 1})
+	sens := &sensitivity{exps: map[string]*expSens{
+		"E11": {grids: []knobGrid{{knob: "e11.tps", spec: experiments.KnobSpec{Default: 4}, base: 4}}},
+	}}
+	baseline := harness.GroupView{Group: harness.Group{Seeds: []int64{1}, Replications: 1, Errors: []string{"seed 1: boom"}}}
+	sens.bind([]core.Experiment{e}, []harness.GroupView{baseline}, nil)
+	page, _ := renderSensitivitySection(e, baseline, sens, Options{Seeds: []int64{1}, Scale: 1})
 	if !strings.Contains(page, "| 4 (baseline) | — | ERROR |") {
 		t.Errorf("errored baseline row should read ERROR:\n%s", page)
+	}
+}
+
+// stubExp answers every run with an empty result, so generation of an
+// expensive experiment can be driven without simulating it.
+type stubExp struct{ core.Experiment }
+
+func (e stubExp) Run(core.Config) (*core.Result, error) {
+	return &core.Result{ID: e.ID(), Title: e.Title()}, nil
+}
+
+// TestSensitivityGridScenariosRunOnce pins that grid points naming one
+// scenario run it once. With E08 pinned at e08.loss=0.125 and e08.mix=2,
+// the e08.loss grid point 0.125 (its e08.mix=1 companion overridden by the
+// pin) and the e08.mix grid point 2 both name the pinned assignment: 19
+// grid points, 18 scenarios, and no scenario aggregating a seed twice.
+func TestSensitivityGridScenariosRunOnce(t *testing.T) {
+	e08, err := registry(t).Get("E08")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := core.NewRegistry(stubExp{e08})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := Check(reg, Options{
+		IDs:         []string{"E08"},
+		Seeds:       []int64{1, 2},
+		Scale:       0.25,
+		Params:      map[string]float64{"e08.loss": 0.125, "e08.mix": 2},
+		Sensitivity: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for name, grid := range experiments.SensitivityGrids(opts.GridPoints, opts.Scale) {
+		if harness.KnobAppliesTo(name, "E08") {
+			points += len(grid)
+		}
+	}
+	if points != 19 {
+		t.Fatalf("E08 has %d grid points at scale 0.25, want 19", points)
+	}
+
+	_, jobs := buildSensitivity([]core.Experiment{e08}, opts)
+	perKey := make(map[string]int)
+	for _, j := range jobs {
+		perKey[harness.ScenarioKey(j.ExperimentID, j.Config.Scale, j.Config.Params)]++
+	}
+	for key, n := range perKey {
+		if n != len(opts.Seeds) {
+			t.Errorf("scenario %s expands into %d jobs, want one per seed (%d)", key, n, len(opts.Seeds))
+		}
+	}
+	if len(perKey) != 18 {
+		t.Errorf("grid expands into %d scenarios, want 18", len(perKey))
+	}
+
+	tree, err := Generate(reg, opts)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	man, err := ParseManifest(tree.Lookup("manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Sensitivity == nil || man.Sensitivity.Scenarios != 18 {
+		t.Errorf("manifest sensitivity = %+v, want 18 scenarios", man.Sensitivity)
 	}
 }

@@ -258,6 +258,7 @@ func TestRunMalformedScenario(t *testing.T) {
 		{"knob above its maximum", "/run?scenario=E01&knob.e01.cdnproviders=501", "above the maximum"},
 		{"fractional integer knob", "/run?scenario=E01&knob.e01.customers=2000.5", "must be an integer"},
 		{"scaled knob below its floor", "/run?scenario=E01&scale=0.01&knob.e01.customers=2000", "falls below the measurement floor"},
+		{"knob without its Requires companion", "/run?scenario=E08&seeds=1&scale=0.25&knob.e08.loss=0.1", "requires e08.mix away from its default"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
