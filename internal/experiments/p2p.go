@@ -215,7 +215,11 @@ func e03DHTLookup() core.Experiment {
 			// sweep groups with identical results.
 			n := e03Nodes.get(cfg)
 			lookups := e03Lookups.get(cfg)
-			measure := func(kcfg kademlia.Config, name string) (*metrics.Sample, float64, error) {
+			type deployment struct {
+				sample    *metrics.Sample
+				converged float64
+			}
+			measure := func(kcfg kademlia.Config, name string) (deployment, error) {
 				seed, streams := e03Layout(cfg.Seed)
 				s := newSimSeed(cfg, seed)
 				nm := netmodel.New(s, netmodel.WithJitter(0.2), netmodel.WithSenderStreams(streams))
@@ -224,7 +228,7 @@ func e03DHTLookup() core.Experiment {
 					nw.AddNode(netmodel.Europe)
 				}
 				if err := nw.Bootstrap(); err != nil {
-					return nil, 0, err
+					return deployment{}, err
 				}
 				var sample metrics.Sample
 				converged := 0
@@ -244,18 +248,21 @@ func e03DHTLookup() core.Experiment {
 					})
 				}
 				if err := s.Run(); err != nil {
-					return nil, 0, err
+					return deployment{}, err
 				}
-				return &sample, float64(converged) / float64(lookups), nil
+				return deployment{&sample, float64(converged) / float64(lookups)}, nil
 			}
-			kad, kadOK, err := measure(kademlia.KADConfig(), "kad")
+			deps, err := fanOut(cfg, 2, func(i int) (deployment, error) {
+				if i == 0 {
+					return measure(kademlia.KADConfig(), "kad")
+				}
+				return measure(kademlia.MDHTConfig(), "mdht")
+			})
 			if err != nil {
 				return err
 			}
-			mdht, mdhtOK, err := measure(kademlia.MDHTConfig(), "mdht")
-			if err != nil {
-				return err
-			}
+			kad, kadOK := deps[0].sample, deps[0].converged
+			mdht, mdhtOK := deps[1].sample, deps[1].converged
 			tab := metrics.NewTable("DHT lookup latency (seconds, simulated)",
 				"deployment", "median", "p90", "converged", "paper reference")
 			tab.AddRowf("KAD-like", kad.Median(), kad.Percentile(90), kadOK, "<=5s at p90")
@@ -289,84 +296,70 @@ func e04Sybil() core.Experiment {
 		run: func(cfg core.Config, r *core.Result) error {
 			honest := e04Honest.get(cfg)
 			lookups := e04Lookups.get(cfg)
-			tab := metrics.NewTable("sybil interception vs identity count (simulated)",
-				"sybil identities", "% of network", "mean attacker frac in results", "majority-poisoned rate")
-			fig := &metrics.Figure{Title: "sybil interception", XLabel: "sybil fraction", YLabel: "attacker frac"}
-			var fracs []float64
-			for _, pct := range []float64{0.05, 0.2, 0.5} {
-				ids := int(pct * float64(honest))
-				s := newSim(cfg)
+			targetIDs := e04TargetIDs.get(cfg)
+			target := overlay.KeyID([]byte("victim"))
+			levels := []float64{0.05, 0.2, 0.5}
+			// Parts 0..2 spread identities uniformly at each level; the
+			// last part aims a handful of identities at one key, on a
+			// kernel seeded one past the run's.
+			stats, err := fanOut(cfg, len(levels)+1, func(i int) (sybil.EclipseStats, error) {
+				seed, stream := cfg.Seed+1, "e04t"
+				acfg := sybil.AttackConfig{Identities: targetIDs, Targeted: true, Target: target}
+				if i < len(levels) {
+					seed, stream = cfg.Seed, "e04"
+					acfg = sybil.AttackConfig{Identities: int(levels[i] * float64(honest))}
+				}
+				var stats sybil.EclipseStats
+				s := newSimSeed(cfg, seed)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				nw := kademlia.NewNetwork(s, nm, kademlia.Config{K: 8, Alpha: 3, UnresponsiveFrac: 0})
-				for i := 0; i < honest; i++ {
+				for range honest {
 					nw.AddNode(netmodel.Europe)
 				}
 				if err := nw.Bootstrap(); err != nil {
-					return err
+					return stats, err
 				}
-				atk, err := sybil.Launch(s, nw, sybil.AttackConfig{Identities: ids})
+				atk, err := sybil.Launch(s, nw, acfg)
 				if err != nil {
-					return err
+					return stats, err
 				}
 				if err := s.Run(); err != nil {
-					return err
+					return stats, err
 				}
-				var stats sybil.EclipseStats
-				g := s.Stream("e04")
-				for i := 0; i < lookups; i++ {
+				g := s.Stream(stream)
+				for range lookups {
 					origin := nw.Nodes()[g.Intn(honest)]
-					nw.Lookup(origin, overlay.RandomID(g), func(res kademlia.Result) {
-						stats.Record(atk, res)
-					})
+					key := target
+					if !acfg.Targeted {
+						key = overlay.RandomID(g)
+					}
+					nw.Lookup(origin, key, func(res kademlia.Result) { stats.Record(atk, res) })
 				}
-				if err := s.Run(); err != nil {
-					return err
-				}
-				tab.AddRowf(ids, pct*100, stats.MeanAttackerFrac(), stats.MajorityRate())
-				fig.Add("uniform sybil", pct, stats.MeanAttackerFrac())
-				fracs = append(fracs, stats.MeanAttackerFrac())
-			}
-			r.Tables = append(r.Tables, tab)
-			r.Figures = append(r.Figures, fig)
-
-			// Targeted eclipse with a handful of identities.
-			s := newSimSeed(cfg, cfg.Seed+1)
-			nm := netmodel.New(s, netmodel.WithJitter(0.1))
-			nw := kademlia.NewNetwork(s, nm, kademlia.Config{K: 8, Alpha: 3, UnresponsiveFrac: 0})
-			for i := 0; i < honest; i++ {
-				nw.AddNode(netmodel.Europe)
-			}
-			if err := nw.Bootstrap(); err != nil {
-				return err
-			}
-			targetIDs := e04TargetIDs.get(cfg)
-			target := overlay.KeyID([]byte("victim"))
-			atk, err := sybil.Launch(s, nw, sybil.AttackConfig{
-				Identities: targetIDs, Targeted: true, Target: target,
+				return stats, s.Run()
 			})
 			if err != nil {
 				return err
 			}
-			if err := s.Run(); err != nil {
-				return err
+			tab := metrics.NewTable("sybil interception vs identity count (simulated)",
+				"sybil identities", "% of network", "mean attacker frac in results", "majority-poisoned rate")
+			fig := &metrics.Figure{Title: "sybil interception", XLabel: "sybil fraction", YLabel: "attacker frac"}
+			for i, pct := range levels {
+				tab.AddRowf(int(pct*float64(honest)), pct*100, stats[i].MeanAttackerFrac(), stats[i].MajorityRate())
+				fig.Add("uniform sybil", pct, stats[i].MeanAttackerFrac())
 			}
-			var eclipse sybil.EclipseStats
-			g := s.Stream("e04t")
-			for i := 0; i < lookups; i++ {
-				origin := nw.Nodes()[g.Intn(honest)]
-				nw.Lookup(origin, target, func(res kademlia.Result) { eclipse.Record(atk, res) })
-			}
-			if err := s.Run(); err != nil {
-				return err
-			}
+			r.Tables = append(r.Tables, tab)
+			r.Figures = append(r.Figures, fig)
+
+			eclipse := stats[len(levels)]
 			tab2 := metrics.NewTable(fmt.Sprintf("targeted eclipse of one key (%d identities)", targetIDs),
 				"metric", "value")
 			tab2.AddRowf("closest-is-attacker rate", eclipse.ClosestRate())
 			tab2.AddRowf("majority-poisoned rate", eclipse.MajorityRate())
 			r.Tables = append(r.Tables, tab2)
 
-			r.AddCheck(fracs[len(fracs)-1] > fracs[0], "interception-grows",
-				"attacker fraction %.2f -> %.2f as identities grow", fracs[0], fracs[len(fracs)-1])
+			low, high := stats[0].MeanAttackerFrac(), stats[len(levels)-1].MeanAttackerFrac()
+			r.AddCheck(high > low, "interception-grows",
+				"attacker fraction %.2f -> %.2f as identities grow", low, high)
 			r.AddCheck(eclipse.ClosestRate() >= 0.7, "targeted-eclipse",
 				"%d identities eclipse the key in %.0f%% of lookups", targetIDs, eclipse.ClosestRate()*100)
 			return nil
@@ -492,17 +485,18 @@ func e15Churn() core.Experiment {
 			n := e15Nodes.get(cfg)
 			lookups := e15Lookups.get(cfg)
 			minSession := time.Duration(e15MinSession.get(cfg)) * time.Minute
-			tab := metrics.NewTable("kademlia under churn (simulated)",
-				"mean session", "availability", "lookup success", "median latency (s)", "timeouts/lookup")
-			fig := &metrics.Figure{Title: "churn impact", XLabel: "mean session (min)", YLabel: "median latency (s)"}
-			var successes, latencies, touts []float64
-			for _, session := range []time.Duration{2 * time.Hour, 30 * time.Minute, minSession} {
+			type level struct {
+				avail, success, latency, timeouts float64
+			}
+			sessions := []time.Duration{2 * time.Hour, 30 * time.Minute, minSession}
+			levels, err := fanOut(cfg, len(sessions), func(i int) (level, error) {
+				session := sessions[i]
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				nw := kademlia.NewNetwork(s, nm, kademlia.Config{
 					K: 8, Alpha: 3, RPCTimeout: 2 * time.Second, UnresponsiveFrac: 0,
 				})
-				for i := 0; i < n; i++ {
+				for range n {
 					nw.AddNode(netmodel.Europe)
 				}
 				gap := session / 2
@@ -516,7 +510,7 @@ func e15Churn() core.Experiment {
 					nw.SetOnline(nw.Nodes()[node], false)
 				})
 				if err != nil {
-					return err
+					return level{}, err
 				}
 				// Start churn, align overlay state with it, then bootstrap
 				// the converged tables over the online population only.
@@ -527,18 +521,17 @@ func e15Churn() core.Experiment {
 					}
 				}
 				if err := nw.Bootstrap(); err != nil {
-					return err
+					return level{}, err
 				}
 				// Warm up, then measure lookups spread over an hour.
 				if err := s.RunUntil(10 * time.Minute); err != nil {
-					return err
+					return level{}, err
 				}
 				g := s.Stream("e15")
 				success := 0
 				var lat metrics.Sample
 				var timeouts metrics.Summary
-				done := 0
-				for i := 0; i < lookups; i++ {
+				for range lookups {
 					at := s.Now() + time.Duration(g.Float64()*float64(time.Hour))
 					s.At(at, func() {
 						var origin *kademlia.Node
@@ -550,12 +543,10 @@ func e15Churn() core.Experiment {
 							}
 						}
 						if origin == nil {
-							done++
 							return
 						}
 						target := overlay.RandomID(g)
 						nw.Lookup(origin, target, func(res kademlia.Result) {
-							done++
 							lat.AddDuration(res.Latency)
 							timeouts.Add(float64(res.Timeouts))
 							truth := nw.ClosestOnline(target, 3)
@@ -571,28 +562,37 @@ func e15Churn() core.Experiment {
 					})
 				}
 				if err := s.RunUntil(2 * time.Hour); err != nil {
-					return err
+					return level{}, err
 				}
-				avail := float64(proc.OnlineCount()) / float64(n)
-				rate := float64(success) / float64(lookups)
-				successes = append(successes, rate)
-				latencies = append(latencies, lat.Median())
-				touts = append(touts, timeouts.Mean())
-				tab.AddRowf(session.String(), avail, rate, lat.Median(), timeouts.Mean())
-				fig.Add("median latency", session.Minutes(), lat.Median())
+				return level{
+					avail:    float64(proc.OnlineCount()) / float64(n),
+					success:  float64(success) / float64(lookups),
+					latency:  lat.Median(),
+					timeouts: timeouts.Mean(),
+				}, nil
+			})
+			if err != nil {
+				return err
+			}
+			tab := metrics.NewTable("kademlia under churn (simulated)",
+				"mean session", "availability", "lookup success", "median latency (s)", "timeouts/lookup")
+			fig := &metrics.Figure{Title: "churn impact", XLabel: "mean session (min)", YLabel: "median latency (s)"}
+			for i, lv := range levels {
+				tab.AddRowf(sessions[i].String(), lv.avail, lv.success, lv.latency, lv.timeouts)
+				fig.Add("median latency", sessions[i].Minutes(), lv.latency)
 			}
 			r.Tables = append(r.Tables, tab)
 			r.Figures = append(r.Figures, fig)
-			last := len(successes) - 1
-			r.AddCheck(successes[0] >= 0.9 && latencies[0] < 3, "stable-network-works",
-				"success %.2f, median %.1fs with 2h sessions", successes[0], latencies[0])
+			first, last := levels[0], levels[len(levels)-1]
+			r.AddCheck(first.success >= 0.9 && first.latency < 3, "stable-network-works",
+				"success %.2f, median %.1fs with 2h sessions", first.success, first.latency)
 			// Kademlia's alpha-parallelism masks failures by paying
 			// latency: the paper's "fault-tolerant and self-adjusting, but
 			// this causes performance problems and latency".
-			r.AddCheck(latencies[last] >= 1.5*latencies[0], "churn-costs-latency",
-				"median latency %.1fs (2h sessions) -> %.1fs (%s sessions)", latencies[0], latencies[last], sessionLabel(minSession))
-			r.AddCheck(touts[last] > touts[0], "churn-costs-timeouts",
-				"timeouts/lookup %.1f -> %.1f as sessions shrink", touts[0], touts[last])
+			r.AddCheck(last.latency >= 1.5*first.latency, "churn-costs-latency",
+				"median latency %.1fs (2h sessions) -> %.1fs (%s sessions)", first.latency, last.latency, sessionLabel(minSession))
+			r.AddCheck(last.timeouts > first.timeouts, "churn-costs-timeouts",
+				"timeouts/lookup %.1f -> %.1f as sessions shrink", first.timeouts, last.timeouts)
 			return nil
 		},
 	}

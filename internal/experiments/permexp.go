@@ -30,47 +30,52 @@ func e13PermissionedVsPoW() core.Experiment {
 			tab := metrics.NewTable("consensus comparison (simulated)",
 				"system", "n", "fault model", "tps", "finality (mean)", "finality (p99)", "msgs/req")
 
-			var pbft4TPS, pbft4Mean float64
-			var pbftMeanLat time.Duration
-			for _, n := range []int{4, 16} {
+			// Parts 0 and 1 are PBFT clusters of 4 and 16 replicas, part 2
+			// the Raft orderer; each returns its table row.
+			type system struct {
+				row  []any
+				tps  float64
+				mean time.Duration
+			}
+			pbftSizes := []int{4, 16}
+			systems, err := fanOut(cfg, len(pbftSizes)+1, func(i int) (system, error) {
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
+				if i == len(pbftSizes) {
+					raftN := e13RaftNodes.get(cfg)
+					cl, err := raft.NewCluster(s, nm, raftN, netmodel.Europe)
+					if err != nil {
+						return system{}, err
+					}
+					st, err := cl.RunLoad(rate, dur)
+					if err != nil {
+						return system{}, err
+					}
+					return system{[]any{"raft (CFT orderer)", raftN, "crash",
+						st.TPS, st.MeanLatency.Seconds(), st.P99Latency.Seconds(), 0}, st.TPS, st.MeanLatency}, nil
+				}
+				n := pbftSizes[i]
 				cl, err := pbft.NewCluster(s, nm, n, netmodel.Europe, pbft.Config{
 					BatchSize:    e13Batch.get(cfg),
 					BatchTimeout: 20 * time.Millisecond,
 				})
 				if err != nil {
-					return err
+					return system{}, err
 				}
 				st, err := cl.RunLoad(rate, dur)
 				if err != nil {
-					return err
+					return system{}, err
 				}
-				tab.AddRowf(fmt.Sprintf("pbft (f=%d byzantine)", cl.F()), n, "byzantine",
-					st.TPS, st.MeanLatency.Seconds(), st.P99Latency.Seconds(), st.MsgsPerReq)
-				if n == 4 {
-					pbft4TPS = st.TPS
-					pbft4Mean = st.MeanLatency.Seconds()
-					pbftMeanLat = st.MeanLatency
-				}
+				return system{[]any{fmt.Sprintf("pbft (f=%d byzantine)", cl.F()), n, "byzantine",
+					st.TPS, st.MeanLatency.Seconds(), st.P99Latency.Seconds(), st.MsgsPerReq}, st.TPS, st.MeanLatency}, nil
+			})
+			if err != nil {
+				return err
 			}
-			var raftTPS float64
-			{
-				raftN := e13RaftNodes.get(cfg)
-				s := newSim(cfg)
-				nm := netmodel.New(s, netmodel.WithJitter(0.1))
-				cl, err := raft.NewCluster(s, nm, raftN, netmodel.Europe)
-				if err != nil {
-					return err
-				}
-				st, err := cl.RunLoad(rate, dur)
-				if err != nil {
-					return err
-				}
-				raftTPS = st.TPS
-				tab.AddRowf("raft (CFT orderer)", raftN, "crash",
-					st.TPS, st.MeanLatency.Seconds(), st.P99Latency.Seconds(), 0)
+			for _, sys := range systems {
+				tab.AddRowf(sys.row...)
 			}
+			pbft4, raftSys := systems[0], systems[len(pbftSizes)]
 			// PoW reference: throughput from E06 params, finality = 6
 			// confirmations.
 			btc := pow.BitcoinParams(400)
@@ -80,12 +85,12 @@ func e13PermissionedVsPoW() core.Experiment {
 			tab.AddNote("PoW finality uses the 6-confirmation convention; PBFT/Raft finality is absolute")
 			r.Tables = append(r.Tables, tab)
 
-			r.AddCheck(pbft4TPS/btc.TPS() >= 100, "pbft-throughput-gap",
-				"pbft n=4 runs %.0fx bitcoin's throughput", pbft4TPS/btc.TPS())
-			r.AddCheck(pbftMeanLat < time.Second, "subsecond-finality",
-				"pbft mean finality %.3fs vs bitcoin's %.0fs", pbft4Mean, finality.Seconds())
-			r.AddCheck(raftTPS >= pbft4TPS*0.5, "cft-cheaper-than-bft",
-				"raft tps %.0f vs pbft %.0f (CFT avoids the O(n^2) phases)", raftTPS, pbft4TPS)
+			r.AddCheck(pbft4.tps/btc.TPS() >= 100, "pbft-throughput-gap",
+				"pbft n=4 runs %.0fx bitcoin's throughput", pbft4.tps/btc.TPS())
+			r.AddCheck(pbft4.mean < time.Second, "subsecond-finality",
+				"pbft mean finality %.3fs vs bitcoin's %.0fs", pbft4.mean.Seconds(), finality.Seconds())
+			r.AddCheck(raftSys.tps >= pbft4.tps*0.5, "cft-cheaper-than-bft",
+				"raft tps %.0f vs pbft %.0f (CFT avoids the O(n^2) phases)", raftSys.tps, pbft4.tps)
 			return nil
 		},
 	}
@@ -206,17 +211,23 @@ func e16Channels() core.Experiment {
 				names[i] = fmt.Sprintf("org%d", i)
 			}
 
-			// Scenario A: four 3-org channels, each carrying its own load.
-			run := func(channels int) (perPeerMean float64, total int, err error) {
+			// Part 0: four 3-org channels, each carrying its own load; part
+			// 1: one global channel carrying the same total load.
+			type topology struct {
+				perPeerMean float64
+				resolved    int
+			}
+			topologies, err := fanOut(cfg, 2, func(i int) (topology, error) {
+				channels := []int{4, 1}[i]
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				nw, err := permissioned.NewNetwork(s, nm, permissioned.Config{BlockSize: blockSize})
 				if err != nil {
-					return 0, 0, err
+					return topology{}, err
 				}
 				for _, n := range names {
 					if _, err := nw.AddOrg(n, netmodel.Europe); err != nil {
-						return 0, 0, err
+						return topology{}, err
 					}
 				}
 				per := orgs / channels
@@ -225,14 +236,14 @@ func e16Channels() core.Experiment {
 					members := names[c*per : (c+1)*per]
 					chNames[c] = fmt.Sprintf("ch%d", c)
 					if _, err := nw.CreateChannel(chNames[c], members, permissioned.Policy{Required: endorsers}); err != nil {
-						return 0, 0, err
+						return topology{}, err
 					}
 					if err := nw.InstallChaincode(chNames[c], "put", put); err != nil {
-						return 0, 0, err
+						return topology{}, err
 					}
 				}
 				if err := nw.Start(); err != nil {
-					return 0, 0, err
+					return topology{}, err
 				}
 				resolved := 0
 				s.After(3*time.Second, func() {
@@ -246,7 +257,7 @@ func e16Channels() core.Experiment {
 					}
 				})
 				if err := s.RunUntil(2 * time.Minute); err != nil {
-					return 0, 0, err
+					return topology{}, err
 				}
 				var work int64
 				for c := 0; c < channels; c++ {
@@ -255,16 +266,13 @@ func e16Channels() core.Experiment {
 						work += w
 					}
 				}
-				return float64(work) / float64(orgs), resolved, nil
-			}
-			isolatedWork, isolatedResolved, err := run(4)
+				return topology{float64(work) / float64(orgs), resolved}, nil
+			})
 			if err != nil {
 				return err
 			}
-			globalWork, globalResolved, err := run(1)
-			if err != nil {
-				return err
-			}
+			isolatedWork, isolatedResolved := topologies[0].perPeerMean, topologies[0].resolved
+			globalWork, globalResolved := topologies[1].perPeerMean, topologies[1].resolved
 			tab := metrics.NewTable("validation work per peer (same total offered load)",
 				"topology", "tx resolved", "mean envelopes validated per peer")
 			tab.AddRowf("4 channels x 3 orgs", isolatedResolved, isolatedWork)

@@ -44,7 +44,9 @@ type JobResult struct {
 type Runner struct {
 	// Registry resolves experiment ids to implementations.
 	Registry *core.Registry
-	// Workers bounds concurrency; <=0 means GOMAXPROCS.
+	// Workers bounds the jobs in flight; <=0 means GOMAXPROCS. It does not
+	// bound cores or memory: one job may run its independent parts on up
+	// to GOMAXPROCS goroutines at once, each part with its own kernel.
 	Workers int
 	// OnResult, when set, is called once per completed job with its
 	// index into the job list. Calls are serialized (never concurrent)

@@ -40,6 +40,10 @@ const maxNodeRanges = 4
 // Collector is the telemetry sink for one run. The zero value is not
 // usable; construct with NewCollector. A nil *Collector disables telemetry:
 // all methods on it (and on the nil instruments it hands out) are no-ops.
+// A Collector is not safe for concurrent use: every kernel observed by it
+// must run on one goroutine at a time, which is why a run whose parts
+// would otherwise fan out over several cores runs them one after another
+// when it carries a Collector.
 type Collector struct {
 	regions   []string
 	bounds    []int // ascending node-range upper bounds (exclusive); last is the node space

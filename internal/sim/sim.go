@@ -4,8 +4,9 @@
 // protocols, edge topologies) are driven by a single Sim instance: events are
 // callbacks scheduled at virtual timestamps, executed strictly in (time,
 // sequence) order from a 4-ary heap. There is no wall-clock dependence and no
-// concurrency inside a run, so a (seed, configuration) pair always reproduces
-// the same trajectory bit-for-bit.
+// concurrency inside a kernel, so a (seed, configuration) pair always
+// reproduces the same trajectory bit-for-bit. A run may hold several
+// kernels, each driven by one goroutine; kernels share no state.
 //
 // Cancellation is eager: Handle.Cancel (and Ticker.Stop) removes the event
 // from the heap immediately and recycles it, so canceled timers do not
