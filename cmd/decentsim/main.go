@@ -25,7 +25,7 @@
 //	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
 //	decentsim trace E06                # run once, write trace.json (chrome://tracing)
 //	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
-//	decentsim rep -n 5 -profile profiles E06   # per-run CPU/heap pprof files
+//	decentsim rep -n 5 -profile profiles E06   # per-run CPU/heap pprof files (+ pre-run heap base)
 //
 // Every experiment E01–E19 registers sweepable knobs; -set accepts any
 // name listed in DESIGN.md's knob table (unknown names are rejected with
@@ -219,7 +219,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.gridPoints, "grid-points", o.gridPoints, help("grid-points", "swept values per knob grid (default 5; needs -sensitivity)"))
 	fs.StringVar(&o.drift, "drift", o.drift, help("drift", "also write per-scenario headline-metric drift bounds (mean/stddev/95% CI) as JSON to this file"))
 	fs.BoolVar(&o.resources, "resources", o.resources, help("resources", "attach run telemetry and render a per-experiment Resources appendix plus resources/host.json"))
-	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory"))
+	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory; <stem>.heap.base.pprof is the heap before the run, for go tool pprof -base"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
 	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
 	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips"))

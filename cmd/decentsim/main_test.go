@@ -673,7 +673,7 @@ func TestReportResourcesTree(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "resources", "host.json")); err != nil {
 		t.Errorf("missing host.json: %v", err)
 	}
-	for _, want := range []string{"E02-s1.cpu.pprof", "E02-s1.heap.pprof"} {
+	for _, want := range []string{"E02-s1.cpu.pprof", "E02-s1.heap.pprof", "E02-s1.heap.base.pprof"} {
 		if fi, err := os.Stat(filepath.Join(profDir, want)); err != nil || fi.Size() == 0 {
 			t.Errorf("missing or empty profile %s: %v", want, err)
 		}

@@ -114,13 +114,19 @@ func (c *Cluster) Submit(key uint64) time.Duration {
 		}
 		done = maxDur(done, serve(other)) + commitRTT
 	}
-	c.sim.At(done, func() {
-		if c.horizon <= 0 || done <= c.horizon {
-			c.inWindow++
-		}
-		c.latency.AddDuration(done - now)
-	})
+	c.sim.AfterFunc(done-now, complete, sim.Payload{Ctx: c, A: int64(done), B: int64(now)})
 	return done
+}
+
+// complete books one transaction's completion: Ctx is the *Cluster, A the
+// completion time and B the submission time. A shared handler with the times
+// in the payload keeps a transaction from allocating a closure.
+func complete(p sim.Payload) {
+	c, done, now := p.Ctx.(*Cluster), time.Duration(p.A), time.Duration(p.B)
+	if c.horizon <= 0 || done <= c.horizon {
+		c.inWindow++
+	}
+	c.latency.AddDuration(done - now)
 }
 
 // Run offers load at the given rate for the given duration and returns the

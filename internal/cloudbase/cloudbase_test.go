@@ -127,3 +127,33 @@ func TestRunPinned(t *testing.T) {
 		t.Errorf("load run digest %s, want %s", got, want)
 	}
 }
+
+// TestSubmitSteadyStateAllocs pins Submit's completion booking to the
+// kernel's pooled payload path: a warm run of 64 transactions allocates
+// nothing per transaction. The latency sample keeps every observation, so
+// its amortized growth is the one allocation left, well under one per run;
+// a closure per completion would read 64.
+func TestSubmitSteadyStateAllocs(t *testing.T) {
+	s := sim.New(sim.WithSeed(5))
+	c, err := NewCluster(s, Config{Shards: 8, CrossShardFrac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			key++
+			c.Submit(key)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	round() // warm the event pool and the heap
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("64 warm transactions allocate %.1f per run, want 0", avg)
+	}
+	if n := c.latency.Count(); n != 64*102 {
+		t.Fatalf("%d completions booked, want %d", n, 64*102)
+	}
+}

@@ -54,7 +54,9 @@ type Runner struct {
 	// stream output should buffer until their next index is complete.
 	OnResult func(i int, r JobResult)
 	// ProfileDir, when non-empty, writes per-job CPU and heap profiles
-	// (<experiment>-s<seed>.cpu.pprof / .heap.pprof; profileStems) into the directory.
+	// (<experiment>-s<seed>.cpu.pprof / .heap.pprof; profileStems) into the
+	// directory, with the heap as it stood before the job in .heap.base.pprof
+	// (runProfiled).
 	// CPU profiling is process-global, so profiled jobs serialize on an
 	// internal lock: use a single worker or expect reduced parallelism
 	// when profiling.
@@ -185,13 +187,20 @@ func profileStems(jobs []Job) []string {
 	return stems
 }
 
-// runProfiled wraps one run in CPU and heap profile capture. Profile
-// failures fail the job: a requested-but-missing profile is worse than a
-// loud error.
+// runProfiled wraps one run in CPU and heap profile capture. A heap
+// profile's alloc_space and alloc_objects count from the start of the
+// process, so the heap is also written just before the run, after the same
+// runtime.GC(), as <stem>.heap.base.pprof: `go tool pprof -base
+// <stem>.heap.base.pprof <stem>.heap.pprof` shows the run's own allocations.
+// Profile failures fail the job: a requested-but-missing profile is worse
+// than a loud error.
 func (r *Runner) runProfiled(j Job, stem string) (*core.Result, error) {
 	profileMu.Lock()
 	defer profileMu.Unlock()
 	stem = filepath.Join(r.ProfileDir, stem)
+	if err := writeHeapProfile(stem + ".heap.base.pprof"); err != nil {
+		return nil, err
+	}
 	cpuF, err := os.Create(stem + ".cpu.pprof")
 	if err != nil {
 		return nil, fmt.Errorf("harness: create cpu profile: %w", err)
@@ -202,14 +211,23 @@ func (r *Runner) runProfiled(j Job, stem string) (*core.Result, error) {
 	}
 	res, runErr := r.runContained(j)
 	pprof.StopCPUProfile()
-	heapF, err := os.Create(stem + ".heap.pprof")
-	if err != nil {
-		return nil, fmt.Errorf("harness: create heap profile: %w", err)
-	}
-	defer heapF.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(heapF); err != nil {
-		return nil, fmt.Errorf("harness: write heap profile: %w", err)
+	if err := writeHeapProfile(stem + ".heap.pprof"); err != nil {
+		return nil, err
 	}
 	return res, runErr
+}
+
+// writeHeapProfile collects garbage, so the profile's in-use figures hold
+// only live objects, and writes the heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("harness: create heap profile: %w", err)
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return fmt.Errorf("harness: write heap profile: %w", err)
+	}
+	return nil
 }

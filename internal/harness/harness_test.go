@@ -260,7 +260,10 @@ func TestProfileStems(t *testing.T) {
 	for _, e := range entries {
 		got = append(got, e.Name())
 	}
-	want := []string{"X1-0.1-s1.cpu.pprof", "X1-0.1-s1.heap.pprof", "X1-0.2-s1.cpu.pprof", "X1-0.2-s1.heap.pprof"}
+	want := []string{
+		"X1-0.1-s1.cpu.pprof", "X1-0.1-s1.heap.base.pprof", "X1-0.1-s1.heap.pprof",
+		"X1-0.2-s1.cpu.pprof", "X1-0.2-s1.heap.base.pprof", "X1-0.2-s1.heap.pprof",
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("2 scales x 1 seed left %v, want %v", got, want)
 	}

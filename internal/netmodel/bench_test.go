@@ -209,10 +209,58 @@ func BenchmarkTransportCall(b *testing.B) {
 	}
 }
 
+// TestCallSteadyStateAllocs pins every way an exchange can go back to the
+// pool: answered, refused at admission (back at the deadline), served
+// without an answer (back at the deadline) and a request delivered after
+// its deadline that serve declines (back in that delivery). benchNet's two
+// nodes are 45 ms ± 10 % apart, so a 10 ms deadline always expires first.
+// Each case checks its outcome, so a case cannot drift into another's path.
 func TestCallSteadyStateAllocs(t *testing.T) {
-	call := warmCall(t)
-	if avg := testing.AllocsPerRun(200, call); avg != 0 {
-		t.Fatalf("a warm answered Call allocates %.1f, want 0", avg)
+	t.Run("answered", func(t *testing.T) {
+		call := warmCall(t)
+		if avg := testing.AllocsPerRun(200, call); avg != 0 {
+			t.Fatalf("a warm answered Call allocates %.1f, want 0", avg)
+		}
+	})
+	for _, tc := range []struct {
+		name     string
+		timeout  time.Duration
+		down     bool // the receiver is offline, so Send refuses the request
+		wantSent bool
+		wantServ int // serves per call
+	}{
+		{name: "refused at admission", timeout: time.Second, down: true},
+		{name: "served without an answer", timeout: time.Second, wantSent: true, wantServ: 1},
+		{name: "late request declined", timeout: 10 * time.Millisecond, wantSent: true, wantServ: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, n, ids := benchNet(2)
+			n.SetUp(ids[1], !tc.down)
+			calls, served, failed := 0, 0, 0
+			serve := func() bool { served++; return false }
+			done := func(ok bool) {
+				if !ok {
+					failed++
+				}
+			}
+			call := func() {
+				calls++
+				if sent := n.Call(ids[0], ids[1], 40, 120, tc.timeout, serve, done); sent != tc.wantSent {
+					t.Fatalf("Call reported sent=%t, want %t", sent, tc.wantSent)
+				}
+				if err := s.Run(); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			}
+			call()
+			if avg := testing.AllocsPerRun(200, call); avg != 0 {
+				t.Fatalf("a warm Call allocates %.1f, want 0", avg)
+			}
+			if failed != calls || served != tc.wantServ*calls || len(n.calls) != 1 {
+				t.Fatalf("%d calls: %d done(false), %d serves, %d exchanges pooled; want %d, %d, 1",
+					calls, failed, served, len(n.calls), calls, tc.wantServ*calls)
+			}
+		})
 	}
 }
 

@@ -117,3 +117,55 @@ func TestCallDeadlineBooksFirst(t *testing.T) {
 		t.Fatalf("events at the tie ran as %s, want [done(false) serve]", got)
 	}
 }
+
+// TestCallLateRequestServedOnce sends a request that arrives after its
+// deadline (Asia, 80 ms one way, under a 20 ms deadline) and issues a second
+// exchange from the first's done(false), while the first request is still
+// in flight. The late request must run the first exchange's serve exactly
+// once: had the first exchange gone back to the pool at its deadline, the
+// second would have taken it, and the late delivery would run the second's
+// serve a second time instead. The late serve declines, so its delivery
+// returns the first exchange to the pool, and a third exchange that takes
+// it runs only its own serve.
+func TestCallLateRequestServedOnce(t *testing.T) {
+	s, n := newNet(t, WithJitter(0))
+	a, far, near := n.AddNode(Europe, 0), n.AddNode(Asia, 0), n.AddNode(Europe, 0)
+	served := map[string][]time.Duration{}
+	var log []string
+	exchange := func(name string, to NodeID, timeout time.Duration, answer bool, then func()) {
+		n.Call(a, to, 40, 120, timeout,
+			func() bool {
+				served[name] = append(served[name], s.Now())
+				return answer
+			},
+			func(ok bool) {
+				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, s.Now()))
+				if then != nil {
+					then()
+				}
+			})
+	}
+	exchange("first", far, 20*time.Millisecond, false, func() {
+		exchange("second", near, 100*time.Millisecond, true, nil)
+	})
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got, want := fmt.Sprint(served), "map[first:[80ms] second:[35ms]]"; got != want {
+		t.Fatalf("serves ran as %s, want %s", got, want)
+	}
+	if len(n.calls) != 2 {
+		t.Fatalf("%d exchanges pooled after both ended, want 2", len(n.calls))
+	}
+	exchange("third", near, 100*time.Millisecond, true, nil)
+	if err := s.RunUntil(2 * time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(served["first"]) != 1 || len(served["second"]) != 1 || len(served["third"]) != 1 {
+		t.Fatalf("serves after a third exchange: %v, want one each", served)
+	}
+	want := "[first false@20ms second true@50ms third true@1.03s]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("exchanges reported %s, want %s", got, want)
+	}
+}

@@ -462,21 +462,28 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 // caller's done reads.
 // done(true) fires iff the response is delivered while the deadline is still
 // pending; otherwise done(false) fires exactly once, at the deadline, and a
-// reply arriving later is dropped unseen. The exchange's own state comes
+// reply arriving later is dropped unseen. Call reports whether Send took the
+// request: if it did not, serve never runs. The exchange's own state comes
 // from the net's pool, so a caller passing serve and done funcs it bound once
-// makes an answered Call allocate nothing.
-func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
+// makes a Call allocate nothing whenever the exchange goes back to the pool.
+func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) bool {
 	x := n.exchange()
 	x.from, x.to, x.respSize, x.serve, x.done = from, to, respSize, serve, done
+	x.served, x.replying = false, false
 	x.deadline = n.kern.After(timeout, x.expire)
 	x.sent = n.Send(from, to, reqSize, x.request)
+	return x.sent
 }
 
 // exchange is the state of one Call, with its three event callbacks bound
-// once per object. It goes back to the net's pool when the response is
-// delivered, or at the deadline if the request was never sent. Any other
-// exchange (request or response dropped, serve declining) may still have an
-// event in flight or never will, and is left to the garbage collector.
+// once per object. It goes back to the net's pool as soon as no event can
+// still reach it: when the response is delivered; at the deadline if the
+// request was never sent, or was served with no response in flight; and in
+// the delivery of a request that arrives after its deadline, unless that
+// delivery puts a response in flight. An exchange whose request or response
+// is dropped in flight cannot tell its message is gone, so it is left to the
+// garbage collector: a late serve must run on its own exchange, never on a
+// reused one.
 type exchange struct {
 	n                         *Net
 	from, to                  NodeID
@@ -485,6 +492,8 @@ type exchange struct {
 	done                      func(ok bool)
 	deadline                  sim.Handle
 	sent                      bool // Send accepted the request
+	served                    bool // the request was delivered and serve ran
+	replying                  bool // Send accepted the response
 	expire, request, response func()
 }
 
@@ -508,15 +517,19 @@ func (x *exchange) release() {
 
 func (x *exchange) onDeadline() {
 	done := x.done
-	if !x.sent {
+	if !x.sent || (x.served && !x.replying) {
 		x.release()
 	}
 	done(false)
 }
 
 func (x *exchange) onRequest() {
+	x.served = true
 	if x.serve() {
-		x.n.Send(x.to, x.from, x.respSize, x.response)
+		x.replying = x.n.Send(x.to, x.from, x.respSize, x.response)
+	}
+	if !x.replying && !x.deadline.Scheduled() { // a late request: nothing can reach x any more
+		x.release()
 	}
 }
 

@@ -314,8 +314,14 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // rpc is one FIND_NODE query, the exchange netmodel.Net.Call runs with serve
 // and done bound once per object. It reports to its lookup exactly once,
 // with either the contacts from the reply or ok=false on timeout/drop —
-// also when the request was served and only the reply was late or lost. It goes back to the pool only after done(true): after
-// done(false) the request may still be served, and serve writes into it.
+// also when the request was served and only the reply was late or lost.
+// It goes back to the pool, reply buffer and all, once no serve can still
+// write into it: after done(true), and after done(false) if the request was
+// never sent or was already served. A done(false) with the request still in
+// flight leaves it to the garbage collector, because a late serve writes
+// into it. sent and served copy the netmodel exchange's flags of the same
+// names, so this rule must change with netmodel's if Call ever changes when
+// it runs serve.
 type rpc struct {
 	nw     *Network
 	serve  func() bool
@@ -326,16 +332,19 @@ type rpc struct {
 	dist   overlay.Distance // the queried candidate's, which names it to the lookup
 	target overlay.ID       // serve's copy: the lookup may be recycled before a late serve
 	reply  []Contact        // written by serve, read by done
+	sent   bool             // Call put the request on the wire
+	served bool             // serve has run
 }
 
 // send queries the candidate of l at distance d, which is to.
 func (r *rpc) send(l *lookup, to Contact, d overlay.Distance) {
-	r.lookup, r.from, r.to, r.dist, r.target = l, l.origin, to, d, l.target
+	r.lookup, r.from, r.to, r.dist, r.target, r.served = l, l.origin, to, d, l.target, false
 	nw := r.nw
-	nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
+	r.sent = nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
 }
 
 func (r *rpc) handle() bool {
+	r.served = true
 	nw := r.nw
 	recv, ok := nw.byAddr[r.to.Addr]
 	if !ok || !recv.online {
@@ -357,9 +366,12 @@ func (r *rpc) handle() bool {
 func (r *rpc) complete(ok bool) {
 	if !ok {
 		r.lookup.onReply(r.dist, nil, false)
-		return
+		if r.sent && !r.served {
+			return // the request is still in flight: a late serve writes into r
+		}
+	} else {
+		r.lookup.onReply(r.dist, r.reply, true)
 	}
-	r.lookup.onReply(r.dist, r.reply, true)
 	r.lookup, r.from = nil, nil
 	r.nw.pool.rpcs = append(r.nw.pool.rpcs, r)
 }

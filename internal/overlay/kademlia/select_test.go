@@ -472,15 +472,65 @@ func TestClosestAllocs(t *testing.T) {
 
 // A warm lookup allocates its Result.Closest and nothing else: the lookup,
 // its candidates, its queries, their replies and the transport's exchanges
-// all come back from the pools. Warm means every lookup of the cycle has
-// run twice, so sender learning has put the origins in every table it will.
+// all come back from the pools — also when a query times out, whether its
+// request was never sent (the contact is offline) or was served and
+// declined (the contact is unresponsive). Warm means every lookup of the
+// cycle has run twice, so sender learning has put the origins in every
+// table it will.
 func TestLookupSteadyStateAllocs(t *testing.T) {
-	s, nw, targets := benchTargets(t)
-	nodes := nw.Nodes()
-	done := func(r Result) { benchSink += len(r.Closest) }
-	i := 0
+	t.Run("answered", func(t *testing.T) {
+		s, nw, targets := benchTargets(t)
+		nodes := nw.Nodes()
+		checkLookupAllocs(t, s, nw, func(i int) (*Node, overlay.ID) { return nodes[i%16], targets[i%16] }, nil)
+	})
+	t.Run("offline contacts", func(t *testing.T) {
+		// Every node but the origin is offline, so each query's request is
+		// refused at admission and times out; the lookup evicts them all, and
+		// each run puts them back.
+		s, nw := newDeployment(t, 64, Config{K: 8, Alpha: 3, RPCTimeout: time.Second}, 3)
+		origin := nw.Nodes()[0]
+		contacts := origin.Table().Contacts()
+		for _, n := range nw.Nodes()[1:] {
+			nw.SetOnline(n, false)
+		}
+		target := overlay.RandomID(sim.NewRNG(4))
+		checkLookupAllocs(t, s, nw, func(int) (*Node, overlay.ID) {
+			for _, c := range contacts {
+				origin.Table().Add(c)
+			}
+			return origin, target
+		}, func(r Result) bool { return r.RPCs == 8 && r.Timeouts == 8 && r.Closest == nil })
+	})
+	t.Run("unresponsive contact", func(t *testing.T) {
+		// The node closest to each target is unresponsive: a lookup learns it
+		// from its neighbours' replies, and its query is served, declines
+		// and times out.
+		s, nw, targets := benchTargets(t)
+		nodes := nw.Nodes()
+		for _, target := range targets[:16] {
+			nw.ClosestOnline(target, 1)[0].responsive = false
+		}
+		checkLookupAllocs(t, s, nw, func(i int) (*Node, overlay.ID) { return nodes[i%16], targets[i%16] },
+			func(r Result) bool { return r.Timeouts > 0 && r.Closest != nil })
+	})
+}
+
+// checkLookupAllocs runs the lookups next(0), next(1), … to completion, a
+// cycle of 16 twice to warm the pools and then under AllocsPerRun, and fails
+// if a warm lookup allocates more than its Result.Closest, or if any result
+// fails want (nil accepts every result).
+func checkLookupAllocs(t *testing.T, s *sim.Sim, nw *Network, next func(i int) (*Node, overlay.ID), want func(Result) bool) {
+	t.Helper()
+	i, bad := 0, 0
+	done := func(r Result) {
+		benchSink += len(r.Closest)
+		if want != nil && !want(r) {
+			bad++
+		}
+	}
 	lookup := func() {
-		nw.Lookup(nodes[i%16], targets[i%16], done)
+		origin, target := next(i)
+		nw.Lookup(origin, target, done)
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -490,6 +540,9 @@ func TestLookupSteadyStateAllocs(t *testing.T) {
 		lookup()
 	}
 	if allocs := testing.AllocsPerRun(160, lookup); allocs > 1 {
-		t.Fatalf("a warm lookup allocates %.1f objects, want 1 (its Result.Closest)", allocs)
+		t.Fatalf("a warm lookup allocates %.1f objects, want at most 1 (its Result.Closest)", allocs)
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d lookups did not take the path under test", bad, i)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 )
@@ -205,6 +206,44 @@ func TestTickerSteadyStateAllocs(t *testing.T) {
 	if want := 10 + 16*101; ticks != want {
 		t.Fatalf("ticked %d times, want %d", ticks, want)
 	}
+}
+
+// TestFreshScheduleAllocs schedules and fires 100 000 events on a fresh
+// Sim. Slots come from chunks of up to maxChunk and the heap array doubles,
+// so the count is about N/maxChunk chunks plus log₂ N heap arrays (115 in
+// all) — not one object per event, and not the ~40 arrays append's
+// quarter-step growth would take.
+func TestFreshScheduleAllocs(t *testing.T) {
+	const n = 100_000
+	var sink []int64
+	avg := testing.AllocsPerRun(1, func() {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.AfterFunc(time.Duration(i%977)*time.Microsecond, countPayloads, Payload{Ctx: &sink})
+		}
+		if s.Pending() != n {
+			t.Fatalf("Pending() = %d, want %d", s.Pending(), n)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	if want := float64(n/maxChunk + bits.Len(n) + 8); avg > want {
+		t.Fatalf("scheduling %d events on a fresh Sim allocates %.0f objects, want at most %.0f", n, avg, want)
+	}
+	if len(sink) != 1 || sink[0] != 2*n {
+		t.Fatalf("fired %v events over two runs, want [%d]", sink, 2*n)
+	}
+}
+
+// countPayloads counts fired events in the first element of the slice Ctx
+// points at, growing it only once.
+func countPayloads(p Payload) {
+	dst := p.Ctx.(*[]int64)
+	if len(*dst) == 0 {
+		*dst = append(*dst, 0)
+	}
+	(*dst)[0]++
 }
 
 func BenchmarkKernelAfterFuncPooled(b *testing.B) {
