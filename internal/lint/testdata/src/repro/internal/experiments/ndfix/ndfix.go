@@ -66,7 +66,7 @@ func (sched) After(d time.Duration, fn func()) {}
 
 func (sched) SendFrom(from, to, size int, fn func(from, to int)) bool { return true }
 
-func (sched) Call(from, to, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) {
+func (sched) Call(from, to, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok, inFlight bool)) {
 }
 
 func schedule(m map[string]int, s sched) {

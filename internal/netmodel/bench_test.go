@@ -182,8 +182,8 @@ func warmCall(tb testing.TB) func() {
 	s, n, ids := benchNet(2)
 	answered := 0
 	serve := func() bool { return true }
-	done := func(ok bool) {
-		if ok {
+	done := func(ok, inFlight bool) {
+		if ok && !inFlight {
 			answered++
 		}
 	}
@@ -214,7 +214,8 @@ func BenchmarkTransportCall(b *testing.B) {
 // without an answer (back at the deadline) and a request delivered after
 // its deadline that serve declines (back in that delivery). benchNet's two
 // nodes are 45 ms ± 10 % apart, so a 10 ms deadline always expires first.
-// Each case checks its outcome, so a case cannot drift into another's path.
+// Each case checks its outcome, including whether done reports the request
+// still in flight, so a case cannot drift into another's path.
 func TestCallSteadyStateAllocs(t *testing.T) {
 	t.Run("answered", func(t *testing.T) {
 		call := warmCall(t)
@@ -223,31 +224,32 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	for _, tc := range []struct {
-		name     string
-		timeout  time.Duration
-		down     bool // the receiver is offline, so Send refuses the request
-		wantSent bool
-		wantServ int // serves per call
+		name         string
+		timeout      time.Duration
+		down         bool // the receiver is offline, so Send refuses the request
+		wantInFlight bool // done's second argument
+		wantServ     int  // serves per call
 	}{
 		{name: "refused at admission", timeout: time.Second, down: true},
-		{name: "served without an answer", timeout: time.Second, wantSent: true, wantServ: 1},
-		{name: "late request declined", timeout: 10 * time.Millisecond, wantSent: true, wantServ: 1},
+		{name: "served without an answer", timeout: time.Second, wantServ: 1},
+		{name: "late request declined", timeout: 10 * time.Millisecond, wantInFlight: true, wantServ: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, n, ids := benchNet(2)
 			n.SetUp(ids[1], !tc.down)
 			calls, served, failed := 0, 0, 0
 			serve := func() bool { served++; return false }
-			done := func(ok bool) {
+			done := func(ok, inFlight bool) {
+				if inFlight != tc.wantInFlight {
+					t.Fatalf("done reported inFlight=%t, want %t", inFlight, tc.wantInFlight)
+				}
 				if !ok {
 					failed++
 				}
 			}
 			call := func() {
 				calls++
-				if sent := n.Call(ids[0], ids[1], 40, 120, tc.timeout, serve, done); sent != tc.wantSent {
-					t.Fatalf("Call reported sent=%t, want %t", sent, tc.wantSent)
-				}
+				n.Call(ids[0], ids[1], 40, 120, tc.timeout, serve, done)
 				if err := s.Run(); err != nil {
 					t.Fatalf("Run: %v", err)
 				}

@@ -9,7 +9,8 @@ import (
 // checkCallCases drives Call through every way an exchange can end, each on
 // a fresh two-node net (both in Europe, no jitter: the request lands at
 // 15 ms, the reply at 30 ms). A case's fault is injected between two chunks
-// of the run.
+// of the run. Each case pins both of done's arguments, ok/inFlight, and the
+// instant done fired.
 func checkCallCases(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	for _, tc := range []struct {
@@ -22,17 +23,19 @@ func checkCallCases(t *testing.T) {
 		want     string
 		served   int
 	}{
-		{name: "answered inside the deadline", timeout: deadline, want: "true@30ms", served: 1},
-		{name: "answered after the deadline", timeout: 20 * time.Millisecond, want: "false@20ms", served: 1},
-		{name: "answered at the deadline", timeout: 30 * time.Millisecond, want: "false@30ms", served: 1},
-		{name: "request lost", timeout: deadline, lossy: true, want: "false@100ms"},
+		{name: "answered inside the deadline", timeout: deadline, want: "true/false@30ms", served: 1},
+		{name: "answered after the deadline", timeout: 20 * time.Millisecond, want: "false/false@20ms", served: 1},
+		{name: "answered at the deadline", timeout: 30 * time.Millisecond, want: "false/false@30ms", served: 1},
+		{name: "request in flight at the deadline", timeout: 10 * time.Millisecond, want: "false/true@10ms", served: 1},
+		{name: "request delivered at the deadline", timeout: 15 * time.Millisecond, want: "false/true@15ms", served: 1},
+		{name: "request lost", timeout: deadline, lossy: true, want: "false/false@100ms"},
 		{name: "response lost", timeout: deadline, at: 5 * time.Millisecond,
-			inject: func(n *Net, a, b NodeID) { n.SetLoss(1) }, want: "false@100ms", served: 1},
+			inject: func(n *Net, a, b NodeID) { n.SetLoss(1) }, want: "false/false@100ms", served: 1},
 		{name: "receiver down at request delivery", timeout: deadline, at: 5 * time.Millisecond,
-			inject: func(n *Net, a, b NodeID) { n.SetUp(b, false) }, want: "false@100ms"},
+			inject: func(n *Net, a, b NodeID) { n.SetUp(b, false) }, want: "false/true@100ms"},
 		{name: "requester down with the response in flight", timeout: deadline, at: 20 * time.Millisecond,
-			inject: func(n *Net, a, b NodeID) { n.SetUp(a, false) }, want: "false@100ms", served: 1},
-		{name: "serve declines", timeout: deadline, declines: true, want: "false@100ms", served: 1},
+			inject: func(n *Net, a, b NodeID) { n.SetUp(a, false) }, want: "false/false@100ms", served: 1},
+		{name: "serve declines", timeout: deadline, declines: true, want: "false/false@100ms", served: 1},
 	} {
 		s, n := newNet(t, WithJitter(0))
 		a, b := n.AddNode(Europe, 0), n.AddNode(Europe, 0)
@@ -43,7 +46,7 @@ func checkCallCases(t *testing.T) {
 		served := 0
 		n.Call(a, b, 40, 120, tc.timeout,
 			func() bool { served++; return !tc.declines },
-			func(ok bool) { log = append(log, fmt.Sprintf("%t@%v", ok, s.Now())) })
+			func(ok, inFlight bool) { log = append(log, fmt.Sprintf("%t/%t@%v", ok, inFlight, s.Now())) })
 		if tc.inject != nil {
 			if err := s.RunUntil(tc.at); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -75,8 +78,8 @@ func checkCallReuse(t *testing.T) {
 				log = append(log, fmt.Sprintf("%s served@%v", name, s.Now()))
 				return true
 			},
-			func(ok bool) {
-				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, s.Now()))
+			func(ok, inFlight bool) {
+				log = append(log, fmt.Sprintf("%s %t/%t@%v", name, ok, inFlight, s.Now()))
 				if then != nil {
 					then()
 				}
@@ -88,7 +91,7 @@ func checkCallReuse(t *testing.T) {
 	if err := s.RunUntil(time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	want := "[first false@20ms second served@35ms second true@50ms first served@80ms]"
+	want := "[first false/true@20ms second served@35ms second true/false@50ms first served@80ms]"
 	if got := fmt.Sprint(log); got != want {
 		t.Errorf("exchanges reported %s, want %s", got, want)
 	}
@@ -109,7 +112,7 @@ func TestCallDeadlineBooksFirst(t *testing.T) {
 	var order []string
 	n.Call(a, b, 40, 120, 15*time.Millisecond,
 		func() bool { order = append(order, "serve"); return true },
-		func(ok bool) { order = append(order, fmt.Sprintf("done(%t)", ok)) })
+		func(ok, _ bool) { order = append(order, fmt.Sprintf("done(%t)", ok)) })
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -138,8 +141,8 @@ func TestCallLateRequestServedOnce(t *testing.T) {
 				served[name] = append(served[name], s.Now())
 				return answer
 			},
-			func(ok bool) {
-				log = append(log, fmt.Sprintf("%s %t@%v", name, ok, s.Now()))
+			func(ok, inFlight bool) {
+				log = append(log, fmt.Sprintf("%s %t/%t@%v", name, ok, inFlight, s.Now()))
 				if then != nil {
 					then()
 				}
@@ -164,7 +167,7 @@ func TestCallLateRequestServedOnce(t *testing.T) {
 	if len(served["first"]) != 1 || len(served["second"]) != 1 || len(served["third"]) != 1 {
 		t.Fatalf("serves after a third exchange: %v, want one each", served)
 	}
-	want := "[first false@20ms second true@50ms third true@1.03s]"
+	want := "[first false/true@20ms second true/false@50ms third true/false@1.03s]"
 	if got := fmt.Sprint(log); got != want {
 		t.Errorf("exchanges reported %s, want %s", got, want)
 	}

@@ -460,40 +460,38 @@ func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 // serve runs in the request's delivery and reports whether an answer goes
 // back; whatever it computes for the requester it leaves in variables the
 // caller's done reads.
-// done(true) fires iff the response is delivered while the deadline is still
-// pending; otherwise done(false) fires exactly once, at the deadline, and a
-// reply arriving later is dropped unseen. Call reports whether Send took the
-// request: if it did not, serve never runs. The exchange's own state comes
-// from the net's pool, so a caller passing serve and done funcs it bound once
-// makes a Call allocate nothing whenever the exchange goes back to the pool.
-func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok bool)) bool {
+// done(true, false) fires iff the response is delivered while the deadline
+// is still pending; otherwise done(false, inFlight) fires exactly once, at
+// the deadline, and a reply arriving later is dropped unseen. inFlight
+// reports that the request is still on its way: serve may still run after
+// done returns. With inFlight false, serve has run or never will. The
+// exchange's own state comes from the net's pool, so a caller passing serve
+// and done funcs it bound once makes a Call allocate nothing whenever the
+// exchange goes back to the pool.
+func (n *Net) Call(from, to NodeID, reqSize, respSize int, timeout time.Duration, serve func() bool, done func(ok, inFlight bool)) {
 	x := n.exchange()
 	x.from, x.to, x.respSize, x.serve, x.done = from, to, respSize, serve, done
-	x.served, x.replying = false, false
 	x.deadline = n.kern.After(timeout, x.expire)
-	x.sent = n.Send(from, to, reqSize, x.request)
-	return x.sent
+	x.inFlight = n.Send(from, to, reqSize, x.request)
 }
 
 // exchange is the state of one Call, with its three event callbacks bound
-// once per object. It goes back to the net's pool as soon as no event can
-// still reach it: when the response is delivered; at the deadline if the
-// request was never sent, or was served with no response in flight; and in
-// the delivery of a request that arrives after its deadline, unless that
-// delivery puts a response in flight. An exchange whose request or response
-// is dropped in flight cannot tell its message is gone, so it is left to the
-// garbage collector: a late serve must run on its own exchange, never on a
-// reused one.
+// once per object. Each callback ends with settle (before calling done, so
+// done may reuse the exchange): one rule returns it to the net's pool once
+// no request and no response is in flight and no deadline is pending. A
+// message dropped in flight cannot tell the exchange it is gone, so an
+// exchange whose request or response is dropped is left to the garbage
+// collector: a late serve must run on its own exchange, never on a reused
+// one. A pooled exchange has neither flag set and no deadline pending.
 type exchange struct {
 	n                         *Net
 	from, to                  NodeID
 	respSize                  int
 	serve                     func() bool
-	done                      func(ok bool)
+	done                      func(ok, inFlight bool)
 	deadline                  sim.Handle
-	sent                      bool // Send accepted the request
-	served                    bool // the request was delivered and serve ran
-	replying                  bool // Send accepted the response
+	inFlight                  bool // the request is on its way and serve has not run
+	replying                  bool // the response is on its way
 	expire, request, response func()
 }
 
@@ -509,37 +507,34 @@ func (n *Net) exchange() *exchange {
 	return x
 }
 
-// release returns an exchange no event refers to any more to its pool.
-func (x *exchange) release() {
-	x.serve, x.done = nil, nil
-	x.n.calls = append(x.n.calls, x)
+// settle returns x to its pool if no event can reach it any more.
+func (x *exchange) settle() {
+	if !x.inFlight && !x.replying && !x.deadline.Scheduled() {
+		x.serve, x.done = nil, nil
+		x.n.calls = append(x.n.calls, x)
+	}
 }
 
 func (x *exchange) onDeadline() {
-	done := x.done
-	if !x.sent || (x.served && !x.replying) {
-		x.release()
-	}
-	done(false)
+	done, inFlight := x.done, x.inFlight
+	x.settle()
+	done(false, inFlight)
 }
 
 func (x *exchange) onRequest() {
-	x.served = true
+	x.inFlight = false
 	if x.serve() {
 		x.replying = x.n.Send(x.to, x.from, x.respSize, x.response)
 	}
-	if !x.replying && !x.deadline.Scheduled() { // a late request: nothing can reach x any more
-		x.release()
-	}
+	x.settle()
 }
 
 func (x *exchange) onResponse() {
 	done, answered := x.done, x.deadline.Scheduled()
+	x.replying = false
+	x.deadline.Cancel()
+	x.settle()
 	if answered {
-		x.deadline.Cancel()
-	}
-	x.release()
-	if answered {
-		done(true)
+		done(true, false)
 	}
 }

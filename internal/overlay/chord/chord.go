@@ -168,7 +168,7 @@ func (nw *Network) rpc(from *Node, to netmodel.NodeID, onDone func(peer *Node, o
 			peer = nw.byAddr[to]
 			return peer != nil && peer.online
 		},
-		func(ok bool) { onDone(peer, ok) })
+		func(ok, _ bool) { onDone(peer, ok) })
 }
 
 // Lookup routes iteratively from origin to the owner of key, invoking done

@@ -1,6 +1,7 @@
 package kademlia
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,33 @@ func TestTableBucketsOnDemand(t *testing.T) {
 	}
 	if !slices.Equal(tab.Contacts(), before) {
 		t.Fatal("reset and re-adding the same contacts built a different table")
+	}
+}
+
+// Filling buckets in ascending order, one new highest bucket per Add, must
+// not reallocate the bucket array per Add: its capacity doubles, so the
+// IDBits buckets cost 1 + ceil(log2(IDBits)) arrays (9 for 160 bits), and
+// its length stays one past the highest bucket filled.
+func TestTableBucketArrayGrowth(t *testing.T) {
+	self := overlay.RandomID(sim.NewRNG(44))
+	tab := NewTable(self, 8)
+	reallocs, prevCap := 0, cap(tab.buckets)
+	for i := 0; i < overlay.IDBits; i++ {
+		b := self.Bytes()
+		b[i/8] ^= 0x80 >> (i % 8) // the first bit that differs from self is bit i
+		if !tab.Add(Contact{ID: overlay.FromBytes(b), Addr: netmodel.NodeID(i)}) {
+			t.Fatalf("Add into empty bucket %d failed", i)
+		}
+		if len(tab.buckets) != i+1 {
+			t.Fatalf("%d bucket slots after filling bucket %d, want %d", len(tab.buckets), i, i+1)
+		}
+		if c := cap(tab.buckets); c != prevCap {
+			reallocs, prevCap = reallocs+1, c
+		}
+	}
+	if want := 1 + bits.Len(uint(overlay.IDBits-1)); reallocs != want {
+		t.Fatalf("filling %d buckets in ascending order reallocated the bucket array %d times, want %d",
+			overlay.IDBits, reallocs, want)
 	}
 }
 

@@ -315,36 +315,29 @@ func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 // and done bound once per object. It reports to its lookup exactly once,
 // with either the contacts from the reply or ok=false on timeout/drop —
 // also when the request was served and only the reply was late or lost.
-// It goes back to the pool, reply buffer and all, once no serve can still
-// write into it: after done(true), and after done(false) if the request was
-// never sent or was already served. A done(false) with the request still in
-// flight leaves it to the garbage collector, because a late serve writes
-// into it. sent and served copy the netmodel exchange's flags of the same
-// names, so this rule must change with netmodel's if Call ever changes when
-// it runs serve.
+// It goes back to the pool, reply buffer and all, in done, unless done
+// reports its request still in flight: a late serve writes into it, so it
+// is left to the garbage collector.
 type rpc struct {
 	nw     *Network
 	serve  func() bool
-	done   func(ok bool)
+	done   func(ok, inFlight bool)
 	lookup *lookup
 	from   *Node
 	to     Contact
 	dist   overlay.Distance // the queried candidate's, which names it to the lookup
 	target overlay.ID       // serve's copy: the lookup may be recycled before a late serve
 	reply  []Contact        // written by serve, read by done
-	sent   bool             // Call put the request on the wire
-	served bool             // serve has run
 }
 
 // send queries the candidate of l at distance d, which is to.
 func (r *rpc) send(l *lookup, to Contact, d overlay.Distance) {
-	r.lookup, r.from, r.to, r.dist, r.target, r.served = l, l.origin, to, d, l.target, false
+	r.lookup, r.from, r.to, r.dist, r.target = l, l.origin, to, d, l.target
 	nw := r.nw
-	r.sent = nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
+	nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
 }
 
 func (r *rpc) handle() bool {
-	r.served = true
 	nw := r.nw
 	recv, ok := nw.byAddr[r.to.Addr]
 	if !ok || !recv.online {
@@ -363,14 +356,10 @@ func (r *rpc) handle() bool {
 	return true
 }
 
-func (r *rpc) complete(ok bool) {
-	if !ok {
-		r.lookup.onReply(r.dist, nil, false)
-		if r.sent && !r.served {
-			return // the request is still in flight: a late serve writes into r
-		}
-	} else {
-		r.lookup.onReply(r.dist, r.reply, true)
+func (r *rpc) complete(ok, inFlight bool) {
+	r.lookup.onReply(r.dist, r.reply, ok) // the reply is read only when ok
+	if inFlight {
+		return // a late serve writes into r
 	}
 	r.lookup, r.from = nil, nil
 	r.nw.pool.rpcs = append(r.nw.pool.rpcs, r)

@@ -30,7 +30,7 @@ type Contact struct {
 type Table struct {
 	self    overlay.ID
 	k       int
-	buckets [][]Contact        // grown on demand: every bucket past its end is empty
+	buckets [][]Contact        // grown on demand, capacity doubling: every bucket past its end is empty
 	dists   []overlay.Distance // appendClosest's scratch, beside the items it selects
 }
 
@@ -87,9 +87,12 @@ func (t *Table) Add(c Contact) bool {
 		b = make([]Contact, 0, t.k)
 	}
 	if idx >= len(t.buckets) {
-		grown := make([][]Contact, idx+1)
-		copy(grown, t.buckets)
-		t.buckets = grown
+		if idx >= cap(t.buckets) {
+			grown := make([][]Contact, len(t.buckets), max(idx+1, 2*cap(t.buckets)))
+			copy(grown, t.buckets)
+			t.buckets = grown
+		}
+		t.buckets = t.buckets[:idx+1]
 	}
 	t.buckets[idx] = append(b, c)
 	return true

@@ -202,7 +202,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 				peer, ok := nw.byAddr[target.Addr]
 				return ok && peer.online
 			},
-			func(ok bool) {
+			func(ok, _ bool) {
 				if !ok {
 					attempt(i + 1)
 					return
