@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
 
@@ -118,5 +119,76 @@ func TestInitialOnlineClamped(t *testing.T) {
 	p.Start()
 	if p.OnlineCount() != 100 {
 		t.Fatalf("OnlineCount = %d, want 100 with clamped InitialOnline", p.OnlineCount())
+	}
+}
+
+// TestCallbacksDoNotSteer pins the premise of E15's quiet tail: once its
+// last measured lookup has reported, E15 stops rebuilding routing tables
+// on join, which changes everything its callbacks do, and reads only
+// OnlineCount at the horizon. That is byte-neutral only if the process's
+// own schedule ignores what its callbacks do. So two processes on kernels
+// with the same seed must agree on who is online at every checkpoint, one
+// with no-op callbacks and one whose callbacks schedule unrelated events
+// (some at the current instant), draw from other named streams, send
+// messages and toggle transport nodes.
+func TestCallbacksDoNotSteer(t *testing.T) {
+	const n = 300
+	session, gap := 8*time.Minute, 4*time.Minute
+	cfg := Config{
+		Session:       Exponential(session),
+		Gap:           Exponential(gap),
+		InitialOnline: ExpectedAvailability(session, gap),
+	}
+	quiet := sim.New(sim.WithSeed(15))
+	qp, err := New(quiet, n, cfg, func(int) {}, func(int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := sim.New(sim.WithSeed(15))
+	nm := netmodel.New(busy, netmodel.WithJitter(0.1))
+	ids := make([]netmodel.NodeID, n)
+	for i := range ids {
+		ids[i] = nm.AddNode(netmodel.Europe, 0)
+	}
+	other, lookups := busy.Stream("other"), busy.Stream("e15")
+	noise := func(node int) {
+		busy.After(0, func() { other.Float64() })
+		busy.After(time.Duration(other.Intn(5000))*time.Millisecond, func() {
+			nm.SetUp(ids[lookups.Intn(n)], other.Bool(0.5))
+		})
+		nm.Send(ids[node], ids[other.Intn(n)], 100, func() { lookups.Uint64() })
+	}
+	bp, err := New(busy, n, cfg, func(node int) {
+		nm.SetUp(ids[node], true)
+		noise(node)
+	}, func(node int) {
+		noise(node)
+		nm.SetUp(ids[node], false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp.Start()
+	bp.Start()
+	const checkpoints = 24
+	for c := 1; c <= checkpoints; c++ {
+		at := time.Duration(c) * 2 * time.Hour / checkpoints
+		if err := quiet.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if err := busy.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if qp.Online(i) != bp.Online(i) {
+				t.Fatalf("at %v node %d: online %t with no-op callbacks, %t with busy ones", at, i, qp.Online(i), bp.Online(i))
+			}
+		}
+	}
+	if q, b := qp.OnlineCount(), bp.OnlineCount(); q != b {
+		t.Fatalf("OnlineCount at 2h: %d with no-op callbacks, %d with busy ones", q, b)
+	}
+	if busy.Fired() <= quiet.Fired() {
+		t.Fatalf("busy kernel fired %d events, quiet %d: the callbacks did no work", busy.Fired(), quiet.Fired())
 	}
 }

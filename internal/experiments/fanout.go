@@ -15,7 +15,8 @@ import (
 // everything it computed, writes no captured variable and shares no RNG
 // with another part, so the results do not depend on how the parts are
 // scheduled. Parts are taken in index order by min(n, GOMAXPROCS) workers,
-// one of them the calling goroutine.
+// one of them the calling goroutine, so a runner lists its costliest part
+// first: started last, it would leave the other workers idle at the end.
 //
 // The lowest-index failure wins, as it would in a loop: no part is taken
 // after one has failed, and the lowest failed index's error is returned or

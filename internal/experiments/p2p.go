@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -488,9 +489,12 @@ func e15Churn() core.Experiment {
 			type level struct {
 				avail, success, latency, timeouts float64
 			}
+			// The paper's order, longest sessions first. Parts take the
+			// levels in reverse, so the churn-heaviest one (minsession is
+			// below 30 min) starts first and the others fill the idle core.
 			sessions := []time.Duration{2 * time.Hour, 30 * time.Minute, minSession}
 			levels, err := fanOut(cfg, len(sessions), func(i int) (level, error) {
-				session := sessions[i]
+				session := sessions[len(sessions)-1-i]
 				s := newSim(cfg)
 				nm := netmodel.New(s, netmodel.WithJitter(0.1))
 				nw := kademlia.NewNetwork(s, nm, kademlia.Config{
@@ -500,11 +504,21 @@ func e15Churn() core.Experiment {
 					nw.AddNode(netmodel.Europe)
 				}
 				gap := session / 2
+				// pending counts the measured lookups that have not yet
+				// reported. Once it is zero nothing reads the overlay
+				// again (only proc.OnlineCount, at 2 h, and the churn
+				// process ignores its callbacks), so a returning node
+				// just comes up instead of rebuilding its table.
+				pending := lookups
 				proc, err := churn.New(s, n, churn.Config{
 					Session:       churn.Exponential(session),
 					Gap:           churn.Exponential(gap),
 					InitialOnline: churn.ExpectedAvailability(session, gap),
 				}, func(node int) {
+					if pending == 0 {
+						nw.SetOnline(nw.Nodes()[node], true)
+						return
+					}
 					nw.Rejoin(nw.Nodes()[node], nil)
 				}, func(node int) {
 					nw.SetOnline(nw.Nodes()[node], false)
@@ -543,6 +557,7 @@ func e15Churn() core.Experiment {
 							}
 						}
 						if origin == nil {
+							pending--
 							return
 						}
 						target := overlay.RandomID(g)
@@ -550,14 +565,16 @@ func e15Churn() core.Experiment {
 							lat.AddDuration(res.Latency)
 							timeouts.Add(float64(res.Timeouts))
 							truth := nw.ClosestOnline(target, 3)
+						found:
 							for _, c := range res.Closest {
 								for _, tn := range truth {
 									if c.ID == tn.ID {
 										success++
-										return
+										break found
 									}
 								}
 							}
+							pending--
 						})
 					})
 				}
@@ -574,6 +591,7 @@ func e15Churn() core.Experiment {
 			if err != nil {
 				return err
 			}
+			slices.Reverse(levels)
 			tab := metrics.NewTable("kademlia under churn (simulated)",
 				"mean session", "availability", "lookup success", "median latency (s)", "timeouts/lookup")
 			fig := &metrics.Figure{Title: "churn impact", XLabel: "mean session (min)", YLabel: "median latency (s)"}
