@@ -209,7 +209,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.scale, "scale", o.scale, help("scale", "workload scale factor (smaller = faster)"))
 	fs.BoolVar(&o.csv, "csv", o.csv, help("csv", "emit CSV instead of aligned text"))
 	fs.BoolVar(&o.json, "json", o.json, help("json", "emit JSON instead of text"))
-	fs.IntVar(&o.parallel, "parallel", o.parallel, help("parallel", "jobs in flight (0 = GOMAXPROCS); one job may use further cores"))
+	fs.IntVar(&o.parallel, "parallel", o.parallel, help("parallel", "upper bound on jobs in flight (0 = none); jobs and their parts share GOMAXPROCS cores"))
 	fs.StringVar(&o.seeds, "seeds", o.seeds, help("seeds", "seed list, e.g. 1..10 or 1,3,9 (default: sweep 1..5, rep 1..n, report and serve 1..3)"))
 	fs.StringVar(&o.scales, "scales", o.scales, help("scales", "scale list to cross, e.g. 0.25,0.5,1 (default: -scale)"))
 	fs.IntVar(&o.reps, "n", o.reps, help("n", "replication count, seeds 1..n (conflicts with -seeds)"))

@@ -3,18 +3,21 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
-// withProcs runs the test with at least n Ps, so that n parts of a fan-out
-// are in flight at once and can wait on each other without deadlocking.
+// withProcs runs the test with n Ps, so that n parts of a fan-out can be in
+// flight at once and wait on each other without deadlocking.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
@@ -127,5 +130,48 @@ func TestFanOutTelemetrySerial(t *testing.T) {
 	}
 	if !slices.Equal(order, []int{0, 1, 2}) {
 		t.Fatalf("parts ran %v, want [0 1 2]: in index order, none after the failure", order)
+	}
+}
+
+// TestFanOutSharesRunnerBudget pins the one core budget: a Runner's jobs
+// and the parts they fan out never run more than GOMAXPROCS parts at once,
+// whatever Runner.Workers says.
+func TestFanOutSharesRunnerBudget(t *testing.T) {
+	var running, most atomic.Int64
+	stub := &exp{id: "EXP", title: "stub", claim: "§I: stub", run: func(cfg core.Config, r *core.Result) error {
+		_, err := fanOut(cfg, 4, func(i int) (int, error) {
+			n := running.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return i, nil
+		})
+		return err
+	}}
+	reg, err := core.NewRegistry(stub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]harness.Job, 4)
+	for i := range jobs {
+		jobs[i] = harness.Job{ExperimentID: "EXP", Config: core.Config{Seed: int64(i + 1), Scale: 1}}
+	}
+	for _, procs := range []int{2, 4} {
+		for _, workers := range []int{0, 8} {
+			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
+				withProcs(t, procs)
+				most.Store(0)
+				runner := &harness.Runner{Registry: reg, Workers: workers}
+				for _, res := range runner.Run(context.Background(), jobs) {
+					if res.Err != nil {
+						t.Fatal(res.Err)
+					}
+				}
+				if m := most.Load(); m > int64(procs) {
+					t.Fatalf("%d parts ran at once, want at most GOMAXPROCS = %d", m, procs)
+				}
+			})
+		}
 	}
 }

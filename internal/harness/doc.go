@@ -5,10 +5,10 @@
 // and sweep points are trivially parallelizable. This package supplies the
 // machinery the single-run core deliberately omits:
 //
-//   - Runner: a worker pool that fans a job list out across GOMAXPROCS
-//     goroutines and returns results in job order, independent of
-//     scheduling. Runner.Run(ctx, jobs) is the one function that executes
-//     jobs; callers with nothing to cancel pass context.Background();
+//   - Runner: runs a job list through core.FanOut, its jobs and their
+//     parts sharing GOMAXPROCS cores, and returns results in job order.
+//     Runner.Run(ctx, jobs) is the one function that executes jobs;
+//     callers with nothing to cancel pass context.Background();
 //   - Sweep: a grid type crossing experiment ids × seeds × scales × named
 //     per-experiment knobs into a deterministic job list;
 //   - Aggregate: collapses multi-seed replications of a scenario into

@@ -40,13 +40,12 @@ type JobResult struct {
 	Host obs.HostSample `json:"-"`
 }
 
-// Runner executes experiment jobs on a bounded worker pool.
+// Runner executes experiment jobs through core.FanOut.
 type Runner struct {
 	// Registry resolves experiment ids to implementations.
 	Registry *core.Registry
-	// Workers bounds the jobs in flight; <=0 means GOMAXPROCS. It does not
-	// bound cores or memory: one job may run its independent parts on up
-	// to GOMAXPROCS goroutines at once, each part with its own kernel.
+	// Workers is an upper bound on the jobs in flight (<=0: none). Jobs and
+	// their parts share GOMAXPROCS cores, so more acts as GOMAXPROCS.
 	Workers int
 	// OnResult, when set, is called once per completed job with its
 	// index into the job list. Calls are serialized (never concurrent)
@@ -70,20 +69,6 @@ type Runner struct {
 // already active.
 var profileMu sync.Mutex
 
-func (r *Runner) workers(jobs int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run executes all jobs and returns their results in job order,
 // regardless of worker count or completion order. Cancellation is checked
 // between jobs: once ctx is done, jobs that have not started yet complete
@@ -92,36 +77,25 @@ func (r *Runner) workers(jobs int) int {
 // no cancellation points of their own). The returned slice always has one
 // entry per job, so aggregation over a cancelled batch stays well formed.
 func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
-	out := make([]JobResult, len(jobs))
 	stems := make([]string, len(jobs)) // profile file stems; "" = run unprofiled
 	if r.ProfileDir != "" {
 		stems = profileStems(jobs)
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := r.workers(len(jobs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					out[i] = JobResult{Job: jobs[i], Err: fmt.Errorf("harness: run cancelled: %w", err)}
-				} else {
-					out[i] = r.runOne(jobs[i], stems[i])
-				}
-				if r.OnResult != nil {
-					r.mu.Lock()
-					r.OnResult(i, out[i])
-					r.mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	// No job returns an error: a failed run is its JobResult.Err.
+	out, _ := core.FanOut(len(jobs), r.Workers, func(i int) (JobResult, error) {
+		var res JobResult
+		if err := ctx.Err(); err != nil {
+			res = JobResult{Job: jobs[i], Err: fmt.Errorf("harness: run cancelled: %w", err)}
+		} else {
+			res = r.runOne(jobs[i], stems[i])
+		}
+		if r.OnResult != nil {
+			r.mu.Lock()
+			r.OnResult(i, res)
+			r.mu.Unlock()
+		}
+		return res, nil
+	})
 	return out
 }
 

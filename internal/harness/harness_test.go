@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -53,8 +54,13 @@ func fakeRegistry(t *testing.T, exps ...core.Experiment) *core.Registry {
 	return reg
 }
 
-// runAll runs jobs on a fresh worker pool that nothing cancels.
+// runAll runs jobs on a fresh Runner that nothing cancels. Jobs share
+// GOMAXPROCS cores, so GOMAXPROCS is raised to workers for the call: on a
+// 2-core machine Workers 8 would otherwise run only 2 jobs at a time.
 func runAll(reg *core.Registry, jobs []Job, workers int) []JobResult {
+	if workers > runtime.GOMAXPROCS(0) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	}
 	r := Runner{Registry: reg, Workers: workers}
 	return r.Run(context.Background(), jobs)
 }

@@ -44,8 +44,9 @@ type Options struct {
 	// manifest with content hashes and byte-deterministic like the
 	// markdown they mirror.
 	HTML bool
-	// Workers bounds the harness worker pool (<= 0 means GOMAXPROCS).
-	// It has no effect on the generated bytes.
+	// Workers is an upper bound on the harness jobs in flight (<= 0: none);
+	// jobs and their parts share GOMAXPROCS cores. It has no effect on the
+	// generated bytes.
 	Workers int
 	// Shards is read by nothing; bench/ writes it, and ROADMAP item 1(A) deletes it.
 	Shards int
