@@ -73,7 +73,6 @@ func New(s *sim.Sim, n int, cfg Config, onJoin, onLeave func(node int)) (*Proces
 // every node.
 func (p *Process) Start() {
 	for i := range p.online {
-		i := i
 		if p.rng.Bool(p.cfg.InitialOnline) {
 			p.join(i)
 			p.scheduleLeave(i)
@@ -83,26 +82,33 @@ func (p *Process) Start() {
 	}
 }
 
+// scheduleLeave and scheduleJoin put the node's next transition on the
+// kernel with a package-level handler, the process and the node in the
+// payload, so a transition allocates nothing.
 func (p *Process) scheduleLeave(node int) {
-	d := p.cfg.Session(p.rng)
-	p.sim.After(d, func() {
-		if !p.online[node] {
-			return
-		}
-		p.leave(node)
-		p.scheduleJoin(node)
-	})
+	p.sim.AfterFunc(p.cfg.Session(p.rng), leaveDue, sim.Payload{Ctx: p, A: int64(node)})
 }
 
 func (p *Process) scheduleJoin(node int) {
-	d := p.cfg.Gap(p.rng)
-	p.sim.After(d, func() {
-		if p.online[node] {
-			return
-		}
-		p.join(node)
-		p.scheduleLeave(node)
-	})
+	p.sim.AfterFunc(p.cfg.Gap(p.rng), joinDue, sim.Payload{Ctx: p, A: int64(node)})
+}
+
+func leaveDue(pl sim.Payload) {
+	p, node := pl.Ctx.(*Process), int(pl.A)
+	if !p.online[node] {
+		return
+	}
+	p.leave(node)
+	p.scheduleJoin(node)
+}
+
+func joinDue(pl sim.Payload) {
+	p, node := pl.Ctx.(*Process), int(pl.A)
+	if p.online[node] {
+		return
+	}
+	p.join(node)
+	p.scheduleLeave(node)
 }
 
 func (p *Process) join(node int) {

@@ -192,3 +192,38 @@ func TestCallbacksDoNotSteer(t *testing.T) {
 		t.Fatalf("busy kernel fired %d events, quiet %d: the callbacks did no work", busy.Fired(), quiet.Fired())
 	}
 }
+
+// A churn transition allocates nothing: it schedules the node's next one
+// with AfterFunc, a package-level handler and the node in the payload, on
+// an event the kernel recycles. One measured run covers about 1 600
+// transitions, so AllocsPerRun's per-run count is their exact total.
+func TestTransitionAllocs(t *testing.T) {
+	s := sim.New(sim.WithSeed(3))
+	const n = 200
+	transitions := 0
+	count := func(int) { transitions++ }
+	p, err := New(s, n, Config{
+		Session:       Exponential(10 * time.Minute),
+		Gap:           Exponential(5 * time.Minute),
+		InitialOnline: ExpectedAvailability(10*time.Minute, 5*time.Minute),
+	}, count, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	horizon := time.Duration(0)
+	run := func() {
+		horizon += time.Hour
+		if err := s.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the pending events reach their steady count
+	before := transitions
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Fatalf("%.0f allocations over %d transitions, want 0", allocs, (transitions-before)/2)
+	}
+	if per := (transitions - before) / 2; per < 1000 {
+		t.Fatalf("%d transitions per measured hour: the process does not churn", per)
+	}
+}

@@ -115,6 +115,17 @@ func (a ID) Less(b ID) bool {
 	return a.lo < b.lo
 }
 
+// Hash mixes all three words of id into 64 bits for hash sets keyed by ID
+// or Distance. Each word goes through a multiply, so the high bits of the
+// result depend on every bit of id: index a table by its top bits. Ids
+// that share a long prefix (a sybil cloud around one key) spread as well
+// as random ones.
+func (id ID) Hash() uint64 {
+	h := id.hi * 0x9e3779b97f4a7c15
+	h = (h ^ id.mid) * 0xbf58476d1ce4e5b9
+	return (h ^ uint64(id.lo)) * 0x94d049bb133111eb
+}
+
 // CommonPrefixLen returns the number of leading bits shared by a and b
 // (IDBits when equal). It indexes Kademlia's k-buckets.
 func CommonPrefixLen(a, b ID) int {

@@ -1,8 +1,10 @@
 package kademlia
 
 import (
+	"math/bits"
 	"time"
 
+	"repro/internal/netmodel"
 	"repro/internal/overlay"
 )
 
@@ -30,10 +32,12 @@ const (
 	stateFailed
 )
 
+// candidate is one contact a lookup has learned. Its id is dist ⊕ the
+// lookup's target, so only the distance is kept.
 type candidate struct {
-	contact Contact
-	dist    overlay.Distance // to the lookup's target
-	state   int
+	dist  overlay.Distance // to the lookup's target
+	addr  netmodel.NodeID
+	state int
 }
 
 // lookup is one iterative FIND_NODE lookup. It is taken from the network's
@@ -45,9 +49,11 @@ type lookup struct {
 	target overlay.ID
 
 	// cands holds every contact learned so far in ascending distance to
-	// target; entries are never dropped, so it is also the set of ids seen.
-	// A distance is unique per target, so it names its candidate.
+	// target; entries are never dropped. A distance is unique per target,
+	// so it names its candidate, and seen holds the same distances as a
+	// hash set: a contact already learned costs a probe there.
 	cands    []candidate
+	seen     seenSet
 	inflight int
 	rpcs     int
 	timeouts int
@@ -58,7 +64,8 @@ type lookup struct {
 
 // Lookup runs an iterative FIND_NODE lookup from origin toward target,
 // invoking done exactly once on termination. The origin must be online;
-// otherwise done fires immediately with an empty result.
+// otherwise done fires immediately with an empty result. done may be nil,
+// and then no Result is built.
 func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 	p := &nw.pool
 	l := nw.newLookup()
@@ -74,9 +81,8 @@ func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 	l.step()
 }
 
-// search returns the index of the first candidate not nearer than d, and
-// whether it is at distance d.
-func (l *lookup) search(d overlay.Distance) (int, bool) {
+// search returns the index of the first candidate not nearer than d.
+func (l *lookup) search(d overlay.Distance) int {
 	lo, hi := 0, len(l.cands)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -86,21 +92,90 @@ func (l *lookup) search(d overlay.Distance) (int, bool) {
 			hi = m
 		}
 	}
-	return lo, lo < len(l.cands) && l.cands[lo].dist == d
+	return lo
 }
 
+// contact returns the contact c stands for.
+func (l *lookup) contact(c *candidate) Contact {
+	return Contact{ID: overlay.XORDistance(c.dist, l.target), Addr: c.addr}
+}
+
+// add makes c a candidate unless it is the origin or already one. Replies
+// are sets: the candidate list is the same whatever order contacts arrive
+// in, so no caller orders what it offers.
 func (l *lookup) add(c Contact) {
 	if c.ID == l.origin.ID {
 		return
 	}
 	d := overlay.XORDistance(c.ID, l.target)
-	i, known := l.search(d)
-	if known {
+	if !l.seen.insert(d) {
 		return // equal distance to one target: the same id, already a candidate
 	}
+	i := l.search(d)
 	l.cands = append(l.cands, candidate{})
 	copy(l.cands[i+1:], l.cands[i:])
-	l.cands[i] = candidate{contact: c, dist: d, state: statePending}
+	l.cands[i] = candidate{dist: d, addr: c.Addr, state: statePending}
+}
+
+// seenSet is an open-addressed set of distances, probed linearly from the
+// top bits of overlay.ID.Hash. A slot is occupied when it carries the set's
+// generation, so reset empties the set by bumping gen instead of clearing
+// its slots; it grows at half load by doubling.
+type seenSet struct {
+	slots []seenSlot // a power of two long, or nil
+	shift uint       // 64 − log₂ len(slots)
+	gen   uint32     // never 0 once slots exist: zeroed slots are empty
+	n     int
+}
+
+type seenSlot struct {
+	d   overlay.Distance
+	gen uint32
+}
+
+// seenFirst is a new set's slot count: a lookup learns a few dozen
+// contacts (E15 averages 40), and every lookup in flight holds its set.
+const seenFirst = 64
+
+// insert adds d and reports whether it was not in the set.
+func (s *seenSet) insert(d overlay.Distance) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := len(s.slots) - 1
+	for i := int(d.Hash() >> s.shift); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			sl.d, sl.gen = d, s.gen
+			s.n++
+			return true
+		}
+		if sl.d == d {
+			return false
+		}
+	}
+}
+
+// grow doubles the slots (or makes the first ones) and re-inserts what the
+// set holds under generation 1.
+func (s *seenSet) grow() {
+	old, gen := s.slots, s.gen
+	size := max(2*len(old), seenFirst)
+	s.slots, s.shift, s.gen, s.n = make([]seenSlot, size), uint(64-bits.TrailingZeros(uint(size))), 1, 0
+	for i := range old {
+		if old[i].gen == gen {
+			s.insert(old[i].d)
+		}
+	}
+}
+
+// reset empties the set, keeping its slots.
+func (s *seenSet) reset() {
+	s.n = 0
+	if s.gen++; s.gen == 0 {
+		clear(s.slots) // the stamp wrapped: old stamps would read as current
+		s.gen = 1
+	}
 }
 
 // converged reports whether the K closest non-failed candidates have all
@@ -142,7 +217,7 @@ func (l *lookup) step() {
 		c.state = stateInflight
 		l.inflight++
 		l.rpcs++
-		l.nw.newRPC().send(l, c.contact, c.dist)
+		l.nw.newRPC().send(l, c.addr, c.dist)
 	}
 	if l.inflight == 0 {
 		// No candidates left to query and not converged: partial result.
@@ -160,16 +235,15 @@ func (l *lookup) onReply(d overlay.Distance, contacts []Contact, ok bool) {
 		}
 		return
 	}
-	i, _ := l.search(d)
-	c := &l.cands[i]
+	c := &l.cands[l.search(d)]
 	if !ok {
 		c.state = stateFailed
 		l.timeouts++
 		// Evict dead entries — the lazy repair every deployment performs.
-		l.origin.table.Remove(c.contact.ID)
+		l.origin.table.Remove(overlay.XORDistance(c.dist, l.target))
 	} else {
 		c.state = stateResponded
-		l.origin.table.Add(c.contact)
+		l.origin.table.Add(l.contact(c))
 		for _, nc := range contacts {
 			l.add(nc)
 		}
@@ -182,19 +256,19 @@ func (l *lookup) finish(converged bool) {
 		return
 	}
 	l.finished = true
-	var closest []Contact
-	for i := range l.cands {
-		if c := &l.cands[i]; c.state == stateResponded {
-			if closest == nil {
-				closest = make([]Contact, 0, l.nw.cfg.K)
-			}
-			closest = append(closest, c.contact)
-			if len(closest) >= l.nw.cfg.K {
-				break
+	if l.done != nil {
+		var closest []Contact
+		for i := range l.cands {
+			if c := &l.cands[i]; c.state == stateResponded {
+				if closest == nil {
+					closest = make([]Contact, 0, l.nw.cfg.K)
+				}
+				closest = append(closest, l.contact(c))
+				if len(closest) >= l.nw.cfg.K {
+					break
+				}
 			}
 		}
-	}
-	if l.done != nil {
 		l.done(Result{
 			Closest:   closest,
 			RPCs:      l.rpcs,
@@ -211,6 +285,7 @@ func (l *lookup) finish(converged bool) {
 // release hands a finished lookup with no query in flight back to the pool.
 func (l *lookup) release() {
 	nw := l.nw
-	*l = lookup{nw: nw, cands: l.cands[:0]}
+	l.seen.reset()
+	*l = lookup{nw: nw, cands: l.cands[:0], seen: l.seen}
 	nw.pool.lookups = append(nw.pool.lookups, l)
 }

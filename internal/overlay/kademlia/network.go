@@ -128,7 +128,9 @@ func (nw *Network) newLookup() *lookup {
 		p.lookups = p.lookups[:last]
 		return l
 	}
-	return &lookup{nw: nw}
+	// Presized to what the seen set holds before it first grows, so a new
+	// lookup does not regrow its list one doubling at a time.
+	return &lookup{nw: nw, cands: make([]candidate, 0, seenFirst/2)}
 }
 
 func (nw *Network) newRPC() *rpc {
@@ -292,11 +294,11 @@ func (nw *Network) Rejoin(n *Node, done func()) {
 		return
 	}
 	n.table.Add(Contact{ID: boot.ID, Addr: boot.Addr})
-	nw.Lookup(n, n.ID, func(Result) {
-		if done != nil {
-			done()
-		}
-	})
+	if done == nil {
+		nw.Lookup(n, n.ID, nil) // builds no Result and allocates nothing once warm
+		return
+	}
+	nw.Lookup(n, n.ID, func(Result) { done() })
 }
 
 // ClosestOnline returns the k online, responsive, honest nodes closest to
@@ -324,22 +326,22 @@ type rpc struct {
 	done   func(ok, inFlight bool)
 	lookup *lookup
 	from   *Node
-	to     Contact
+	to     netmodel.NodeID
 	dist   overlay.Distance // the queried candidate's, which names it to the lookup
 	target overlay.ID       // serve's copy: the lookup may be recycled before a late serve
 	reply  []Contact        // written by serve, read by done
 }
 
-// send queries the candidate of l at distance d, which is to.
-func (r *rpc) send(l *lookup, to Contact, d overlay.Distance) {
+// send queries the candidate of l at distance d, which lives at to.
+func (r *rpc) send(l *lookup, to netmodel.NodeID, d overlay.Distance) {
 	r.lookup, r.from, r.to, r.dist, r.target = l, l.origin, to, d, l.target
 	nw := r.nw
-	nw.net.Call(r.from.Addr, to.Addr, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
+	nw.net.Call(r.from.Addr, to, reqSize, 60+26*nw.cfg.K, nw.cfg.RPCTimeout, r.serve, r.done)
 }
 
 func (r *rpc) handle() bool {
 	nw := r.nw
-	recv, ok := nw.byAddr[r.to.Addr]
+	recv, ok := nw.byAddr[r.to]
 	if !ok || !recv.online {
 		return false
 	}

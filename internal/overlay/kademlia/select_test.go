@@ -46,9 +46,11 @@ func clusteredID(g *sim.RNG, base overlay.ID) overlay.ID {
 // Property: Closest equals the brute-force sort of Contacts on tables whose
 // buckets 0…159 are populated, for targets that make both the above-p group
 // and the downward walk matter, and across interleaved removals and
-// re-insertions.
+// re-insertions; appendClosest holds the same contacts as a set, also when
+// the n-th closest sits in a bucket that the walk splits.
 func TestPropertyClosestMatchesBruteForce(t *testing.T) {
 	g := sim.NewRNG(17)
+	splits := 0
 	for round := 0; round < 40; round++ {
 		self := overlay.RandomID(g)
 		k := []int{1, 3, 8, 20}[g.Intn(4)]
@@ -67,11 +69,21 @@ func TestPropertyClosestMatchesBruteForce(t *testing.T) {
 			}
 			for _, target := range targets {
 				sorted := bruteClosest(target, contacts, len(contacts))
-				for _, n := range []int{1, k, len(contacts), len(contacts) + 5} {
+				for _, n := range []int{1, k, k + 1, len(contacts), len(contacts) + 5} {
 					got, want := tab.Closest(target, n), sorted[:min(n, len(sorted))]
 					if !slices.Equal(got, want) {
 						t.Fatalf("round %d %s: k=%d size=%d cpl(self,target)=%d n=%d:\n got %v\nwant %v", round, phase,
 							k, len(contacts), overlay.CommonPrefixLen(self, target), n, got, want)
+					}
+					// appendClosest keeps dst and adds the same n as a set, in
+					// whatever order its whole buckets and split bucket give.
+					raw := tab.appendClosest([]Contact{{Addr: -1}}, target, n)
+					if raw[0].Addr != -1 || !slices.Equal(bruteClosest(target, raw[1:], len(raw)), want) {
+						t.Fatalf("round %d %s: appendClosest(n=%d) is not the set of the %d closest:\n got %v\nwant %v", round, phase,
+							n, len(want), raw[1:], want)
+					}
+					if n < len(sorted) && overlay.CommonPrefixLen(self, sorted[n-1].ID) == overlay.CommonPrefixLen(self, sorted[n].ID) {
+						splits++ // the n-th and (n+1)-th closest share a bucket: it was split
 					}
 				}
 			}
@@ -86,6 +98,9 @@ func TestPropertyClosestMatchesBruteForce(t *testing.T) {
 		check("thinned")
 		fill()
 		check("refilled")
+	}
+	if splits == 0 {
+		t.Fatal("no selection split a bucket: the split-bucket rule is not exercised")
 	}
 }
 
@@ -130,37 +145,63 @@ func TestClosestOnlineMatchesBruteForce(t *testing.T) {
 }
 
 // TestLookupAdd pins the candidate list's contract: the origin and repeated
-// ids are ignored — also once the first occurrence has failed — and the
-// list stays strictly ordered by distance to the target.
+// ids are ignored — also once the first occurrence has failed — an id keeps
+// the address it was first offered with, and the list stays strictly
+// ordered by distance to the target. The 300 offers grow the seen set past
+// its first capacity, and a lookup taken back from the pool for the same
+// target has forgotten every id.
 func TestLookupAdd(t *testing.T) {
 	g := sim.NewRNG(29)
 	origin := &Node{ID: overlay.RandomID(g)}
-	l := &lookup{origin: origin, target: overlay.RandomID(g)}
+	nw := &Network{}
+	l := &lookup{nw: nw, origin: origin, target: overlay.RandomID(g)}
 	l.add(Contact{ID: origin.ID, Addr: 1})
 	if len(l.cands) != 0 {
 		t.Fatal("the origin became a candidate of its own lookup")
 	}
-	distinct := make(map[overlay.ID]bool)
+	first := make(map[overlay.ID]netmodel.NodeID)
 	for i := 0; i < 300; i++ {
 		id := clusteredID(g, l.target) // long shared prefixes: repeats do occur
-		distinct[id] = true
+		if _, ok := first[id]; !ok {
+			first[id] = netmodel.NodeID(i)
+		}
 		l.add(Contact{ID: id, Addr: netmodel.NodeID(i)})
 	}
-	if len(l.cands) != len(distinct) || len(distinct) == 300 {
-		t.Fatalf("%d candidates for %d distinct ids in 300 adds", len(l.cands), len(distinct))
+	if len(l.cands) != len(first) || len(first) == 300 {
+		t.Fatalf("%d candidates for %d distinct ids in 300 adds", len(l.cands), len(first))
+	}
+	if len(l.seen.slots) <= seenFirst || l.seen.n != len(l.cands) {
+		t.Fatalf("seen set of %d slots holds %d for %d candidates: it did not grow with them",
+			len(l.seen.slots), l.seen.n, len(l.cands))
+	}
+	for i := range l.cands {
+		if c := l.contact(&l.cands[i]); first[c.ID] != c.Addr {
+			t.Fatalf("candidate %d: address %d, first offered with %d", i, c.Addr, first[c.ID])
+		}
 	}
 	mid := len(l.cands) / 2
 	l.cands[mid].state = stateFailed
 	failed, before := l.cands[mid], len(l.cands)
-	l.add(Contact{ID: failed.contact.ID, Addr: failed.contact.Addr + 1000})
-	l.add(Contact{ID: l.cands[0].contact.ID, Addr: 2000})
+	l.add(Contact{ID: l.contact(&failed).ID, Addr: failed.addr + 1000})
+	l.add(Contact{ID: l.contact(&l.cands[0]).ID, Addr: 2000})
 	if len(l.cands) != before || l.cands[mid] != failed {
 		t.Fatal("re-adding a known id changed the candidate list")
 	}
 	for i := 1; i < len(l.cands); i++ {
-		if !overlay.CloserXOR(l.target, l.cands[i-1].contact.ID, l.cands[i].contact.ID) {
+		if !overlay.CloserXOR(l.target, l.contact(&l.cands[i-1]).ID, l.contact(&l.cands[i]).ID) {
 			t.Fatalf("candidates %d and %d are not in strictly ascending distance", i-1, i)
 		}
+	}
+	known, target := l.contact(&l.cands[mid]), l.target
+	l.finished = true
+	l.release()
+	if l = nw.newLookup(); len(l.cands) != 0 || cap(l.cands) < before {
+		t.Fatalf("pooled lookup holds %d candidates in capacity %d, want none in at least %d", len(l.cands), cap(l.cands), before)
+	}
+	l.origin, l.target = origin, target
+	l.add(known)
+	if len(l.cands) != 1 || l.contact(&l.cands[0]) != known {
+		t.Fatal("a lookup reused for the same target ignored an id its previous use had seen")
 	}
 }
 
@@ -416,6 +457,71 @@ func FuzzTableOps(f *testing.F) {
 	})
 }
 
+// FuzzLookupCandidates offers replies decoded from the input to a pooled
+// lookup and, after every reply, holds its candidate list to a reference:
+// every id offered since the lookup was taken from the pool, minus the
+// origin, once each with the address it was first offered with, in
+// ascending distance to the target. The first two bytes spell the origin;
+// then each op byte is either 0xff, which hands the lookup back to the pool
+// and takes it out again for the same target, or starts a reply of op%64
+// contacts, two bytes each, spelled by fuzzID around the target: a first
+// byte of 64 to 160 gives a distance whose top 64 bits are zero, like the
+// sybils E04's targeted attack mints next to its key.
+func FuzzLookupCandidates(f *testing.F) {
+	f.Add([]byte{7, 1, 3, 70, 1, 0, 2, 70, 1})
+	f.Add([]byte{0, 0, 2, 5, 5, 9, 9, 0xff, 3, 5, 5, 9, 9, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		target := overlay.KeyID([]byte("fuzz-target"))
+		origin := &Node{ID: fuzzID(target, data[0], data[1])}
+		nw := &Network{}
+		take := func() *lookup {
+			l := nw.newLookup()
+			l.origin, l.target = origin, target
+			return l
+		}
+		l := take()
+		first := make(map[overlay.ID]netmodel.NodeID)
+		addr := netmodel.NodeID(0)
+		for ops := data[2:]; len(ops) > 0; {
+			op := ops[0]
+			ops = ops[1:]
+			if op == 0xff {
+				l.finished = true
+				l.release()
+				if again := take(); again != l || len(l.cands) != 0 {
+					t.Fatalf("the pool did not hand back the released lookup, emptied")
+				}
+				clear(first)
+				continue
+			}
+			for c := op % 64; c > 0 && len(ops) >= 2; c, ops = c-1, ops[2:] {
+				id := fuzzID(target, ops[0], ops[1])
+				if _, ok := first[id]; !ok && id != origin.ID {
+					first[id] = addr
+				}
+				l.add(Contact{ID: id, Addr: addr})
+				addr++
+			}
+			want := make([]Contact, 0, len(first))
+			for id, a := range first {
+				want = append(want, Contact{ID: id, Addr: a})
+			}
+			want = bruteClosest(target, want, len(want))
+			got := make([]Contact, len(l.cands))
+			for i := range l.cands {
+				got[i] = l.contact(&l.cands[i])
+			}
+			if !slices.Equal(got, want) || l.seen.n != len(want) {
+				t.Fatalf("after %d offers: %d candidates (seen set %d), want %d:\n got %v\nwant %v",
+					addr, len(got), l.seen.n, len(want), got, want)
+			}
+		}
+	})
+}
+
 // benchTargets is the ledger probe's shape (bench/probes.go: 600 nodes
 // bootstrapped as E15 builds them, K = 8, targets from their own stream), so
 // `go test -bench` and overlay.kademlia.closest_ns / lookup_host_us tell one
@@ -500,6 +606,36 @@ func TestLookupSteadyStateAllocs(t *testing.T) {
 			}
 			return origin, target
 		}, func(r Result) bool { return r.RPCs == 8 && r.Timeouts == 8 && r.Closest == nil })
+	})
+	t.Run("rejoin", func(t *testing.T) {
+		// Eight nodes leave and come back with Rejoin(n, nil) in turn: the
+		// self-lookup has no done, so no Result is built, and the wiped
+		// table keeps its buckets' storage. Warm (each node rejoined 24
+		// times, so its buckets and the pools have settled), 64 rejoins in
+		// one measured run allocate nothing: the count is their exact total.
+		s, nw := newDeployment(t, 64, Config{K: 8, Alpha: 3, RPCTimeout: time.Second}, 5)
+		nodes, i, learned := nw.Nodes(), 0, 0
+		rejoins := func() {
+			for range 64 {
+				n := nodes[i%8]
+				nw.SetOnline(n, false)
+				nw.Rejoin(n, nil)
+				if err := s.Run(); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				learned += n.Table().Size()
+				i++
+			}
+		}
+		for range 3 {
+			rejoins()
+		}
+		if allocs := testing.AllocsPerRun(1, rejoins); allocs != 0 {
+			t.Fatalf("64 warm rejoins allocate %.0f objects, want 0", allocs)
+		}
+		if learned < 8*i {
+			t.Fatalf("rejoined tables hold %d contacts over %d rejoins: the self-lookups learn nothing", learned, i)
+		}
 	})
 	t.Run("unresponsive contact", func(t *testing.T) {
 		// The node closest to each target is unresponsive: a lookup learns it

@@ -31,7 +31,7 @@ type Table struct {
 	self    overlay.ID
 	k       int
 	buckets [][]Contact        // grown on demand, capacity doubling: every bucket past its end is empty
-	dists   []overlay.Distance // appendClosest's scratch, beside the items it selects
+	dists   []overlay.Distance // scratch: the split bucket's selection, and Closest's sort
 }
 
 // NewTable creates a routing table for the given owner with bucket size k.
@@ -159,13 +159,22 @@ func (t *Table) Closest(target overlay.ID, n int) []Contact {
 	if n <= 0 {
 		return nil
 	}
-	return t.appendClosest(nil, target, n)
+	out := t.appendClosest(nil, target, n)
+	// Sort in place: a selector as wide as out keeps every contact, and
+	// offering out[i] writes only out[:i+1], which holds what was offered.
+	sel := nearest[Contact]{target: target, n: len(out), items: out[:0], dists: t.dists[:0]}
+	for _, c := range out {
+		sel.offer(c.ID, c)
+	}
+	t.dists = sel.dists[:0]
+	return out
 }
 
 // appendClosest appends the up to n contacts closest to target to dst, in
-// ascending XOR distance, growing dst at most once.
+// no particular order, growing dst at most once. Every caller adds a reply
+// contact by contact to a deduplicated sorted list, so a reply is a set.
 //
-// Whole buckets are offered in ascending distance. With x = self⊕target and
+// Whole buckets are taken in ascending distance. With x = self⊕target and
 // p its leading one (the prefix self shares with target), a contact c in
 // bucket j is at distance x⊕(self⊕c), where self⊕c has its leading one at
 // j. Bucket p therefore holds exactly the contacts sharing more than p bits
@@ -174,8 +183,8 @@ func (t *Table) Closest(target overlay.ID, n int) []Contact {
 // j is nearer iff bit j of x is set: the set ones follow in ascending j,
 // then the clear ones in descending j. A bucket j < p has its leading one at
 // j, so those come last, in descending j. This is a total order of whole
-// buckets, and a selector holding n at a bucket boundary cannot change any
-// more.
+// buckets: a bucket that fits in what is left of n is taken whole, and only
+// the first one that does not, the split bucket, is selected by distance.
 func (t *Table) appendClosest(dst []Contact, target overlay.ID, n int) []Contact {
 	if n <= 0 {
 		return dst
@@ -184,34 +193,39 @@ func (t *Table) appendClosest(dst []Contact, target overlay.ID, n int) []Contact
 		// Not slices.Grow: under -race its append-of-make costs two allocations.
 		dst = append(make([]Contact, 0, len(dst)+n), dst...)
 	}
-	sel := nearest[Contact]{target: target, n: n, items: dst[len(dst):], dists: t.dists[:0]}
+	want := len(dst) + n
 	x := overlay.XORDistance(t.self, target)
 	p, top := overlay.CommonPrefixLen(t.self, target), len(t.buckets)-1
-	full := offerBucket(&sel, t.bucket(p))
-	for j := p + 1; j <= top && !full; j++ {
+	dst = t.take(dst, want, target, t.bucket(p))
+	for j := p + 1; j <= top && len(dst) < want; j++ {
 		if x.Bit(j) == 1 {
-			full = offerBucket(&sel, t.buckets[j])
+			dst = t.take(dst, want, target, t.buckets[j])
 		}
 	}
-	for j := top; j > p && !full; j-- {
+	for j := top; j > p && len(dst) < want; j-- {
 		if x.Bit(j) == 0 {
-			full = offerBucket(&sel, t.buckets[j])
+			dst = t.take(dst, want, target, t.buckets[j])
 		}
 	}
-	for j := min(p-1, top); j >= 0 && !full; j-- {
-		full = offerBucket(&sel, t.buckets[j])
+	for j := min(p-1, top); j >= 0 && len(dst) < want; j-- {
+		dst = t.take(dst, want, target, t.buckets[j])
 	}
-	t.dists = sel.dists[:0]
-	return dst[:len(dst)+len(sel.items)] // the selector filled dst's spare capacity in place
+	return dst
 }
 
-// offerBucket offers every contact of one bucket and reports whether the
-// selector is full.
-func offerBucket(sel *nearest[Contact], b []Contact) bool {
+// take appends bucket b to dst whole if dst stays within want, and
+// otherwise the want−len(dst) contacts of b closest to target, selected in
+// dst's spare capacity with their distances in the table's scratch.
+func (t *Table) take(dst []Contact, want int, target overlay.ID, b []Contact) []Contact {
+	if len(dst)+len(b) <= want {
+		return append(dst, b...)
+	}
+	sel := nearest[Contact]{target: target, n: want - len(dst), items: dst[len(dst):len(dst)], dists: t.dists[:0]}
 	for _, c := range b {
 		sel.offer(c.ID, c)
 	}
-	return sel.full()
+	t.dists = sel.dists[:0]
+	return dst[:want] // the selector filled dst's spare capacity in place
 }
 
 // Contacts returns a copy of every stored contact (bucket order).

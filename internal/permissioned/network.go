@@ -1,6 +1,8 @@
 package permissioned
 
 import (
+	"crypto/ed25519"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -143,6 +145,53 @@ type Network struct {
 	pending   map[int]*pendingTx
 	nextEnvID int
 	started   bool
+
+	// accepted counts the endorsements a creator's peer has verified and
+	// no block has validated yet, so validate verifies each only once:
+	// Bitcoin Core's signature cache. An entry lives while its envelope is
+	// in flight; only an endorsement altered on the way would leave one.
+	accepted map[sigKey]int
+}
+
+// sigKey names one signature check by its exact inputs: the org whose
+// enrolled key verifies it, the digest and the signature bytes.
+type sigKey struct {
+	org    string
+	digest [sha256.Size]byte
+	sig    [ed25519.SignatureSize]byte
+}
+
+// keyOf returns the key of a check, and false for inputs no valid
+// signature over a read/write-set digest has.
+func keyOf(org string, digest, sig []byte) (sigKey, bool) {
+	k := sigKey{org: org}
+	if len(digest) != len(k.digest) || len(sig) != len(k.sig) {
+		return k, false
+	}
+	copy(k.digest[:], digest)
+	copy(k.sig[:], sig)
+	return k, true
+}
+
+// accept records that the creator's peer verified sig over digest with
+// org's key.
+func (nw *Network) accept(org string, digest, sig []byte) {
+	if k, ok := keyOf(org, digest, sig); ok {
+		nw.accepted[k]++
+	}
+}
+
+// consume reports whether the creator's peer accepted exactly this check,
+// taking its record.
+func (nw *Network) consume(org string, digest, sig []byte) bool {
+	k, ok := keyOf(org, digest, sig)
+	if !ok || nw.accepted[k] == 0 {
+		return false
+	}
+	if nw.accepted[k]--; nw.accepted[k] == 0 {
+		delete(nw.accepted, k)
+	}
+	return true
 }
 
 type pendingTx struct {
@@ -167,6 +216,7 @@ func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) (*Network, error) {
 		channels: make(map[string]*Channel),
 		orderer:  ord,
 		pending:  make(map[int]*pendingTx),
+		accepted: make(map[sigKey]int),
 	}
 	ord.OnApply(func(node, index int, req raft.Request) {
 		// Only the leader's application drives block cutting.
@@ -328,6 +378,7 @@ func (nw *Network) Submit(channel, creator, chaincode string, args []string, don
 				if !e.Identity.Verify(digest, sig) {
 					return // never happens for honest endorsers
 				}
+				nw.accept(e.Name, digest, sig)
 				env.Endorsements = append(env.Endorsements, Endorsement{Org: e.Name, Sig: sig})
 				remaining--
 				if remaining == 0 {
@@ -402,7 +453,8 @@ func (nw *Network) cutBlock(ch *Channel) {
 	outcomes := make([]outcome, 0, len(batch))
 	blockBytes := 0
 	for _, env := range batch {
-		valid := nw.validate(ch, env)
+		digest := env.RWSet.Digest()
+		valid := nw.validate(ch, env, digest)
 		if valid {
 			ch.state.apply(env.RWSet.Writes)
 			ch.committedTx++
@@ -410,7 +462,7 @@ func (nw *Network) cutBlock(ch *Channel) {
 			ch.invalidTx++
 		}
 		outcomes = append(outcomes, outcome{env: env, valid: valid})
-		txs = append(txs, &ledger.Tx{Payload: env.RWSet.Digest()})
+		txs = append(txs, &ledger.Tx{Payload: digest})
 		blockBytes += env.Size()
 	}
 	block := ledger.NewBlock(ch.chain.BestHash(), txs, nw.sim.Now(), 1)
@@ -447,23 +499,25 @@ func (nw *Network) cutBlock(ch *Channel) {
 	}
 }
 
-// validate applies Fabric's commit-time checks: the endorsement policy and
-// the MVCC read-set check.
-func (nw *Network) validate(ch *Channel, env *Envelope) bool {
-	if len(env.Endorsements) < ch.policy.Required {
-		return false
-	}
-	digest := env.RWSet.Digest()
+// validate applies Fabric's commit-time checks to an envelope whose
+// read/write set has the given digest: the endorsement policy and the MVCC
+// read-set check. An endorsement the creator's peer accepted with exactly
+// these org, digest and signature bytes is not verified again; any other is.
+// Every endorsement's record is consumed, whatever the verdict.
+func (nw *Network) validate(ch *Channel, env *Envelope, digest []byte) bool {
+	valid := len(env.Endorsements) >= ch.policy.Required
 	seen := make(map[string]bool, len(env.Endorsements))
 	for _, e := range env.Endorsements {
-		id, ok := nw.msp.Lookup(e.Org)
-		if !ok || !slices.Contains(ch.orgs, e.Org) || seen[e.Org] {
-			return false
+		accepted := nw.consume(e.Org, digest, e.Sig)
+		if !valid {
+			continue
 		}
-		if !id.Verify(digest, e.Sig) {
-			return false
+		id, ok := nw.msp.Lookup(e.Org)
+		if !ok || !slices.Contains(ch.orgs, e.Org) || seen[e.Org] || !accepted && !id.Verify(digest, e.Sig) {
+			valid = false
+			continue
 		}
 		seen[e.Org] = true
 	}
-	return !ch.state.conflict(env.RWSet)
+	return valid && !ch.state.conflict(env.RWSet)
 }

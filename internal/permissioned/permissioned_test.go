@@ -336,3 +336,69 @@ func TestStateZeroValueSemantics(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", len(st.entries))
 	}
 }
+
+// The commit-time check skips ed25519 only for an endorsement the
+// creator's peer accepted with exactly the same org, digest and signature
+// bytes. An endorsement tampered with after that check, by one flipped
+// signature byte or by two endorsers' orgs swapped, is verified again and
+// invalidates its transaction. The block consumes the record of every
+// endorsement that reaches it as the creator's peer accepted it; a tampered
+// one's record stays (nothing outside this test tampers).
+func TestValidateReverifiesTamperedEndorsements(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(env *Envelope)
+		valid  bool
+		left   int // records of tampered endorsements
+	}{
+		{"intact", func(*Envelope) {}, true, 0},
+		{"signature byte flipped", func(env *Envelope) { env.Endorsements[1].Sig[7] ^= 0x01 }, false, 1},
+		{"orgs swapped", func(env *Envelope) {
+			e := env.Endorsements
+			e[0].Org, e[1].Org = e[1].Org, e[0].Org
+		}, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, nw := newNet(t, 5, 3, Config{BlockSize: 1})
+			if _, err := nw.CreateChannel("c", orgNames(3), Policy{Required: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.InstallChaincode("c", "put", putCC); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var res *TxResult
+			s.After(3*time.Second, func() {
+				if err := nw.Submit("c", "org0", "put", []string{"k", "v"}, func(r TxResult) { res = &r }); err != nil {
+					t.Errorf("Submit: %v", err)
+				}
+			})
+			// The envelope is pending from the creator's check on; the block
+			// that validates it is cut only after a network hop and a Raft
+			// round, so a 1 ms poll tampers with it in between.
+			tampered, checked := false, 0
+			if _, err := s.Every(time.Millisecond, func() {
+				if p, ok := nw.pending[0]; ok && !tampered {
+					tampered, checked = true, len(nw.accepted)
+					tc.tamper(p.env)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunUntil(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if !tampered || checked != 2 {
+				t.Fatalf("tampered=%t with %d accepted endorsements on record, want 2", tampered, checked)
+			}
+			if res == nil || res.Valid != tc.valid {
+				t.Fatalf("result %+v, want valid=%t", res, tc.valid)
+			}
+			if len(nw.accepted) != tc.left {
+				t.Fatalf("%d accepted endorsements left on record after their block, want %d", len(nw.accepted), tc.left)
+			}
+		})
+	}
+}
