@@ -551,7 +551,7 @@ func e15Churn() core.Experiment {
 						var origin *kademlia.Node
 						for tries := 0; tries < 100; tries++ {
 							cand := nw.Nodes()[g.Intn(n)]
-							if cand.Online() {
+							if nw.Online(cand) {
 								origin = cand
 								break
 							}

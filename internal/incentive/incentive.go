@@ -80,13 +80,12 @@ const (
 // SwarmResult summarizes a swarm run.
 type SwarmResult struct {
 	// CooperatorRounds and FreeRiderRounds sample the completion round of
-	// each finished peer by class.
+	// each peer that finished within the horizon, by class: their Count
+	// is the class's completions.
 	CooperatorRounds metrics.Sample
 	FreeRiderRounds  metrics.Sample
-	// CooperatorsDone and FreeRidersDone count completions within the
-	// horizon; Cooperators and FreeRiders are the class sizes.
-	Cooperators, CooperatorsDone int
-	FreeRiders, FreeRidersDone   int
+	// Cooperators and FreeRiders are the class sizes.
+	Cooperators, FreeRiders int
 	// Rounds is the number of rounds simulated.
 	Rounds int
 	// TotalUploads counts piece transfers by class.
@@ -230,10 +229,8 @@ func RunSwarm(g *sim.RNG, cfg SwarmConfig, maxRounds int) (*SwarmResult, error) 
 					q.doneRound = round
 					switch q.strategy {
 					case FreeRider:
-						res.FreeRidersDone++
 						res.FreeRiderRounds.Add(float64(round))
 					case Cooperator:
-						res.CooperatorsDone++
 						res.CooperatorRounds.Add(float64(round))
 					}
 				}

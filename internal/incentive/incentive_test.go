@@ -31,8 +31,8 @@ func TestTitForTatPenalizesFreeRiders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSwarm: %v", err)
 	}
-	if res.CooperatorsDone < res.Cooperators*9/10 {
-		t.Fatalf("only %d/%d cooperators finished", res.CooperatorsDone, res.Cooperators)
+	if res.CooperatorRounds.Count() < res.Cooperators*9/10 {
+		t.Fatalf("only %d/%d cooperators finished", res.CooperatorRounds.Count(), res.Cooperators)
 	}
 	slow := res.SlowdownFactor()
 	if slow < 2.0 {
@@ -91,8 +91,8 @@ func TestAllCooperatorsSwarmCompletes(t *testing.T) {
 	if res.FreeRiders != 0 {
 		t.Fatalf("FreeRiders = %d with frac 0", res.FreeRiders)
 	}
-	if res.CooperatorsDone != res.Cooperators {
-		t.Fatalf("%d/%d cooperators finished", res.CooperatorsDone, res.Cooperators)
+	if res.CooperatorRounds.Count() != res.Cooperators {
+		t.Fatalf("%d/%d cooperators finished", res.CooperatorRounds.Count(), res.Cooperators)
 	}
 	if res.SeedUploads == 0 || res.CooperatorUploads == 0 {
 		t.Fatal("upload accounting empty")

@@ -113,6 +113,16 @@ func (c *Chain) BestHash() Hash { return c.best.block.Hash() }
 // BestHeight returns the height of the best tip (genesis = 0).
 func (c *Chain) BestHeight() uint64 { return c.best.height }
 
+// Work returns a stored block's cumulative work: the sum of the
+// difficulties from genesis to it, the quantity the best tip maximizes (0
+// for unknown blocks).
+func (c *Chain) Work(h Hash) float64 {
+	if n, ok := c.nodes[h]; ok {
+		return n.work
+	}
+	return 0
+}
+
 // Block returns a stored block.
 func (c *Chain) Block(h Hash) (*Block, bool) {
 	n, ok := c.nodes[h]

@@ -19,7 +19,10 @@ import (
 //  3. the best tip has the maximum cumulative work, and on a tie the
 //     earlier tip stays;
 //  4. newBest never lowers the best work, and reorg is set exactly when
-//     the old tip is not an ancestor of the new one.
+//     the old tip is not an ancestor of the new one;
+//  5. Work of every stored block, on a fork or not, is its parent's Work
+//     plus its difficulty (the oracle's value), and no block has more Work
+//     than the best tip.
 func TestPropertyChainInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		g := sim.NewRNG(seed)
@@ -98,6 +101,16 @@ func TestPropertyChainInvariants(t *testing.T) {
 				t.Fatalf("seed %d block %d: best work fell from %g to %g", seed, i, work[oldTip], work[c.BestHash()])
 			case reorg != (newBest && !isAncestor(oldTip, c.BestHash())):
 				t.Fatalf("seed %d block %d: reorg = %v, old tip an ancestor of the new = %v", seed, i, reorg, isAncestor(oldTip, c.BestHash()))
+			}
+			// 5. Work, along every fork.
+			if w := c.Work(h); w != c.Work(parent)+b.Header.Difficulty || w != work[h] {
+				t.Fatalf("seed %d block %d: Work %g, parent's %g + difficulty %g, oracle %g", seed, i, w, c.Work(parent), b.Header.Difficulty, work[h])
+			}
+			bestWork := c.Work(c.BestHash())
+			for nh := range c.nodes {
+				if c.Work(nh) > bestWork {
+					t.Fatalf("seed %d block %d: block %x has Work %g, more than the best tip's %g", seed, i, nh[:4], c.Work(nh), bestWork)
+				}
 			}
 			if reorg {
 				reorgs++

@@ -21,7 +21,9 @@ import (
 //   - each serve runs at most once, at its own request's delivery, and
 //     every serve and done is the one its Call booked, so an exchange
 //     reused while an event could still reach it shows up as a callback of
-//     the wrong Call or at the wrong instant.
+//     the wrong Call or at the wrong instant;
+//   - the receiver is Up inside every serve, the guarantee that lets an
+//     overlay's serve skip checking its own liveness.
 //
 // The shadow draws from a copy of the senders' one stream in the order the
 // transport does: a request's loss and delay draws in the event that issues
@@ -30,8 +32,9 @@ import (
 // tie with a delivery the window's edge comes first; a Call's deadline is
 // booked before its request and response, so it wins a tie with either.
 //
-// Inputs: the stream's seed, the loss rate (lossByte/255), outage windows
-// (3 bytes each: node, start and length in 5 ms steps) and Calls (4 bytes
+// Inputs: the stream's seed, the loss rate (lossByte/255), outages (3
+// bytes each: node, with bit 2 choosing an ambient SetUp outage over a
+// scheduled window; start and length in 5 ms steps) and Calls (4 bytes
 // each: start in 5 ms steps; requester, receiver offset and whether serve
 // declines; the timeout in ms, mod 10 001, so within [0, 10 s]).
 func FuzzCall(f *testing.F) {
@@ -70,15 +73,29 @@ func FuzzCall(f *testing.F) {
 		}
 		n.SetLoss(loss)
 
-		var outages []window
+		var outages, ambient []window
 		for i := 0; i+3 <= len(windows) && len(outages) < 8; i += 3 {
 			w := window{
-				node:  NodeID(int(windows[i]) % len(regions)),
+				node:  NodeID(int(windows[i]&3) % len(regions)),
 				start: time.Duration(windows[i+1]) * step,
 			}
 			w.end = w.start + time.Duration(windows[i+2])*step + time.Millisecond
-			if n.ScheduleOutageWindow(w.start, w.end, w.node) == nil {
-				outages = append(outages, w)
+			if windows[i]&4 == 0 {
+				if n.ScheduleOutageWindow(w.start, w.end, w.node) == nil {
+					outages = append(outages, w)
+				}
+				continue
+			}
+			// An ambient outage: SetUp takes the node down at start and
+			// back up at end. A node's ambient outages must not overlap.
+			clash := false
+			for _, x := range ambient {
+				clash = clash || x.node == w.node && w.start < x.end && x.start < w.end
+			}
+			if !clash {
+				s.At(w.start, func() { n.SetUp(w.node, false) })
+				s.At(w.end, func() { n.SetUp(w.node, true) })
+				ambient, outages = append(ambient, w), append(outages, w)
 			}
 		}
 		up := func(id NodeID, at time.Duration) bool {
@@ -116,6 +133,9 @@ func FuzzCall(f *testing.F) {
 			cs = append(cs, c)
 			serve := func() bool {
 				c.serves, c.serveAt = c.serves+1, s.Now()
+				if !n.Up(c.to) {
+					t.Errorf("call %d->%d: serve ran at %v on a node that is not Up", c.from, c.to, s.Now())
+				}
 				if c.dones > 0 && !c.inFlight {
 					c.lateServeAt = s.Now()
 				}

@@ -183,6 +183,14 @@ func (n *Net) SetUp(id NodeID, up bool) {
 	}
 }
 
+// Up reports a node's ambient state, the value SetUp last set (false for
+// invalid ids). An outage window does not change it: delivery uses the
+// effective state, which a window can only force down, so a message is
+// delivered only to a node that is Up.
+func (n *Net) Up(id NodeID) bool {
+	return n.valid(id) && n.nodes[id].baseUp
+}
+
 // Region returns a node's region (0 for invalid ids).
 func (n *Net) Region(id NodeID) Region {
 	if !n.valid(id) {

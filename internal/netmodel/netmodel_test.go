@@ -484,11 +484,25 @@ func TestWindowsRestoreAmbientState(t *testing.T) {
 	}
 	// Ambient: a manual partition isolating c, set during the window.
 	s.At(15*time.Millisecond, func() { n.Partition(map[NodeID]int{a: 0, c: 2}) })
+	// Up reports the ambient state, not the window's: c is held down
+	// while still Up, and b stays not Up throughout.
+	if err := n.ScheduleOutageWindow(10*time.Millisecond, 20*time.Millisecond, c); err != nil {
+		t.Fatalf("ScheduleOutageWindow: %v", err)
+	}
+	s.At(15*time.Millisecond, func() {
+		if n.nodes[c].up || !n.Up(c) || n.Up(b) {
+			t.Errorf("inside the windows: c effective %v, Up(c) %v, Up(b) %v; want false, true, false",
+				n.nodes[c].up, n.Up(c), n.Up(b))
+		}
+	})
 	if err := s.RunUntil(30 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if n.nodes[b].up {
+	if n.nodes[b].up || n.Up(b) {
 		t.Fatal("outage window end resurrected a manually-downed node")
+	}
+	if !n.nodes[c].up || !n.Up(c) {
+		t.Fatal("outage window end left an ambient-up node down")
 	}
 	if !n.partitioned(a, c) {
 		t.Fatal("partition window end erased the ambient partition")

@@ -55,7 +55,6 @@ type Node struct {
 
 	successors []Contact // ordered clockwise, length <= successorListLen
 	fingers    [FingerBits]Contact
-	online     bool
 }
 
 // Successor returns the node's first live successor pointer.
@@ -108,9 +107,8 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 // AddNode attaches a node with a random ring position in the given region.
 func (nw *Network) AddNode(region netmodel.Region) *Node {
 	n := &Node{
-		ID:     nw.rng.Uint64(),
-		Addr:   nw.net.AddNode(region, 0),
-		online: true,
+		ID:   nw.rng.Uint64(),
+		Addr: nw.net.AddNode(region, 0),
 	}
 	nw.nodes = append(nw.nodes, n)
 	nw.byAddr[n.Addr] = n
@@ -152,21 +150,22 @@ func successorOf(ring []*Node, key uint64) *Node {
 	return ring[idx]
 }
 
-// SetOnline attaches or detaches a node (churn transition).
+// SetOnline attaches or detaches a node (churn transition). The transport
+// owns the state, and its Up reads it back.
 func (nw *Network) SetOnline(n *Node, online bool) {
-	n.online = online
 	nw.net.SetUp(n.Addr, online)
 }
 
 // rpc sends a request and reports the peer (by direct reference — payload
 // contents are modelled, not serialized), or ok=false on timeout — peer is
-// then whatever the request found and must not be read.
+// then whatever the request found and must not be read. The transport
+// delivers a request only to a node that is up, so serve needs no check.
 func (nw *Network) rpc(from *Node, to netmodel.NodeID, onDone func(peer *Node, ok bool)) {
 	var peer *Node
 	nw.net.Call(from.Addr, to, reqSize, respSize, nw.cfg.RPCTimeout,
 		func() bool {
 			peer = nw.byAddr[to]
-			return peer != nil && peer.online
+			return peer != nil
 		},
 		func(ok, _ bool) { onDone(peer, ok) })
 }
@@ -182,7 +181,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 		start:  nw.sim.Now(),
 		done:   done,
 	}
-	if !origin.online {
+	if !nw.net.Up(origin.Addr) {
 		l.finish(Contact{}, false)
 		return
 	}
@@ -216,7 +215,7 @@ func (l *chordLookup) visit(node *Node) {
 	if succ.Addr == node.Addr {
 		// Degenerate state (successor list exhausted): treat the node
 		// itself as owner if it is the origin, otherwise fail.
-		l.finish(Contact{ID: node.ID, Addr: node.Addr}, node.online)
+		l.finish(Contact{ID: node.ID, Addr: node.Addr}, l.nw.net.Up(node.Addr))
 		return
 	}
 	if overlay.RingBetween(node.ID, l.key, succ.ID) {
@@ -321,7 +320,7 @@ func removeContact(n *Node, id uint64) {
 func (nw *Network) OwnerOf(key uint64) *Node {
 	var ring []*Node
 	for _, n := range nw.nodes {
-		if n.online {
+		if nw.net.Up(n.Addr) {
 			ring = append(ring, n)
 		}
 	}

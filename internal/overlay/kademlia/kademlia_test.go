@@ -320,7 +320,7 @@ func TestRejoinRepopulatesTable(t *testing.T) {
 	if !rejoined {
 		t.Fatal("Rejoin callback never fired")
 	}
-	if !n.Online() {
+	if !nw.Online(n) {
 		t.Fatal("node offline after Rejoin")
 	}
 	if n.Table().Size() < 5 {

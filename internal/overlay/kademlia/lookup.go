@@ -70,7 +70,7 @@ func (nw *Network) Lookup(origin *Node, target overlay.ID, done func(Result)) {
 	p := &nw.pool
 	l := nw.newLookup()
 	l.origin, l.target, l.start, l.done = origin, target, nw.sim.Now(), done
-	if !origin.online {
+	if !nw.Online(origin) {
 		l.finish(false)
 		return
 	}

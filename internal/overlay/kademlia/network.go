@@ -85,11 +85,7 @@ type Node struct {
 	malicious  bool
 	// poison, when set on a malicious node, fabricates FIND_NODE replies.
 	poison func(target overlay.ID) []Contact
-	online bool
 }
-
-// Online reports whether the node is currently attached to the network.
-func (n *Node) Online() bool { return n.online }
 
 // Responsive reports whether the node answers RPCs.
 func (n *Node) Responsive() bool { return n.responsive }
@@ -188,18 +184,20 @@ func (nw *Network) addNode(region netmodel.Region, id overlay.ID, responsive, ma
 		table:      NewTable(id, nw.cfg.K),
 		responsive: responsive,
 		malicious:  malicious,
-		online:     true,
 	}
 	nw.nodes = append(nw.nodes, n)
 	nw.byAddr[addr] = n
 	return n
 }
 
-// SetOnline attaches or detaches a node, mirroring churn transitions.
+// SetOnline attaches or detaches a node, mirroring churn transitions. The
+// transport owns the state: Online reads it back.
 func (nw *Network) SetOnline(n *Node, online bool) {
-	n.online = online
 	nw.net.SetUp(n.Addr, online)
 }
+
+// Online reports whether the node is currently attached to the network.
+func (nw *Network) Online(n *Node) bool { return nw.net.Up(n.Addr) }
 
 // Bootstrap populates every online node's routing table as a converged
 // network would have it: each node learns its K XOR-closest online
@@ -214,7 +212,7 @@ func (nw *Network) Bootstrap() error {
 	}
 	order := make([]*Node, 0, len(nw.nodes))
 	for _, node := range nw.nodes {
-		if node.online {
+		if nw.Online(node) {
 			order = append(order, node)
 		}
 	}
@@ -268,12 +266,12 @@ func (nw *Network) Bootstrap() error {
 func (nw *Network) RandomOnlineNode() *Node {
 	for attempts := 0; attempts < 64; attempts++ {
 		n := nw.nodes[nw.rng.Intn(len(nw.nodes))]
-		if n.online {
+		if nw.Online(n) {
 			return n
 		}
 	}
 	for _, n := range nw.nodes {
-		if n.online {
+		if nw.Online(n) {
 			return n
 		}
 	}
@@ -306,7 +304,7 @@ func (nw *Network) Rejoin(n *Node, done func()) {
 func (nw *Network) ClosestOnline(target overlay.ID, k int) []*Node {
 	sel := newNearest[*Node](target, k)
 	for _, n := range nw.nodes {
-		if n.online && n.responsive && !n.malicious {
+		if n.responsive && !n.malicious && nw.Online(n) {
 			sel.offer(n.ID, n)
 		}
 	}
@@ -342,7 +340,7 @@ func (r *rpc) send(l *lookup, to netmodel.NodeID, d overlay.Distance) {
 func (r *rpc) handle() bool {
 	nw := r.nw
 	recv, ok := nw.byAddr[r.to]
-	if !ok || !recv.online {
+	if !ok {
 		return false
 	}
 	// Open networks learn the requester — the sybil poisoning vector.

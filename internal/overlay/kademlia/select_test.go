@@ -124,7 +124,7 @@ func TestClosestOnlineMatchesBruteForce(t *testing.T) {
 	}
 	var eligible []Contact
 	for _, n := range nw.Nodes() {
-		if n.Online() && n.Responsive() && !n.Malicious() {
+		if nw.Online(n) && n.Responsive() && !n.Malicious() {
 			eligible = append(eligible, Contact{ID: n.ID, Addr: n.Addr})
 		}
 	}
@@ -265,7 +265,7 @@ func churnLookups(t *testing.T) ([]Result, string) {
 		s.At(time.Duration(g.Float64()*float64(30*time.Second)), func() {
 			n := nw.Nodes()[g.Intn(len(nw.Nodes()))]
 			switch {
-			case !n.Online():
+			case !nw.Online(n):
 				nw.Rejoin(n, func() { rejoined++ })
 			case g.Bool(0.3):
 				nw.SetOnline(n, false)

@@ -59,7 +59,7 @@ type Node struct {
 	ID   uint64
 	Addr netmodel.NodeID
 
-	online     bool
+	// The latest transition; the transport's Up is the current state.
 	prevOnline bool
 	lastChange time.Duration
 }
@@ -83,19 +83,17 @@ type Network struct {
 	cfg Config
 	rng *sim.RNG
 
-	nodes  []*Node // sorted by ID after Build
-	byAddr map[netmodel.NodeID]*Node
-	built  bool
+	nodes []*Node // sorted by ID after Build
+	built bool
 }
 
 // NewNetwork creates an empty overlay.
 func NewNetwork(s *sim.Sim, nm *netmodel.Net, cfg Config) *Network {
 	return &Network{
-		sim:    s,
-		net:    nm,
-		cfg:    cfg.withDefaults(),
-		rng:    s.Stream("onehop"),
-		byAddr: make(map[netmodel.NodeID]*Node),
+		sim: s,
+		net: nm,
+		cfg: cfg.withDefaults(),
+		rng: s.Stream("onehop"),
 	}
 }
 
@@ -109,11 +107,9 @@ func (nw *Network) AddNode(region netmodel.Region) *Node {
 		Addr: nw.net.AddNode(region, 0),
 		// Nodes start online and their membership is "old news": views
 		// already reflect it.
-		online:     true,
 		prevOnline: true,
 	}
 	nw.nodes = append(nw.nodes, n)
-	nw.byAddr[n.Addr] = n
 	return n
 }
 
@@ -130,11 +126,10 @@ func (nw *Network) Build() error {
 // SetOnline records a membership transition. The new state becomes visible
 // to other nodes' views only after Config.ViewLag.
 func (nw *Network) SetOnline(n *Node, online bool) {
-	if n.online == online {
+	if nw.net.Up(n.Addr) == online {
 		return
 	}
-	n.prevOnline = n.online
-	n.online = online
+	n.prevOnline = !online
 	n.lastChange = nw.sim.Now()
 	nw.net.SetUp(n.Addr, online)
 }
@@ -143,7 +138,7 @@ func (nw *Network) SetOnline(n *Node, online bool) {
 // reality by the dissemination delay.
 func (nw *Network) believedOnline(x *Node) bool {
 	if nw.sim.Now()-x.lastChange >= nw.cfg.ViewLag {
-		return x.online
+		return nw.net.Up(x.Addr)
 	}
 	return x.prevOnline
 }
@@ -170,7 +165,7 @@ func (nw *Network) OwnerOf(key uint64) *Node {
 	idx := sort.Search(n, func(i int) bool { return nw.nodes[i].ID >= key })
 	for off := 0; off < n; off++ {
 		cand := nw.nodes[(idx+off)%n]
-		if cand.online {
+		if nw.net.Up(cand.Addr) {
 			return cand
 		}
 	}
@@ -180,7 +175,7 @@ func (nw *Network) OwnerOf(key uint64) *Node {
 // Lookup issues a one-hop lookup from origin for key, retrying through the
 // believed successor list on timeout, and invokes done exactly once.
 func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
-	if !nw.built || !origin.online {
+	if !nw.built || !nw.net.Up(origin.Addr) {
 		if done != nil {
 			done(Result{})
 		}
@@ -197,11 +192,7 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 			return
 		}
 		target := cands[i]
-		nw.net.Call(origin.Addr, target.Addr, reqSize, respSize, nw.cfg.RPCTimeout,
-			func() bool {
-				peer, ok := nw.byAddr[target.Addr]
-				return ok && peer.online
-			},
+		nw.net.Call(origin.Addr, target.Addr, reqSize, respSize, nw.cfg.RPCTimeout, answer,
 			func(ok, _ bool) {
 				if !ok {
 					attempt(i + 1)
@@ -219,6 +210,10 @@ func (nw *Network) Lookup(origin *Node, key uint64, done func(Result)) {
 	}
 	attempt(0)
 }
+
+// answer is a lookup's serve: the transport delivers a request only to a
+// node that is up, and that node answers.
+func answer() bool { return true }
 
 // MaintenanceParams feeds the analytic dissemination-bandwidth model.
 type MaintenanceParams struct {

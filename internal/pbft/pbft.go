@@ -158,8 +158,7 @@ type Cluster struct {
 	// execution observation, set by in-package tests
 	onExecute func(replica int, seq int, batch []Request)
 
-	committed     int
-	commitLatency []time.Duration
+	commitLatency []time.Duration // one entry per committed request
 	msgs          int64
 	viewChanges   int
 }
@@ -514,7 +513,6 @@ func (c *Cluster) tryExecute(r *Replica) {
 		if r.id == c.firstExecutor() {
 			now := c.sim.Now()
 			for _, req := range inst.batch {
-				c.committed++
 				c.commitLatency = append(c.commitLatency, now-req.SubmittedAt)
 			}
 		}
@@ -610,10 +608,10 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	if err := c.sim.RunUntil(duration + 10*time.Second); err != nil {
 		return LoadStats{}, err
 	}
-	if c.committed == 0 {
+	if len(c.commitLatency) == 0 {
 		return LoadStats{}, errNotRun
 	}
-	st := LoadStats{TPS: float64(c.committed) / duration.Seconds()}
+	st := LoadStats{TPS: float64(len(c.commitLatency)) / duration.Seconds()}
 	st.MeanLatency, st.P99Latency = metrics.MeanP99(c.commitLatency)
 	if offered > 0 {
 		st.MsgsPerReq = float64(c.msgs) / float64(offered)

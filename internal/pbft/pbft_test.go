@@ -44,8 +44,8 @@ func TestBasicCommit(t *testing.T) {
 	if err := s.RunUntil(5 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed != 1 {
-		t.Fatalf("Committed = %d, want 1", c.committed)
+	if len(c.commitLatency) != 1 {
+		t.Fatalf("Committed = %d, want 1", len(c.commitLatency))
 	}
 	// All live replicas execute the same sequence.
 	for _, r := range c.replicas {
@@ -112,8 +112,8 @@ func TestSurvivesFBackupCrashes(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed != 10 {
-		t.Fatalf("Committed = %d with f crashes, want 10", c.committed)
+	if len(c.commitLatency) != 10 {
+		t.Fatalf("Committed = %d with f crashes, want 10", len(c.commitLatency))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestPrimaryCrashTriggersViewChange(t *testing.T) {
 	if live.view == 0 {
 		t.Fatal("replicas did not move past view 0")
 	}
-	if c.committed == 0 {
+	if len(c.commitLatency) == 0 {
 		t.Fatal("no commits after failover")
 	}
 }
@@ -180,8 +180,8 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 		if err := s.RunUntil(5 * time.Second); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if c.committed != 1 {
-			t.Fatalf("n=%d: Committed = %d", n, c.committed)
+		if len(c.commitLatency) != 1 {
+			t.Fatalf("n=%d: Committed = %d", n, len(c.commitLatency))
 		}
 		return float64(c.msgs)
 	}
@@ -205,8 +205,8 @@ func TestRecoverRejoins(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed != 2 {
-		t.Fatalf("Committed = %d, want 2", c.committed)
+	if len(c.commitLatency) != 2 {
+		t.Fatalf("Committed = %d, want 2", len(c.commitLatency))
 	}
 	// The recovered replica participates in the second slot.
 	if c.replicas[2].lastExe < 0 {
@@ -269,8 +269,8 @@ func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
 				t.Fatal("an outage window must not mark the replica crashed")
 			}
 			// The other three replicas are a quorum on their own.
-			if c.committed != 1 {
-				t.Fatalf("committed = %d, want 1", c.committed)
+			if len(c.commitLatency) != 1 {
+				t.Fatalf("committed = %d, want 1", len(c.commitLatency))
 			}
 		})
 	}
@@ -406,5 +406,25 @@ func TestScenarioDigestsPinned(t *testing.T) {
 				t.Errorf("digest %s, want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFaultFreeLoadNoViewChange pins the premise of E13's planned fault
+// rows: a load with no fault records no view change, at E13's sizes (n=4
+// and n=16), its default batch and one request per instance, and its
+// default 2 000 req/s, so any view change in a fault row is the fault's.
+func TestFaultFreeLoadNoViewChange(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		for _, batch := range []int{200, 1} {
+			t.Run(fmt.Sprintf("n=%d/batch=%d", n, batch), func(t *testing.T) {
+				_, c := newCluster(t, n, 1, Config{BatchSize: batch, BatchTimeout: 20 * time.Millisecond})
+				if _, err := c.RunLoad(2000, 2*time.Second); err != nil {
+					t.Fatalf("RunLoad: %v", err)
+				}
+				if c.viewChanges != 0 {
+					t.Errorf("%d view changes under a fault-free load", c.viewChanges)
+				}
+			})
+		}
 	}
 }

@@ -78,11 +78,6 @@ type Miner struct {
 
 	tipHash ledger.Hash
 	tipWork float64
-
-	// Mined counts blocks found; Stale counts those off the final best
-	// chain (filled by Finalize).
-	Mined int
-	Stale int
 }
 
 // Network is a PoW mining simulation.
@@ -98,9 +93,7 @@ type Network struct {
 	totalHash  float64
 	nextFind   sim.Handle
 
-	blockMiner map[ledger.Hash]int     // block -> miner id
-	workCache  map[ledger.Hash]float64 // block -> cumulative work
-	found      int
+	blockMiner map[ledger.Hash]int // block -> miner id, one entry per block found
 
 	// WAN-backed relay (NewNetworkOverNet); nil means the abstract
 	// Params.Propagation draw is used instead.
@@ -130,10 +123,8 @@ func NewNetwork(s *sim.Sim, params Params, hashrates []float64) (*Network, error
 		chain:      ledger.NewChain(genesis),
 		difficulty: params.InitialDifficulty,
 		blockMiner: make(map[ledger.Hash]int),
-		workCache:  make(map[ledger.Hash]float64),
 	}
 	gh := genesis.Hash()
-	nw.workCache[gh] = params.InitialDifficulty
 	for i, h := range hashrates {
 		if h < 0 {
 			return nil, errors.New("pow: negative hashrate")
@@ -247,18 +238,15 @@ func (nw *Network) blockFound() {
 		miner = nw.miners[len(nw.miners)-1]
 	}
 	b := ledger.NewBlock(miner.tipHash, nil, nw.sim.Now(), nw.difficulty)
-	b.Header.Nonce = uint64(nw.found)
-	nw.found++
-	miner.Mined++
+	b.Header.Nonce = uint64(len(nw.blockMiner))
 	h := b.Hash()
 	nw.blockMiner[h] = miner.ID
-	nw.workCache[h] = nw.workCache[b.Header.PrevHash] + b.Header.Difficulty
 	newBest, _, err := nw.chain.AddBlock(b)
 	if err == nil && newBest && nw.params.RetargetWindow > 0 {
 		nw.maybeRetarget()
 	}
 	// The finder adopts its own block instantly.
-	work := nw.workOf(h)
+	work := nw.chain.Work(h)
 	if work > miner.tipWork {
 		miner.tipHash, miner.tipWork = h, work
 	}
@@ -294,9 +282,6 @@ func (nw *Network) blockFound() {
 	}
 	nw.scheduleNext()
 }
-
-// workOf returns a block's cumulative work.
-func (nw *Network) workOf(h ledger.Hash) float64 { return nw.workCache[h] }
 
 // maybeRetarget adjusts difficulty when the best height crosses a window
 // boundary, like Bitcoin's 2016-block rule, clamped to [1/4, 4].
@@ -350,10 +335,10 @@ type Stats struct {
 	MinerShares []float64
 }
 
-// Finalize computes run statistics and fills each miner's Stale count.
+// Finalize computes run statistics.
 func (nw *Network) Finalize() Stats {
 	st := Stats{
-		BlocksFound: nw.found,
+		BlocksFound: len(nw.blockMiner),
 		BestHeight:  nw.chain.BestHeight(),
 	}
 	onBest := make(map[ledger.Hash]bool, len(nw.blockMiner))
@@ -365,12 +350,11 @@ func (nw *Network) Finalize() Stats {
 		if onBest[h] {
 			wins[minerID]++
 		} else {
-			nw.miners[minerID].Stale++
 			st.StaleBlocks++
 		}
 	}
-	if nw.found > 0 {
-		st.StaleRate = float64(st.StaleBlocks) / float64(nw.found)
+	if st.BlocksFound > 0 {
+		st.StaleRate = float64(st.StaleBlocks) / float64(st.BlocksFound)
 	}
 	if st.BestHeight > 0 {
 		tip, _ := nw.chain.Block(nw.chain.BestHash())

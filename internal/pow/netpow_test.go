@@ -155,7 +155,7 @@ func TestPartitionHealConvergesOnMostWork(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
-		best := nw.workOf(nw.chain.BestHash())
+		best := nw.chain.Work(nw.chain.BestHash())
 		for _, m := range nw.miners {
 			if m.tipWork != best {
 				t.Errorf("seed %d: miner %d ends on work %g, the best chain has %g", seed, m.ID, m.tipWork, best)
@@ -180,7 +180,7 @@ func TestAbstractDefaultUnchanged(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	nw.Stop()
-	if nw.found == 0 {
+	if len(nw.blockMiner) == 0 {
 		t.Fatal("no blocks found")
 	}
 }

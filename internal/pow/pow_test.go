@@ -341,7 +341,7 @@ func TestObserveCallback(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	nw.Stop()
-	if count == 0 || count != nw.found {
-		t.Fatalf("observer saw %d blocks, network found %d", count, nw.found)
+	if count == 0 || count != len(nw.blockMiner) {
+		t.Fatalf("observer saw %d blocks, network found %d", count, len(nw.blockMiner))
 	}
 }

@@ -111,8 +111,7 @@ type Cluster struct {
 
 	nodes []*Node
 
-	committed int
-	latency   []time.Duration
+	latency []time.Duration // one entry per committed request
 
 	free    []*message // delivered messages, ready for reuse
 	matches []int      // onAppendReply's scratch copy of matchIndex
@@ -458,7 +457,6 @@ func (c *Cluster) apply(n *Node) {
 			c.onApply(n.id, n.applied, e.req)
 		}
 		if n.role == Leader {
-			c.committed++
 			c.latency = append(c.latency, c.sim.Now()-e.req.SubmittedAt)
 		}
 	}
@@ -540,7 +538,7 @@ func (c *Cluster) RunLoad(rate float64, duration time.Duration) (LoadStats, erro
 	if err := c.sim.RunUntil(start + duration + 5*time.Second); err != nil {
 		return LoadStats{}, err
 	}
-	st := LoadStats{TPS: float64(c.committed) / duration.Seconds()}
+	st := LoadStats{TPS: float64(len(c.latency)) / duration.Seconds()}
 	st.MeanLatency, st.P99Latency = metrics.MeanP99(c.latency)
 	return st, nil
 }

@@ -74,8 +74,8 @@ func TestReplicatesAndCommits(t *testing.T) {
 	if err := s.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed != 10 {
-		t.Fatalf("Committed = %d, want 10", c.committed)
+	if len(c.latency) != 10 {
+		t.Fatalf("Committed = %d, want 10", len(c.latency))
 	}
 	// Every live node converges to the same commit index.
 	for _, n := range c.Nodes() {
@@ -147,7 +147,7 @@ func TestLeaderFailover(t *testing.T) {
 	if err := s.RunUntil(20 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed == 0 {
+	if len(c.latency) == 0 {
 		t.Fatal("nothing committed after failover")
 	}
 }
@@ -172,8 +172,8 @@ func TestMinorityCrashTolerated(t *testing.T) {
 	if err := s.RunUntil(15 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if c.committed != 5 {
-		t.Fatalf("Committed = %d with minority down, want 5", c.committed)
+	if len(c.latency) != 5 {
+		t.Fatalf("Committed = %d with minority down, want 5", len(c.latency))
 	}
 }
 
@@ -404,8 +404,8 @@ func TestReplicationSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
 		t.Errorf("replication round allocates %v per Submit, want 0", allocs)
 	}
-	if c.committed != id {
-		t.Fatalf("committed %d of %d", c.committed, id)
+	if len(c.latency) != id {
+		t.Fatalf("committed %d of %d", len(c.latency), id)
 	}
 }
 

@@ -16,9 +16,10 @@ const figureW, figureH = 640, 360
 
 // renderIndex builds REPORT.md: the claim-traceability matrix grouped by
 // paper section, in paper-section order, one row per experiment
-// (views[i] is exps[i]'s scenario). With a sensitivity layer the matrix
-// gains a stability column.
-func renderIndex(exps []core.Experiment, views []harness.GroupView, opts Options, sens *sensitivity) string {
+// (views[i] is exps[i]'s scenario), and a summary of the reproduced
+// scenarios (Tree.Reproduced). With a sensitivity layer the matrix gains a
+// stability column.
+func renderIndex(exps []core.Experiment, views []harness.GroupView, reproduced int, opts Options, sens *sensitivity) string {
 	var b strings.Builder
 	b.WriteString("# Reproduction report — Please, do not Decentralize the Internet with (Permissionless) Blockchains!\n\n")
 	fmt.Fprintf(&b, "Generated by `decentsim report`: %d experiments × seeds {%s} at scale %.4g.\n",
@@ -49,7 +50,6 @@ func renderIndex(exps []core.Experiment, views []harness.GroupView, opts Options
 		return sectionLess(core.SectionOf(exps[order[i]]), core.SectionOf(exps[order[j]]))
 	})
 
-	reproduced := 0
 	for _, i := range order {
 		e, v := exps[i], views[i]
 		section := core.SectionOf(e)
@@ -59,9 +59,6 @@ func renderIndex(exps []core.Experiment, views []harness.GroupView, opts Options
 		stability := ""
 		if sens != nil {
 			stability = " " + mdCell(sens.exps[e.ID()].fragileLabel()) + " |"
-		}
-		if v.Reproduced {
-			reproduced++
 		}
 		fmt.Fprintf(&b, "| %s | [%s](experiments/%s.md) | %s | %d/%d | %s | %s |%s\n",
 			mdCell(section), e.ID(), e.ID(), mdCell(e.Title()),

@@ -400,7 +400,7 @@ func GenerateContext(ctx context.Context, reg *core.Registry, opts Options) (*Tr
 	if res != nil {
 		tree.Files = append(tree.Files, File{Path: hostFile, Data: res.hostJSON()})
 	}
-	tree.Files = append(tree.Files, File{Path: "REPORT.md", Data: []byte(renderIndex(exps, views, opts, sens))})
+	tree.Files = append(tree.Files, File{Path: "REPORT.md", Data: []byte(renderIndex(exps, views, tree.Reproduced, opts, sens))})
 	if opts.HTML {
 		tree.Files = append(tree.Files, htmlFiles(tree.Files)...)
 	}
