@@ -209,7 +209,6 @@ func (c *Collector) AttachSim(s SimStats) {
 type Counter struct {
 	col   *Collector
 	name  string
-	total uint64
 	lanes []uint64
 }
 
@@ -223,16 +222,20 @@ func (c *Counter) Add(node, region int, v uint64) {
 	if c.lanes == nil {
 		c.col.seal()
 	}
-	c.total += v
 	c.lanes[c.col.laneIndex(node, region)] += v
 }
 
-// Total returns the counter's sum over all lanes.
+// Total returns the counter's sum over all lanes (at most maxNodeRanges ×
+// regions of them).
 func (c *Counter) Total() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.total
+	var t uint64
+	for _, v := range c.lanes {
+		t += v
+	}
+	return t
 }
 
 // CounterLane is one nonzero lane of a counter snapshot.
@@ -308,7 +311,7 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Sim.VirtualNano += int64(sim.Now())
 	}
 	for _, ctr := range c.counters {
-		snap := CounterSnap{Name: ctr.name, Total: ctr.total}
+		snap := CounterSnap{Name: ctr.name, Total: ctr.Total()}
 		for li, v := range ctr.lanes {
 			if v == 0 {
 				continue

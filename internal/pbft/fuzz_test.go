@@ -42,7 +42,8 @@ import (
 //   - validity: a replica executes only submitted request ids, and none
 //     twice;
 //   - order: each replica executes sequence numbers 0, 1, 2, … without a
-//     gap.
+//     gap;
+//   - up-only execution: only a replica the transport reports Up executes.
 //
 // The fault model is what the package claims to tolerate: at most f
 // replicas crashed at once, one Byzantine primary whose only fault is
@@ -56,7 +57,9 @@ import (
 // primary under load, whose two batches each reach 2f commit votes, and
 // stale-primary makes a replica that missed every pre-prepare the primary
 // of the next view, so it proposes a new batch for a sequence number the
-// others already executed.
+// others already executed. delivery-to-down-replica, found by the fuzzer,
+// crashes a backup under background load; on a transport that delivers to
+// a down receiver it fails the up-only execution check.
 func FuzzPBFTSafety(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -97,6 +100,9 @@ func runPBFTSchedule(t *testing.T, seed int64, shape, rate byte, ops []byte) {
 	}
 	var agreed [][]int // by seq: the first executed batch's request ids
 	c.onExecute = func(replica, seq int, batch []Request) {
+		if !nm.Up(c.replicas[replica].addr) {
+			t.Fatalf("up-only execution: down replica %d executed seq %d", replica, seq)
+		}
 		if want := c.replicas[replica].lastExe; seq != want {
 			t.Fatalf("order: replica %d executed seq %d, its next is %d", replica, seq, want)
 		}
@@ -149,12 +155,12 @@ func runPBFTSchedule(t *testing.T, seed int64, shape, rate byte, ops []byte) {
 				t.Fatal(err)
 			}
 		case 1:
-			if r := target(a); !r.crashed && crashed < c.f {
+			if r := target(a); nm.Up(r.addr) && crashed < c.f {
 				c.Crash(r.id)
 				crashed++
 			}
 		case 2:
-			if r := target(a); r.crashed {
+			if r := target(a); !nm.Up(r.addr) {
 				c.Recover(r.id)
 				crashed--
 			}
@@ -176,7 +182,7 @@ func runPBFTSchedule(t *testing.T, seed int64, shape, rate byte, ops []byte) {
 		}
 	}
 	for _, r := range c.replicas {
-		if r.crashed {
+		if !nm.Up(r.addr) {
 			c.Recover(r.id)
 		}
 	}

@@ -114,8 +114,7 @@ type Replica struct {
 	onBatch      func()               // flushes the batch; bound once per replica
 	onTimeout    func()               // starts a view change; bound once per replica
 	vcVotes      map[int]map[int]bool // view -> voters
-	crashed      bool
-	byzantineMut bool // equivocating primary behaviour
+	byzantineMut bool                 // equivocating primary behaviour
 }
 
 // kind says which protocol message a message is.
@@ -192,10 +191,9 @@ func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region, cfg
 // F returns the fault tolerance.
 func (c *Cluster) F() int { return c.f }
 
-// Crash stops a replica (fail-silent).
+// Crash stops a replica (fail-silent) by taking its address down.
 func (c *Cluster) Crash(id int) {
 	if id >= 0 && id < len(c.replicas) {
-		c.replicas[id].crashed = true
 		c.net.SetUp(c.replicas[id].addr, false)
 	}
 }
@@ -208,11 +206,10 @@ func (c *Cluster) Recover(id int) {
 		return
 	}
 	r := c.replicas[id]
-	r.crashed = false
 	c.net.SetUp(r.addr, true)
 	var donor *Replica
 	for _, peer := range c.replicas {
-		if peer == r || peer.crashed {
+		if peer == r || !c.net.Up(peer.addr) {
 			continue
 		}
 		if donor == nil || peer.lastExe > donor.lastExe {
@@ -268,7 +265,7 @@ func (c *Cluster) primary(view int) *Replica {
 func (c *Cluster) Submit(req Request) {
 	// Clients track the view of a quorum: take the median view.
 	p := c.primary(c.medianView())
-	if p.crashed {
+	if !c.net.Up(p.addr) {
 		// Client broadcasts to all on suspicion; replicas forward to the
 		// primary and start progress timers (simplified: start timers).
 		for _, r := range c.replicas {
@@ -298,10 +295,11 @@ func (c *Cluster) medianView() int {
 	return c.views[len(c.views)/2]
 }
 
-// flushBatch starts consensus on the primary's pending batch.
+// flushBatch starts consensus on the primary's pending batch. Its timer
+// survives Crash, so it checks that the primary is up.
 func (c *Cluster) flushBatch(p *Replica) {
 	p.batchTimer.Cancel()
-	if p.crashed || len(p.pending) == 0 || c.primary(p.view) != p {
+	if !c.net.Up(p.addr) || len(p.pending) == 0 || c.primary(p.view) != p {
 		return
 	}
 	batch := p.pending
@@ -385,10 +383,11 @@ func (c *Cluster) message(k kind, from, to *Replica) *message {
 
 // send transmits one protocol message and counts it; a message the
 // transport refuses goes straight back to the free list, and one dropped in
-// flight is left to the garbage collector. send needs no crash check of its
-// own: Crash takes the replica's address down with it, so the transport
-// drops a delivery to a crashed replica before deliver runs, and every
-// handler re-checks crashed anyway.
+// flight is left to the garbage collector. Neither send nor the handlers
+// check liveness: the transport refuses a message from a down replica and
+// drops one whose receiver is down at arrival, so a handler runs only on an
+// up replica, and a replica calls its own handlers only once it is known
+// to be up.
 func (c *Cluster) send(m *message, size int) {
 	c.msgs++
 	if !c.net.Send(m.from.addr, m.to.addr, size, m.deliver) {
@@ -420,7 +419,7 @@ func (m *message) handle() {
 // onPrePrepare handles the primary's proposal (including the primary's own
 // local acceptance).
 func (c *Cluster) onPrePrepare(r *Replica, view, seq int, digest uint64, batch []Request) {
-	if r.crashed || view < r.view {
+	if view < r.view {
 		return
 	}
 	inst := r.instance(seq)
@@ -478,7 +477,7 @@ func (c *Cluster) broadcastPhase(r *Replica, view, seq int, digest uint64, phase
 
 // onVote processes a PREPARE or COMMIT vote at a replica.
 func (c *Cluster) onVote(r *Replica, from, view, seq int, digest uint64, phase kind) {
-	if r.crashed || view < r.view {
+	if view < r.view {
 		return
 	}
 	// Votes arriving before the pre-prepare create a shell instance bound
@@ -523,24 +522,26 @@ func (c *Cluster) tryExecute(r *Replica) {
 // request (the lowest-id live replica).
 func (c *Cluster) firstExecutor() int {
 	for _, r := range c.replicas {
-		if !r.crashed {
+		if c.net.Up(r.addr) {
 			return r.id
 		}
 	}
 	return 0
 }
 
-// ensureProgressTimer arms the view-change timer if not already pending.
+// ensureProgressTimer arms the view-change timer of an up replica if not
+// already pending.
 func (c *Cluster) ensureProgressTimer(r *Replica) {
-	if r.crashed || !r.progressT.IsZero() {
+	if !r.progressT.IsZero() || !c.net.Up(r.addr) {
 		return
 	}
 	r.progressT = c.sim.After(c.cfg.ViewChangeTimeout, r.onTimeout)
 }
 
-// startViewChange broadcasts a VIEW-CHANGE vote for the next view.
+// startViewChange broadcasts a VIEW-CHANGE vote for the next view. Its
+// timer survives Crash, so it checks that the replica is up.
 func (c *Cluster) startViewChange(r *Replica) {
-	if r.crashed {
+	if !c.net.Up(r.addr) {
 		return
 	}
 	next := r.view + 1
@@ -558,7 +559,7 @@ func (c *Cluster) startViewChange(r *Replica) {
 
 // onViewChange tallies votes; 2f+1 votes move the replica into the new view.
 func (c *Cluster) onViewChange(r *Replica, from, view int) {
-	if r.crashed || view <= r.view {
+	if view <= r.view {
 		return
 	}
 	votes, ok := r.vcVotes[view]

@@ -265,7 +265,7 @@ func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
 			if tc.wantLastExe < 0 && len(r.log) != 0 {
 				t.Fatalf("replica 3 built %d instances from messages it should never have handled", len(r.log))
 			}
-			if tc.outage && r.crashed {
+			if tc.outage && !c.net.Up(r.addr) {
 				t.Fatal("an outage window must not mark the replica crashed")
 			}
 			// The other three replicas are a quorum on their own.
@@ -273,6 +273,98 @@ func TestInFlightPrePrepareAcrossCrash(t *testing.T) {
 				t.Fatalf("committed = %d, want 1", len(c.commitLatency))
 			}
 		})
+	}
+}
+
+// TestDownReplicaActsOnNothing covers every path that reaches a replica
+// without a delivery, each of which reads the transport's up flag: a batch
+// or progress timer that survives Crash, a client request, and the pick of
+// a state-transfer donor. Each case fails with its read removed.
+func TestDownReplicaActsOnNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		run  func(t *testing.T, s *sim.Sim, c *Cluster)
+	}{
+		{
+			name: "batch timer of a crashed primary sends nothing",
+			cfg:  Config{BatchSize: 2, BatchTimeout: 50 * time.Millisecond, ViewChangeTimeout: time.Hour},
+			run: func(t *testing.T, s *sim.Sim, c *Cluster) {
+				c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+				c.Crash(0)
+				runUntil(t, s, time.Second)
+				if c.msgs != 0 {
+					t.Fatalf("%d messages sent, want 0", c.msgs)
+				}
+			},
+		},
+		{
+			name: "progress timer of a crashed replica sends no view change",
+			cfg:  Config{BatchSize: 1, ViewChangeTimeout: 500 * time.Millisecond},
+			run: func(t *testing.T, s *sim.Sim, c *Cluster) {
+				c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+				c.Crash(3)
+				runUntil(t, s, 400*time.Millisecond) // the other three execute
+				msgs := c.msgs
+				runUntil(t, s, 2*time.Second) // replica 3's timer fires at 500 ms
+				if c.msgs != msgs || len(c.replicas[3].vcVotes) != 0 {
+					t.Fatalf("%d messages and %d view-change votes after the timeout, want 0 and 0",
+						c.msgs-msgs, len(c.replicas[3].vcVotes))
+				}
+			},
+		},
+		{
+			name: "a request to a crashed primary queues nothing",
+			cfg:  Config{BatchSize: 2, ViewChangeTimeout: time.Hour},
+			run: func(t *testing.T, s *sim.Sim, c *Cluster) {
+				c.Crash(0)
+				c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+				if p := c.replicas[0]; len(p.pending) != 0 || p.batchTimer.Scheduled() {
+					t.Fatalf("crashed primary holds %d requests, batch timer scheduled %v", len(p.pending), p.batchTimer.Scheduled())
+				}
+			},
+		},
+		{
+			name: "a request arms no progress timer on a crashed replica",
+			cfg:  Config{BatchSize: 1, ViewChangeTimeout: time.Hour},
+			run: func(t *testing.T, s *sim.Sim, c *Cluster) {
+				c.Crash(3)
+				c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+				if !c.replicas[3].progressT.IsZero() {
+					t.Fatal("crashed replica armed a progress timer")
+				}
+			},
+		},
+		{
+			name: "recover ignores a crashed peer that would win the donor pick",
+			cfg:  Config{BatchSize: 1, ViewChangeTimeout: time.Hour},
+			run: func(t *testing.T, s *sim.Sim, c *Cluster) {
+				c.Crash(3)
+				c.Submit(Request{ID: 1, SubmittedAt: s.Now()})
+				runUntil(t, s, time.Second)
+				// Replicas 0-2 tie on the longest log; the first of them
+				// is down, so the donor must be replica 1.
+				c.Crash(0)
+				c.Recover(3)
+				runUntil(t, s, 2*time.Second)
+				if got := c.replicas[3].lastExe; got != 0 {
+					t.Fatalf("recovered replica last executed = %d, want 0", got)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newCluster(t, 4, 14, tc.cfg)
+			tc.run(t, s, c)
+		})
+	}
+}
+
+func runUntil(t *testing.T, s *sim.Sim, at time.Duration) {
+	t.Helper()
+	if err := s.RunUntil(at); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 //     reaches it, so only a leader deposed within a millisecond of winning
 //     goes unseen;
 //   - state-machine safety: every node applies the same request at each
-//     index (OnApply);
+//     index (OnApply), and only a node the transport reports Up applies;
 //   - log matching: two logs holding an entry with the same index and term
 //     are identical up to it;
 //   - leader completeness: a leader of term T holds every applied entry
@@ -52,6 +52,9 @@ import (
 // conflicting entry from a higher term is elected after that leader
 // crashes. Only the commit rule's current-term check keeps the first entry
 // from being applied and then overwritten; random schedules rarely find it.
+// Another, delivery-to-down-node, found by the fuzzer, crashes a follower
+// under load; on a transport that delivers to a down receiver it fails the
+// up-only execution check.
 func FuzzRaftSafety(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -85,6 +88,9 @@ func runSafetySchedule(t *testing.T, seed int64, rate byte, ops []byte) {
 	type applied struct{ id, bound int } // request id; commit-term bound
 	var history []applied                // by index, from the first node to apply it
 	c.OnApply(func(node, index int, req Request) {
+		if !nm.Up(c.nodes[node].addr) {
+			t.Fatalf("up-only execution: down node %d applied index %d", node, index)
+		}
 		if index < len(history) {
 			if history[index].id != req.ID {
 				t.Fatalf("state-machine safety: node %d applied request %d at index %d, another node applied %d",
@@ -165,11 +171,11 @@ func runSafetySchedule(t *testing.T, seed int64, rate byte, ops []byte) {
 			}
 			check("after run chunk")
 		case 1:
-			if n := target(a); n != nil && !n.crashed {
+			if n := target(a); n != nil && nm.Up(n.addr) {
 				c.Crash(n.id)
 			}
 		case 2:
-			if n := target(a); n != nil && n.crashed {
+			if n := target(a); n != nil && !nm.Up(n.addr) {
 				c.Recover(n.id)
 			}
 		case 3:
@@ -192,7 +198,7 @@ func runSafetySchedule(t *testing.T, seed int64, rate byte, ops []byte) {
 		}
 	}
 	for _, n := range c.nodes {
-		if n.crashed {
+		if !nm.Up(n.addr) {
 			c.Recover(n.id)
 		}
 	}

@@ -94,7 +94,6 @@ type Node struct {
 	electionTimer sim.Handle
 	onTimeout     func() // starts an election; bound once per node
 	heartbeat     *sim.Ticker
-	crashed       bool
 }
 
 // ID returns the node id.
@@ -172,11 +171,13 @@ func NewCluster(s *sim.Sim, nm *netmodel.Net, n int, region netmodel.Region) (*C
 	return c, nil
 }
 
-// Start arms every node's election timer. Run the simulator to elect a
+// Start arms every up node's election timer. Run the simulator to elect a
 // leader.
 func (c *Cluster) Start() {
 	for _, n := range c.nodes {
-		c.resetElectionTimer(n)
+		if c.net.Up(n.addr) {
+			c.resetElectionTimer(n)
+		}
 	}
 }
 
@@ -187,7 +188,7 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 func (c *Cluster) Leader() *Node {
 	var best *Node
 	for _, n := range c.nodes {
-		if n.role == Leader && !n.crashed && (best == nil || n.term > best.term) {
+		if n.role == Leader && c.net.Up(n.addr) && (best == nil || n.term > best.term) {
 			best = n
 		}
 	}
@@ -197,13 +198,13 @@ func (c *Cluster) Leader() *Node {
 // OnApply registers an observer of applied entries.
 func (c *Cluster) OnApply(fn func(node, index int, req Request)) { c.onApply = fn }
 
-// Crash fail-stops a node.
+// Crash fail-stops a node: it takes the node's address down and cancels
+// both its timers, so nothing runs on it until Recover.
 func (c *Cluster) Crash(id int) {
 	if id < 0 || id >= len(c.nodes) {
 		return
 	}
 	n := c.nodes[id]
-	n.crashed = true
 	c.net.SetUp(n.addr, false)
 	if n.heartbeat != nil {
 		n.heartbeat.Stop()
@@ -218,7 +219,6 @@ func (c *Cluster) Recover(id int) {
 		return
 	}
 	n := c.nodes[id]
-	n.crashed = false
 	n.role = Follower
 	c.net.SetUp(n.addr, true)
 	c.resetElectionTimer(n)
@@ -249,7 +249,7 @@ func (c *Cluster) resetElectionTimer(n *Node) {
 }
 
 func (c *Cluster) startElection(n *Node) {
-	if n.crashed || n.role == Leader {
+	if n.role == Leader {
 		return
 	}
 	n.term++
@@ -273,9 +273,6 @@ func (c *Cluster) startElection(n *Node) {
 }
 
 func (c *Cluster) onRequestVote(n, candidate *Node, term, lastIdx, lastTerm int) {
-	if n.crashed {
-		return
-	}
 	if term > n.term {
 		c.stepDown(n, term)
 	}
@@ -300,7 +297,7 @@ func (c *Cluster) onRequestVote(n, candidate *Node, term, lastIdx, lastTerm int)
 }
 
 func (c *Cluster) onVote(n *Node, from, term int) {
-	if n.crashed || n.role != Candidate || term != n.term {
+	if n.role != Candidate || term != n.term {
 		return
 	}
 	n.votes[from] = true
@@ -323,7 +320,7 @@ func (c *Cluster) onVote(n *Node, from, term int) {
 		}
 	}
 	hb, err := c.sim.Every(heartbeatInterval, func() {
-		if n.crashed || n.role != Leader {
+		if n.role != Leader {
 			if n.heartbeat != nil {
 				n.heartbeat.Stop()
 				n.heartbeat = nil
@@ -354,7 +351,7 @@ func (c *Cluster) stepDown(n *Node, term int) {
 
 // sendAppend ships log entries (or a heartbeat) from leader to peer.
 func (c *Cluster) sendAppend(leader, peer *Node) {
-	if leader.crashed || leader.role != Leader {
+	if leader.role != Leader {
 		return
 	}
 	next := leader.nextIndex[peer.id]
@@ -375,9 +372,6 @@ func (c *Cluster) sendAppend(leader, peer *Node) {
 }
 
 func (c *Cluster) onAppend(n, leader *Node, term, prevIdx, prevTerm int, entries []entry, leaderCommit int) {
-	if n.crashed {
-		return
-	}
 	if term < n.term {
 		return
 	}
@@ -418,7 +412,7 @@ func (c *Cluster) onAppend(n, leader *Node, term, prevIdx, prevTerm int, entries
 }
 
 func (c *Cluster) onAppendReply(leader, from *Node, term int, ok bool, matched int) {
-	if leader.crashed || leader.role != Leader || term != leader.term {
+	if leader.role != Leader || term != leader.term {
 		return
 	}
 	if !ok {
@@ -478,10 +472,9 @@ func (c *Cluster) message(k kind, from, to *Node, term int) *message {
 
 // send hands m to the transport; a message the transport refuses goes
 // straight back to the free list, and one dropped in flight is left to the
-// garbage collector. send needs no crash check of its own: Crash takes the
-// node's address down with it, so the transport drops a delivery to a
-// crashed node before deliver runs, and every handler re-checks crashed
-// anyway.
+// garbage collector. Neither send nor the handlers check liveness: the
+// transport refuses a message from a down node and drops one whose receiver
+// is down at arrival, so a handler runs only on an up node.
 func (c *Cluster) send(m *message, size int) {
 	if !c.net.Send(m.from.addr, m.to.addr, size, m.deliver) {
 		c.release(m)

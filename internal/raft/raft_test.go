@@ -233,6 +233,23 @@ func TestRecoveredNodeCatchesUp(t *testing.T) {
 	}
 }
 
+// TestStartSkipsCrashedNode checks that Start arms no election timer on a
+// node crashed before it, which would otherwise start elections while down.
+func TestStartSkipsCrashedNode(t *testing.T) {
+	s, c := newCluster(t, 3, 9)
+	c.Crash(0)
+	c.Start()
+	if err := s.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := c.nodes[0]; n.term != 0 || n.electionTimer.Scheduled() {
+		t.Fatalf("crashed node in term %d, election timer scheduled %v; want term 0, none", n.term, n.electionTimer.Scheduled())
+	}
+	if l := c.Leader(); l == nil || l.id == 0 {
+		t.Fatal("no leader among the two up nodes")
+	}
+}
+
 func TestRunLoadThroughput(t *testing.T) {
 	s, c := newCluster(t, 5, 8)
 	st, err := c.RunLoad(1000, 10*time.Second)
@@ -311,7 +328,7 @@ func TestInFlightAppendAcrossCrash(t *testing.T) {
 			if len(f.log) != tc.wantFollowerLog {
 				t.Fatalf("follower log length = %d, want %d", len(f.log), tc.wantFollowerLog)
 			}
-			if tc.outage && f.crashed {
+			if tc.outage && !c.net.Up(f.addr) {
 				t.Fatal("an outage window must not mark the node crashed")
 			}
 			// The other follower alone gives the leader its majority.
