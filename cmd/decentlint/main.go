@@ -1,8 +1,8 @@
-// Command decentlint runs the repository's static-analysis suite: four
-// analyzers (nondeterm, rngstream, floatfmt, hotpath) that enforce the
-// determinism, RNG-stream, float-formatting and 0-alloc hot-path
-// contracts at lint time. See internal/lint for the contracts
-// and the //decentlint:allow / //decentlint:hotpath directives.
+// Command decentlint runs the repository's static-analysis suite: three
+// analyzers (nondeterm, rngstream, floatfmt) that enforce the determinism,
+// RNG-stream and float-formatting contracts at lint time. See
+// internal/lint for the contracts and the //decentlint:allow directive.
+// The 0-alloc hot paths are gated by the AllocsPerRun tests, not here.
 //
 // Usage:
 //

@@ -1,30 +1,24 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// Directives. Two comment forms steer the suite:
+// Directives. One comment form steers the suite:
 //
 //	//decentlint:allow <check> <reason…>
 //	    Suppresses findings of the named check on the directive's own line
 //	    and on the line directly below it (so it can trail a statement or
-//	    sit on its own line above one). The reason is mandatory: an allow
-//	    without a written justification is itself a finding.
-//
-//	//decentlint:hotpath
-//	    On a function declaration's doc comment, opts the function into
-//	    the hotpath analyzer's allocation-free contract.
+//	    sit on its own line above one). The reason is mandatory, and the
+//	    check must name an analyzer of the suite: an allow without a
+//	    written justification, or one left behind for a check that no
+//	    longer exists, is itself a finding.
 //
 // Directives are comments, so they survive gofmt and show up in review
 // diffs next to the code they excuse.
 
-const (
-	allowPrefix   = "//decentlint:allow"
-	hotpathMarker = "//decentlint:hotpath"
-)
+const allowPrefix = "//decentlint:allow"
 
 // allowDirective is one parsed //decentlint:allow comment.
 type allowDirective struct {
@@ -38,9 +32,9 @@ type allowDirective struct {
 type directiveSet struct {
 	// byLine maps filename -> line -> checks allowed on that line.
 	byLine map[string]map[int]map[string]bool
-	// malformed collects directives missing a check name or a reason;
-	// the driver surfaces them as findings so an empty excuse cannot
-	// silently disable a contract.
+	// malformed collects directives missing a check name or a reason, or
+	// naming no analyzer; the driver surfaces them as findings so an empty
+	// or stale excuse cannot silently pass.
 	malformed []allowDirective
 }
 
@@ -67,7 +61,7 @@ func collectDirectives(pkg *Package) *directiveSet {
 				if len(fields) >= 2 {
 					d.reason = strings.Join(fields[1:], " ")
 				}
-				if d.check == "" || d.reason == "" {
+				if d.check == "" || d.reason == "" || !isAnalyzer(d.check) {
 					set.malformed = append(set.malformed, d)
 					continue
 				}
@@ -95,15 +89,10 @@ func (s *directiveSet) allows(check string, pos token.Position) bool {
 	return s.byLine[pos.Filename][pos.Line][check]
 }
 
-// hasHotpathDirective reports whether fn's doc comment carries the
-// //decentlint:hotpath marker.
-func hasHotpathDirective(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		text := c.Text
-		if text == hotpathMarker || strings.HasPrefix(text, hotpathMarker+" ") {
+// isAnalyzer reports whether name is the name of an analyzer of the suite.
+func isAnalyzer(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
 			return true
 		}
 	}

@@ -1,14 +1,18 @@
 // Package lint implements decentlint, the repository's static-analysis
-// suite. Four analyzers turn the reproduction's dynamic determinism and
-// performance contracts — byte-identical golden baselines, named RNG
-// streams, 0-alloc hot paths — into lint-time failures:
+// suite. Three analyzers turn the reproduction's determinism contracts —
+// byte-identical golden baselines, named RNG streams — into lint-time
+// failures:
 //
 //	nondeterm  no wall clock, ambient RNG, env reads, or order-dependent
 //	           map iteration inside the deterministic package set
 //	rngstream  RNGs are constructed only in internal/sim and
 //	           internal/randdist; everyone else uses named streams
 //	floatfmt   no value-width-dependent float formatting in render paths
-//	hotpath    //decentlint:hotpath functions stay allocation-free
+//
+// The 0-alloc hot paths of internal/sim and internal/netmodel have one
+// gate, the tier-1 AllocsPerRun tests. The committed mutants under
+// testdata/mutants (TestMutantsKilled) show that an allocation of each
+// class, in each hot path, fails one of them.
 //
 // Audited exceptions carry `//decentlint:allow <check> <reason>`; the
 // reason is mandatory. Run the suite with `go run ./cmd/decentlint ./...`.
@@ -53,7 +57,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the decentlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NonDeterm, RNGStream, FloatFmt, HotPath}
+	return []*Analyzer{NonDeterm, RNGStream, FloatFmt}
 }
 
 // Finding is one unsuppressed diagnostic.
@@ -70,17 +74,17 @@ func (f Finding) String() string {
 // RunAnalyzers applies the analyzers to one loaded package, filters
 // findings through the package's //decentlint:allow directives, and
 // returns the survivors sorted by position. Malformed directives (missing
-// check name or reason) are findings themselves, attributed to the
-// pseudo-check "directive".
+// check name or reason, or naming no analyzer) are findings themselves,
+// attributed to the pseudo-check "directive".
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	dirs := collectDirectives(pkg)
 	var findings []Finding
 	for _, d := range dirs.malformed {
-		findings = append(findings, Finding{
-			Analyzer: "directive",
-			Pos:      pkg.Fset.Position(d.pos),
-			Message:  "malformed //decentlint:allow: need a check name and a non-empty reason",
-		})
+		msg := "malformed //decentlint:allow: need a check name and a non-empty reason"
+		if d.check != "" && d.reason != "" {
+			msg = fmt.Sprintf("malformed //decentlint:allow: no analyzer is named %q", d.check)
+		}
+		findings = append(findings, Finding{Analyzer: "directive", Pos: pkg.Fset.Position(d.pos), Message: msg})
 	}
 	for _, a := range analyzers {
 		a.Run(&Pass{

@@ -13,7 +13,7 @@ func TestPathInSet(t *testing.T) {
 	}{
 		{"repro/internal/sim", true},
 		{"internal/sim", true},
-		{"repro/internal/sim/hpfix", true},
+		{"repro/internal/sim/rsok", true},
 		{"repro/internal/overlay/chord", true},
 		{"repro/internal/obs", true},
 		{"repro/internal/obsolete", false},
@@ -62,15 +62,15 @@ func TestParseVerbs(t *testing.T) {
 	}
 }
 
-// TestAnalyzersWellFormed pins the suite composition: four analyzers,
+// TestAnalyzersWellFormed pins the suite composition: three analyzers,
 // unique identifier names, docs present — the properties the directive
 // parser and the CI lint job rely on.
 func TestAnalyzersWellFormed(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 4 {
-		t.Fatalf("want 4 analyzers, got %d", len(as))
+	if len(as) != 3 {
+		t.Fatalf("want 3 analyzers, got %d", len(as))
 	}
-	want := map[string]bool{"nondeterm": true, "rngstream": true, "floatfmt": true, "hotpath": true}
+	want := map[string]bool{"nondeterm": true, "rngstream": true, "floatfmt": true}
 	seen := map[string]bool{}
 	for _, a := range as {
 		if !want[a.Name] {

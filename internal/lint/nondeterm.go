@@ -53,8 +53,9 @@ var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc: "bans wall clocks (time.Now/Since/Until), ambient randomness " +
 		"(global math/rand functions), environment reads (os.Getenv), and " +
-		"map iteration with order-dependent writes inside the deterministic " +
-		"package set",
+		"map iteration with order-dependent writes (including string " +
+		"concatenation and float += -= *= /= into outer variables) inside " +
+		"the deterministic package set",
 	Run: runNonDeterm,
 }
 
@@ -155,9 +156,18 @@ var scheduleMethods = map[string]bool{
 	"Call": true, // books the deadline, then sends the request
 }
 
+// orderedAssign are the compound assignments whose result depends on the
+// order of their operands when the target is a string (concatenation) or
+// a float (each step rounds).
+var orderedAssign = map[token.Token]bool{
+	token.ADD_ASSIGN: true, token.SUB_ASSIGN: true,
+	token.MUL_ASSIGN: true, token.QUO_ASSIGN: true,
+}
+
 // checkMapRange flags map iteration whose body performs order-dependent
 // writes: appends to outer slices, fmt printing, io.Writer-style method
-// calls, or string concatenation into outer variables. The one exempt
+// calls, string concatenation into outer variables, or compound float
+// arithmetic (+= -= *= /=) into outer variables. The one exempt
 // shape is the key-collection idiom — a body that only appends the range
 // key to a slice (`keys = append(keys, k)`), which callers sort before
 // using; golden-baseline diffs remain the dynamic backstop for an
@@ -194,13 +204,20 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, report func(token.Pos, string
 				}
 			}
 		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 {
-				lt := pass.TypesInfo.Types[n.Lhs[0]].Type
-				if lt != nil {
-					if b, ok := lt.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 && declaredOutside(pass, n.Lhs[0], rng) {
-						report(n.Pos(), "string concatenation into outer variable inside map iteration is order-dependent; sort the keys first")
-					}
+			if !orderedAssign[n.Tok] || len(n.Lhs) != 1 || !declaredOutside(pass, n.Lhs[0], rng) {
+				return true
+			}
+			var info types.BasicInfo
+			if lt := pass.TypesInfo.Types[n.Lhs[0]].Type; lt != nil {
+				if b, ok := lt.Underlying().(*types.Basic); ok {
+					info = b.Info()
 				}
+			}
+			switch {
+			case info&types.IsString != 0:
+				report(n.Pos(), "string concatenation into outer variable inside map iteration is order-dependent; sort the keys first")
+			case info&types.IsFloat != 0:
+				report(n.Pos(), "float %s into outer variable inside map iteration is order-dependent (rounding depends on the order); sort the keys first", n.Tok)
 			}
 		}
 		return true

@@ -42,6 +42,24 @@ func mapWrites(m map[string]int, w *strings.Builder) []string {
 	return out
 }
 
+// mapFloats: a float accumulated across map order rounds differently per
+// order; an integer sum and a per-entry float do not depend on it.
+func mapFloats(m map[string]float64) (float64, int) {
+	var sum, prod float64 = 0, 1
+	n := 0
+	for _, v := range m {
+		sum += v  // want `float \+= into outer variable inside map iteration`
+		sum -= v  // want `float -= into outer variable inside map iteration`
+		prod *= v // want `float \*= into outer variable inside map iteration`
+		prod /= v // want `float /= into outer variable inside map iteration`
+		n += len(m)
+		local := 0.0
+		local += v
+		_ = local
+	}
+	return sum + prod, n
+}
+
 // keyCollect is the exempt idiom: collect keys, sort, then iterate.
 func keyCollect(m map[string]int) []string {
 	keys := make([]string, 0, len(m))

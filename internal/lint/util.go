@@ -79,22 +79,3 @@ func isFloaty(t types.Type) bool {
 	}
 	return false
 }
-
-// pointerShaped reports whether values of t convert to an interface
-// without allocating: the runtime stores single-pointer-word values
-// (pointers, funcs, maps, channels, unsafe pointers) directly.
-func pointerShaped(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-// isInterface reports whether t's underlying type is an interface.
-func isInterface(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Interface)
-	return ok
-}

@@ -80,14 +80,26 @@ func splitNet(s *sim.Sim, n *Net, ids []NodeID) (*sim.Sim, *Net, []NodeID) {
 }
 
 // TestSendSteadyStateZeroAllocs pins the point-to-point paths: Send on the
-// kernel's one stream, with one stream per sender group (WithSenderStreams)
-// and through every admission rule, SendFrom through every admission rule,
-// and Transfer through every admission rule with telemetry off and on. Each run makes 16 calls along every
-// ordered pair, so an allocation on only the calls one rule admits or
-// refuses still averages one or more per run and cannot round down to 0.
+// kernel's one stream, with one stream per sender group (WithSenderStreams),
+// through every admission rule and dropped in flight, SendFrom through every
+// admission rule, and Transfer through every admission rule with telemetry
+// off and on. Each run makes 16 calls along every ordered pair, so an
+// allocation on only the calls one rule admits or refuses, or on only the
+// messages dropped at arrival, still averages one or more per run and
+// cannot round down to 0.
 func TestSendSteadyStateZeroAllocs(t *testing.T) {
 	deliver := func() {}
 	send := func(n *Net, from, to NodeID) bool { return n.Send(from, to, 100, deliver) }
+	// sendThenDown sends with both ends up and then takes the receiver
+	// down. On two nodes a round ends with the first node down, so the 16
+	// messages sent to it that round are dropped when they arrive.
+	sendThenDown := func(n *Net, from, to NodeID) bool {
+		n.SetUp(from, true)
+		n.SetUp(to, true)
+		ok := n.Send(from, to, 100, deliver)
+		n.SetUp(to, false)
+		return ok
+	}
 	deliverFrom := func(from, to NodeID) {}
 	sendFrom := func(n *Net, from, to NodeID) bool { return n.SendFrom(from, to, 100, deliverFrom) }
 	transfer := func(n *Net, from, to NodeID) bool {
@@ -104,6 +116,7 @@ func TestSendSteadyStateZeroAllocs(t *testing.T) {
 			return benchNet(2, WithSenderStreams([]*sim.RNG{sim.NewRNG(1), sim.NewRNG(2), sim.NewRNG(3)}))
 		}, send},
 		{"lossy", lossyNet, send},
+		{"dropped in flight", func() (*sim.Sim, *Net, []NodeID) { return benchNet(2) }, sendThenDown},
 		{"send from, lossy", lossyNet, sendFrom},
 		{"transfer", func() (*sim.Sim, *Net, []NodeID) { return splitNet(benchNet(4)) }, transfer},
 		{"transfer, telemetry on", func() (*sim.Sim, *Net, []NodeID) {
@@ -144,26 +157,40 @@ func TestSendSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestBroadcastSteadyStateZeroAllocs pins Broadcast with telemetry off and
-// on; each run broadcasts from four senders to 31 receivers apiece.
+// on, and through both of its drop branches: the third case takes one
+// receiver down, partitions another off and sets a 20 % loss. Each run
+// broadcasts from four senders to 31 receivers apiece, so each branch
+// runs several times per run.
 func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		net  func() (*sim.Sim, *Net, []NodeID)
+		name  string
+		net   func() (*sim.Sim, *Net, []NodeID)
+		reach int // the receivers each sender's copies may reach
 	}{
-		{"telemetry off", func() (*sim.Sim, *Net, []NodeID) { return benchNet(32) }},
+		{"telemetry off", func() (*sim.Sim, *Net, []NodeID) { return benchNet(32) }, 31},
 		{"telemetry on", func() (*sim.Sim, *Net, []NodeID) {
 			s, n, ids, _ := benchNetObs(32, 0)
 			return s, n, ids
-		}},
+		}, 31},
+		{"admission and loss drops", func() (*sim.Sim, *Net, []NodeID) {
+			s, n, ids := benchNet(32)
+			n.SetUp(ids[31], false)
+			n.Partition(map[NodeID]int{ids[30]: 1})
+			n.SetLoss(0.2)
+			return s, n, ids
+		}, 29},
 	} {
 		name := tc.name
 		s, n, ids := tc.net()
 		deliver := func(NodeID) {}
+		lost := 0
 		round := func() {
 			for _, from := range ids[:4] {
-				if n.Broadcast(from, 1000, deliver) != 31 {
-					t.Fatalf("%s: broadcast did not reach everyone", name)
+				got := n.Broadcast(from, 1000, deliver)
+				if got > tc.reach || (n.loss == 0 && got != tc.reach) {
+					t.Fatalf("%s: a broadcast scheduled %d deliveries, want %d", name, got, tc.reach)
 				}
+				lost += tc.reach - got
 			}
 			if err := s.Run(); err != nil {
 				t.Fatalf("%s: Run: %v", name, err)
@@ -172,6 +199,9 @@ func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 		round() // warm the event pool and the heap
 		if avg := testing.AllocsPerRun(200, round); avg != 0 {
 			t.Fatalf("%s: steady-state Broadcast allocates %.1f per run, want 0", name, avg)
+		}
+		if (lost > 0) != (n.loss > 0) {
+			t.Fatalf("%s: %d copies lost at loss %.1f", name, lost, n.loss)
 		}
 	}
 }

@@ -320,8 +320,6 @@ func (n *Net) reachable(from, to NodeID) bool {
 // func(NodeID, NodeID), which takes both endpoints) and A/B the endpoints. The
 // receiver must still be online and reachable at delivery time — a message
 // in flight when a partition forms (or the receiver goes down) is dropped.
-//
-//decentlint:hotpath
 func deliver(p sim.Payload) {
 	n := p.Ctx.(*Net)
 	from, to := NodeID(p.A), NodeID(p.B)
@@ -344,8 +342,6 @@ func deliver(p sim.Payload) {
 // in this order: reachability, the loss draw, then the delay draw from the
 // sender's stream. It records the outcome and returns the one-way delay of
 // an admitted message. Send and Transfer both go through it.
-//
-//decentlint:hotpath
 func (n *Net) admit(from, to NodeID, size int) (time.Duration, bool) {
 	if !n.reachable(from, to) {
 		n.noteAdmissionDrop(from, to)
@@ -369,8 +365,6 @@ func (n *Net) admit(from, to NodeID, size int) (time.Duration, bool) {
 // Send is the transport's hot path: delivery rides the sim kernel's pooled
 // handler events, so a steady-state Send performs zero allocations (the
 // fn itself should be reused by callers that care).
-//
-//decentlint:hotpath
 func (n *Net) Send(from, to NodeID, size int, fn func()) bool {
 	return fn != nil && n.post(from, to, size, fn)
 }
@@ -379,8 +373,6 @@ func (n *Net) Send(from, to NodeID, size int, fn func()) bool {
 // fn(from, to). A protocol that carries its per-message state in who sent
 // to whom binds one fn per conversation instead of one closure per message
 // (the Gnutella flood binds one per query).
-//
-//decentlint:hotpath
 func (n *Net) SendFrom(from, to NodeID, size int, fn func(from, to NodeID)) bool {
 	return fn != nil && n.post(from, to, size, fn)
 }
@@ -388,8 +380,6 @@ func (n *Net) SendFrom(from, to NodeID, size int, fn func(from, to NodeID)) bool
 // post is Send and SendFrom after the nil check: the endpoints' validity,
 // admit, then one delivery of fn (a non-nil func value of a shape deliver
 // knows) booked on the kernel.
-//
-//decentlint:hotpath
 func (n *Net) post(from, to NodeID, size int, fn any) bool {
 	if !n.valid(from) || !n.valid(to) {
 		return false
@@ -412,8 +402,6 @@ func (n *Net) post(from, to NodeID, size int, fn any) bool {
 // uplink slot (it was transmitted, then dropped in flight), so raising loss
 // never speeds up the surviving copies. It returns the number of deliveries
 // scheduled.
-//
-//decentlint:hotpath
 func (n *Net) Broadcast(from NodeID, size int, fn func(to NodeID)) int {
 	if !n.valid(from) || fn == nil || !n.nodes[from].up {
 		return 0
@@ -450,8 +438,6 @@ func (n *Net) Broadcast(from NodeID, size int, fn func(to NodeID)) int {
 // the message would take. Synchronous substrates (e.g. the off-chain
 // payment router) use it to ride the same WAN model while advancing their
 // own notion of time.
-//
-//decentlint:hotpath
 func (n *Net) Transfer(from, to NodeID, size int) (time.Duration, bool) {
 	if !n.valid(from) || !n.valid(to) {
 		return 0, false

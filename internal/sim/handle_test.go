@@ -85,20 +85,41 @@ func TestClosureSteadyStateZeroAllocs(t *testing.T) {
 
 // TestScheduleCancelZeroAllocs pins the other satellite contract: Cancel
 // recycles the slot, so a schedule/cancel loop reuses one event forever.
+// Its second case cancels stale handles — one canceled already, one whose
+// event has fired, and the zero Handle — which take Cancel's early return
+// and allocate nothing either. Each run makes 32 calls of a case's step.
 func TestScheduleCancelZeroAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
 	s.After(time.Hour, fn).Cancel() // warm the free list
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 32; i++ {
-			s.After(time.Hour, fn).Cancel()
+	for _, tc := range []struct {
+		name string
+		step func()
+	}{
+		{"schedule then cancel", func() { s.After(time.Hour, fn).Cancel() }},
+		{"stale cancels", func() {
+			h := s.After(time.Hour, fn)
+			h.Cancel()
+			h.Cancel()
+			fired := s.After(0, fn)
+			if err := s.RunFor(0); err != nil {
+				t.Fatalf("RunFor: %v", err)
+			}
+			fired.Cancel()
+			Handle{}.Cancel()
+		}},
+	} {
+		avg := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 32; i++ {
+				tc.step()
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: the loop allocates %.1f per run, want 0", tc.name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("schedule/cancel loop allocates %.1f per run, want 0", avg)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancel loop, want 0", s.Pending())
+		if s.Pending() != 0 {
+			t.Fatalf("%s: Pending = %d after the loop, want 0", tc.name, s.Pending())
+		}
 	}
 }
 

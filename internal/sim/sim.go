@@ -75,8 +75,6 @@ type Handle struct {
 // immediately reusable — a schedule/cancel loop allocates nothing.
 // Canceling an event that already fired (or was already canceled), or a
 // zero Handle, is a no-op.
-//
-//decentlint:hotpath
 func (h Handle) Cancel() {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || ev.index < 0 {
@@ -202,15 +200,13 @@ func (s *Sim) MaxPending() int { return s.maxPending }
 func (s *Sim) Observer() *obs.Collector { return s.observer }
 
 // push enqueues an event slot and tracks the schedule's high-water mark.
-//
-//decentlint:hotpath
 func (s *Sim) push(ev *event) {
 	e := entry{at: ev.at, seq: s.seq, ev: ev}
 	s.seq++
 	if len(s.queue) == cap(s.queue) {
 		s.growQueue()
 	}
-	s.queue = append(s.queue, e) //decentlint:allow hotpath growQueue has made room: this append never reallocates
+	s.queue = append(s.queue, e) // growQueue has made room: this append never reallocates
 	s.queue.siftUp(len(s.queue)-1, e)
 	if len(s.queue) > s.maxPending {
 		s.maxPending = len(s.queue)
@@ -258,8 +254,6 @@ func (s *Sim) After(d time.Duration, fn func()) Handle {
 // clamp to zero. No Handle is returned and the event cannot be canceled;
 // use After when you need cancellation. A nil handler, or a delay that
 // overflows the clock, schedules nothing and returns false.
-//
-//decentlint:hotpath
 func (s *Sim) AfterFunc(d time.Duration, h Handler, p Payload) bool {
 	if d < 0 {
 		d = 0
@@ -277,8 +271,6 @@ func (s *Sim) AfterFunc(d time.Duration, h Handler, p Payload) bool {
 // takeEvent pops a recycled event slot, or else carves a fresh one from the
 // current chunk; a new chunk is allocated only when both are exhausted, so
 // steady state stays at zero.
-//
-//decentlint:hotpath
 func (s *Sim) takeEvent() *event {
 	if ev := s.free; ev != nil {
 		s.free = ev.nextFree
@@ -297,8 +289,6 @@ func (s *Sim) takeEvent() *event {
 
 // releaseEvent clears a fired or canceled event, bumps its generation so
 // outstanding Handles go inert, and pushes it on the free list.
-//
-//decentlint:hotpath
 func (s *Sim) releaseEvent(ev *event) {
 	gen := ev.gen + 1
 	*ev = event{owner: s, gen: gen, index: -1, nextFree: s.free}
@@ -433,8 +423,6 @@ type eventQueue []entry
 const arity = 4
 
 // siftUp places e at slot i or above.
-//
-//decentlint:hotpath
 func (q eventQueue) siftUp(i int, e entry) {
 	for i > 0 {
 		p := (i - 1) / arity
@@ -450,8 +438,6 @@ func (q eventQueue) siftUp(i int, e entry) {
 }
 
 // siftDown places e at slot i or below.
-//
-//decentlint:hotpath
 func (q eventQueue) siftDown(i int, e entry) {
 	for c := arity*i + 1; c < len(q); c = arity*i + 1 {
 		m := c // the earliest-firing child
@@ -475,8 +461,6 @@ func (q eventQueue) siftDown(i int, e entry) {
 // — and refills it with the last entry, which may belong above i when i is off
 // that entry's root path. The caller releases the removed event (resetting its
 // index). The vacated slot is not cleared: a Sim never lets go of an event.
-//
-//decentlint:hotpath
 func (q *eventQueue) removeAt(i int) {
 	n := len(*q) - 1
 	h, last := (*q)[:n], (*q)[n]
