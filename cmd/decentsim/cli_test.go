@@ -81,8 +81,9 @@ func TestReportHTMLWritesSiblings(t *testing.T) {
 }
 
 // TestReportDiffAgainstFiles drives the pure two-file comparison: a
-// verdict flip fails, identical manifests pass, and a drift-envelope
-// breach fails — without running any experiments.
+// verdict flip fails, identical manifests pass, and a sweep report whose
+// headline mean left the old report's envelope fails — without running
+// any experiments.
 func TestReportDiffAgainstFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, data string) string {
@@ -113,47 +114,64 @@ func TestReportDiffAgainstFiles(t *testing.T) {
 		t.Errorf("identical output = %q", out.String())
 	}
 
-	oldDrift := write("old-drift.json", `{"seeds":100,"drift":[{"experiment":"E01","scale":1,"metric":"m","mean":1.5,"min":1.0,"max":2.0}],"runs":[]}`)
-	breach := write("new-drift.json", `{"seeds":100,"drift":[{"experiment":"E01","scale":1,"metric":"m","mean":9.0,"min":8.0,"max":10.0}],"runs":[]}`)
+	sweep := func(name string, mean, min, max float64) string {
+		t.Helper()
+		data, err := (&harness.Report{Groups: []harness.Group{{
+			ExperimentID: "E01", Scale: 1, Replications: 100,
+			Metrics: []harness.MetricAgg{{Name: "m", N: 100, Mean: mean, Std: 0.1, Min: min, Max: max}},
+		}}}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return write(name, string(data))
+	}
+	oldSweep, breach := sweep("old-sweep.json", 1.5, 1.0, 2.0), sweep("new-sweep.json", 9.0, 8.0, 10.0)
 	out.Reset()
-	err = run([]string{"report", "-diff", oldDrift, "-against", breach}, &out)
+	err = run([]string{"report", "-diff", oldSweep, "-against", breach}, &out)
 	if err == nil || !strings.Contains(err.Error(), "drift envelope") {
 		t.Errorf("breach: err = %v, want drift envelope failure", err)
 	}
 }
 
-// TestDriftRoundTrip feeds the document `rep -drift` writes to the soak
+// TestDriftRoundTrip feeds the sweep report `rep -json` writes to the soak
 // gate's reader: against itself it passes with nothing to report, and
 // against a copy with one headline mean moved past its old [min, max] it
 // reports exactly that breach.
 func TestDriftRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "drift.json")
 	var out bytes.Buffer
-	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-drift", path, "E01", "E11"}, &out); err != nil {
-		t.Fatalf("rep -drift: %v\n%s", err, out.String())
+	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-json", "E01", "E11"}, &out); err != nil {
+		t.Fatalf("rep -json: %v\n%s", err, out.String())
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := out.Bytes()
 	d, err := report.DiffDocs(data, data)
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if d.Kind != "drift" || d.Failing() || d.Render() != "PASS: no changes\n" {
+	if d.Kind != "sweep" || d.Failing() || d.Render() != "PASS: no changes\n" {
 		t.Errorf("self-diff = %+v\n%s", d, d.Render())
 	}
 
-	var doc harness.Drift
+	var doc harness.Report
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Drift) != 2 {
-		t.Fatalf("drift has %d rows, want one per experiment: %+v", len(doc.Drift), doc.Drift)
+	if len(doc.Groups) != 2 {
+		t.Fatalf("report has %d groups, want one per experiment: %+v", len(doc.Groups), doc.Groups)
 	}
-	moved := &doc.Drift[1]
+	g := &doc.Groups[1]
+	head, ok := g.Headline()
+	if !ok {
+		t.Fatalf("E11 has no headline metric: %+v", g)
+	}
+	var moved *harness.MetricAgg
+	for i := range g.Metrics {
+		if g.Metrics[i].Name == head.Name {
+			moved = &g.Metrics[i]
+			break
+		}
+	}
 	moved.Mean = moved.Max + 1
-	movedData, err := json.Marshal(doc)
+	movedData, err := doc.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +182,43 @@ func TestDriftRoundTrip(t *testing.T) {
 	if !d.Failing() || len(d.Breaches) != 1 || len(d.Added)+len(d.Removed)+len(d.Flips)+len(d.Drifts) != 0 {
 		t.Fatalf("want exactly one breach: %+v", d)
 	}
-	if br := d.Breaches[0]; br.Metric != moved.Metric || !strings.HasPrefix(br.Scenario, "E11|") ||
+	if br := d.Breaches[0]; br.Metric != moved.Name || !strings.HasPrefix(br.Scenario, "E11|") ||
 		br.NewMean != moved.Mean || br.OldMin != moved.Min || br.OldMax != moved.Max {
-		t.Errorf("breach = %+v, want E11's %q at %g outside [%g, %g]", br, moved.Metric, moved.Mean, moved.Min, moved.Max)
+		t.Errorf("breach = %+v, want E11's %q at %g outside [%g, %g]", br, moved.Name, moved.Mean, moved.Min, moved.Max)
+	}
+}
+
+// TestSoakBaseline checks the committed soak baseline without running a
+// simulation: SOAK_baseline.json is the sweep report of
+// `rep -seeds 1..100 -json E01 E03 E11 E16`, one error-free group of 100
+// replications with a headline metric per experiment, and the soak gate's
+// comparator passes it against itself.
+func TestSoakBaseline(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "SOAK_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc harness.Report
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("SOAK_baseline.json is not a sweep report: %v", err)
+	}
+	var ids []string
+	for _, g := range doc.Groups {
+		ids = append(ids, g.ExperimentID)
+		if _, ok := g.Headline(); !ok || g.Replications != 100 || len(g.Seeds) != 100 || len(g.Errors) != 0 {
+			t.Errorf("%s: %d replications over %d seeds, %d errors, headline %t; want 100, 100, 0, true",
+				g.ExperimentID, g.Replications, len(g.Seeds), len(g.Errors), ok)
+		}
+	}
+	if got := strings.Join(ids, " "); got != "E01 E03 E11 E16" {
+		t.Errorf("baseline groups = %q, want E01 E03 E11 E16", got)
+	}
+	d, err := report.DiffDocs(data, data)
+	if err != nil {
+		t.Fatalf("DiffDocs: %v", err)
+	}
+	if got := d.Render(); got != "PASS: no changes\n" {
+		t.Errorf("self-diff = %q, want PASS: no changes", got)
 	}
 }
 

@@ -13,7 +13,7 @@
 //	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
 //	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
 //	decentsim rep -n 10 E06            # replicate over seeds 1..n, aggregate
-//	decentsim rep -seeds 1..100 -drift SOAK_drift.json E01 E11 E16
+//	decentsim rep -seeds 1..100 -json E01 E03 E11 E16 > soak.json   # the soak gate's input
 //	decentsim report -seeds 1..3 all   # render the reproduction report tree
 //	decentsim report -out docs/report -parallel 8 E06 E08
 //	decentsim report -sensitivity all  # + per-knob sensitivity pages
@@ -21,7 +21,7 @@
 //	decentsim report -resources all    # + per-experiment Resources appendix
 //	decentsim report -html all         # + self-contained HTML siblings (index.html, ...)
 //	decentsim report -diff old-manifest.json -seeds 1..3 all   # exit nonzero on verdict flips
-//	decentsim report -diff SOAK_baseline.json -against SOAK_drift.json  # trend gate, no runs
+//	decentsim report -diff SOAK_baseline.json -against soak.json  # headline trend gate, no runs
 //	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
 //	decentsim trace E06                # run once, write trace.json (chrome://tracing)
 //	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
@@ -85,7 +85,6 @@ type options struct {
 
 	sensitivity bool
 	gridPoints  int
-	drift       string
 
 	resources  bool
 	profile    string
@@ -186,7 +185,6 @@ var flagRules = map[string]flagRule{
 	"set":         {cmds: "run sweep rep serve trace", reason: "the report documents baseline runs; use -sensitivity for knob grids, or sweep"},
 	"sensitivity": {cmds: "report serve", reason: "only the report subcommand renders sensitivity pages"},
 	"grid-points": {cmds: "report serve", reason: "only the report subcommand sweeps knob grids"},
-	"drift":       {cmds: "rep", reason: "only the rep subcommand writes drift bounds"},
 	"resources":   {cmds: "report serve", reason: "only the report subcommand renders the resources appendix"},
 	"profile":     {cmds: "sweep rep report", reason: "only the sweep, rep, and report subcommands run on the profiled harness"},
 	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
@@ -217,12 +215,11 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Var(&o.set, "set", help("set", "knob values, e.g. -set e03.lookups=100,200 (repeatable; every experiment has knobs — see DESIGN.md)"))
 	fs.BoolVar(&o.sensitivity, "sensitivity", o.sensitivity, help("sensitivity", "sweep every registered knob over its default grid and render per-knob sensitivity pages"))
 	fs.IntVar(&o.gridPoints, "grid-points", o.gridPoints, help("grid-points", "swept values per knob grid (default 5; needs -sensitivity)"))
-	fs.StringVar(&o.drift, "drift", o.drift, help("drift", "also write per-scenario headline-metric drift bounds (mean/stddev/95% CI) as JSON to this file"))
 	fs.BoolVar(&o.resources, "resources", o.resources, help("resources", "attach run telemetry and render a per-experiment Resources appendix plus resources/host.json"))
 	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory; <stem>.heap.base.pprof is the heap before the run, for go tool pprof -base"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
 	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
-	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare verdicts against this old manifest.json (or soak drift JSON); exits nonzero on verdict flips"))
+	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare against this old manifest.json (verdicts) or sweep/rep -json report (headline bounds); exits nonzero on verdict flips or bound breaches"))
 	fs.StringVar(&o.against, "against", o.against, help("against", "with -diff: compare the -diff file against this file instead of generating a report"))
 	fs.StringVar(&o.addr, "addr", o.addr, help("addr", "HTTP listen address"))
 }
@@ -554,12 +551,13 @@ func reportCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) e
 	return nil
 }
 
-// diffCmd is `report -diff`: it compares an old manifest.json (or soak
-// drift JSON) against either a second file (-against, no experiments run)
-// or a freshly generated report's manifest, prints one line per verdict
-// flip / metric drift / scenario change, and fails exactly when a verdict
-// flipped (manifests) or a drift bound was breached (drift documents) —
-// the exit code is the trend gate.
+// diffCmd is `report -diff`: it compares an old manifest.json (or sweep
+// report, `rep -json`) against either a second file (-against, no
+// experiments run) or a freshly generated report's manifest, prints one
+// line per verdict flip / metric drift / bound breach / scenario change,
+// and fails exactly when a verdict flipped (manifests) or a headline mean
+// left its old [min, max] (sweep reports) — the exit code is the trend
+// gate.
 func diffCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
 	if opts.against != "" && len(ids) > 0 {
 		return fmt.Errorf("report: -diff with -against compares two files; it takes no experiment ids (got %s)", strings.Join(ids, " "))
@@ -590,7 +588,7 @@ func diffCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) err
 	}
 	fmt.Fprint(out, d.Render())
 	if d.Failing() {
-		if d.Kind == "drift" {
+		if d.Kind == "sweep" {
 			return fmt.Errorf("report: %d scenario(s) breached the drift envelope", len(d.Breaches))
 		}
 		return fmt.Errorf("report: %d claim verdict(s) flipped", len(d.Flips))
@@ -655,17 +653,6 @@ func serveCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) er
 	return nil
 }
 
-// writeDrift writes the soak drift document (harness.Drift): the compact
-// artifact the nightly soak workflow publishes, so drift across large seed
-// sets accumulates as a trajectory instead of a full report tree.
-func writeDrift(path string, report *harness.Report, seeds []int64, results []harness.JobResult) error {
-	enc, err := json.MarshalIndent(harness.NewDrift(report, len(seeds), results), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
-}
-
 func sweepCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
 	return sweepOrRep(out, reg, opts, ids, "sweep")
 }
@@ -715,11 +702,6 @@ func sweepOrRep(out io.Writer, reg *core.Registry, opts *options, ids []string, 
 	}
 	results := runner.Run(context.Background(), sweep.Jobs())
 	report := harness.Aggregate(results)
-	if rep && opts.drift != "" {
-		if err := writeDrift(opts.drift, report, sweep.Seeds, results); err != nil {
-			return fmt.Errorf("rep: %w", err)
-		}
-	}
 	switch {
 	case opts.json:
 		enc, err := report.JSON()

@@ -79,9 +79,6 @@ func TestInapplicableFlagsRejected(t *testing.T) {
 		{[]string{"run", "-sensitivity", "E01"}},
 		{[]string{"sweep", "-sensitivity", "E01"}},
 		{[]string{"rep", "-sensitivity", "E01"}},
-		{[]string{"run", "-drift", "x.json", "E01"}},
-		{[]string{"sweep", "-drift", "x.json", "E01"}},
-		{[]string{"report", "-drift", "x.json", "E01"}},
 	} {
 		err := run(tc.args, &out)
 		if err == nil || !strings.Contains(err.Error(), "does not apply") {
@@ -418,28 +415,24 @@ func TestReportSensitivityWritesPages(t *testing.T) {
 	}
 }
 
-// TestRepDriftWritesBounds checks `rep -drift` exports the headline
-// metric's cross-seed statistics as the soak artifact.
+// TestRepDriftWritesBounds checks `rep -json` carries the soak gate's
+// input: each group's headline metric with its cross-seed statistics.
 func TestRepDriftWritesBounds(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "drift.json")
 	var out bytes.Buffer
-	if err := run([]string{"rep", "-n", "3", "-scale", "0.25", "-drift", path, "E11"}, &out); err != nil {
-		t.Fatalf("rep -drift: %v\n%s", err, out.String())
+	if err := run([]string{"rep", "-n", "3", "-scale", "0.25", "-json", "E11"}, &out); err != nil {
+		t.Fatalf("rep -json: %v\n%s", err, out.String())
 	}
-	var doc harness.Drift
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read drift: %v", err)
+	var doc harness.Report
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("report JSON: %v", err)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("drift JSON: %v", err)
+	if len(doc.Groups) != 1 || doc.Groups[0].Replications != 3 {
+		t.Fatalf("report = %+v, want one E11 group of 3 replications", doc)
 	}
-	if doc.Seeds != 3 || len(doc.Drift) != 1 {
-		t.Fatalf("drift doc = %+v, want 3 seeds and one E11 group", doc)
-	}
-	d := doc.Drift[0]
-	if d.Experiment != "E11" || d.Metric == "" || d.N != 3 {
-		t.Errorf("drift entry = %+v", d)
+	g := doc.Groups[0]
+	m, ok := g.Headline()
+	if g.ExperimentID != "E11" || !ok || m.Name == "" || m.N != 3 {
+		t.Errorf("headline of %s = %+v (ok %t)", g.ExperimentID, m, ok)
 	}
 }
 
@@ -622,32 +615,6 @@ func TestTraceLimitCountsDrops(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "dropped)") || strings.Contains(out.String(), "(10 events, 0 dropped)") {
 		t.Errorf("summary should report nonzero drops:\n%s", out.String())
-	}
-}
-
-// TestRepDriftIncludesHostRuns checks the soak artifact's host-resource
-// rows: one per completed run, with positive wall time.
-func TestRepDriftIncludesHostRuns(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "drift.json")
-	var out bytes.Buffer
-	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-drift", path, "E11"}, &out); err != nil {
-		t.Fatalf("rep -drift: %v", err)
-	}
-	var doc harness.Drift
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read drift: %v", err)
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("drift JSON: %v", err)
-	}
-	if len(doc.Runs) != 2 {
-		t.Fatalf("drift has %d host runs, want 2: %+v", len(doc.Runs), doc.Runs)
-	}
-	for i, r := range doc.Runs {
-		if r.Experiment != "E11" || r.Seed != int64(i+1) || r.WallNanos <= 0 {
-			t.Errorf("host run %d = %+v", i, r)
-		}
 	}
 }
 

@@ -33,16 +33,15 @@ func TestFlagMatrix(t *testing.T) {
 		"seed": "2", "scale": "0.5", "parallel": "1", "seeds": "1..2", "scales": "0.5,1",
 		"n": "3", "set": "e01.exploration=0.5", "grid-points": "3", "trace-limit": "10",
 		"addr": "127.0.0.1:0",
-		"out":  filepath.Join(tmp, "out"), "drift": filepath.Join(tmp, "drift.json"),
-		"profile": filepath.Join(tmp, "prof"), "diff": filepath.Join(tmp, "old.json"),
-		"against": filepath.Join(tmp, "new.json"),
+		"out":  filepath.Join(tmp, "out"), "profile": filepath.Join(tmp, "prof"),
+		"diff": filepath.Join(tmp, "old.json"), "against": filepath.Join(tmp, "new.json"),
 	}
 	var flags []*flag.Flag
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	new(options).register(fs)
 	fs.VisitAll(func(f *flag.Flag) { flags = append(flags, f) })
-	if len(flags) != 20 {
-		t.Fatalf("CLI registers %d flags, want 20", len(flags))
+	if len(flags) != 19 {
+		t.Fatalf("CLI registers %d flags, want 19", len(flags))
 	}
 
 	var got bytes.Buffer

@@ -24,8 +24,8 @@
 //     sensitivity layer — can index aggregated output by the grid points
 //     they submitted instead of collapsing knob values together;
 //   - Group.Headline: the headline-metric selection rule (first varying
-//     metric, else first) shared by the report matrix and the soak drift
-//     export.
+//     metric, else first) shared by the report matrix and the soak gate
+//     (`report -diff` over two `rep -json` reports).
 //
 // Determinism contract: the same Sweep over the same registry yields a
 // byte-identical Report.JSON() — and the same AggregateView — regardless

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,25 @@ import (
 // schedule and deliver without allocating. The AllocsPerRun tests pin that
 // property in every go test run; the benchmarks measure what the paths
 // cost, and CI uploads their raw output as the bench-transport artifact.
+
+// bytesPerRun is testing.AllocsPerRun's twin for bytes: the heap bytes f
+// allocates per call, from runtime.MemStats.TotalAlloc over runs calls at
+// GOMAXPROCS(1) after one warm-up call, truncated like AllocsPerRun. A
+// slice that regrows without bound allocates too rarely to survive the
+// malloc count's truncation, but its regrowths amortise to at least one
+// byte per run.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return (m.TotalAlloc - before) / uint64(runs)
+}
 
 func benchNet(nodes int, opts ...Option) (*sim.Sim, *Net, []NodeID) {
 	s := sim.New(sim.WithSeed(1))
@@ -150,6 +170,9 @@ func TestSendSteadyStateZeroAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, round); avg != 0 {
 			t.Fatalf("%s: steady-state calls allocate %.1f per run, want 0", name, avg)
 		}
+		if b := bytesPerRun(200, round); b != 0 {
+			t.Fatalf("%s: steady-state calls allocate %d bytes per run, want 0", name, b)
+		}
 		if lossy := n.loss > 0; admitted == 0 || (refused > 0) != lossy {
 			t.Fatalf("%s: %d admitted, %d refused at loss %.1f", name, admitted, refused, n.loss)
 		}
@@ -199,6 +222,9 @@ func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
 		round() // warm the event pool and the heap
 		if avg := testing.AllocsPerRun(200, round); avg != 0 {
 			t.Fatalf("%s: steady-state Broadcast allocates %.1f per run, want 0", name, avg)
+		}
+		if b := bytesPerRun(200, round); b != 0 {
+			t.Fatalf("%s: steady-state Broadcast allocates %d bytes per run, want 0", name, b)
 		}
 		if (lost > 0) != (n.loss > 0) {
 			t.Fatalf("%s: %d copies lost at loss %.1f", name, lost, n.loss)
@@ -252,6 +278,9 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, call); avg != 0 {
 			t.Fatalf("a warm answered Call allocates %.1f, want 0", avg)
 		}
+		if b := bytesPerRun(200, call); b != 0 {
+			t.Fatalf("a warm answered Call allocates %d bytes, want 0", b)
+		}
 	})
 	for _, tc := range []struct {
 		name         string
@@ -287,6 +316,9 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 			call()
 			if avg := testing.AllocsPerRun(200, call); avg != 0 {
 				t.Fatalf("a warm Call allocates %.1f, want 0", avg)
+			}
+			if b := bytesPerRun(200, call); b != 0 {
+				t.Fatalf("a warm Call allocates %d bytes, want 0", b)
 			}
 			if failed != calls || served != tc.wantServ*calls || len(n.calls) != 1 {
 				t.Fatalf("%d calls: %d done(false), %d serves, %d exchanges pooled; want %d, %d, 1",

@@ -7,8 +7,7 @@ import "runtime/metrics"
 // machine, the Go version, and whatever else shares the process. It reads
 // no clock; a run's wall time is the harness's JobResult.Elapsed.
 // Samples therefore never enter Snapshot or any hashed artifact — the
-// report writes them to a separate volatile file, and the soak harness
-// tracks them as drift indicators only.
+// report writes them to a separate volatile file.
 
 const (
 	metricHeapLive   = "/memory/classes/heap/objects:bytes"

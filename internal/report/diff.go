@@ -11,11 +11,12 @@ import (
 // diff.go is the verdict comparator behind `decentsim report -diff`: it
 // answers "which claims moved" between two manifests — the interesting
 // question across commits, per Kwon et al., being which verdicts
-// flipped, not what the tree says today. The same comparator reads the
-// nightly soak's drift document and turns its bounds into a failing
-// trend gate. Rendering is deterministic: rows follow document order
-// (new-document order for changes, old-document order for removals),
-// never map iteration.
+// flipped, not what the tree says today. The same comparator reads two
+// sweep reports (the 100-seed soak's `rep -json` output against the
+// committed SOAK_baseline.json) and turns each group's headline bounds
+// into a failing trend gate. Rendering is deterministic: rows follow
+// document order (new-document order for changes, old-document order for
+// removals), never map iteration.
 
 // ClaimChange records one scenario whose verdict or headline metric
 // moved between the old and new manifest.
@@ -48,9 +49,9 @@ type TrendBreach struct {
 	NewMean  float64
 }
 
-// Diff is the outcome of comparing two manifests or two drift documents.
+// Diff is the outcome of comparing two manifests or two sweep reports.
 type Diff struct {
-	// Kind is "manifest" or "drift", matching the detected document type.
+	// Kind is "manifest" or "sweep", matching the detected document type.
 	Kind string
 	// Flips are claims whose verdict changed — each one fails the gate.
 	Flips []ClaimChange
@@ -60,13 +61,13 @@ type Diff struct {
 	// Added and Removed are scenario keys present on only one side.
 	Added   []string
 	Removed []string
-	// Breaches are drift-document scenarios outside the old envelope —
+	// Breaches are sweep-report headlines outside the old envelope —
 	// each one fails the gate.
 	Breaches []TrendBreach
 }
 
 // Failing reports whether the diff should fail a gate: any verdict flip
-// (manifests) or envelope breach (drift documents). Metric-only drift
+// (manifests) or envelope breach (sweep reports). Metric-only drift
 // and scenario set changes are reported but never failing.
 func (d *Diff) Failing() bool {
 	return len(d.Flips) > 0 || len(d.Breaches) > 0
@@ -117,41 +118,51 @@ func DiffManifests(old, now *Manifest) *Diff {
 	return d
 }
 
-// driftKey names one headline bound of a soak drift document.
-func driftKey(r harness.DriftMetric) string {
-	return fmt.Sprintf("%s|%.6g|%s|%s", r.Experiment, r.Scale, r.Params, r.Metric)
+// headlineKey names one group's headline bound in a sweep report.
+func headlineKey(g harness.Group, m harness.MetricAgg) string {
+	return fmt.Sprintf("%s|%.6g|%s|%s", g.ExperimentID, g.Scale, g.Params, m.Name)
 }
 
-// diffDrift compares two drift documents: a scenario breaches when its
-// new mean falls outside the old document's observed [min, max].
-// Host-resource rows (runs) are machine facts and take no part.
-func diffDrift(old, now *harness.Drift) *Diff {
-	d := &Diff{Kind: "drift"}
-	oldBy := make(map[string]harness.DriftMetric, len(old.Drift))
-	for _, r := range old.Drift {
-		oldBy[driftKey(r)] = r
+// diffSweeps compares two sweep reports on each group's headline metric
+// (Group.Headline): a scenario breaches when its new mean falls outside
+// the old report's observed [min, max]. Groups without a headline take
+// no part.
+func diffSweeps(old, now *harness.Report) *Diff {
+	d := &Diff{Kind: "sweep"}
+	var oldKeys []string
+	oldBy := make(map[string]harness.MetricAgg, len(old.Groups))
+	for _, g := range old.Groups {
+		if m, ok := g.Headline(); ok {
+			k := headlineKey(g, m)
+			oldKeys = append(oldKeys, k)
+			oldBy[k] = m
+		}
 	}
-	newKeys := make(map[string]bool, len(now.Drift))
-	for _, nr := range now.Drift {
-		k := driftKey(nr)
+	newKeys := make(map[string]bool, len(now.Groups))
+	for _, g := range now.Groups {
+		nm, ok := g.Headline()
+		if !ok {
+			continue
+		}
+		k := headlineKey(g, nm)
 		newKeys[k] = true
-		or, ok := oldBy[k]
+		om, ok := oldBy[k]
 		if !ok {
 			d.Added = append(d.Added, k)
 			continue
 		}
-		if nr.Mean < or.Min || nr.Mean > or.Max {
+		if nm.Mean < om.Min || nm.Mean > om.Max {
 			d.Breaches = append(d.Breaches, TrendBreach{
 				Scenario: k,
-				Metric:   nr.Metric,
-				OldMin:   or.Min,
-				OldMax:   or.Max,
-				NewMean:  nr.Mean,
+				Metric:   nm.Name,
+				OldMin:   om.Min,
+				OldMax:   om.Max,
+				NewMean:  nm.Mean,
 			})
 		}
 	}
-	for _, r := range old.Drift {
-		if k := driftKey(r); !newKeys[k] {
+	for _, k := range oldKeys {
+		if !newKeys[k] {
 			d.Removed = append(d.Removed, k)
 		}
 	}
@@ -160,22 +171,23 @@ func diffDrift(old, now *harness.Drift) *Diff {
 
 // DiffDocs compares two serialized documents, auto-detecting their kind:
 // report manifests (a "claims"/"files" object) are compared claim by
-// claim, soak drift documents (a "drift" array) bound by bound. Both
-// sides must be the same kind.
+// claim, sweep reports (`decentsim sweep|rep -json`, a top-level "groups"
+// array) headline bound by headline bound. Both sides must be the same
+// kind.
 func DiffDocs(oldData, newData []byte) (*Diff, error) {
-	oldDrift, newDrift := isDriftDoc(oldData), isDriftDoc(newData)
-	if oldDrift != newDrift {
-		return nil, fmt.Errorf("report: diff: document kinds differ (one manifest, one drift document)")
+	oldSweep, newSweep := isSweepReport(oldData), isSweepReport(newData)
+	if oldSweep != newSweep {
+		return nil, fmt.Errorf("report: diff: document kinds differ (one manifest, one sweep report)")
 	}
-	if oldDrift {
-		var od, nd harness.Drift
-		if err := json.Unmarshal(oldData, &od); err != nil {
-			return nil, fmt.Errorf("report: diff: parse old drift document: %w", err)
+	if oldSweep {
+		var or, nr harness.Report
+		if err := json.Unmarshal(oldData, &or); err != nil {
+			return nil, fmt.Errorf("report: diff: parse old sweep report: %w", err)
 		}
-		if err := json.Unmarshal(newData, &nd); err != nil {
-			return nil, fmt.Errorf("report: diff: parse new drift document: %w", err)
+		if err := json.Unmarshal(newData, &nr); err != nil {
+			return nil, fmt.Errorf("report: diff: parse new sweep report: %w", err)
 		}
-		return diffDrift(&od, &nd), nil
+		return diffSweeps(&or, &nr), nil
 	}
 	om, err := ParseManifest(oldData)
 	if err != nil {
@@ -188,17 +200,13 @@ func DiffDocs(oldData, newData []byte) (*Diff, error) {
 	return DiffManifests(om, nm), nil
 }
 
-// isDriftDoc probes the document's top-level keys: a drift document has
-// a "drift" array and no "files" index.
-func isDriftDoc(data []byte) bool {
+// isSweepReport probes the document's top-level "groups" key: an array
+// in a sweep report, a count in a manifest.
+func isSweepReport(data []byte) bool {
 	var probe struct {
-		Drift json.RawMessage `json:"drift"`
-		Files json.RawMessage `json:"files"`
+		Groups []json.RawMessage `json:"groups"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.Drift != nil && probe.Files == nil
+	return json.Unmarshal(data, &probe) == nil && probe.Groups != nil
 }
 
 // Render prints the diff as a deterministic human-readable summary, one
@@ -227,7 +235,7 @@ func (d *Diff) Render() string {
 		fmt.Fprintf(&b, "REMOVED %s\n", s)
 	}
 	switch {
-	case d.Failing() && d.Kind == "drift":
+	case d.Failing() && d.Kind == "sweep":
 		fmt.Fprintf(&b, "FAIL: %d scenario(s) breached the drift envelope\n", len(d.Breaches))
 	case d.Failing():
 		fmt.Fprintf(&b, "FAIL: %d verdict flip(s)\n", len(d.Flips))

@@ -104,25 +104,28 @@ func TestDiffAddedRemoved(t *testing.T) {
 	}
 }
 
-func driftJSON(mean, min, max float64) []byte {
-	data, _ := json.Marshal(harness.Drift{Seeds: 100, Drift: []harness.DriftMetric{
-		{Experiment: "E01", Scale: 1, Metric: "m", Mean: mean, Min: min, Max: max},
-	}})
+// sweepJSON is a one-group sweep report (`rep -json`) whose headline
+// metric has the given mean and bounds.
+func sweepJSON(mean, min, max float64) []byte {
+	data, _ := (&harness.Report{Groups: []harness.Group{{
+		ExperimentID: "E01", Scale: 1, Replications: 100,
+		Metrics: []harness.MetricAgg{{Name: "m", N: 100, Mean: mean, Std: 0.1, Min: min, Max: max}},
+	}}}).JSON()
 	return data
 }
 
 func TestDiffDriftWithinEnvelope(t *testing.T) {
-	d, err := DiffDocs(driftJSON(1.5, 1.0, 2.0), driftJSON(1.9, 1.7, 2.1))
+	d, err := DiffDocs(sweepJSON(1.5, 1.0, 2.0), sweepJSON(1.9, 1.7, 2.1))
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if d.Kind != "drift" || d.Failing() || len(d.Breaches) != 0 {
+	if d.Kind != "sweep" || d.Failing() || len(d.Breaches) != 0 {
 		t.Errorf("in-envelope drift should pass: %+v", d)
 	}
 }
 
 func TestDiffDriftBreach(t *testing.T) {
-	d, err := DiffDocs(driftJSON(1.5, 1.0, 2.0), driftJSON(2.5, 2.4, 2.6))
+	d, err := DiffDocs(sweepJSON(1.5, 1.0, 2.0), sweepJSON(2.5, 2.4, 2.6))
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
@@ -140,7 +143,7 @@ func TestDiffDriftBreach(t *testing.T) {
 
 func TestDiffKindMismatch(t *testing.T) {
 	man := manifestJSON(t, nil)
-	if _, err := DiffDocs(man, driftJSON(1, 0, 2)); err == nil ||
+	if _, err := DiffDocs(man, sweepJSON(1, 0, 2)); err == nil ||
 		!strings.Contains(err.Error(), "kinds differ") {
 		t.Errorf("mixed document kinds must error, got %v", err)
 	}

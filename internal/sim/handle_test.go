@@ -70,16 +70,19 @@ func TestClosureSteadyStateZeroAllocs(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	avg := testing.AllocsPerRun(200, func() {
+	round := func() {
 		for i := 0; i < 32; i++ {
 			s.After(time.Duration(i), fn)
 		}
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("closure schedule/fire loop allocates %.1f per run, want 0", avg)
+	}
+	if b := bytesPerRun(200, round); b != 0 {
+		t.Fatalf("closure schedule/fire loop allocates %d bytes per run, want 0", b)
 	}
 }
 
@@ -109,13 +112,16 @@ func TestScheduleCancelZeroAllocs(t *testing.T) {
 			Handle{}.Cancel()
 		}},
 	} {
-		avg := testing.AllocsPerRun(200, func() {
+		loop := func() {
 			for i := 0; i < 32; i++ {
 				tc.step()
 			}
-		})
-		if avg != 0 {
+		}
+		if avg := testing.AllocsPerRun(200, loop); avg != 0 {
 			t.Fatalf("%s: the loop allocates %.1f per run, want 0", tc.name, avg)
+		}
+		if b := bytesPerRun(200, loop); b != 0 {
+			t.Fatalf("%s: the loop allocates %d bytes per run, want 0", tc.name, b)
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("%s: Pending = %d after the loop, want 0", tc.name, s.Pending())

@@ -3,9 +3,28 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// bytesPerRun is testing.AllocsPerRun's twin for bytes, as in
+// internal/netmodel's tests: the heap bytes f allocates per call, from
+// runtime.MemStats.TotalAlloc over runs calls at GOMAXPROCS(1) after one
+// warm-up call, truncated like AllocsPerRun, so a slice regrown without
+// bound reads at least one byte per run where the malloc count reads 0.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return (m.TotalAlloc - before) / uint64(runs)
+}
 
 // collectPayloads is a package-level handler so scheduling it never
 // allocates a closure; it appends the payload's A field to the slice the
@@ -118,7 +137,7 @@ func TestAfterFuncSteadyStateZeroAllocs(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	avg := testing.AllocsPerRun(200, func() {
+	round := func() {
 		for i := 0; i < 32; i++ {
 			s.AfterFunc(time.Duration(i), collectPayloads, Payload{Ctx: &sink})
 		}
@@ -126,9 +145,12 @@ func TestAfterFuncSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 		sink = sink[:0]
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("pooled schedule/fire loop allocates %.1f per run, want 0", avg)
+	}
+	if b := bytesPerRun(200, round); b != 0 {
+		t.Fatalf("pooled schedule/fire loop allocates %d bytes per run, want 0", b)
 	}
 }
 
@@ -155,8 +177,12 @@ func TestDeepHeapSteadyStateZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
 		t.Fatalf("deep-heap schedule/fire allocates %.1f per run, want 0", avg)
 	}
-	// The warm-up step, AllocsPerRun's own warm-up call and the runs.
-	if want := uint64(16 * (runs + 2)); s.Pending() != depth || s.Fired() != want {
+	if b := bytesPerRun(runs, step); b != 0 {
+		t.Fatalf("deep-heap schedule/fire allocates %d bytes per run, want 0", b)
+	}
+	// The warm-up step, then AllocsPerRun's and bytesPerRun's own warm-up
+	// calls and runs.
+	if want := uint64(16 * (2*runs + 3)); s.Pending() != depth || s.Fired() != want {
 		t.Fatalf("Pending() = %d, Fired() = %d; want %d pending, %d fired", s.Pending(), s.Fired(), depth, want)
 	}
 }
@@ -168,15 +194,18 @@ func TestRescheduleChainZeroAllocs(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	avg := testing.AllocsPerRun(100, func() {
+	chain := func() {
 		n = 0
 		s.AfterFunc(time.Millisecond, reschedule, Payload{Ctx: &n, Aux: s, B: 16})
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(100, chain); avg != 0 {
 		t.Fatalf("rescheduling handler chain allocates %.1f per run, want 0", avg)
+	}
+	if b := bytesPerRun(100, chain); b != 0 {
+		t.Fatalf("rescheduling handler chain allocates %d bytes per run, want 0", b)
 	}
 	if n != 16 {
 		t.Fatalf("chain fired %d times, want 16", n)
@@ -195,15 +224,18 @@ func TestTickerSteadyStateAllocs(t *testing.T) {
 	if err := s.RunFor(10 * time.Millisecond); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	avg := testing.AllocsPerRun(100, func() {
+	tick16 := func() {
 		if err := s.RunFor(16 * time.Millisecond); err != nil {
 			t.Fatalf("RunFor: %v", err)
 		}
-	})
-	if avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(100, tick16); avg != 0 {
 		t.Fatalf("16 ticks allocate %.1f per run, want 0", avg)
 	}
-	if want := 10 + 16*101; ticks != want {
+	if b := bytesPerRun(100, tick16); b != 0 {
+		t.Fatalf("16 ticks allocate %d bytes per run, want 0", b)
+	}
+	if want := 10 + 16*202; ticks != want {
 		t.Fatalf("ticked %d times, want %d", ticks, want)
 	}
 }
