@@ -34,7 +34,9 @@ func TestArgumentAudit(t *testing.T) {
 		{"run rejects html", []string{"run", "-html", "E01"}, "-html does not apply"},
 		{"run rejects addr", []string{"run", "-addr", ":0", "E01"}, "-addr does not apply"},
 		{"sweep rejects diff", []string{"sweep", "-diff", "x.json", "E01"}, "-diff does not apply"},
-		{"rep rejects against", []string{"rep", "-against", "x.json", "E01"}, "-against does not apply"},
+		{"rep rejects against", []string{"rep", "-against", "x.json", "E01"}, `unknown command "rep"`},
+		{"sweep rejects against", []string{"sweep", "-against", "x.json", "E01"}, "-against does not apply"},
+		{"n is undefined", []string{"sweep", "-n", "3", "E01"}, "flag provided but not defined: -n"},
 		{"trace rejects html", []string{"trace", "-html", "E01"}, "-html does not apply"},
 		{"report rejects addr", []string{"report", "-addr", ":0", "E01"}, "-addr does not apply"},
 		{"serve rejects csv", []string{"serve", "-csv"}, "-csv does not apply"},
@@ -133,14 +135,14 @@ func TestReportDiffAgainstFiles(t *testing.T) {
 	}
 }
 
-// TestDriftRoundTrip feeds the sweep report `rep -json` writes to the soak
+// TestDriftRoundTrip feeds the sweep report `sweep -json` writes to the soak
 // gate's reader: against itself it passes with nothing to report, and
 // against a copy with one headline mean moved past its old [min, max] it
 // reports exactly that breach.
 func TestDriftRoundTrip(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"rep", "-n", "2", "-scale", "0.25", "-json", "E01", "E11"}, &out); err != nil {
-		t.Fatalf("rep -json: %v\n%s", err, out.String())
+	if err := run([]string{"sweep", "-seeds", "1..2", "-scale", "0.25", "-json", "E01", "E11"}, &out); err != nil {
+		t.Fatalf("sweep -json: %v\n%s", err, out.String())
 	}
 	data := out.Bytes()
 	d, err := report.DiffDocs(data, data)
@@ -190,7 +192,7 @@ func TestDriftRoundTrip(t *testing.T) {
 
 // TestSoakBaseline checks the committed soak baseline without running a
 // simulation: SOAK_baseline.json is the sweep report of
-// `rep -seeds 1..100 -json E01 E03 E11 E16`, one error-free group of 100
+// `sweep -seeds 1..100 -json E01 E03 E11 E16`, one error-free group of 100
 // replications with a headline metric per experiment, and the soak gate's
 // comparator passes it against itself.
 func TestSoakBaseline(t *testing.T) {

@@ -12,8 +12,7 @@
 //	decentsim sweep -parallel 8 -json -seeds 1..10 E03 E06
 //	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
 //	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
-//	decentsim rep -n 10 E06            # replicate over seeds 1..n, aggregate
-//	decentsim rep -seeds 1..100 -json E01 E03 E11 E16 > soak.json   # the soak gate's input
+//	decentsim sweep -seeds 1..100 -json E01 E03 E11 E16 > soak.json   # the soak gate's input
 //	decentsim report -seeds 1..3 all   # render the reproduction report tree
 //	decentsim report -out docs/report -parallel 8 E06 E08
 //	decentsim report -sensitivity all  # + per-knob sensitivity pages
@@ -25,13 +24,13 @@
 //	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
 //	decentsim trace E06                # run once, write trace.json (chrome://tracing)
 //	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
-//	decentsim rep -n 5 -profile profiles E06   # per-run CPU/heap pprof files (+ pre-run heap base)
+//	decentsim sweep -profile profiles E06   # per-run CPU/heap pprof files (+ pre-run heap base)
 //
 // Every experiment E01–E19 registers sweepable knobs; -set accepts any
 // name listed in DESIGN.md's knob table (unknown names are rejected with
 // the full list).
 //
-// Flags may appear before or after the subcommand. sweep and rep emit an
+// Flags may appear before or after the subcommand. sweep emits an
 // aggregate report (per-metric mean/stddev/95%-CI and a majority-vote
 // shape verdict per check) that is byte-identical at any -parallel value.
 package main
@@ -79,7 +78,6 @@ type options struct {
 	parallel int
 	seeds    string
 	scales   string
-	reps     int
 	out      string
 	set      knobFlags
 
@@ -134,13 +132,10 @@ type flagRule struct {
 }
 
 // everyCommand lists the commands that take flags at all (list takes none).
-const everyCommand = "run sweep rep report serve trace"
+const everyCommand = "run sweep report serve trace"
 
-// Reasons more than one rule gives.
-const (
-	useSeeds      = "use -seeds to choose the replication seeds"
-	onlyManifests = "only the report subcommand compares manifests"
-)
+// onlyReportCompares is why -diff and -against apply only to report.
+const onlyReportCompares = "only the report subcommand compares manifests and sweep reports"
 
 // notTables is why -csv and -json do not apply to the commands whose
 // output is not a result or aggregate table.
@@ -153,44 +148,35 @@ var notTables = map[string]string{
 var flagRules = map[string]flagRule{
 	"seed": {cmds: "run trace", except: map[string]string{
 		"sweep":  "use -seeds to choose sweep seeds",
-		"rep":    "use -seeds or -n to choose replication seeds",
-		"report": useSeeds,
+		"report": "use -seeds to choose the replication seeds",
 		"serve":  "serve scenarios replicate over -seeds",
 	}},
 	"scale":    {cmds: everyCommand},
-	"csv":      {cmds: "run sweep rep", except: notTables},
-	"json":     {cmds: "run sweep rep", except: notTables},
-	"parallel": {cmds: "run sweep rep report serve", reason: "trace records one run in-process"},
-	"seeds": {cmds: "sweep rep report serve", except: map[string]string{
-		"run":   "use the sweep or rep subcommand for multi-seed runs",
+	"csv":      {cmds: "run sweep", except: notTables},
+	"json":     {cmds: "run sweep", except: notTables},
+	"parallel": {cmds: "run sweep report serve", reason: "trace records one run in-process"},
+	"seeds": {cmds: "sweep report serve", except: map[string]string{
+		"run":   "use the sweep subcommand for multi-seed runs",
 		"trace": "trace records one run; use -seed",
 	}},
 	"scales": {cmds: "sweep", except: map[string]string{
 		"run":    "use the sweep subcommand to cross scales",
-		"rep":    "rep replicates one scenario; use sweep to cross scales",
 		"report": "the report runs one scale; use -scale",
 		"serve":  "the served default scenario runs one scale; use -scale",
 		"trace":  "trace records one run; use -scale",
 	}},
-	"n": {cmds: "rep", except: map[string]string{
-		"run":    "use the rep subcommand for replications",
-		"sweep":  "use -seeds, or the rep subcommand",
-		"report": useSeeds,
-		"serve":  useSeeds,
-		"trace":  "trace records one run",
-	}},
 	"out": {cmds: "report trace", reason: "only the report and trace subcommands write output files", except: map[string]string{
 		"serve": "serve streams artifacts from memory; use the report subcommand to write a tree",
 	}},
-	"set":         {cmds: "run sweep rep serve trace", reason: "the report documents baseline runs; use -sensitivity for knob grids, or sweep"},
+	"set":         {cmds: "run sweep serve trace", reason: "the report documents baseline runs; use -sensitivity for knob grids, or sweep"},
 	"sensitivity": {cmds: "report serve", reason: "only the report subcommand renders sensitivity pages"},
 	"grid-points": {cmds: "report serve", reason: "only the report subcommand sweeps knob grids"},
 	"resources":   {cmds: "report serve", reason: "only the report subcommand renders the resources appendix"},
-	"profile":     {cmds: "sweep rep report", reason: "only the sweep, rep, and report subcommands run on the profiled harness"},
+	"profile":     {cmds: "sweep report", reason: "only the sweep and report subcommands run on the profiled harness"},
 	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
 	"html":        {cmds: "report serve", reason: "only the report and serve subcommands render HTML pages"},
-	"diff":        {cmds: "report", reason: onlyManifests},
-	"against":     {cmds: "report", reason: onlyManifests},
+	"diff":        {cmds: "report", reason: onlyReportCompares},
+	"against":     {cmds: "report", reason: onlyReportCompares},
 	"addr":        {cmds: "serve", reason: "only the serve subcommand listens on an address"},
 }
 
@@ -208,9 +194,8 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.csv, "csv", o.csv, help("csv", "emit CSV instead of aligned text"))
 	fs.BoolVar(&o.json, "json", o.json, help("json", "emit JSON instead of text"))
 	fs.IntVar(&o.parallel, "parallel", o.parallel, help("parallel", "upper bound on jobs in flight (0 = none); jobs and their parts share GOMAXPROCS cores"))
-	fs.StringVar(&o.seeds, "seeds", o.seeds, help("seeds", "seed list, e.g. 1..10 or 1,3,9 (default: sweep 1..5, rep 1..n, report and serve 1..3)"))
+	fs.StringVar(&o.seeds, "seeds", o.seeds, help("seeds", "seed list, e.g. 1..10 or 1,3,9 (default: sweep 1..5, report and serve 1..3)"))
 	fs.StringVar(&o.scales, "scales", o.scales, help("scales", "scale list to cross, e.g. 0.25,0.5,1 (default: -scale)"))
-	fs.IntVar(&o.reps, "n", o.reps, help("n", "replication count, seeds 1..n (conflicts with -seeds)"))
 	fs.StringVar(&o.out, "out", o.out, help("out", "output directory for the report tree; for trace, the output file (default trace.json)"))
 	fs.Var(&o.set, "set", help("set", "knob values, e.g. -set e03.lookups=100,200 (repeatable; every experiment has knobs — see DESIGN.md)"))
 	fs.BoolVar(&o.sensitivity, "sensitivity", o.sensitivity, help("sensitivity", "sweep every registered knob over its default grid and render per-knob sensitivity pages"))
@@ -219,7 +204,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory; <stem>.heap.base.pprof is the heap before the run, for go tool pprof -base"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
 	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
-	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare against this old manifest.json (verdicts) or sweep/rep -json report (headline bounds); exits nonzero on verdict flips or bound breaches"))
+	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare against this old manifest.json (verdicts) or sweep -json report (headline bounds); exits nonzero on verdict flips or bound breaches"))
 	fs.StringVar(&o.against, "against", o.against, help("against", "with -diff: compare the -diff file against this file instead of generating a report"))
 	fs.StringVar(&o.addr, "addr", o.addr, help("addr", "HTTP listen address"))
 }
@@ -233,7 +218,6 @@ commands:
   list                 show all experiments
   run <ids|all>        run experiments once
   sweep <ids|all>      multi-seed / multi-scale / multi-knob sweeps
-  rep <ids|all>        replicate over seeds and aggregate
   report <ids|all>     render the reproduction report tree (-html, -diff)
   serve [ids|all]      serve the living report over HTTP (-addr)
   trace <id>           run once, write a Chrome trace
@@ -241,7 +225,7 @@ commands:
 run 'decentsim <command> -h' for that command's flags`
 
 func run(args []string, out io.Writer) error {
-	opts := options{seed: 1, scale: 1, reps: 10, out: "report", addr: ":8080"}
+	opts := options{seed: 1, scale: 1, out: "report", addr: ":8080"}
 	global := flag.NewFlagSet("decentsim", flag.ContinueOnError)
 	opts.register(global)
 	if err := global.Parse(args); err != nil {
@@ -284,9 +268,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if opts.json && opts.csv {
 		return fmt.Errorf("%s: choose one of -json or -csv", cmd)
-	}
-	if cmd == "rep" && provided["n"] && provided["seeds"] {
-		return errors.New("rep: -n and -seeds conflict; choose one")
 	}
 	if provided["scale"] && provided["scales"] {
 		return fmt.Errorf("%s: -scale and -scales conflict; choose one", cmd)
@@ -338,7 +319,6 @@ var commands = map[string]func(out io.Writer, reg *core.Registry, opts *options,
 	"list":   listCmd,
 	"run":    runCmd,
 	"sweep":  sweepCmd,
-	"rep":    repCmd,
 	"report": reportCmd,
 	"serve":  serveCmd,
 	"trace":  traceCmd,
@@ -458,7 +438,7 @@ func runCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) erro
 	return nil
 }
 
-// grid builds the harness.Sweep that run, sweep, rep and trace expand into
+// grid builds the harness.Sweep that run, sweep and trace expand into
 // jobs, leaving seeds and scales to the command: ids are canonicalised,
 // and knob ownership is validated by the one rule every command shares
 // (a knob prefixed for one selected experiment is not attached to the
@@ -552,7 +532,7 @@ func reportCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) e
 }
 
 // diffCmd is `report -diff`: it compares an old manifest.json (or sweep
-// report, `rep -json`) against either a second file (-against, no
+// report, `sweep -json`) against either a second file (-against, no
 // experiments run) or a freshly generated report's manifest, prints one
 // line per verdict flip / metric drift / bound breach / scenario change,
 // and fails exactly when a verdict flipped (manifests) or a headline mean
@@ -653,40 +633,19 @@ func serveCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) er
 	return nil
 }
 
+// sweepCmd runs every selected experiment across the seed, scale and
+// knob grid and emits the aggregate report. Shape-check outcomes live in
+// the report; only run errors fail the command.
 func sweepCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
-	return sweepOrRep(out, reg, opts, ids, "sweep")
-}
-
-func repCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
-	return sweepOrRep(out, reg, opts, ids, "rep")
-}
-
-// sweepOrRep runs a multi-seed sweep (or, for rep, a pure replication) and
-// emits the aggregate report. Shape-check outcomes live in the report;
-// only run errors fail the command.
-func sweepOrRep(out io.Writer, reg *core.Registry, opts *options, ids []string, cmd string) error {
-	rep := cmd == "rep"
-	sweep, err := opts.grid(reg, cmd, ids)
+	sweep, err := opts.grid(reg, "sweep", ids)
 	if err != nil {
 		return err
 	}
-	switch {
-	case opts.seeds != "":
+	sweep.Seeds = []int64{1, 2, 3, 4, 5}
+	if opts.seeds != "" {
 		if sweep.Seeds, err = harness.ParseSeeds(opts.seeds); err != nil {
 			return err
 		}
-	case rep:
-		if opts.reps < 1 {
-			return fmt.Errorf("rep: -n must be >= 1 (got %d)", opts.reps)
-		}
-		if opts.reps > harness.MaxSeeds {
-			return fmt.Errorf("rep: -n %d exceeds the %d-seed cap", opts.reps, harness.MaxSeeds)
-		}
-		for s := int64(1); s <= int64(opts.reps); s++ {
-			sweep.Seeds = append(sweep.Seeds, s)
-		}
-	default:
-		sweep.Seeds = []int64{1, 2, 3, 4, 5}
 	}
 	if opts.scales != "" {
 		if sweep.Scales, err = harness.ParseScales(opts.scales); err != nil {
@@ -719,7 +678,7 @@ func sweepOrRep(out io.Writer, reg *core.Registry, opts *options, ids []string, 
 		errs += len(g.Errors)
 	}
 	if errs > 0 {
-		return fmt.Errorf("%s: %d run(s) errored (see report)", cmd, errs)
+		return fmt.Errorf("sweep: %d run(s) errored (see report)", errs)
 	}
 	return nil
 }

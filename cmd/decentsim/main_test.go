@@ -72,13 +72,10 @@ func TestInapplicableFlagsRejected(t *testing.T) {
 	for _, tc := range []struct{ args []string }{
 		{[]string{"run", "-seeds", "1..10", "E01"}},
 		{[]string{"-seeds", "1..10", "run", "E01"}},
-		{[]string{"run", "-n", "5", "E01"}},
 		{[]string{"run", "-scales", "0.5,1", "E01"}},
 		{[]string{"sweep", "-seed", "7", "E01"}},
-		{[]string{"rep", "-seed", "7", "E01"}},
 		{[]string{"run", "-sensitivity", "E01"}},
 		{[]string{"sweep", "-sensitivity", "E01"}},
-		{[]string{"rep", "-sensitivity", "E01"}},
 	} {
 		err := run(tc.args, &out)
 		if err == nil || !strings.Contains(err.Error(), "does not apply") {
@@ -172,26 +169,6 @@ func TestListRejectsArguments(t *testing.T) {
 	}
 }
 
-func TestRepRejectsScalesAndMultiValueKnobs(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"rep", "-n", "3", "-scales", "0.25,0.5", "E06"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "does not apply") {
-		t.Fatalf("rep -scales err = %v", err)
-	}
-	err = run([]string{"rep", "-n", "3", "-set", "e03.lookups=100,200", "E03"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "sweep subcommand") {
-		t.Fatalf("rep multi-knob err = %v", err)
-	}
-}
-
-func TestRepConflictingSeedFlags(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"rep", "-n", "20", "-seeds", "1..3", "E06"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-n and -seeds conflict") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestScaleMustBePositive(t *testing.T) {
 	var out bytes.Buffer
 	for _, scale := range []string{"0", "-1", "NaN", "Inf"} {
@@ -274,22 +251,6 @@ func TestSweepRejectsSeedZero(t *testing.T) {
 	}
 }
 
-func TestRepRejectsZeroReplications(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"rep", "-n", "0", "E01"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-n must be") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRepRejectsHugeReplicationCount(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"rep", "-n", "2000000000", "E01"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "seed cap") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestListIncludesAllExperiments(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"list"}, &out); err != nil {
@@ -362,7 +323,6 @@ func TestSweepJSONDeterministicAcrossParallelism(t *testing.T) {
 func TestReportRejectsInapplicableFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"report", "-seed", "3", "E01"},
-		{"report", "-n", "5", "E01"},
 		{"report", "-scales", "0.5,1", "E01"},
 		{"report", "-json", "E01"},
 		{"report", "-csv", "E01"},
@@ -415,12 +375,12 @@ func TestReportSensitivityWritesPages(t *testing.T) {
 	}
 }
 
-// TestRepDriftWritesBounds checks `rep -json` carries the soak gate's
+// TestRepDriftWritesBounds checks `sweep -json` carries the soak gate's
 // input: each group's headline metric with its cross-seed statistics.
 func TestRepDriftWritesBounds(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"rep", "-n", "3", "-scale", "0.25", "-json", "E11"}, &out); err != nil {
-		t.Fatalf("rep -json: %v\n%s", err, out.String())
+	if err := run([]string{"sweep", "-seeds", "1..3", "-scale", "0.25", "-json", "E11"}, &out); err != nil {
+		t.Fatalf("sweep -json: %v\n%s", err, out.String())
 	}
 	var doc harness.Report
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {

@@ -31,7 +31,7 @@ func TestFlagMatrix(t *testing.T) {
 	tmp := t.TempDir()
 	values := map[string]string{
 		"seed": "2", "scale": "0.5", "parallel": "1", "seeds": "1..2", "scales": "0.5,1",
-		"n": "3", "set": "e01.exploration=0.5", "grid-points": "3", "trace-limit": "10",
+		"set": "e01.exploration=0.5", "grid-points": "3", "trace-limit": "10",
 		"addr": "127.0.0.1:0",
 		"out":  filepath.Join(tmp, "out"), "profile": filepath.Join(tmp, "prof"),
 		"diff": filepath.Join(tmp, "old.json"), "against": filepath.Join(tmp, "new.json"),
@@ -40,12 +40,12 @@ func TestFlagMatrix(t *testing.T) {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	new(options).register(fs)
 	fs.VisitAll(func(f *flag.Flag) { flags = append(flags, f) })
-	if len(flags) != 19 {
-		t.Fatalf("CLI registers %d flags, want 19", len(flags))
+	if len(flags) != 18 {
+		t.Fatalf("CLI registers %d flags, want 18", len(flags))
 	}
 
 	var got bytes.Buffer
-	for _, cmd := range []string{"list", "run", "sweep", "rep", "report", "serve", "trace"} {
+	for _, cmd := range []string{"list", "run", "sweep", "report", "serve", "trace"} {
 		for _, f := range flags {
 			args := []string{cmd, "-" + f.Name}
 			if b, ok := f.Value.(interface{ IsBoolFlag() bool }); !ok || !b.IsBoolFlag() {

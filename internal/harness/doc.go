@@ -25,7 +25,7 @@
 //     they submitted instead of collapsing knob values together;
 //   - Group.Headline: the headline-metric selection rule (first varying
 //     metric, else first) shared by the report matrix and the soak gate
-//     (`report -diff` over two `rep -json` reports).
+//     (`report -diff` over two `sweep -json` reports).
 //
 // Determinism contract: the same Sweep over the same registry yields a
 // byte-identical Report.JSON() — and the same AggregateView — regardless

@@ -111,7 +111,7 @@ func TestSweepKnobAppliesOnlyToItsExperiment(t *testing.T) {
 }
 
 // TestSweepValidateForeignKnob pins the knob-ownership rule every entry
-// point (run, sweep, rep, trace, report generation) validates through: a
+// point (run, sweep, trace, report generation) validates through: a
 // knob owned by an experiment the sweep does not include is an error, not
 // a silently dropped or duplicated grid axis.
 func TestSweepValidateForeignKnob(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -113,6 +114,16 @@ func (m *mutant) runPattern() string {
 	return "^(" + strings.Join(tops, "|") + ")$"
 }
 
+// killerPattern selects one killer, subtest path included, for
+// `go test -run`.
+func killerPattern(killer string) string {
+	parts := strings.Split(killer, "/")
+	for i, p := range parts {
+		parts[i] = "^" + regexp.QuoteMeta(p) + "$"
+	}
+	return strings.Join(parts, "/")
+}
+
 // loadMutants parses every committed spec.
 func loadMutants(t *testing.T, root string) []*mutant {
 	t.Helper()
@@ -165,6 +176,9 @@ func TestMutantSpecs(t *testing.T) {
 	if m.old != "\ta()\n" || m.new != "\tb()\n" || m.runPattern() != "^(TestA|TestB)$" {
 		t.Errorf("parsed %+v, run pattern %q", m, m.runPattern())
 	}
+	if got := killerPattern("TestB/case_one.5"); got != `^TestB$/^case_one\.5$` {
+		t.Errorf("killer pattern = %q", got)
+	}
 	for _, src := range []string{"func f() {\n}\n", "func f() {\n\ta()\n\ta()\n}\n"} {
 		if _, err := m.apply([]byte(src)); err == nil || !strings.Contains(err.Error(), "want exactly 1") {
 			t.Errorf("apply to %q: %v, want an exactly-once error", src, err)
@@ -190,6 +204,9 @@ func raceEnabled() bool {
 // TestMutantsKilled builds each committed mutant from a copy in
 // t.TempDir() through `go test -overlay` and passes it only when every
 // killer prints `--- FAIL`. A mutant that does not build kills nothing.
+// All killers run in one `go test`; one that panics ends its package's
+// test binary and hides the killers after it, so a killer that did not
+// fail there runs again alone before it counts as a survivor.
 func TestMutantsKilled(t *testing.T) {
 	if testing.Short() || raceEnabled() {
 		t.Skip("builds and runs one test binary per mutant")
@@ -220,13 +237,21 @@ func TestMutantsKilled(t *testing.T) {
 			if err := os.WriteFile(overlayPath, overlay, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			args := append([]string{"test", "-overlay", overlayPath, "-count=1", "-run", m.runPattern()}, m.packages...)
-			cmd := exec.Command("go", args...)
-			cmd.Dir = root
-			out, _ := cmd.CombinedOutput() // a killed mutant exits nonzero
+			goTest := func(pattern string) []byte {
+				args := append([]string{"test", "-overlay", overlayPath, "-count=1", "-run", pattern}, m.packages...)
+				cmd := exec.Command("go", args...)
+				cmd.Dir = root
+				out, _ := cmd.CombinedOutput() // a killed mutant exits nonzero
+				return out
+			}
+			failed := func(out []byte, k string) bool { return bytes.Contains(out, []byte("--- FAIL: "+k+" (")) }
+			all := goTest(m.runPattern())
 			for _, k := range m.killers {
-				if !bytes.Contains(out, []byte("--- FAIL: "+k+" (")) {
-					t.Errorf("%s does not fail under the mutant:\n%s", k, out)
+				if failed(all, k) {
+					continue
+				}
+				if alone := goTest(killerPattern(k)); !failed(alone, k) {
+					t.Errorf("%s does not fail under the mutant, with the other killers or alone:\n%s", k, alone)
 				}
 			}
 		})

@@ -12,7 +12,7 @@ import (
 // answers "which claims moved" between two manifests — the interesting
 // question across commits, per Kwon et al., being which verdicts
 // flipped, not what the tree says today. The same comparator reads two
-// sweep reports (the 100-seed soak's `rep -json` output against the
+// sweep reports (the 100-seed soak's `sweep -json` output against the
 // committed SOAK_baseline.json) and turns each group's headline bounds
 // into a failing trend gate. Rendering is deterministic: rows follow
 // document order (new-document order for changes, old-document order for
@@ -171,7 +171,7 @@ func diffSweeps(old, now *harness.Report) *Diff {
 
 // DiffDocs compares two serialized documents, auto-detecting their kind:
 // report manifests (a "claims"/"files" object) are compared claim by
-// claim, sweep reports (`decentsim sweep|rep -json`, a top-level "groups"
+// claim, sweep reports (`decentsim sweep -json`, a top-level "groups"
 // array) headline bound by headline bound. Both sides must be the same
 // kind.
 func DiffDocs(oldData, newData []byte) (*Diff, error) {

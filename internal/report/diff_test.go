@@ -104,7 +104,7 @@ func TestDiffAddedRemoved(t *testing.T) {
 	}
 }
 
-// sweepJSON is a one-group sweep report (`rep -json`) whose headline
+// sweepJSON is a one-group sweep report (`sweep -json`) whose headline
 // metric has the given mean and bounds.
 func sweepJSON(mean, min, max float64) []byte {
 	data, _ := (&harness.Report{Groups: []harness.Group{{
