@@ -12,15 +12,14 @@
 //	decentsim sweep -parallel 8 -json -seeds 1..10 E03 E06
 //	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
 //	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
-//	decentsim sweep -seeds 1..100 -json E01 E03 E11 E16 > soak.json   # the soak gate's input
+//	decentsim sweep -seeds 1..50 -json all > soak.json   # the soak: every claim over 50 seeds
+//	decentsim diff SOAK_baseline.json soak.json         # the verdict gate: exit 1 on a flip or breach
 //	decentsim report -seeds 1..3 all   # render the reproduction report tree
 //	decentsim report -out docs/report -parallel 8 E06 E08
 //	decentsim report -sensitivity all  # + per-knob sensitivity pages
 //	decentsim report -sensitivity -grid-points 3 -scale 0.25 -seeds 1..2 all
 //	decentsim report -resources all    # + per-experiment Resources appendix
 //	decentsim report -html all         # + self-contained HTML siblings (index.html, ...)
-//	decentsim report -diff old-manifest.json -seeds 1..3 all   # exit nonzero on verdict flips
-//	decentsim report -diff SOAK_baseline.json -against soak.json  # headline trend gate, no runs
 //	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
 //	decentsim trace E06                # run once, write trace.json (chrome://tracing)
 //	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
@@ -30,7 +29,8 @@
 // name listed in DESIGN.md's knob table (unknown names are rejected with
 // the full list).
 //
-// Flags may appear before or after the subcommand. sweep emits an
+// Flags may appear before or after the subcommand; list and diff take
+// none, and `<command> -h` lists them. sweep emits an
 // aggregate report (per-metric mean/stddev/95%-CI and a majority-vote
 // shape verdict per check) that is byte-identical at any -parallel value.
 package main
@@ -88,10 +88,8 @@ type options struct {
 	profile    string
 	traceLimit int
 
-	html    bool
-	diff    string
-	against string
-	addr    string
+	html bool
+	addr string
 }
 
 // knobFlags collects repeatable -set name=v1,v2 knob specifications.
@@ -131,11 +129,9 @@ type flagRule struct {
 	except map[string]string // ... unless that command has a reason of its own
 }
 
-// everyCommand lists the commands that take flags at all (list takes none).
+// everyCommand lists the commands that take flags at all (list and diff
+// take none).
 const everyCommand = "run sweep report serve trace"
-
-// onlyReportCompares is why -diff and -against apply only to report.
-const onlyReportCompares = "only the report subcommand compares manifests and sweep reports"
 
 // notTables is why -csv and -json do not apply to the commands whose
 // output is not a result or aggregate table.
@@ -175,8 +171,6 @@ var flagRules = map[string]flagRule{
 	"profile":     {cmds: "sweep report", reason: "only the sweep and report subcommands run on the profiled harness"},
 	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
 	"html":        {cmds: "report serve", reason: "only the report and serve subcommands render HTML pages"},
-	"diff":        {cmds: "report", reason: onlyReportCompares},
-	"against":     {cmds: "report", reason: onlyReportCompares},
 	"addr":        {cmds: "serve", reason: "only the serve subcommand listens on an address"},
 }
 
@@ -204,31 +198,30 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory; <stem>.heap.base.pprof is the heap before the run, for go tool pprof -base"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
 	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
-	fs.StringVar(&o.diff, "diff", o.diff, help("diff", "compare against this old manifest.json (verdicts) or sweep -json report (headline bounds); exits nonzero on verdict flips or bound breaches"))
-	fs.StringVar(&o.against, "against", o.against, help("against", "with -diff: compare the -diff file against this file instead of generating a report"))
 	fs.StringVar(&o.addr, "addr", o.addr, help("addr", "HTTP listen address"))
 }
 
 // usage is the command summary printed when the subcommand line itself is
-// wrong (missing or unknown command); flag errors print the flag set's
-// own usage instead.
+// wrong (missing or unknown command) and at the head of -h's output.
 const usage = `usage: decentsim [flags] <command> [flags] [ids]
 
 commands:
   list                 show all experiments
   run <ids|all>        run experiments once
   sweep <ids|all>      multi-seed / multi-scale / multi-knob sweeps
-  report <ids|all>     render the reproduction report tree (-html, -diff)
+  report <ids|all>     render the reproduction report tree (-html)
   serve [ids|all]      serve the living report over HTTP (-addr)
   trace <id>           run once, write a Chrome trace
+  diff OLD NEW         compare two sweep -json reports; fail on a verdict
+                       flip or a headline mean outside its old [min, max]
 
-run 'decentsim <command> -h' for that command's flags`
+run 'decentsim <command> -h' for that command's flags (list and diff take none)`
 
 func run(args []string, out io.Writer) error {
 	opts := options{seed: 1, scale: 1, out: "report", addr: ":8080"}
 	global := flag.NewFlagSet("decentsim", flag.ContinueOnError)
 	opts.register(global)
-	if err := global.Parse(args); err != nil {
+	if stop, err := parseFlags(global, args, out, true); stop {
 		return err
 	}
 	rest := global.Args()
@@ -244,7 +237,7 @@ func run(args []string, out io.Writer) error {
 	// "decentsim sweep -parallel 8 E03" works like "-parallel 8 sweep E03".
 	sub := flag.NewFlagSet("decentsim "+cmd, flag.ContinueOnError)
 	opts.register(sub)
-	if err := sub.Parse(rest); err != nil {
+	if stop, err := parseFlags(sub, rest, out, !flagless(cmd)); stop {
 		return err
 	}
 	ids := sub.Args()
@@ -254,8 +247,8 @@ func run(args []string, out io.Writer) error {
 	provided := make(map[string]bool)
 	global.Visit(func(f *flag.Flag) { provided[f.Name] = true })
 	sub.Visit(func(f *flag.Flag) { provided[f.Name] = true })
-	if cmd == "list" && len(provided) > 0 {
-		return errors.New("list: takes no flags")
+	if flagless(cmd) && len(provided) > 0 {
+		return fmt.Errorf("%s: takes no flags", cmd)
 	}
 	for _, name := range slices.Sorted(maps.Keys(provided)) {
 		if rule := flagRules[name]; !slices.Contains(strings.Fields(rule.cmds), cmd) {
@@ -275,12 +268,6 @@ func run(args []string, out io.Writer) error {
 	if provided["grid-points"] && !opts.sensitivity {
 		return errors.New("report: -grid-points needs -sensitivity")
 	}
-	if provided["against"] && !provided["diff"] {
-		return errors.New("report: -against needs -diff")
-	}
-	if provided["diff"] && (provided["out"] || opts.html || opts.sensitivity || opts.resources) {
-		return errors.New("report: -diff only compares verdicts; it writes no tree (drop -out/-html/-sensitivity/-resources)")
-	}
 	if provided["grid-points"] && opts.gridPoints < 1 {
 		return fmt.Errorf("report: -grid-points must be >= 1 (got %d)", opts.gridPoints)
 	}
@@ -298,7 +285,7 @@ func run(args []string, out io.Writer) error {
 	// core.Config would silently remap scale <= 0 to 1 while reports
 	// label the group with the raw value — reject up front instead.
 	// !(scale > 0) also catches NaN, which compares false to everything.
-	if cmd != "list" && (!(opts.scale > 0) || math.IsInf(opts.scale, 0)) {
+	if !(opts.scale > 0) || math.IsInf(opts.scale, 0) {
 		return fmt.Errorf("%s: -scale must be a finite number > 0 (got %g)", cmd, opts.scale)
 	}
 
@@ -314,6 +301,31 @@ func run(args []string, out io.Writer) error {
 	return command(out, reg, &opts, ids)
 }
 
+// flagless reports whether cmd is one of the commands that take no flags.
+func flagless(cmd string) bool { return cmd == "list" || cmd == "diff" }
+
+// parseFlags parses args into fs with the flag package's own printing
+// off, and reports whether the command line stops here. -h (or -help)
+// prints the command summary and, when listFlags is set, fs's flags to
+// out, once, with no error. Any other flag error is one line that names
+// the flag and points at the help.
+func parseFlags(fs *flag.FlagSet, args []string, out io.Writer, listFlags bool) (stop bool, err error) {
+	fs.SetOutput(io.Discard)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		fmt.Fprintln(out, usage)
+		if listFlags {
+			fmt.Fprintf(out, "\nflags of %s:\n", fs.Name())
+			fs.SetOutput(out)
+			fs.PrintDefaults()
+		}
+		return true, nil
+	case err != nil:
+		return true, fmt.Errorf("%v (see '%s -h')", err, fs.Name())
+	}
+	return false, nil
+}
+
 // commands maps each subcommand to its implementation.
 var commands = map[string]func(out io.Writer, reg *core.Registry, opts *options, ids []string) error{
 	"list":   listCmd,
@@ -322,6 +334,7 @@ var commands = map[string]func(out io.Writer, reg *core.Registry, opts *options,
 	"report": reportCmd,
 	"serve":  serveCmd,
 	"trace":  traceCmd,
+	"diff":   diffCmd,
 }
 
 func listCmd(out io.Writer, reg *core.Registry, _ *options, ids []string) error {
@@ -471,9 +484,9 @@ func rejectMultiValueKnobs(cmd string, params map[string][]float64) error {
 	return nil
 }
 
-// scenario builds the report.Options that report, report -diff and serve
-// share from the flags. A flag the command does not take is still at its
-// zero value, so one literal serves all three.
+// scenario builds the report.Options that report and serve share from
+// the flags. A flag the command does not take is still at its zero
+// value, so one literal serves both.
 func (o *options) scenario(reg *core.Registry, cmd string, ids []string) (report.Options, error) {
 	ids, err := expandIDs(reg, ids)
 	if err != nil {
@@ -509,9 +522,6 @@ func (o *options) scenario(reg *core.Registry, cmd string, ids []string) (report
 // per experiment, SVG figures, hash manifest) under -out. Shape-check
 // outcomes live in the report; only run errors fail the command.
 func reportCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
-	if opts.diff != "" {
-		return diffCmd(out, reg, opts, ids)
-	}
 	sc, err := opts.scenario(reg, "report", ids)
 	if err != nil {
 		return err
@@ -531,47 +541,29 @@ func reportCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) e
 	return nil
 }
 
-// diffCmd is `report -diff`: it compares an old manifest.json (or sweep
-// report, `sweep -json`) against either a second file (-against, no
-// experiments run) or a freshly generated report's manifest, prints one
-// line per verdict flip / metric drift / bound breach / scenario change,
-// and fails exactly when a verdict flipped (manifests) or a headline mean
-// left its old [min, max] (sweep reports) — the exit code is the trend
-// gate.
-func diffCmd(out io.Writer, reg *core.Registry, opts *options, ids []string) error {
-	if opts.against != "" && len(ids) > 0 {
-		return fmt.Errorf("report: -diff with -against compares two files; it takes no experiment ids (got %s)", strings.Join(ids, " "))
+// diffCmd compares two sweep reports (`sweep -json`), OLD then NEW. It
+// prints one line per verdict flip, headline breach and added or removed
+// scenario, and fails exactly when a verdict flipped or a headline mean
+// left its old [min, max]: the exit code is the soak's verdict gate.
+func diffCmd(out io.Writer, _ *core.Registry, _ *options, files []string) error {
+	if len(files) != 2 {
+		return fmt.Errorf("diff: takes two sweep reports, OLD NEW (got %d arguments)", len(files))
 	}
-	oldData, err := os.ReadFile(opts.diff)
-	if err != nil {
-		return fmt.Errorf("report: -diff: %w", err)
-	}
-	var newData []byte
-	if opts.against != "" {
-		if newData, err = os.ReadFile(opts.against); err != nil {
-			return fmt.Errorf("report: -against: %w", err)
-		}
-	} else {
-		sc, err := opts.scenario(reg, "report", ids)
+	var docs [2][]byte
+	for i, f := range files {
+		data, err := os.ReadFile(f)
 		if err != nil {
-			return err
+			return fmt.Errorf("diff: %w", err)
 		}
-		tree, err := report.Generate(reg, sc)
-		if err != nil {
-			return err
-		}
-		newData = tree.Lookup("manifest.json")
+		docs[i] = data
 	}
-	d, err := report.DiffDocs(oldData, newData)
+	d, err := report.DiffDocs(docs[0], docs[1])
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(out, d.Render())
 	if d.Failing() {
-		if d.Kind == "sweep" {
-			return fmt.Errorf("report: %d scenario(s) breached the drift envelope", len(d.Breaches))
-		}
-		return fmt.Errorf("report: %d claim verdict(s) flipped", len(d.Flips))
+		return fmt.Errorf("diff: %d verdict flip(s), %d envelope breach(es)", len(d.Flips), len(d.Breaches))
 	}
 	return nil
 }

@@ -2,45 +2,36 @@ package report
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/harness"
 )
 
-// diff.go is the verdict comparator behind `decentsim report -diff`: it
-// answers "which claims moved" between two manifests — the interesting
+// diff.go is the verdict gate behind `decentsim diff`: it compares two
+// sweep reports (`decentsim sweep -json`; CI's soak sweeps every claim
+// over 50 seeds and compares the result with the committed
+// SOAK_baseline.json) and answers which claims moved — the interesting
 // question across commits, per Kwon et al., being which verdicts
-// flipped, not what the tree says today. The same comparator reads two
-// sweep reports (the 100-seed soak's `sweep -json` output against the
-// committed SOAK_baseline.json) and turns each group's headline bounds
-// into a failing trend gate. Rendering is deterministic: rows follow
-// document order (new-document order for changes, old-document order for
-// removals), never map iteration.
+// flipped, not what the report says today. Groups are matched on
+// Group.Key. A group whose Group.Verdict changed fails the gate, and so
+// does a group whose headline mean left the old group's [min, max].
+// Rendering is deterministic: rows follow document order (new-document
+// order for changes, old-document order for removals), never map
+// iteration.
 
-// ClaimChange records one scenario whose verdict or headline metric
-// moved between the old and new manifest.
+// ClaimChange records one scenario whose verdict flipped between the
+// old and the new sweep report.
 type ClaimChange struct {
 	Scenario   string
-	Title      string
 	OldVerdict string
 	NewVerdict string
-	// Metric carries the new manifest's headline metric name (or the old
-	// one when the new claim has none); the means are the cross-seed
-	// headline means on each side.
-	Metric  string
-	OldMean float64
-	NewMean float64
-	OldCI95 float64
-	NewCI95 float64
 }
 
-// Flipped reports whether the scenario's verdict changed (the failing
-// condition); a false value means only the headline metric drifted.
-func (c ClaimChange) Flipped() bool { return c.OldVerdict != c.NewVerdict }
-
-// TrendBreach records one soak scenario whose new headline mean left the
-// old document's observed [min, max] envelope.
+// TrendBreach records one scenario whose new headline mean left the
+// old report's observed [min, max] envelope.
 type TrendBreach struct {
 	Scenario string
 	Metric   string
@@ -49,159 +40,105 @@ type TrendBreach struct {
 	NewMean  float64
 }
 
-// Diff is the outcome of comparing two manifests or two sweep reports.
+// Diff is the outcome of comparing two sweep reports.
 type Diff struct {
-	// Kind is "manifest" or "sweep", matching the detected document type.
-	Kind string
-	// Flips are claims whose verdict changed — each one fails the gate.
+	// Flips are scenarios whose verdict changed — each one fails the gate.
 	Flips []ClaimChange
-	// Drifts are claims whose verdict held but whose headline metric
-	// moved; informational, never failing.
-	Drifts []ClaimChange
+	// Breaches are headlines outside the old envelope — each one fails
+	// the gate.
+	Breaches []TrendBreach
 	// Added and Removed are scenario keys present on only one side.
 	Added   []string
 	Removed []string
-	// Breaches are sweep-report headlines outside the old envelope —
-	// each one fails the gate.
-	Breaches []TrendBreach
 }
 
 // Failing reports whether the diff should fail a gate: any verdict flip
-// (manifests) or envelope breach (sweep reports). Metric-only drift
-// and scenario set changes are reported but never failing.
+// or envelope breach. Scenario set changes are reported but never
+// failing.
 func (d *Diff) Failing() bool {
 	return len(d.Flips) > 0 || len(d.Breaches) > 0
 }
 
-// DiffManifests compares the claims of two parsed manifests, matching
-// scenarios by their canonical harness keys.
-func DiffManifests(old, now *Manifest) *Diff {
-	d := &Diff{Kind: "manifest"}
-	oldBy := make(map[string]ManifestClaim, len(old.Claims))
-	for _, c := range old.Claims {
-		oldBy[c.Scenario] = c
-	}
-	newKeys := make(map[string]bool, len(now.Claims))
-	for _, nc := range now.Claims {
-		newKeys[nc.Scenario] = true
-		oc, ok := oldBy[nc.Scenario]
-		if !ok {
-			d.Added = append(d.Added, nc.Scenario)
-			continue
-		}
-		ch := ClaimChange{
-			Scenario:   nc.Scenario,
-			Title:      nc.Title,
-			OldVerdict: oc.Verdict,
-			NewVerdict: nc.Verdict,
-			Metric:     nc.Metric,
-			OldMean:    oc.Mean,
-			NewMean:    nc.Mean,
-			OldCI95:    oc.CI95,
-			NewCI95:    nc.CI95,
-		}
-		if ch.Metric == "" {
-			ch.Metric = oc.Metric
-		}
-		switch {
-		case ch.Flipped():
-			d.Flips = append(d.Flips, ch)
-		case oc.Metric != nc.Metric || oc.Mean != nc.Mean:
-			d.Drifts = append(d.Drifts, ch)
-		}
-	}
-	for _, oc := range old.Claims {
-		if !newKeys[oc.Scenario] {
-			d.Removed = append(d.Removed, oc.Scenario)
-		}
-	}
-	return d
-}
-
-// headlineKey names one group's headline bound in a sweep report.
-func headlineKey(g harness.Group, m harness.MetricAgg) string {
-	return fmt.Sprintf("%s|%.6g|%s|%s", g.ExperimentID, g.Scale, g.Params, m.Name)
-}
-
-// diffSweeps compares two sweep reports on each group's headline metric
-// (Group.Headline): a scenario breaches when its new mean falls outside
-// the old report's observed [min, max]. Groups without a headline take
-// no part.
+// diffSweeps compares two sweep reports group by group, matched on
+// Group.Key.
 func diffSweeps(old, now *harness.Report) *Diff {
-	d := &Diff{Kind: "sweep"}
-	var oldKeys []string
-	oldBy := make(map[string]harness.MetricAgg, len(old.Groups))
+	d := &Diff{}
+	oldBy := make(map[string]harness.Group, len(old.Groups))
 	for _, g := range old.Groups {
-		if m, ok := g.Headline(); ok {
-			k := headlineKey(g, m)
-			oldKeys = append(oldKeys, k)
-			oldBy[k] = m
-		}
+		oldBy[g.Key()] = g
 	}
 	newKeys := make(map[string]bool, len(now.Groups))
-	for _, g := range now.Groups {
-		nm, ok := g.Headline()
-		if !ok {
-			continue
-		}
-		k := headlineKey(g, nm)
+	for _, ng := range now.Groups {
+		k := ng.Key()
 		newKeys[k] = true
-		om, ok := oldBy[k]
+		og, ok := oldBy[k]
 		if !ok {
 			d.Added = append(d.Added, k)
 			continue
 		}
-		if nm.Mean < om.Min || nm.Mean > om.Max {
-			d.Breaches = append(d.Breaches, TrendBreach{
-				Scenario: k,
-				Metric:   nm.Name,
-				OldMin:   om.Min,
-				OldMax:   om.Max,
-				NewMean:  nm.Mean,
-			})
+		if ov, nv := og.Verdict(), ng.Verdict(); ov != nv {
+			d.Flips = append(d.Flips, ClaimChange{Scenario: k, OldVerdict: ov, NewVerdict: nv})
+		}
+		if b, ok := breach(k, og, ng); ok {
+			d.Breaches = append(d.Breaches, b)
 		}
 	}
-	for _, k := range oldKeys {
-		if !newKeys[k] {
+	for _, g := range old.Groups {
+		if k := g.Key(); !newKeys[k] {
 			d.Removed = append(d.Removed, k)
 		}
 	}
 	return d
 }
 
-// DiffDocs compares two serialized documents, auto-detecting their kind:
-// report manifests (a "claims"/"files" object) are compared claim by
-// claim, sweep reports (`decentsim sweep -json`, a top-level "groups"
-// array) headline bound by headline bound. Both sides must be the same
-// kind.
+// breach compares the new group's headline mean (Group.Headline) with
+// the old group's [min, max] of the same metric. A headline the old
+// group does not carry has an empty envelope, so any mean breaches it.
+// A group without a headline takes no part.
+func breach(key string, old, now harness.Group) (TrendBreach, bool) {
+	nm, ok := now.Headline()
+	if !ok {
+		return TrendBreach{}, false
+	}
+	b := TrendBreach{Scenario: key, Metric: nm.Name, OldMin: math.Inf(1), OldMax: math.Inf(-1), NewMean: nm.Mean}
+	for _, om := range old.Metrics {
+		if om.Name == nm.Name {
+			b.OldMin, b.OldMax = om.Min, om.Max
+			break
+		}
+	}
+	return b, nm.Mean < b.OldMin || nm.Mean > b.OldMax
+}
+
+// DiffDocs compares two serialized sweep reports, old then new. Any
+// other document, a report manifest among them, is refused.
 func DiffDocs(oldData, newData []byte) (*Diff, error) {
-	oldSweep, newSweep := isSweepReport(oldData), isSweepReport(newData)
-	if oldSweep != newSweep {
-		return nil, fmt.Errorf("report: diff: document kinds differ (one manifest, one sweep report)")
-	}
-	if oldSweep {
-		var or, nr harness.Report
-		if err := json.Unmarshal(oldData, &or); err != nil {
-			return nil, fmt.Errorf("report: diff: parse old sweep report: %w", err)
-		}
-		if err := json.Unmarshal(newData, &nr); err != nil {
-			return nil, fmt.Errorf("report: diff: parse new sweep report: %w", err)
-		}
-		return diffSweeps(&or, &nr), nil
-	}
-	om, err := ParseManifest(oldData)
+	old, err := parseSweep(oldData)
 	if err != nil {
-		return nil, fmt.Errorf("report: diff: old manifest: %w", err)
+		return nil, fmt.Errorf("report: diff: old document: %w", err)
 	}
-	nm, err := ParseManifest(newData)
+	now, err := parseSweep(newData)
 	if err != nil {
-		return nil, fmt.Errorf("report: diff: new manifest: %w", err)
+		return nil, fmt.Errorf("report: diff: new document: %w", err)
 	}
-	return DiffManifests(om, nm), nil
+	return diffSweeps(old, now), nil
+}
+
+// parseSweep decodes a sweep report after isSweepReport has told it
+// from other JSON.
+func parseSweep(data []byte) (*harness.Report, error) {
+	if !isSweepReport(data) {
+		return nil, errors.New("not a sweep report (the output of `decentsim sweep -json`)")
+	}
+	var rep harness.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // isSweepReport probes the document's top-level "groups" key: an array
-// in a sweep report, a count in a manifest.
+// in a sweep report, a count in a report manifest.
 func isSweepReport(data []byte) bool {
 	var probe struct {
 		Groups []json.RawMessage `json:"groups"`
@@ -214,19 +151,11 @@ func isSweepReport(data []byte) bool {
 func (d *Diff) Render() string {
 	var b strings.Builder
 	for _, c := range d.Flips {
-		fmt.Fprintf(&b, "FLIP  %s: %s -> %s", c.Scenario, c.OldVerdict, c.NewVerdict)
-		if c.Metric != "" {
-			fmt.Fprintf(&b, " (%s %.6g -> %.6g)", c.Metric, c.OldMean, c.NewMean)
-		}
-		b.WriteString("\n")
-	}
-	for _, c := range d.Drifts {
-		fmt.Fprintf(&b, "DRIFT %s: %s %.6g -> %.6g (verdict %s holds)\n",
-			c.Scenario, c.Metric, c.OldMean, c.NewMean, c.NewVerdict)
+		fmt.Fprintf(&b, "FLIP  %s: %s -> %s\n", c.Scenario, c.OldVerdict, c.NewVerdict)
 	}
 	for _, t := range d.Breaches {
-		fmt.Fprintf(&b, "BREACH %s: mean %.6g outside old envelope [%.6g, %.6g]\n",
-			t.Scenario, t.NewMean, t.OldMin, t.OldMax)
+		fmt.Fprintf(&b, "BREACH %s: %s mean %.6g outside old envelope [%.6g, %.6g]\n",
+			t.Scenario, t.Metric, t.NewMean, t.OldMin, t.OldMax)
 	}
 	for _, s := range d.Added {
 		fmt.Fprintf(&b, "ADDED %s\n", s)
@@ -235,15 +164,12 @@ func (d *Diff) Render() string {
 		fmt.Fprintf(&b, "REMOVED %s\n", s)
 	}
 	switch {
-	case d.Failing() && d.Kind == "sweep":
-		fmt.Fprintf(&b, "FAIL: %d scenario(s) breached the drift envelope\n", len(d.Breaches))
 	case d.Failing():
-		fmt.Fprintf(&b, "FAIL: %d verdict flip(s)\n", len(d.Flips))
-	case len(d.Flips)+len(d.Drifts)+len(d.Breaches)+len(d.Added)+len(d.Removed) == 0:
+		fmt.Fprintf(&b, "FAIL: %d verdict flip(s), %d envelope breach(es)\n", len(d.Flips), len(d.Breaches))
+	case len(d.Added)+len(d.Removed) == 0:
 		b.WriteString("PASS: no changes\n")
 	default:
-		fmt.Fprintf(&b, "PASS: no verdict flips (%d drift(s), %d added, %d removed)\n",
-			len(d.Drifts), len(d.Added), len(d.Removed))
+		fmt.Fprintf(&b, "PASS: no verdict flips or breaches (%d added, %d removed)\n", len(d.Added), len(d.Removed))
 	}
 	return b.String()
 }

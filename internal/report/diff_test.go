@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -8,13 +9,19 @@ import (
 	"repro/internal/harness"
 )
 
-func manifestJSON(t *testing.T, claims []ManifestClaim) []byte {
+// group is one scale-1 scenario of a sweep report: its majority verdict
+// and a headline metric "m" with the given mean and bounds.
+func group(id string, reproduced bool, mean, min, max float64) harness.Group {
+	return harness.Group{
+		ExperimentID: id, Scale: 1, Replications: 100, Reproduced: reproduced,
+		Metrics: []harness.MetricAgg{{Name: "m", N: 100, Mean: mean, Std: 0.1, Min: min, Max: max}},
+	}
+}
+
+// sweepJSON is the sweep report (`sweep -json`) holding groups.
+func sweepJSON(t *testing.T, groups ...harness.Group) []byte {
 	t.Helper()
-	data, err := json.Marshal(Manifest{
-		Title:  "t",
-		Claims: claims,
-		Files:  []ManifestFile{{Path: "REPORT.md"}},
-	})
+	data, err := (&harness.Report{Groups: groups}).JSON()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -22,76 +29,41 @@ func manifestJSON(t *testing.T, claims []ManifestClaim) []byte {
 }
 
 func TestDiffIdenticalManifests(t *testing.T) {
-	m := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Verdict: "REPRODUCED", Metric: "m", Mean: 1.5},
-	})
-	d, err := DiffDocs(m, m)
+	r := sweepJSON(t, group("E01", true, 1.5, 1, 2), group("E02", false, 3, 2, 4))
+	d, err := DiffDocs(r, r)
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if d.Failing() || len(d.Flips)+len(d.Drifts)+len(d.Added)+len(d.Removed) != 0 {
-		t.Errorf("identical manifests should produce an empty passing diff: %+v", d)
+	if d.Failing() || len(d.Flips)+len(d.Breaches)+len(d.Added)+len(d.Removed) != 0 {
+		t.Errorf("identical sweep reports should produce an empty passing diff: %+v", d)
 	}
-	if !strings.Contains(d.Render(), "PASS: no changes") {
-		t.Errorf("Render = %q", d.Render())
+	if got := d.Render(); got != "PASS: no changes\n" {
+		t.Errorf("Render = %q", got)
 	}
 }
 
 func TestDiffVerdictFlip(t *testing.T) {
-	old := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Title: "c", Verdict: "REPRODUCED", Metric: "m", Mean: 1.5},
-	})
-	now := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Title: "c", Verdict: "NOT REPRODUCED", Metric: "m", Mean: 2.5},
-	})
+	old := sweepJSON(t, group("E01", true, 1.5, 1, 2))
+	now := sweepJSON(t, group("E01", false, 1.5, 1, 2))
 	d, err := DiffDocs(old, now)
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if !d.Failing() || len(d.Flips) != 1 || len(d.Drifts) != 0 {
+	if !d.Failing() || len(d.Flips) != 1 || len(d.Breaches)+len(d.Added)+len(d.Removed) != 0 {
 		t.Fatalf("want exactly one failing flip: %+v", d)
 	}
-	f := d.Flips[0]
-	if f.OldVerdict != "REPRODUCED" || f.NewVerdict != "NOT REPRODUCED" || !f.Flipped() {
+	if f := d.Flips[0]; f != (ClaimChange{Scenario: "E01|1|", OldVerdict: "REPRODUCED", NewVerdict: "NOT REPRODUCED"}) {
 		t.Errorf("flip record wrong: %+v", f)
 	}
-	out := d.Render()
-	if !strings.Contains(out, "FLIP") || !strings.Contains(out, "FAIL: 1 verdict flip") {
-		t.Errorf("Render = %q", out)
-	}
-}
-
-func TestDiffMetricOnlyDrift(t *testing.T) {
-	old := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Verdict: "REPRODUCED", Metric: "m", Mean: 1.5},
-	})
-	now := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Verdict: "REPRODUCED", Metric: "m", Mean: 1.75},
-	})
-	d, err := DiffDocs(old, now)
-	if err != nil {
-		t.Fatalf("DiffDocs: %v", err)
-	}
-	if d.Failing() {
-		t.Errorf("metric-only drift must not fail the gate: %+v", d)
-	}
-	if len(d.Drifts) != 1 || d.Drifts[0].OldMean != 1.5 || d.Drifts[0].NewMean != 1.75 {
-		t.Errorf("drift record wrong: %+v", d.Drifts)
-	}
-	if !strings.Contains(d.Render(), "DRIFT") || !strings.Contains(d.Render(), "PASS") {
-		t.Errorf("Render = %q", d.Render())
+	want := "FLIP  E01|1|: REPRODUCED -> NOT REPRODUCED\nFAIL: 1 verdict flip(s), 0 envelope breach(es)\n"
+	if got := d.Render(); got != want {
+		t.Errorf("Render = %q, want %q", got, want)
 	}
 }
 
 func TestDiffAddedRemoved(t *testing.T) {
-	old := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Verdict: "REPRODUCED"},
-		{Scenario: "E02|1|", Verdict: "REPRODUCED"},
-	})
-	now := manifestJSON(t, []ManifestClaim{
-		{Scenario: "E01|1|", Verdict: "REPRODUCED"},
-		{Scenario: "E03|1|", Verdict: "NOT REPRODUCED"},
-	})
+	old := sweepJSON(t, group("E01", true, 1, 0, 2), group("E02", true, 1, 0, 2))
+	now := sweepJSON(t, group("E01", true, 1, 0, 2), group("E03", false, 1, 0, 2))
 	d, err := DiffDocs(old, now)
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
@@ -102,50 +74,57 @@ func TestDiffAddedRemoved(t *testing.T) {
 	if len(d.Added) != 1 || d.Added[0] != "E03|1|" || len(d.Removed) != 1 || d.Removed[0] != "E02|1|" {
 		t.Errorf("added/removed wrong: %+v / %+v", d.Added, d.Removed)
 	}
-}
-
-// sweepJSON is a one-group sweep report (`sweep -json`) whose headline
-// metric has the given mean and bounds.
-func sweepJSON(mean, min, max float64) []byte {
-	data, _ := (&harness.Report{Groups: []harness.Group{{
-		ExperimentID: "E01", Scale: 1, Replications: 100,
-		Metrics: []harness.MetricAgg{{Name: "m", N: 100, Mean: mean, Std: 0.1, Min: min, Max: max}},
-	}}}).JSON()
-	return data
+	if !strings.HasSuffix(d.Render(), "PASS: no verdict flips or breaches (1 added, 1 removed)\n") {
+		t.Errorf("Render = %q", d.Render())
+	}
 }
 
 func TestDiffDriftWithinEnvelope(t *testing.T) {
-	d, err := DiffDocs(sweepJSON(1.5, 1.0, 2.0), sweepJSON(1.9, 1.7, 2.1))
+	d, err := DiffDocs(sweepJSON(t, group("E01", true, 1.5, 1.0, 2.0)), sweepJSON(t, group("E01", true, 1.9, 1.7, 2.1)))
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if d.Kind != "sweep" || d.Failing() || len(d.Breaches) != 0 {
+	if d.Failing() || len(d.Breaches) != 0 {
 		t.Errorf("in-envelope drift should pass: %+v", d)
 	}
 }
 
 func TestDiffDriftBreach(t *testing.T) {
-	d, err := DiffDocs(sweepJSON(1.5, 1.0, 2.0), sweepJSON(2.5, 2.4, 2.6))
+	d, err := DiffDocs(sweepJSON(t, group("E01", true, 1.5, 1.0, 2.0)), sweepJSON(t, group("E01", true, 2.5, 2.4, 2.6)))
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if !d.Failing() || len(d.Breaches) != 1 {
+	if !d.Failing() || len(d.Breaches) != 1 || len(d.Flips) != 0 {
 		t.Fatalf("want one failing breach: %+v", d)
 	}
 	br := d.Breaches[0]
-	if br.NewMean != 2.5 || br.OldMin != 1.0 || br.OldMax != 2.0 {
+	if br.Scenario != "E01|1|" || br.Metric != "m" || br.NewMean != 2.5 || br.OldMin != 1.0 || br.OldMax != 2.0 {
 		t.Errorf("breach record wrong: %+v", br)
 	}
 	if !strings.Contains(d.Render(), "BREACH") || !strings.Contains(d.Render(), "FAIL") {
 		t.Errorf("Render = %q", d.Render())
 	}
+
+	// A headline the old group does not carry has no envelope to stay in.
+	renamed := group("E01", true, 1.5, 1.0, 2.0)
+	renamed.Metrics[0].Name = "m2"
+	if d, _ := DiffDocs(sweepJSON(t, group("E01", true, 1.5, 1.0, 2.0)), sweepJSON(t, renamed)); len(d.Breaches) != 1 {
+		t.Errorf("a new headline metric passed the envelope check: %+v", d)
+	}
 }
 
+// TestDiffKindMismatch checks that the comparator refuses a report
+// manifest on either side, naming the document it wants.
 func TestDiffKindMismatch(t *testing.T) {
-	man := manifestJSON(t, nil)
-	if _, err := DiffDocs(man, sweepJSON(1, 0, 2)); err == nil ||
-		!strings.Contains(err.Error(), "kinds differ") {
-		t.Errorf("mixed document kinds must error, got %v", err)
+	man, err := json.Marshal(Manifest{Title: "t", Groups: 1, Claims: []ManifestClaim{{Scenario: "E01|1|", Verdict: "REPRODUCED"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := sweepJSON(t, group("E01", true, 1, 0, 2))
+	for _, pair := range [][2][]byte{{man, sweep}, {sweep, man}} {
+		if _, err := DiffDocs(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "sweep -json") {
+			t.Errorf("a manifest must be refused, got %v", err)
+		}
 	}
 }
 
@@ -155,27 +134,25 @@ func TestDiffMalformed(t *testing.T) {
 	}
 }
 
-// TestDiffRealManifests runs the comparator end to end over two
-// generated manifests whose options differ only by seed set, checking
-// scenario keys line up.
+// TestDiffRealManifests runs the comparator end to end over two real
+// sweep reports whose seed sets differ, checking scenario keys line up.
 func TestDiffRealManifests(t *testing.T) {
-	gen := func(seeds []int64) []byte {
-		tree, err := Generate(registry(t), Options{IDs: []string{"E01"}, Seeds: seeds, Scale: 0.25})
+	sweep := func(seeds []int64) []byte {
+		jobs := harness.Sweep{Experiments: []string{"E01"}, Seeds: seeds, Scales: []float64{0.25}}.Jobs()
+		results := (&harness.Runner{Registry: registry(t)}).Run(context.Background(), jobs)
+		data, err := harness.Aggregate(results).JSON()
 		if err != nil {
-			t.Fatalf("Generate: %v", err)
+			t.Fatal(err)
 		}
-		return tree.Lookup("manifest.json")
+		return data
 	}
-	a, b := gen([]int64{1, 2}), gen([]int64{2, 3})
+	a, b := sweep([]int64{1, 2}), sweep([]int64{2, 3})
 	d, err := DiffDocs(a, b)
 	if err != nil {
 		t.Fatalf("DiffDocs: %v", err)
 	}
-	if d.Kind != "manifest" {
-		t.Errorf("Kind = %q", d.Kind)
-	}
 	if len(d.Added)+len(d.Removed) != 0 {
-		t.Errorf("same scenario should match across manifests: %+v", d)
+		t.Errorf("same scenario should match across sweep reports: %+v", d)
 	}
 	if d2, _ := DiffDocs(a, a); d2.Failing() {
 		t.Errorf("self-diff fails: %+v", d2)

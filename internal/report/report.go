@@ -152,10 +152,9 @@ func (t *Tree) WriteDir(dir string) error {
 }
 
 // Manifest is the machine-readable index of a generated tree: the run
-// configuration, one claim row per aggregated scenario (the diffable
-// verdict record), and every artifact by content hash. It is exported so
-// consumers (report -diff, the report service) can parse manifest.json
-// back without re-deriving the schema.
+// configuration, one claim row per aggregated scenario (the verdict
+// record), and every artifact by content hash. It is exported so
+// consumers can decode manifest.json back without re-deriving the schema.
 type Manifest struct {
 	Title       string               `json:"title"`
 	Experiments []string             `json:"experiments"`
@@ -178,10 +177,9 @@ type ManifestSensitivity struct {
 	Scenarios  int      `json:"scenarios"`
 }
 
-// ManifestClaim is one scenario's verdict record: the row report -diff
-// compares across manifests. Scenario is the canonical harness key
-// (experiment id + scale + knob assignment), so the same scenario matches
-// across reports generated from different commits.
+// ManifestClaim is one scenario's verdict record. Scenario is the
+// canonical harness key (experiment id + scale + knob assignment), the
+// same Group.Key that `decentsim diff` matches sweep reports on.
 type ManifestClaim struct {
 	Experiment string `json:"experiment"`
 	Scenario   string `json:"scenario"`
@@ -209,15 +207,6 @@ type ManifestFile struct {
 	// measurements); they carry no hash and are excluded from
 	// determinism comparisons.
 	Volatile bool `json:"volatile,omitempty"`
-}
-
-// ParseManifest decodes a manifest.json previously emitted by Generate.
-func ParseManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("report: parse manifest: %w", err)
-	}
-	return &m, nil
 }
 
 // Canonical resolves a scenario's defaults against the registry, so every

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -435,8 +436,8 @@ func TestSensitivityGridScenariosRunOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	man, err := ParseManifest(tree.Lookup("manifest.json"))
-	if err != nil {
+	var man Manifest
+	if err := json.Unmarshal(tree.Lookup("manifest.json"), &man); err != nil {
 		t.Fatal(err)
 	}
 	if man.Sensitivity == nil || man.Sensitivity.Scenarios != 18 {
