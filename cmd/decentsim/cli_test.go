@@ -44,6 +44,7 @@ func TestArgumentAudit(t *testing.T) {
 		{"serve rejects csv", []string{"serve", "-csv"}, "-csv does not apply", ""},
 		{"serve rejects out", []string{"serve", "-out", "x"}, "-out does not apply", ""},
 		{"serve rejects seed", []string{"serve", "-seed", "2"}, "-seed does not apply", ""},
+		{"serve rejects html", []string{"serve", "-html"}, "-html does not apply; serve always renders HTML", ""},
 		{"serve rejects diff", []string{"serve", "-diff", "x.json"}, "flag provided but not defined: -diff", ""},
 		{"serve rejects multi-value knob", []string{"serve", "-set", "e01.exploration=0.2,0.4"}, "sweep subcommand", ""},
 		{"serve unknown id", []string{"serve", "E99"}, "unknown experiment", ""},

@@ -1,38 +1,11 @@
 // Command decentsim runs the paper-reproduction experiments, singly or as
-// parallel multi-seed sweeps.
+// parallel multi-seed sweeps, renders and serves the reproduction report,
+// records event traces, and diffs two sweep reports' verdicts.
 //
-// Usage:
-//
-//	decentsim list                     # show all experiments
-//	decentsim run E06 E13              # run specific experiments
-//	decentsim run all                  # run everything (errors collected, reported at exit)
-//	decentsim -seed 7 -scale 0.5 run E03
-//	decentsim run -csv E06             # emit tables as CSV
-//	decentsim run -json -parallel 4 all
-//	decentsim sweep -parallel 8 -json -seeds 1..10 E03 E06
-//	decentsim sweep -seeds 1..5 -set e03.lookups=100,200 E03
-//	decentsim sweep -seeds 1..3 -set e06.shards=16,64,256 -set e06.crossshard=0.1,0.5 E06
-//	decentsim sweep -seeds 1..50 -json all > soak.json   # the soak: every claim over 50 seeds
-//	decentsim diff SOAK_baseline.json soak.json         # the verdict gate: exit 1 on a flip or breach
-//	decentsim report -seeds 1..3 all   # render the reproduction report tree
-//	decentsim report -out docs/report -parallel 8 E06 E08
-//	decentsim report -sensitivity all  # + per-knob sensitivity pages
-//	decentsim report -sensitivity -grid-points 3 -scale 0.25 -seeds 1..2 all
-//	decentsim report -resources all    # + per-experiment Resources appendix
-//	decentsim report -html all         # + self-contained HTML siblings (index.html, ...)
-//	decentsim serve -addr :8080 -seeds 1..3 -scale 0.25 E01 E11  # living report over HTTP
-//	decentsim trace E06                # run once, write trace.json (chrome://tracing)
-//	decentsim trace -seed 3 -trace-limit 50000 -out e13.trace.json E13
-//	decentsim sweep -profile profiles E06   # per-run CPU/heap pprof files (+ pre-run heap base)
-//
-// Every experiment E01–E19 registers sweepable knobs; -set accepts any
-// name listed in DESIGN.md's knob table (unknown names are rejected with
-// the full list).
-//
-// Flags may appear before or after the subcommand; list and diff take
-// none, and `<command> -h` lists them. sweep emits an
-// aggregate report (per-metric mean/stddev/95%-CI and a majority-vote
-// shape verdict per check) that is byte-identical at any -parallel value.
+// `decentsim -h` lists the commands and every flag; DESIGN.md's CLI
+// section holds the same text, generated from it (TestDesignCLICurrent).
+// Flags may appear before or after the command; flagRules says which
+// commands take each one.
 package main
 
 import (
@@ -165,13 +138,15 @@ var flagRules = map[string]flagRule{
 		"serve": "serve streams artifacts from memory; use the report subcommand to write a tree",
 	}},
 	"set":         {cmds: "run sweep serve trace", reason: "the report documents baseline runs; use -sensitivity for knob grids, or sweep"},
-	"sensitivity": {cmds: "report serve", reason: "only the report subcommand renders sensitivity pages"},
-	"grid-points": {cmds: "report serve", reason: "only the report subcommand sweeps knob grids"},
-	"resources":   {cmds: "report serve", reason: "only the report subcommand renders the resources appendix"},
+	"sensitivity": {cmds: "report serve", reason: "only the report and serve subcommands render sensitivity pages"},
+	"grid-points": {cmds: "report serve", reason: "only the report and serve subcommands sweep knob grids"},
+	"resources":   {cmds: "report serve", reason: "only the report and serve subcommands render the resources appendix"},
 	"profile":     {cmds: "sweep report", reason: "only the sweep and report subcommands run on the profiled harness"},
 	"trace-limit": {cmds: "trace", reason: "only the trace subcommand buffers an event trace"},
-	"html":        {cmds: "report serve", reason: "only the report and serve subcommands render HTML pages"},
-	"addr":        {cmds: "serve", reason: "only the serve subcommand listens on an address"},
+	"html": {cmds: "report", reason: "only the report and serve subcommands render HTML pages", except: map[string]string{
+		"serve": "serve always renders HTML",
+	}},
+	"addr": {cmds: "serve", reason: "only the serve subcommand listens on an address"},
 }
 
 func (o *options) register(fs *flag.FlagSet) {
@@ -197,7 +172,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.resources, "resources", o.resources, help("resources", "attach run telemetry and render a per-experiment Resources appendix plus resources/host.json"))
 	fs.StringVar(&o.profile, "profile", o.profile, help("profile", "write per-run CPU and heap pprof profiles into this directory; <stem>.heap.base.pprof is the heap before the run, for go tool pprof -base"))
 	fs.IntVar(&o.traceLimit, "trace-limit", o.traceLimit, help("trace-limit", "event buffer limit (default 100000; overflow is counted, not stored)"))
-	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html); serve always does"))
+	fs.BoolVar(&o.html, "html", o.html, help("html", "also render every markdown page as a self-contained HTML sibling (index.html, experiments/<ID>.html)"))
 	fs.StringVar(&o.addr, "addr", o.addr, help("addr", "HTTP listen address"))
 }
 

@@ -13,15 +13,16 @@ import (
 
 // update rewrites this package's pins from the current code:
 // testdata/flag_matrix.golden (the pair-by-pair contract of which command
-// accepts which flag and what it says when it does not) and the sha256
-// column of testdata/digests.json. One command re-pins them together
-// with the experiment and report goldens:
+// accepts which flag and what it says when it does not), the sha256
+// column of testdata/digests.json and DESIGN.md's generated CLI block.
+// One command re-pins them together with the experiment and report
+// goldens:
 //
 //	go test ./internal/experiments ./internal/report ./cmd/decentsim -update
 //
 // Only do this when the moved bytes are meant to move; `git diff` then
 // shows exactly which pins did.
-var update = flag.Bool("update", false, "rewrite testdata/flag_matrix.golden and the sha256 column of testdata/digests.json")
+var update = flag.Bool("update", false, "rewrite testdata/flag_matrix.golden, the sha256 column of testdata/digests.json and DESIGN.md's CLI block")
 
 // TestFlagMatrix drives every command × flag pair through run and pins
 // the outcome: "accept" (the flag got past the applicability check — the
@@ -51,7 +52,7 @@ func TestFlagMatrix(t *testing.T) {
 	for _, cmd := range cmds {
 		for _, f := range flags {
 			args := []string{cmd, "-" + f.Name}
-			if b, ok := f.Value.(interface{ IsBoolFlag() bool }); !ok || !b.IsBoolFlag() {
+			if !isBool(f) {
 				v, ok := values[f.Name]
 				if !ok {
 					t.Fatalf("no test value for -%s", f.Name)

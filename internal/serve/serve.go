@@ -348,7 +348,7 @@ func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, sc scenar
 }
 
 // contentType maps artifact extensions to media types; report trees hold
-// a small closed set.
+// a small closed set (TestContentTypes pins it).
 func contentType(path string) string {
 	switch {
 	case strings.HasSuffix(path, ".html"):
@@ -359,8 +359,6 @@ func contentType(path string) string {
 		return "image/svg+xml"
 	case strings.HasSuffix(path, ".md"):
 		return "text/markdown; charset=utf-8"
-	case strings.HasSuffix(path, ".csv"):
-		return "text/csv; charset=utf-8"
 	default:
 		return "text/plain; charset=utf-8"
 	}

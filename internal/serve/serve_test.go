@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"reflect"
 	"strings"
 	"sync"
@@ -126,6 +127,51 @@ func TestRoutes(t *testing.T) {
 	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK ||
 		!bytes.Contains(rec.Body.Bytes(), []byte("cache_hits")) {
 		t.Errorf("/statz = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestContentTypes fetches one artifact of each extension a report tree
+// holds and checks its media type. The tree's extensions must be exactly
+// the ones listed, so a new kind of artifact fails here until
+// contentType maps it. E12 is the scenario because, unlike E01, it draws
+// a figure.
+func TestContentTypes(t *testing.T) {
+	reg, err := experiments.Registry()
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	opts := report.Options{IDs: []string{"E12"}, Seeds: []int64{1}, Scale: 0.25, HTML: true}
+	tree, err := report.Generate(reg, opts)
+	if err != nil {
+		t.Fatalf("offline Generate: %v", err)
+	}
+	want := map[string]string{
+		".md":   "text/markdown; charset=utf-8",
+		".html": "text/html; charset=utf-8",
+		".svg":  "image/svg+xml",
+		".json": "application/json",
+	}
+	first := make(map[string]string)
+	for _, f := range tree.Files {
+		ext := path.Ext(f.Path)
+		if _, ok := want[ext]; !ok {
+			t.Errorf("tree holds %s, whose extension %q has no media type here", f.Path, ext)
+		}
+		if _, ok := first[ext]; !ok {
+			first[ext] = f.Path
+		}
+	}
+	h := New(reg, opts, obs.NewCollector()).Handler()
+	for ext, ct := range want {
+		p, ok := first[ext]
+		if !ok {
+			t.Errorf("tree holds no %s artifact", ext)
+			continue
+		}
+		rec := get(t, h, "/report/"+p)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != ct {
+			t.Errorf("/report/%s = %d %q, want 200 %q", p, rec.Code, rec.Header().Get("Content-Type"), ct)
+		}
 	}
 }
 
